@@ -1,12 +1,12 @@
 package laxgpu
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"laxgpu/internal/cp"
-	"laxgpu/internal/faults"
-	"laxgpu/internal/sched"
+	"laxgpu/internal/harness"
 	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
@@ -79,30 +79,16 @@ func FindCapacity(o CapacityOptions) (CapacityResult, error) {
 		}
 		bench = b
 	}
-	if _, err := sched.New(o.Scheduler); err != nil {
-		return CapacityResult{}, err
-	}
-	spec, err := faults.ParseSpec(o.Faults)
-	if err != nil {
-		return CapacityResult{}, err
-	}
-
 	cfg := cp.DefaultSystemConfig()
-	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
-	}
 	lib := workload.NewLibrary(cfg.GPU)
 	probe := func(rate int) (float64, error) {
-		pol, err := sched.New(o.Scheduler)
-		if err != nil {
-			return 0, err
-		}
 		var set *workload.JobSet
 		if peak != nil {
 			// Horizon sized for ~o.Jobs arrivals at the probed aggregate
 			// rate; the realized count varies with the arrival draws, so
 			// the met fraction is over the generated jobs.
 			durUs := int64(float64(o.Jobs)/float64(rate)*1e6) + 1
+			var err error
 			set, err = peak.PeakPhase(float64(rate), durUs).Generate(lib, o.Seed)
 			if err != nil {
 				return 0, err
@@ -110,11 +96,13 @@ func FindCapacity(o CapacityOptions) (CapacityResult, error) {
 		} else {
 			set = bench.GenerateCustom(lib, rate, o.Jobs, o.Seed)
 		}
-		sys := cp.NewSystem(cfg, set, pol)
-		if !spec.Zero() {
-			sys.InstallFaults(faults.NewPlan(spec, o.Seed+int64(rate)), spec.Retirements)
+		sys, _, err := harness.Sim{
+			Sched: o.Scheduler, Cfg: cfg, Set: set,
+			Faults: o.Faults, FaultSeed: o.Seed + int64(rate),
+		}.Run(context.Background())
+		if err != nil {
+			return 0, err
 		}
-		sys.Run()
 		met := 0
 		for _, j := range sys.Jobs() {
 			if j.MetDeadline() {

@@ -17,7 +17,7 @@
 //	laxsim -pprof localhost:6060 -experiment table5  # live pprof/expvar server
 //	laxsim -run LAX,LSTM,high -gpus 4            # multi-GPU fleet run
 //	laxsim -sweep high -csv out.csv # every scheduler x benchmark at one rate
-//	laxsim -run LAX,LSTM,high -faults hang=0.05,abort=0.1  # fault injection
+//	laxsim -run LAX,LSTM,high -faults hang=0.05,abort=0.1  # fault injection (composes with every -run observer)
 //	laxsim -experiment table5 -parallel 4        # 4 sweep workers
 //	laxsim -jobs 128 -seed 1 -v     # trace size, seed, progress logging
 //	laxsim -scenario examples/scenarios/diurnal.json       # scheduler sweep over a scenario file
@@ -42,16 +42,13 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
-	"laxgpu"
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/harness"
 	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
-	"laxgpu/internal/verify"
 	"laxgpu/internal/viz"
 	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
@@ -123,19 +120,20 @@ func main() {
 	if *verbose {
 		r.Progress = os.Stderr
 	}
+	observers := obsOptions{
+		tracePath:    *traceOut,
+		timeline:     *timeline,
+		metricsPath:  *metricsOut,
+		perfettoPath: *perfettoOut,
+		probeSummary: *probe,
+	}
 
 	if *scenarioIn != "" {
 		var seedOverride int64
 		if seedExplicit {
 			seedOverride = *seed
 		}
-		if err := runScenario(ctx, r, *scenarioIn, *rawRun, seedOverride, scenarioOpts{
-			record:       *recordOut,
-			csvPath:      *csvOut,
-			metricsPath:  *metricsOut,
-			perfettoPath: *perfettoOut,
-			verify:       *verifyRuns,
-		}); err != nil {
+		if err := runScenario(ctx, r, *scenarioIn, *rawRun, seedOverride, *recordOut, *csvOut, observers); err != nil {
 			fatal(err)
 		}
 		return
@@ -194,79 +192,9 @@ func main() {
 			}
 			return
 		}
-		if *traceOut != "" || *timeline || *probe {
-			// The structured tracer, ASCII timeline and -probe stdout digest
-			// need internal observer access; everything else flows through
-			// the public unified API below.
-			err := runTraced(ctx, r, parts[0], parts[1], rate, obsOptions{
-				tracePath:    *traceOut,
-				timeline:     *timeline,
-				metricsPath:  *metricsOut,
-				perfettoPath: *perfettoOut,
-				probeSummary: *probe,
-				verify:       *verifyRuns,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-		// Every flag folds into one Options value for the unified public
-		// Run — the same surface library callers use; the session's memo is
-		// released via Close on the way out.
-		o := laxgpu.Options{
-			Scheduler: parts[0], Benchmark: parts[1], Rate: parts[2],
-			Jobs: *jobs, Seed: *seed, Faults: *faults,
-			Verify: *verifyRuns,
-		}
-		var outFiles []*os.File
-		closeOuts := func() {
-			for _, f := range outFiles {
-				if err := f.Close(); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fatal(err)
-			}
-			outFiles = append(outFiles, f)
-			o.Metrics = f
-		}
-		if *perfettoOut != "" {
-			f, err := os.Create(*perfettoOut)
-			if err != nil {
-				fatal(err)
-			}
-			outFiles = append(outFiles, f)
-			o.Perfetto = f
-		}
-		ses := laxgpu.NewSession(laxgpu.SessionOptions{Parallel: *parallel})
-		defer ses.Close()
-		s, err := ses.Run(ctx, o)
-		if err != nil {
-			closeOuts()
+		cell := harness.Cell{Sched: parts[0], Bench: parts[1], Rate: rate}
+		if _, err := runObserved(ctx, os.Stdout, r, cell, observers, nil); err != nil {
 			fatal(err)
-		}
-		closeOuts()
-		fmt.Printf("%s on %s (%s rate): %d/%d met deadline, %d rejected\n",
-			s.Scheduler, s.Benchmark, s.Rate, s.MetDeadline, s.TotalJobs, s.Rejected)
-		fmt.Printf("  throughput %.0f successful jobs/s, p99 latency %.3f ms, useful work %.1f%%\n",
-			s.Throughput, float64(s.P99Latency)/float64(time.Millisecond), 100*s.UsefulWorkFrac)
-		if s.MetDeadline > 0 {
-			fmt.Printf("  energy %.2f mJ per successful job\n", s.EnergyPerSuccessMJ)
-		}
-		if *metricsOut != "" {
-			fmt.Printf("wrote metrics to %s\n", *metricsOut)
-		}
-		if *perfettoOut != "" {
-			fmt.Printf("wrote Perfetto trace to %s\n", *perfettoOut)
-		}
-		if *faults != "" {
-			fmt.Printf("  recovery: %d watchdog kills, %d aborts, %d retries, %d CPU fallbacks, %d CUs retired\n",
-				s.WatchdogKills, s.Aborts, s.Retries, s.Fallbacks, s.RetiredCUs)
 		}
 		return
 	}
@@ -305,45 +233,26 @@ type obsOptions struct {
 	metricsPath  string
 	perfettoPath string
 	probeSummary bool
-	verify       bool
 }
 
-// runTraced executes one cell with the requested observers attached: the
-// structured JSONL event trace and/or ASCII timeline, the Prometheus metrics
-// snapshot, the Perfetto trace-event export, and the -probe stdout summary.
-func runTraced(ctx context.Context, r *harness.Runner, schedName, benchName string, rate workload.Rate, o obsOptions) error {
-	pol, err := sched.New(schedName)
-	if err != nil {
-		return err
-	}
-	set, err := r.JobSet(benchName, rate)
-	if err != nil {
-		return err
-	}
-
-	sys := cp.NewSystem(r.Cfg, set, pol)
-
-	var buf bytes.Buffer
-	var tracer *cp.Tracer
-	if o.tracePath != "" || o.timeline {
-		sinks := []io.Writer{&buf}
-		if o.tracePath != "" {
-			f, err := os.Create(o.tracePath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			sinks = append(sinks, f)
-		}
-		tracer = cp.NewTracer(io.MultiWriter(sinks...))
-		sys.SetTracer(tracer)
-	}
-
+// runObserved is the one -run path: it simulates the cell fresh through the
+// runner — so -seed, -jobs, -faults, -verify and a scenario installed under
+// the cell's name all apply — with the requested observers attached, prints
+// the result (plus a breakdown for each of a scenario cell's cohorts),
+// and writes the artifacts: the JSONL event trace and/or ASCII timeline, the
+// Prometheus snapshot, the Perfetto export and the -probe digest.
+func runObserved(ctx context.Context, out io.Writer, r *harness.Runner, cell harness.Cell, o obsOptions, cohorts []string) (metrics.Summary, error) {
 	var (
+		buf    bytes.Buffer
+		trace  *obs.JSONL
 		m      *obs.Metrics
 		pf     *obs.Perfetto
 		probes []obs.Probe
 	)
+	if o.tracePath != "" || o.timeline {
+		trace = obs.NewJSONL(&buf)
+		probes = append(probes, trace)
+	}
 	if o.metricsPath != "" || o.probeSummary {
 		m = obs.NewMetrics()
 		probes = append(probes, m)
@@ -352,77 +261,61 @@ func runTraced(ctx context.Context, r *harness.Runner, schedName, benchName stri
 		pf = obs.NewPerfetto()
 		probes = append(probes, pf)
 	}
-	var ck *verify.Checker
-	if o.verify {
-		ck = verify.New(verify.OptionsFor(schedName, pol, r.Cfg, false))
-		ck.Attach(sys)
-		probes = append(probes, ck)
+	sys, checks, err := r.RunSystem(ctx, cell.Sched, cell.Bench, cell.Rate, probes...)
+	if err != nil {
+		return metrics.Summary{}, err
 	}
-	if len(probes) > 0 {
-		sys.SetProbe(obs.Multi(probes...))
+	sum := metrics.Summarize(sys, cell.Sched, cell.Bench, cell.Rate.String())
+	if cell.Rate == workload.ScenarioRate {
+		fmt.Fprintf(out, "%s on %s: ", sum.Scheduler, sum.Benchmark)
+	} else {
+		fmt.Fprintf(out, "%s on %s (%s rate): ", sum.Scheduler, sum.Benchmark, sum.Rate)
 	}
-
-	if err := sys.RunContext(ctx); err != nil {
-		return err
+	fmt.Fprintf(out, "%d/%d met deadline, %d rejected, %d cancelled\n",
+		sum.MetDeadline, sum.TotalJobs, sum.Rejected, sum.Cancelled)
+	printCohortBreakdown(out, sys, cohorts)
+	fmt.Fprintf(out, "  throughput %.0f successful jobs/s, p99 latency %.3f ms, useful work %.1f%%\n",
+		sum.ThroughputJobsPerSec, sum.P99LatencyMs, 100*sum.UsefulWorkFrac)
+	if sum.MetDeadline > 0 {
+		fmt.Fprintf(out, "  energy %.2f mJ per successful job\n", sum.EnergyPerSuccessMJ)
 	}
-	if err := tracer.Err(); err != nil {
-		return err
+	if r.Faults != "" {
+		fmt.Fprintf(out, "  recovery: %d watchdog kills, %d aborts, %d retries, %d CPU fallbacks, %d CUs retired\n",
+			sum.WatchdogKills, sum.Aborts, sum.Retries, sum.Fallbacks, sum.RetiredCUs)
 	}
-	if ck != nil {
-		if err := ck.Finalize(); err != nil {
-			return fmt.Errorf("invariant violation: %w", err)
-		}
-	}
-	s := metrics.Summarize(sys, schedName, benchName, rate.String())
-	fmt.Printf("%s on %s (%s rate): %d/%d met deadline, %d rejected, %d cancelled\n",
-		s.Scheduler, s.Benchmark, s.Rate, s.MetDeadline, s.TotalJobs, s.Rejected, s.Cancelled)
 	if o.tracePath != "" {
-		fmt.Printf("wrote %d trace events to %s\n", tracer.Events(), o.tracePath)
-	}
-	if m != nil && o.metricsPath != "" {
-		if err := writeMetricsFile(o.metricsPath, m); err != nil {
-			return err
+		if err := os.WriteFile(o.tracePath, buf.Bytes(), 0o644); err != nil {
+			return sum, err
 		}
-		fmt.Printf("wrote metrics to %s\n", o.metricsPath)
+		fmt.Fprintf(out, "wrote %d trace events to %s\n", trace.Events(), o.tracePath)
+	}
+	if o.metricsPath != "" {
+		if err := writeFile(o.metricsPath, m.Registry().WritePrometheus); err != nil {
+			return sum, err
+		}
+		fmt.Fprintf(out, "wrote metrics to %s\n", o.metricsPath)
 	}
 	if pf != nil {
-		f, err := os.Create(o.perfettoPath)
-		if err != nil {
-			return err
+		if err := writeFile(o.perfettoPath, pf.Write); err != nil {
+			return sum, err
 		}
-		if err := pf.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d Perfetto events to %s\n", pf.Events(), o.perfettoPath)
+		fmt.Fprintf(out, "wrote %d Perfetto events to %s\n", pf.Events(), o.perfettoPath)
 	}
 	if o.probeSummary {
-		printProbeSummary(m)
+		printProbeSummary(out, m)
 	}
-	if ck != nil {
-		fmt.Printf("  verify: %d invariant checks, no violations\n", ck.Checks())
+	if r.Verify {
+		fmt.Fprintf(out, "  verify: %d invariant checks, no violations\n", checks)
 	}
 	if o.timeline {
 		events, err := viz.ParseEvents(&buf)
 		if err != nil {
-			return err
+			return sum, err
 		}
-		fmt.Println()
-		return viz.RenderTimeline(os.Stdout, events, viz.Options{})
+		fmt.Fprintln(out)
+		return sum, viz.RenderTimeline(out, events, viz.Options{})
 	}
-	return nil
-}
-
-// scenarioOpts selects the artifacts of one -scenario invocation.
-type scenarioOpts struct {
-	record       string
-	csvPath      string
-	metricsPath  string
-	perfettoPath string
-	verify       bool
+	return sum, nil
 }
 
 // runScenario expands a scenario file into the runner's trace memo, prints
@@ -430,7 +323,7 @@ type scenarioOpts struct {
 // either sweeps every Table 5 scheduler over it (schedName == "") or runs one
 // scheduler with the single-run observers and a per-cohort breakdown.
 // seedOverride, when non-zero, replaces the file's committed seed.
-func runScenario(ctx context.Context, r *harness.Runner, path, schedName string, seedOverride int64, o scenarioOpts) error {
+func runScenario(ctx context.Context, r *harness.Runner, path, schedName string, seedOverride int64, record, csvPath string, o obsOptions) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -454,22 +347,17 @@ func runScenario(ctx context.Context, r *harness.Runner, path, schedName string,
 	}
 	fmt.Printf("scenario %s: %d cohorts, %d jobs over %dµs, seed %d, fingerprint %s\n",
 		spec.Name, len(spec.Cohorts), len(set.Jobs), spec.DurationUs, effSeed, scenario.Fingerprint(set))
-	if o.record != "" {
-		rf, err := os.Create(o.record)
-		if err != nil {
+	if record != "" {
+		write := func(w io.Writer) error { return workload.WriteTrace(w, set) }
+		if err := writeFile(record, write); err != nil {
 			return err
 		}
-		if err := workload.WriteTrace(rf, set); err != nil {
-			rf.Close()
-			return err
-		}
-		if err := rf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("recorded %d jobs to %s (replayable with laxgpu.Options.Trace)\n", len(set.Jobs), o.record)
+		fmt.Printf("recorded %d jobs to %s (replayable with laxgpu.Options.Trace)\n", len(set.Jobs), record)
 	}
 	if schedName != "" {
-		return runScenarioOne(ctx, r, spec, label, schedName, o)
+		cell := harness.Cell{Sched: schedName, Bench: label, Rate: workload.ScenarioRate}
+		_, err := runObserved(ctx, os.Stdout, r, cell, o, spec.CohortNames())
+		return err
 	}
 
 	// Scheduler sweep: the scenario cell behaves exactly like a benchmark
@@ -490,19 +378,12 @@ func runScenario(ctx context.Context, r *harness.Runner, path, schedName string,
 		}
 		summaries = append(summaries, sum)
 	}
-	if o.csvPath != "" {
-		cf, err := os.Create(o.csvPath)
-		if err != nil {
+	if csvPath != "" {
+		write := func(w io.Writer) error { return metrics.WriteCSV(w, summaries) }
+		if err := writeFile(csvPath, write); err != nil {
 			return err
 		}
-		if err := metrics.WriteCSV(cf, summaries); err != nil {
-			cf.Close()
-			return err
-		}
-		if err := cf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d rows to %s\n", len(summaries), o.csvPath)
+		fmt.Printf("wrote %d rows to %s\n", len(summaries), csvPath)
 		return nil
 	}
 	fmt.Printf("%-8s %6s %6s %6s %10s %12s\n", "sched", "met", "total", "rej", "p99_ms", "goodput/s")
@@ -513,82 +394,9 @@ func runScenario(ctx context.Context, r *harness.Runner, path, schedName string,
 	return nil
 }
 
-// runScenarioOne executes the installed scenario cell under one scheduler
-// with the optional single-run observers attached, then prints a per-cohort
-// deadline breakdown in the scenario's declaration order.
-func runScenarioOne(ctx context.Context, r *harness.Runner, spec *scenario.Spec, label, schedName string, o scenarioOpts) error {
-	pol, err := sched.New(schedName)
-	if err != nil {
-		return err
-	}
-	set, err := r.JobSet(label, workload.ScenarioRate)
-	if err != nil {
-		return err
-	}
-	sys := cp.NewSystem(r.Cfg, set, pol)
-	var (
-		m      *obs.Metrics
-		pf     *obs.Perfetto
-		probes []obs.Probe
-	)
-	if o.metricsPath != "" {
-		m = obs.NewMetrics()
-		probes = append(probes, m)
-	}
-	if o.perfettoPath != "" {
-		pf = obs.NewPerfetto()
-		probes = append(probes, pf)
-	}
-	var ck *verify.Checker
-	if o.verify {
-		ck = verify.New(verify.OptionsFor(schedName, pol, r.Cfg, false))
-		ck.Attach(sys)
-		probes = append(probes, ck)
-	}
-	if len(probes) > 0 {
-		sys.SetProbe(obs.Multi(probes...))
-	}
-	if err := sys.RunContext(ctx); err != nil {
-		return err
-	}
-	if ck != nil {
-		if err := ck.Finalize(); err != nil {
-			return fmt.Errorf("invariant violation: %w", err)
-		}
-	}
-	s := metrics.Summarize(sys, schedName, label, "scenario")
-	fmt.Printf("%s on %s: %d/%d met deadline, %d rejected, %d cancelled\n",
-		s.Scheduler, s.Benchmark, s.MetDeadline, s.TotalJobs, s.Rejected, s.Cancelled)
-	printCohortBreakdown(sys, spec.CohortNames())
-	if m != nil {
-		if err := writeMetricsFile(o.metricsPath, m); err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics to %s\n", o.metricsPath)
-	}
-	if pf != nil {
-		pff, err := os.Create(o.perfettoPath)
-		if err != nil {
-			return err
-		}
-		if err := pf.Write(pff); err != nil {
-			pff.Close()
-			return err
-		}
-		if err := pff.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d Perfetto events to %s\n", pf.Events(), o.perfettoPath)
-	}
-	if ck != nil {
-		fmt.Printf("  verify: %d invariant checks, no violations\n", ck.Checks())
-	}
-	return nil
-}
-
 // printCohortBreakdown prints per-cohort deadline outcomes in the order the
 // cohorts were declared in the scenario file.
-func printCohortBreakdown(sys *cp.System, cohorts []string) {
+func printCohortBreakdown(out io.Writer, sys *cp.System, cohorts []string) {
 	type tally struct{ total, met, rejected int }
 	byCohort := make(map[string]*tally)
 	for _, jr := range sys.Jobs() {
@@ -610,19 +418,19 @@ func printCohortBreakdown(sys *cp.System, cohorts []string) {
 		if t == nil {
 			continue
 		}
-		fmt.Printf("  cohort %-14s %4d/%-4d met (%5.1f%%), %d rejected\n",
+		fmt.Fprintf(out, "  cohort %-14s %4d/%-4d met (%5.1f%%), %d rejected\n",
 			name, t.met, t.total, 100*float64(t.met)/float64(t.total), t.rejected)
 	}
 }
 
-// writeMetricsFile snapshots the probe's registry to path in Prometheus
-// text exposition format.
-func writeMetricsFile(path string, m *obs.Metrics) error {
+// writeFile creates path, fills it with write and closes it, reporting the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := m.Registry().WritePrometheus(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -631,14 +439,14 @@ func writeMetricsFile(path string, m *obs.Metrics) error {
 
 // printProbeSummary renders the -probe stdout digest: decision counts and
 // estimate accuracy.
-func printProbeSummary(m *obs.Metrics) {
-	fmt.Printf("  probe: %d accepted, %d rejected\n", m.Accepted(), m.Rejected())
+func printProbeSummary(out io.Writer, m *obs.Metrics) {
+	fmt.Fprintf(out, "  probe: %d accepted, %d rejected\n", m.Accepted(), m.Rejected())
 	if ks := m.KernelEstimates(); ks.Count > 0 {
-		fmt.Printf("  kernel estimates: %d pairs, MAE %.1f%%, bias %+.1fµs, p50 |err| %.1fµs, p99 |err| %.1fµs\n",
+		fmt.Fprintf(out, "  kernel estimates: %d pairs, MAE %.1f%%, bias %+.1fµs, p50 |err| %.1fµs, p99 |err| %.1fµs\n",
 			ks.Count, ks.MAEPct, ks.MeanErrUs, ks.P50AbsUs, ks.P99AbsUs)
 	}
 	if cs := m.ChainEstimates(); cs.Count > 0 {
-		fmt.Printf("  chain estimates:  %d pairs, MAE %.1f%%, bias %+.1fµs, p50 |err| %.1fµs, p99 |err| %.1fµs\n",
+		fmt.Fprintf(out, "  chain estimates:  %d pairs, MAE %.1f%%, bias %+.1fµs, p50 |err| %.1fµs, p99 |err| %.1fµs\n",
 			cs.Count, cs.MAEPct, cs.MeanErrUs, cs.P50AbsUs, cs.P99AbsUs)
 	}
 }
@@ -698,19 +506,18 @@ func validateFlags(experiment, rawRun, sweepRate, csvOut, traceOut string, timel
 	}
 	if scenarioIn != "" {
 		// Scenario mode has its own flag grammar: -run names a single
-		// scheduler (not a cell), -csv applies to the sweep form, and the
-		// observers that assume a benchmark cell are rejected.
+		// scheduler (not a cell) and -csv applies to the sweep form.
 		if experiment != "" || sweepRate != "" {
 			return fmt.Errorf("-scenario does not combine with -experiment or -sweep")
 		}
 		if strings.Contains(rawRun, ",") {
 			return fmt.Errorf("with -scenario, -run names a single scheduler (e.g. -run LAX); got %q", rawRun)
 		}
-		if faults != "" || traceOut != "" || timeline || probe || gpus != 1 {
-			return fmt.Errorf("-scenario does not combine with -faults, -trace, -timeline, -probe or -gpus")
+		if gpus != 1 {
+			return fmt.Errorf("-scenario does not combine with -gpus")
 		}
-		if (metricsOut != "" || perfettoOut != "") && rawRun == "" {
-			return fmt.Errorf("-metrics and -perfetto with -scenario require -run SCHED (single-run observers)")
+		if (traceOut != "" || timeline || probe || metricsOut != "" || perfettoOut != "") && rawRun == "" {
+			return fmt.Errorf("-trace, -timeline, -probe, -metrics and -perfetto with -scenario require -run SCHED (single-run observers)")
 		}
 		if csvOut != "" && rawRun != "" {
 			return fmt.Errorf("-csv applies to the -scenario scheduler sweep; drop -run")
@@ -745,21 +552,14 @@ func validateFlags(experiment, rawRun, sweepRate, csvOut, traceOut string, timel
 			return fmt.Errorf("-probe requires -run")
 		}
 	}
-	if gpus > 1 && (metricsOut != "" || perfettoOut != "" || probe || traceOut != "" || timeline || verifyRuns) {
-		return fmt.Errorf("-gpus does not combine with the single-GPU observers (-trace, -timeline, -metrics, -perfetto, -probe, -verify)")
+	if gpus > 1 && (faults != "" || metricsOut != "" || perfettoOut != "" || probe || traceOut != "" || timeline || verifyRuns) {
+		return fmt.Errorf("-gpus does not combine with -faults or the single-GPU observers (-trace, -timeline, -metrics, -perfetto, -probe, -verify)")
 	}
 	if csvOut != "" && sweepRate == "" {
 		return fmt.Errorf("-csv requires -sweep")
 	}
-	if faults != "" {
-		if rawRun == "" && sweepRate == "" {
-			return fmt.Errorf("-faults requires -run or -sweep")
-		}
-		// -metrics and -perfetto ride the unified Run path, which installs
-		// faults; the internal tracer/timeline/probe-digest path does not.
-		if traceOut != "" || timeline || gpus != 1 || probe {
-			return fmt.Errorf("-faults does not combine with -trace, -timeline, -gpus or -probe")
-		}
+	if faults != "" && rawRun == "" && sweepRate == "" {
+		return fmt.Errorf("-faults requires -run or -sweep")
 	}
 	return nil
 }

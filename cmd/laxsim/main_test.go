@@ -138,24 +138,18 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("verify", func(t *testing.T) {
-		// Plain checked run: the checker is invisible on success.
-		out, err := run(t, bin, "-run", "LAX,IPV6,high", "-jobs", "16", "-verify")
-		if err != nil {
-			t.Fatal(err, out)
-		}
-		if !strings.Contains(out, "met deadline") {
-			t.Errorf("unexpected checked -run output:\n%s", out)
-		}
-		// Checked observer run reports the check count.
-		out, err = run(t, bin, "-run", "LAX,IPV6,high", "-jobs", "16", "-verify", "-probe")
-		if err != nil {
-			t.Fatal(err, out)
-		}
-		if !strings.Contains(out, "invariant checks, no violations") {
-			t.Errorf("checked -probe run missing verify summary:\n%s", out)
+		// A checked run reports the check count, with or without observers.
+		for _, extra := range [][]string{nil, {"-probe"}} {
+			out, err := run(t, bin, append([]string{"-run", "LAX,IPV6,high", "-jobs", "16", "-verify"}, extra...)...)
+			if err != nil {
+				t.Fatal(err, out)
+			}
+			if !strings.Contains(out, "met deadline") || !strings.Contains(out, "invariant checks, no violations") {
+				t.Errorf("checked -run %v missing result or verify summary:\n%s", extra, out)
+			}
 		}
 		// Checked fault-injected run: relaxed rules still pass.
-		out, err = run(t, bin, "-run", "EDF,CUCKOO,high", "-jobs", "16", "-verify",
+		out, err := run(t, bin, "-run", "EDF,CUCKOO,high", "-jobs", "16", "-verify",
 			"-faults", "hang=0.1,abort=0.1")
 		if err != nil {
 			t.Fatal(err, out)
@@ -172,6 +166,49 @@ func TestCLI(t *testing.T) {
 		}
 		if !strings.Contains(out, "recovery:") || !strings.Contains(out, "watchdog kills") {
 			t.Errorf("faulted -run missing recovery counters:\n%s", out)
+		}
+	})
+
+	t.Run("faults-with-observers", func(t *testing.T) {
+		// One recipe: the observer path installs the fault plan too, so the
+		// observed run reports the same outcome as the bare one and the
+		// trace shows the recovery it watched.
+		cell := []string{"-run", "LAX,LSTM,high", "-jobs", "32", "-faults", "hang=0.05,abort=0.1"}
+		bare, err := run(t, bin, cell...)
+		if err != nil {
+			t.Fatal(err, bare)
+		}
+		tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+		out, err := run(t, bin, append(cell, "-trace", tracePath, "-probe")...)
+		if err != nil {
+			t.Fatal(err, out)
+		}
+		headline := func(s string) string { return s[:strings.Index(s, "\n")] }
+		if !strings.Contains(headline(bare), "met deadline") || headline(out) != headline(bare) {
+			t.Errorf("observed faulted run diverged from the bare one:\n%s\nvs\n%s", out, bare)
+		}
+		for _, want := range []string{"recovery:", "probe:", "trace events"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("observed faulted run missing %q:\n%s", want, out)
+			}
+		}
+		data, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"kind":"fallback"`) {
+			t.Error("faulted trace records no fallback event")
+		}
+		// The same holds for a scenario cell.
+		out, err = run(t, bin, "-scenario", "../../examples/scenarios/three-tenant.json",
+			"-run", "LAX", "-verify", "-faults", "retire=2@2ms", "-probe")
+		if err != nil {
+			t.Fatal(err, out)
+		}
+		for _, want := range []string{"2 CUs retired", "probe:", "invariant checks, no violations"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("faulted scenario run missing %q:\n%s", want, out)
+			}
 		}
 	})
 
@@ -265,9 +302,8 @@ func TestCLI(t *testing.T) {
 			{"-scenario", scen, "-experiment", "figure3"},
 			{"-scenario", scen, "-sweep", "low"},
 			{"-scenario", scen, "-run", "LAX,IPV6,high"},
-			{"-scenario", scen, "-faults", "hang=0.1"},
-			{"-scenario", scen, "-run", "LAX", "-timeline"},
-			{"-scenario", scen, "-run", "LAX", "-probe"},
+			{"-scenario", scen, "-timeline"},
+			{"-scenario", scen, "-probe"},
 			{"-scenario", scen, "-gpus", "2"},
 			{"-scenario", scen, "-metrics", "m.prom"},
 			{"-scenario", scen, "-run", "LAX", "-csv", "out.csv"},
@@ -294,14 +330,12 @@ func TestCLI(t *testing.T) {
 			{"-csv", "out.csv", "-run", "LAX,IPV6,high"},
 			{"-faults", "hang=0.1"},
 			{"-faults", "hang=0.1", "-experiment", "figure3"},
-			{"-faults", "hang=0.1", "-run", "LAX,IPV6,high", "-timeline"},
 			{"-faults", "hang=0.1", "-run", "LAX,IPV6,high", "-gpus", "2"},
 			{"-metrics", "m.prom"},
 			{"-perfetto", "t.json"},
 			{"-probe"},
 			{"-metrics", "m.prom", "-run", "LAX,IPV6,high", "-gpus", "2"},
 			{"-perfetto", "t.json", "-run", "LAX,IPV6,high", "-gpus", "2"},
-			{"-faults", "hang=0.1", "-run", "LAX,IPV6,high", "-probe"},
 			{"-verify", "-run", "LAX,IPV6,high", "-gpus", "2"},
 		}
 		for _, args := range bad {

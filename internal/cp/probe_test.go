@@ -1,7 +1,6 @@
 package cp
 
 import (
-	"strings"
 	"testing"
 
 	"laxgpu/internal/obs"
@@ -81,44 +80,35 @@ func TestProbeObservesRejectAndCancel(t *testing.T) {
 	}
 }
 
-// TestObserverAttachMidRunPanics pins the documented SetTracer/SetProbe
+// TestObserverAttachMidRunPanics pins the documented SetProbe
 // semantics: attachment after Run has started is rejected (panic), because
 // a mid-run observer would record a trace with no arrivals for in-flight
 // jobs — silently unusable rather than loudly wrong.
 func TestObserverAttachMidRunPanics(t *testing.T) {
-	attach := []struct {
-		name string
-		do   func(*System)
-	}{
-		{"SetTracer", func(s *System) { s.SetTracer(NewTracer(&strings.Builder{})) }},
-		{"SetProbe", func(s *System) { s.SetProbe(newRecordingProbe()) }},
-	}
-	for _, tc := range attach {
-		t.Run(tc.name, func(t *testing.T) {
-			desc := testDesc("k", 1, 64, 10*sim.Microsecond)
-			set := makeSet(2, 1, desc, 5*sim.Microsecond, sim.Millisecond)
-			sys := NewSystem(smallConfig(), set, &fifoPolicy{})
-			panicked := false
-			sys.Engine().Schedule(sim.Microsecond, func() {
-				defer func() {
-					if recover() != nil {
-						panicked = true
-					}
-				}()
-				tc.do(sys)
-			})
-			sys.Run()
-			if !panicked {
-				t.Fatalf("%s mid-run did not panic", tc.name)
-			}
-			// The run itself must complete unharmed.
-			for _, j := range sys.Jobs() {
-				if !j.Done() {
-					t.Fatalf("run corrupted by rejected %s", tc.name)
+	t.Run("SetProbe", func(t *testing.T) {
+		desc := testDesc("k", 1, 64, 10*sim.Microsecond)
+		set := makeSet(2, 1, desc, 5*sim.Microsecond, sim.Millisecond)
+		sys := NewSystem(smallConfig(), set, &fifoPolicy{})
+		panicked := false
+		sys.Engine().Schedule(sim.Microsecond, func() {
+			defer func() {
+				if recover() != nil {
+					panicked = true
 				}
-			}
+			}()
+			sys.SetProbe(newRecordingProbe())
 		})
-	}
+		sys.Run()
+		if !panicked {
+			t.Fatal("SetProbe mid-run did not panic")
+		}
+		// The run itself must complete unharmed.
+		for _, j := range sys.Jobs() {
+			if !j.Done() {
+				t.Fatal("run corrupted by rejected SetProbe")
+			}
+		}
+	})
 }
 
 // TestProbeHotPathAllocs verifies the no-probe dispatch path allocates

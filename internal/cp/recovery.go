@@ -221,7 +221,6 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 	killed := s.dev.Kill(inst)
 	s.recStats.WatchdogKills++
 	s.recStats.WGsKilled += killed
-	s.tracer.kernelEvent("kernel_kill", s.eng.Now(), jr, inst.Desc.Name, inst.Seq)
 	s.recoverKernel(jr, inst)
 }
 
@@ -235,7 +234,6 @@ func (s *System) onKernelAbort(inst *gpu.KernelInstance) {
 		return
 	}
 	s.recStats.Aborts++
-	s.tracer.kernelEvent("kernel_abort", s.eng.Now(), jr, inst.Desc.Name, inst.Seq)
 	s.disarmWatchdog(inst)
 	if !s.cfg.Recovery.Watchdog {
 		s.Cancel(jr)
@@ -298,7 +296,6 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 			break
 		}
 	}
-	s.tracer.jobEvent("fallback", s.eng.Now(), jr)
 	s.probeJob(obs.JobFallback, jr)
 	s.releaseQueue(jr)
 
@@ -318,7 +315,6 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 		jr.state = JobDone
 		jr.FinishTime = s.eng.Now()
 		s.completed++
-		s.tracer.jobEvent("finish", s.eng.Now(), jr)
 		s.probeJob(obs.JobFinish, jr)
 	})
 	s.Dispatch()

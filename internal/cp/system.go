@@ -93,17 +93,14 @@ type System struct {
 	timerArmed     bool
 	stallKickArmed bool
 
-	tracer *Tracer
-
 	// probe observes scheduler decisions and kernel lifecycle events. It
 	// never influences the simulation: every call site is a pure read of
 	// state the run already computed, and a nil probe costs one pointer
 	// compare (see the harness golden-equivalence test).
 	probe obs.Probe
 
-	// runStarted latches once RunContext begins so observer attachment
-	// after the fact is rejected (a tracer or probe attached mid-run would
-	// produce a silently truncated record).
+	// runStarted latches once RunContext begins so probe attachment after
+	// the fact is rejected (see SetProbe).
 	runStarted bool
 
 	// online marks a system driven by StartOnline/SubmitNow instead of a
@@ -188,21 +185,11 @@ func (s *System) Active() []*JobRun { return s.active }
 // Job returns the JobRun for a job ID.
 func (s *System) Job(id int) *JobRun { return s.jobs[id] }
 
-// SetTracer installs a structured run tracer (JSON lines). Pass nil to
-// disable. Must be called before Run: attaching a tracer to a run already
-// in progress would record a trace with no arrivals for in-flight jobs —
-// unusable for timeline reconstruction — so it panics instead of producing
-// a silently truncated record.
-func (s *System) SetTracer(t *Tracer) {
-	if s.runStarted {
-		panic("cp: SetTracer after Run has started (attach observers before running)")
-	}
-	s.tracer = t
-}
-
 // SetProbe installs a decision probe (see obs.Probe); obs.Multi combines
-// several. Pass nil to disable. Like SetTracer, it must be called before
-// Run and panics afterwards.
+// several. Pass nil to disable. Must be called before Run: a probe attached
+// to a run already in progress would record in-flight jobs with no arrivals
+// — unusable for timeline reconstruction or invariant checking — so it
+// panics instead of producing a silently truncated record.
 func (s *System) SetProbe(p obs.Probe) {
 	if s.runStarted {
 		panic("cp: SetProbe after Run has started (attach observers before running)")
@@ -260,12 +247,10 @@ func (s *System) RunContext(ctx context.Context) error {
 // arrive runs the host-side offload decision for a newly arrived job.
 func (s *System) arrive(jr *JobRun) {
 	s.arrivalsLeft--
-	s.tracer.jobEvent("arrive", s.eng.Now(), jr)
 	s.probeJob(obs.JobArrive, jr)
 	if !s.pol.Admit(jr) {
 		jr.state = JobRejected
 		s.rejected++
-		s.tracer.jobEvent("reject", s.eng.Now(), jr)
 		s.probeJob(obs.JobReject, jr)
 		return
 	}
@@ -344,7 +329,6 @@ func (s *System) makeFirstReady(jr *JobRun) {
 	jr.state = JobReady
 	jr.ReadyTime = s.eng.Now()
 	jr.Current().MarkReady(s.eng.Now())
-	s.tracer.jobEvent("ready", s.eng.Now(), jr)
 	s.probeJob(obs.JobReady, jr)
 	s.Dispatch()
 }
@@ -374,7 +358,6 @@ func (s *System) Cancel(jr *JobRun) {
 	}
 	jr.state = JobCancelled
 	jr.FinishTime = s.eng.Now()
-	s.tracer.jobEvent("cancel", s.eng.Now(), jr)
 	s.probeJob(obs.JobCancel, jr)
 	jr.Pause() // no further WG dispatch from any of its kernels
 	for i, a := range s.active {
@@ -403,7 +386,6 @@ func (s *System) onKernelDone(inst *gpu.KernelInstance) {
 	if jr.Current() != inst {
 		panic(fmt.Sprintf("cp: out-of-order kernel completion for %v", jr))
 	}
-	s.tracer.kernelEvent("kernel_done", s.eng.Now(), jr, inst.Desc.Name, inst.Seq)
 	if s.probe != nil {
 		s.probe.KernelDone(obs.KernelDone{
 			At: s.eng.Now(), Job: jr.Job.ID, Queue: jr.QueueID,
@@ -472,7 +454,6 @@ func (s *System) finish(jr *JobRun) {
 	jr.state = JobDone
 	jr.FinishTime = s.eng.Now()
 	s.completed++
-	s.tracer.jobEvent("finish", s.eng.Now(), jr)
 	s.probeJob(obs.JobFinish, jr)
 	for i, a := range s.active {
 		if a == jr {
@@ -530,7 +511,6 @@ func (s *System) Dispatch() {
 				jr.FirstDispatch = s.eng.Now()
 			}
 			if !wasRunning {
-				s.tracer.kernelEvent("kernel_start", s.eng.Now(), jr, inst.Desc.Name, inst.Seq)
 				s.probeKernelStart(jr, inst)
 				s.armWatchdog(jr, inst)
 			}

@@ -7,32 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
 
-func runTracedSystem(t *testing.T, pol Policy, n, chain int) (*System, []TraceEvent) {
+func runTracedSystem(t *testing.T, pol Policy, n, chain int) (*System, []obs.TraceEvent) {
 	t.Helper()
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	set := makeSet(n, chain, desc, 20*sim.Microsecond, sim.Millisecond)
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
+	tr := obs.NewJSONL(&buf)
 	sys := NewSystem(smallConfig(), set, pol)
-	sys.SetTracer(tr)
+	sys.SetProbe(tr)
 	sys.Run()
 	if tr.Err() != nil {
 		t.Fatal(tr.Err())
 	}
-	var events []TraceEvent
+	var events []obs.TraceEvent
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var e TraceEvent
+		var e obs.TraceEvent
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
 		events = append(events, e)
 	}
 	if tr.Events() != len(events) {
-		t.Fatalf("tracer counted %d events, decoded %d", tr.Events(), len(events))
+		t.Fatalf("trace probe counted %d events, decoded %d", tr.Events(), len(events))
 	}
 	return sys, events
 }
@@ -85,9 +86,9 @@ func TestTraceRejectAndCancelEvents(t *testing.T) {
 	desc := testDesc("k", 2, 64, 100*sim.Microsecond)
 	set := makeSet(3, 2, desc, 0, sim.Millisecond)
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
+	tr := obs.NewJSONL(&buf)
 	sys := NewSystem(smallConfig(), set, pol)
-	sys.SetTracer(tr)
+	sys.SetProbe(tr)
 	// Cancel job 2 mid-flight.
 	sys.Engine().Schedule(50*sim.Microsecond, func() { sys.Cancel(sys.Job(2)) })
 	sys.Run()
@@ -103,22 +104,6 @@ func TestTraceRejectAndCancelEvents(t *testing.T) {
 	}
 }
 
-func TestNilTracerIsInert(t *testing.T) {
-	var tr *Tracer
-	if tr.Events() != 0 || tr.Err() != nil {
-		t.Fatal("nil tracer not inert")
-	}
-	// A system without a tracer must run normally (implicitly covered by
-	// every other test, but make the nil-dispatch path explicit).
-	desc := testDesc("k", 1, 64, sim.Microsecond)
-	sys := NewSystem(smallConfig(), makeSet(1, 1, desc, 0, sim.Millisecond), &fifoPolicy{})
-	sys.SetTracer(nil)
-	sys.Run()
-	if !sys.Job(0).Done() {
-		t.Fatal("run without tracer failed")
-	}
-}
-
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
@@ -130,10 +115,10 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestTracerSurfacesWriteErrors(t *testing.T) {
-	tr := NewTracer(&failWriter{})
+	tr := obs.NewJSONL(&failWriter{})
 	desc := testDesc("k", 1, 64, sim.Microsecond)
 	sys := NewSystem(smallConfig(), makeSet(3, 1, desc, 0, sim.Millisecond), &fifoPolicy{})
-	sys.SetTracer(tr)
+	sys.SetProbe(tr)
 	sys.Run()
 	if tr.Err() == nil {
 		t.Fatal("write error not surfaced")
@@ -150,21 +135,21 @@ func TestTracerSurfacesWriteErrors(t *testing.T) {
 // first write error the tracer stops writing but keeps counting, so
 // Events()+Dropped() equals what an unbroken writer would have recorded.
 func TestTracerCountsDroppedEvents(t *testing.T) {
-	run := func(tr *Tracer) {
+	run := func(tr *obs.JSONL) {
 		desc := testDesc("k", 1, 64, sim.Microsecond)
 		sys := NewSystem(smallConfig(), makeSet(3, 1, desc, 0, sim.Millisecond), &fifoPolicy{})
-		sys.SetTracer(tr)
+		sys.SetProbe(tr)
 		sys.Run()
 	}
 	var buf bytes.Buffer
-	healthy := NewTracer(&buf)
+	healthy := obs.NewJSONL(&buf)
 	run(healthy)
 	if healthy.Dropped() != 0 {
 		t.Fatalf("healthy tracer dropped %d events", healthy.Dropped())
 	}
 
 	// The failing writer accepts 2 events, then errors forever.
-	broken := NewTracer(&failWriter{})
+	broken := obs.NewJSONL(&failWriter{})
 	run(broken)
 	if broken.Err() == nil {
 		t.Fatal("write error not latched")
@@ -175,10 +160,6 @@ func TestTracerCountsDroppedEvents(t *testing.T) {
 	if want := healthy.Events() - broken.Events(); broken.Dropped() != want {
 		t.Fatalf("dropped = %d, want %d (total %d − recorded %d)",
 			broken.Dropped(), want, healthy.Events(), broken.Events())
-	}
-	var nilTr *Tracer
-	if nilTr.Dropped() != 0 {
-		t.Fatal("nil tracer must report zero dropped events")
 	}
 }
 

@@ -244,7 +244,7 @@ func missTaxonomyTable(ctx context.Context, r *Runner) *Table {
 	}
 	rows := make([]taxonomy, len(scheds))
 	mustDo(ctx, r, len(scheds), func(ctx context.Context, i int) error {
-		sys, _, err := r.RunSystemContext(ctx, scheds[i], "LSTM", workload.HighRate)
+		sys, _, err := r.RunSystem(ctx, scheds[i], "LSTM", workload.HighRate)
 		if err != nil {
 			return err
 		}
@@ -277,7 +277,7 @@ func latencyCDFTable(ctx context.Context, r *Runner) *Table {
 	scheds := []string{"RR", "PREMA", "LAX"}
 	lats := make([][]float64, len(scheds))
 	mustDo(ctx, r, len(scheds), func(ctx context.Context, i int) error {
-		sys, _, err := r.RunSystemContext(ctx, scheds[i], "STEM", workload.HighRate)
+		sys, _, err := r.RunSystem(ctx, scheds[i], "STEM", workload.HighRate)
 		if err != nil {
 			return err
 		}

@@ -4,90 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"laxgpu/internal/cp"
-	"laxgpu/internal/faults"
-	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
-	"laxgpu/internal/sched"
-	"laxgpu/internal/verify"
 	"laxgpu/internal/workload"
 )
-
-// ProbedRun is one uncached simulation with the telemetry probe attached:
-// the usual Summary plus the run's metric registry and estimate-accuracy
-// tracker.
-type ProbedRun struct {
-	Summary metrics.Summary
-	Metrics *obs.Metrics
-}
-
-// RunProbed executes a fresh simulation of (scheduler, benchmark, rate) with
-// an obs.Metrics probe attached. Probed runs bypass the memoization cache —
-// the probe accumulates per-run state — but replay the same memoized job
-// trace as cached runs, so the Summary is identical to Run's (the probe is a
-// pure observer; internal/harness tests pin this equivalence).
-func (r *Runner) RunProbed(schedName, benchName string, rate workload.Rate) (ProbedRun, error) {
-	return r.RunProbedContext(context.Background(), schedName, benchName, rate)
-}
-
-// RunProbedContext is RunProbed with cooperative cancellation.
-func (r *Runner) RunProbedContext(ctx context.Context, schedName, benchName string, rate workload.Rate) (ProbedRun, error) {
-	return r.RunProbedInto(ctx, obs.NewMetrics(), schedName, benchName, rate)
-}
-
-// RunProbedInto is RunProbedContext feeding a caller-supplied Metrics probe,
-// so several runs can aggregate into one registry (a shared scrape target).
-func (r *Runner) RunProbedInto(ctx context.Context, m *obs.Metrics, schedName, benchName string, rate workload.Rate) (ProbedRun, error) {
-	sum, err := r.RunObserved(ctx, m, schedName, benchName, rate)
-	if err != nil {
-		return ProbedRun{}, err
-	}
-	return ProbedRun{Summary: sum, Metrics: m}, nil
-}
-
-// RunObserved executes a fresh, uncached simulation with an arbitrary probe
-// attached (obs.Multi combines several). Like every probed path it replays
-// the memoized job trace, the runner's Verify flag rides along, and the
-// probe is a pure observer, so the Summary is identical to a cached Run's.
-func (r *Runner) RunObserved(ctx context.Context, p obs.Probe, schedName, benchName string, rate workload.Rate) (metrics.Summary, error) {
-	pol, err := sched.New(schedName)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	set, err := r.JobSet(benchName, rate)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	spec, err := faults.ParseSpec(r.Faults)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	cfg := r.Cfg
-	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
-	}
-	sys := cp.NewSystem(cfg, set, pol)
-	if !spec.Zero() {
-		sys.InstallFaults(faults.NewPlan(spec, r.cellSeed(benchName, rate)), spec.Retirements)
-	}
-	var ck *verify.Checker
-	probe := p
-	if r.Verify {
-		ck = verify.New(verify.OptionsFor(schedName, pol, cfg, !spec.Zero()))
-		ck.Attach(sys)
-		probe = obs.Multi(p, ck)
-	}
-	sys.SetProbe(probe)
-	if err := sys.RunContext(ctx); err != nil {
-		return metrics.Summary{}, err
-	}
-	if ck != nil {
-		if err := ck.Finalize(); err != nil {
-			return metrics.Summary{}, fmt.Errorf("%s/%s/%s: invariant violation: %w", schedName, benchName, rate, err)
-		}
-	}
-	return metrics.Summarize(sys, schedName, benchName, rate.String()), nil
-}
 
 // estimateSchedulers are the policies with a prediction mechanism to score:
 // the profiled estimators (LAX, SRF), the offline-model CPU-side scheduler
@@ -130,14 +49,14 @@ func Estimates(ctx context.Context, r *Runner) *Report {
 		}
 	}
 	mustDo(ctx, r, len(cells), func(ctx context.Context, i int) error {
-		pr, err := r.RunProbedContext(ctx, cells[i].sched, cells[i].bench, workload.HighRate)
-		if err != nil {
+		m := obs.NewMetrics()
+		if _, _, err := r.RunSystem(ctx, cells[i].sched, cells[i].bench, workload.HighRate, m); err != nil {
 			return err
 		}
-		cells[i].kernel = pr.Metrics.KernelEstimates()
-		cells[i].chain = pr.Metrics.ChainEstimates()
-		cells[i].accepted = pr.Metrics.Accepted()
-		cells[i].rejected = pr.Metrics.Rejected()
+		cells[i].kernel = m.KernelEstimates()
+		cells[i].chain = m.ChainEstimates()
+		cells[i].accepted = m.Accepted()
+		cells[i].rejected = m.Rejected()
 		return nil
 	})
 

@@ -28,22 +28,19 @@ func TestGoldenEquivalenceWithProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(probe obs.Probe) (string, metrics.Summary) {
+	run := func(probes ...obs.Probe) (string, metrics.Summary) {
 		var buf bytes.Buffer
 		sys := cp.NewSystem(r.Cfg, set, sched.NewLAX())
-		sys.SetTracer(cp.NewTracer(&buf))
-		if probe != nil {
-			sys.SetProbe(probe)
-		}
+		sys.SetProbe(obs.Multi(append(probes, obs.NewJSONL(&buf))...))
 		sys.Run()
 		return buf.String(), metrics.Summarize(sys, "LAX", "LSTM", "high")
 	}
 
-	goldenTrace, goldenSummary := run(nil)
+	goldenTrace, goldenSummary := run()
 	if goldenTrace == "" {
 		t.Fatal("golden run produced an empty trace")
 	}
-	probedTrace, probedSummary := run(obs.Multi(obs.NewMetrics(), obs.NewPerfetto()))
+	probedTrace, probedSummary := run(obs.NewMetrics(), obs.NewPerfetto())
 
 	if goldenTrace != probedTrace {
 		t.Fatal("probed run's schedule trace diverged from the golden run")
@@ -53,8 +50,8 @@ func TestGoldenEquivalenceWithProbes(t *testing.T) {
 	}
 }
 
-// TestRunProbedMatchesRun pins RunProbed's contract: same trace, same
-// Summary as the unprobed cached path, plus populated telemetry.
+// TestRunProbedMatchesRun pins the probed RunSystem contract: same trace,
+// same Summary as the unprobed cached path, plus populated telemetry.
 func TestRunProbedMatchesRun(t *testing.T) {
 	r := NewRunner()
 	r.JobCount = 32
@@ -62,18 +59,19 @@ func TestRunProbedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed, err := r.RunProbed("LAX", "LSTM", workload.HighRate)
+	m := obs.NewMetrics()
+	sys, _, err := r.RunSystem(context.Background(), "LAX", "LSTM", workload.HighRate, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, probed.Summary) {
-		t.Fatalf("probed summary diverged:\n plain  %+v\n probed %+v", plain, probed.Summary)
+	if probed := metrics.Summarize(sys, "LAX", "LSTM", "high"); !reflect.DeepEqual(plain, probed) {
+		t.Fatalf("probed summary diverged:\n plain  %+v\n probed %+v", plain, probed)
 	}
-	if probed.Metrics.KernelEstimates().Count == 0 {
+	if m.KernelEstimates().Count == 0 {
 		t.Fatal("probed run recorded no kernel estimate pairs")
 	}
 	var prom strings.Builder
-	if err := probed.Metrics.Registry().WritePrometheus(&prom); err != nil {
+	if err := m.Registry().WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -64,7 +64,7 @@ func TestRunnerErrors(t *testing.T) {
 	if _, err := r.Run("RR", "NOPE", workload.HighRate); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, _, err := r.RunSystem("RR", "NOPE", workload.HighRate); err == nil {
+	if _, _, err := r.RunSystem(context.Background(), "RR", "NOPE", workload.HighRate); err == nil {
 		t.Fatal("RunSystem with unknown benchmark accepted")
 	}
 }

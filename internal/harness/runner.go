@@ -22,10 +22,8 @@ import (
 	"sync"
 
 	"laxgpu/internal/cp"
-	"laxgpu/internal/faults"
 	"laxgpu/internal/metrics"
-	"laxgpu/internal/sched"
-	"laxgpu/internal/verify"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
@@ -176,7 +174,7 @@ func (r *Runner) Run(schedName, benchName string, rate workload.Rate) (metrics.S
 func (r *Runner) RunContext(ctx context.Context, schedName, benchName string, rate workload.Rate) (metrics.Summary, error) {
 	k := runKey{schedName, benchName, rate}
 	return r.cache.do(k, func() (metrics.Summary, error) {
-		sys, _, err := r.RunSystemContext(ctx, schedName, benchName, rate)
+		sys, _, err := r.RunSystem(ctx, schedName, benchName, rate)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
@@ -231,48 +229,25 @@ func (r *Runner) MustRun(schedName, benchName string, rate workload.Rate) metric
 	return s
 }
 
-// RunSystem executes a fresh, uncached simulation and returns the system
-// and policy for experiments that need more than the Summary (Figure 10's
-// traces).
-func (r *Runner) RunSystem(schedName, benchName string, rate workload.Rate) (*cp.System, cp.Policy, error) {
-	return r.RunSystemContext(context.Background(), schedName, benchName, rate)
-}
-
-// RunSystemContext is RunSystem with cooperative cancellation.
-func (r *Runner) RunSystemContext(ctx context.Context, schedName, benchName string, rate workload.Rate) (*cp.System, cp.Policy, error) {
-	pol, err := sched.New(schedName)
-	if err != nil {
-		return nil, nil, err
-	}
+// RunSystem executes a fresh, uncached simulation of the cell with the
+// given probes attached and returns the finished system and its invariant
+// check count (see Sim.Run), for callers that need more than the Summary
+// (per-job outcomes, device counters) or must see exactly one simulation
+// (telemetry exports). It replays the same memoized job trace as the cached
+// path, and probes are pure observers, so the system summarizes identically
+// to Run's result.
+func (r *Runner) RunSystem(ctx context.Context, schedName, benchName string, rate workload.Rate, probes ...obs.Probe) (*cp.System, int64, error) {
 	set, err := r.JobSet(benchName, rate)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	spec, err := faults.ParseSpec(r.Faults)
+	sys, checks, err := Sim{
+		Sched: schedName, Cfg: r.Cfg, Set: set,
+		Faults: r.Faults, FaultSeed: r.cellSeed(benchName, rate),
+		Probes: probes, Verify: r.Verify,
+	}.Run(ctx)
 	if err != nil {
-		return nil, nil, err
-	}
-	cfg := r.Cfg
-	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
-	}
-	sys := cp.NewSystem(cfg, set, pol)
-	if !spec.Zero() {
-		sys.InstallFaults(faults.NewPlan(spec, r.cellSeed(benchName, rate)), spec.Retirements)
-	}
-	var ck *verify.Checker
-	if r.Verify {
-		ck = verify.New(verify.OptionsFor(schedName, pol, cfg, !spec.Zero()))
-		ck.Attach(sys)
-		sys.SetProbe(ck)
-	}
-	if err := sys.RunContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	if ck != nil {
-		if err := ck.Finalize(); err != nil {
-			return nil, nil, fmt.Errorf("%s/%s/%s: invariant violation: %w", schedName, benchName, rate, err)
-		}
+		return nil, 0, err
 	}
 	if r.Progress != nil {
 		r.progressMu.Lock()
@@ -280,7 +255,7 @@ func (r *Runner) RunSystemContext(ctx context.Context, schedName, benchName stri
 			schedName, benchName, rate, countMet(sys), len(sys.Jobs()), sys.RejectedCount())
 		r.progressMu.Unlock()
 	}
-	return sys, pol, nil
+	return sys, checks, nil
 }
 
 func countMet(sys *cp.System) int {

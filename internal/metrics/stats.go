@@ -78,3 +78,24 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
+
+// CDF computes the empirical cumulative distribution at the requested
+// quantile points, returning the value at each quantile. Quantiles are in
+// [0,1].
+func CDF(values []float64, quantiles []float64) []float64 {
+	out := make([]float64, len(quantiles))
+	for i, q := range quantiles {
+		out[i] = Percentile(values, q*100)
+	}
+	return out
+}
+
+// TailRatio returns p99/p50 — a standard dispersion measure for service
+// latency (1.0 = perfectly uniform service; large values = heavy tail).
+func TailRatio(values []float64) float64 {
+	p50 := Percentile(values, 50)
+	if p50 == 0 {
+		return 0
+	}
+	return Percentile(values, 99) / p50
+}

@@ -73,6 +73,37 @@ func TestPercentileProperty(t *testing.T) {
 	}
 }
 
+func TestCDF(t *testing.T) {
+	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	got := CDF(values, []float64{0, 0.5, 1})
+	if got[0] != 1 || got[2] != 10 {
+		t.Fatalf("CDF extremes: %v", got)
+	}
+	if got[1] < 5 || got[1] > 6 {
+		t.Fatalf("CDF median: %v", got[1])
+	}
+}
+
+func TestTailRatio(t *testing.T) {
+	uniform := []float64{5, 5, 5, 5}
+	if r := TailRatio(uniform); r != 1 {
+		t.Fatalf("uniform tail ratio %v", r)
+	}
+	var heavy []float64
+	for i := 0; i < 95; i++ {
+		heavy = append(heavy, 1)
+	}
+	for i := 0; i < 5; i++ {
+		heavy = append(heavy, 100)
+	}
+	if r := TailRatio(heavy); r < 10 {
+		t.Fatalf("heavy tail ratio %v, want large", r)
+	}
+	if TailRatio([]float64{0, 0}) != 0 {
+		t.Fatal("zero-median tail ratio should be 0")
+	}
+}
+
 func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("mean wrong")

@@ -2,7 +2,7 @@ package obs
 
 // ErrorLatch records the first error a best-effort consumer hits and counts
 // everything it subsequently refuses to process. Both the trace writer
-// (cp.Tracer) and the verification checker share the pattern: after the
+// (JSONL) and the verification checker share the pattern: after the
 // first failure they stop acting but keep accounting, so a truncated or
 // partially-checked run is detectable — the stream is complete iff Err()
 // is nil, and Dropped() says how much was lost either way.

@@ -2,8 +2,8 @@ package obs
 
 import "laxgpu/internal/sim"
 
-// JobEventKind enumerates the job lifecycle transitions a Probe observes —
-// the same transitions the cp JSON-lines tracer records.
+// JobEventKind enumerates the job lifecycle transitions a Probe observes;
+// String gives each its TraceEvent kind.
 type JobEventKind int
 
 const (

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,30 +133,40 @@ func TestOracleKernelEstimatesAreExact(t *testing.T) {
 // TestProbedRunIsByteIdenticalPerPolicy is the observer-effect guard at the
 // scheduler layer: attaching the full telemetry stack (metrics + Perfetto)
 // must not change a single scheduling decision for any policy. The JSONL
-// trace captures the complete schedule, so byte equality is equivalence.
+// trace captures the complete schedule, so byte equality is equivalence;
+// the unobserved run (nil probe, so no trace) is compared on every job's
+// first dispatch and finish time.
 func TestProbedRunIsByteIdenticalPerPolicy(t *testing.T) {
 	for _, name := range []string{"RR", "LAX", "PREMA", "BAY", "MLFQ", "SRF", "ORACLE"} {
 		t.Run(name, func(t *testing.T) {
-			run := func(probed bool) string {
+			run := func(trace bool, probes ...obs.Probe) (string, string) {
 				pol, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf strings.Builder
-				sys := cp.NewSystem(cp.DefaultSystemConfig(), probeSet(8), pol)
-				sys.SetTracer(cp.NewTracer(&buf))
-				if probed {
-					sys.SetProbe(obs.Multi(obs.NewMetrics(), obs.NewPerfetto()))
+				var buf, jobs strings.Builder
+				if trace {
+					probes = append(probes, obs.NewJSONL(&buf))
 				}
+				sys := cp.NewSystem(cp.DefaultSystemConfig(), probeSet(8), pol)
+				sys.SetProbe(obs.Multi(probes...))
 				sys.Run()
-				return buf.String()
+				for _, j := range sys.Jobs() {
+					fmt.Fprintln(&jobs, j.Job.ID, j.State(), j.FirstDispatch, j.FinishTime)
+				}
+				return buf.String(), jobs.String()
 			}
-			plain, probed := run(false), run(true)
+			_, bareJobs := run(false)
+			plain, plainJobs := run(true)
+			probed, probedJobs := run(true, obs.NewMetrics(), obs.NewPerfetto())
 			if plain != probed {
 				t.Fatalf("%s: probed run diverged from unprobed run", name)
 			}
 			if plain == "" {
 				t.Fatalf("%s: empty trace", name)
+			}
+			if bareJobs != plainJobs || bareJobs != probedJobs {
+				t.Fatalf("%s: observed runs diverged from the unobserved run:\n%s\nvs\n%s\nvs\n%s", name, bareJobs, plainJobs, probedJobs)
 			}
 		})
 	}

@@ -63,6 +63,66 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// heapQueue is a hand-specialized binary min-heap over (At, seq). It
+// replaces container/heap on the engine's hottest path: the sift loops are
+// direct slice operations with no interface dispatch or any-boxing.
+type heapQueue struct{ h []*Event }
+
+func (q *heapQueue) push(e *Event) {
+	h := append(q.h, e)
+	// Sift up.
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	q.h = h
+}
+
+func (q *heapQueue) pop() *Event {
+	h := q.h
+	n := len(h)
+	if n == 0 {
+		return nil
+	}
+	top := h[0]
+	n--
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	q.h = h
+	// Sift down.
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+			m = r
+		}
+		if !eventLess(h[m], h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	return top
+}
+
+func (q *heapQueue) peek() *Event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+func (q *heapQueue) len() int { return len(q.h) }
+
 // interruptStride is the number of events executed between interrupt-check
 // polls during Run/RunUntil. Checking every event would put a closure call
 // on the hottest loop in the simulator; a stride keeps the overhead
@@ -79,8 +139,7 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	heap    heapQueue
-	cal     *calendarQueue // nil: the default binary heap is in use
-	free    []*Event       // recycled event structs
+	free    []*Event // recycled event structs
 	fired   uint64
 	running bool
 
@@ -89,16 +148,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at time zero and no pending
-// events, backed by the binary-heap event queue (O(log n), the default).
+// events.
 func NewEngine() *Engine {
 	return &Engine{}
-}
-
-// NewEngineWithCalendar returns an engine backed by the calendar event
-// queue (amortized O(1) for dense, clustered event populations). Semantics
-// are identical to NewEngine; see BenchmarkEventQueues for the trade-off.
-func NewEngineWithCalendar() *Engine {
-	return &Engine{cal: newCalendarQueue()}
 }
 
 // Now returns the current simulated time. Inside an event callback it is the
@@ -118,12 +170,7 @@ func (e *Engine) NextSeq() uint64 { return e.nextSeq }
 
 // Pending returns the number of events currently queued (including
 // cancelled events that have not yet been discarded).
-func (e *Engine) Pending() int {
-	if e.cal != nil {
-		return e.cal.len()
-	}
-	return e.heap.len()
-}
+func (e *Engine) Pending() int { return e.heap.len() }
 
 // alloc takes an event struct from the free list (or allocates the first
 // time) and stamps it with the next sequence number.
@@ -153,28 +200,6 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-func (e *Engine) push(ev *Event) {
-	if e.cal != nil {
-		e.cal.push(ev)
-	} else {
-		e.heap.push(ev)
-	}
-}
-
-func (e *Engine) pop() *Event {
-	if e.cal != nil {
-		return e.cal.pop()
-	}
-	return e.heap.pop()
-}
-
-func (e *Engine) peek() *Event {
-	if e.cal != nil {
-		return e.cal.peek()
-	}
-	return e.heap.peek()
-}
-
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // panics: it indicates a model bug that would silently corrupt causality.
 func (e *Engine) Schedule(at Time, fn func()) Handle {
@@ -183,7 +208,7 @@ func (e *Engine) Schedule(at Time, fn func()) Handle {
 	}
 	ev := e.alloc(at)
 	ev.fn = fn
-	e.push(ev)
+	e.heap.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -196,7 +221,7 @@ func (e *Engine) ScheduleAct(at Time, a Action) Handle {
 	}
 	ev := e.alloc(at)
 	ev.act = a
-	e.push(ev)
+	e.heap.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -230,7 +255,7 @@ func (e *Engine) fire(ev *Event) {
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for {
-		ev := e.pop()
+		ev := e.heap.pop()
 		if ev == nil {
 			return false
 		}
@@ -297,12 +322,12 @@ func (e *Engine) Run() {
 // this to decide how long to sleep before the next batch of simulated work.
 func (e *Engine) PeekTime() (Time, bool) {
 	for {
-		head := e.peek()
+		head := e.heap.peek()
 		if head == nil {
 			return 0, false
 		}
 		if head.dead {
-			e.recycle(e.pop())
+			e.recycle(e.heap.pop())
 			continue
 		}
 		return head.At, true
@@ -327,11 +352,11 @@ func (e *Engine) RunBefore(limit Time) uint64 {
 	}
 	stride := 0
 	for {
-		head := e.peek()
+		head := e.heap.peek()
 		if head == nil || head.At >= limit {
 			break
 		}
-		ev := e.pop()
+		ev := e.heap.pop()
 		if ev.dead {
 			e.recycle(ev)
 			continue
@@ -365,11 +390,11 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 	}
 	stride := 0
 	for {
-		head := e.peek()
+		head := e.heap.peek()
 		if head == nil || head.At > limit {
 			break
 		}
-		ev := e.pop()
+		ev := e.heap.pop()
 		if ev.dead {
 			e.recycle(ev)
 			continue

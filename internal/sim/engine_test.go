@@ -457,38 +457,29 @@ func (a *nopAction) Act() { a.n++ }
 // event-churn numbers in BENCH_*.json: once the pool is warm, a
 // schedule→fire→recycle cycle reuses the same Event struct and the queue's
 // backing storage, so steady-state churn heap-allocates nothing — for both
-// payload forms (prebuilt closure and pooled Action) and both queue
-// implementations.
+// payload forms (prebuilt closure and pooled Action).
 func TestPooledEventPathAllocationFree(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() *Engine
-	}{
-		{"heap", NewEngine},
-		{"calendar", NewEngineWithCalendar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := tc.mk()
-			fn := func() {}
-			act := &nopAction{}
-			// Warm the free list and the queue's backing storage.
-			for i := 0; i < 64; i++ {
-				e.Schedule(e.Now()+Time(i+1), fn)
-			}
-			for e.Step() {
-			}
-			if n := testing.AllocsPerRun(1000, func() {
-				e.Schedule(e.Now()+1, fn)
-				e.Step()
-			}); n != 0 {
-				t.Errorf("closure schedule+fire allocates %v per event, want 0", n)
-			}
-			if n := testing.AllocsPerRun(1000, func() {
-				e.ScheduleAct(e.Now()+1, act)
-				e.Step()
-			}); n != 0 {
-				t.Errorf("Action schedule+fire allocates %v per event, want 0", n)
-			}
-		})
-	}
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		fn := func() {}
+		act := &nopAction{}
+		// Warm the free list and the queue's backing storage.
+		for i := 0; i < 64; i++ {
+			e.Schedule(e.Now()+Time(i+1), fn)
+		}
+		for e.Step() {
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			e.Schedule(e.Now()+1, fn)
+			e.Step()
+		}); n != 0 {
+			t.Errorf("closure schedule+fire allocates %v per event, want 0", n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			e.ScheduleAct(e.Now()+1, act)
+			e.Step()
+		}); n != 0 {
+			t.Errorf("Action schedule+fire allocates %v per event, want 0", n)
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Package viz renders simulation traces as terminal visualizations: an
 // ASCII Gantt timeline of the job schedule, built from the JSON-lines
-// events a cp.Tracer emits. It exists so a run's scheduling behavior can be
+// events the obs.JSONL probe emits. It exists so a run's scheduling behavior can be
 // inspected without leaving the terminal — which jobs waited, which
 // overlapped, where deadlines landed, what got rejected or cancelled.
 package viz
@@ -13,7 +13,7 @@ import (
 	"sort"
 	"strings"
 
-	"laxgpu/internal/cp"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
 
@@ -29,9 +29,9 @@ const (
 	glyphReject   = 'R' // rejected on arrival
 )
 
-// ParseEvents decodes a JSON-lines trace (as written by cp.Tracer).
-func ParseEvents(r io.Reader) ([]cp.TraceEvent, error) {
-	var events []cp.TraceEvent
+// ParseEvents decodes a JSON-lines trace (as written by obs.JSONL).
+func ParseEvents(r io.Reader) ([]obs.TraceEvent, error) {
+	var events []obs.TraceEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	line := 0
@@ -41,7 +41,7 @@ func ParseEvents(r io.Reader) ([]cp.TraceEvent, error) {
 		if text == "" {
 			continue
 		}
-		var e cp.TraceEvent
+		var e obs.TraceEvent
 		if err := json.Unmarshal([]byte(text), &e); err != nil {
 			return nil, fmt.Errorf("viz: trace line %d: %w", line, err)
 		}
@@ -80,7 +80,7 @@ type Options struct {
 
 // RenderTimeline draws the schedule encoded in events. Rows are jobs in
 // arrival order; columns are equal time buckets spanning the trace.
-func RenderTimeline(w io.Writer, events []cp.TraceEvent, opts Options) error {
+func RenderTimeline(w io.Writer, events []obs.TraceEvent, opts Options) error {
 	if opts.Width <= 0 {
 		opts.Width = 100
 	}

@@ -7,13 +7,14 @@ import (
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
 
 // traceRun produces a real trace from a small simulation.
-func traceRun(t *testing.T, admit func(*cp.JobRun) bool) []cp.TraceEvent {
+func traceRun(t *testing.T, admit func(*cp.JobRun) bool) []obs.TraceEvent {
 	t.Helper()
 	desc := &gpu.KernelDesc{Name: "k", NumWGs: 2, ThreadsPerWG: 64,
 		BaseWGTime: 50 * sim.Microsecond, InstPerThread: 1}
@@ -27,10 +28,10 @@ func traceRun(t *testing.T, admit func(*cp.JobRun) bool) []cp.TraceEvent {
 		})
 	}
 	var buf bytes.Buffer
-	tr := cp.NewTracer(&buf)
+	tr := obs.NewJSONL(&buf)
 	pol := sched.NewRR()
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
-	sys.SetTracer(tr)
+	sys.SetProbe(tr)
 	sys.Run()
 	events, err := ParseEvents(&buf)
 	if err != nil {
@@ -124,7 +125,7 @@ func TestRenderTimelineMaxJobs(t *testing.T) {
 
 func TestRenderTimelineRejectAndCancel(t *testing.T) {
 	// Synthesize events directly to cover reject/cancel/missed glyphs.
-	events := []cp.TraceEvent{
+	events := []obs.TraceEvent{
 		{At: 0, Kind: "arrive", JobID: 0, Deadline: 100},
 		{At: 0, Kind: "reject", JobID: 0},
 		{At: 10, Kind: "arrive", JobID: 1, Deadline: 500},

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"laxgpu/internal/gpu"
@@ -324,6 +325,49 @@ func TestGenerateBurstyPreservesMeanRate(t *testing.T) {
 	}
 	if varOf(bursty) <= varOf(poisson) {
 		t.Fatal("bursty trace has no more variance than Poisson")
+	}
+}
+
+// ksExponential is the one-sample Kolmogorov–Smirnov statistic of the
+// samples against the exponential distribution with the given mean, and the
+// asymptotic 1%-significance critical value to compare it with.
+func ksExponential(samples []float64, mean float64) (d, crit float64) {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	n := float64(len(sorted))
+	for i, x := range sorted {
+		f := 1 - math.Exp(-x/mean)
+		d = math.Max(d, math.Max(math.Abs(f-float64(i)/n), math.Abs(f-float64(i+1)/n)))
+	}
+	return d, 1.63 / math.Sqrt(n)
+}
+
+// The arrival processes the whole evaluation rests on really are Poisson:
+// inter-arrival gaps pass a KS test against the exponential distribution at
+// the configured rate.
+func TestGeneratedArrivalsAreExponential(t *testing.T) {
+	l := lib(t)
+	bench, err := FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	gapsOf := func(s *JobSet) []float64 {
+		var gaps []float64
+		for i := 1; i < s.Len(); i++ {
+			gaps = append(gaps, float64(s.Jobs[i].Arrival-s.Jobs[i-1].Arrival))
+		}
+		return gaps
+	}
+	mean := float64(sim.Second) / float64(bench.JobsPerSecond(HighRate))
+	if d, crit := ksExponential(gapsOf(bench.Generate(l, HighRate, n, 9)), mean); d > crit {
+		t.Fatalf("arrival gaps not exponential: D=%.4f > %.4f", d, crit)
+	}
+	// Bursty arrivals at the same mean must FAIL the same test (that is
+	// their entire point).
+	bursty := bench.GenerateBursty(l, bench.JobsPerSecond(HighRate), 8, 12, n, 9)
+	if d, crit := ksExponential(gapsOf(bursty), mean); d <= crit {
+		t.Fatalf("bursty gaps indistinguishable from Poisson: D=%.4f", d)
 	}
 }
 

@@ -24,9 +24,7 @@
 // session registry, Trace replays a custom CSV arrival log, Scenario expands
 // a versioned multi-tenant scenario file (SCENARIOS.md) into a deterministic
 // trace, System overrides the simulated device, Faults injects deterministic
-// device faults, and Metrics/Perfetto export the run's telemetry. The pre-unification entry
-// points (RunContext, RunVerified, RunProbed, RunTrace, ...) survive as thin
-// deprecated wrappers; see the README migration table.
+// device faults, and Metrics/Perfetto export the run's telemetry.
 //
 // These package-level functions delegate to a shared default Session. A
 // Session owns the memoized simulation state and the worker pool; create
@@ -193,38 +191,6 @@ func Run(ctx context.Context, o Options) (Result, error) {
 	return defaultSession.Run(ctx, o)
 }
 
-// RunContext simulates one cell with cooperative cancellation.
-//
-// Deprecated: Run takes a Context directly; call Run(ctx, o).
-func RunContext(ctx context.Context, o Options) (Result, error) {
-	return Run(ctx, o)
-}
-
-// RunVerified is Run with the runtime invariant checker attached.
-//
-// Deprecated: set Options.Verify and call Run(ctx, o).
-func RunVerified(o Options) (Result, error) {
-	o.Verify = true
-	return Run(context.Background(), o)
-}
-
-// RunVerifiedContext is RunVerified with cooperative cancellation.
-//
-// Deprecated: set Options.Verify and call Run(ctx, o).
-func RunVerifiedContext(ctx context.Context, o Options) (Result, error) {
-	o.Verify = true
-	return Run(ctx, o)
-}
-
-// RunProbed is Run with the telemetry probe attached; WriteMetrics
-// snapshots the accumulated registry.
-//
-// Deprecated: set Options.Probe and call Run(ctx, o).
-func RunProbed(o Options) (Result, error) {
-	o.Probe = true
-	return Run(context.Background(), o)
-}
-
 // WriteMetrics writes the default session's accumulated telemetry (from
 // runs with Options.Probe set) in Prometheus text exposition format.
 func WriteMetrics(w io.Writer) error {
@@ -309,67 +275,6 @@ func (c SystemConfig) apply(cfg *cp.SystemConfig) {
 	if c.PriorityLevels > 0 {
 		cfg.PriorityLevels = c.PriorityLevels
 	}
-}
-
-// TraceOptions parameterize the deprecated RunTraceOptions entry point.
-//
-// Deprecated: every field has a direct Options counterpart; call
-// Run(ctx, Options{Trace: ..., ...}).
-type TraceOptions struct {
-	// Scheduler is one of Schedulers().
-	Scheduler string
-
-	// Faults optionally injects deterministic device faults into the
-	// replay (same syntax as Options.Faults).
-	Faults string
-
-	// Seed feeds the fault plan; 0 means seed 1. The trace itself is
-	// deterministic input, so Seed matters only when Faults is set.
-	Seed int64
-
-	// System overrides the simulated device; nil means the paper's
-	// Table 2 system.
-	System *SystemConfig
-
-	// Metrics, when non-nil, receives the run's telemetry in Prometheus
-	// text exposition format after the replay completes.
-	Metrics io.Writer
-
-	// Perfetto, when non-nil, receives a Chrome trace-event JSON document
-	// (loadable in ui.perfetto.dev), written after the replay completes.
-	Perfetto io.Writer
-}
-
-// RunTrace replays a custom job trace under the named scheduler on the
-// Table 2 system (see Options.Trace for the CSV format).
-//
-// Deprecated: set Options.Trace and call Run(ctx, o).
-func RunTrace(trace io.Reader, scheduler string) (Result, error) {
-	return Run(context.Background(), Options{Scheduler: scheduler, Trace: trace})
-}
-
-// RunTraceOptions is RunTrace with fault injection and a custom device.
-//
-// Deprecated: every TraceOptions field has a direct Options counterpart;
-// call Run(ctx, o).
-func RunTraceOptions(trace io.Reader, o TraceOptions) (Result, error) {
-	return RunTraceContext(context.Background(), trace, o)
-}
-
-// RunTraceContext is RunTraceOptions with cooperative cancellation.
-//
-// Deprecated: every TraceOptions field has a direct Options counterpart;
-// call Run(ctx, o).
-func RunTraceContext(ctx context.Context, trace io.Reader, o TraceOptions) (Result, error) {
-	return Run(ctx, Options{
-		Scheduler: o.Scheduler,
-		Trace:     trace,
-		Faults:    o.Faults,
-		Seed:      o.Seed,
-		System:    o.System,
-		Metrics:   o.Metrics,
-		Perfetto:  o.Perfetto,
-	})
 }
 
 // Schedulers returns the scheduler names of Table 3, sorted.

@@ -205,7 +205,7 @@ func TestRunTrace(t *testing.T) {
 		"20,5000,GMMKernel",
 		"30,10000,rocBLASGEMMKernel1*4;ActivationKernel5*4",
 	}, "\n"))
-	res, err := RunTrace(trace, "LAX")
+	res, err := Run(context.Background(), Options{Scheduler: "LAX", Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,61 +218,66 @@ func TestRunTrace(t *testing.T) {
 	if res.MetDeadline < 3 {
 		t.Fatalf("met only %d of a trivially light trace", res.MetDeadline)
 	}
-	if _, err := RunTrace(strings.NewReader("garbage"), "LAX"); err == nil {
+	if _, err := Run(context.Background(), Options{Scheduler: "LAX", Trace: strings.NewReader("garbage")}); err == nil {
 		t.Fatal("bad trace accepted")
 	}
-	if _, err := RunTrace(strings.NewReader("x"), "NOPE"); err == nil {
+	if _, err := Run(context.Background(), Options{Scheduler: "NOPE", Trace: strings.NewReader(traceCSV)}); err == nil {
 		t.Fatal("bad scheduler accepted")
 	}
 }
 
-// traceCSV is a small fixed trace reused by the RunTraceOptions tests.
+// traceCSV is a small fixed trace reused by the trace-replay tests.
 const traceCSV = "arrival_us,deadline_us,kernels\n" +
 	"0,1000,IPV6Kernel\n" +
 	"10,1000,STEMKernel\n" +
 	"20,5000,GMMKernel\n" +
 	"30,10000,rocBLASGEMMKernel1*4;ActivationKernel5*4\n"
 
+// runTrace replays traceCSV with o's other fields.
+func runTrace(ctx context.Context, o Options) (Result, error) {
+	o.Trace = strings.NewReader(traceCSV)
+	return Run(ctx, o)
+}
+
+// TestRunTraceOptionsDefaultsMatchRunTrace: spelling the documented
+// defaults out (seed 1, a zero SystemConfig) replays exactly like omitting
+// them.
 func TestRunTraceOptionsDefaultsMatchRunTrace(t *testing.T) {
-	plain, err := RunTrace(strings.NewReader(traceCSV), "LAX")
+	plain, err := runTrace(context.Background(), Options{Scheduler: "LAX"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := RunTraceOptions(strings.NewReader(traceCSV), TraceOptions{Scheduler: "LAX"})
+	opts, err := runTrace(context.Background(), Options{Scheduler: "LAX", Seed: 1, System: &SystemConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain != opts {
-		t.Fatalf("default TraceOptions diverged from RunTrace:\n%+v\n%+v", plain, opts)
+		t.Fatalf("explicit defaults diverged from omitted ones:\n%+v\n%+v", plain, opts)
 	}
 }
 
 func TestRunTraceOptionsHonorsFaults(t *testing.T) {
 	// This was the bug: the old trace path always ran the healthy default
 	// system, silently ignoring any fault configuration.
-	res, err := RunTraceOptions(strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "LAX", Faults: "hang=0.9,recover=on"})
+	res, err := runTrace(context.Background(), Options{Scheduler: "LAX", Faults: "hang=0.9,recover=on"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.WatchdogKills == 0 {
 		t.Fatal("hang=0.9 trace run shows no watchdog kills: faults ignored")
 	}
-	if _, err := RunTraceOptions(strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "LAX", Faults: "hang=2"}); err == nil {
+	if _, err := runTrace(context.Background(), Options{Scheduler: "LAX", Faults: "hang=2"}); err == nil {
 		t.Fatal("invalid fault spec accepted")
 	}
 }
 
 func TestRunTraceOptionsHonorsSystemConfig(t *testing.T) {
 	// A one-CU device must be strictly slower end to end than a 32-CU one.
-	small, err := RunTraceOptions(strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "FCFS", System: &SystemConfig{NumCUs: 1}})
+	small, err := runTrace(context.Background(), Options{Scheduler: "FCFS", System: &SystemConfig{NumCUs: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunTraceOptions(strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "FCFS", System: &SystemConfig{NumCUs: 32}})
+	big, err := runTrace(context.Background(), Options{Scheduler: "FCFS", System: &SystemConfig{NumCUs: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +285,7 @@ func TestRunTraceOptionsHonorsSystemConfig(t *testing.T) {
 		t.Fatalf("1-CU makespan %v <= 32-CU makespan %v: SystemConfig ignored", small.Makespan, big.Makespan)
 	}
 	// Queue/priority shape overrides must at least construct and run.
-	res, err := RunTraceOptions(strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "LAX", System: &SystemConfig{NumQueues: 4, PriorityLevels: 2}})
+	res, err := runTrace(context.Background(), Options{Scheduler: "LAX", System: &SystemConfig{NumQueues: 4, PriorityLevels: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +297,7 @@ func TestRunTraceOptionsHonorsSystemConfig(t *testing.T) {
 func TestRunTraceContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunTraceContext(ctx, strings.NewReader(traceCSV),
-		TraceOptions{Scheduler: "LAX"}); !errors.Is(err, context.Canceled) {
+	if _, err := runTrace(ctx, Options{Scheduler: "LAX"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -376,5 +379,82 @@ func TestFindCapacityScenarioPeak(t *testing.T) {
 	// Unknown scenarios error with the builtin list in the message.
 	if _, err := FindCapacity(CapacityOptions{Scheduler: "LAX", Scenario: "no-such-scenario"}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestTraceTelemetryWritersMatch: the Metrics and Perfetto exports of a
+// trace replay are deterministic — two replays write byte-identical
+// documents — and attaching them leaves the Result untouched.
+func TestTraceTelemetryWritersMatch(t *testing.T) {
+	var m1, m2, p1, p2 bytes.Buffer
+	bare, err := runTrace(context.Background(), Options{Scheduler: "LAX"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := runTrace(context.Background(), Options{Scheduler: "LAX", Metrics: &m1, Perfetto: &p1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := runTrace(context.Background(), Options{Scheduler: "LAX", Metrics: &m2, Perfetto: &p2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != bare || second != bare {
+		t.Fatalf("exporting replays diverged from the bare one: %+v, %+v vs %+v", first, second, bare)
+	}
+	if m1.Len() == 0 || p1.Len() == 0 {
+		t.Fatal("telemetry writers received nothing")
+	}
+	if !bytes.Equal(m1.Bytes(), m2.Bytes()) {
+		t.Fatalf("metrics exports differ: %d vs %d bytes", m1.Len(), m2.Len())
+	}
+	if !bytes.Equal(p1.Bytes(), p2.Bytes()) {
+		t.Fatalf("perfetto exports differ: %d vs %d bytes", p1.Len(), p2.Len())
+	}
+}
+
+// TestUnifiedRunCustomSystemOnBenchmarks: Options.System applies to
+// benchmark cells, not just trace replays, and distinct devices get distinct
+// memoized runners.
+func TestUnifiedRunCustomSystemOnBenchmarks(t *testing.T) {
+	ctx := context.Background()
+	small, err := Run(ctx, Options{Scheduler: "FCFS", Benchmark: "GMM", Rate: "high", Jobs: 32,
+		System: &SystemConfig{NumCUs: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := Run(ctx, Options{Scheduler: "FCFS", Benchmark: "GMM", Rate: "high", Jobs: 32,
+		System: &SystemConfig{NumCUs: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Makespan <= big.Makespan {
+		t.Fatalf("1-CU makespan %v <= 32-CU makespan %v: System ignored on benchmark cell",
+			small.Makespan, big.Makespan)
+	}
+	// Repeat runs hit the per-device memo and stay bit-identical.
+	again, err := Run(ctx, Options{Scheduler: "FCFS", Benchmark: "GMM", Rate: "high", Jobs: 32,
+		System: &SystemConfig{NumCUs: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != big {
+		t.Fatalf("memoized custom-device run diverged: %+v vs %+v", again, big)
+	}
+}
+
+// TestUnifiedRunVerifiedTrace: the invariant checker attaches to trace
+// replays and, as a pure observer, leaves the Result untouched.
+func TestUnifiedRunVerifiedTrace(t *testing.T) {
+	plain, err := runTrace(context.Background(), Options{Scheduler: "LAX"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := runTrace(context.Background(), Options{Scheduler: "LAX", Verify: true})
+	if err != nil {
+		t.Fatal(err) // an invariant violation would surface here
+	}
+	if checked != plain {
+		t.Fatalf("verified trace replay diverged: %+v vs %+v", checked, plain)
 	}
 }

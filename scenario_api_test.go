@@ -126,8 +126,12 @@ func TestRunScenarioValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := Run(ctx, Options{Scheduler: "LAX",
 		Scenario: strings.NewReader(apiScenarioJSON),
-		Trace:    strings.NewReader(apiTraceCSV)}); err == nil {
+		Trace:    strings.NewReader(traceCSV)}); err == nil {
 		t.Fatal("Trace+Scenario accepted")
+	}
+	if _, err := Run(ctx, Options{Scheduler: "LAX", Benchmark: "LSTM",
+		Scenario: strings.NewReader(apiScenarioJSON)}); err == nil {
+		t.Fatal("Benchmark+Scenario accepted")
 	}
 	if _, err := Run(ctx, Options{Scheduler: "LAX",
 		Scenario: strings.NewReader(`{"format":"wrong"}`)}); err == nil {

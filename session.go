@@ -8,12 +8,10 @@ import (
 	"sync"
 
 	"laxgpu/internal/cp"
-	"laxgpu/internal/faults"
 	"laxgpu/internal/harness"
 	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
-	"laxgpu/internal/verify"
 	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
@@ -156,8 +154,8 @@ func (s *Session) configCount() int {
 	return len(s.runners)
 }
 
-// isClosed reports whether Close has been called (the trace-replay path has
-// no runner lookup to surface ErrSessionClosed from).
+// isClosed reports whether Close has been called (trace and scenario runs
+// have no runner lookup to surface ErrSessionClosed from).
 func (s *Session) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,42 +193,17 @@ func normalizeOptions(o Options) (runnerKey, workload.Rate, error) {
 // Run simulates one cell, memoized within the session. It is the unified
 // entry point: Options folds in every run mode. Benchmark cells are cached
 // per (Jobs, Seed, Faults, Verify, System) configuration; runs with an
-// observer that must see exactly one simulation (Probe, Metrics, Perfetto)
-// and trace replays (Trace) always simulate fresh. Cancelling ctx stops the
-// simulation mid-event-loop and the aborted run is not cached.
+// observer that must see exactly one simulation (Probe, Metrics, Perfetto),
+// trace replays (Trace) and scenario runs (Scenario) always simulate fresh.
+// Cancelling ctx stops the simulation mid-event-loop and the aborted run is
+// not cached.
 func (s *Session) Run(ctx context.Context, o Options) (Result, error) {
-	if o.Trace != nil && o.Scenario != nil {
+	switch {
+	case o.Trace != nil && o.Scenario != nil:
 		return Result{}, fmt.Errorf("laxgpu: Options.Trace and Options.Scenario are mutually exclusive")
+	case o.Scenario != nil && o.Benchmark != "":
+		return Result{}, fmt.Errorf("laxgpu: Options.Scenario and Options.Benchmark are mutually exclusive")
 	}
-	if o.Trace != nil || o.Scenario != nil {
-		if s.isClosed() {
-			return Result{}, ErrSessionClosed
-		}
-		return s.runTrace(ctx, o)
-	}
-	key, rate, err := normalizeOptions(o)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := s.runnerFor(key)
-	if err != nil {
-		return Result{}, err
-	}
-	if o.Probe || o.Metrics != nil || o.Perfetto != nil {
-		return s.runObserved(ctx, r, o, rate)
-	}
-	sum, err := r.RunContext(ctx, o.Scheduler, o.Benchmark, rate)
-	if err != nil {
-		return Result{}, err
-	}
-	return toResult(sum), nil
-}
-
-// runObserved simulates one benchmark cell fresh with the requested
-// observers attached: the session-registry telemetry probe (Probe), a
-// single-run Prometheus export (Metrics), and/or a Perfetto trace export
-// (Perfetto). The runner's Verify flag rides along inside RunObserved.
-func (s *Session) runObserved(ctx context.Context, r *harness.Runner, o Options, rate workload.Rate) (Result, error) {
 	var probes []obs.Probe
 	if o.Probe {
 		probes = append(probes, obs.NewMetricsWithRegistry(s.metricsReg))
@@ -245,7 +218,7 @@ func (s *Session) runObserved(ctx context.Context, r *harness.Runner, o Options,
 		pf = obs.NewPerfetto()
 		probes = append(probes, pf)
 	}
-	sum, err := r.RunObserved(ctx, obs.Multi(probes...), o.Scheduler, o.Benchmark, rate)
+	sum, err := s.simulate(ctx, o, probes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -262,138 +235,65 @@ func (s *Session) runObserved(ctx context.Context, r *harness.Runner, o Options,
 	return toResult(sum), nil
 }
 
-// runTrace replays a custom job trace (Options.Trace) or expands and runs a
-// scenario document (Options.Scenario) under the requested scheduler, device
-// and fault plan. Both paths are session-independent except for the Probe
-// registry; they are never cached.
-func (s *Session) runTrace(ctx context.Context, o Options) (Result, error) {
-	pol, err := sched.New(o.Scheduler)
-	if err != nil {
-		return Result{}, err
+// simulate runs o's workload once with the probes attached: a custom trace
+// or expanded scenario straight through the harness recipe, a benchmark cell
+// through the session's memoized runner — from its cache when nothing
+// observes the run, fresh otherwise.
+func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (metrics.Summary, error) {
+	if o.Trace == nil && o.Scenario == nil {
+		key, rate, err := normalizeOptions(o)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		r, err := s.runnerFor(key)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		if len(probes) == 0 {
+			return r.RunContext(ctx, o.Scheduler, o.Benchmark, rate)
+		}
+		sys, _, err := r.RunSystem(ctx, o.Scheduler, o.Benchmark, rate, probes...)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		return metrics.Summarize(sys, o.Scheduler, o.Benchmark, rate.String()), nil
 	}
-	spec, err := faults.ParseSpec(o.Faults)
-	if err != nil {
-		return Result{}, err
+	if s.isClosed() {
+		return metrics.Summary{}, ErrSessionClosed
 	}
 	cfg := cp.DefaultSystemConfig()
 	if o.System != nil {
 		o.System.apply(&cfg)
 	}
-	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
-	}
 	lib := workload.NewLibrary(cfg.GPU)
 	var set *workload.JobSet
-	benchLabel, rateLabel := "custom", "trace"
+	var err error
+	rateLabel := "trace"
 	if o.Scenario != nil {
-		sc, err := scenario.Parse(o.Scenario)
-		if err != nil {
-			return Result{}, err
+		var sc *scenario.Spec
+		if sc, err = scenario.Parse(o.Scenario); err == nil {
+			set, err = sc.Generate(lib, o.Seed)
 		}
-		set, err = sc.Generate(lib, o.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		benchLabel, rateLabel = sc.Label(), "scenario"
+		rateLabel = workload.ScenarioRate.String()
 	} else {
 		set, err = workload.ReadTrace(o.Trace, lib, "custom")
-		if err != nil {
-			return Result{}, err
-		}
 	}
-	sys := cp.NewSystem(cfg, set, pol)
-	if !spec.Zero() {
-		seed := o.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		sys.InstallFaults(faults.NewPlan(spec, seed), spec.Retirements)
+	if err != nil {
+		return metrics.Summary{}, err
 	}
-	var probes []obs.Probe
-	if o.Probe {
-		probes = append(probes, obs.NewMetricsWithRegistry(s.metricsReg))
+	faultSeed := o.Seed
+	if faultSeed == 0 {
+		faultSeed = 1
 	}
-	var m *obs.Metrics
-	if o.Metrics != nil {
-		m = obs.NewMetrics()
-		probes = append(probes, m)
+	sys, _, err := harness.Sim{
+		Sched: o.Scheduler, Cfg: cfg, Set: set,
+		Faults: o.Faults, FaultSeed: faultSeed,
+		Probes: probes, Verify: o.Verify,
+	}.Run(ctx)
+	if err != nil {
+		return metrics.Summary{}, err
 	}
-	var pf *obs.Perfetto
-	if o.Perfetto != nil {
-		pf = obs.NewPerfetto()
-		probes = append(probes, pf)
-	}
-	var ck *verify.Checker
-	if o.Verify {
-		ck = verify.New(verify.OptionsFor(o.Scheduler, pol, cfg, !spec.Zero()))
-		ck.Attach(sys)
-		probes = append(probes, ck)
-	}
-	if len(probes) > 0 {
-		sys.SetProbe(obs.Multi(probes...))
-	}
-	if err := sys.RunContext(ctx); err != nil {
-		return Result{}, err
-	}
-	if ck != nil {
-		if err := ck.Finalize(); err != nil {
-			return Result{}, fmt.Errorf("%s/%s/%s: invariant violation: %w", o.Scheduler, benchLabel, rateLabel, err)
-		}
-	}
-	if m != nil {
-		if err := m.Registry().WritePrometheus(o.Metrics); err != nil {
-			return Result{}, err
-		}
-	}
-	if pf != nil {
-		if err := pf.Write(o.Perfetto); err != nil {
-			return Result{}, err
-		}
-	}
-	return toResult(metrics.Summarize(sys, o.Scheduler, benchLabel, rateLabel)), nil
-}
-
-// RunContext simulates one cell with cooperative cancellation.
-//
-// Deprecated: Run takes a Context directly; call Run(ctx, o).
-func (s *Session) RunContext(ctx context.Context, o Options) (Result, error) {
-	return s.Run(ctx, o)
-}
-
-// RunVerified is Run with the runtime invariant checker attached: the
-// simulation's live event stream is validated against the guarantees in
-// DESIGN.md §9 and any violation is returned as an error instead of a
-// Result.
-//
-// Deprecated: set Options.Verify and call Run(ctx, o).
-func (s *Session) RunVerified(o Options) (Result, error) {
-	o.Verify = true
-	return s.Run(context.Background(), o)
-}
-
-// RunVerifiedContext is RunVerified with cooperative cancellation.
-//
-// Deprecated: set Options.Verify and call Run(ctx, o).
-func (s *Session) RunVerifiedContext(ctx context.Context, o Options) (Result, error) {
-	o.Verify = true
-	return s.Run(ctx, o)
-}
-
-// RunProbed simulates one cell with the telemetry probe attached; the run's
-// metrics fold into the session registry, snapshotted by WriteMetrics.
-//
-// Deprecated: set Options.Probe and call Run(ctx, o).
-func (s *Session) RunProbed(o Options) (Result, error) {
-	o.Probe = true
-	return s.Run(context.Background(), o)
-}
-
-// RunProbedContext is RunProbed with cooperative cancellation.
-//
-// Deprecated: set Options.Probe and call Run(ctx, o).
-func (s *Session) RunProbedContext(ctx context.Context, o Options) (Result, error) {
-	o.Probe = true
-	return s.Run(ctx, o)
+	return metrics.Summarize(sys, o.Scheduler, set.Benchmark, rateLabel), nil
 }
 
 // WriteMetrics writes the telemetry accumulated by the session's probed

@@ -176,7 +176,7 @@ func TestSessionRunContextCancellation(t *testing.T) {
 	o := Options{Scheduler: "LAX", Benchmark: "LSTM", Rate: "high", Jobs: 64}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunContext(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if _, err := s.Run(context.Background(), o); err != nil {
@@ -212,9 +212,10 @@ func TestRunVerifiedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run(%+v): %v", o, err)
 		}
-		checked, err := s.RunVerified(o)
+		o.Verify = true
+		checked, err := s.Run(context.Background(), o)
 		if err != nil {
-			t.Fatalf("RunVerified(%+v): %v", o, err)
+			t.Fatalf("Run(%+v): %v", o, err)
 		}
 		if plain != checked {
 			t.Fatalf("verified result diverged:\n  plain   %+v\n  checked %+v", plain, checked)
@@ -247,11 +248,15 @@ func TestSessionClose(t *testing.T) {
 	if _, err := s.Run(context.Background(), o); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Run after Close: err = %v, want ErrSessionClosed", err)
 	}
-	if _, err := s.RunVerified(o); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("RunVerified after Close: err = %v, want ErrSessionClosed", err)
-	}
-	if _, err := s.RunProbed(o); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("RunProbed after Close: err = %v, want ErrSessionClosed", err)
+	for name, closed := range map[string]Options{
+		"verified": {Scheduler: "LAX", Benchmark: "IPV6", Verify: true},
+		"probed":   {Scheduler: "LAX", Benchmark: "IPV6", Probe: true},
+		"trace":    {Scheduler: "LAX", Trace: strings.NewReader(traceCSV)},
+		"scenario": {Scheduler: "LAX", Scenario: strings.NewReader(apiScenarioJSON)},
+	} {
+		if _, err := s.Run(context.Background(), closed); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s Run after Close: err = %v, want ErrSessionClosed", name, err)
+		}
 	}
 	if _, err := s.Sweep([]Options{o}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Sweep after Close: err = %v, want ErrSessionClosed", err)
