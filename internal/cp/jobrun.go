@@ -105,6 +105,11 @@ type JobRun struct {
 
 	// wgsCompleted counts WGs finished across all kernels (Figure 9).
 	wgsCompleted int
+
+	// SchedState is scratch space owned by the attached policy: per-job
+	// scheduler state that must live exactly as long as the job does hangs
+	// here instead of in a policy-side table keyed by job ID.
+	SchedState any
 }
 
 func newJobRun(job *workload.Job, queueID int) *JobRun {
@@ -131,6 +136,12 @@ func (j *JobRun) Current() *gpu.KernelInstance {
 
 // CurrentIndex returns the index of the current kernel.
 func (j *JobRun) CurrentIndex() int { return j.cur }
+
+// terminal reports whether the job has reached a final state: done, rejected
+// or cancelled.
+func (j *JobRun) terminal() bool {
+	return j.state == JobDone || j.state == JobRejected || j.state == JobCancelled
+}
 
 // Done reports whether every kernel has completed.
 func (j *JobRun) Done() bool { return j.state == JobDone }

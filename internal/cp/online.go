@@ -53,8 +53,8 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	if !s.online {
 		panic("cp: SubmitNow on a system not started with StartOnline")
 	}
-	if job.ID != len(s.jobs) {
-		panic(fmt.Sprintf("cp: online job IDs must be dense: got %d, want %d", job.ID, len(s.jobs)))
+	if next := s.base + len(s.jobs); job.ID != next {
+		panic(fmt.Sprintf("cp: online job IDs must be dense: got %d, want %d", job.ID, next))
 	}
 	if job.Arrival != s.eng.Now() {
 		panic(fmt.Sprintf("cp: online arrival %v != engine now %v", job.Arrival, s.eng.Now()))
@@ -93,17 +93,36 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 }
 
 // Unfinished returns the jobs that are neither done, rejected nor cancelled,
-// in submission order. A serving frontend drains until this is empty.
+// in submission order. A serving frontend drains until this is empty. The
+// scan covers the live window only (see retire), so its cost follows the
+// work in flight, not the jobs the node has ever seen.
 func (s *System) Unfinished() []*JobRun {
 	var out []*JobRun
 	for _, jr := range s.jobs {
-		switch jr.state {
-		case JobDone, JobRejected, JobCancelled:
-		default:
+		if !jr.terminal() {
 			out = append(out, jr)
 		}
 	}
 	return out
+}
+
+// retire drops the terminal prefix of the job window. It runs after every
+// terminal transition in online mode — once the JobFinish/JobCancel/JobReject
+// probe event has been delivered, since observers resolve Job(id) from inside
+// it — and is a no-op in batch mode, whose reports read the whole trace back
+// through Jobs(). In-flight WGs of a cancelled job may outlive its retirement;
+// the device callbacks treat a retired ID as drained work of a dropped job.
+func (s *System) retire() {
+	if !s.online {
+		return
+	}
+	n := 0
+	for n < len(s.jobs) && s.jobs[n].terminal() {
+		s.jobs[n] = nil // the backing array outlives the reslice; let the JobRun go
+		n++
+	}
+	s.jobs = s.jobs[n:]
+	s.base += n
 }
 
 // FallBackToCPU gives up on executing the job on the GPU and completes its
@@ -116,8 +135,7 @@ func (s *System) Unfinished() []*JobRun {
 // when recovery is not configured. Terminal and not-yet-admitted jobs are
 // unaffected.
 func (s *System) FallBackToCPU(jr *JobRun) {
-	switch jr.state {
-	case JobDone, JobRejected, JobCancelled:
+	if jr.terminal() {
 		return
 	}
 	// A JobPending job here is admitted but host-queued (online submission

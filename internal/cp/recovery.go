@@ -205,8 +205,7 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 		return // superseded by a newer arm
 	}
 	delete(s.wdTimers, inst)
-	switch jr.state {
-	case JobDone, JobRejected, JobCancelled:
+	if jr.terminal() {
 		return
 	}
 	if inst.Done() || jr.Current() != inst || inst.Attempt != entry.attempt {
@@ -228,9 +227,8 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 // already killed the attempt; with recovery on the kernel retries, with
 // recovery off the fault is fatal to the offload.
 func (s *System) onKernelAbort(inst *gpu.KernelInstance) {
-	jr := s.jobs[inst.JobID]
-	switch jr.state {
-	case JobDone, JobRejected, JobCancelled:
+	jr := s.Job(inst.JobID)
+	if jr == nil || jr.terminal() {
 		return
 	}
 	s.recStats.Aborts++
@@ -263,11 +261,7 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 	}
 	inst.Paused = true
 	s.eng.After(backoff, func() {
-		switch jr.state {
-		case JobDone, JobRejected, JobCancelled:
-			return
-		}
-		if jr.Current() != inst {
+		if jr.terminal() || jr.Current() != inst {
 			return
 		}
 		inst.Paused = false
@@ -316,6 +310,7 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 		jr.FinishTime = s.eng.Now()
 		s.completed++
 		s.probeJob(obs.JobFinish, jr)
+		s.retire()
 	})
 	s.Dispatch()
 }

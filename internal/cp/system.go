@@ -56,7 +56,13 @@ type System struct {
 	dev *gpu.Device
 	pol Policy
 
-	jobs    []*JobRun // by Job.ID
+	// jobs is a sliding window over job IDs: jobs[id-base]. Batch mode keeps
+	// the whole trace (base stays 0); online mode retires the terminal prefix
+	// after every terminal transition (see retire), so the window spans the
+	// oldest unfinished job to the newest submission — live work, not history.
+	jobs []*JobRun
+	base int
+
 	active  []*JobRun // admitted, unfinished, holding a queue
 	hostQ   []*JobRun // admitted, waiting for a free queue
 	blocked []*JobRun // waiting on the policy's AdvanceGate
@@ -175,15 +181,23 @@ func (s *System) Config() SystemConfig { return s.cfg }
 // Now returns the current simulated time.
 func (s *System) Now() sim.Time { return s.eng.Now() }
 
-// Jobs returns every job in the trace (indexed by job ID).
+// Jobs returns every job in the trace, indexed by job ID. In online mode it
+// covers only the live window — the oldest unfinished job onwards — because
+// terminal jobs are retired; callers there keep the JobRun SubmitNow returns.
 func (s *System) Jobs() []*JobRun { return s.jobs }
 
 // Active returns the jobs currently admitted and unfinished, in arrival
 // order. The caller must not retain or mutate the slice across events.
 func (s *System) Active() []*JobRun { return s.active }
 
-// Job returns the JobRun for a job ID.
-func (s *System) Job(id int) *JobRun { return s.jobs[id] }
+// Job returns the JobRun for a job ID, or nil for an ID online mode has
+// already retired.
+func (s *System) Job(id int) *JobRun {
+	if id < s.base {
+		return nil
+	}
+	return s.jobs[id-s.base]
+}
 
 // SetProbe installs a decision probe (see obs.Probe); obs.Multi combines
 // several. Pass nil to disable. Must be called before Run: a probe attached
@@ -252,6 +266,7 @@ func (s *System) arrive(jr *JobRun) {
 		jr.state = JobRejected
 		s.rejected++
 		s.probeJob(obs.JobReject, jr)
+		s.retire()
 		return
 	}
 	jr.SubmitTime = s.eng.Now()
@@ -335,10 +350,13 @@ func (s *System) makeFirstReady(jr *JobRun) {
 
 // onWGComplete refills the device after every workgroup completion.
 func (s *System) onWGComplete(inst *gpu.KernelInstance) {
-	jr := s.jobs[inst.JobID]
-	jr.wgsCompleted++
-	if jr.state == JobReady && inst.CompletedWGs() > 0 {
-		jr.state = JobRunning
+	// A nil job is a draining WG of a dropped job the online window already
+	// retired; the slot it frees still gets refilled.
+	if jr := s.Job(inst.JobID); jr != nil {
+		jr.wgsCompleted++
+		if jr.state == JobReady && inst.CompletedWGs() > 0 {
+			jr.state = JobRunning
+		}
 	}
 	s.Dispatch()
 }
@@ -359,6 +377,7 @@ func (s *System) Cancel(jr *JobRun) {
 	jr.state = JobCancelled
 	jr.FinishTime = s.eng.Now()
 	s.probeJob(obs.JobCancel, jr)
+	s.retire()
 	jr.Pause() // no further WG dispatch from any of its kernels
 	for i, a := range s.active {
 		if a == jr {
@@ -379,9 +398,9 @@ func (s *System) Cancel(jr *JobRun) {
 
 // onKernelDone advances the job's kernel chain.
 func (s *System) onKernelDone(inst *gpu.KernelInstance) {
-	jr := s.jobs[inst.JobID]
-	if jr.state == JobCancelled {
-		return // draining WGs of a dropped job
+	jr := s.Job(inst.JobID)
+	if jr == nil || jr.state == JobCancelled {
+		return // draining WGs of a dropped job (nil: already retired online)
 	}
 	if jr.Current() != inst {
 		panic(fmt.Sprintf("cp: out-of-order kernel completion for %v", jr))
@@ -455,6 +474,7 @@ func (s *System) finish(jr *JobRun) {
 	jr.FinishTime = s.eng.Now()
 	s.completed++
 	s.probeJob(obs.JobFinish, jr)
+	s.retire()
 	for i, a := range s.active {
 		if a == jr {
 			s.active = append(s.active[:i], s.active[i+1:]...)

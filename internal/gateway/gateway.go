@@ -195,6 +195,10 @@ type Gateway struct {
 	rng      *sim.RNG
 	inflight int
 
+	// terminals counts the journal entries that have a terminal state: bumped
+	// where e.terminal is set, dropped where such an entry is evicted.
+	terminals int
+
 	// Cumulative traffic statistics the saturation analyzer differentiates:
 	// totals only ever grow, so rate = Δ/Δt between two snapshots.
 	statMissed     int64
@@ -687,6 +691,7 @@ func (gw *Gateway) complete(id int64, o Outcome) {
 		return
 	}
 	e.terminal = o.Terminal
+	gw.terminals++
 	e.met = o.Met
 	e.fellBack = o.FellBack
 	e.latencyUs = usOf(o.Latency)
@@ -734,18 +739,27 @@ func (gw *Gateway) addLocked(e *entry) {
 	gw.journal[e.job.ID] = e
 	gw.order = append(gw.order, e.job.ID)
 	for len(gw.order) > gw.opt.MaxRecords {
-		evicted := false
-		for i, id := range gw.order {
-			old := gw.journal[id]
-			if old == nil || old.terminal != "" {
-				gw.order = append(gw.order[:i], gw.order[i+1:]...)
-				delete(gw.journal, id)
-				evicted = true
+		i := 0
+		for i < len(gw.order) {
+			if old := gw.journal[gw.order[i]]; old == nil || old.terminal != "" {
 				break
 			}
+			i++
 		}
-		if !evicted {
-			break
+		if i == len(gw.order) {
+			break // every entry is still open: the journal runs over its cap
+		}
+		id := gw.order[i]
+		if i == 0 {
+			// The usual case, O(1): move the slice head. append copies the
+			// live entries to a fresh array once per quarter-cap of submits.
+			gw.order = gw.order[1:]
+		} else {
+			gw.order = append(gw.order[:i], gw.order[i+1:]...)
+		}
+		if gw.journal[id] != nil {
+			gw.terminals--
+			delete(gw.journal, id)
 		}
 	}
 }
@@ -780,21 +794,13 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	gw.statDeadlineUs += usOf(deadline)
 
 	if gw.healthyLocked() == 0 {
-		e.terminal = verify.FleetRejected
-		e.reason = serve.ReasonUnhealthy
-		e.retryUs = usOf(gw.opt.ProbeBackoff)
-		gw.rejectCauseLocked(e)
-		close(e.done)
+		gw.rejectLocked(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
 		gw.mu.Unlock()
 		gw.cUnhealthy.Inc()
 		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
 	if wait := gw.minDrainLocked(); wait > class.sheddingTolerance()*deadline {
-		e.terminal = verify.FleetRejected
-		e.reason = serve.ReasonShed
-		e.retryUs = usOf(wait)
-		gw.rejectCauseLocked(e)
-		close(e.done)
+		gw.rejectLocked(e, serve.ReasonShed, wait)
 		gw.mu.Unlock()
 		gw.cShed[class].Inc()
 		return job.ID, Verdict{Retry: wait}, serve.ReasonShed
@@ -840,11 +846,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 				gw.nodes[target].inflight++
 			}
 		} else {
-			e.terminal = verify.FleetRejected
-			e.reason = serve.ReasonAdmission
-			e.retryUs = usOf(v.Retry)
-			gw.rejectCauseLocked(e)
-			close(e.done)
+			gw.rejectLocked(e, serve.ReasonAdmission, v.Retry)
 		}
 		gw.mu.Unlock()
 		if v.Accepted {
@@ -857,24 +859,26 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 
 	// Every route attempt hit a dead node.
 	gw.mu.Lock()
-	e.terminal = verify.FleetRejected
-	e.reason = serve.ReasonUnhealthy
-	e.retryUs = usOf(gw.opt.ProbeBackoff)
-	gw.rejectCauseLocked(e)
-	close(e.done)
+	gw.rejectLocked(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
 	gw.mu.Unlock()
 	gw.cUnhealthy.Inc()
 	return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 }
 
-// rejectCauseLocked stamps a rejected entry's miss cause and burns the
-// class's SLO counter (caller holds mu and has set e.terminal).
-func (gw *Gateway) rejectCauseLocked(e *entry) {
+// rejectLocked closes a journaled entry as rejected at the gateway: terminal
+// state, machine-readable reason and Retry-After hint, the miss cause and the
+// class's SLO burn counter. Caller holds mu.
+func (gw *Gateway) rejectLocked(e *entry, reason string, retry sim.Time) {
+	e.terminal = verify.FleetRejected
+	gw.terminals++
+	e.reason = reason
+	e.retryUs = usOf(retry)
 	e.cause = metrics.MissRejected.String()
 	gw.statMissed++
 	if c := gw.cMissCause[e.job.Class][e.cause]; c != nil {
 		c.Inc()
 	}
+	close(e.done)
 }
 
 // FleetJobs snapshots the journal as verify.FleetJob rows.
@@ -1172,6 +1176,7 @@ func (gw *Gateway) Fleet() FleetStatus {
 		Submitted:  gw.cSubmitted.Value(),
 		Accepted:   gw.cAccepted.Value(),
 		Inflight:   gw.inflight,
+		Terminal:   gw.terminals,
 		Duplicates: gw.cDuplicates.Value(),
 		Violations: violations,
 	}
@@ -1190,11 +1195,6 @@ func (gw *Gateway) Fleet() FleetStatus {
 			Unfinished: n.headroom.Unfinished,
 			Phase:      phase,
 		})
-	}
-	for _, id := range gw.order {
-		if e := gw.journal[id]; e != nil && e.terminal != "" {
-			fs.Terminal++
-		}
 	}
 	return fs
 }

@@ -253,6 +253,7 @@ func crashScenario(t *testing.T) []verify.FleetJob {
 	if vs := gw.Check(10 * sim.Second); len(vs) != 0 {
 		t.Fatalf("no-lost-jobs violations: %v", vs)
 	}
+	checkTerminalCount(t, gw)
 	return gw.FleetJobs()
 }
 
@@ -328,6 +329,7 @@ func TestGatewayFreezeDuplicateTerminalAndRecovery(t *testing.T) {
 	if vs := gw.Check(sim.Second); len(vs) != 0 {
 		t.Fatalf("violations: %v", vs)
 	}
+	checkTerminalCount(t, gw)
 }
 
 func TestGatewayHTTPAndMetrics(t *testing.T) {

@@ -170,6 +170,7 @@ func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	if vs := gw.Check(10 * sim.Second); len(vs) != 0 {
 		t.Fatalf("violations after scale churn under chaos: %v", vs)
 	}
+	checkTerminalCount(t, gw)
 	return gw.FleetJobs(), gw.DrainedNodes()
 }
 

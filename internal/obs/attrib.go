@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 )
@@ -144,7 +146,10 @@ func TraceIDFrom(seed, id uint64) string {
 	if hi == 0 && lo == 0 {
 		lo = 1 // all-zero trace IDs are invalid per W3C
 	}
-	return fmt.Sprintf("%016x%016x", hi, lo)
+	var buf [32]byte
+	hex64(buf[:16], hi)
+	hex64(buf[16:], lo)
+	return string(buf[:])
 }
 
 // SpanIDFrom derives a deterministic 16-hex-char span ID.
@@ -153,7 +158,17 @@ func SpanIDFrom(seed, id uint64) string {
 	if v == 0 {
 		v = 1
 	}
-	return fmt.Sprintf("%016x", v)
+	var buf [16]byte
+	hex64(buf[:], v)
+	return string(buf[:])
+}
+
+// hex64 writes v as 16 zero-padded lower-case hex digits into dst — what
+// fmt's %016x prints, without its reflection, on the gateway's per-submit path.
+func hex64(dst []byte, v uint64) {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], v)
+	hex.Encode(dst, raw[:])
 }
 
 // mix64 is the splitmix64 finalizer.

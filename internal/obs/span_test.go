@@ -232,6 +232,39 @@ func TestTraceRecorderFallbackPhases(t *testing.T) {
 	}
 }
 
+// TestTraceAndSpanIDsPinned pins the ID strings to the values the
+// fmt.Sprintf("%016x") encoding produced: recorded traces, stitched timelines
+// and failover reruns are keyed by them, so the encoding may get cheaper but
+// never different. Rows include leading-zero words and the gateway's and
+// RemoteBackend's own seed mixes.
+func TestTraceAndSpanIDsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed, id    uint64
+		trace, span string
+	}{
+		{0x0, 0x0, "a706dd2f4d197e6f46b73e79f0c37c00", "40a380c0196203f2"},
+		{0x1, 0x0, "08b4fda8c892b50e778b1aa9c29bc868", "0a4964a214514a10"},
+		{0x1, 0x1, "e9fd6049d65af21e3ed40b93e7f46d1f", "9ccb777bcdcca303"},
+		{0x7, 0x2a, "16062d6c1339e500ebb89f221a9f2d89", "687934905f83c9aa"},
+		{0x6c61786776, 0x0, "1736b0bfae2fd643ddfe27d1131f1c4f", "b93607d85a9f72f5"},
+		{0x6c61786776, 0x2522b, "497660b90ad0cced55cd923905936f18", "e85a058c010d9e0f"},
+		{0x6c61786775, 0x10000, "586f843d6a05e5b3e63658e28b2e6f48", "4c99e8df101e38d0"},
+		{0x6c617867, 0x9, "004761664c4072db5df4e43c35da0897", "38bc793c685ec596"},
+		{0xffffffffffffffff, 0xffffffffffffffff, "6309143e67a479369581a0c4bbf5af49", "4f6124ff22ba2dea"},
+		{0xdeadbeef, 0x10000000000, "4bf78400cf062de0d5da19192eb68b09", "bd586d1bfd7ba852"},
+	} {
+		if got := TraceIDFrom(c.seed, c.id); got != c.trace {
+			t.Errorf("TraceIDFrom(%#x, %#x) = %q, want %q", c.seed, c.id, got, c.trace)
+		}
+		if got := SpanIDFrom(c.seed, c.id); got != c.span {
+			t.Errorf("SpanIDFrom(%#x, %#x) = %q, want %q", c.seed, c.id, got, c.span)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = TraceIDFrom(3, 4) }); n > 1 {
+		t.Errorf("TraceIDFrom allocates %v times, want the one string", n)
+	}
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
 	id := TraceIDFrom(7, 42)
 	sp := SpanIDFrom(7, 42)

@@ -10,8 +10,9 @@ import (
 // profiling-table-driven policies (LAX's CP variant and SRF). It is the
 // dirty-set machinery behind Algorithm 2's 100 µs epoch: instead of walking
 // every job's WGList and re-deriving each kernel's launch time per pass,
-// the table caches one entry per job — addressed by Job.ID, a slice index,
-// not a map — and revalidates it with three integer compares:
+// the table caches one entry per job — hung off the JobRun itself
+// (cp.JobRun.SchedState), so it is reached without a lookup and is dropped
+// with the job — and revalidates it with three integer compares:
 //
 //   - the profiling-table version (did any rate or capacity move?),
 //   - the job's current-kernel index (did a kernel finish?),
@@ -33,11 +34,6 @@ import (
 type jobTable struct {
 	pt *core.ProfilingTable
 
-	// ents is indexed by Job.ID. cp.System itself keeps a []*JobRun by
-	// Job.ID for the life of the system, so this parallels existing
-	// per-job state rather than adding a new growth axis.
-	ents []jobEntry
-
 	// slots dedupe full-launch estimates by (kernel ID, WG count); slotIdx
 	// interns them. Slot values are stamped with the pt version they were
 	// computed at.
@@ -47,14 +43,13 @@ type jobTable struct {
 
 // jobEntry caches one job's estimates and the stamps that validate them.
 type jobEntry struct {
-	chain      []int32 // per kernel: index into slots, resolved at admit
-	registered bool
-	valid      bool
-	lastVer    uint64
-	lastCur    int32
-	lastWGs    int32
-	rem        sim.Time // pt.RemainingTime(j.RemainingWGList())
-	drain      sim.Time // pt.RemainingDrain(j.RemainingWGList())
+	chain   []int32 // per kernel: index into slots, resolved at admit
+	valid   bool
+	lastVer uint64
+	lastCur int32
+	lastWGs int32
+	rem     sim.Time // pt.RemainingTime(j.RemainingWGList())
+	drain   sim.Time // pt.RemainingDrain(j.RemainingWGList())
 }
 
 type slotKey struct {
@@ -78,29 +73,19 @@ func newJobTable(pt *core.ProfilingTable) *jobTable {
 	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32)}
 }
 
-// entry returns the job's table entry, growing the ID-indexed slice on
-// demand.
-func (t *jobTable) entry(j *cp.JobRun) *jobEntry {
-	id := j.Job.ID
-	for id >= len(t.ents) {
-		t.ents = append(t.ents, jobEntry{})
+// register resolves the job's kernel chain to slot indices and hangs the
+// entry off the JobRun. Called at admission (stream inspection already walks
+// the chain there); idempotent.
+func (t *jobTable) register(j *cp.JobRun) *jobEntry {
+	if e, ok := j.SchedState.(*jobEntry); ok {
+		return e
 	}
-	return &t.ents[id]
-}
-
-// register resolves the job's kernel chain to slot indices. Called at
-// admission (stream inspection already walks the chain there); idempotent.
-func (t *jobTable) register(j *cp.JobRun) {
-	e := t.entry(j)
-	if e.registered {
-		return
+	e := &jobEntry{chain: make([]int32, len(j.Instances))}
+	for i, inst := range j.Instances {
+		e.chain[i] = t.slotFor(int32(t.pt.IDFor(inst.Desc.Name)), int32(inst.Desc.NumWGs))
 	}
-	e.chain = e.chain[:0]
-	for _, inst := range j.Instances {
-		e.chain = append(e.chain, t.slotFor(int32(t.pt.IDFor(inst.Desc.Name)), int32(inst.Desc.NumWGs)))
-	}
-	e.registered = true
-	e.valid = false
+	j.SchedState = e
+	return e
 }
 
 func (t *jobTable) slotFor(ptID, wgs int32) int32 {
@@ -131,11 +116,7 @@ func (t *jobTable) slotTimes(si int32, ver uint64) (sim.Time, sim.Time) {
 // equal to pt.RemainingTime/RemainingDrain over j.RemainingWGList(). Clean
 // jobs return cached values; dirty jobs recompute incrementally.
 func (t *jobTable) estimates(j *cp.JobRun) (rem, drain sim.Time) {
-	e := t.entry(j)
-	if !e.registered {
-		t.register(j)
-		e = t.entry(j) // register may have grown ents
-	}
+	e := t.register(j)
 	ver := t.pt.Version()
 	cur := int32(j.CurrentIndex())
 	wgs := int32(j.WGsCompleted())

@@ -37,22 +37,25 @@ func runSim(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
 
 // replayOnline pushes the same trace through a Node exactly as the serving
 // frontend does — advance to the arrival instant, submit, read the verdict —
-// then runs the remaining events to quiescence.
+// then runs the remaining events to quiescence. The JobRuns are the ones
+// Submit returned: an online system retires terminal jobs from Jobs().
 func replayOnline(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
 	t.Helper()
 	node, err := NewNode(NodeConfig{Scheduler: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := make([]*cp.JobRun, 0, len(set.Jobs))
 	for _, j := range set.Jobs {
 		node.AdvanceTo(j.Arrival)
 		jr := node.Submit(j)
 		if jr.Job.ID != j.ID {
 			t.Fatalf("online replay renumbered job %d to %d", j.ID, jr.Job.ID)
 		}
+		runs = append(runs, jr)
 	}
 	node.System().Engine().Run()
-	return node.System().Jobs()
+	return runs
 }
 
 // compareRuns asserts per-job outcome identity between the two modes.
@@ -102,6 +105,14 @@ func TestOnlineMatchesSimMode(t *testing.T) {
 			})
 		}
 	}
+	// Long enough that the online window retires most of the trace while it
+	// runs, with LSTM chains holding the window head across STEM turnover.
+	t.Run("LAX/LSTM+STEM", func(t *testing.T) {
+		set := mixedTrace(lib, 2000, 7)
+		simJobs := runSim(t, "LAX", cloneSet(set))
+		onlJobs := replayOnline(t, "LAX", cloneSet(set))
+		compareRuns(t, simJobs, onlJobs)
+	})
 }
 
 // TestOnlineMatchesSimModeOnGridArrivals stresses the lazily armed online
