@@ -61,7 +61,7 @@ func BenchmarkFigure1(b *testing.B) { runExperiment(b, "figure1") }
 func BenchmarkFigure3(b *testing.B) {
 	var res harness.Figure3Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFigure3(context.Background())
+		res = harness.RunFigure3(context.Background(), harness.NewRunner())
 	}
 	b.ReportMetric(float64(res.LAXMet), "lax-met")
 	b.ReportMetric(float64(res.RRMet), "rr-met")

@@ -96,7 +96,7 @@ func main() {
 		return
 	}
 
-	if err := validateFlags(*experiment, *rawRun, *sweepRate, *csvOut, *traceOut, *timeline, *gpus, *faults, *parallel, *metricsOut, *perfettoOut, *probe, *verifyRuns, *scenarioIn, *recordOut); err != nil {
+	if err := validateFlags(*experiment, *rawRun, *sweepRate, *csvOut, *traceOut, *timeline, *gpus, *faults, *parallel, *metricsOut, *perfettoOut, *probe, *scenarioIn, *recordOut); err != nil {
 		fatal(err)
 	}
 
@@ -187,7 +187,7 @@ func main() {
 			fatal(err)
 		}
 		if *gpus > 1 {
-			if err := runFleet(r, parts[0], parts[1], rate, *gpus); err != nil {
+			if err := runFleet(ctx, r, parts[0], parts[1], rate, *gpus); err != nil {
 				fatal(err)
 			}
 			return
@@ -472,17 +472,17 @@ func servePprof(addr string) error {
 
 // runFleet routes the cell's trace over a multi-GPU cluster with
 // least-loaded front-end routing.
-func runFleet(r *harness.Runner, schedName, benchName string, rate workload.Rate, gpus int) error {
+func runFleet(ctx context.Context, r *harness.Runner, schedName, benchName string, rate workload.Rate, gpus int) error {
 	set, err := r.JobSet(benchName, rate)
 	if err != nil {
 		return err
 	}
-	res, err := cluster.Run(cluster.Config{
+	res, checks, err := harness.RunFleet(ctx, cluster.Config{
 		GPUs:      gpus,
 		System:    r.Cfg,
 		Routing:   cluster.RouteLeastLoaded,
 		Scheduler: schedName,
-	}, set)
+	}, set, r.Verify)
 	if err != nil {
 		return err
 	}
@@ -492,12 +492,15 @@ func runFleet(r *harness.Runner, schedName, benchName string, rate workload.Rate
 	for g, s := range res.PerGPU {
 		fmt.Printf("  gpu%d: %3d jobs, %3d met, %3d rejected\n", g, s.TotalJobs, s.MetDeadline, s.Rejected)
 	}
+	if r.Verify {
+		fmt.Printf("  verify: %d invariant checks, no violations\n", checks)
+	}
 	return nil
 }
 
 // validateFlags rejects contradictory flag combinations up front, so a
 // misplaced mode flag fails loudly instead of being silently ignored.
-func validateFlags(experiment, rawRun, sweepRate, csvOut, traceOut string, timeline bool, gpus int, faults string, parallel int, metricsOut, perfettoOut string, probe, verifyRuns bool, scenarioIn, recordOut string) error {
+func validateFlags(experiment, rawRun, sweepRate, csvOut, traceOut string, timeline bool, gpus int, faults string, parallel int, metricsOut, perfettoOut string, probe bool, scenarioIn, recordOut string) error {
 	if gpus < 1 {
 		return fmt.Errorf("-gpus must be at least 1")
 	}
@@ -552,8 +555,8 @@ func validateFlags(experiment, rawRun, sweepRate, csvOut, traceOut string, timel
 			return fmt.Errorf("-probe requires -run")
 		}
 	}
-	if gpus > 1 && (faults != "" || metricsOut != "" || perfettoOut != "" || probe || traceOut != "" || timeline || verifyRuns) {
-		return fmt.Errorf("-gpus does not combine with -faults or the single-GPU observers (-trace, -timeline, -metrics, -perfetto, -probe, -verify)")
+	if gpus > 1 && (faults != "" || metricsOut != "" || perfettoOut != "" || probe || traceOut != "" || timeline) {
+		return fmt.Errorf("-gpus does not combine with -faults or the single-GPU observers (-trace, -timeline, -metrics, -perfetto, -probe)")
 	}
 	if csvOut != "" && sweepRate == "" {
 		return fmt.Errorf("-csv requires -sweep")

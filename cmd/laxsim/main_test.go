@@ -138,8 +138,9 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("verify", func(t *testing.T) {
-		// A checked run reports the check count, with or without observers.
-		for _, extra := range [][]string{nil, {"-probe"}} {
+		// A checked run reports the check count, with or without observers,
+		// and summed over the GPUs of a fleet run.
+		for _, extra := range [][]string{nil, {"-probe"}, {"-gpus", "2"}} {
 			out, err := run(t, bin, append([]string{"-run", "LAX,IPV6,high", "-jobs", "16", "-verify"}, extra...)...)
 			if err != nil {
 				t.Fatal(err, out)
@@ -336,7 +337,6 @@ func TestCLI(t *testing.T) {
 			{"-probe"},
 			{"-metrics", "m.prom", "-run", "LAX,IPV6,high", "-gpus", "2"},
 			{"-perfetto", "t.json", "-run", "LAX,IPV6,high", "-gpus", "2"},
-			{"-verify", "-run", "LAX,IPV6,high", "-gpus", "2"},
 		}
 		for _, args := range bad {
 			if out, err := run(t, bin, args...); err == nil {

@@ -1,9 +1,9 @@
 // Package cluster scales the single-GPU system of the paper out to a
 // multi-accelerator server: a front-end router assigns each arriving job to
-// one GPU, then every GPU runs the paper's machinery (command processor,
-// scheduler, admission) independently. This is the datacenter setting the
-// paper's introduction motivates — the pull-based overload handling of its
-// SRE citation — extended from one device to a fleet.
+// one GPU (Split), then every GPU runs the paper's machinery (command
+// processor, scheduler, admission) independently. This is the datacenter
+// setting the paper's introduction motivates — the pull-based overload
+// handling of its SRE citation — extended from one device to a fleet.
 //
 // Routing happens at arrival with front-end knowledge only (static job
 // size estimates and the router's own bookkeeping of what it already sent
@@ -19,7 +19,6 @@ import (
 	"laxgpu/internal/faults"
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/metrics"
-	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
@@ -126,62 +125,19 @@ func (r Result) DeadlineFrac() float64 {
 	return float64(r.MetDeadline) / float64(r.TotalJobs)
 }
 
-// Run routes the job set across the fleet and simulates every GPU.
-func Run(cfg Config, set *workload.JobSet) (Result, error) {
+// Split validates the fleet description and routes the trace across it,
+// returning one job set per GPU with dense per-GPU IDs and the original
+// arrival times; each share is then an ordinary single-device trace
+// (harness.RunFleet replays them). Scheduled CU retirements from the fault
+// specs are replayed into the router's health signal as arrivals pass them.
+func Split(cfg Config, set *workload.JobSet) ([]*workload.JobSet, error) {
 	if cfg.GPUs < 1 {
-		return Result{}, fmt.Errorf("cluster: GPUs = %d, must be >= 1", cfg.GPUs)
-	}
-	if _, err := sched.New(cfg.Scheduler); err != nil {
-		return Result{}, err
+		return nil, fmt.Errorf("cluster: GPUs = %d, must be >= 1", cfg.GPUs)
 	}
 	specs, err := cfg.faultSpecs()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	subsets, err := route(cfg, specs, set)
-	if err != nil {
-		return Result{}, err
-	}
-
-	res := Result{TotalJobs: set.Len()}
-	minJobs, maxJobs := set.Len()+1, 0
-	for g, sub := range subsets {
-		if sub.Len() < minJobs {
-			minJobs = sub.Len()
-		}
-		if sub.Len() > maxJobs {
-			maxJobs = sub.Len()
-		}
-		pol, err := sched.New(cfg.Scheduler)
-		if err != nil {
-			return Result{}, err
-		}
-		sysCfg := cfg.System
-		if !specs[g].Zero() && specs[g].Recover {
-			sysCfg.Recovery = cp.DefaultRecoveryConfig()
-		}
-		sys := cp.NewSystem(sysCfg, sub, pol)
-		if !specs[g].Zero() {
-			plan := faults.NewPlan(specs[g], cfg.Seed+int64(g))
-			sys.InstallFaults(plan, plan.Retirements())
-		}
-		sys.Run()
-		sum := metrics.Summarize(sys, cfg.Scheduler, set.Benchmark, fmt.Sprintf("gpu%d", g))
-		res.PerGPU = append(res.PerGPU, sum)
-		res.MetDeadline += sum.MetDeadline
-		res.Rejected += sum.Rejected
-		res.Cancelled += sum.Cancelled
-	}
-	if minJobs > 0 {
-		res.Imbalance = float64(maxJobs) / float64(minJobs)
-	}
-	return res, nil
-}
-
-// route splits the trace into per-GPU job sets with dense per-GPU IDs,
-// preserving arrival times. Scheduled CU retirements from the fault specs
-// are replayed into the router's health signal as arrivals pass them.
-func route(cfg Config, specs []faults.Spec, set *workload.JobSet) ([]*workload.JobSet, error) {
 	subsets := make([]*workload.JobSet, cfg.GPUs)
 	for g := range subsets {
 		subsets[g] = &workload.JobSet{

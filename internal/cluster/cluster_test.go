@@ -1,13 +1,23 @@
-package cluster
+package cluster_test
 
 import (
+	"context"
 	"testing"
 
+	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
+	"laxgpu/internal/harness"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/workload"
 )
+
+// run is the fleet entry point under test: cluster.Split's routing replayed
+// GPU by GPU through harness.RunFleet with the invariant checker attached.
+func run(cfg cluster.Config, set *workload.JobSet) (cluster.Result, error) {
+	res, _, err := harness.RunFleet(context.Background(), cfg, set, true)
+	return res, err
+}
 
 func testSet(t *testing.T, n int) *workload.JobSet {
 	t.Helper()
@@ -19,8 +29,8 @@ func testSet(t *testing.T, n int) *workload.JobSet {
 	return bench.Generate(lib, workload.HighRate, n, 3)
 }
 
-func baseConfig(gpus int, routing RoutingPolicy) Config {
-	return Config{
+func baseConfig(gpus int, routing cluster.RoutingPolicy) cluster.Config {
+	return cluster.Config{
 		GPUs:      gpus,
 		System:    cp.DefaultSystemConfig(),
 		Routing:   routing,
@@ -30,10 +40,10 @@ func baseConfig(gpus int, routing RoutingPolicy) Config {
 
 func TestClusterValidation(t *testing.T) {
 	set := testSet(t, 8)
-	if _, err := Run(Config{GPUs: 0, System: cp.DefaultSystemConfig(), Scheduler: "LAX"}, set); err == nil {
+	if _, err := run(cluster.Config{GPUs: 0, System: cp.DefaultSystemConfig(), Scheduler: "LAX"}, set); err == nil {
 		t.Fatal("zero GPUs accepted")
 	}
-	if _, err := Run(Config{GPUs: 1, System: cp.DefaultSystemConfig(), Scheduler: "NOPE"}, set); err == nil {
+	if _, err := run(cluster.Config{GPUs: 1, System: cp.DefaultSystemConfig(), Scheduler: "NOPE"}, set); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
 }
@@ -41,7 +51,7 @@ func TestClusterValidation(t *testing.T) {
 func TestClusterSingleGPUMatchesSystem(t *testing.T) {
 	// A 1-GPU cluster must reproduce the plain single-system result.
 	set := testSet(t, 48)
-	res, err := Run(baseConfig(1, RouteRoundRobin), set)
+	res, err := run(baseConfig(1, cluster.RouteRoundRobin), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +77,8 @@ func TestClusterSingleGPUMatchesSystem(t *testing.T) {
 
 func TestClusterConservesJobs(t *testing.T) {
 	set := testSet(t, 64)
-	for _, routing := range []RoutingPolicy{RouteRoundRobin, RouteLeastLoaded, RouteJobHash} {
-		res, err := Run(baseConfig(4, routing), set)
+	for _, routing := range []cluster.RoutingPolicy{cluster.RouteRoundRobin, cluster.RouteLeastLoaded, cluster.RouteJobHash} {
+		res, err := run(baseConfig(4, routing), set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +102,11 @@ func TestClusterScalingHelps(t *testing.T) {
 	// The same overloaded trace on 1 vs 4 GPUs: more machines must meet
 	// (weakly) more deadlines.
 	set := testSet(t, 96)
-	one, err := Run(baseConfig(1, RouteLeastLoaded), set)
+	one, err := run(baseConfig(1, cluster.RouteLeastLoaded), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(baseConfig(4, RouteLeastLoaded), set)
+	four, err := run(baseConfig(4, cluster.RouteLeastLoaded), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func TestClusterScalingHelps(t *testing.T) {
 
 func TestRoundRobinRoutingIsBalanced(t *testing.T) {
 	set := testSet(t, 64)
-	res, err := Run(baseConfig(4, RouteRoundRobin), set)
+	res, err := run(baseConfig(4, cluster.RouteRoundRobin), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +131,11 @@ func TestLeastLoadedBeatsHashOnSkewedSizes(t *testing.T) {
 	// long-job clusters; least-loaded smooths estimated work. At minimum,
 	// least-loaded must not do worse.
 	set := testSet(t, 96)
-	hash, err := Run(baseConfig(2, RouteJobHash), set)
+	hash, err := run(baseConfig(2, cluster.RouteJobHash), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	least, err := Run(baseConfig(2, RouteLeastLoaded), set)
+	least, err := run(baseConfig(2, cluster.RouteLeastLoaded), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +145,54 @@ func TestLeastLoadedBeatsHashOnSkewedSizes(t *testing.T) {
 }
 
 func TestRoutingPolicyString(t *testing.T) {
-	if RouteRoundRobin.String() != "round-robin" ||
-		RouteLeastLoaded.String() != "least-loaded" ||
-		RouteJobHash.String() != "job-hash" ||
-		RoutingPolicy(9).String() != "RoutingPolicy(9)" {
+	if cluster.RouteRoundRobin.String() != "round-robin" ||
+		cluster.RouteLeastLoaded.String() != "least-loaded" ||
+		cluster.RouteJobHash.String() != "job-hash" ||
+		cluster.RoutingPolicy(9).String() != "RoutingPolicy(9)" {
 		t.Fatal("routing names wrong")
 	}
 }
 
 func TestCapacityEstimate(t *testing.T) {
 	set := testSet(t, 16)
-	if Capacity(gpu.DefaultConfig(), set) <= 0 {
+	if cluster.Capacity(gpu.DefaultConfig(), set) <= 0 {
 		t.Fatal("capacity estimate not positive")
+	}
+}
+
+// TestClusterRunUnderFaults exercises the full fleet path with a per-GPU fault
+// plan for every routing policy: the fleet must finish, conserve jobs, and
+// still meet some deadlines on the healthy devices.
+func TestClusterRunUnderFaults(t *testing.T) {
+	set := testSet(t, 48)
+	for _, routing := range []cluster.RoutingPolicy{cluster.RouteRoundRobin, cluster.RouteLeastLoaded, cluster.RouteJobHash} {
+		cfg := baseConfig(3, routing)
+		cfg.Faults = []string{"retire=4@2ms", "abort=0.05"}
+		cfg.Seed = 42
+		res, err := run(cfg, set)
+		if err != nil {
+			t.Fatalf("%v: %v", routing, err)
+		}
+		total := 0
+		for _, s := range res.PerGPU {
+			total += s.TotalJobs
+		}
+		if total != set.Len() {
+			t.Fatalf("%v: routed %d of %d jobs", routing, total, set.Len())
+		}
+		if res.MetDeadline <= 0 {
+			t.Fatalf("%v: no deadlines met under partial faults", routing)
+		}
+	}
+}
+
+// TestClusterFaultValidation covers the error paths of fault-spec parsing at
+// the cluster level.
+func TestClusterFaultValidation(t *testing.T) {
+	set := testSet(t, 8)
+	cfg := baseConfig(2, cluster.RouteRoundRobin)
+	cfg.Faults = []string{"bogus=1"}
+	if _, err := run(cfg, set); err == nil {
+		t.Fatal("invalid fault spec accepted")
 	}
 }

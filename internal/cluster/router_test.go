@@ -165,43 +165,6 @@ func TestHealthBlindPoliciesIgnoreFaults(t *testing.T) {
 	}
 }
 
-// TestClusterRunUnderFaults exercises the full Run path with a per-GPU fault
-// plan for every routing policy: the fleet must finish, conserve jobs, and
-// still meet some deadlines on the healthy devices.
-func TestClusterRunUnderFaults(t *testing.T) {
-	set := testSet(t, 48)
-	for _, routing := range []RoutingPolicy{RouteRoundRobin, RouteLeastLoaded, RouteJobHash} {
-		cfg := baseConfig(3, routing)
-		cfg.Faults = []string{"retire=4@2ms", "abort=0.05"}
-		cfg.Seed = 42
-		res, err := Run(cfg, set)
-		if err != nil {
-			t.Fatalf("%v: %v", routing, err)
-		}
-		total := 0
-		for _, s := range res.PerGPU {
-			total += s.TotalJobs
-		}
-		if total != set.Len() {
-			t.Fatalf("%v: routed %d of %d jobs", routing, total, set.Len())
-		}
-		if res.MetDeadline <= 0 {
-			t.Fatalf("%v: no deadlines met under partial faults", routing)
-		}
-	}
-}
-
-// TestClusterFaultValidation covers the error paths of fault-spec parsing at
-// the cluster level.
-func TestClusterFaultValidation(t *testing.T) {
-	set := testSet(t, 8)
-	cfg := baseConfig(2, RouteRoundRobin)
-	cfg.Faults = []string{"bogus=1"}
-	if _, err := Run(cfg, set); err == nil {
-		t.Fatal("invalid fault spec accepted")
-	}
-}
-
 // TestRouterHealthRecovery pins the SetHealth round trip: a device marked
 // fully dead receives nothing, and restoring health 1.0 makes it a candidate
 // again on equal terms.

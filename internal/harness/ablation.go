@@ -4,19 +4,19 @@ import (
 	"context"
 	"fmt"
 
-	"laxgpu/internal/cp"
 	"laxgpu/internal/metrics"
-	"laxgpu/internal/sched"
-	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
 
-// ablationConfig is one row of the ablation study: a LAX configuration and
-// the design question it answers.
+// ablationConfig is one row of the ablation study: a registered scheduler,
+// optionally on a CP whose priority registers are quantized to levels
+// hardware levels (0 = full laxity resolution), and the design question the
+// row answers.
 type ablationConfig struct {
-	label string
-	why   string
-	cfg   sched.LAXConfig
+	label  string
+	sched  string
+	levels int
+	why    string
 }
 
 // ablations enumerates the paper's stated design choices:
@@ -27,121 +27,62 @@ type ablationConfig struct {
 //   - §4.2/§4.4: the empirically chosen 100 µs update interval;
 //   - the two algorithmic halves (Algorithm 1 admission, Algorithm 2
 //     laxity), ablated independently;
-//   - profiling smoothness (EWMA weight).
+//   - profiling smoothness (EWMA weight);
+//   - §2.2: what LAX loses when the CP can only order queues by 2 or 8
+//     priority levels instead of full laxity values;
+//   - the future-work LAX+PREMA hybrid.
+//
+// Row 0 is the paper baseline every row normalizes against.
 var ablations = []ablationConfig{
-	{"LAX (paper)", "baseline configuration", sched.LAXConfig{}},
-	{"init=lowest", "footnote 2: park new jobs at the lowest priority", sched.LAXConfig{InitialPriority: sched.InitLowest}},
-	{"init=laxity", "footnote 2: initial laxity estimate on arrival", sched.LAXConfig{InitialPriority: sched.InitLaxity}},
-	{"no-admission", "Algorithm 1 off: laxity priorities only", sched.LAXConfig{DisableAdmission: true}},
-	{"no-laxity", "Algorithm 2 off: admission control only (FIFO)", sched.LAXConfig{DisableLaxity: true}},
-	{"interval=50µs", "2x faster reprioritization", sched.LAXConfig{UpdateInterval: 50 * sim.Microsecond}},
-	{"interval=500µs", "5x slower reprioritization", sched.LAXConfig{UpdateInterval: 500 * sim.Microsecond}},
-	{"ewma=0.5", "smoothed completion rates", sched.LAXConfig{Alpha: 0.5}},
-}
-
-// ablationCell simulates one (LAX configuration, benchmark) cell at the
-// high rate and returns its deadline-met count. priorityLevels > 0
-// additionally quantizes the CP's priority registers to that many hardware
-// levels (§2.2's contemporary-API limitation).
-func ablationCell(ctx context.Context, r *Runner, cfg sched.LAXConfig, priorityLevels int, bench string) (int, error) {
-	sysCfg := r.Cfg
-	sysCfg.PriorityLevels = priorityLevels
-	set, err := r.JobSet(bench, workload.HighRate)
-	if err != nil {
-		return 0, err
-	}
-	sys := cp.NewSystem(sysCfg, set, sched.NewLAXWithConfig(cfg))
-	if err := sys.RunContext(ctx); err != nil {
-		return 0, err
-	}
-	met := 0
-	for _, j := range sys.Jobs() {
-		if j.MetDeadline() {
-			met++
-		}
-	}
-	return met, nil
+	{"LAX (paper)", "LAX", 0, "baseline configuration"},
+	{"init=lowest", "LAX-INIT-LOWEST", 0, "footnote 2: park new jobs at the lowest priority"},
+	{"init=laxity", "LAX-INIT-LAXITY", 0, "footnote 2: initial laxity estimate on arrival"},
+	{"no-admission", "LAX-NOADMIT", 0, "Algorithm 1 off: laxity priorities only"},
+	{"no-laxity", "LAX-FIFO", 0, "Algorithm 2 off: admission control only (FIFO)"},
+	{"interval=50µs", "LAX-TICK-50US", 0, "2x faster reprioritization"},
+	{"interval=500µs", "LAX-TICK-500US", 0, "5x slower reprioritization"},
+	{"ewma=0.5", "LAX-EWMA-0.5", 0, "smoothed completion rates"},
+	{"hw-levels=2", "LAX", 2, "§2.2: contemporary APIs expose only a few priority levels"},
+	{"hw-levels=8", "LAX", 8, "§2.2: contemporary APIs expose only a few priority levels"},
+	{"LAX-PREMA", "LAX-PREMA", 0, "future work (§6.1.2): preempt expired jobs when laxity is tight"},
 }
 
 // Ablation regenerates the design-choice study DESIGN.md calls out: each
 // LAX knob flipped in isolation, scored as geomean deadline-met relative to
-// the paper's configuration, plus the future-work LAX+PREMA hybrid. Every
-// (configuration, benchmark) pair is an independent cell submitted to the
-// worker pool; the table assembles from the indexed count matrix.
+// the paper's configuration. Rows at full priority resolution are ordinary
+// memoized cells; the quantized rows run the same traces on a modified CP.
 func Ablation(ctx context.Context, r *Runner) *Report {
-	t := &Table{
-		Title:  "LAX design ablations (high rate, geomean jobs-met normalized to paper LAX)",
-		Header: append(append([]string{"Config"}, workload.BenchmarkNames()...), "GMEAN", "Why"),
-	}
-
-	// Row specs: the config ablations, then the hardware priority-level
-	// quantizations (§2.2: what LAX loses when the CP can only order queues
-	// by 2 or 8 priority levels instead of full laxity values). Row 0 is
-	// the paper baseline every other row normalizes against.
-	type rowSpec struct {
-		label  string
-		why    string
-		cfg    sched.LAXConfig
-		levels int
-	}
-	var specs []rowSpec
-	for _, a := range ablations {
-		specs = append(specs, rowSpec{a.label, a.why, a.cfg, 0})
-	}
-	for _, levels := range []int{2, 8} {
-		specs = append(specs, rowSpec{
-			fmt.Sprintf("hw-levels=%d", levels),
-			"§2.2: contemporary APIs expose only a few priority levels",
-			sched.LAXConfig{}, levels,
-		})
-	}
-
 	benches := workload.BenchmarkNames()
-	for _, bench := range benches {
-		if _, err := r.JobSet(bench, workload.HighRate); err != nil {
-			panic(err)
+	met := grid(ctx, r, len(ablations), len(benches), func(ctx context.Context, a, b int) (float64, error) {
+		cfg := r.Cfg
+		cfg.PriorityLevels = ablations[a].levels
+		if cfg.PriorityLevels == 0 {
+			sum, err := r.RunContext(ctx, ablations[a].sched, benches[b], workload.HighRate)
+			return float64(sum.MetDeadline), err
 		}
-	}
-	counts := make([][]int, len(specs))
-	for i := range counts {
-		counts[i] = make([]int, len(benches))
-	}
-	mustDo(ctx, r, len(specs)*len(benches), func(ctx context.Context, i int) error {
-		s, b := i/len(benches), i%len(benches)
-		met, err := ablationCell(ctx, r, specs[s].cfg, specs[s].levels, benches[b])
+		set, err := r.JobSet(benches[b], workload.HighRate)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		counts[s][b] = met
-		return nil
+		sys, err := r.sim(ctx, Sim{Sched: ablations[a].sched, Cfg: cfg, Set: set})
+		if err != nil {
+			return 0, err
+		}
+		return float64(countMet(sys)), nil
 	})
 
-	base := counts[0] // "LAX (paper)": the zero LAXConfig at full priority resolution
-	for s, spec := range specs {
-		row := []string{spec.label}
-		var ratios []float64
-		for b := range benches {
-			ratio := metrics.Ratio(float64(counts[s][b]), float64(base[b]))
-			ratios = append(ratios, ratio)
-			row = append(row, f2(ratio))
-		}
-		row = append(row, f2(metrics.Geomean(ratios)), spec.why)
-		t.AddRow(row...)
+	labels := make([]string, len(ablations))
+	for a, abl := range ablations {
+		labels[a] = abl.label
 	}
-
-	// The future-work hybrid, same normalization.
-	mustSweep(ctx, r, GridCells([]string{"LAX-PREMA"}, workload.HighRate))
-	hybridRow := []string{"LAX-PREMA"}
-	var hratios []float64
-	for b, bench := range benches {
-		sum := r.MustRun("LAX-PREMA", bench, workload.HighRate)
-		ratio := metrics.Ratio(float64(sum.MetDeadline), float64(base[b]))
-		hratios = append(hratios, ratio)
-		hybridRow = append(hybridRow, f2(ratio))
+	t := benchTable("LAX design ablations (high rate, geomean jobs-met normalized to paper LAX)",
+		"Config", labels, "GMEAN", metrics.Geomean, f2, func(a, b int) float64 {
+			return metrics.Ratio(met[a][b], met[0][b])
+		})
+	t.Header = append(t.Header, "Why")
+	for a := range t.Rows {
+		t.Rows[a] = append(t.Rows[a], ablations[a].why)
 	}
-	hybridRow = append(hybridRow, f2(metrics.Geomean(hratios)),
-		"future work (§6.1.2): preempt expired jobs when laxity is tight")
-	t.AddRow(hybridRow...)
 
 	return &Report{
 		ID:     "ablation",

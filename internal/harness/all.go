@@ -7,44 +7,42 @@ import (
 	"sort"
 )
 
-// Experiments maps experiment IDs (the paper's table/figure numbers) to
-// their generator functions. Generators submit their independent simulation
-// cells to the runner's worker pool and assemble the report only after the
-// sweep completes, so the rendered bytes do not depend on pool width. On
-// simulation errors (including context cancellation) they panic; use
-// RunExperiment, which converts cancellation panics back into errors.
-var Experiments = map[string]func(context.Context, *Runner) *Report{
-	"table1":    Table1,
-	"figure1":   Figure1,
-	"figure3":   func(ctx context.Context, _ *Runner) *Report { return Figure3(ctx) },
-	"figure4":   Figure4,
-	"figure6":   Figure6,
-	"figure7":   Figure7,
-	"figure8":   Figure8,
-	"figure9":   Figure9,
-	"figure10":  Figure10,
-	"table5":    Table5,
-	"ablation":  Ablation,
-	"analysis":  Sensitivity,
-	"seeds":     Seeds,
-	"scaling":   Scaling,
-	"faults":    FaultSweep,
-	"estimates": Estimates,
-	"autoscale": Autoscale,
-}
-
-// experimentOrder is the rendering order (paper order).
-var experimentOrder = []string{
-	"table1", "figure1", "figure3", "figure4",
-	"figure6", "figure7", "figure8", "figure9", "figure10", "table5",
-	"ablation", "analysis", "seeds", "scaling", "faults", "estimates",
-	"autoscale",
+// experiments lists every experiment ID (the paper's table/figure numbers)
+// with its generator, in rendering (paper) order. Generators submit their
+// independent simulation cells to the runner's worker pool and assemble the
+// report only after the sweep completes, so the rendered bytes do not depend
+// on pool width. On simulation errors (including context cancellation) they
+// panic; use RunExperiment, which converts cancellation panics back into
+// errors.
+var experiments = []struct {
+	id  string
+	run func(context.Context, *Runner) *Report
+}{
+	{"table1", Table1},
+	{"figure1", Figure1},
+	{"figure3", Figure3},
+	{"figure4", Figure4},
+	{"figure6", Figure6},
+	{"figure7", Figure7},
+	{"figure8", Figure8},
+	{"figure9", Figure9},
+	{"figure10", Figure10},
+	{"table5", Table5},
+	{"ablation", Ablation},
+	{"analysis", Sensitivity},
+	{"seeds", Seeds},
+	{"scaling", Scaling},
+	{"faults", FaultSweep},
+	{"estimates", Estimates},
+	{"autoscale", Autoscale},
 }
 
 // ExperimentIDs returns the known experiment IDs in paper order.
 func ExperimentIDs() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.id
+	}
 	return out
 }
 
@@ -52,12 +50,6 @@ func ExperimentIDs() []string {
 // context aborts the experiment mid-cell and surfaces the context's error;
 // any other generator panic propagates unchanged.
 func RunExperiment(ctx context.Context, r *Runner, id string) (rep *Report, err error) {
-	f, ok := Experiments[id]
-	if !ok {
-		valid := ExperimentIDs()
-		sort.Strings(valid)
-		return nil, fmt.Errorf("harness: unknown experiment %q (valid: %v)", id, valid)
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			if e, ok := p.(error); ok && (errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)) {
@@ -67,19 +59,12 @@ func RunExperiment(ctx context.Context, r *Runner, id string) (rep *Report, err 
 			panic(p)
 		}
 	}()
-	return f(ctx, r), nil
-}
-
-// All generates every report in paper order, stopping early when the
-// context is cancelled.
-func All(ctx context.Context, r *Runner) ([]*Report, error) {
-	out := make([]*Report, 0, len(experimentOrder))
-	for _, id := range experimentOrder {
-		rep, err := RunExperiment(ctx, r, id)
-		if err != nil {
-			return out, err
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(ctx, r), nil
 		}
-		out = append(out, rep)
 	}
-	return out, nil
+	valid := ExperimentIDs()
+	sort.Strings(valid)
+	return nil, fmt.Errorf("harness: unknown experiment %q (valid: %v)", id, valid)
 }

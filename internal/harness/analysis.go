@@ -3,12 +3,10 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/metrics"
 	"laxgpu/internal/queueing"
-	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
@@ -34,13 +32,8 @@ func runAtRate(ctx context.Context, r *Runner, schedName, benchName string, jobs
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	pol, err := sched.New(schedName)
+	sys, err := r.sim(ctx, Sim{Sched: schedName, Cfg: r.Cfg, Set: b.GenerateCustom(r.Lib, jobsPerSec, r.JobCount, seed)})
 	if err != nil {
-		return metrics.Summary{}, err
-	}
-	set := b.GenerateCustom(r.Lib, jobsPerSec, r.JobCount, seed)
-	sys := cp.NewSystem(r.Cfg, set, pol)
-	if err := sys.RunContext(ctx); err != nil {
 		return metrics.Summary{}, err
 	}
 	return metrics.Summarize(sys, schedName, benchName, fmt.Sprintf("%djobs/s", jobsPerSec)), nil
@@ -49,38 +42,26 @@ func runAtRate(ctx context.Context, r *Runner, schedName, benchName string, jobs
 // Sensitivity builds the offered-load sweep: deadline-met fraction versus
 // arrival rate. The paper sweeps three levels (Table 4); this extension
 // traces the whole capacity curve and adds the perfect-information ORACLE,
-// isolating how much of LAX's headroom is estimation error. The full
-// benchmark x scheduler x load-factor grid is flattened into independent
-// tasks on the worker pool; tables assemble from the indexed result cube.
+// isolating how much of LAX's headroom is estimation error.
 func Sensitivity(ctx context.Context, r *Runner) *Report {
 	rep := &Report{
 		ID:    "analysis",
 		Title: "Load sensitivity, oracle gap, and device utilization (extensions beyond the paper's figures)",
 	}
 
-	nB, nS, nF := len(sensitivityBenchmarks), len(sensitivitySchedulers), len(sensitivityFactors)
-	highs := make([]int, nB)
-	for i, bench := range sensitivityBenchmarks {
+	for _, bench := range sensitivityBenchmarks {
 		b, err := workload.FindBenchmark(bench)
 		if err != nil {
 			panic(err)
 		}
-		highs[i] = b.JobsPerSecond(workload.HighRate)
-	}
-	fracs := make([]float64, nB*nS*nF)
-	mustDo(ctx, r, len(fracs), func(ctx context.Context, i int) error {
-		b, s, f := i/(nS*nF), (i/nF)%nS, i%nF
-		rate := int(float64(highs[b]) * sensitivityFactors[f])
-		sum, err := runAtRate(ctx, r, sensitivitySchedulers[s], sensitivityBenchmarks[b], rate, r.Seed)
-		if err != nil {
-			return err
-		}
-		fracs[i] = sum.DeadlineFrac()
-		return nil
-	})
-	for b, bench := range sensitivityBenchmarks {
+		high := b.JobsPerSecond(workload.HighRate)
+		fracs := grid(ctx, r, len(sensitivitySchedulers), len(sensitivityFactors), func(ctx context.Context, s, f int) (float64, error) {
+			rate := int(float64(high) * sensitivityFactors[f])
+			sum, err := runAtRate(ctx, r, sensitivitySchedulers[s], bench, rate, r.Seed)
+			return sum.DeadlineFrac(), err
+		})
 		t := &Table{
-			Title:  fmt.Sprintf("%s: %% of jobs meeting deadline vs offered load (high rate = %d jobs/s)", bench, highs[b]),
+			Title:  fmt.Sprintf("%s: %% of jobs meeting deadline vs offered load (high rate = %d jobs/s)", bench, high),
 			Header: []string{"Scheduler"},
 		}
 		for _, f := range sensitivityFactors {
@@ -88,8 +69,8 @@ func Sensitivity(ctx context.Context, r *Runner) *Report {
 		}
 		for s, schedName := range sensitivitySchedulers {
 			row := []string{schedName}
-			for f := range sensitivityFactors {
-				row = append(row, f1(100*fracs[(b*nS+s)*nF+f]))
+			for _, frac := range fracs[s] {
+				row = append(row, f1(100*frac))
 			}
 			t.AddRow(row...)
 		}
@@ -120,31 +101,25 @@ func theoryTable(ctx context.Context, r *Runner) *Table {
 		Header: []string{"Benchmark", "rate (jobs/s)", "rho", "theory %", "simulated %"},
 	}
 	names := []string{"IPV6", "CUCKOO", "GMM", "STEM"}
-	rows := make([][]string, len(names))
-	mustDo(ctx, r, len(names), func(ctx context.Context, i int) error {
+	rows := fan(ctx, r, len(names), func(ctx context.Context, i int) ([]string, error) {
 		name := names[i]
 		bench, err := workload.FindBenchmark(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		desc := bench.Generate(r.Lib, workload.LowRate, 1, 1).Jobs[0].Kernels[0]
 		rate := bench.JobsPerSecond(workload.LowRate) / 2
 		model := queueing.ForKernel(r.Cfg.GPU, desc, rate)
 		if !model.Stable() {
-			rows[i] = []string{name, fint(rate), f2(model.Utilization()), "unstable", "-"}
-			return nil
+			return []string{name, fint(rate), f2(model.Utilization()), "unstable", "-"}, nil
 		}
 		predicted, err := model.DeadlineMetFrac(bench.Deadline)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sum, err := runAtRate(ctx, r, "FCFS", name, rate, r.Seed)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{name, fint(rate), f2(model.Utilization()),
-			f1(100 * predicted), f1(100 * sum.DeadlineFrac())}
-		return nil
+		return []string{name, fint(rate), f2(model.Utilization()),
+			f1(100 * predicted), f1(100 * sum.DeadlineFrac())}, err
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -158,28 +133,23 @@ func theoryTable(ctx context.Context, r *Runner) *Table {
 func oracleGapTable(ctx context.Context, r *Runner) *Table {
 	scheds := []string{"FCFS", "LAX", "ORACLE"}
 	mustSweep(ctx, r, GridCells(scheds, workload.HighRate))
-	t := &Table{
-		Title:  "Oracle gap at the high rate (jobs met)",
-		Header: append([]string{"Scheduler"}, append(workload.BenchmarkNames(), "TOTAL")...),
-	}
-	for _, s := range scheds {
-		row := []string{s}
-		total := 0
-		for _, b := range workload.BenchmarkNames() {
-			met := r.MustRun(s, b, workload.HighRate).MetDeadline
-			total += met
-			row = append(row, fint(met))
+	benches := workload.BenchmarkNames()
+	count := func(v float64) string { return fint(int(v)) }
+	total := func(mets []float64) (sum float64) {
+		for _, m := range mets {
+			sum += m
 		}
-		row = append(row, fint(total))
-		t.AddRow(row...)
+		return sum
 	}
-	return t
+	return benchTable("Oracle gap at the high rate (jobs met)", "Scheduler", scheds, "TOTAL", total, count,
+		func(s, b int) float64 {
+			return float64(r.MustRun(scheds[s], benches[b], workload.HighRate).MetDeadline)
+		})
 }
 
 // burstinessTable stresses the schedulers with interrupted-Poisson
 // arrivals at the same mean load: bursts are what separate a queue model
-// that adapts (LAX's live completion rates) from static heuristics. Each
-// (scheduler, burst factor) run is an independent pooled task.
+// that adapts (LAX's live completion rates) from static heuristics.
 func burstinessTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
 		Title:  "Burstiness sensitivity: STEM at the high mean rate, % of jobs meeting deadline",
@@ -192,34 +162,18 @@ func burstinessTable(ctx context.Context, r *Runner) *Table {
 	rate := bench.JobsPerSecond(workload.HighRate)
 	scheds := []string{"RR", "SJF", "LAX"}
 	bursts := []float64{1, 2, 4, 8}
-	pct := make([][]float64, len(scheds))
-	for i := range pct {
-		pct[i] = make([]float64, len(bursts))
-	}
-	mustDo(ctx, r, len(scheds)*len(bursts), func(ctx context.Context, i int) error {
-		s, bu := i/len(bursts), i%len(bursts)
+	pct := grid(ctx, r, len(scheds), len(bursts), func(ctx context.Context, s, bu int) (float64, error) {
 		set := bench.GenerateBursty(r.Lib, rate, bursts[bu], 12, r.JobCount, r.Seed)
-		pol, err := sched.New(scheds[s])
+		sys, err := r.sim(ctx, Sim{Sched: scheds[s], Cfg: r.Cfg, Set: set})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		sys := cp.NewSystem(r.Cfg, set, pol)
-		if err := sys.RunContext(ctx); err != nil {
-			return err
-		}
-		met := 0
-		for _, j := range sys.Jobs() {
-			if j.MetDeadline() {
-				met++
-			}
-		}
-		pct[s][bu] = 100 * float64(met) / float64(len(sys.Jobs()))
-		return nil
+		return 100 * float64(countMet(sys)) / float64(len(sys.Jobs())), nil
 	})
 	for s, schedName := range scheds {
 		row := []string{schedName}
-		for bu := range bursts {
-			row = append(row, f1(pct[s][bu]))
+		for _, p := range pct[s] {
+			row = append(row, f1(p))
 		}
 		t.AddRow(row...)
 	}
@@ -242,20 +196,12 @@ func missTaxonomyTable(ctx context.Context, r *Runner) *Table {
 		met       int
 		breakdown map[metrics.MissKind]int
 	}
-	rows := make([]taxonomy, len(scheds))
-	mustDo(ctx, r, len(scheds), func(ctx context.Context, i int) error {
+	rows := fan(ctx, r, len(scheds), func(ctx context.Context, i int) (taxonomy, error) {
 		sys, _, err := r.RunSystem(ctx, scheds[i], "LSTM", workload.HighRate)
 		if err != nil {
-			return err
+			return taxonomy{}, err
 		}
-		met := 0
-		for _, j := range sys.Jobs() {
-			if j.MetDeadline() {
-				met++
-			}
-		}
-		rows[i] = taxonomy{met: met, breakdown: metrics.MissBreakdown(sys)}
-		return nil
+		return taxonomy{met: countMet(sys), breakdown: metrics.MissBreakdown(sys)}, nil
 	})
 	for i, schedName := range scheds {
 		row := []string{schedName, fint(rows[i].met)}
@@ -275,18 +221,18 @@ func latencyCDFTable(ctx context.Context, r *Runner) *Table {
 		Header: []string{"Scheduler", "p50", "p90", "p99", "max", "p99/p50"},
 	}
 	scheds := []string{"RR", "PREMA", "LAX"}
-	lats := make([][]float64, len(scheds))
-	mustDo(ctx, r, len(scheds), func(ctx context.Context, i int) error {
+	lats := fan(ctx, r, len(scheds), func(ctx context.Context, i int) ([]float64, error) {
 		sys, _, err := r.RunSystem(ctx, scheds[i], "STEM", workload.HighRate)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		var lat []float64
 		for _, j := range sys.Jobs() {
 			if j.Done() {
-				lats[i] = append(lats[i], j.Latency().Milliseconds())
+				lat = append(lat, j.Latency().Milliseconds())
 			}
 		}
-		return nil
+		return lat, nil
 	})
 	for i, schedName := range scheds {
 		q := metrics.CDF(lats[i], []float64{0.5, 0.9, 0.99, 1})
@@ -297,8 +243,8 @@ func latencyCDFTable(ctx context.Context, r *Runner) *Table {
 
 // utilizationTable samples device thread occupancy every 100 µs during
 // LSTM-high runs: deadline-aware scheduling should not pay for its wins
-// with an idle device. Each scheduler's sampled run is one pooled task
-// (the sampling callbacks live inside that task's private system).
+// with an idle device. The sampling events are scheduled on each run's own
+// engine through the recipe's pre-run hook.
 func utilizationTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
 		Title:  "Device thread occupancy during LSTM @ high rate (sampled every 100µs over the first 20ms)",
@@ -309,35 +255,26 @@ func utilizationTable(ctx context.Context, r *Runner) *Table {
 		samples []float64
 		useful  float64
 	}
-	rows := make([]utilRow, len(scheds))
-	mustDo(ctx, r, len(scheds), func(ctx context.Context, i int) error {
-		pol, err := sched.New(scheds[i])
-		if err != nil {
-			return err
-		}
+	rows := fan(ctx, r, len(scheds), func(ctx context.Context, i int) (utilRow, error) {
 		set, err := r.JobSet("LSTM", workload.HighRate)
 		if err != nil {
-			return err
+			return utilRow{}, err
 		}
-		sys := cp.NewSystem(r.Cfg, set, pol)
 		var samples []float64
-		for at := sim.Time(0); at < 20*sim.Millisecond; at += 100 * sim.Microsecond {
-			at := at
-			sys.Engine().Schedule(at, func() {
-				samples = append(samples, 100*sys.Device().Utilization())
-			})
+		sys, err := r.sim(ctx, Sim{Sched: scheds[i], Cfg: r.Cfg, Set: set, Before: func(sys *cp.System, _ cp.Policy) {
+			for at := sim.Time(0); at < 20*sim.Millisecond; at += 100 * sim.Microsecond {
+				sys.Engine().Schedule(at, func() {
+					samples = append(samples, 100*sys.Device().Utilization())
+				})
+			}
+		}})
+		if err != nil {
+			return utilRow{}, err
 		}
-		if err := sys.RunContext(ctx); err != nil {
-			return err
-		}
-		sum := metrics.Summarize(sys, scheds[i], "LSTM", "high")
-		rows[i] = utilRow{samples: samples, useful: sum.UsefulWorkFrac}
-		return nil
+		return utilRow{samples, metrics.Summarize(sys, scheds[i], "LSTM", "high").UsefulWorkFrac}, nil
 	})
 	for i, schedName := range scheds {
 		samples := rows[i].samples
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
 		t.AddRow(schedName,
 			f1(metrics.Mean(samples)),
 			f1(metrics.Percentile(samples, 50)),

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"laxgpu/internal/autoscale"
@@ -19,9 +18,9 @@ import (
 // (the builtin copies are pinned byte-equal to examples/scenarios/).
 var autoscaleScenarios = []string{"diurnal", "burst-storm", "three-tenant"}
 
-// autoscalePolicies is the comparison set in presentation order: the fixed
-// minimum fleet, damage-driven scaling, and schedule-driven scaling.
-var autoscalePolicies = []string{"static-min", "reactive", "predictive"}
+// autoscalePolicies is the comparison set in presentation order:
+// schedule-driven scaling, damage-driven scaling, and the fixed minimum fleet.
+var autoscalePolicies = []string{"predictive", "reactive", "static-min"}
 
 // AutoscaleSettings parameterize one fleet replay. The zero value is not
 // useful; DefaultAutoscaleSettings is the experiment's configuration.
@@ -267,33 +266,12 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 // misses accumulated inside that window are visible in the table.
 func Autoscale(ctx context.Context, r *Runner) *Report {
 	s := DefaultAutoscaleSettings()
-	type cell struct {
-		scn, pol string
-	}
-	var cells []cell
-	for _, scn := range autoscaleScenarios {
-		for _, pol := range autoscalePolicies {
-			cells = append(cells, cell{scn, pol})
-		}
-	}
-	results := make([]AutoscaleResult, len(cells))
-	mustDo(ctx, r, len(cells), func(ctx context.Context, i int) error {
-		spec, err := scenario.Builtin(cells[i].scn)
+	results := grid(ctx, r, len(autoscaleScenarios), len(autoscalePolicies), func(ctx context.Context, scn, pol int) (AutoscaleResult, error) {
+		spec, err := scenario.Builtin(autoscaleScenarios[scn])
 		if err != nil {
-			return err
+			return AutoscaleResult{}, err
 		}
-		res, err := RunAutoscale(r, spec, cells[i].pol, s)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	sort.SliceStable(results, func(a, b int) bool {
-		if results[a].Scenario != results[b].Scenario {
-			return results[a].Scenario < results[b].Scenario
-		}
-		return results[a].Policy < results[b].Policy
+		return RunAutoscale(r, spec, autoscalePolicies[pol], s)
 	})
 
 	rep := &Report{
@@ -305,15 +283,12 @@ func Autoscale(ctx context.Context, r *Runner) *Report {
 			"Expected shape: predictive ≥ reactive on deadlines met at similar or lower node-seconds (its scale-ups are ready when a schedule step lands); both beat the static minimum fleet; static-min spends the fewest node-seconds and misses the most.",
 		},
 	}
-	for _, scn := range autoscaleScenarios {
+	for i, scn := range autoscaleScenarios {
 		t := &Table{
 			Title:  fmt.Sprintf("scenario %s", scn),
 			Header: []string{"Policy", "Jobs", "Met", "Missed", "Met%", "Node-seconds", "Scale-ups", "Drains", "Peak nodes"},
 		}
-		for _, res := range results {
-			if res.Scenario != scn {
-				continue
-			}
+		for _, res := range results[i] {
 			t.AddRow(res.Policy, fint(int(res.Jobs)), fint(int(res.Met)), fint(int(res.Missed)),
 				f1(100*res.MetFrac()), f3(res.NodeSeconds), fint(res.ScaleUps), fint(res.Drains),
 				fint(res.PeakNodes))

@@ -29,35 +29,10 @@ func Estimates(ctx context.Context, r *Runner) *Report {
 		ID:    "Estimates",
 		Title: "Estimate accuracy: predicted vs actual kernel and chain times (high rate)",
 	}
-	type cellResult struct {
-		sched, bench string
-		kernel       obs.EstimateStats
-		chain        obs.EstimateStats
-		accepted     int64
-		rejected     int64
-	}
-	var cells []cellResult
-	for _, s := range estimateSchedulers {
-		for _, b := range estimateBenchmarks {
-			cells = append(cells, cellResult{sched: s, bench: b})
-		}
-	}
-	// Materialize shared traces before fanning out.
-	for _, b := range estimateBenchmarks {
-		if _, err := r.JobSet(b, workload.HighRate); err != nil {
-			panic(err)
-		}
-	}
-	mustDo(ctx, r, len(cells), func(ctx context.Context, i int) error {
+	ms := grid(ctx, r, len(estimateSchedulers), len(estimateBenchmarks), func(ctx context.Context, s, b int) (*obs.Metrics, error) {
 		m := obs.NewMetrics()
-		if _, _, err := r.RunSystem(ctx, cells[i].sched, cells[i].bench, workload.HighRate, m); err != nil {
-			return err
-		}
-		cells[i].kernel = m.KernelEstimates()
-		cells[i].chain = m.ChainEstimates()
-		cells[i].accepted = m.Accepted()
-		cells[i].rejected = m.Rejected()
-		return nil
+		_, _, err := r.RunSystem(ctx, estimateSchedulers[s], estimateBenchmarks[b], workload.HighRate, m)
+		return m, err
 	})
 
 	t := &Table{
@@ -65,12 +40,15 @@ func Estimates(ctx context.Context, r *Runner) *Report {
 		Header: []string{"sched", "bench", "kernels", "kMAE%", "kP50|err|", "kP99|err|",
 			"chains", "cMAE%", "accepted", "rejected"},
 	}
-	for _, c := range cells {
-		t.AddRow(c.sched, c.bench,
-			fint(c.kernel.Count), f1(c.kernel.MAEPct),
-			fmt.Sprintf("%.0fµs", c.kernel.P50AbsUs), fmt.Sprintf("%.0fµs", c.kernel.P99AbsUs),
-			fint(c.chain.Count), f1(c.chain.MAEPct),
-			fint(int(c.accepted)), fint(int(c.rejected)))
+	for s, schedName := range estimateSchedulers {
+		for b, bench := range estimateBenchmarks {
+			kernel, chain := ms[s][b].KernelEstimates(), ms[s][b].ChainEstimates()
+			t.AddRow(schedName, bench,
+				fint(kernel.Count), f1(kernel.MAEPct),
+				fmt.Sprintf("%.0fµs", kernel.P50AbsUs), fmt.Sprintf("%.0fµs", kernel.P99AbsUs),
+				fint(chain.Count), f1(chain.MAEPct),
+				fint(int(ms[s][b].Accepted())), fint(int(ms[s][b].Rejected())))
+		}
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Notes = append(rep.Notes,

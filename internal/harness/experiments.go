@@ -20,13 +20,63 @@ func mustSweep(ctx context.Context, r *Runner, cells []Cell) {
 	}
 }
 
-// mustDo fans n independent tasks out over the runner's pool, panicking on
-// error — the submission path for experiment work that is not a plain
-// (scheduler, benchmark, rate) cell.
-func mustDo(ctx context.Context, r *Runner, n int, task func(ctx context.Context, i int) error) {
-	if err := r.pool().Do(ctx, n, task); err != nil {
+// grid runs cell(ctx, row, col) for every pair in rows x cols as independent
+// tasks on the runner's pool and returns the results as a [row][col] matrix
+// — the submission path for experiment work that is not a plain memoized
+// (scheduler, benchmark, rate) cell. Each task writes only its own element,
+// so the matrix (and every table built from it) is identical at any pool
+// width. Errors panic, like mustSweep.
+func grid[T any](ctx context.Context, r *Runner, rows, cols int, cell func(ctx context.Context, row, col int) (T, error)) [][]T {
+	out := make([][]T, rows)
+	for i := range out {
+		out[i] = make([]T, cols)
+	}
+	err := r.pool().Do(ctx, rows*cols, func(ctx context.Context, i int) error {
+		v, err := cell(ctx, i/cols, i%cols)
+		out[i/cols][i%cols] = v
+		return err
+	})
+	if err != nil {
 		panic(err)
 	}
+	return out
+}
+
+// fan is a one-row grid: task(ctx, i) for i in [0, n), results in order.
+func fan[T any](ctx context.Context, r *Runner, n int, task func(ctx context.Context, i int) (T, error)) []T {
+	return grid(ctx, r, 1, n, func(ctx context.Context, _, i int) (T, error) { return task(ctx, i) })[0]
+}
+
+// benchTable builds the recurring shape of the paper's figures: one row per
+// label, one column per Table 4 benchmark (workload.BenchmarkNames order)
+// holding value(row, col), and a closing column aggregating the row's
+// values — all rendered by format.
+func benchTable(title, corner string, labels []string, aggName string, agg func([]float64) float64,
+	format func(float64) string, value func(row, col int) float64) *Table {
+	benches := workload.BenchmarkNames()
+	t := &Table{Title: title, Header: append(append([]string{corner}, benches...), aggName)}
+	for i, label := range labels {
+		row := []string{label}
+		vals := make([]float64, len(benches))
+		for b := range benches {
+			vals[b] = value(i, b)
+			row = append(row, format(vals[b]))
+		}
+		t.AddRow(append(row, format(agg(vals)))...)
+	}
+	return t
+}
+
+// metTable is benchTable over memoized cells at one rate: jobs meeting their
+// deadline, normalized per benchmark to the base scheduler, with the geomean
+// closing each row. Callers must have swept the cells already; every read is
+// a cache hit, which keeps the rendered bytes independent of pool width.
+func metTable(r *Runner, title string, scheds []string, base string, rate workload.Rate) *Table {
+	benches := workload.BenchmarkNames()
+	return benchTable(title, "Scheduler", scheds, "GMEAN", metrics.Geomean, f2, func(s, b int) float64 {
+		return metrics.Ratio(float64(r.MustRun(scheds[s], benches[b], rate).MetDeadline),
+			float64(r.MustRun(base, benches[b], rate).MetDeadline))
+	})
 }
 
 // Table1 reproduces the kernel characterization: for every kernel, the
@@ -149,30 +199,11 @@ func Figure7(ctx context.Context, r *Runner) *Report {
 // LAX-SW.
 func Figure8(ctx context.Context, r *Runner) *Report {
 	mustSweep(ctx, r, GridCells(append([]string{"LAX-SW"}, sched.LaxityVariants...), workload.HighRate))
-	t := &Table{
-		Title:  "Jobs completed by deadline (high rate), normalized to LAX-SW",
-		Header: append([]string{"Scheduler"}, append(workload.BenchmarkNames(), "GMEAN")...),
-	}
-	base := map[string]float64{}
-	for _, b := range workload.BenchmarkNames() {
-		base[b] = float64(r.MustRun("LAX-SW", b, workload.HighRate).MetDeadline)
-	}
-	for _, s := range sched.LaxityVariants {
-		row := []string{s}
-		var ratios []float64
-		for _, b := range workload.BenchmarkNames() {
-			met := float64(r.MustRun(s, b, workload.HighRate).MetDeadline)
-			ratio := metrics.Ratio(met, base[b])
-			ratios = append(ratios, ratio)
-			row = append(row, f2(ratio))
-		}
-		row = append(row, f2(metrics.Geomean(ratios)))
-		t.AddRow(row...)
-	}
 	return &Report{
-		ID:     "Figure8",
-		Title:  "Is CPU-side LAX scheduling sufficient?",
-		Tables: []*Table{t},
+		ID:    "Figure8",
+		Title: "Is CPU-side LAX scheduling sufficient?",
+		Tables: []*Table{metTable(r, "Jobs completed by deadline (high rate), normalized to LAX-SW",
+			sched.LaxityVariants, "LAX-SW", workload.HighRate)},
 		Notes: []string{
 			"Expected shape: LAX-SW < LAX-CPU < LAX (paper: 1x / 1.5x / 1.7x). API-level dynamic priorities recover most of the benefit; CP integration recovers the rest.",
 		},
@@ -184,22 +215,12 @@ func Figure8(ctx context.Context, r *Runner) *Report {
 func Figure9(ctx context.Context, r *Runner) *Report {
 	scheds := sched.Table5Schedulers
 	mustSweep(ctx, r, GridCells(scheds, workload.HighRate))
-	t := &Table{
-		Title:  "% of completed WGs in deadline-meeting jobs (high rate)",
-		Header: append([]string{"Scheduler"}, append(workload.BenchmarkNames(), "GMEAN")...),
-	}
-	for _, s := range scheds {
-		row := []string{s}
-		var fracs []float64
-		for _, b := range workload.BenchmarkNames() {
-			sum := r.MustRun(s, b, workload.HighRate)
-			fracs = append(fracs, sum.UsefulWorkFrac)
-			row = append(row, f1(100*sum.UsefulWorkFrac))
-		}
-		g := metrics.Geomean(fracs)
-		row = append(row, f1(100*g))
-		t.AddRow(row...)
-	}
+	benches := workload.BenchmarkNames()
+	pct := func(frac float64) string { return f1(100 * frac) }
+	t := benchTable("% of completed WGs in deadline-meeting jobs (high rate)", "Scheduler", scheds, "GMEAN",
+		metrics.Geomean, pct, func(s, b int) float64 {
+			return r.MustRun(scheds[s], benches[b], workload.HighRate).UsefulWorkFrac
+		})
 	return &Report{
 		ID:     "Figure9",
 		Title:  "Scheduling effectiveness (useful work)",
@@ -248,32 +269,11 @@ func Table5(ctx context.Context, r *Runner) *Report {
 	}
 }
 
-// deadlineTable builds one jobs-met table normalized to RR for the given
-// schedulers and rate. Callers must have swept the cells already; every
-// read here is a cache hit, which is what keeps the rendered bytes
-// independent of pool width.
+// deadlineTable is the jobs-met table normalized to RR for the given
+// schedulers and rate.
 func deadlineTable(r *Runner, scheds []string, rate workload.Rate) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("%s job arrival rate (normalized jobs meeting deadline; RR = 1.0)", rate),
-		Header: append([]string{"Scheduler"}, append(workload.BenchmarkNames(), "GMEAN")...),
-	}
-	base := map[string]float64{}
-	for _, b := range workload.BenchmarkNames() {
-		base[b] = float64(r.MustRun("RR", b, rate).MetDeadline)
-	}
-	for _, s := range scheds {
-		row := []string{s}
-		var ratios []float64
-		for _, b := range workload.BenchmarkNames() {
-			met := float64(r.MustRun(s, b, rate).MetDeadline)
-			ratio := metrics.Ratio(met, base[b])
-			ratios = append(ratios, ratio)
-			row = append(row, f2(ratio))
-		}
-		row = append(row, f2(metrics.Geomean(ratios)))
-		t.AddRow(row...)
-	}
-	return t
+	return metTable(r, fmt.Sprintf("%s job arrival rate (normalized jobs meeting deadline; RR = 1.0)", rate),
+		scheds, "RR", rate)
 }
 
 // DeadlineCounts returns the raw jobs-met counts (not normalized) for a

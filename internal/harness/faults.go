@@ -21,26 +21,13 @@ var faultSweepSpecs = []string{
 	"hang=0.05,retire=4@2ms",
 }
 
-// faultRunner clones the base runner's configuration with a fault spec
-// attached. Fresh runner, fresh cache: the memoization key does not include
-// the spec.
-func faultRunner(base *Runner, spec string) *Runner {
-	r := NewRunner()
-	r.Cfg = base.Cfg
-	r.JobCount = base.JobCount
-	r.Seed = base.Seed
-	r.Faults = spec
-	return r
-}
-
 // FaultSweep measures what the recovery machinery buys: for each fault
 // intensity the same trace and fault draws run with recovery disabled
 // (hangs strand jobs, aborts cancel them) and enabled (watchdog kill +
 // retry + CPU fallback, admission tracking retired capacity), reporting
 // deadline-met counts and the recovery counters. This is an extension
 // beyond the paper's evaluation: the paper assumes a fault-free device.
-// All 13 runs (6 specs x {off,on} + the healthy baseline) are independent
-// pooled tasks, each on its own single-cell fault runner.
+// Every run is a single cell on its own runner variant.
 func FaultSweep(ctx context.Context, r *Runner) *Report {
 	const bench = "LSTM"
 	rate := workload.MediumRate
@@ -50,37 +37,20 @@ func FaultSweep(ctx context.Context, r *Runner) *Report {
 		Header: []string{"Faults", "Met (rec off)", "Met (rec on)",
 			"Kills", "Aborts", "Retries", "Fallbacks", "RetiredCUs"},
 	}
-	n := len(faultSweepSpecs)
-	offs := make([]metrics.Summary, n)
-	ons := make([]metrics.Summary, n)
-	var healthy metrics.Summary
-	mustDo(ctx, r, 2*n+1, func(ctx context.Context, i int) error {
-		var fr *Runner
-		switch {
-		case i == 2*n:
-			fr = faultRunner(r, "")
-		case i%2 == 0:
-			fr = faultRunner(r, faultSweepSpecs[i/2]+",recover=off")
-		default:
-			fr = faultRunner(r, faultSweepSpecs[i/2]+",recover=on")
-		}
-		sum, err := fr.RunContext(ctx, "LAX", bench, rate)
-		if err != nil {
-			return err
-		}
-		switch {
-		case i == 2*n:
-			healthy = sum
-		case i%2 == 0:
-			offs[i/2] = sum
-		default:
-			ons[i/2] = sum
-		}
-		return nil
+	run := func(ctx context.Context, spec string) (metrics.Summary, error) {
+		return r.variant(r.Seed, spec).RunContext(ctx, "LAX", bench, rate)
+	}
+	healthy, err := run(ctx, "")
+	if err != nil {
+		panic(err)
+	}
+	recovery := []string{",recover=off", ",recover=on"}
+	sums := grid(ctx, r, len(faultSweepSpecs), len(recovery), func(ctx context.Context, i, rec int) (metrics.Summary, error) {
+		return run(ctx, faultSweepSpecs[i]+recovery[rec])
 	})
 	totOff, totOn := 0, 0
 	for i, spec := range faultSweepSpecs {
-		off, on := offs[i], ons[i]
+		off, on := sums[i][0], sums[i][1]
 		totOff += off.MetDeadline
 		totOn += on.MetDeadline
 		t.AddRow(spec, fint(off.MetDeadline), fint(on.MetDeadline),

@@ -42,8 +42,8 @@ func RunFigure10(ctx context.Context, r *Runner, bench string) (Figure10Trace, e
 		return Figure10Trace{}, err
 	}
 
-	scout := cp.NewSystem(r.Cfg, set, sched.NewLAX())
-	if err := scout.RunContext(ctx); err != nil {
+	scout, err := r.sim(ctx, Sim{Sched: "LAX", Cfg: r.Cfg, Set: set})
+	if err != nil {
 		return Figure10Trace{}, err
 	}
 	sample := -1
@@ -69,10 +69,12 @@ func RunFigure10(ctx context.Context, r *Runner, bench string) (Figure10Trace, e
 		}
 	}
 
-	pol := sched.NewLAX()
-	pol.EnableTrace(sample)
-	sys := cp.NewSystem(r.Cfg, set, pol)
-	if err := sys.RunContext(ctx); err != nil {
+	var pol *sched.LAX
+	sys, err := r.sim(ctx, Sim{Sched: "LAX", Cfg: r.Cfg, Set: set, Before: func(_ *cp.System, p cp.Policy) {
+		pol = p.(*sched.LAX)
+		pol.EnableTrace(sample)
+	}})
+	if err != nil {
 		return Figure10Trace{}, err
 	}
 
@@ -109,27 +111,14 @@ func RunFigure10(ctx context.Context, r *Runner, bench string) (Figure10Trace, e
 var figure10Benchmarks = []string{"LSTM", "GRU", "VAN", "HYBRID"}
 
 // Figure10 renders the prediction/priority-over-time traces for the four
-// RNN benchmarks. Each benchmark's scout+trace pair is one task on the
-// worker pool; panels assemble in paper order from the indexed results.
+// RNN benchmarks, one scout+trace pair per panel.
 func Figure10(ctx context.Context, r *Runner) *Report {
 	rep := &Report{
 		ID:    "Figure10",
 		Title: "LAX's job time and priority prediction over a sample job's lifetime",
 	}
-	// Materialize the shared traces before fanning out.
-	for _, bench := range figure10Benchmarks {
-		if _, err := r.JobSet(bench, workload.HighRate); err != nil {
-			panic(err)
-		}
-	}
-	traces := make([]Figure10Trace, len(figure10Benchmarks))
-	mustDo(ctx, r, len(figure10Benchmarks), func(ctx context.Context, i int) error {
-		tr, err := RunFigure10(ctx, r, figure10Benchmarks[i])
-		if err != nil {
-			return err
-		}
-		traces[i] = tr
-		return nil
+	traces := fan(ctx, r, len(figure10Benchmarks), func(ctx context.Context, i int) (Figure10Trace, error) {
+		return RunFigure10(ctx, r, figure10Benchmarks[i])
 	})
 	for _, tr := range traces {
 		t := &Table{

@@ -24,8 +24,9 @@ type Figure3Result struct {
 // GPU that can execute two kernels simultaneously. J1 and J2 arrive first;
 // J3 arrives slightly later and is the longest. Deadline-blind RR services
 // J1/J2's second kernels before J3, so J3 misses; LAX sees J3's small
-// laxity and prioritizes it, and all three jobs meet their deadlines.
-func RunFigure3(ctx context.Context) Figure3Result {
+// laxity and prioritizes it, and all three jobs meet their deadlines. The
+// example runs on its own two-slot device; r contributes only Verify.
+func RunFigure3(ctx context.Context, r *Runner) Figure3Result {
 	// A device with two single-WG kernel slots: 2 CUs, each kernel one
 	// CU-filling WG.
 	cfg := cp.DefaultSystemConfig()
@@ -70,44 +71,37 @@ func RunFigure3(ctx context.Context) Figure3Result {
 		return set
 	}
 
-	res := Figure3Result{}
-
-	rr := sched.NewRR()
-	rrSys := cp.NewSystem(cfg, build(), rr)
-	if err := rrSys.RunContext(ctx); err != nil {
-		panic(err)
-	}
-	res.RR = rrSys.Jobs()
-	for _, j := range res.RR[:3] {
-		if j.MetDeadline() {
-			res.RRMet++
+	run := func(schedName string, before func(*cp.System, cp.Policy)) ([]*cp.JobRun, int) {
+		sys, err := r.sim(ctx, Sim{Sched: schedName, Cfg: cfg, Set: build(), Before: before})
+		if err != nil {
+			panic(err)
 		}
+		met := 0
+		for _, j := range sys.Jobs()[:3] {
+			if j.MetDeadline() {
+				met++
+			}
+		}
+		return sys.Jobs(), met
 	}
-
-	lax := sched.NewLAX()
-	laxSys := cp.NewSystem(cfg, build(), lax)
+	var res Figure3Result
+	res.RR, res.RRMet = run("RR", nil)
 	// Seed the Kernel Profiling Table with the device-aggregate rates the
 	// example assumes ("with reasonably accurate execution time estimates",
 	// §2.2). Rates are device-aggregate (as the live profiler would
 	// measure them): two slots complete shortK WGs at 2 per 200µs and
 	// longK WGs at 2 per 400µs.
-	lax.ProfilingTable().ObserveRate("shortK", 2.0/float64(200*sim.Microsecond))
-	lax.ProfilingTable().ObserveRate("longK", 2.0/float64(400*sim.Microsecond))
-	if err := laxSys.RunContext(ctx); err != nil {
-		panic(err)
-	}
-	res.LAX = laxSys.Jobs()
-	for _, j := range res.LAX[:3] {
-		if j.MetDeadline() {
-			res.LAXMet++
-		}
-	}
+	res.LAX, res.LAXMet = run("LAX", func(_ *cp.System, pol cp.Policy) {
+		pt := pol.(*sched.LAX).ProfilingTable()
+		pt.ObserveRate("shortK", 2.0/float64(200*sim.Microsecond))
+		pt.ObserveRate("longK", 2.0/float64(400*sim.Microsecond))
+	})
 	return res
 }
 
 // Figure3 renders the worked example.
-func Figure3(ctx context.Context) *Report {
-	res := RunFigure3(ctx)
+func Figure3(ctx context.Context, r *Runner) *Report {
+	res := RunFigure3(ctx, r)
 	t := &Table{
 		Title:  "Primary jobs, two concurrent kernel slots (12 further short jobs keep arriving)",
 		Header: []string{"Job", "Arrival", "Abs deadline", "RR finish", "RR met", "LAX finish", "LAX met"},

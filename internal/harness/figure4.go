@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/metrics"
-	"laxgpu/internal/sched"
 	"laxgpu/internal/workload"
 )
 
@@ -80,12 +78,12 @@ func BatchJobSet(set *workload.JobSet, batch int) (*workload.JobSet, [][]int64) 
 // batchResponse runs the batched trace under contemporary (RR) scheduling
 // and returns the mean response time per original request: batch completion
 // minus the request's own arrival.
-func batchResponse(ctx context.Context, cfg cp.SystemConfig, set *workload.JobSet, batch int) (float64, error) {
+func batchResponse(ctx context.Context, r *Runner, set *workload.JobSet, batch int) (float64, error) {
 	batched, members := BatchJobSet(set, batch)
 	// Batched descriptors can exceed per-batch WG counts but each WG must
 	// still fit a CU; that holds since footprints are per-WG.
-	sys := cp.NewSystem(cfg, batched, sched.NewRR())
-	if err := sys.RunContext(ctx); err != nil {
+	sys, err := r.sim(ctx, Sim{Sched: "RR", Cfg: r.Cfg, Set: batched})
+	if err != nil {
 		return 0, err
 	}
 	var responses []float64
@@ -103,9 +101,7 @@ func batchResponse(ctx context.Context, cfg cp.SystemConfig, set *workload.JobSe
 // Figure4 reproduces the batching-vs-streams response-time comparison:
 // response time normalized to batch size 1, per benchmark. Streams (one
 // job per stream, batch 1) is the baseline; large batches pay both the
-// wait-for-arrivals padding and the contention of wide launches. Every
-// (benchmark, batch size) run is an independent cell submitted to the
-// worker pool; the table assembles from the indexed results afterwards.
+// wait-for-arrivals padding and the contention of wide launches.
 func Figure4(ctx context.Context, r *Runner) *Report {
 	header := []string{"Benchmark"}
 	for _, b := range figure4BatchSizes {
@@ -120,32 +116,18 @@ func Figure4(ctx context.Context, r *Runner) *Report {
 		Header: header,
 	}
 	benches := workload.BenchmarkNames()
-	sets := make([]*workload.JobSet, len(benches))
-	for i, bench := range benches {
-		set, err := r.JobSet(bench, workload.MediumRate)
+	resp := grid(ctx, r, len(benches), len(figure4BatchSizes), func(ctx context.Context, b, s int) (float64, error) {
+		set, err := r.JobSet(benches[b], workload.MediumRate)
 		if err != nil {
-			panic(err)
+			return 0, err
 		}
-		sets[i] = set
-	}
-	resp := make([][]float64, len(benches))
-	for i := range resp {
-		resp[i] = make([]float64, len(figure4BatchSizes))
-	}
-	mustDo(ctx, r, len(benches)*len(figure4BatchSizes), func(ctx context.Context, i int) error {
-		b, s := i/len(figure4BatchSizes), i%len(figure4BatchSizes)
-		v, err := batchResponse(ctx, r.Cfg, sets[b], figure4BatchSizes[s])
-		if err != nil {
-			return err
-		}
-		resp[b][s] = v
-		return nil
+		return batchResponse(ctx, r, set, figure4BatchSizes[s])
 	})
 	for i, bench := range benches {
 		base := resp[i][0] // figure4BatchSizes[0] == 1, the streams baseline
 		row := []string{bench}
-		for s := range figure4BatchSizes {
-			row = append(row, f1(metrics.Ratio(resp[i][s], base)))
+		for _, v := range resp[i] {
+			row = append(row, f1(metrics.Ratio(v, base)))
 		}
 		t.AddRow(row...)
 	}

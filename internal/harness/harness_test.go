@@ -84,7 +84,7 @@ func TestRunnerProgressLogging(t *testing.T) {
 // The paper's Figure 3 contract: LAX saves all three primary jobs, RR loses
 // at least the long one.
 func TestFigure3Shape(t *testing.T) {
-	res := RunFigure3(context.Background())
+	res := RunFigure3(context.Background(), NewRunner())
 	if res.LAXMet != 3 {
 		t.Fatalf("LAX met %d/3 primary jobs, want 3", res.LAXMet)
 	}
@@ -101,7 +101,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure3ReportRenders(t *testing.T) {
-	rep := Figure3(context.Background())
+	rep := Figure3(context.Background(), NewRunner())
 	var buf bytes.Buffer
 	rep.Render(&buf)
 	out := buf.String()
@@ -189,11 +189,11 @@ func TestBatchingIncreasesResponseTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := batchResponse(context.Background(), r.Cfg, set, 1)
+	single, err := batchResponse(context.Background(), r, set, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := batchResponse(context.Background(), r.Cfg, set, 16)
+	big, err := batchResponse(context.Background(), r, set, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestRunExperimentRegistry(t *testing.T) {
 	if len(ids) != 17 {
 		t.Fatalf("%d experiments, want 17", len(ids))
 	}
-	for _, id := range ids {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %s has no generator", id)
+	for _, e := range experiments {
+		if e.run == nil {
+			t.Errorf("experiment %s has no generator", e.id)
 		}
 	}
 	if _, err := RunExperiment(context.Background(), NewRunner(), "figure0"); err == nil {
@@ -383,7 +383,7 @@ func TestMultiSeedStats(t *testing.T) {
 }
 
 func TestRenderMarkdown(t *testing.T) {
-	rep := Figure3(context.Background())
+	rep := Figure3(context.Background(), NewRunner())
 	var buf bytes.Buffer
 	rep.RenderMarkdown(&buf)
 	out := buf.String()
@@ -406,14 +406,22 @@ func TestRenderMarkdown(t *testing.T) {
 	}
 }
 
-// Golden regression tests: the two cheap fully-deterministic reports must
-// match their checked-in renderings byte for byte. A diff means model
-// behavior changed — rerun `go run ./cmd/laxsim -experiment <id> >
-// internal/harness/testdata/<id>.golden` deliberately after verifying the
-// change in EXPERIMENTS.md.
+// Golden regression tests: every report must match its checked-in rendering
+// byte for byte, with the invariant checker attached to every simulation
+// behind it (as `laxsim -verify` does, one runner shared across experiments).
+// A diff means model behavior changed — rerun `go run ./cmd/laxsim
+// -experiment <id> > internal/harness/testdata/<id>.golden` deliberately
+// after verifying the change in EXPERIMENTS.md. -short keeps the two reports
+// that cost milliseconds.
 func TestGoldenReports(t *testing.T) {
-	for _, id := range []string{"table1", "figure3"} {
-		rep, err := RunExperiment(context.Background(), NewRunner(), id)
+	ids := ExperimentIDs()
+	if testing.Short() {
+		ids = []string{"table1", "figure3"}
+	}
+	r := NewRunner()
+	r.Verify = true
+	for _, id := range ids {
+		rep, err := RunExperiment(context.Background(), r, id)
 		if err != nil {
 			t.Fatal(err)
 		}

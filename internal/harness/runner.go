@@ -258,6 +258,16 @@ func (r *Runner) RunSystem(ctx context.Context, schedName, benchName string, rat
 	return sys, checks, nil
 }
 
+// sim runs s through the recipe under the runner's Verify setting — how
+// experiments simulate anything that is not a memoized cell (custom traces,
+// devices, pre-run hooks) without leaving the checker's reach.
+func (r *Runner) sim(ctx context.Context, s Sim) (*cp.System, error) {
+	s.Verify = r.Verify
+	sys, _, err := s.Run(ctx)
+	return sys, err
+}
+
+// countMet returns the number of jobs that met their deadline.
 func countMet(sys *cp.System) int {
 	n := 0
 	for _, j := range sys.Jobs() {

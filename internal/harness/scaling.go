@@ -8,7 +8,6 @@ import (
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/metrics"
-	"laxgpu/internal/sched"
 	"laxgpu/internal/workload"
 )
 
@@ -46,9 +45,8 @@ var deviceSweepSchedulers = []string{"RR", "SJF", "LAX"}
 
 // deviceSweepTable scales the machine and reports LAX vs RR deadline-met
 // fractions on LSTM at an offered load proportional to machine size. The
-// per-size configs, recalibrated libraries, and traces are materialized up
-// front on the calling goroutine; the (size, scheduler) simulations then
-// fan out as independent pooled tasks.
+// per-size configs, recalibrated libraries, and traces are built once and
+// shared read-only by the (size, scheduler) simulations.
 func deviceSweepTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
 		Title:  "LSTM deadline-met % vs device size (offered load scaled with CUs; 8 CUs = Table 2 = 8000 jobs/s)",
@@ -71,26 +69,12 @@ func deviceSweepTable(ctx context.Context, r *Runner) *Table {
 		cfgs[i] = cfg
 		sets[i] = bench.GenerateCustom(lib, rate, r.JobCount, r.Seed)
 	}
-	met := make([][]int, len(scalingCUCounts))
-	for i := range met {
-		met[i] = make([]int, len(deviceSweepSchedulers))
-	}
-	mustDo(ctx, r, len(scalingCUCounts)*len(deviceSweepSchedulers), func(ctx context.Context, i int) error {
-		c, s := i/len(deviceSweepSchedulers), i%len(deviceSweepSchedulers)
-		pol, err := sched.New(deviceSweepSchedulers[s])
+	met := grid(ctx, r, len(scalingCUCounts), len(deviceSweepSchedulers), func(ctx context.Context, c, s int) (int, error) {
+		sys, err := r.sim(ctx, Sim{Sched: deviceSweepSchedulers[s], Cfg: cfgs[c], Set: sets[c]})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		sys := cp.NewSystem(cfgs[c], sets[c], pol)
-		if err := sys.RunContext(ctx); err != nil {
-			return err
-		}
-		for _, j := range sys.Jobs() {
-			if j.MetDeadline() {
-				met[c][s]++
-			}
-		}
-		return nil
+		return countMet(sys), nil
 	})
 	n := float64(r.JobCount)
 	for c, cus := range scalingCUCounts {
@@ -107,9 +91,7 @@ func deviceSweepTable(ctx context.Context, r *Runner) *Table {
 var fleetGPUCounts = []int{1, 2, 4}
 
 // fleetTable scales out instead of up: the same overloaded LSTM trace
-// routed across 1-4 Table 2 GPUs by a least-loaded front end. Each
-// (scheduler, fleet size) cluster run is one pooled task over the shared
-// trace.
+// routed across 1-4 Table 2 GPUs by a least-loaded front end.
 func fleetTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
 		Title:  "Fleet scale-out: LSTM at 4x the high rate, least-loaded routing (% of jobs meeting deadline)",
@@ -121,31 +103,19 @@ func fleetTable(ctx context.Context, r *Runner) *Table {
 	}
 	set := bench.GenerateCustom(r.Lib, 4*bench.JobsPerSecond(workload.HighRate), r.JobCount, r.Seed)
 	scheds := []string{"RR", "LAX"}
-	fracs := make([][]float64, len(scheds))
-	for i := range fracs {
-		fracs[i] = make([]float64, len(fleetGPUCounts))
-	}
-	mustDo(ctx, r, len(scheds)*len(fleetGPUCounts), func(ctx context.Context, i int) error {
-		s, g := i/len(fleetGPUCounts), i%len(fleetGPUCounts)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := cluster.Run(cluster.Config{
+	fracs := grid(ctx, r, len(scheds), len(fleetGPUCounts), func(ctx context.Context, s, g int) (float64, error) {
+		res, _, err := RunFleet(ctx, cluster.Config{
 			GPUs:      fleetGPUCounts[g],
 			System:    r.Cfg,
 			Routing:   cluster.RouteLeastLoaded,
 			Scheduler: scheds[s],
-		}, set)
-		if err != nil {
-			return err
-		}
-		fracs[s][g] = res.DeadlineFrac()
-		return nil
+		}, set, r.Verify)
+		return res.DeadlineFrac(), err
 	})
 	for s, schedName := range scheds {
 		row := []string{schedName}
-		for g := range fleetGPUCounts {
-			row = append(row, f1(100*fracs[s][g]))
+		for _, frac := range fracs[s] {
+			row = append(row, f1(100*frac))
 		}
 		t.AddRow(row...)
 	}
@@ -155,8 +125,8 @@ func fleetTable(ctx context.Context, r *Runner) *Table {
 // multiTenantSchedulers are the policies contrasted on the shared-GPU mix.
 var multiTenantSchedulers = []string{"RR", "EDF", "PREMA", "LAX"}
 
-// multiTenantTable interleaves every benchmark into one shared-GPU trace;
-// each scheduler replays the same trace as an independent pooled task.
+// multiTenantTable interleaves every benchmark into one shared-GPU trace
+// that every scheduler replays.
 func multiTenantTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
 		Title:  "Multi-tenant: all 8 benchmarks sharing the GPU (per-class deadline-met)",
@@ -168,15 +138,10 @@ func multiTenantTable(ctx context.Context, r *Runner) *Table {
 		count map[string]int
 		total int
 	}
-	rows := make([]tenantRow, len(multiTenantSchedulers))
-	mustDo(ctx, r, len(multiTenantSchedulers), func(ctx context.Context, i int) error {
-		pol, err := sched.New(multiTenantSchedulers[i])
+	rows := fan(ctx, r, len(multiTenantSchedulers), func(ctx context.Context, i int) (tenantRow, error) {
+		sys, err := r.sim(ctx, Sim{Sched: multiTenantSchedulers[i], Cfg: r.Cfg, Set: set})
 		if err != nil {
-			return err
-		}
-		sys := cp.NewSystem(r.Cfg, set, pol)
-		if err := sys.RunContext(ctx); err != nil {
-			return err
+			return tenantRow{}, err
 		}
 		row := tenantRow{met: map[string]int{}, count: map[string]int{}}
 		for _, j := range sys.Jobs() {
@@ -186,8 +151,7 @@ func multiTenantTable(ctx context.Context, r *Runner) *Table {
 				row.total++
 			}
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	for i, schedName := range multiTenantSchedulers {
 		row := []string{schedName}

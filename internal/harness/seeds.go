@@ -53,14 +53,17 @@ func newSeedStats(schedName, benchName string, rate workload.Rate, seeds []int64
 	return st
 }
 
-// seedRunner clones the base runner's configuration at a different trace
-// seed. Fresh runner, fresh cache: the memoization key does not include the
-// seed.
-func seedRunner(base *Runner, seed int64) *Runner {
+// variant returns a fresh runner with base's configuration at another trace
+// seed and fault spec. Fresh runner, fresh cache: the memoization key
+// includes neither.
+func (base *Runner) variant(seed int64, faults string) *Runner {
 	r := NewRunner()
-	r.Cfg = base.Cfg
+	r.Cfg, r.Lib = base.Cfg, base.Lib
 	r.JobCount = base.JobCount
+	r.Workers = base.Workers
+	r.Verify = base.Verify
 	r.Seed = seed
+	r.Faults = faults
 	return r
 }
 
@@ -70,7 +73,7 @@ func seedRunner(base *Runner, seed int64) *Runner {
 func MultiSeed(ctx context.Context, base *Runner, schedName, benchName string, rate workload.Rate, seeds []int64) (SeedStats, error) {
 	mets := make([]int, len(seeds))
 	err := base.pool().Do(ctx, len(seeds), func(ctx context.Context, i int) error {
-		sum, err := seedRunner(base, seeds[i]).RunContext(ctx, schedName, benchName, rate)
+		sum, err := base.variant(seeds[i], "").RunContext(ctx, schedName, benchName, rate)
 		if err != nil {
 			return err
 		}
@@ -91,34 +94,29 @@ var seedsSchedulers = []string{"RR", "SJF", "LAX"}
 
 // Seeds regenerates the headline comparison across independent arrival
 // traces: geomean-normalized LAX advantage with cross-seed variation, so
-// the reproduction's conclusions are demonstrably not one lucky trace. The
-// whole benchmark x scheduler x seed cube fans out as one flat task set;
-// statistics assemble from the indexed counts.
+// the reproduction's conclusions are demonstrably not one lucky trace. Each
+// seed is one runner variant sweeping the scheduler x benchmark grid.
 func Seeds(ctx context.Context, r *Runner) *Report {
 	t := &Table{
 		Title: fmt.Sprintf("Deadline-met counts across %d arrival-trace seeds (high rate): mean ± stdev",
 			len(defaultSeeds)),
 		Header: append([]string{"Benchmark"}, "RR", "SJF", "LAX", "LAX/RR"),
 	}
-	benches := workload.BenchmarkNames()
-	nS, nK := len(seedsSchedulers), len(defaultSeeds)
-	mets := make([]int, len(benches)*nS*nK)
-	mustDo(ctx, r, len(mets), func(ctx context.Context, i int) error {
-		b, s, k := i/(nS*nK), (i/nK)%nS, i%nK
-		sum, err := seedRunner(r, defaultSeeds[k]).RunContext(ctx, seedsSchedulers[s], benches[b], workload.HighRate)
-		if err != nil {
-			return err
-		}
-		mets[i] = sum.MetDeadline
-		return nil
-	})
+	runners := make([]*Runner, len(defaultSeeds))
+	for k, seed := range defaultSeeds {
+		runners[k] = r.variant(seed, "")
+		mustSweep(ctx, runners[k], GridCells(seedsSchedulers, workload.HighRate))
+	}
 	var ratios []float64
-	for b, bench := range benches {
+	for _, bench := range workload.BenchmarkNames() {
 		row := []string{bench}
 		var means [3]float64
 		for s, schedName := range seedsSchedulers {
-			st := newSeedStats(schedName, bench, workload.HighRate, defaultSeeds,
-				mets[(b*nS+s)*nK:(b*nS+s+1)*nK])
+			mets := make([]int, len(runners))
+			for k, sr := range runners {
+				mets[k] = sr.MustRun(schedName, bench, workload.HighRate).MetDeadline
+			}
+			st := newSeedStats(schedName, bench, workload.HighRate, defaultSeeds, mets)
 			means[s] = st.MetMean
 			row = append(row, fmt.Sprintf("%.1f±%.1f", st.MetMean, st.MetStd))
 		}

@@ -15,7 +15,8 @@ import (
 // Sim is the one recipe for a batch simulation. Every entry point — the
 // Runner's cached and observed paths, the public Session (cells, trace
 // replays, scenarios), FindCapacity and laxsim — describes its run as a Sim
-// and calls Run, so a new ingredient (a fault kind, a checker rule, a job
+// and calls Run; the system itself comes from sched.Assemble, which online
+// nodes share, so a new ingredient (a fault kind, a checker rule, a job
 // model) is wired in exactly one place.
 type Sim struct {
 	// Sched names the policy (sched.New); Cfg is the simulated system and
@@ -34,36 +35,36 @@ type Sim struct {
 	// checker after them, relaxed for the policy, device and fault plan.
 	Probes []obs.Probe
 	Verify bool
+
+	// Before, when set, sees the assembled system and its policy just
+	// before the run starts — for the few callers that must seed policy
+	// state or schedule their own engine events.
+	Before func(*cp.System, cp.Policy)
 }
 
 // Run assembles the system, simulates it to completion and returns it,
 // along with the number of invariant checks performed (0 unless Verify).
 // A violated invariant or a cancelled ctx is an error and yields no system.
 func (s Sim) Run(ctx context.Context) (*cp.System, int64, error) {
-	pol, err := sched.New(s.Sched)
-	if err != nil {
-		return nil, 0, err
-	}
 	spec, err := faults.ParseSpec(s.Faults)
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg := s.Cfg
-	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
-	}
-	sys := cp.NewSystem(cfg, s.Set, pol)
-	if !spec.Zero() {
-		sys.InstallFaults(faults.NewPlan(spec, s.FaultSeed), spec.Retirements)
+	sys, pol, err := sched.Assemble(s.Sched, s.Cfg, s.Set, spec, s.FaultSeed)
+	if err != nil {
+		return nil, 0, err
 	}
 	probes := s.Probes
 	var ck *verify.Checker
 	if s.Verify {
-		ck = verify.New(verify.OptionsFor(s.Sched, pol, cfg, !spec.Zero()))
+		ck = verify.New(verify.OptionsFor(s.Sched, pol, sys.Config(), !spec.Zero()))
 		ck.Attach(sys)
 		probes = append(probes[:len(probes):len(probes)], ck)
 	}
 	sys.SetProbe(obs.Multi(probes...))
+	if s.Before != nil {
+		s.Before(sys, pol)
+	}
 	if err := sys.RunContext(ctx); err != nil {
 		return nil, 0, err
 	}

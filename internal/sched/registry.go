@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/sim"
 )
 
 // Factory constructs a fresh policy instance. Policies hold run state, so
@@ -27,17 +28,31 @@ var registry = map[string]Factory{
 	"LAX-CPU": func() cp.Policy { return NewLAXCPU() },
 
 	// Extensions beyond the paper's Table 3: baselines for analysis (FCFS,
-	// the perfect-information ORACLE), the future-work hybrid (§6.1.2), and
-	// the ablated LAX variants used by the ablation study.
+	// the perfect-information ORACLE) and the future-work hybrid (§6.1.2).
 	"FCFS":      func() cp.Policy { return NewFCFS() },
 	"ORACLE":    func() cp.Policy { return NewORACLE() },
 	"LAX-PREMA": func() cp.Policy { return NewLAXPREMA() },
-	"LAX-NOADMIT": func() cp.Policy {
-		return NewLAXWithConfig(LAXConfig{Name: "LAX-NOADMIT", DisableAdmission: true})
-	},
-	"LAX-FIFO": func() cp.Policy {
-		return NewLAXWithConfig(LAXConfig{Name: "LAX-FIFO", DisableLaxity: true})
-	},
+}
+
+// laxAblations are the single-knob LAX variants of the ablation study
+// (harness.Ablation), registered under their Name: the two algorithmic
+// halves switched off independently, footnote 2's initial-priority
+// alternatives, the §4.2/§4.4 update interval halved and stretched 5x, and
+// a smoothed profiling table.
+var laxAblations = []LAXConfig{
+	{Name: "LAX-NOADMIT", DisableAdmission: true},
+	{Name: "LAX-FIFO", DisableLaxity: true},
+	{Name: "LAX-INIT-LOWEST", InitialPriority: InitLowest},
+	{Name: "LAX-INIT-LAXITY", InitialPriority: InitLaxity},
+	{Name: "LAX-TICK-50US", UpdateInterval: 50 * sim.Microsecond},
+	{Name: "LAX-TICK-500US", UpdateInterval: 500 * sim.Microsecond},
+	{Name: "LAX-EWMA-0.5", Alpha: 0.5},
+}
+
+func init() {
+	for _, cfg := range laxAblations {
+		registry[cfg.Name] = func() cp.Policy { return NewLAXWithConfig(cfg) }
+	}
 }
 
 // New constructs the named policy.

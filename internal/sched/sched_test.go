@@ -52,10 +52,10 @@ func metCount(sys *cp.System) int {
 
 func TestRegistryConstructsEverything(t *testing.T) {
 	names := Names()
-	// 13 Table 3 schedulers plus 5 extensions (FCFS, ORACLE, hybrid, 2
+	// 13 Table 3 schedulers plus 10 extensions (FCFS, ORACLE, hybrid, 7
 	// ablated LAX configurations).
-	if len(names) != 18 {
-		t.Fatalf("registry has %d schedulers, want 18", len(names))
+	if len(names) != 23 {
+		t.Fatalf("registry has %d schedulers, want 23", len(names))
 	}
 	for _, n := range names {
 		p, err := New(n)

@@ -46,24 +46,17 @@ type Node struct {
 	next int
 }
 
-// NewNode builds the device, attaches the named policy and probe, installs
-// the fault plan, and starts the system in online mode.
+// NewNode assembles the device exactly as a batch run does (sched.Assemble:
+// named policy, fault plan, recovery), attaches the probe, and starts the
+// system in online mode.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	pol, err := sched.New(cfg.Scheduler)
-	if err != nil {
-		return nil, err
-	}
 	sysCfg := cfg.System
 	if sysCfg.NumQueues == 0 {
 		sysCfg = cp.DefaultSystemConfig()
 	}
-	if !cfg.Faults.Zero() && cfg.Faults.Recover {
-		sysCfg.Recovery = cp.DefaultRecoveryConfig()
-	}
-	sys := cp.NewSystem(sysCfg, &workload.JobSet{}, pol)
-	if !cfg.Faults.Zero() {
-		plan := faults.NewPlan(cfg.Faults, cfg.Seed)
-		sys.InstallFaults(plan, plan.Retirements())
+	sys, pol, err := sched.Assemble(cfg.Scheduler, sysCfg, &workload.JobSet{}, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Probe != nil {
 		sys.SetProbe(cfg.Probe)

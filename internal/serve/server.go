@@ -14,8 +14,8 @@ import (
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
-	"laxgpu/internal/metrics"
 	"laxgpu/internal/gpu"
+	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"

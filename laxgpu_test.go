@@ -97,7 +97,7 @@ func TestLAXBeatsRRThroughFacade(t *testing.T) {
 }
 
 func TestEnumerations(t *testing.T) {
-	if len(Schedulers()) != 18 { // 13 from Table 3 + 5 extensions
+	if len(Schedulers()) != 23 { // 13 from Table 3 + 10 extensions
 		t.Fatalf("Schedulers() = %v", Schedulers())
 	}
 	if len(Benchmarks()) != 8 {
