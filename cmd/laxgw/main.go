@@ -93,6 +93,18 @@ func main() {
 		specs = strings.Split(*chaos, ";")
 	}
 
+	// Every in-process node, initial or grown by the autoscaler, comes from
+	// here; k numbers them so each draws its own fault/sampler seed.
+	mkNode := func(name string, k int) (*gateway.InprocBackend, error) {
+		return gateway.NewInprocBackend(gateway.InprocConfig{
+			Name:        name,
+			Node:        serve.NodeConfig{Scheduler: *scheduler, Seed: *seed + int64(k)},
+			Clock:       clock,
+			AcceptQueue: *queue,
+			Registry:    reg,
+		})
+	}
+
 	var backends []gateway.Backend
 	var closers []func()
 	if *nodes != "" {
@@ -110,13 +122,7 @@ func main() {
 			*gpus = 1
 		}
 		for g := 0; g < *gpus; g++ {
-			ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-				Name:        fmt.Sprintf("node%d", g),
-				Node:        serve.NodeConfig{Scheduler: *scheduler, Seed: *seed + int64(g)},
-				Clock:       clock,
-				AcceptQueue: *queue,
-				Registry:    reg,
-			})
+			ib, err := mkNode(fmt.Sprintf("node%d", g), g)
 			if err != nil {
 				fatal(err)
 			}
@@ -193,13 +199,7 @@ func main() {
 			},
 			Factory: func(name string) (gateway.Backend, error) {
 				grown++
-				return gateway.NewInprocBackend(gateway.InprocConfig{
-					Name:        name,
-					Node:        serve.NodeConfig{Scheduler: *scheduler, Seed: *seed + int64(grown)},
-					Clock:       clock,
-					AcceptQueue: *queue,
-					Registry:    reg,
-				})
+				return mkNode(name, grown)
 			},
 			OnRetire: func(name string, be gateway.Backend) {
 				// A drained node's simulation can stop as soon as the

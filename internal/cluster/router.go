@@ -67,9 +67,6 @@ func NewRouter(policy RoutingPolicy, gpus int) *Router {
 	return r
 }
 
-// GPUs returns the device count.
-func (r *Router) GPUs() int { return len(r.outstanding) }
-
 // Add grows the fleet by one device (initially healthy and idle) and returns
 // its index. The gateway calls it when the autoscaler admits a new node
 // mid-run; existing devices' bookkeeping is untouched, so routing history

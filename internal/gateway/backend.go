@@ -1,19 +1,8 @@
-// Package gateway is the fleet front tier: one HTTP frontend multiplexing
-// arrivals across N serving nodes, routing each job to the node reporting
-// the most laxity headroom, health-checking every node with per-node circuit
-// breakers, and journaling every accepted job so node death never loses one.
-//
-// The layering mirrors serve's: Backend abstracts "one node" (an in-process
-// serve.Driver or a remote laxd daemon — the gateway cannot tell them
-// apart), ChaosBackend injects node-level faults at exactly the boundary a
-// real network failure would hit, Breaker turns probe outcomes into a
-// health state machine, and Gateway owns the journal, the router and the
-// failover logic. Every guarantee the gateway makes is checked by
-// verify.CheckFleet.
 package gateway
 
 import (
 	"errors"
+	"time"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
@@ -129,7 +118,7 @@ type TraceSource interface {
 }
 
 // Backend is one serving node as the gateway sees it. Implementations:
-// InprocBackend (a serve.Driver in this process), RemoteBackend (a laxd
+// InprocBackend (a serve.Host in this process), RemoteBackend (a laxd
 // daemon over HTTP) and ChaosBackend (either of those behind a fault plan).
 //
 // Submit and Probe may block; the gateway never calls them while holding
@@ -149,26 +138,12 @@ type Backend interface {
 	Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error)
 }
 
-// InprocBackend runs one serve.Node behind its Driver inside the gateway
-// process — the fleet-in-a-box configuration laxgw uses by default, and the
-// deterministic substrate of the chaos tests.
+// InprocBackend is a serve.Host with a name: one node running inside the
+// gateway process — the fleet-in-a-box configuration laxgw uses by default,
+// and the deterministic substrate of the chaos tests.
 type InprocBackend struct {
-	name   string
-	node   *serve.Node
-	driver *serve.Driver
-
-	// tracer records per-job timelines when tracing is enabled; nil when
-	// disabled (never wrapped as a typed-nil obs.Probe).
-	tracer *obs.TraceRecorder
-
-	// pending maps the node's dense local job IDs to done callbacks.
-	// Touched only on the driver goroutine.
-	pending map[int]pendingJob
-}
-
-type pendingJob struct {
-	jr   *cp.JobRun
-	done func(Outcome)
+	name string
+	host *serve.Host
 }
 
 // InprocConfig configures one in-process backend node.
@@ -176,8 +151,8 @@ type InprocConfig struct {
 	// Name identifies the node (default "nodeN" is chosen by the caller).
 	Name string
 
-	// Node configures the underlying serving device; the Probe field is
-	// reserved for the backend's own completion recorder.
+	// Node configures the underlying serving device; its Probe field is
+	// ignored (serve.NewHost builds the node's probe chain).
 	Node serve.NodeConfig
 
 	// Clock paces the driver (required; share one clock fleet-wide).
@@ -196,25 +171,12 @@ type InprocConfig struct {
 
 // NewInprocBackend builds and starts one in-process node.
 func NewInprocBackend(cfg InprocConfig) (*InprocBackend, error) {
-	b := &InprocBackend{name: cfg.Name, pending: make(map[int]pendingJob)}
-	nodeCfg := cfg.Node
-	probe := obs.Probe((*inprocRecorder)(b))
-	if cfg.Registry != nil {
-		probe = obs.Multi(obs.NewMetricsWithRegistry(cfg.Registry), probe)
-	}
-	if cfg.TraceDepth >= 0 {
-		b.tracer = obs.NewTraceRecorder(cfg.TraceDepth)
-		probe = obs.Multi(probe, b.tracer)
-	}
-	nodeCfg.Probe = probe
-	node, err := serve.NewNode(nodeCfg)
+	host, err := serve.NewHost(cfg.Node, cfg.Clock, cfg.AcceptQueue, cfg.Registry, cfg.TraceDepth)
 	if err != nil {
 		return nil, err
 	}
-	b.node = node
-	b.driver = serve.NewDriver(node, cfg.Clock, cfg.AcceptQueue)
-	b.driver.Start()
-	return b, nil
+	host.Start()
+	return &InprocBackend{name: cfg.Name, host: host}, nil
 }
 
 // Name implements Backend.
@@ -223,39 +185,27 @@ func (b *InprocBackend) Name() string { return b.name }
 // JobTrace implements TraceSource: the node's recorded timeline for one
 // dispatched job, keyed by the gateway-minted trace ID.
 func (b *InprocBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace, bool) {
-	if b.tracer == nil {
-		return obs.WireTrace{}, false
-	}
-	t, ok := b.tracer.GetByID(traceID)
+	t, ok := b.host.Trace(traceID)
 	if !ok {
 		return obs.WireTrace{}, false
 	}
 	return t.Wire(b.name), true
 }
 
-// Driver exposes the backend's pacing driver (shutdown, tests).
-func (b *InprocBackend) Driver() *serve.Driver { return b.driver }
+// Driver exposes the backend's pacing driver (tests, benchmarks).
+func (b *InprocBackend) Driver() *serve.Driver { return b.host.Driver }
+
+// Shutdown drains the in-process node (Backend side of Gateway.Shutdown).
+func (b *InprocBackend) Shutdown(grace time.Duration) int { return b.host.Shutdown(grace) }
 
 // Probe implements Backend: the node's own drain estimate, read on the
 // driver goroutine.
 func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
-	var h Headroom
-	if !b.driver.Call(func() {
-		dev := b.node.System().Device()
-		frac := 1.0
-		if total := dev.ActiveCUs() + dev.RetiredCUsCount(); total > 0 {
-			frac = float64(dev.ActiveCUs()) / float64(total)
-		}
-		h = Headroom{
-			Drain:        b.node.EstimateDrain(),
-			Unfinished:   len(b.node.Unfinished()),
-			Capacity:     1,
-			CapacityFrac: frac,
-		}
-	}) {
+	drain, unfinished, frac, ok := b.host.Headroom()
+	if !ok {
 		return Headroom{}, ErrBackendUnavailable
 	}
-	return h, nil
+	return Headroom{Drain: drain, Unfinished: unfinished, Capacity: 1, CapacityFrac: frac}, nil
 }
 
 // Submit implements Backend: the full host-side offload decision runs
@@ -263,71 +213,37 @@ func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 // so no completion can slip between the verdict and the registration.
 func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	var v Verdict
-	if !b.driver.Call(func() {
+	if !b.host.Call(func() {
 		wj := &workload.Job{
 			Benchmark: job.Benchmark,
 			Deadline:  job.Deadline,
 			Kernels:   job.Kernels,
 		}
-		jr := b.node.Submit(wj)
+		jr, retry := b.host.Submit(wj, job.TraceID, func(jr *cp.JobRun, e obs.JobEvent) { done(outcomeOf(jr, e)) })
 		if jr.Rejected() {
-			v = Verdict{Accepted: false, Retry: b.node.EstimateDrain()}
+			v = Verdict{Accepted: false, Retry: retry}
 			return
 		}
 		v = Verdict{Accepted: true, RemoteID: int64(wj.ID)}
-		if b.tracer != nil && job.TraceID != "" {
-			b.tracer.Assign(wj.ID, job.TraceID)
-		}
-		b.pending[wj.ID] = pendingJob{jr: jr, done: done}
 	}) {
 		return Verdict{}, ErrBackendUnavailable
 	}
 	return v, nil
 }
 
-// inprocRecorder is the backend's probe alias: terminal job events fire the
-// registered done callbacks on the driver goroutine.
-type inprocRecorder InprocBackend
-
-// Job implements obs.Probe.
-func (r *inprocRecorder) Job(e obs.JobEvent) {
-	if e.Kind != obs.JobFinish && e.Kind != obs.JobCancel {
-		return
+// outcomeOf turns a node's terminal event for jr into the gateway's report.
+func outcomeOf(jr *cp.JobRun, e obs.JobEvent) Outcome {
+	if e.Kind != obs.JobFinish {
+		return Outcome{Terminal: verify.FleetCancelled, Cause: metrics.ClassifyMiss(jr).String()}
 	}
-	p, ok := r.pending[e.Job]
-	if !ok {
-		return
+	out := Outcome{
+		Terminal: verify.FleetDone,
+		Met:      e.Met,
+		FellBack: jr.FellBack,
+		Latency:  jr.Latency(),
 	}
-	delete(r.pending, e.Job)
-	out := Outcome{Terminal: verify.FleetCancelled, Cause: metrics.ClassifyMiss(p.jr).String()}
-	if e.Kind == obs.JobFinish {
-		out = Outcome{
-			Terminal: verify.FleetDone,
-			Met:      e.Met,
-			FellBack: p.jr.FellBack,
-			Latency:  p.jr.Latency(),
-		}
-		if !e.Met {
-			out.Cause = metrics.ClassifyMiss(p.jr).String()
-		}
+	if !e.Met {
+		out.Cause = metrics.ClassifyMiss(jr).String()
 	}
-	p.done(out)
+	return out
 }
-
-// Admission implements obs.Probe.
-func (r *inprocRecorder) Admission(obs.AdmissionDecision) {}
-
-// Epoch implements obs.Probe.
-func (r *inprocRecorder) Epoch(obs.EpochSnapshot) {}
-
-// Sample implements obs.Probe.
-func (r *inprocRecorder) Sample(obs.JobSample) {}
-
-// TableRefresh implements obs.Probe.
-func (r *inprocRecorder) TableRefresh(obs.TableRefresh) {}
-
-// KernelStart implements obs.Probe.
-func (r *inprocRecorder) KernelStart(obs.KernelStart) {}
-
-// KernelDone implements obs.Probe.
-func (r *inprocRecorder) KernelDone(obs.KernelDone) {}

@@ -30,9 +30,6 @@ func NewChaosBackend(inner Backend, plan *faults.NodePlan, clock serve.Clock) *C
 // Name implements Backend.
 func (c *ChaosBackend) Name() string { return c.inner.Name() }
 
-// Plan exposes the fault plan (tests).
-func (c *ChaosBackend) Plan() *faults.NodePlan { return c.plan }
-
 // Probe implements Backend: the plan gates the call before it reaches the
 // node.
 func (c *ChaosBackend) Probe(now sim.Time) (Headroom, error) {

@@ -217,8 +217,8 @@ func submitN(t *testing.T, gw *Gateway, n int, base sim.Time) []int64 {
 
 // crashScenario runs the acceptance scenario once: 12 jobs across 3 nodes,
 // node1 crashes mid-backlog, probes detect it, failover re-dispatches, the
-// run drains to quiescence. Returns the final journal.
-func crashScenario(t *testing.T) []verify.FleetJob {
+// run drains to quiescence. Returns the final journal and retired ledger.
+func crashScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	t.Helper()
 	gw, clock := fleet(t, 3, map[int]string{1: "crash@5ms"}, 42, 1)
 	gw.TickProbes(0)
@@ -253,12 +253,12 @@ func crashScenario(t *testing.T) []verify.FleetJob {
 	if vs := gw.Check(10 * sim.Second); len(vs) != 0 {
 		t.Fatalf("no-lost-jobs violations: %v", vs)
 	}
-	checkTerminalCount(t, gw)
-	return gw.FleetJobs()
+	checkTerminalCount(t, &gw.journal)
+	return gw.FleetJobs(), gw.DrainedNodes()
 }
 
 func TestGatewayCrashFailoverLossless(t *testing.T) {
-	jobs := crashScenario(t)
+	jobs, _ := crashScenario(t)
 	redispatched := 0
 	for _, j := range jobs {
 		if !j.Accepted {
@@ -281,14 +281,18 @@ func TestGatewayCrashFailoverLossless(t *testing.T) {
 }
 
 func TestGatewayCrashFailoverDeterministic(t *testing.T) {
-	a := crashScenario(t)
-	b := crashScenario(t)
+	a, _ := crashScenario(t)
+	b, _ := crashScenario(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("reruns diverged:\n run A: %+v\n run B: %+v", a, b)
 	}
 }
 
-func TestGatewayFreezeDuplicateTerminalAndRecovery(t *testing.T) {
+// freezeScenario runs one job through a node that freezes and thaws: the job
+// fails over, the thawed node delivers its copy late, and the journal dedups
+// the second terminal. Returns the final journal and retired ledger.
+func freezeScenario(t *testing.T) ([]verify.FleetJob, []string) {
+	t.Helper()
 	gw, clock := fleet(t, 2, map[int]string{0: "freeze@5ms+20ms"}, 7, 1)
 	gw.TickProbes(0)
 	bench, _ := workload.FindBenchmark("LSTM")
@@ -329,8 +333,11 @@ func TestGatewayFreezeDuplicateTerminalAndRecovery(t *testing.T) {
 	if vs := gw.Check(sim.Second); len(vs) != 0 {
 		t.Fatalf("violations: %v", vs)
 	}
-	checkTerminalCount(t, gw)
+	checkTerminalCount(t, &gw.journal)
+	return gw.FleetJobs(), gw.DrainedNodes()
 }
+
+func TestGatewayFreezeDuplicateTerminalAndRecovery(t *testing.T) { freezeScenario(t) }
 
 func TestGatewayHTTPAndMetrics(t *testing.T) {
 	gw, clock := fleet(t, 2, nil, 3, 3)

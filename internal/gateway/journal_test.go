@@ -4,24 +4,22 @@ import (
 	"reflect"
 	"testing"
 
-	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/verify"
-	"laxgpu/internal/workload"
 )
 
 // checkTerminalCount asserts the maintained terminal counter behind
 // Fleet().Terminal equals a brute-force count over the journal.
-func checkTerminalCount(t *testing.T, gw *Gateway) {
+func checkTerminalCount(t *testing.T, j *journal) {
 	t.Helper()
 	want := 0
-	for _, fj := range gw.FleetJobs() {
+	for _, fj := range j.fleetJobs() {
 		if fj.Terminal != "" {
 			want++
 		}
 	}
-	if got := gw.Fleet().Terminal; got != want {
-		t.Fatalf("Fleet().Terminal = %d, the journal holds %d terminal entries", got, want)
+	if j.terminals != want {
+		t.Fatalf("terminal counter = %d, the journal holds %d terminal entries", j.terminals, want)
 	}
 }
 
@@ -53,32 +51,17 @@ func (j *shiftJournal) add(id int64) {
 }
 
 // TestJournalEvictionMatchesShiftOracle drives a few thousand random
-// submit/terminal interleavings through a gateway with a 64-entry journal:
-// after every step the journal's ID sequence equals the slice-shift oracle's,
-// no open entry is ever evicted, and the terminal counter stays exact — with
-// stretches where more than 64 jobs are open at once, so the still-open-head
-// fallback and the over-cap journal both run.
+// open/close interleavings through a 64-entry journal: after every step the
+// journal's ID sequence equals the slice-shift oracle's, no open entry is ever
+// evicted, and the terminal counter stays exact — with stretches where more
+// than 64 jobs are open at once, so the still-open-head fallback and the
+// over-cap journal both run.
 func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	const maxRecords = 64
-	clock := serve.NewManualClock()
-	fb := &fakeBackend{name: "node0", h: Headroom{Capacity: 1}, verdict: Verdict{Accepted: true}}
-	gw, err := New(Options{Backends: []Backend{fb}, Clock: clock, Seed: 1, MaxRecords: maxRecords})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.TickProbes(0)
-	bench, err := workload.FindBenchmark("STEM")
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	j := newJournal(maxRecords)
 	oracle := &shiftJournal{max: maxRecords, terminal: map[int64]bool{}}
 	rng := sim.NewRNG(17)
-	type openJob struct {
-		id   int64
-		done func(Outcome)
-	}
-	var open []openJob
+	var open []*entry
 	overCap := false
 	for step := 0; step < 6000; step++ {
 		// Phases of 500 steps alternate between completing eagerly and
@@ -89,46 +72,40 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 		}
 		switch {
 		case len(open) == 0 || rng.Float64() < pSubmit:
-			fb.verdict = Verdict{Accepted: rng.Float64() < 0.9}
-			id, v, _ := gw.Submit(bench, sim.Second, Standard)
-			oracle.add(id)
-			if v.Accepted {
-				open = append(open, openJob{id, fb.dones[len(fb.dones)-1]})
+			e := j.open(&Job{ID: int64(step)}, 0)
+			e.dispatches = []string{"node0"}
+			oracle.add(e.job.ID)
+			if rng.Float64() < 0.9 {
+				e.accepted = true
+				open = append(open, e)
 			} else {
-				oracle.terminal[id] = true // rejected at admission: terminal on arrival
+				j.close(e, verify.FleetRejected) // rejected at admission: terminal on arrival
+				oracle.terminal[e.job.ID] = true
 			}
-			fb.submitted, fb.dones = fb.submitted[:0], fb.dones[:0]
 		default:
 			k := rng.Intn(len(open))
 			if rng.Float64() < 0.5 {
 				k = 0 // oldest first, the common order
 			}
-			open[k].done(Outcome{Terminal: verify.FleetDone, Met: true})
-			oracle.terminal[open[k].id] = true
+			if !j.close(open[k], verify.FleetDone) {
+				t.Fatalf("step %d: first close of job %d reported a duplicate", step, open[k].job.ID)
+			}
+			oracle.terminal[open[k].job.ID] = true
 			open = append(open[:k], open[k+1:]...)
 		}
 
-		jobs := gw.FleetJobs()
+		jobs := j.fleetJobs()
 		got := make([]int64, len(jobs))
-		terminals := 0
 		for i, fj := range jobs {
 			got[i] = fj.ID
-			if fj.Terminal != "" {
-				terminals++
-			}
 		}
-		gw.mu.Lock()
-		counted := gw.terminals
-		gw.mu.Unlock()
-		if counted != terminals {
-			t.Fatalf("step %d: terminal counter %d, journal holds %d terminal entries", step, counted, terminals)
-		}
+		checkTerminalCount(t, &j)
 		if !reflect.DeepEqual(got, oracle.order) {
 			t.Fatalf("step %d: journal order diverged from the slice-shift oracle\n got %v\nwant %v", step, got, oracle.order)
 		}
-		for _, o := range open {
-			if _, ok := gw.Status(o.id); !ok {
-				t.Fatalf("step %d: open job %d was evicted", step, o.id)
+		for _, e := range open {
+			if j.entries[e.job.ID] != e {
+				t.Fatalf("step %d: open job %d was evicted", step, e.job.ID)
 			}
 		}
 		if len(got) > maxRecords {
@@ -138,11 +115,19 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	if !overCap {
 		t.Error("the open set never pushed the journal over its cap: the fallback path did not run")
 	}
-	for _, o := range open {
-		o.done(Outcome{Terminal: verify.FleetDone, Met: true})
+	for _, e := range open {
+		j.close(e, verify.FleetDone)
+		if j.close(e, verify.FleetDone) {
+			t.Fatalf("second close of job %d won", e.job.ID)
+		}
+		select {
+		case <-e.done:
+		default:
+			t.Fatalf("job %d closed without waking its waiters", e.job.ID)
+		}
 	}
-	checkTerminalCount(t, gw)
-	if vs := gw.Check(clock.Now()); len(vs) != 0 {
+	checkTerminalCount(t, &j)
+	if vs := verify.CheckFleetScaled(0, j.fleetJobs(), nil); len(vs) != 0 {
 		t.Errorf("journal violations at quiescence: %v", vs)
 	}
 }

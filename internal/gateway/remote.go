@@ -63,41 +63,41 @@ func (b *RemoteBackend) Close() {
 	}
 }
 
-// Probe implements Backend via GET /v1/headroom.
-func (b *RemoteBackend) Probe(now sim.Time) (Headroom, error) {
-	resp, err := b.client.Get(b.base + "/v1/headroom")
+// get fetches path from the node and decodes a 200 response's JSON into v.
+func (b *RemoteBackend) get(path string, v any) error {
+	resp, err := b.client.Get(b.base + path)
 	if err != nil {
-		return Headroom{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Headroom{}, fmt.Errorf("gateway: %s: headroom status %d", b.name, resp.StatusCode)
+		return fmt.Errorf("gateway: %s: GET %s: status %d", b.name, path, resp.StatusCode)
 	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// Probe implements Backend via GET /v1/headroom.
+func (b *RemoteBackend) Probe(now sim.Time) (Headroom, error) {
 	var hs serve.HeadroomStatus
-	if err := json.NewDecoder(resp.Body).Decode(&hs); err != nil {
+	if err := b.get("/v1/headroom", &hs); err != nil {
 		return Headroom{}, err
 	}
 	return Headroom{
-		Drain:      sim.Time(hs.DrainUs) * sim.Microsecond,
-		Unfinished: hs.Unfinished,
-		Capacity:   hs.Devices,
-		Draining:   hs.Draining,
+		Drain:        sim.Time(hs.DrainUs) * sim.Microsecond,
+		Unfinished:   hs.Unfinished,
+		Capacity:     hs.Devices,
+		CapacityFrac: hs.CapacityFrac,
+		Draining:     hs.Draining,
 	}, nil
 }
 
-// remoteSubmit is the POST /v1/jobs body sent to the node. The gateway has
+// Submit implements Backend: POST the job, interpret the verdict, and poll
+// the job record to its terminal state in the background. The gateway has
 // already sampled the kernel chain for its routing estimate, but laxd
 // samples its own — the node's admission decision is what matters, and the
 // benchmark name pins the workload distribution.
-type remoteSubmit struct {
-	Benchmark  string `json:"benchmark"`
-	DeadlineUs int64  `json:"deadline_us,omitempty"`
-}
-
-// Submit implements Backend: POST the job, interpret the verdict, and poll
-// the job record to its terminal state in the background.
 func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
-	body, err := json.Marshal(remoteSubmit{
+	body, err := json.Marshal(serve.JobRequest{
 		Benchmark:  job.Benchmark,
 		DeadlineUs: usOf(job.Deadline),
 	})
@@ -145,19 +145,8 @@ func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 
 // JobTrace implements TraceSource via GET /v1/jobs/{id}/trace on the node.
 func (b *RemoteBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace, bool) {
-	resp, err := b.client.Get(fmt.Sprintf("%s/v1/jobs/%d/trace", b.base, remoteID))
-	if err != nil {
-		return obs.WireTrace{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return obs.WireTrace{}, false
-	}
 	var doc obs.TraceDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return obs.WireTrace{}, false
-	}
-	if traceID != "" && doc.Trace.TraceID != traceID {
+	if b.get(fmt.Sprintf("/v1/jobs/%d/trace", remoteID), &doc) != nil || traceID != "" && doc.Trace.TraceID != traceID {
 		return obs.WireTrace{}, false
 	}
 	return doc.Trace, true
@@ -167,7 +156,7 @@ func (b *RemoteBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace,
 // fires done. If the node dies, the poll errors forever and done never
 // fires — exactly the lost completion the gateway's failover recovers.
 func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
-	url := fmt.Sprintf("%s/v1/jobs/%d", b.base, remoteID)
+	path := fmt.Sprintf("/v1/jobs/%d", remoteID)
 	t := time.NewTicker(b.Poll)
 	defer t.Stop()
 	for {
@@ -176,14 +165,8 @@ func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
 			return
 		case <-t.C:
 		}
-		resp, err := b.client.Get(url)
-		if err != nil {
-			continue
-		}
 		var st serve.JobStatus
-		decErr := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if decErr != nil || resp.StatusCode != http.StatusOK {
+		if b.get(path, &st) != nil {
 			continue
 		}
 		switch st.State {
@@ -196,12 +179,9 @@ func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
 				Cause:    st.MissCause,
 			})
 			return
-		case "cancelled":
-			done(Outcome{Terminal: verify.FleetCancelled, Cause: st.MissCause})
-			return
-		case "rejected", "dropped":
-			// Should not happen for an accepted job; treat as cancelled so
-			// the journal still closes the entry.
+		case "cancelled", "rejected", "dropped":
+			// The last two should not happen for an accepted job; treat them
+			// as cancelled so the journal still closes the entry.
 			done(Outcome{Terminal: verify.FleetCancelled, Cause: st.MissCause})
 			return
 		}

@@ -170,7 +170,7 @@ func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	if vs := gw.Check(10 * sim.Second); len(vs) != 0 {
 		t.Fatalf("violations after scale churn under chaos: %v", vs)
 	}
-	checkTerminalCount(t, gw)
+	checkTerminalCount(t, &gw.journal)
 	return gw.FleetJobs(), gw.DrainedNodes()
 }
 
@@ -254,7 +254,7 @@ func TestGatewayInprocCapacityFracTracksCURetirement(t *testing.T) {
 	// Retire half the CUs through the node's own device and re-probe.
 	var active, retired int
 	if !ib.Driver().Call(func() {
-		dev := ib.node.System().Device()
+		dev := ib.Driver().Node().System().Device()
 		dev.RetireCUs(dev.ActiveCUs() / 2)
 		active, retired = dev.ActiveCUs(), dev.RetiredCUsCount()
 	}) {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"laxgpu/internal/cp"
 	"laxgpu/internal/sim"
 )
 
@@ -61,13 +60,11 @@ type JobStatus struct {
 }
 
 // record is the server-side state behind a JobStatus. Mutable fields are
-// guarded by the owning recordTable's mutex; run is only dereferenced on the
-// driver goroutine of the owning device.
+// guarded by the owning recordTable's mutex.
 type record struct {
 	status    JobStatus
 	client    string
 	submitted time.Time
-	run       *cp.JobRun
 	done      chan struct{} // closed at the first terminal transition
 	terminal  bool
 }

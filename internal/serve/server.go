@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -91,10 +90,7 @@ type Server struct {
 	lib   *workload.Library
 	gpu   gpu.Config
 
-	nodes     []*Node
-	drivers   []*Driver
-	recorders []*recorder
-	tracers   []*obs.TraceRecorder // nil when Options.TraceDepth < 0
+	hosts []*Host // one per device
 
 	records *recordTable
 	broker  *broker
@@ -197,38 +193,24 @@ func New(opts Options) (*Server, error) {
 	}
 
 	for g := 0; g < opts.Devices; g++ {
-		rec := &recorder{srv: s, byLocal: make(map[int]*record)}
-		// A typed-nil *TraceRecorder must not reach obs.Multi (it only
-		// drops nil interfaces), so the disabled case stays out entirely.
-		probe := obs.Multi(obs.NewMetricsWithRegistry(reg), rec)
-		var tracer *obs.TraceRecorder
-		if opts.TraceDepth >= 0 {
-			tracer = obs.NewTraceRecorder(opts.TraceDepth)
-			probe = obs.Multi(probe, tracer)
-		}
-		s.tracers = append(s.tracers, tracer)
-		node, err := NewNode(NodeConfig{
+		h, err := NewHost(NodeConfig{
 			System:    sysCfg,
 			Scheduler: opts.Scheduler,
-			Probe:     probe,
 			Faults:    specs[g],
 			Seed:      opts.Seed + int64(g),
-		})
+		}, s.clock, opts.AcceptQueue, reg, opts.TraceDepth)
 		if err != nil {
 			return nil, err
 		}
-		rec.node = node
-		s.nodes = append(s.nodes, node)
-		s.recorders = append(s.recorders, rec)
-		s.drivers = append(s.drivers, NewDriver(node, s.clock, opts.AcceptQueue))
+		s.hosts = append(s.hosts, h)
 	}
 	return s, nil
 }
 
 // Start launches every device's pacing loop.
 func (s *Server) Start() {
-	for _, d := range s.drivers {
-		d.Start()
+	for _, h := range s.hosts {
+		h.Start()
 	}
 }
 
@@ -238,14 +220,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Clock returns the server's clock.
 func (s *Server) Clock() Clock { return s.clock }
 
-// Scheduler returns the configured policy name.
-func (s *Server) Scheduler() string { return s.opts.Scheduler }
-
 // Devices returns the device count.
-func (s *Server) Devices() int { return len(s.nodes) }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Devices() int { return len(s.hosts) }
 
 // Shutdown gracefully drains the server: new submissions are refused, every
 // device keeps executing until its in-flight jobs reach terminal states or
@@ -256,21 +232,21 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		var wg sync.WaitGroup
-		for _, d := range s.drivers {
+		for _, h := range s.hosts {
 			wg.Add(1)
-			go func(d *Driver) {
+			go func(h *Host) {
 				defer wg.Done()
-				d.Shutdown(s.opts.DrainGrace)
-			}(d)
+				h.Shutdown(s.opts.DrainGrace)
+			}(h)
 		}
 		go func() {
 			wg.Wait()
 			s.broker.close()
 		}()
 	}
-	for _, d := range s.drivers {
+	for _, h := range s.hosts {
 		select {
-		case <-d.Done():
+		case <-h.Done():
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -284,13 +260,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
+	mux.HandleFunc("GET /v1/jobs/{id}", JobHandler(s.records.get))
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
 	mux.HandleFunc("GET /v1/headroom", s.handleHeadroom)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", MetricsHandler(s.reg))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s.recoverPanics(mux)
 }
@@ -302,7 +278,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				s.cPanics.Inc()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -311,12 +287,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 
 // submitRequest is the POST /v1/jobs body.
 type submitRequest struct {
-	// Benchmark names one of the Table 4 workloads.
-	Benchmark string `json:"benchmark"`
-
-	// DeadlineUs optionally overrides the benchmark's relative deadline
-	// (microseconds).
-	DeadlineUs int64 `json:"deadline_us,omitempty"`
+	JobRequest
 
 	// Kernels optionally overrides the sampled kernel chain with an
 	// explicit WGList: each entry launches Count instances of Kernel.
@@ -329,13 +300,6 @@ type kernelCount struct {
 	Count  int    `json:"count"`
 }
 
-// submitOutcome carries the driver goroutine's admission verdict back to
-// the waiting handler.
-type submitOutcome struct {
-	rejected bool
-	retry    sim.Time
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.cDrainRejected.Inc()
@@ -344,19 +308,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	bench, deadline, ok := DecodeJob(w, r, &req, &req.JobRequest)
+	if !ok {
 		return
-	}
-	bench, err := workload.FindBenchmark(req.Benchmark)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	deadline := bench.Deadline
-	if req.DeadlineUs > 0 {
-		deadline = sim.Time(req.DeadlineUs) * sim.Microsecond
 	}
 
 	job := &workload.Job{Benchmark: bench.Name, Deadline: deadline}
@@ -365,7 +319,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		for _, kc := range req.Kernels {
 			desc, ok := s.lib.Find(kc.Kernel)
 			if !ok {
-				writeError(w, http.StatusBadRequest, "unknown kernel "+strconv.Quote(kc.Kernel))
+				WriteError(w, http.StatusBadRequest, "unknown kernel "+strconv.Quote(kc.Kernel))
 				return
 			}
 			n := kc.Count
@@ -373,7 +327,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				n = 1
 			}
 			if total += n; total > maxOverrideKernels {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("kernel override exceeds %d launches", maxOverrideKernels))
+				WriteError(w, http.StatusBadRequest, fmt.Sprintf("kernel override exceeds %d launches", maxOverrideKernels))
 				return
 			}
 			for i := 0; i < n; i++ {
@@ -437,16 +391,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.records.add(rec)
 	s.cSubmitted.Inc()
 
-	reply := make(chan submitOutcome, 1)
-	driver, recorder := s.drivers[dev], s.recorders[dev]
-	ok := driver.Do(func() {
-		jr := recorder.node.Submit(job)
-		rec.run = jr
-		if t := s.tracers[dev]; t != nil {
-			t.Assign(jr.Job.ID, traceID)
-		}
-		if jr.Rejected() {
-			retry := recorder.node.EstimateDrain()
+	// The verdict's bookkeeping runs on the driver goroutine, ahead of any
+	// completion the same goroutine will deliver.
+	var rejected bool
+	var retry sim.Time
+	host := s.hosts[dev]
+	ok = host.Call(func() {
+		var jr *cp.JobRun
+		jr, retry = host.Submit(job, traceID, func(jr *cp.JobRun, e obs.JobEvent) { s.completeJob(rec, jr, e) })
+		if rejected = jr.Rejected(); rejected {
 			st, _ := s.records.update(rec, func(js *JobStatus) {
 				js.State = "rejected"
 				js.Reason = ReasonAdmission
@@ -457,17 +410,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cMissCause[metrics.MissRejected.String()].Inc()
 			s.releaseClient(rec.client)
 			s.broker.publish("rejected", st)
-			reply <- submitOutcome{rejected: true, retry: retry}
 			return
 		}
-		recorder.byLocal[jr.Job.ID] = rec
 		st, _ := s.records.update(rec, func(js *JobStatus) {
 			js.State = "admitted"
 			js.Admitted = true
 		}, false)
 		s.cAdmitted.Inc()
 		s.broker.publish("admitted", st)
-		reply <- submitOutcome{}
 	})
 	if !ok {
 		s.cOverflow.Inc()
@@ -477,51 +427,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var out submitOutcome
-	select {
-	case out = <-reply:
-	case <-r.Context().Done():
-		// The client gave up; the job still runs and its record remains
-		// queryable. Nothing sensible to write.
-		return
-	}
 	st, _ := s.records.get(id)
-	if out.rejected {
-		secs := int64(out.retry/sim.Second) + 1
+	if rejected {
+		secs := int64(retry/sim.Second) + 1
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusTooManyRequests, st)
+		WriteJSON(w, http.StatusTooManyRequests, st)
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
 		select {
 		case <-rec.done:
 			st, _ = s.records.get(id)
-			writeJSON(w, http.StatusOK, st)
+			WriteJSON(w, http.StatusOK, st)
 		case <-r.Context().Done():
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job id")
-		return
-	}
-	st, ok := s.records.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	ch, cancel := s.broker.subscribe()
@@ -577,7 +505,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 			CapacityJobsPerSec: s.benchmarkCapacity(b),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // benchmarkCapacity estimates sustainable jobs per *wall* second for the
@@ -596,7 +524,7 @@ func (s *Server) benchmarkCapacity(b *workload.Benchmark) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return s.opts.Speed * float64(len(s.nodes)) * float64(sim.Second) / mean
+	return s.opts.Speed * float64(len(s.hosts)) * float64(sim.Second) / mean
 }
 
 // HeadroomStatus is the GET /v1/headroom payload: the node's live laxity
@@ -615,6 +543,12 @@ type HeadroomStatus struct {
 	// Devices is the node's GPU count.
 	Devices int `json:"devices"`
 
+	// CapacityFrac is the fraction of the node's CUs that survive retirement,
+	// in (0, 1]: the mean over its (identical) devices, so Σ active / Σ total.
+	// A gateway weighs routing by it and an autoscaler reads a shrinking
+	// fraction as capacity loss.
+	CapacityFrac float64 `json:"capacity_frac,omitempty"`
+
 	// Draining reports a node refusing new work (graceful shutdown).
 	Draining bool `json:"draining"`
 
@@ -624,34 +558,23 @@ type HeadroomStatus struct {
 
 func (s *Server) handleHeadroom(w http.ResponseWriter, r *http.Request) {
 	hs := HeadroomStatus{
-		Devices:   len(s.nodes),
+		Devices:   len(s.hosts),
 		Draining:  s.draining.Load(),
 		Scheduler: s.opts.Scheduler,
 	}
-	for g, d := range s.drivers {
-		node := s.nodes[g]
-		var drain sim.Time
-		var unfinished int
-		if !d.Call(func() {
-			drain = node.EstimateDrain()
-			unfinished = len(node.Unfinished())
-		}) {
-			// The driver is gone (drained) or its queue is saturated; either
-			// way the node has no headroom to offer right now.
-			writeError(w, http.StatusServiceUnavailable, "node is not accepting probes")
+	for _, h := range s.hosts {
+		drain, unfinished, frac, ok := h.Headroom()
+		if !ok {
+			WriteError(w, http.StatusServiceUnavailable, "node is not accepting probes")
 			return
 		}
 		if us := usOf(drain); us > hs.DrainUs {
 			hs.DrainUs = us
 		}
 		hs.Unfinished += unfinished
+		hs.CapacityFrac += frac / float64(len(s.hosts))
 	}
-	writeJSON(w, http.StatusOK, hs)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.reg.WritePrometheus(w)
+	WriteJSON(w, http.StatusOK, hs)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -659,32 +582,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    status,
 		"scheduler": s.opts.Scheduler,
-		"devices":   len(s.nodes),
+		"devices":   len(s.hosts),
 	})
 }
 
-// completeJob finalizes a record when its job reaches a terminal state.
-// Called on the owning device's driver goroutine (from the recorder probe),
-// so reading the JobRun is safe.
-func (s *Server) completeJob(rec *record, state string, met bool) {
-	jr := rec.run
-	fellBack := jr != nil && jr.FellBack
-	var latency sim.Time
+// completeJob finalizes a record when its job finishes or is cancelled.
+// Called by the Host on the owning device's driver goroutine, so reading the
+// JobRun is safe.
+func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
+	state, met := "cancelled", false
+	if e.Kind == obs.JobFinish {
+		state, met = "done", e.Met
+	}
 	cause := ""
-	if jr != nil {
-		latency = jr.Latency()
-		if !met {
-			cause = metrics.ClassifyMiss(jr).String()
-		}
+	if !met {
+		cause = metrics.ClassifyMiss(jr).String()
 	}
 	st, first := s.records.update(rec, func(js *JobStatus) {
 		js.State = state
 		js.MetDeadline = met
-		js.FellBack = fellBack
-		js.LatencyUs = usOf(latency)
+		js.FellBack = jr.FellBack
+		js.LatencyUs = usOf(jr.Latency())
 		js.MissCause = cause
 	}, true)
 	if !first {
@@ -699,7 +620,7 @@ func (s *Server) completeJob(rec *record, state string, met bool) {
 		if met {
 			s.cMet.Inc()
 		}
-		if fellBack {
+		if jr.FellBack {
 			s.cFellBack.Inc()
 		}
 	case "cancelled":
@@ -722,50 +643,6 @@ func (s *Server) releaseClient(client string) {
 	s.routeMu.Unlock()
 }
 
-// recorder is the per-device probe that maps local job IDs back to server
-// records and finalizes them on terminal transitions. All methods run on
-// the device's driver goroutine.
-type recorder struct {
-	srv     *Server
-	node    *Node
-	byLocal map[int]*record
-}
-
-// Job implements obs.Probe.
-func (r *recorder) Job(e obs.JobEvent) {
-	switch e.Kind {
-	case obs.JobFinish, obs.JobCancel:
-		rec := r.byLocal[e.Job]
-		if rec == nil {
-			return
-		}
-		delete(r.byLocal, e.Job)
-		if e.Kind == obs.JobFinish {
-			r.srv.completeJob(rec, "done", e.Met)
-		} else {
-			r.srv.completeJob(rec, "cancelled", false)
-		}
-	}
-}
-
-// Admission implements obs.Probe.
-func (r *recorder) Admission(obs.AdmissionDecision) {}
-
-// Epoch implements obs.Probe.
-func (r *recorder) Epoch(obs.EpochSnapshot) {}
-
-// Sample implements obs.Probe.
-func (r *recorder) Sample(obs.JobSample) {}
-
-// TableRefresh implements obs.Probe.
-func (r *recorder) TableRefresh(obs.TableRefresh) {}
-
-// KernelStart implements obs.Probe.
-func (r *recorder) KernelStart(obs.KernelStart) {}
-
-// KernelDone implements obs.Probe.
-func (r *recorder) KernelDone(obs.KernelDone) {}
-
 // clientKey reduces a RemoteAddr to its host, so ports (one per connection)
 // do not defeat the per-client limit.
 func clientKey(remote string) string {
@@ -773,14 +650,4 @@ func clientKey(remote string) string {
 		return host
 	}
 	return remote
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -533,3 +533,19 @@ func TestManualClockDrivesDriverDeterministically(t *testing.T) {
 		t.Fatalf("time moved backwards: %v -> %v", after, got)
 	}
 }
+
+func TestTraceListingSize(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  int // 0 = HTTP 400
+	}{
+		{"", 20}, {"?n=5", 5}, {"?n=256", 256}, {"?n=257", 256}, {"?n=65536", 256},
+		{"?n=0", 0}, {"?n=-3", 0}, {"?n=many", 0},
+	} {
+		rec := httptest.NewRecorder()
+		n, ok := TraceListingSize(rec, httptest.NewRequest("GET", "/v1/traces"+tc.query, nil))
+		if ok != (tc.want > 0) || n != tc.want || (!ok && rec.Code != http.StatusBadRequest) {
+			t.Errorf("%q: n=%d ok=%v status=%d, want n=%d", tc.query, n, ok, rec.Code, tc.want)
+		}
+	}
+}

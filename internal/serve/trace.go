@@ -14,45 +14,38 @@ import (
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job id")
+		WriteError(w, http.StatusBadRequest, "bad job id")
 		return
 	}
 	st, ok := s.records.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	if st.TraceID == "" || st.Device < 0 || st.Device >= len(s.tracers) || s.tracers[st.Device] == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled")
+	if st.TraceID == "" || st.Device < 0 || st.Device >= len(s.hosts) || s.opts.TraceDepth < 0 {
+		WriteError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
-	t, ok := s.tracers[st.Device].GetByID(st.TraceID)
+	t, ok := s.hosts[st.Device].Trace(st.TraceID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "trace not recorded (evicted or never admitted)")
+		WriteError(w, http.StatusNotFound, "trace not recorded (evicted or never admitted)")
 		return
 	}
 	wire := t.Wire(s.opts.Name)
 	wire.Job = strconv.FormatInt(st.ID, 10) // server-wide ID, not the node-local one
-	writeJSON(w, http.StatusOK, obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)})
+	WriteJSON(w, http.StatusOK, obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)})
 }
 
 // handleTraces serves GET /v1/traces?n=K: the newest K finished traces
 // across every device (default 20), newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := 20
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "bad n")
-			return
-		}
-		n = v
+	n, ok := TraceListingSize(w, r)
+	if !ok {
+		return
 	}
 	var all []obs.JobTrace
-	for _, t := range s.tracers {
-		if t != nil {
-			all = append(all, t.Recent(n)...)
-		}
+	for _, h := range s.hosts {
+		all = append(all, h.RecentTraces(n)...)
 	}
 	// Devices share one clock, so finish instants are comparable.
 	sort.Slice(all, func(i, j int) bool { return all[i].Finish > all[j].Finish })
@@ -64,5 +57,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		wire := t.Wire(s.opts.Name)
 		docs = append(docs, obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)})
 	}
-	writeJSON(w, http.StatusOK, docs)
+	WriteJSON(w, http.StatusOK, docs)
 }
