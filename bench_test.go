@@ -334,9 +334,10 @@ func TestNoProbeHotPathAllocationFree(t *testing.T) {
 
 // TestUntracedFullRunAllocationGuard pins the tracing plane's cost-when-off
 // guarantee end to end: a complete 128-job LSTM run with no probe (and hence
-// no TraceRecorder) attached must stay within noise of the FullRun
-// allocs_per_run recorded in BENCH_7.json before the tracing plane existed.
-// A regression here means span recording leaked into the untraced path.
+// no TraceRecorder) attached must stay within noise of the measured
+// allocation count of that run — the figure the benchmark's per-layer metric
+// cp.full_run_allocs reports (bench/probes.go times the same run). A
+// regression here means span recording leaked into the untraced path.
 func TestUntracedFullRunAllocationGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -351,7 +352,10 @@ func TestUntracedFullRunAllocationGuard(t *testing.T) {
 		sys := cp.NewSystem(cp.DefaultSystemConfig(), set, sched.NewLAX())
 		sys.Run()
 	})
-	const baseline = 23812 // BENCH_7.json FullRun allocs_per_run
+	// cp.full_run_allocs as measured on this tree (testing.AllocsPerRun of the
+	// run above); re-pin from that metric when the simulator's allocation
+	// profile moves on purpose.
+	const baseline = 23122
 	if allocs > baseline*1.10 {
 		t.Errorf("untraced full run allocates %.0f, want <= %.0f (baseline %d +10%%)",
 			allocs, baseline*1.10, int(baseline))
@@ -362,7 +366,7 @@ func TestUntracedFullRunAllocationGuard(t *testing.T) {
 // a warm job table, an Algorithm 2 pass — the first pass drains the dirty
 // set, every subsequent pass at the same instant is the all-clean epoch —
 // heap-allocates nothing. This is the steady-state guarantee behind the
-// LAXReprioritize numbers in BENCH_*.json.
+// sched.lax_reprioritize_ns per-layer metric.
 func TestLAXReprioritizeAllocationFree(t *testing.T) {
 	lib := workload.NewLibrary(gpu.DefaultConfig())
 	bench, err := workload.FindBenchmark("LSTM")

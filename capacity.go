@@ -3,7 +3,6 @@ package laxgpu
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/harness"
@@ -67,9 +66,9 @@ func FindCapacity(o CapacityOptions) (CapacityResult, error) {
 	var bench *workload.Benchmark
 	var peak *scenario.Spec
 	if o.Scenario != "" {
-		sc, err := loadScenario(o.Scenario)
+		sc, err := scenario.Load(o.Scenario)
 		if err != nil {
-			return CapacityResult{}, err
+			return CapacityResult{}, fmt.Errorf("laxgpu: %w", err)
 		}
 		peak = sc
 	} else {
@@ -140,21 +139,6 @@ func FindCapacity(o CapacityOptions) (CapacityResult, error) {
 		return CapacityResult{}, err
 	}
 	return CapacityResult{JobsPerSecond: lo, MetFracAtCapacity: final}, nil
-}
-
-// loadScenario resolves CapacityOptions.Scenario: a builtin scenario name
-// first, then a path to a scenario JSON file.
-func loadScenario(name string) (*scenario.Spec, error) {
-	if sc, err := scenario.Builtin(name); err == nil {
-		return sc, nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("laxgpu: scenario %q is neither a builtin (%v) nor a readable file: %w",
-			name, scenario.BuiltinNames(), err)
-	}
-	defer f.Close()
-	return scenario.Parse(f)
 }
 
 // String renders the result for logs.

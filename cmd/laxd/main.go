@@ -25,8 +25,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,22 +38,31 @@ import (
 	"laxgpu"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is the whole command behind a testable seam: flags in, exit code out.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		scheduler = flag.String("scheduler", "LAX", "queue scheduling policy (see laxsim -list or GET /v1/benchmarks)")
-		gpus      = flag.Int("gpus", 1, "simulated GPU count behind the frontend")
-		routing   = flag.String("routing", "least-loaded", "device routing: round-robin, least-loaded or job-hash")
-		speed     = flag.Float64("speed", 1, "simulated seconds per wall second (1 = real time)")
-		queue     = flag.Int("queue", 64, "per-device accept queue depth (full = HTTP 503)")
-		perClient = flag.Int("max-per-client", 64, "max in-flight jobs per client address (exceeded = HTTP 429)")
-		drain     = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace before forcing CPU fallback")
-		faults    = flag.String("faults", "", "per-device fault specs, ';'-separated (e.g. \"retire=4@2s;abort=0.05\")")
-		seed      = flag.Int64("seed", 1, "seed for fault plans and the benchmark sampler")
-		name      = flag.String("name", "laxd", "node name stamped on trace spans (distinct per daemon behind laxgw)")
-		traceDeep = flag.Int("trace-depth", 0, "finished-trace ring depth per device (0 = 256, negative disables tracing)")
+		addr      = fs.String("addr", ":8080", "HTTP listen address")
+		scheduler = fs.String("scheduler", "LAX", "queue scheduling policy (see laxsim -list or GET /v1/benchmarks)")
+		gpus      = fs.Int("gpus", 1, "simulated GPU count behind the frontend")
+		routing   = fs.String("routing", "least-loaded", "device routing: round-robin, least-loaded or job-hash")
+		speed     = fs.Float64("speed", 1, "simulated seconds per wall second (1 = real time)")
+		queue     = fs.Int("queue", 64, "per-device accept queue depth (full = HTTP 503)")
+		perClient = fs.Int("max-per-client", 64, "max in-flight jobs per client address (exceeded = HTTP 429)")
+		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown grace before forcing CPU fallback")
+		faults    = fs.String("faults", "", "per-device fault specs, ';'-separated (e.g. \"retire=4@2s;abort=0.05\")")
+		seed      = fs.Int64("seed", 1, "seed for fault plans and the benchmark sampler")
+		name      = fs.String("name", "laxd", "node name stamped on trace spans (distinct per daemon behind laxgw)")
+		traceDeep = fs.Int("trace-depth", 0, "finished-trace ring depth per device (0 = 256, negative disables tracing)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	var specs []string
 	if *faults != "" {
@@ -76,21 +87,22 @@ func main() {
 		TraceDepth:   *traceDeep,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "laxd:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "laxd:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "laxd: serving on %s (%s, %d device(s), %s routing, speed %gx)\n",
+	fmt.Fprintf(stderr, "laxd: serving on %s (%s, %d device(s), %s routing, speed %gx)\n",
 		srv.Addr(), *scheduler, *gpus, *routing, *speed)
 
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
-	fmt.Fprintln(os.Stderr, "laxd: draining...")
+	fmt.Fprintln(stderr, "laxd: draining...")
 
 	sctx, cancel := context.WithTimeout(context.Background(), *drain+10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
-		fmt.Fprintln(os.Stderr, "laxd: shutdown:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "laxd: shutdown:", err)
+		return 1
 	}
-	fmt.Fprintln(os.Stderr, "laxd: drained, bye")
+	fmt.Fprintln(stderr, "laxd: drained, bye")
+	return 0
 }

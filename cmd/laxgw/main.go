@@ -1,9 +1,7 @@
 // Command laxgw runs the fleet gateway: one HTTP front tier multiplexing
 // arrivals across N serving nodes, routing each job to the node reporting
 // the most laxity headroom, health-checking nodes with per-node circuit
-// breakers, and journaling every accepted job so node death never loses one
-// (unfinished jobs of a dead node re-dispatch to survivors or finish on the
-// CPU fallback).
+// breakers, and journaling every accepted job so node death never loses one.
 //
 // Usage:
 //
@@ -11,7 +9,6 @@
 //	laxgw -gpus 5 -scheduler EDF            # bigger in-process fleet
 //	laxgw -nodes http://a:8080,http://b:8080  # front real laxd daemons
 //	laxgw -chaos "crash@5s;;netdrop=0.1"    # per-node chaos, ';'-separated
-//	laxgw -probe-interval 50ms -fail-threshold 3
 //	laxgw -perfetto fleet.json              # export fleet events + traces at shutdown
 //	laxgw -autoscale reactive -min-nodes 1 -max-nodes 4 -node-rate 2000
 //	laxgw -autoscale predictive -scale-forecast examples/scenarios/diurnal.json
@@ -22,15 +19,12 @@
 // slack attribution), GET /v1/fleet (per-node breaker states and the live
 // no-lost-jobs verdict), GET /metrics, GET /healthz.
 //
-// -autoscale turns the in-process fleet elastic: a control loop analyzes
-// saturation every -scale-interval and grows or drains nodes between
-// -min-nodes and -max-nodes, with -scale-lag of modeled provisioning delay
-// before a new node turns routable. The reactive policy scales on observed
-// damage (admission rejects, deadline misses); predictive sizes the fleet
-// from the observed rate — and, with -scale-forecast, from a scenario's
-// published rate schedule one lag ahead. Progress is visible as the
-// laxgw_autoscale_* metric family and scale-up/drain instants on the fleet
-// timeline.
+// -autoscale turns the in-process fleet elastic: every -scale-interval a
+// control loop grows or drains nodes between -min-nodes and -max-nodes, a new
+// node turning routable -scale-lag after the decision. reactive scales on
+// observed damage (rejects, deadline misses); predictive sizes the fleet
+// from the observed rate and, with -scale-forecast, from a scenario's rate
+// schedule one lag ahead. See the laxgw_autoscale_* metrics.
 //
 // SIGINT/SIGTERM drains: new submissions get 503, in-process nodes finish
 // their in-flight jobs (CPU fallback after the grace), then the process
@@ -39,19 +33,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"laxgpu/internal/autoscale"
-	"laxgpu/internal/faults"
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/serve"
@@ -59,263 +52,149 @@ import (
 	"laxgpu/internal/workload/scenario"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8090", "HTTP listen address")
-		nodes     = flag.String("nodes", "", "comma-separated laxd base URLs to front (empty = in-process fleet)")
-		gpus      = flag.Int("gpus", 3, "in-process node count (one simulated GPU each; ignored with -nodes)")
-		scheduler = flag.String("scheduler", "LAX", "queue policy for in-process nodes")
-		speed     = flag.Float64("speed", 1, "simulated seconds per wall second for in-process nodes")
-		queue     = flag.Int("queue", 64, "per-node accept queue depth (in-process)")
-		chaos     = flag.String("chaos", "", "per-node chaos specs, ';'-separated (crash@D, freeze@D+W, netdelay=D, netdrop=P)")
-		probeIv   = flag.Duration("probe-interval", 50*time.Millisecond, "wall interval between health-probe rounds")
-		failThr   = flag.Int("fail-threshold", 3, "consecutive probe failures that open a node's breaker")
-		backoff   = flag.Duration("probe-backoff", 100*time.Millisecond, "initial breaker backoff between recovery probes (simulated)")
-		drain     = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace before forcing CPU fallback (in-process)")
-		seed      = flag.Int64("seed", 1, "seed for chaos plans and the benchmark sampler")
-		perfetto  = flag.String("perfetto", "", "write fleet events and recent job traces as Perfetto JSON to this file at shutdown")
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-		autoPol  = flag.String("autoscale", "", "fleet autoscaling policy: reactive | predictive (empty = fixed fleet; in-process nodes only)")
-		scaleLag = flag.Duration("scale-lag", 500*time.Millisecond, "modeled provisioning lag before a scale-up turns routable (wall; scaled by -speed like the clock)")
-		scaleIv  = flag.Duration("scale-interval", 50*time.Millisecond, "wall interval between autoscaler control ticks")
-		minNodes = flag.Int("min-nodes", 1, "autoscaler floor: drains never shrink the fleet below this")
-		maxNodes = flag.Int("max-nodes", 8, "autoscaler ceiling: scale-ups never grow active+pending nodes beyond this")
-		nodeRate = flag.Float64("node-rate", 2000, "calibrated per-node sustainable throughput for the saturation analyzer (jobs per simulated second)")
-		scaleFc  = flag.String("scale-forecast", "", "scenario file whose rate schedule the predictive policy reads one provisioning lag ahead")
-	)
-	flag.Parse()
-
-	clock := serve.NewWallClock(*speed)
-	reg := obs.NewRegistry()
-
-	var specs []string
-	if *chaos != "" {
-		specs = strings.Split(*chaos, ";")
-	}
-
-	// Every in-process node, initial or grown by the autoscaler, comes from
-	// here; k numbers them so each draws its own fault/sampler seed.
-	mkNode := func(name string, k int) (*gateway.InprocBackend, error) {
-		return gateway.NewInprocBackend(gateway.InprocConfig{
-			Name:        name,
-			Node:        serve.NodeConfig{Scheduler: *scheduler, Seed: *seed + int64(k)},
-			Clock:       clock,
-			AcceptQueue: *queue,
-			Registry:    reg,
-		})
-	}
-
-	var backends []gateway.Backend
-	var closers []func()
-	if *nodes != "" {
-		for i, u := range strings.Split(*nodes, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			rb := gateway.NewRemoteBackend(fmt.Sprintf("node%d", i), u, nil)
-			closers = append(closers, rb.Close)
-			backends = append(backends, rb)
-		}
-	} else {
-		if *gpus < 1 {
-			*gpus = 1
-		}
-		for g := 0; g < *gpus; g++ {
-			ib, err := mkNode(fmt.Sprintf("node%d", g), g)
-			if err != nil {
-				fatal(err)
-			}
-			backends = append(backends, ib)
-		}
-	}
-	if len(specs) > len(backends) {
-		fatal(fmt.Errorf("%d chaos specs for %d nodes", len(specs), len(backends)))
-	}
-	for g, spec := range specs {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		ns, err := faults.ParseNodeSpec(spec)
-		if err != nil {
-			fatal(err)
-		}
-		backends[g] = gateway.NewChaosBackend(backends[g], faults.NewNodePlan(ns, *seed+int64(g)), clock)
-	}
-
-	gw, err := gateway.New(gateway.Options{
-		Backends:      backends,
-		Clock:         clock,
-		Registry:      reg,
-		FailThreshold: *failThr,
-		ProbeBackoff:  sim.FromDuration(time.Duration(float64(*backoff) * *speed)),
-		Seed:          *seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	// Elastic fleet: the controller analyzes saturation on a wall ticker and
-	// grows/drains in-process nodes. The node factory mints simulated nodes,
-	// so autoscaling and remote -nodes don't combine.
-	var ctrl *autoscale.Controller
-	if *autoPol != "" {
-		if *nodes != "" {
-			fatal(fmt.Errorf("-autoscale scales in-process nodes only and does not combine with -nodes"))
-		}
-		var pol autoscale.Policy
-		switch *autoPol {
-		case "reactive":
-			pol = &autoscale.Reactive{}
-		case "predictive":
-			pol = &autoscale.Predictive{}
-		default:
-			fatal(fmt.Errorf("unknown -autoscale policy %q (want reactive or predictive)", *autoPol))
-		}
-		var fc autoscale.Forecast
-		if *scaleFc != "" {
-			f, err := os.Open(*scaleFc)
-			if err != nil {
-				fatal(err)
-			}
-			spec, err := scenario.Parse(f)
-			f.Close()
-			if err != nil {
-				fatal(fmt.Errorf("-scale-forecast %s: %w", *scaleFc, err))
-			}
-			fc = spec
-		}
-		grown := len(backends)
-		ctrl, err = autoscale.New(autoscale.Options{
-			Gateway:  gw,
-			Policy:   pol,
-			Forecast: fc,
-			Config: autoscale.Config{
-				NodeRate: *nodeRate,
-				Lag:      sim.FromDuration(time.Duration(float64(*scaleLag) * *speed)),
-				MinNodes: *minNodes,
-				MaxNodes: *maxNodes,
-			},
-			Factory: func(name string) (gateway.Backend, error) {
-				grown++
-				return mkNode(name, grown)
-			},
-			OnRetire: func(name string, be gateway.Backend) {
-				// A drained node's simulation can stop as soon as the
-				// gateway retires it; don't stall the control tick on it.
-				if ib, ok := be.(*gateway.InprocBackend); ok {
-					go ib.Shutdown(time.Second)
-				}
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	hs := &http.Server{Handler: gw.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-
-	// Prime the health view before announcing readiness, so the first
-	// arrival routes on real headroom instead of zeros.
-	gw.TickProbes(clock.Now())
-	stopProber := gw.StartProber(*probeIv)
-
-	// The autoscaler shares the prober's pattern: one goroutine, one ticker,
-	// explicit Tick instants off the shared clock.
-	stopScale := func() {}
-	if ctrl != nil {
-		ctrl.Tick(clock.Now())
-		tick := time.NewTicker(*scaleIv)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					ctrl.Tick(clock.Now())
-				}
-			}
-		}()
-		stopScale = func() { tick.Stop(); close(done); wg.Wait() }
-	}
-
-	mode := "in-process"
-	if *nodes != "" {
-		mode = "remote"
-	}
-	fmt.Fprintf(os.Stderr, "laxgw: serving on %s (%d %s node(s), %s, speed %gx, probe %v, threshold %d)\n",
-		ln.Addr(), len(backends), mode, *scheduler, *speed, *probeIv, *failThr)
-	if ctrl != nil {
-		fmt.Fprintf(os.Stderr, "laxgw: autoscale %s (%d..%d nodes, lag %v, tick %v, node-rate %g jobs/s)\n",
-			*autoPol, *minNodes, *maxNodes, *scaleLag, *scaleIv, *nodeRate)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	fmt.Fprintln(os.Stderr, "laxgw: draining...")
-
-	stopScale()
-	stopProber()
-	sctx, cancel := context.WithTimeout(context.Background(), *drain+10*time.Second)
-	defer cancel()
-	if err := gw.Shutdown(sctx, *drain); err != nil {
-		fmt.Fprintln(os.Stderr, "laxgw: shutdown:", err)
-		os.Exit(1)
-	}
-	_ = hs.Shutdown(sctx)
-	for _, c := range closers {
-		c()
-	}
-	if *perfetto != "" {
-		if err := writePerfetto(gw, *perfetto); err != nil {
-			fmt.Fprintln(os.Stderr, "laxgw: perfetto export:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "laxgw: wrote Perfetto trace to %s\n", *perfetto)
-	}
-	fmt.Fprintln(os.Stderr, "laxgw: drained, bye")
+// options is the command line.
+type options struct {
+	addr, nodes, scheduler, chaos, perfetto, autoscale, forecast string
+	gpus, queue, failThreshold, minNodes, maxNodes               int
+	speed, nodeRate                                              float64
+	probeEvery, backoff, drain, scaleLag, scaleEvery             time.Duration
+	seed                                                         int64
 }
 
-// writePerfetto exports the gateway's fleet events (breaker transitions,
-// failover re-dispatches, CPU fallbacks) and the stitched traces of the most
-// recent terminal jobs as Chrome trace-event JSON for ui.perfetto.dev.
-func writePerfetto(gw *gateway.Gateway, path string) error {
-	p := obs.NewPerfetto()
-	p.AddFleetEvents(gw.FleetEvents())
-	jobs := gw.FleetJobs()
-	const maxTraces = 64
-	if len(jobs) > maxTraces {
-		jobs = jobs[len(jobs)-maxTraces:]
+// run is the whole command behind a testable seam: flags in, exit code out.
+func run(args []string, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8090", "HTTP listen address")
+	fs.StringVar(&o.nodes, "nodes", "", "comma-separated laxd base URLs to front (empty = in-process fleet)")
+	fs.IntVar(&o.gpus, "gpus", 3, "in-process node count (one simulated GPU each; ignored with -nodes)")
+	fs.StringVar(&o.scheduler, "scheduler", "LAX", "queue policy for in-process nodes")
+	fs.Float64Var(&o.speed, "speed", 1, "simulated seconds per wall second for in-process nodes")
+	fs.IntVar(&o.queue, "queue", 64, "per-node accept queue depth (in-process)")
+	fs.StringVar(&o.chaos, "chaos", "", "per-node chaos specs, ';'-separated (crash@D, freeze@D+W, netdelay=D, netdrop=P)")
+	fs.DurationVar(&o.probeEvery, "probe-interval", 50*time.Millisecond, "wall interval between health-probe rounds")
+	fs.IntVar(&o.failThreshold, "fail-threshold", 3, "consecutive probe failures that open a node's breaker")
+	fs.DurationVar(&o.backoff, "probe-backoff", 100*time.Millisecond, "initial breaker backoff between recovery probes (simulated)")
+	fs.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown grace before forcing CPU fallback (in-process)")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for chaos plans and the benchmark sampler")
+	fs.StringVar(&o.perfetto, "perfetto", "", "write fleet events and recent job traces as Perfetto JSON to this file at shutdown")
+	fs.StringVar(&o.autoscale, "autoscale", "", "fleet autoscaling policy: reactive | predictive (empty = fixed fleet; in-process nodes only)")
+	fs.DurationVar(&o.scaleLag, "scale-lag", 500*time.Millisecond, "modeled provisioning lag before a scale-up turns routable (wall; scaled by -speed like the clock)")
+	fs.DurationVar(&o.scaleEvery, "scale-interval", 50*time.Millisecond, "wall interval between autoscaler control ticks")
+	fs.IntVar(&o.minNodes, "min-nodes", 1, "autoscaler floor: drains never shrink the fleet below this")
+	fs.IntVar(&o.maxNodes, "max-nodes", 8, "autoscaler ceiling: scale-ups never grow active+pending nodes beyond this")
+	fs.Float64Var(&o.nodeRate, "node-rate", 2000, "calibrated per-node sustainable throughput for the saturation analyzer (jobs per simulated second)")
+	fs.StringVar(&o.forecast, "scale-forecast", "", "scenario file whose rate schedule the predictive policy reads one provisioning lag ahead")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	for _, fj := range jobs {
-		if fj.Terminal == "" {
-			continue
+	if err := serveFleet(o, stderr); err != nil {
+		fmt.Fprintln(stderr, "laxgw:", err)
+		return 1
+	}
+	return 0
+}
+
+// build assembles the fleet (gateway.NewFleet) and, with -autoscale, its
+// controller (autoscale.ForPolicy; nil otherwise).
+func build(o options) (*gateway.Gateway, *autoscale.Controller, func(), error) {
+	var forecast autoscale.Forecast
+	if o.autoscale != "" {
+		if o.nodes != "" {
+			return nil, nil, nil, errors.New("-autoscale scales in-process nodes only and does not combine with -nodes")
 		}
-		if doc, ok := gw.StitchedTrace(fj.ID); ok {
-			p.AddWireTrace(doc.Trace)
+		if o.forecast != "" {
+			spec, err := scenario.Load(o.forecast)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("-scale-forecast: %w", err)
+			}
+			forecast = spec
 		}
 	}
-	f, err := os.Create(path)
+	reg := obs.NewRegistry()
+	simulated := func(wall time.Duration) sim.Time { return sim.FromDuration(time.Duration(float64(wall) * o.speed)) }
+	gw, grow, closeFleet, err := gateway.NewFleet(o.gpus, o.nodes, gateway.InprocConfig{
+		Node:        serve.NodeConfig{Scheduler: o.scheduler, Seed: o.seed},
+		AcceptQueue: o.queue,
+		Registry:    reg,
+	}, o.chaos, gateway.Options{
+		Clock:         serve.NewWallClock(o.speed),
+		Registry:      reg,
+		FailThreshold: o.failThreshold,
+		ProbeBackoff:  simulated(o.backoff),
+		Seed:          o.seed,
+	})
+	if err != nil || o.autoscale == "" {
+		return gw, nil, closeFleet, err
+	}
+	ctrl, err := autoscale.ForPolicy(o.autoscale, autoscale.Options{
+		Gateway:  gw,
+		Forecast: forecast,
+		Config:   autoscale.Config{NodeRate: o.nodeRate, Lag: simulated(o.scaleLag), MinNodes: o.minNodes, MaxNodes: o.maxNodes},
+		Factory:  grow,
+		// A drained node's simulation can stop as soon as the gateway
+		// retires it; don't stall the control tick on it.
+		OnRetire: func(_ string, be gateway.Backend) { go be.(*gateway.InprocBackend).Shutdown(time.Second) },
+	})
+	if err != nil {
+		closeFleet()
+		return nil, nil, nil, fmt.Errorf("-autoscale: %w", err)
+	}
+	return gw, ctrl, closeFleet, nil
+}
+
+// serveFleet builds the fleet, serves it until SIGINT/SIGTERM and drains it.
+func serveFleet(o options, stderr io.Writer) error {
+	gw, ctrl, closeFleet, err := build(o)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return p.Write(f)
-}
+	defer closeFleet()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	hs := &http.Server{Handler: gw.Handler()}
+	go func() { _ = hs.Serve(ln) }() // returns ErrServerClosed at hs.Shutdown below
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "laxgw:", err)
-	os.Exit(1)
+	// Prime the health view before announcing readiness, so the first
+	// arrival routes on real headroom instead of zeros.
+	gw.TickProbes(gw.Clock().Now())
+	loops := []func(){gw.StartProber(o.probeEvery)}
+	mode := map[bool]string{false: "in-process", true: "remote"}[o.nodes != ""]
+	fmt.Fprintf(stderr, "laxgw: serving on %s (%d %s node(s), %s, speed %gx, probe %v, threshold %d)\n",
+		ln.Addr(), len(gw.Backends()), mode, o.scheduler, o.speed, o.probeEvery, o.failThreshold)
+	if ctrl != nil {
+		loops = append(loops, ctrl.Start(o.scaleEvery))
+		fmt.Fprintf(stderr, "laxgw: autoscale %s (%d..%d nodes, lag %v, tick %v, node-rate %g jobs/s)\n",
+			o.autoscale, o.minNodes, o.maxNodes, o.scaleLag, o.scaleEvery, o.nodeRate)
+	}
+
+	<-ctx.Done()
+	stop() // restore default signal handling: a second signal kills hard
+	fmt.Fprintln(stderr, "laxgw: draining...")
+	for _, stopLoop := range loops {
+		stopLoop()
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), o.drain+10*time.Second)
+	defer cancel()
+	if err := gw.Shutdown(sctx, o.drain); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	_ = hs.Shutdown(sctx) // best effort: every job is already terminal
+	if o.perfetto != "" {
+		if err := gw.Perfetto().WriteFile(o.perfetto); err != nil {
+			return fmt.Errorf("perfetto export: %w", err)
+		}
+		fmt.Fprintf(stderr, "laxgw: wrote Perfetto trace to %s\n", o.perfetto)
+	}
+	fmt.Fprintln(stderr, "laxgw: drained, bye")
+	return nil
 }

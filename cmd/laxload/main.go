@@ -315,14 +315,9 @@ func main() {
 // sheds exactly the classes the scenario declares. seedOverride, when
 // non-zero, replaces the file's committed seed.
 func replayScenario(base, path string, seedOverride int64, speed float64, planOnly bool) error {
-	f, err := os.Open(path)
+	spec, err := scenario.Load(path)
 	if err != nil {
 		return err
-	}
-	spec, err := scenario.Parse(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	// The trace must match the simulator's expansion bit for bit, so the
 	// kernel library is calibrated for the same default device.

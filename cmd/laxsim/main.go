@@ -324,14 +324,9 @@ func runObserved(ctx context.Context, out io.Writer, r *harness.Runner, cell har
 // scheduler with the single-run observers and a per-cohort breakdown.
 // seedOverride, when non-zero, replaces the file's committed seed.
 func runScenario(ctx context.Context, r *harness.Runner, path, schedName string, seedOverride int64, record, csvPath string, o obsOptions) error {
-	f, err := os.Open(path)
+	spec, err := scenario.Load(path)
 	if err != nil {
 		return err
-	}
-	spec, err := scenario.Parse(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	label, err := r.InstallScenario(spec, seedOverride)
 	if err != nil {

@@ -79,17 +79,8 @@ func run(args []string, out io.Writer) int {
 		for _, d := range docs {
 			p.AddWireTrace(d.Trace)
 		}
-		f, err := os.Create(*perfetto)
-		if err != nil {
+		if err := p.WriteFile(*perfetto); err != nil {
 			fmt.Fprintln(os.Stderr, "laxtrace:", err)
-			return 1
-		}
-		werr := p.Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "laxtrace:", werr)
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "laxtrace: wrote Perfetto trace to %s\n", *perfetto)

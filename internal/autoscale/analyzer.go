@@ -30,10 +30,6 @@ type Config struct {
 	// for a scenario's peak phase) to the fleet model. Required > 0.
 	NodeRate float64
 
-	// TargetMet is the deadline-met objective the knee is computed against
-	// (default 0.95).
-	TargetMet float64
-
 	// Lag is the modeled provisioning delay: a ScaleUp decided at t serves
 	// its first job at t+Lag (default 10ms of simulated time).
 	Lag sim.Time
@@ -42,25 +38,22 @@ type Config struct {
 	// count toward neither.
 	MinNodes, MaxNodes int
 
-	// Alpha is the EMA smoothing factor for the observed arrival rate in
-	// (0, 1]; higher tracks faster (default 0.5).
-	Alpha float64
-
 	// DrainPatience is how many consecutive ticks the analyzer must deem a
-	// smaller fleet sufficient before a policy drains a node (default 3) —
-	// the anti-flap guard.
+	// smaller fleet sufficient before a policy built by ForPolicy drains a
+	// node (default 3) — the anti-flap guard.
 	DrainPatience int
-
-	// NamePrefix names nodes the controller grows (default "scale", so
-	// nodes are "scale0", "scale1", ...).
-	NamePrefix string
 }
+
+const (
+	// targetMet is the deadline-met objective the knee is computed against.
+	targetMet = 0.95
+
+	// rateAlpha is the EMA smoothing factor for the observed arrival rate.
+	rateAlpha = 0.5
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.TargetMet <= 0 || c.TargetMet >= 1 {
-		c.TargetMet = 0.95
-	}
 	if c.Lag <= 0 {
 		c.Lag = 10 * sim.Millisecond
 	}
@@ -70,14 +63,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxNodes < c.MinNodes {
 		c.MaxNodes = c.MinNodes + 7
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
 	if c.DrainPatience < 1 {
 		c.DrainPatience = 3
-	}
-	if c.NamePrefix == "" {
-		c.NamePrefix = "scale"
 	}
 	return c
 }
@@ -194,7 +181,7 @@ func (a *analyzer) analyze(now sim.Time, st gateway.Stats, loads []gateway.NodeL
 	if a.havePrev && now > a.prevAt {
 		dt := (now - a.prevAt).Seconds()
 		inst := float64(st.Submitted-a.prev.Submitted) / dt
-		a.rate = a.cfg.Alpha*inst + (1-a.cfg.Alpha)*a.rate
+		a.rate = rateAlpha*inst + (1-rateAlpha)*a.rate
 		an.RejectDelta = (st.Rejected + st.Shed + st.Unhealthy) -
 			(a.prev.Rejected + a.prev.Shed + a.prev.Unhealthy)
 		an.MissDelta = st.Missed - a.prev.Missed
@@ -308,7 +295,7 @@ func (a *analyzer) kneeRate(fracSum float64, deadline sim.Time) float64 {
 	lo, hi := 0.0, a.cfg.NodeRate*fracSum // capacity bounds the stable region
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if a.predictMet(mid, fracSum, deadline) >= a.cfg.TargetMet {
+		if a.predictMet(mid, fracSum, deadline) >= targetMet {
 			lo = mid
 		} else {
 			hi = mid
@@ -328,7 +315,7 @@ func (a *analyzer) kneeNodes(rate float64, deadline sim.Time) int {
 		return a.cfg.MinNodes
 	}
 	for n := a.cfg.MinNodes; n <= a.cfg.MaxNodes; n++ {
-		if a.predictMet(rate, float64(n), deadline) >= a.cfg.TargetMet {
+		if a.predictMet(rate, float64(n), deadline) >= targetMet {
 			return n
 		}
 	}

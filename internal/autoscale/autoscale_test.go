@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/serve"
@@ -55,11 +54,11 @@ func TestKneeRateWithinCapacity(t *testing.T) {
 		t.Fatalf("kneeRate = %g, want in (0, 4000)", knee)
 	}
 	// At the knee the target is met; 10%% past it, it is not.
-	if met := a.predictMet(knee*0.999, 4, 5*sim.Millisecond); met < a.cfg.TargetMet-1e-6 {
-		t.Errorf("met just below knee = %g < target %g", met, a.cfg.TargetMet)
+	if met := a.predictMet(knee*0.999, 4, 5*sim.Millisecond); met < targetMet-1e-6 {
+		t.Errorf("met just below knee = %g < target %g", met, targetMet)
 	}
-	if met := a.predictMet(knee*1.1, 4, 5*sim.Millisecond); met >= a.cfg.TargetMet {
-		t.Errorf("met 10%% past knee = %g, want < target %g", met, a.cfg.TargetMet)
+	if met := a.predictMet(knee*1.1, 4, 5*sim.Millisecond); met >= targetMet {
+		t.Errorf("met 10%% past knee = %g, want < target %g", met, targetMet)
 	}
 }
 
@@ -200,6 +199,20 @@ func (f stepForecast) RateAt(t sim.Time) float64 {
 	return f.low
 }
 
+// oneNodeFleet is the recipe's one-node in-process LAX fleet on a manual
+// clock, with the node factory controllers grow it by.
+func oneNodeFleet(t *testing.T, seed int64) (*gateway.Gateway, *serve.ManualClock, Factory) {
+	t.Helper()
+	clock := serve.NewManualClock()
+	gw, grow, closeFleet, err := gateway.NewFleet(1, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
+		gateway.Options{Clock: clock, Seed: seed, FailThreshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(closeFleet)
+	return gw, clock, grow
+}
+
 // lifecycleRun is one deterministic predictive-controller run's summary.
 type lifecycleRun struct {
 	ScaleUps, Drains int
@@ -213,21 +226,7 @@ type lifecycleRun struct {
 // [20ms, 50ms), predictive policy with 10ms lag. Ticks every 1ms to 60ms.
 func runLifecycle(t *testing.T) lifecycleRun {
 	t.Helper()
-	clock := serve.NewManualClock()
-	ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-		Name: "node0", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
-	gw, err := gateway.New(gateway.Options{
-		Backends: []gateway.Backend{ib}, Clock: clock, Seed: 7, FailThreshold: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	gw, _, grow := oneNodeFleet(t, 7)
 	var retired []string
 	ctrl, err := New(Options{
 		Gateway: gw,
@@ -239,25 +238,14 @@ func runLifecycle(t *testing.T) lifecycleRun {
 			MaxNodes: 4,
 		},
 		Forecast: stepForecast{from: 20 * sim.Millisecond, to: 50 * sim.Millisecond, low: 50, high: 900},
-		Factory: func(name string) (gateway.Backend, error) {
-			nb, err := gateway.NewInprocBackend(gateway.InprocConfig{
-				Name: name, Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { nb.Shutdown(time.Second) })
-			return nb, nil
-		},
+		Factory:  grow,
 		OnRetire: func(name string, be gateway.Backend) { retired = append(retired, name) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for ms := sim.Time(0); ms <= 60*sim.Millisecond; ms += sim.Millisecond {
-		clock.Set(ms)
-		gw.TickProbes(ms)
+	_, err = gw.Replay(nil, 60*sim.Millisecond, sim.Millisecond, func(ms sim.Time) {
 		ctrl.Tick(ms)
 
 		// The provisioning lag must be visible: the step begins at 20ms and
@@ -271,10 +259,9 @@ func runLifecycle(t *testing.T) lifecycleRun {
 				t.Fatalf("t=%v: no pending nodes inside the lag window", ms)
 			}
 		}
-	}
-
-	if vs := gw.Check(60 * sim.Millisecond); len(vs) != 0 {
-		t.Fatalf("journal violations after scale churn: %v", vs)
+	})
+	if err != nil {
+		t.Fatalf("replay through scale churn: %v", err)
 	}
 	return lifecycleRun{
 		ScaleUps:    ctrl.ScaleUps(),
@@ -325,34 +312,11 @@ func TestControllerDeterministic(t *testing.T) {
 }
 
 func TestControllerReactiveWithTrafficLossless(t *testing.T) {
-	clock := serve.NewManualClock()
-	ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-		Name: "node0", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
-	gw, err := gateway.New(gateway.Options{
-		Backends: []gateway.Backend{ib}, Clock: clock, Seed: 9, FailThreshold: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(Options{
+	gw, clock, grow := oneNodeFleet(t, 9)
+	ctrl, err := ForPolicy("reactive", Options{
 		Gateway: gw,
-		Policy:  &Reactive{Patience: 2},
-		Config:  Config{NodeRate: 50, Lag: 5 * sim.Millisecond, MinNodes: 1, MaxNodes: 3},
-		Factory: func(name string) (gateway.Backend, error) {
-			nb, err := gateway.NewInprocBackend(gateway.InprocConfig{
-				Name: name, Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { nb.Shutdown(time.Second) })
-			return nb, nil
-		},
+		Config:  Config{NodeRate: 50, Lag: 5 * sim.Millisecond, MinNodes: 1, MaxNodes: 3, DrainPatience: 2},
+		Factory: grow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,20 +394,7 @@ func TestControllerReactiveWithTrafficLossless(t *testing.T) {
 }
 
 func TestControllerMetricsRegistered(t *testing.T) {
-	clock := serve.NewManualClock()
-	ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-		Name: "node0", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
-	gw, err := gateway.New(gateway.Options{
-		Backends: []gateway.Backend{ib}, Clock: clock, Seed: 1, FailThreshold: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw, _, _ := oneNodeFleet(t, 1)
 	if _, err := New(Options{Gateway: gw, Config: Config{NodeRate: 100}}); err != nil {
 		t.Fatal(err)
 	}
@@ -473,20 +424,7 @@ func TestNewRejectsMisconfiguration(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("New accepted a nil gateway")
 	}
-	clock := serve.NewManualClock()
-	ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-		Name: "node0", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
-	gw, err := gateway.New(gateway.Options{
-		Backends: []gateway.Backend{ib}, Clock: clock, Seed: 1, FailThreshold: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw, _, _ := oneNodeFleet(t, 1)
 	if _, err := New(Options{Gateway: gw}); err == nil {
 		t.Error("New accepted a zero NodeRate")
 	}

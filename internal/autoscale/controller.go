@@ -3,9 +3,11 @@ package autoscale
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/obs"
+	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 )
 
@@ -49,8 +51,8 @@ type pendingNode struct {
 
 // Controller is the autoscaling loop: each Tick it analyzes saturation,
 // asks the policy, and applies the decision under the modeled provisioning
-// lag. It is not goroutine-safe — drive it from one goroutine (the harness
-// loop or laxgw's ticker), which also serializes policy state.
+// lag. It is not goroutine-safe — drive it from one goroutine (a
+// gateway.Replay hook or Start's ticker), which also serializes policy state.
 type Controller struct {
 	gw       *gateway.Gateway
 	policy   Policy
@@ -126,8 +128,33 @@ func New(opt Options) (*Controller, error) {
 	return c, nil
 }
 
-// Policy exposes the controller's policy (experiment labeling).
-func (c *Controller) Policy() Policy { return c.policy }
+// ForPolicy builds the controller for a policy named on a command line or in
+// an experiment table — the one place the names are matched. static-min holds
+// the fleet it is given; reactive scales on damage and, like static-min,
+// never sees opt.Forecast; predictive reads it one lag ahead. The scaling
+// policies drain after opt.Config.DrainPatience calm ticks.
+func ForPolicy(name string, opt Options) (*Controller, error) {
+	switch name {
+	case "static-min":
+		opt.Policy, opt.Forecast = Static{}, nil
+	case "reactive":
+		opt.Policy, opt.Forecast = &Reactive{Patience: opt.Config.DrainPatience}, nil
+	case "predictive":
+		opt.Policy = &Predictive{Patience: opt.Config.DrainPatience}
+	default:
+		return nil, fmt.Errorf("autoscale: unknown policy %q (want static-min, reactive or predictive)", name)
+	}
+	return New(opt)
+}
+
+// Start runs the control loop live: one Tick now, then one per wall interval
+// at the gateway clock's instant, until the returned stop is called — the
+// autoscaler's counterpart of Gateway.StartProber.
+func (c *Controller) Start(every time.Duration) (stop func()) {
+	clock := c.gw.Clock()
+	c.Tick(clock.Now())
+	return serve.Every(clock, every, c.Tick)
+}
 
 // NodeSeconds is the accumulated provisioned-node time in simulated
 // seconds: every tick each active, draining or pending node bills the tick
@@ -203,7 +230,7 @@ func (c *Controller) scaleUp(now sim.Time, a Analysis, d Decision) {
 		return
 	}
 	for i := 0; i < want; i++ {
-		name := fmt.Sprintf("%s%d", c.cfg.NamePrefix, c.grown)
+		name := fmt.Sprintf("scale%d", c.grown)
 		c.grown++
 		c.pending = append(c.pending, pendingNode{name: name, readyAt: now + c.cfg.Lag})
 	}

@@ -92,11 +92,8 @@ func (Static) Decide(Analysis) Decision { return Decision{Action: Hold} }
 // wait for Patience consecutive ticks in which the model says one fewer
 // node still clears the target.
 type Reactive struct {
-	// Target is the met-fraction floor a one-node-smaller fleet must clear
-	// before a drain (zero means 0.95).
-	Target float64
-
-	// Patience overrides Config.DrainPatience when > 0.
+	// Patience is the calm-tick count a drain waits for (zero means 3;
+	// ForPolicy passes Config.DrainPatience).
 	Patience int
 
 	calm int // consecutive ticks the smaller fleet looked sufficient
@@ -107,10 +104,6 @@ func (*Reactive) Name() string { return "reactive" }
 
 // Decide implements Policy.
 func (p *Reactive) Decide(a Analysis) Decision {
-	target := p.Target
-	if target <= 0 || target >= 1 {
-		target = 0.95
-	}
 	patience := p.Patience
 	if patience <= 0 {
 		patience = 3
@@ -134,13 +127,13 @@ func (p *Reactive) Decide(a Analysis) Decision {
 	// clears the target (or would sit idle), sustained for Patience ticks,
 	// with no pending scale-up in flight (a pending node means we recently
 	// thought we were short — shrinking now would flap).
-	if a.Pending == 0 && a.Active > 1 && (a.MetDown >= target || downUtil(a) <= idleLowWater) {
+	if a.Pending == 0 && a.Active > 1 && (a.MetDown >= targetMet || downUtil(a) <= idleLowWater) {
 		p.calm++
 		if p.calm >= patience {
 			p.calm = 0
 			return Decision{Action: Drain,
 				Reason: fmt.Sprintf("met(n-1)=%.3f≥%.2f for %d ticks at %.0f jobs/s",
-					a.MetDown, target, patience, a.Rate)}
+					a.MetDown, targetMet, patience, a.Rate)}
 		}
 	} else {
 		p.calm = 0
@@ -155,7 +148,8 @@ func (p *Reactive) Decide(a Analysis) Decision {
 // Reactive, but because the forecast is folded into MetDown, a fleet never
 // shrinks into an upcoming step.
 type Predictive struct {
-	// Patience overrides Config.DrainPatience when > 0.
+	// Patience is the calm-tick count a drain waits for (zero means 3;
+	// ForPolicy passes Config.DrainPatience).
 	Patience int
 
 	calm int

@@ -85,23 +85,6 @@ type Config struct {
 	Seed int64
 }
 
-// faultSpecs parses the per-GPU fault strings, padding to the fleet size.
-func (c Config) faultSpecs() ([]faults.Spec, error) {
-	specs := make([]faults.Spec, c.GPUs)
-	for g := range specs {
-		if g >= len(c.Faults) {
-			specs[g] = faults.Spec{Recover: true}
-			continue
-		}
-		sp, err := faults.ParseSpec(c.Faults[g])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: gpu%d: %w", g, err)
-		}
-		specs[g] = sp
-	}
-	return specs, nil
-}
-
 // Result aggregates the fleet outcome.
 type Result struct {
 	// PerGPU holds each device's summary.
@@ -134,9 +117,9 @@ func Split(cfg Config, set *workload.JobSet) ([]*workload.JobSet, error) {
 	if cfg.GPUs < 1 {
 		return nil, fmt.Errorf("cluster: GPUs = %d, must be >= 1", cfg.GPUs)
 	}
-	specs, err := cfg.faultSpecs()
+	specs, err := faults.ParseSpecs(cfg.Faults, cfg.GPUs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	subsets := make([]*workload.JobSet, cfg.GPUs)
 	for g := range subsets {

@@ -6,7 +6,8 @@
 //
 // Gateway is four owners behind one API and one mutex — the journal
 // (journal.go), the node table (nodes.go), dispatch (dispatch.go) and the
-// HTTP shell (http.go); DESIGN §11 has the map. Backend abstracts "one
+// HTTP shell (http.go) — assembled by NewFleet and, in simulated time,
+// driven by Replay (fleet.go); DESIGN §11 has the map. Backend abstracts "one
 // node": InprocBackend is a serve.Host with a name, RemoteBackend a laxd
 // daemon over HTTP, ChaosBackend either of them behind a fault plan.
 package gateway
@@ -85,6 +86,16 @@ func ParseClass(s string) (Class, error) {
 	}
 }
 
+const (
+	// maxBackoff caps the breaker's doubling recovery-probe backoff (a
+	// ProbeBackoff above it is its own cap).
+	maxBackoff = sim.Second
+
+	// maxRecords bounds the journal — the oldest terminal entries are
+	// evicted first — and the fleet-event log.
+	maxRecords = 65536
+)
+
 // Options configures a Gateway.
 type Options struct {
 	// Backends are the fleet's nodes, in routing-index order (required).
@@ -101,15 +112,10 @@ type Options struct {
 	// breaker (default 3).
 	FailThreshold int
 
-	// ProbeBackoff is the initial breaker backoff between recovery probes;
-	// it doubles per failed trial up to MaxBackoff (defaults 10ms / 1s,
-	// simulated).
+	// ProbeBackoff is the initial breaker backoff between recovery probes
+	// (default 10ms, simulated); it doubles per failed trial up to one
+	// simulated second.
 	ProbeBackoff sim.Time
-	MaxBackoff   sim.Time
-
-	// MaxRecords bounds the journal; the oldest terminal entries are
-	// evicted first (default 65536).
-	MaxRecords int
 
 	// Seed feeds the benchmark sampler.
 	Seed int64
@@ -185,12 +191,6 @@ func New(opt Options) (*Gateway, error) {
 	if opt.ProbeBackoff <= 0 {
 		opt.ProbeBackoff = 10 * sim.Millisecond
 	}
-	if opt.MaxBackoff < opt.ProbeBackoff {
-		opt.MaxBackoff = sim.Second
-	}
-	if opt.MaxRecords < 1 {
-		opt.MaxRecords = 65536
-	}
 	sysCfg := opt.System
 	if sysCfg.NumQueues == 0 {
 		sysCfg = cp.DefaultSystemConfig()
@@ -205,7 +205,7 @@ func New(opt Options) (*Gateway, error) {
 		reg:     reg,
 		lib:     workload.NewLibrary(sysCfg.GPU),
 		gpu:     sysCfg.GPU,
-		journal: newJournal(opt.MaxRecords),
+		journal: newJournal(maxRecords),
 		rng:     sim.NewRNG(opt.Seed),
 
 		cSubmitted: reg.Counter("laxgw_jobs_submitted_total", "Jobs received by the gateway (before routing)."),

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"laxgpu/internal/faults"
 	"laxgpu/internal/serve"
@@ -153,34 +152,20 @@ func TestGatewayNoHealthyBackend(t *testing.T) {
 	}
 }
 
-// fleet builds the 3-node in-process fleet for the chaos tests: one shared
-// ManualClock, node g optionally wrapped in the chaos spec chaosBy[g].
-func fleet(t *testing.T, nodes int, chaosBy map[int]string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock) {
+// fleet builds an in-process LAX fleet on one shared ManualClock through
+// NewFleet; chaos is the ';'-separated per-node spec list.
+func fleet(t *testing.T, nodes int, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock) {
+	t.Helper()
+	gw, clock, _ := growableFleet(t, nodes, serve.NodeConfig{Scheduler: "LAX"}, chaos, seed, failThreshold)
+	return gw, clock
+}
+
+// growableFleet is fleet with a per-node template and the recipe's node
+// factory, for tests that grow the fleet or degrade its devices.
+func growableFleet(t *testing.T, nodes int, node serve.NodeConfig, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock, func(string) (Backend, error)) {
 	t.Helper()
 	clock := serve.NewManualClock()
-	var backends []Backend
-	for g := 0; g < nodes; g++ {
-		ib, err := NewInprocBackend(InprocConfig{
-			Name:  fmt.Sprintf("node%d", g),
-			Node:  serve.NodeConfig{Scheduler: "LAX"},
-			Clock: clock,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ib.Shutdown(time.Second) })
-		be := Backend(ib)
-		if spec, ok := chaosBy[g]; ok {
-			ns, err := faults.ParseNodeSpec(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			be = NewChaosBackend(ib, faults.NewNodePlan(ns, seed+int64(g)), clock)
-		}
-		backends = append(backends, be)
-	}
-	gw, err := New(Options{
-		Backends:      backends,
+	gw, grow, closeFleet, err := NewFleet(nodes, "", InprocConfig{Node: node}, chaos, Options{
 		Clock:         clock,
 		Seed:          seed,
 		FailThreshold: failThreshold,
@@ -189,7 +174,8 @@ func fleet(t *testing.T, nodes int, chaosBy map[int]string, seed int64, failThre
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gw, clock
+	t.Cleanup(closeFleet)
+	return gw, clock, grow
 }
 
 // submitN submits n benchmark jobs with per-job exponentially growing
@@ -220,7 +206,7 @@ func submitN(t *testing.T, gw *Gateway, n int, base sim.Time) []int64 {
 // run drains to quiescence. Returns the final journal and retired ledger.
 func crashScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	t.Helper()
-	gw, clock := fleet(t, 3, map[int]string{1: "crash@5ms"}, 42, 1)
+	gw, clock := fleet(t, 3, ";crash@5ms", 42, 1)
 	gw.TickProbes(0)
 	ids := submitN(t, gw, 12, sim.Second)
 
@@ -293,7 +279,7 @@ func TestGatewayCrashFailoverDeterministic(t *testing.T) {
 // the second terminal. Returns the final journal and retired ledger.
 func freezeScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	t.Helper()
-	gw, clock := fleet(t, 2, map[int]string{0: "freeze@5ms+20ms"}, 7, 1)
+	gw, clock := fleet(t, 2, "freeze@5ms+20ms", 7, 1)
 	gw.TickProbes(0)
 	bench, _ := workload.FindBenchmark("LSTM")
 	id, _, reason := gw.Submit(bench, 60*sim.Second, Standard)
@@ -340,7 +326,7 @@ func freezeScenario(t *testing.T) ([]verify.FleetJob, []string) {
 func TestGatewayFreezeDuplicateTerminalAndRecovery(t *testing.T) { freezeScenario(t) }
 
 func TestGatewayHTTPAndMetrics(t *testing.T) {
-	gw, clock := fleet(t, 2, nil, 3, 3)
+	gw, clock := fleet(t, 2, "", 3, 3)
 	gw.TickProbes(0)
 	hs := httptest.NewServer(gw.Handler())
 	defer hs.Close()

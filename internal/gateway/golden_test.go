@@ -67,7 +67,7 @@ func TestGoldenJournals(t *testing.T) {
 // one crash failover and one graceful drain. The re-dispatch histogram times
 // wall-clock work, so its bucket and sum values are masked; its count is not.
 func TestGoldenMetricsExposition(t *testing.T) {
-	gw, clock := fleet(t, 3, map[int]string{1: "crash@5ms"}, 42, 1)
+	gw, clock := fleet(t, 3, ";crash@5ms", 42, 1)
 	gw.TickProbes(0)
 	bench, err := workload.FindBenchmark("LSTM")
 	if err != nil {

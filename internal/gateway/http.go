@@ -265,10 +265,14 @@ func (gw *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleTraces serves GET /v1/traces?n=K: stitched traces of the newest K
 // terminal jobs, newest first (default 20).
 func (gw *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n, ok := serve.TraceListingSize(w, r)
-	if !ok {
-		return
+	if n, ok := serve.TraceListingSize(w, r); ok {
+		serve.WriteJSON(w, http.StatusOK, gw.recentTraces(n))
 	}
+}
+
+// recentTraces stitches the traces of the newest n terminal jobs, newest
+// first.
+func (gw *Gateway) recentTraces(n int) []obs.TraceDoc {
 	ids := gw.newestTerminal(n)
 	docs := make([]obs.TraceDoc, 0, len(ids))
 	for _, id := range ids {
@@ -276,13 +280,27 @@ func (gw *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 			docs = append(docs, doc)
 		}
 	}
-	serve.WriteJSON(w, http.StatusOK, docs)
+	return docs
 }
 
 func (gw *Gateway) newestTerminal(n int) []int64 {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	return gw.journal.newestTerminal(n)
+}
+
+// Perfetto exports the fleet-event log (breaker transitions, failover
+// re-dispatches, CPU fallbacks, scale events) and the stitched traces of the
+// 64 most recent terminal jobs, oldest first, as one Chrome trace-event
+// document for ui.perfetto.dev — laxgw -perfetto writes it at shutdown.
+func (gw *Gateway) Perfetto() *obs.Perfetto {
+	p := obs.NewPerfetto()
+	p.AddFleetEvents(gw.FleetEvents())
+	docs := gw.recentTraces(64)
+	for i := len(docs) - 1; i >= 0; i-- {
+		p.AddWireTrace(docs[i].Trace)
+	}
+	return p
 }
 
 func (gw *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

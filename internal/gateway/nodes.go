@@ -2,11 +2,11 @@ package gateway
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/obs"
+	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 )
 
@@ -65,7 +65,7 @@ type nodeTable struct {
 
 	// events is the gateway-level instant-event log (breaker transitions,
 	// failover re-dispatches, CPU fallbacks, scale events) exported to
-	// Perfetto at shutdown; bounded by MaxRecords.
+	// Perfetto at shutdown; bounded by maxRecords.
 	events []obs.FleetEvent
 }
 
@@ -75,7 +75,7 @@ func (t *nodeTable) add(be Backend) int {
 	labels := map[string]string{"node": be.Name()}
 	n := &node{
 		be:      be,
-		breaker: NewBreaker(t.opt.FailThreshold, t.opt.ProbeBackoff, t.opt.MaxBackoff),
+		breaker: NewBreaker(t.opt.FailThreshold, t.opt.ProbeBackoff, maxBackoff),
 		cBreakerOpens: t.reg.CounterWith("laxgw_breaker_opens_total",
 			"Times a node's circuit breaker tripped open.", labels),
 		cProbeFailures: t.reg.CounterWith("laxgw_probe_failures_total",
@@ -92,7 +92,7 @@ func (t *nodeTable) add(be Backend) int {
 // event appends one instant event to the log, dropping the oldest half when
 // it is full.
 func (t *nodeTable) event(now sim.Time, name, node, detail string) {
-	if len(t.events) >= t.opt.MaxRecords {
+	if len(t.events) >= maxRecords {
 		t.events = append(t.events[:0], t.events[len(t.events)/2:]...)
 	}
 	t.events = append(t.events, obs.FleetEvent{
@@ -378,22 +378,5 @@ func (gw *Gateway) probed(now sim.Time, g int, h Headroom) {
 // StartProber drives TickProbes on a wall-clock ticker until the returned
 // stop function is called.
 func (gw *Gateway) StartProber(every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = 50 * time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				gw.TickProbes(gw.clock.Now())
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return serve.Every(gw.clock, every, gw.TickProbes)
 }

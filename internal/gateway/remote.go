@@ -27,13 +27,13 @@ type RemoteBackend struct {
 	base   string
 	client *http.Client
 
-	// Poll is the wall interval between job-status polls (default 25ms).
-	Poll time.Duration
-
 	mu      sync.Mutex
 	stopped bool
 	stop    chan struct{}
 }
+
+// pollEvery is the wall interval between job-status polls.
+const pollEvery = 25 * time.Millisecond
 
 // NewRemoteBackend fronts the laxd daemon at base (e.g.
 // "http://127.0.0.1:8080"). name identifies it in journals and metrics.
@@ -45,7 +45,6 @@ func NewRemoteBackend(name, base string, client *http.Client) *RemoteBackend {
 		name:   name,
 		base:   strings.TrimRight(base, "/"),
 		client: client,
-		Poll:   25 * time.Millisecond,
 		stop:   make(chan struct{}),
 	}
 }
@@ -157,7 +156,7 @@ func (b *RemoteBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace,
 // fires — exactly the lost completion the gateway's failover recovers.
 func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
 	path := fmt.Sprintf("/v1/jobs/%d", remoteID)
-	t := time.NewTicker(b.Poll)
+	t := time.NewTicker(pollEvery)
 	defer t.Stop()
 	for {
 		select {

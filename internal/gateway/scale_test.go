@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -13,28 +12,23 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// addInproc builds one in-process node on the gateway's clock and joins it
-// to the fleet mid-run.
-func addInproc(t *testing.T, gw *Gateway, clock serve.Clock, name string) (*InprocBackend, int) {
+// addNode grows the fleet by one node from the recipe's factory mid-run and
+// returns its routing index.
+func addNode(t *testing.T, gw *Gateway, grow func(string) (Backend, error), name string) int {
 	t.Helper()
-	ib, err := NewInprocBackend(InprocConfig{
-		Name:  name,
-		Node:  serve.NodeConfig{Scheduler: "LAX"},
-		Clock: clock,
-	})
+	be, err := grow(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
-	return ib, gw.AddBackend(ib)
+	return gw.AddBackend(be)
 }
 
 func TestGatewayAddBackendRoutesNewWork(t *testing.T) {
-	gw, clock := fleet(t, 1, nil, 11, 3)
+	gw, clock, grow := growableFleet(t, 1, serve.NodeConfig{Scheduler: "LAX"}, "", 11, 3)
 	gw.TickProbes(0)
 	submitN(t, gw, 4, sim.Second)
 
-	_, g := addInproc(t, gw, clock, "late0")
+	g := addNode(t, gw, grow, "late0")
 	if g != 1 {
 		t.Fatalf("AddBackend index = %d, want 1", g)
 	}
@@ -69,7 +63,7 @@ func TestGatewayAddBackendRoutesNewWork(t *testing.T) {
 }
 
 func TestGatewayDrainBackendGraceful(t *testing.T) {
-	gw, clock := fleet(t, 2, nil, 12, 3)
+	gw, clock := fleet(t, 2, "", 12, 3)
 	gw.TickProbes(0)
 	ids := submitN(t, gw, 6, sim.Second)
 
@@ -143,7 +137,7 @@ func countDispatches(gw *Gateway, name string) int {
 // must reach exactly one terminal state, and the retired ledger must hold.
 func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	t.Helper()
-	gw, clock := fleet(t, 2, map[int]string{1: "crash@5ms"}, 21, 1)
+	gw, clock, grow := growableFleet(t, 2, serve.NodeConfig{Scheduler: "LAX"}, ";crash@5ms", 21, 1)
 	gw.TickProbes(0)
 	submitN(t, gw, 8, sim.Second)
 
@@ -152,7 +146,7 @@ func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	if _, err := gw.DrainBackend(1); err != nil {
 		t.Fatal(err)
 	}
-	_, g := addInproc(t, gw, clock, "grown0")
+	g := addNode(t, gw, grow, "grown0")
 	clock.Set(6 * sim.Millisecond)
 	gw.TickProbes(6 * sim.Millisecond)
 
@@ -234,16 +228,8 @@ func TestGatewayCapacityFracFeedsLoads(t *testing.T) {
 }
 
 func TestGatewayInprocCapacityFracTracksCURetirement(t *testing.T) {
-	clock := serve.NewManualClock()
-	ib, err := NewInprocBackend(InprocConfig{
-		Name:  "cu0",
-		Node:  serve.NodeConfig{Scheduler: "LAX"},
-		Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ib.Shutdown(time.Second) })
+	gw, _ := fleet(t, 1, "", 1, 3)
+	ib := gw.Backends()[0].(*InprocBackend)
 	h, err := ib.Probe(0)
 	if err != nil {
 		t.Fatal(err)
@@ -303,33 +289,19 @@ func TestCheckFleetScaledCatchesLostDrain(t *testing.T) {
 // plan through a real backend: after the fault fires, probes report a
 // sub-1 capacity fraction and the router steers away from the degraded node.
 func TestGatewayChaosRetirementShrinksRouting(t *testing.T) {
-	// Build directly (not via fleet()) so only node0 carries the fault.
-	clock := serve.NewManualClock()
+	// The recipe stamps one template, so only node0 comes from it (carrying
+	// the device fault); the healthy node1 is built by hand beside it.
 	retire, err := faults.ParseSpec("retire=4@1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var backends []Backend
-	for g := 0; g < 2; g++ {
-		cfg := serve.NodeConfig{Scheduler: "LAX"}
-		if g == 0 {
-			cfg.Faults = retire
-		}
-		ib, err := NewInprocBackend(InprocConfig{
-			Name:  fmt.Sprintf("node%d", g),
-			Node:  cfg,
-			Clock: clock,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ib.Shutdown(time.Second) })
-		backends = append(backends, ib)
-	}
-	gw, err := New(Options{Backends: backends, Clock: clock, Seed: 5})
+	gw, clock, _ := growableFleet(t, 1, serve.NodeConfig{Scheduler: "LAX", Faults: retire}, "", 5, 3)
+	healthy, err := NewInprocBackend(InprocConfig{Name: "node1", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { healthy.Shutdown(time.Second) })
+	gw.AddBackend(healthy)
 	gw.TickProbes(0)
 	// Trip the fault by advancing past its instant, then probe.
 	clock.Set(2 * sim.Millisecond)

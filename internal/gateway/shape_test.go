@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -73,5 +74,84 @@ func TestEachFleetDecisionIsWrittenOnce(t *testing.T) {
 	noop := regexp.MustCompile(`\) TableRefresh\(obs\.TableRefresh\)\s+\{\}`)
 	if n := len(noop.FindAllString(all, -1)); n != 1 {
 		t.Errorf("%d no-op obs.Probe implementations across internal/serve + internal/gateway, want only serve.Host's", n)
+	}
+}
+
+// TestFleetIsAssembledOnce scans the module's non-test sources outside the
+// separately-versioned bench module and the examples: nodes → chaos →
+// gateway is written in NewFleet and policy → controller in
+// autoscale.ForPolicy, so each constructor has at most one call site, the
+// scaling policies are matched by name in one file, and laxgw stays a flag
+// shell. A second call site is a fleet the recipe's tests do not cover.
+func TestFleetIsAssembledOnce(t *testing.T) {
+	root := filepath.Join("..", "..")
+	// Each pattern matches a call, package-qualified or bare, but not the
+	// constructor's own declaration or a longer name ending in it.
+	calls := map[string]*regexp.Regexp{
+		"NewInprocBackend(": regexp.MustCompile(`(^|[^\w.]|\bgateway\.)NewInprocBackend\(`),
+		"NewChaosBackend(":  regexp.MustCompile(`(^|[^\w.]|\bgateway\.)NewChaosBackend\(`),
+		"gateway.New(":      regexp.MustCompile(`\bgateway\.New\(`),
+		"autoscale.New(":    regexp.MustCompile(`\bautoscale\.New\(`),
+	}
+	bareNew := regexp.MustCompile(`(^|[^\w.])New\(`)
+	decl := regexp.MustCompile(`(?m)^func \w+\(`)
+	lineComment := regexp.MustCompile(`(?m)//.*$`)
+	policyMatch := regexp.MustCompile(`case "(static-min|reactive|predictive)"`)
+	sites := map[string][]string{}
+	var policyFiles []string
+
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "bench" || rel == "examples" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		src := decl.ReplaceAllString(lineComment.ReplaceAllString(string(raw), ""), "")
+		for name, re := range calls {
+			for range re.FindAllString(src, -1) {
+				sites[name] = append(sites[name], rel)
+			}
+		}
+		// Inside the owning package the call is a bare New(.
+		for dir, name := range map[string]string{"internal/gateway/": "gateway.New(", "internal/autoscale/": "autoscale.New("} {
+			if strings.HasPrefix(rel, dir) {
+				for range bareNew.FindAllString(src, -1) {
+					sites[name] = append(sites[name], rel)
+				}
+			}
+		}
+		if policyMatch.MatchString(src) {
+			policyFiles = append(policyFiles, rel)
+		}
+		if rel == "cmd/laxgw/main.go" {
+			if n := strings.Count(string(raw), "\n"); n > 200 {
+				t.Errorf("%s is %d lines; it is a flag shell over gateway.NewFleet and autoscale.ForPolicy (≤ 200)", rel, n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range calls {
+		if len(sites[name]) != 1 {
+			t.Errorf("%s has %d non-test call sites %v, want exactly 1 (NewFleet / ForPolicy)", name, len(sites[name]), sites[name])
+		}
+	}
+	if len(policyFiles) != 1 {
+		t.Errorf("scaling policies are matched by name in %v, want one file (autoscale.ForPolicy)", policyFiles)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // and the node's phase partition under one trace ID, with the node phases
 // summing to the job's latency.
 func TestGatewayStitchedTrace(t *testing.T) {
-	gw, clock := fleet(t, 2, nil, 11, 3)
+	gw, clock := fleet(t, 2, "", 11, 3)
 	gw.TickProbes(0)
 	bench, err := workload.FindBenchmark("LSTM")
 	if err != nil {
@@ -81,7 +81,7 @@ func TestGatewayStitchedTrace(t *testing.T) {
 // no duplicated phases) and agree with the journal's dispatch ledger — the
 // fleet-trace-consistency rule checked by crashScenario's gw.Check.
 func TestChaosTracePropagation(t *testing.T) {
-	gw, clock := fleet(t, 3, map[int]string{1: "crash@5ms"}, 42, 1)
+	gw, clock := fleet(t, 3, ";crash@5ms", 42, 1)
 	gw.TickProbes(0)
 	ids := submitN(t, gw, 12, sim.Second)
 
@@ -169,7 +169,7 @@ func TestChaosTracePropagation(t *testing.T) {
 // TestGatewayMissCauseCounters checks the per-class SLO burn counters: a
 // shed submission burns its class's "rejected" counter.
 func TestGatewayMissCauseCounters(t *testing.T) {
-	gw, _ := fleet(t, 1, nil, 3, 3)
+	gw, _ := fleet(t, 1, "", 3, 3)
 	// No probe round has run: every breaker is closed but headroom is zero,
 	// so submit a job with an impossible backlog by leaving the node
 	// unprobed and using the no-healthy path instead: trip it via strike.

@@ -3,14 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"laxgpu/internal/autoscale"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
-	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
 
@@ -100,53 +98,24 @@ func (a AutoscaleResult) MetFrac() float64 {
 }
 
 // RunAutoscale replays one scenario through a gateway fleet under one
-// scaling policy, entirely in simulated time on a manual clock: arrivals
-// submit at their generated instants, probes and the control loop tick
-// every Settings.Tick, scale-ups activate one provisioning lag after their
-// decision, and the run then quiesces. Deterministic for a fixed (spec,
-// seed, settings) triple. The fleet journal is checked (including the
-// fleet-drain-lossless rule) and any violation is returned as an error.
+// scaling policy, entirely in simulated time (gateway.Replay): arrivals
+// submit at their generated instants, probes and the control loop tick every
+// Settings.Tick, scale-ups activate one provisioning lag after their
+// decision, and the run then quiesces. Every policy starts from the minimum
+// fleet; static-min just never leaves it. Deterministic for a fixed (spec,
+// seed, settings) triple. A wedged replay or a fleet-journal violation
+// (including the fleet-drain-lossless rule) is returned as an error.
 func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSettings) (AutoscaleResult, error) {
 	set, err := spec.Generate(r.Lib, 0)
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-
-	clock := serve.NewManualClock()
 	nodeSys := s.nodeSystem()
-	var owned []*gateway.InprocBackend
-	mkNode := func(name string) (*gateway.InprocBackend, error) {
-		ib, err := gateway.NewInprocBackend(gateway.InprocConfig{
-			Name:       name,
-			Node:       serve.NodeConfig{System: nodeSys, Scheduler: "LAX"},
-			Clock:      clock,
-			TraceDepth: -1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		owned = append(owned, ib)
-		return ib, nil
-	}
-	defer func() {
-		for _, ib := range owned {
-			ib.Shutdown(time.Second)
-		}
-	}()
-
-	// Every policy starts from the minimum fleet; static-min just never
-	// leaves it.
-	var backends []gateway.Backend
-	for i := 0; i < s.MinNodes; i++ {
-		ib, err := mkNode(fmt.Sprintf("node%d", i))
-		if err != nil {
-			return AutoscaleResult{}, err
-		}
-		backends = append(backends, ib)
-	}
-	gw, err := gateway.New(gateway.Options{
-		Backends:      backends,
-		Clock:         clock,
+	gw, grow, closeFleet, err := gateway.NewFleet(s.MinNodes, "", gateway.InprocConfig{
+		Node:       serve.NodeConfig{System: nodeSys, Scheduler: "LAX"},
+		TraceDepth: -1,
+	}, "", gateway.Options{
+		Clock:         serve.NewManualClock(),
 		Seed:          r.Seed,
 		FailThreshold: 3,
 		ProbeBackoff:  s.Tick,
@@ -155,24 +124,10 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-
-	var pol autoscale.Policy
-	var fc autoscale.Forecast
-	switch policy {
-	case "static-min":
-		pol = autoscale.Static{}
-	case "reactive":
-		pol = &autoscale.Reactive{Patience: s.Patience}
-	case "predictive":
-		pol = &autoscale.Predictive{Patience: s.Patience}
-		fc = spec
-	default:
-		return AutoscaleResult{}, fmt.Errorf("harness: unknown autoscale policy %q", policy)
-	}
-	ctrl, err := autoscale.New(autoscale.Options{
+	defer closeFleet()
+	ctrl, err := autoscale.ForPolicy(policy, autoscale.Options{
 		Gateway:  gw,
-		Policy:   pol,
-		Forecast: fc,
+		Forecast: spec,
 		Config: autoscale.Config{
 			NodeRate:      s.NodeRate,
 			Lag:           s.Lag,
@@ -180,68 +135,19 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 			MaxNodes:      s.MaxNodes,
 			DrainPatience: s.Patience,
 		},
-		Factory: func(name string) (gateway.Backend, error) { return mkNode(name) },
+		Factory: grow,
 	})
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
 
-	// Replay: arrivals submit at their own instants; the probe and control
-	// loops run every tick. Class/benchmark lookups are cached per cohort.
-	benches := map[string]*workload.Benchmark{}
-	classes := map[string]gateway.Class{}
-	horizon := sim.Time(spec.DurationUs) * sim.Microsecond
 	peakNodes := 0
-	ji := 0
-	tickAll := func(t sim.Time) {
-		clock.Set(t)
-		gw.TickProbes(t)
+	_, err = gw.Replay(set.Jobs, sim.Time(spec.DurationUs)*sim.Microsecond, s.Tick, func(t sim.Time) {
 		ctrl.Tick(t)
-		if n := gw.ActiveNodes(); n > peakNodes {
-			peakNodes = n
-		}
-	}
-	tickAll(0)
-	for t := s.Tick; ; t += s.Tick {
-		for ji < len(set.Jobs) && set.Jobs[ji].Arrival <= t {
-			j := set.Jobs[ji]
-			bench := benches[j.Benchmark]
-			if bench == nil {
-				if bench, err = workload.FindBenchmark(j.Benchmark); err != nil {
-					return AutoscaleResult{}, err
-				}
-				benches[j.Benchmark] = bench
-			}
-			class, ok := classes[j.Criticality]
-			if !ok {
-				if class, err = gateway.ParseClass(j.Criticality); err != nil {
-					return AutoscaleResult{}, err
-				}
-				classes[j.Criticality] = class
-			}
-			clock.Set(j.Arrival)
-			gw.Submit(bench, j.Deadline, class)
-			ji++
-		}
-		tickAll(t)
-		if t >= horizon && ji == len(set.Jobs) {
-			break
-		}
-	}
-
-	// Quiesce: keep ticking until the fleet finishes every accepted job
-	// (bounded — a wedged run is a bug, not a longer wait).
-	end := horizon
-	for i := 0; gw.Inflight() > 0 && i < 1000; i++ {
-		end += s.Tick
-		tickAll(end)
-	}
-	if n := gw.Inflight(); n != 0 {
-		return AutoscaleResult{}, fmt.Errorf("harness: autoscale replay wedged with %d jobs in flight", n)
-	}
-	if vs := gw.Check(end); len(vs) != 0 {
-		return AutoscaleResult{}, fmt.Errorf("harness: fleet journal violation under %s/%s: %v",
-			spec.Name, policy, vs[0])
+		peakNodes = max(peakNodes, gw.ActiveNodes())
+	})
+	if err != nil {
+		return AutoscaleResult{}, fmt.Errorf("harness: autoscale %s/%s: %w", spec.Name, policy, err)
 	}
 
 	st := gw.Stats()

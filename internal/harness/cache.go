@@ -1,30 +1,20 @@
 package harness
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"laxgpu/internal/metrics"
 )
 
-// cacheShards is the shard count of the run cache. Sixteen keeps lock
-// contention negligible at any realistic pool width (a full paper grid is
-// 13×8×3 = 312 cells spread over the shards) without bloating the zero
-// state.
-const cacheShards = 16
-
-// runCache is a sharded, concurrency-safe memo of simulation summaries
-// with in-flight deduplication: concurrent requests for the same cell share
-// one simulation instead of racing to run it twice. Entries are immutable
-// once their done channel closes, so readers never hold a lock while a
-// simulation runs. Failed runs (including context cancellations) are
-// evicted rather than cached, so a cancelled sweep never poisons a later
-// one.
+// runCache is a concurrency-safe memo of simulation summaries with
+// in-flight deduplication: concurrent requests for the same cell share one
+// simulation instead of racing to run it twice. One mutex guards the map —
+// a full paper grid is a few hundred entries whose fills take tens of
+// milliseconds each, and the lock is never held while a simulation runs.
+// Entries are immutable once their done channel closes. Failed runs
+// (including context cancellations) are evicted rather than cached, so a
+// cancelled sweep never poisons a later one.
 type runCache struct {
-	shards [cacheShards]cacheShard
-}
-
-type cacheShard struct {
 	mu sync.Mutex
 	m  map[runKey]*cacheEntry
 }
@@ -38,43 +28,27 @@ type cacheEntry struct {
 	err  error
 }
 
-func newRunCache() *runCache {
-	c := &runCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[runKey]*cacheEntry)
-	}
-	return c
-}
-
-func (k runKey) shard() uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(k.sched))
-	h.Write([]byte{0})
-	h.Write([]byte(k.bench))
-	h.Write([]byte{0, byte(k.rate)})
-	return h.Sum32() % cacheShards
-}
+func newRunCache() *runCache { return &runCache{m: make(map[runKey]*cacheEntry)} }
 
 // do returns the memoized summary for k, running fn to produce it if no
 // run is cached or in flight. Exactly one caller executes fn per missing
 // key; the rest block until it finishes and share the result.
 func (c *runCache) do(k runKey, fn func() (metrics.Summary, error)) (metrics.Summary, error) {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	if e, ok := sh.m[k]; ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.m[k]; ok {
+		c.mu.Unlock()
 		<-e.done
 		return e.sum, e.err
 	}
 	e := &cacheEntry{done: make(chan struct{})}
-	sh.m[k] = e
-	sh.mu.Unlock()
+	c.m[k] = e
+	c.mu.Unlock()
 
 	e.sum, e.err = fn()
 	if e.err != nil {
-		sh.mu.Lock()
-		delete(sh.m, k)
-		sh.mu.Unlock()
+		c.mu.Lock()
+		delete(c.m, k)
+		c.mu.Unlock()
 	}
 	close(e.done)
 	return e.sum, e.err
@@ -82,10 +56,9 @@ func (c *runCache) do(k runKey, fn func() (metrics.Summary, error)) (metrics.Sum
 
 // cached reports whether k has a completed, successful run in the cache.
 func (c *runCache) cached(k runKey) bool {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	e, ok := sh.m[k]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	e, ok := c.m[k]
+	c.mu.Unlock()
 	if !ok {
 		return false
 	}

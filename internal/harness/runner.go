@@ -7,7 +7,7 @@
 //   - every individual simulation is single-threaded (the discrete-event
 //     engine never crosses goroutines), and
 //   - independent (scheduler, benchmark, rate) cells fan out across a
-//     bounded worker pool, sharing read-only job traces and a sharded,
+//     bounded worker pool, sharing read-only job traces and an
 //     in-flight-deduplicating run cache.
 //
 // Because traces are generated deterministically per (benchmark, rate,
@@ -33,7 +33,7 @@ import (
 // it once. Job traces are generated deterministically from Seed, and the
 // same trace is replayed under every scheduler (paired comparison, §5.3).
 //
-// A Runner is safe for concurrent use: the run cache is sharded with
+// A Runner is safe for concurrent use: the run cache has
 // in-flight deduplication, job sets are generated once and replayed
 // read-only, and each simulation runs single-threaded on the goroutine
 // that missed the cache.

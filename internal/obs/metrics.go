@@ -88,15 +88,27 @@ type Metrics struct {
 
 	pendingKernels map[kernelKey]pendingPrediction
 	lastChain      map[int]chainSample
-	kernelPairs    []EstimatePair
-	chainPairs     []EstimatePair
+
+	// keepPairs retains every resolved (predicted, actual) pair for the
+	// EstimateStats readers; the histograms are fed either way.
+	keepPairs   bool
+	kernelPairs []EstimatePair
+	chainPairs  []EstimatePair
 }
 
-// NewMetrics returns a Metrics probe feeding a fresh Registry.
-func NewMetrics() *Metrics { return NewMetricsWithRegistry(NewRegistry()) }
+// NewMetrics returns a Metrics probe for one run, feeding a fresh Registry
+// and keeping every estimate pair for KernelEstimates/ChainEstimates and the
+// raw-pair accessors.
+func NewMetrics() *Metrics {
+	m := NewMetricsWithRegistry(NewRegistry())
+	m.keepPairs = true
+	return m
+}
 
-// NewMetricsWithRegistry returns a Metrics probe feeding reg (so several
-// runs can aggregate into one scrape target).
+// NewMetricsWithRegistry returns a Metrics probe feeding reg, so several
+// runs — or a daemon's whole life — aggregate into one scrape target. It
+// exports the estimate-error histograms but retains no pairs (the pair
+// accessors stay empty), so its memory does not grow with the jobs it sees.
 func NewMetricsWithRegistry(reg *Registry) *Metrics {
 	return &Metrics{
 		reg: reg,
@@ -144,7 +156,9 @@ func (m *Metrics) Job(e JobEvent) {
 		if s, ok := m.lastChain[e.Job]; ok {
 			delete(m.lastChain, e.Job)
 			pair := EstimatePair{Predicted: s.predicted, Actual: e.At - s.at}
-			m.chainPairs = append(m.chainPairs, pair)
+			if m.keepPairs {
+				m.chainPairs = append(m.chainPairs, pair)
+			}
 			m.chainErrUs.Observe(us(pair.Err()))
 		}
 	case JobCancel:
@@ -211,7 +225,9 @@ func (m *Metrics) KernelDone(e KernelDone) {
 	if p, ok := m.pendingKernels[key]; ok {
 		delete(m.pendingKernels, key)
 		pair := EstimatePair{Predicted: p.predicted, Actual: e.At - e.Start}
-		m.kernelPairs = append(m.kernelPairs, pair)
+		if m.keepPairs {
+			m.kernelPairs = append(m.kernelPairs, pair)
+		}
 		m.kernelErrUs.Observe(us(pair.Err()))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Perfetto process IDs: one synthetic process groups the per-queue kernel
@@ -186,4 +187,18 @@ func (p *Perfetto) Write(w io.Writer) error {
 		TraceEvents:     p.events,
 		DisplayTimeUnit: "ms",
 	})
+}
+
+// WriteFile writes the trace to a new file at path (laxgw and laxtrace
+// -perfetto).
+func (p *Perfetto) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := p.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -118,3 +118,33 @@ func (c *ManualClock) Until(t sim.Time) time.Duration {
 	}
 	return time.Hour
 }
+
+// Every calls tick(clock.Now()) once per wall interval (50ms when every is
+// not positive) from one goroutine, until the returned stop is called. stop
+// returns once that goroutine has exited and may be called more than once.
+// The gateway's health prober and the autoscaler's control loop both run on
+// it.
+func Every(clock Clock, every time.Duration, tick func(now sim.Time)) (stop func()) {
+	if every <= 0 {
+		every = 50 * time.Millisecond
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				tick(clock.Now())
+			case <-done:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
+}

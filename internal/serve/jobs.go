@@ -69,33 +69,46 @@ type record struct {
 	terminal  bool
 }
 
-// recordTable is the bounded registry of submitted jobs. Eviction is FIFO
-// once max is exceeded — long-running servers keep memory flat and clients
-// are expected to read outcomes promptly (or listen on the event stream).
+// maxRecords bounds a server's job-status registry.
+const maxRecords = 65536
+
+// recordTable is the bounded registry of submitted jobs. Past max the oldest
+// terminal record is evicted — long-running servers keep memory flat and
+// clients are expected to read outcomes promptly (or listen on the event
+// stream). A record still running is never evicted, as in the gateway's
+// journal: its status stays addressable until it has an outcome to lose.
 type recordTable struct {
 	mu    sync.Mutex
 	max   int
 	byID  map[int64]*record
-	order []int64
+	order []int64 // exactly the keys of byID, in submission order
 }
 
 func newRecordTable(max int) *recordTable {
-	if max < 1 {
-		max = 65536
-	}
 	return &recordTable{max: max, byID: make(map[int64]*record)}
 }
 
-// add registers a record, evicting the oldest entries beyond the cap.
+// add registers a record, evicting the oldest terminal records beyond the
+// cap.
 func (t *recordTable) add(r *record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.byID[r.status.ID] = r
 	t.order = append(t.order, r.status.ID)
 	for len(t.order) > t.max {
-		evict := t.order[0]
-		t.order = t.order[1:]
-		delete(t.byID, evict)
+		i := 0
+		for i < len(t.order) && !t.byID[t.order[i]].terminal {
+			i++
+		}
+		if i == len(t.order) {
+			break // every record is still running: the table runs over its cap
+		}
+		delete(t.byID, t.order[i])
+		if i == 0 {
+			t.order = t.order[1:] // the usual case, O(1)
+		} else {
+			t.order = append(t.order[:i], t.order[i+1:]...)
+		}
 	}
 }
 

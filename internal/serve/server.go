@@ -45,10 +45,6 @@ type Options struct {
 	// Routing selects the front-end placement policy across devices.
 	Routing cluster.RoutingPolicy
 
-	// System configures each simulated GPU; the zero value means
-	// cp.DefaultSystemConfig (the paper's Table 2 system).
-	System cp.SystemConfig
-
 	// Speed is the simulated-seconds-per-wall-second factor (default 1 =
 	// real time). Tests and demos compress time with larger values.
 	Speed float64
@@ -60,10 +56,6 @@ type Options struct {
 	// MaxPerClient caps one client's in-flight (non-terminal) jobs;
 	// exceeding it yields HTTP 429 before admission runs (default 64).
 	MaxPerClient int
-
-	// MaxRecords bounds the job-status registry; the oldest records are
-	// evicted first (default 65536).
-	MaxRecords int
 
 	// DrainGrace is the wall-clock grace Shutdown gives in-flight jobs to
 	// finish naturally before forcing the CPU-fallback path (default 5s).
@@ -135,23 +127,10 @@ func New(opts Options) (*Server, error) {
 	if opts.DrainGrace <= 0 {
 		opts.DrainGrace = 5 * time.Second
 	}
-	sysCfg := opts.System
-	if sysCfg.NumQueues == 0 {
-		sysCfg = cp.DefaultSystemConfig()
-	}
-	if len(opts.Faults) > opts.Devices {
-		return nil, fmt.Errorf("serve: %d fault specs for %d devices", len(opts.Faults), opts.Devices)
-	}
-	specs := make([]faults.Spec, opts.Devices)
-	for g := range specs {
-		specs[g] = faults.Spec{Recover: true}
-		if g < len(opts.Faults) {
-			sp, err := faults.ParseSpec(opts.Faults[g])
-			if err != nil {
-				return nil, fmt.Errorf("serve: device %d: %w", g, err)
-			}
-			specs[g] = sp
-		}
+	sysCfg := cp.DefaultSystemConfig() // the paper's Table 2 system
+	specs, err := faults.ParseSpecs(opts.Faults, opts.Devices)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	reg := obs.NewRegistry()
@@ -161,7 +140,7 @@ func New(opts Options) (*Server, error) {
 		reg:       reg,
 		lib:       workload.NewLibrary(sysCfg.GPU),
 		gpu:       sysCfg.GPU,
-		records:   newRecordTable(opts.MaxRecords),
+		records:   newRecordTable(maxRecords),
 		router:    cluster.NewRouter(opts.Routing, opts.Devices),
 		health:    cluster.NewHealthSchedule(sysCfg.GPU.NumCUs, specs),
 		rng:       sim.NewRNG(opts.Seed),

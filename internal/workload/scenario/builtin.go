@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 )
@@ -128,6 +129,25 @@ func Builtin(name string) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: no builtin %q (have %s)", name, strings.Join(BuiltinNames(), ", "))
 	}
 	return Parse(strings.NewReader(src))
+}
+
+// Load resolves a scenario reference the way every flag and option that
+// names one does: a builtin name first, then a path to a scenario JSON file.
+func Load(ref string) (*Spec, error) {
+	if _, ok := builtinJSON[ref]; ok {
+		return Builtin(ref)
+	}
+	f, err := os.Open(ref)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q is neither a builtin (%s) nor a readable file: %w",
+			ref, strings.Join(BuiltinNames(), ", "), err)
+	}
+	defer f.Close()
+	spec, err := Parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", ref, err)
+	}
+	return spec, nil
 }
 
 // BuiltinNames lists the embedded scenarios, sorted.

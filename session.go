@@ -57,7 +57,7 @@ type runnerKey struct {
 // A Session is safe for concurrent use. Unlike a global memo guarded by one
 // lock, concurrent Run and Sweep calls on the same Session proceed in
 // parallel: the session lock only covers the configuration lookup, and the
-// underlying caches are sharded with in-flight deduplication, so two
+// underlying caches have in-flight deduplication, so two
 // goroutines asking for the same cell share one simulation instead of
 // running it twice.
 //
