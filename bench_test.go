@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"os"
 	"testing"
+	"time"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
@@ -192,6 +194,63 @@ func BenchmarkSweepTable5Serial(b *testing.B) { benchSweepTable5(b, 1) }
 
 // BenchmarkSweepTable5Parallel runs one worker per CPU.
 func BenchmarkSweepTable5Parallel(b *testing.B) { benchSweepTable5(b, 0) }
+
+// sweepCell runs one uncached LSTM/high/128 cell — the grid's most expensive
+// column — under the named scheduler.
+func sweepCell(tb testing.TB, r *harness.Runner, schedName string) {
+	if _, _, err := r.RunSystem(context.Background(), schedName, "LSTM", workload.HighRate); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// sweepSchedulers is the sim-sweep grid's scheduler axis (bench/sim.go).
+func sweepSchedulers() []string {
+	return append(append([]string(nil), sched.Table5Schedulers...), "LAX-SW", "LAX-CPU")
+}
+
+// BenchmarkSweepCell times one cell per sweep scheduler, so a per-policy
+// cost (ns/op, allocs/op) is one `go test -bench SweepCell -benchmem` away
+// instead of a profile of the whole grid.
+func BenchmarkSweepCell(b *testing.B) {
+	r := benchRunner()
+	if _, err := r.JobSet("LSTM", workload.HighRate); err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range sweepSchedulers() {
+		b.Run(s, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sweepCell(b, r, s)
+			}
+		})
+	}
+}
+
+// TestPREMACellCostTracksEDF is the guard against recomputation creeping
+// back into a policy's comparator: PREMA simulates fewer dispatches than EDF
+// on this cell (it parks most queues), so its cell may not cost more than 3x
+// EDF's. It cost 8-12x when every comparison of every 250 µs epoch re-summed
+// both jobs' kernel chains. Loose, and best-of-three per side, so machine
+// noise never flakes it.
+func TestPREMACellCostTracksEDF(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six full simulations")
+	}
+	r := benchRunner()
+	best := func(schedName string) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			sweepCell(t, r, schedName)
+			d = min(d, time.Since(start))
+		}
+		return d
+	}
+	edf, prema := best("EDF"), best("PREMA")
+	if prema > 3*edf {
+		t.Fatalf("PREMA/LSTM cell took %v vs EDF/LSTM %v; want <= 3x", prema, edf)
+	}
+}
 
 // --- Micro-benchmarks for the simulation substrate ---
 

@@ -60,6 +60,9 @@ type Orderer interface {
 	// Order returns the jobs in the sequence the CP should offer them to
 	// the device this dispatch round. It must return a permutation of
 	// active (the System does not verify, but dropping jobs starves them).
+	// The result is borrowed: it may live in a buffer the policy reuses, so
+	// it is valid only until the next Order call, and Dispatch never retains
+	// it.
 	Order(active []*JobRun) []*JobRun
 }
 

@@ -67,9 +67,11 @@ type System struct {
 	hostQ   []*JobRun // admitted, waiting for a free queue
 	blocked []*JobRun // waiting on the policy's AdvanceGate
 
-	// orderer is the policy's Orderer interface, type-asserted once at
-	// construction so the per-dispatch hot path does no interface probing.
-	orderer Orderer
+	// orderer and observer are the policy's Orderer and ServeObserver
+	// interfaces, type-asserted once at construction so the per-dispatch hot
+	// path does no interface probing.
+	orderer  Orderer
+	observer ServeObserver
 
 	// orderCache memoizes dispatchOrder for non-Orderer policies. The sort's
 	// comparator is a total order (Job.ID tie-break), so its output is a pure
@@ -165,6 +167,7 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	}
 	pol.Attach(s)
 	s.orderer, _ = pol.(Orderer)
+	s.observer, _ = pol.(ServeObserver)
 	return s
 }
 
@@ -517,9 +520,7 @@ func (s *System) Dispatch() {
 		}
 		return
 	}
-	observer, _ := s.pol.(ServeObserver)
-	order := s.dispatchOrder()
-	for _, jr := range order {
+	for _, jr := range s.dispatchOrder() {
 		inst := jr.Current()
 		if inst == nil || !inst.Dispatchable() {
 			continue
@@ -534,8 +535,8 @@ func (s *System) Dispatch() {
 				s.probeKernelStart(jr, inst)
 				s.armWatchdog(jr, inst)
 			}
-			if observer != nil {
-				observer.Served(jr)
+			if s.observer != nil {
+				s.observer.Served(jr)
 			}
 		}
 	}

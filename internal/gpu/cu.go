@@ -58,6 +58,13 @@ func footprintOf(desc *KernelDesc, wavefrontSize int) wgFootprint {
 	}
 }
 
+// covers reports whether f needs at least as much of every resource as g, so
+// a CU without room for g has none for f.
+func (f wgFootprint) covers(g wgFootprint) bool {
+	return f.threads >= g.threads && f.wavefronts >= g.wavefronts &&
+		f.vgpr >= g.vgpr && f.lds >= g.lds
+}
+
 // fits reports whether the CU currently has room for the footprint.
 // Retired CUs never fit anything.
 func (c *computeUnit) fits(f wgFootprint) bool {

@@ -28,6 +28,14 @@ type Device struct {
 	// rrCursor is RoundRobin placement's scan start.
 	rrCursor int
 
+	// noRoom lists the WG footprints pickCU last refused: no CU fits any of
+	// them, hence none fits a footprint needing at least as much of every
+	// resource. Between releases room only shrinks (reserve, RetireCUs), so
+	// an entry stays true until a release, and a release can only make its
+	// own CU fit: roomFreed re-tests that one CU. TryDispatch answers from
+	// the list without scanning; placements and rrCursor are untouched.
+	noRoom []wgFootprint
+
 	counters Counters
 	energy   EnergyMeter
 
@@ -190,10 +198,16 @@ func (d *Device) TryDispatch(inst *KernelInstance, limit int) int {
 	if !d.cus[0].canEverFit(f) {
 		panic(fmt.Sprintf("gpu: kernel %s WG footprint %+v exceeds CU capacity", inst.Desc.Name, f))
 	}
+	for _, g := range d.noRoom {
+		if f.covers(g) {
+			return 0
+		}
+	}
 	placed := 0
 	for inst.RemainingWGs() > 0 && (limit < 0 || placed < limit) {
 		cu := d.pickCU(f)
 		if cu == nil {
+			d.noRoom = append(d.noRoom, f)
 			break
 		}
 		d.startWG(inst, cu, f)
@@ -235,6 +249,17 @@ func (d *Device) pickCU(f wgFootprint) *computeUnit {
 		}
 		return nil
 	}
+}
+
+// roomFreed drops the no-room entries cu fits after a release on it.
+func (d *Device) roomFreed(cu *computeUnit) {
+	kept := d.noRoom[:0]
+	for _, g := range d.noRoom {
+		if !cu.fits(g) {
+			kept = append(kept, g)
+		}
+	}
+	d.noRoom = kept
 }
 
 // startWG reserves resources and schedules the WG's completion. The latency
@@ -346,6 +371,7 @@ func (d *Device) completeBatch(b *wgBatch) {
 // latency into the counters, and notify the CP.
 func (d *Device) completeWG(inst *KernelInstance, ctr *KernelCounter, lat sim.Time, en wgEntry) {
 	en.cu.release(en.f)
+	d.roomFreed(en.cu)
 	d.activeMemDemand -= en.demand
 	d.activeL2Demand -= en.l2demand
 	if d.activeMemDemand < 1e-9 {
@@ -426,6 +452,7 @@ func (d *Device) Kill(inst *KernelInstance) int {
 	for _, wg := range entries {
 		wg.ev.Cancel() // no-op for hung WGs (zero Handle) and fired events
 		wg.cu.release(wg.f)
+		d.roomFreed(wg.cu)
 		d.activeMemDemand -= wg.demand
 		d.activeL2Demand -= wg.l2demand
 		d.counters.noteKilled(d.counterFor(inst), now)
@@ -544,18 +571,27 @@ func (d *Device) CanFit(desc *KernelDesc) bool {
 // simultaneously if idle, counting only non-retired CUs — admission
 // heuristics see the *current* capacity of a degraded device, not nominal.
 func (d *Device) MaxConcurrentWGs(desc *KernelDesc) int {
-	cfg := d.cfg
-	cfg.NumCUs = d.ActiveCUs()
-	return MaxConcurrentWGs(cfg, desc)
+	return maxWGsPerCU(&d.cfg, desc) * d.ActiveCUs()
+}
+
+// IsolatedKernelTime is the package-level IsolatedKernelTime on the
+// device's nominal configuration (the offline profile: retired CUs still
+// count), read in place — Config is 96 bytes and callers sum over chains.
+func (d *Device) IsolatedKernelTime(desc *KernelDesc) sim.Time {
+	return isolatedKernelTime(&d.cfg, desc)
 }
 
 // MaxConcurrentWGs computes, for an idle device with the given config, the
 // number of WGs of desc that fit simultaneously.
 func MaxConcurrentWGs(cfg Config, desc *KernelDesc) int {
+	return maxWGsPerCU(&cfg, desc) * cfg.NumCUs
+}
+
+func maxWGsPerCU(cfg *Config, desc *KernelDesc) int {
 	f := footprintOf(desc, cfg.WavefrontSize)
 	perCU := cfg.ThreadsPerCU / max(1, f.threads)
-	if f.wavefronts > 0 {
-		perCU = min(perCU, cfg.WavefrontsPerCU()/f.wavefronts)
+	if f.wavefronts > 0 { // WavefrontsPerCU, minus its by-value receiver
+		perCU = min(perCU, cfg.SIMDPerCU*cfg.WavefrontsPerSIMD/f.wavefronts)
 	}
 	if f.vgpr > 0 {
 		perCU = min(perCU, cfg.VGPRBytesPerCU/f.vgpr)
@@ -563,14 +599,18 @@ func MaxConcurrentWGs(cfg Config, desc *KernelDesc) int {
 	if f.lds > 0 {
 		perCU = min(perCU, cfg.LDSBytesPerCU/f.lds)
 	}
-	return perCU * cfg.NumCUs
+	return perCU
 }
 
 // IsolatedKernelTime returns the time one launch of desc takes on an
 // otherwise idle device: WGs run in ceil(NumWGs / maxConcurrent) waves of
 // BaseWGTime each (memory slowdown from the kernel's own WGs included).
 func IsolatedKernelTime(cfg Config, desc *KernelDesc) sim.Time {
-	conc := MaxConcurrentWGs(cfg, desc)
+	return isolatedKernelTime(&cfg, desc)
+}
+
+func isolatedKernelTime(cfg *Config, desc *KernelDesc) sim.Time {
+	conc := maxWGsPerCU(cfg, desc) * cfg.NumCUs
 	if conc <= 0 {
 		return sim.Forever
 	}

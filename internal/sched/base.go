@@ -33,29 +33,24 @@ const (
 // staticJobTime is the offline-profiled prediction of a job's isolated
 // execution time: the sum of its kernels' isolated times on the configured
 // device. BAY's regression model, PRO's offline profiles, and the static
-// SJF/LJF orderings all key off this quantity.
-func staticJobTime(cfg gpu.Config, j *cp.JobRun) sim.Time {
+// SJF/LJF orderings all key off this quantity. It is a pure function of
+// (device config, kernel chain): compute it once per job, never per epoch.
+func staticJobTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 	var t sim.Time
 	for _, inst := range j.Instances {
-		t += gpu.IsolatedKernelTime(cfg, inst.Desc)
+		t += dev.IsolatedKernelTime(inst.Desc)
 	}
 	return t
 }
 
 // staticRemainingTime is the offline prediction restricted to kernels that
 // have not completed yet.
-func staticRemainingTime(cfg gpu.Config, j *cp.JobRun) sim.Time {
+func staticRemainingTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 	var t sim.Time
 	for i := j.CurrentIndex(); i < len(j.Instances); i++ {
-		t += gpu.IsolatedKernelTime(cfg, j.Instances[i].Desc)
+		t += dev.IsolatedKernelTime(j.Instances[i].Desc)
 	}
 	return t
-}
-
-// clampPriority converts a signed time-like value to a priority, saturating
-// instead of overflowing.
-func clampPriority(v sim.Time) int64 {
-	return int64(v)
 }
 
 // The probe helpers below route decision events to the system's attached
@@ -125,7 +120,7 @@ func staticKernelEstimate(sys *cp.System, j *cp.JobRun) (sim.Time, bool) {
 	if k == nil {
 		return 0, false
 	}
-	return gpu.IsolatedKernelTime(sys.Device().Config(), k.Desc), true
+	return sys.Device().IsolatedKernelTime(k.Desc), true
 }
 
 // registerCapacities tells the profiling table how many WGs of each of the

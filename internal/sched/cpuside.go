@@ -159,8 +159,7 @@ func (p *BAY) queueEstimate() sim.Time {
 // Admit implements cp.Policy: accept only if model cost + predicted wait +
 // predicted run time fit in the deadline (QoS headroom > 0).
 func (p *BAY) Admit(j *cp.JobRun) bool {
-	cfg := p.sys.Device().Config()
-	jobTime := staticJobTime(cfg, j) +
+	jobTime := staticJobTime(p.sys.Device(), j) +
 		sim.Time(len(j.Instances))*HostLaunchOverhead
 	queue := p.queueEstimate()
 	need := BaymaxModelOverhead + queue + jobTime
@@ -172,7 +171,7 @@ func (p *BAY) Admit(j *cp.JobRun) bool {
 		return false
 	}
 	p.predicted[j] = jobTime
-	j.Priority = clampPriority(j.Job.Deadline - need) // headroom
+	j.Priority = int64(j.Job.Deadline - need) // headroom
 	return true
 }
 
@@ -181,13 +180,13 @@ func (p *BAY) Admit(j *cp.JobRun) bool {
 // headroom → more urgent.
 func (p *BAY) Reprioritize() {
 	probeEpoch(p.sys, p.Name())
-	cfg := p.sys.Device().Config()
+	dev := p.sys.Device()
 	now := p.sys.Now()
 	pr := p.sys.Probe()
 	for _, j := range p.sys.Active() {
-		rem := staticRemainingTime(cfg, j)
+		rem := staticRemainingTime(dev, j)
 		headroom := j.Job.AbsoluteDeadline() - now - rem
-		j.Priority = clampPriority(headroom)
+		j.Priority = int64(headroom)
 		if pr != nil {
 			pr.Sample(obs.JobSample{
 				At: now, Job: j.Job.ID, Queue: j.QueueID, Priority: j.Priority,

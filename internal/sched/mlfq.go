@@ -21,6 +21,9 @@ const (
 type MLFQ struct {
 	sys     *cp.System
 	current *cp.JobRun // high-queue entry in service
+
+	// high and order are Order's buffers, reused every round.
+	high, order []*cp.JobRun
 }
 
 // NewMLFQ returns the multi-level feedback queue scheduler.
@@ -69,31 +72,37 @@ func (p *MLFQ) Overheads() cp.Overheads { return cp.Overheads{} }
 // within the high queue ("uses RR to schedule jobs in the high priority
 // queue", Table 3) with the same keep-until-issued pointer as RR.
 func (p *MLFQ) Order(active []*cp.JobRun) []*cp.JobRun {
-	var high, low []*cp.JobRun
+	if len(active) == 0 {
+		return nil
+	}
+	high := p.high[:0]
 	for _, j := range active {
 		if j.Priority == mlfqHigh {
 			high = append(high, j)
-		} else {
-			low = append(low, j)
 		}
 	}
+	p.high = high
+	s := 0 // where the high queue's cycle resumes
 	if len(high) > 1 && p.current != nil {
 		for i, j := range high {
 			if j != p.current {
 				continue
 			}
-			s := i
+			s = i
 			if k := j.Current(); k == nil || k.RemainingWGs() == 0 || j.Paused() {
 				s = (i + 1) % len(high)
 			}
-			rotated := make([]*cp.JobRun, 0, len(high))
-			rotated = append(rotated, high[s:]...)
-			rotated = append(rotated, high[:s]...)
-			high = rotated
 			break
 		}
 	}
-	return append(high, low...)
+	out := append(append(p.order[:0], high[s:]...), high[:s]...)
+	for _, j := range active {
+		if j.Priority != mlfqHigh {
+			out = append(out, j)
+		}
+	}
+	p.order = out
+	return out
 }
 
 // Served implements cp.ServeObserver.

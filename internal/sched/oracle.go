@@ -93,7 +93,7 @@ func (p *ORACLE) EstimateDrain() sim.Time {
 // Admit implements cp.Policy — Algorithm 1 with exact estimates.
 func (p *ORACLE) Admit(j *cp.JobRun) bool {
 	queueDelay := p.EstimateDrain()
-	hold := staticJobTime(p.sys.Device().Config(), j)
+	hold := staticJobTime(p.sys.Device(), j)
 	accepted := core.Admit(queueDelay, hold, 0, j.Job.Deadline)
 	probeAdmissionTerms(p.sys, p.Name(), j, accepted, queueDelay, hold)
 	if !accepted {
@@ -107,11 +107,11 @@ func (p *ORACLE) Admit(j *cp.JobRun) bool {
 // times.
 func (p *ORACLE) Reprioritize() {
 	probeEpoch(p.sys, p.Name())
-	cfg := p.sys.Device().Config()
+	dev := p.sys.Device()
 	now := p.sys.Now()
 	pr := p.sys.Probe()
 	for _, j := range p.sys.Active() {
-		rem := staticRemainingTime(cfg, j)
+		rem := staticRemainingTime(dev, j)
 		dur := now - j.SubmitTime
 		j.Priority = core.Priority(j.Job.Deadline, rem, dur)
 		if pr != nil {

@@ -8,8 +8,10 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// Factory constructs a fresh policy instance. Policies hold run state, so
-// every simulation gets its own instance.
+// Factory constructs a fresh policy instance. Policies hold run state — and
+// reuse per-instance scratch (RR/MLFQ's Order buffers, PREMA's ranking) —
+// so every simulation gets its own instance; concurrent sweep workers then
+// share nothing.
 type Factory func() cp.Policy
 
 var registry = map[string]Factory{

@@ -13,7 +13,8 @@ import (
 // until its current kernel has no workgroups left to issue, then moves on.
 type RR struct {
 	sys     *cp.System
-	current *cp.JobRun // queue in service (last granted WG slots)
+	current *cp.JobRun   // queue in service (last granted WG slots)
+	order   []*cp.JobRun // Order's result buffer, reused every round
 }
 
 // NewRR returns the round-robin baseline scheduler.
@@ -65,10 +66,8 @@ func (p *RR) Order(active []*cp.JobRun) []*cp.JobRun {
 			break
 		}
 	}
-	out := make([]*cp.JobRun, 0, n)
-	out = append(out, active[start:]...)
-	out = append(out, active[:start]...)
-	return out
+	p.order = append(append(p.order[:0], active[start:]...), active[:start]...)
+	return p.order
 }
 
 // Served implements cp.ServeObserver: remember which queue received slots.

@@ -42,7 +42,7 @@ func (p *SRF) Attach(s *cp.System) {
 func (p *SRF) Admit(j *cp.JobRun) bool {
 	registerCapacities(p.pt, p.sys.Device(), j)
 	p.jt.register(j)
-	j.Priority = clampPriority(p.pt.RemainingTime(j.TotalWGList()))
+	j.Priority = int64(p.pt.RemainingTime(j.TotalWGList()))
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
@@ -64,7 +64,7 @@ func (p *SRF) Reprioritize() {
 	now := p.sys.Now()
 	for _, j := range p.sys.Active() {
 		rem, _ := p.jt.estimates(j)
-		j.Priority = clampPriority(rem)
+		j.Priority = int64(rem)
 		if pr != nil {
 			pr.Sample(obs.JobSample{
 				At: now, Job: j.Job.ID, Queue: j.QueueID, Priority: j.Priority,

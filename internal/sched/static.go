@@ -24,7 +24,7 @@ func (p *EDF) Attach(s *cp.System) { p.sys = s }
 // Admit implements cp.Policy: EDF has no admission control; the deadline
 // becomes the job's static priority.
 func (p *EDF) Admit(j *cp.JobRun) bool {
-	j.Priority = clampPriority(j.Job.AbsoluteDeadline())
+	j.Priority = int64(j.Job.AbsoluteDeadline())
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
@@ -54,7 +54,7 @@ func (p *SJF) Attach(s *cp.System) { p.sys = s }
 // Admit implements cp.Policy: priority is the predicted total time, fixed
 // for the job's lifetime.
 func (p *SJF) Admit(j *cp.JobRun) bool {
-	j.Priority = clampPriority(staticJobTime(p.sys.Device().Config(), j))
+	j.Priority = int64(staticJobTime(p.sys.Device(), j))
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
@@ -90,7 +90,7 @@ func (p *LJF) Attach(s *cp.System) { p.sys = s }
 
 // Admit implements cp.Policy.
 func (p *LJF) Admit(j *cp.JobRun) bool {
-	j.Priority = -clampPriority(staticJobTime(p.sys.Device().Config(), j))
+	j.Priority = -int64(staticJobTime(p.sys.Device(), j))
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
