@@ -196,11 +196,13 @@ func BenchmarkSweepTable5Serial(b *testing.B) { benchSweepTable5(b, 1) }
 func BenchmarkSweepTable5Parallel(b *testing.B) { benchSweepTable5(b, 0) }
 
 // sweepCell runs one uncached LSTM/high/128 cell — the grid's most expensive
-// column — under the named scheduler.
-func sweepCell(tb testing.TB, r *harness.Runner, schedName string) {
-	if _, _, err := r.RunSystem(context.Background(), schedName, "LSTM", workload.HighRate); err != nil {
+// column — under the named scheduler and returns the finished system.
+func sweepCell(tb testing.TB, r *harness.Runner, schedName string) *cp.System {
+	sys, _, err := r.RunSystem(context.Background(), schedName, "LSTM", workload.HighRate)
+	if err != nil {
 		tb.Fatal(err)
 	}
+	return sys
 }
 
 // sweepSchedulers is the sim-sweep grid's scheduler axis (bench/sim.go).
@@ -219,11 +221,29 @@ func BenchmarkSweepCell(b *testing.B) {
 	for _, s := range sweepSchedulers() {
 		b.Run(s, func(b *testing.B) {
 			b.ReportAllocs()
+			var offers, placements int64
 			for i := 0; i < b.N; i++ {
-				sweepCell(b, r, s)
+				offers, placements = sweepCell(b, r, s).DispatchStats()
 			}
+			b.ReportMetric(float64(offers)/float64(placements), "offers/placement")
 		})
 	}
+}
+
+// TestDispatchOffersPerPlacement is the cost guard on the dispatch round: on
+// the EDF/LSTM/high/128/seed-1 cell a placement may cost fewer than 5 offers
+// to the device. It cost 56 when every WG completion re-offered every ready
+// kernel, ~50 of which the device had already refused; with the per-class
+// ready counts an offer is made only where there is room (measured 1.2).
+func TestDispatchOffersPerPlacement(t *testing.T) {
+	offers, placements := sweepCell(t, benchRunner(), "EDF").DispatchStats()
+	if placements == 0 {
+		t.Fatal("the cell placed nothing")
+	}
+	if per := float64(offers) / float64(placements); per >= 5 {
+		t.Fatalf("%d offers for %d placements = %.1f per placement, want < 5", offers, placements, per)
+	}
+	t.Logf("%d offers for %d placements", offers, placements)
 }
 
 // TestPREMACellCostTracksEDF is the guard against recomputation creeping

@@ -110,13 +110,23 @@ type JobRun struct {
 	// scheduler state that must live exactly as long as the job does hangs
 	// here instead of in a policy-side table keyed by job ID.
 	SchedState any
+
+	// sys is the owning system (nil for a JobRun built outside one), told
+	// when Pause or Resume changes what is dispatchable.
+	sys *System
 }
 
-func newJobRun(job *workload.Job, queueID int) *JobRun {
-	jr := &JobRun{Job: job, QueueID: queueID, state: JobPending, FirstDispatch: -1}
+// newJobRun builds the runtime state of one job of this system. The kernel
+// instances live in one slab per job — the chain is allocated, used and
+// dropped together, so the allocator and the collector track one object
+// instead of one per kernel.
+func (s *System) newJobRun(job *workload.Job) *JobRun {
+	jr := &JobRun{Job: job, QueueID: -1, state: JobPending, FirstDispatch: -1, sys: s}
+	slab := make([]gpu.KernelInstance, len(job.Kernels))
 	jr.Instances = make([]*gpu.KernelInstance, len(job.Kernels))
 	for i, kd := range job.Kernels {
-		jr.Instances[i] = gpu.NewKernelInstance(kd, job.ID, queueID, i)
+		slab[i] = gpu.KernelInstance{Desc: kd, JobID: job.ID, QueueID: -1, Seq: i}
+		jr.Instances[i] = &slab[i]
 	}
 	return jr
 }
@@ -194,16 +204,19 @@ func (j *JobRun) TotalWGList() []core.WGEntry {
 
 // Pause marks every unfinished kernel of the job non-dispatchable
 // (preemption-style descheduling; in-flight WGs drain naturally).
-func (j *JobRun) Pause() {
-	for i := j.cur; i < len(j.Instances); i++ {
-		j.Instances[i].Paused = true
-	}
-}
+func (j *JobRun) Pause() { j.setPaused(true) }
 
 // Resume clears the paused flag set by Pause.
-func (j *JobRun) Resume() {
+func (j *JobRun) Resume() { j.setPaused(false) }
+
+// setPaused writes the flag and marks the system's ready counts stale: a
+// kernel just became, or stopped being, dispatchable behind Dispatch's back.
+func (j *JobRun) setPaused(paused bool) {
 	for i := j.cur; i < len(j.Instances); i++ {
-		j.Instances[i].Paused = false
+		j.Instances[i].Paused = paused
+	}
+	if j.sys != nil {
+		j.sys.readyStale = true
 	}
 }
 

@@ -59,7 +59,7 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	if job.Arrival != s.eng.Now() {
 		panic(fmt.Sprintf("cp: online arrival %v != engine now %v", job.Arrival, s.eng.Now()))
 	}
-	jr := newJobRun(job, -1)
+	jr := s.newJobRun(job)
 	s.jobs = append(s.jobs, jr)
 
 	// If this arrival lands exactly on a reprioritization grid point while
@@ -74,20 +74,7 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	s.arrive(jr)
 
 	if catchup {
-		s.eng.Schedule(s.eng.Now(), func() {
-			lat := s.pol.Overheads().PriorityUpdateLatency
-			if lat > 0 {
-				s.eng.After(lat, func() {
-					s.pol.Reprioritize()
-					s.recheckBlocked()
-					s.Dispatch()
-				})
-				return
-			}
-			s.pol.Reprioritize()
-			s.recheckBlocked()
-			s.Dispatch()
-		})
+		s.eng.Schedule(s.eng.Now(), s.reprioritize)
 	}
 	return jr
 }

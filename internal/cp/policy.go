@@ -62,7 +62,9 @@ type Orderer interface {
 	// active (the System does not verify, but dropping jobs starves them).
 	// The result is borrowed: it may live in a buffer the policy reuses, so
 	// it is valid only until the next Order call, and Dispatch never retains
-	// it.
+	// it. Order is not called once per round: a round that can place nothing
+	// returns without asking, so Order must not carry state from call to
+	// call (Served is where a cyclic policy advances).
 	Order(active []*JobRun) []*JobRun
 }
 

@@ -218,6 +218,7 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 		return
 	}
 	killed := s.dev.Kill(inst)
+	s.readyStale = true // the kill rolled dispatched WGs back
 	s.recStats.WatchdogKills++
 	s.recStats.WGsKilled += killed
 	s.recoverKernel(jr, inst)
@@ -227,6 +228,7 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 // already killed the attempt; with recovery on the kernel retries, with
 // recovery off the fault is fatal to the offload.
 func (s *System) onKernelAbort(inst *gpu.KernelInstance) {
+	s.readyStale = true // the device's kill rolled dispatched WGs back
 	jr := s.Job(inst.JobID)
 	if jr == nil || jr.terminal() {
 		return
@@ -260,11 +262,13 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 		backoff = rc.BackoffCap
 	}
 	inst.Paused = true
+	s.readyStale = true
 	s.eng.After(backoff, func() {
 		if jr.terminal() || jr.Current() != inst {
 			return
 		}
 		inst.Paused = false
+		s.readyStale = true
 		s.Dispatch()
 	})
 }
@@ -276,20 +280,7 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 func (s *System) fallbackToCPU(jr *JobRun) {
 	s.recStats.Fallbacks++
 	jr.FellBack = true
-	jr.Pause()
-	for i, a := range s.active {
-		if a == jr {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			s.invalidateOrder()
-			break
-		}
-	}
-	for i, b := range s.blocked {
-		if b == jr {
-			s.blocked = append(s.blocked[:i], s.blocked[i+1:]...)
-			break
-		}
-	}
+	s.drop(jr)
 	s.probeJob(obs.JobFallback, jr)
 	s.releaseQueue(jr)
 

@@ -85,6 +85,24 @@ type System struct {
 	orderPrios []int64
 	orderValid bool
 
+	// ready[c] counts the active jobs whose current kernel is Dispatchable
+	// and of device footprint class c (gpu.Device.FootprintClass). With the
+	// device's per-class blocked bit it tells Dispatch when a round can place
+	// nothing: no class has a ready kernel the device has room for. The two
+	// hot transitions keep it exact — markReady adds, a placement that leaves
+	// no WG to dispatch subtracts — and every other way a kernel becomes or
+	// stops being dispatchable (a policy pausing or resuming jobs, Cancel,
+	// all of recovery.go) sets readyStale instead; the next round then walks
+	// every job, as every round used to, and recounts as it goes. Too high a
+	// count costs a wasted walk, too low a count skips a placement, so any
+	// transition not provably covered marks the counts stale.
+	ready      []int
+	readyStale bool
+
+	// offers and placements count the kernels Dispatch offered to the device
+	// and the offers that placed a WG (see DispatchStats).
+	offers, placements int64
+
 	freeQueues []int
 
 	// parserFreeAt models ParseStreams parallel inspection slots.
@@ -140,9 +158,10 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 		panic(fmt.Sprintf("cp: invalid system config %+v", cfg))
 	}
 	s := &System{
-		cfg: cfg,
-		eng: sim.NewEngine(),
-		pol: pol,
+		cfg:        cfg,
+		eng:        sim.NewEngine(),
+		pol:        pol,
+		readyStale: true,
 	}
 	s.dev = gpu.New(cfg.GPU, s.eng)
 	s.dev.OnWGComplete(s.onWGComplete)
@@ -163,7 +182,7 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 		if job.ID != i {
 			panic(fmt.Sprintf("cp: job IDs must be dense, got %d at %d", job.ID, i))
 		}
-		s.jobs[i] = newJobRun(job, -1)
+		s.jobs[i] = s.newJobRun(job)
 	}
 	pol.Attach(s)
 	s.orderer, _ = pol.(Orderer)
@@ -346,9 +365,42 @@ func (s *System) afterLaunch(fn func()) {
 func (s *System) makeFirstReady(jr *JobRun) {
 	jr.state = JobReady
 	jr.ReadyTime = s.eng.Now()
-	jr.Current().MarkReady(s.eng.Now())
+	s.markReady(jr.Current())
 	s.probeJob(obs.JobReady, jr)
 	s.Dispatch()
+}
+
+// markReady makes a waiting kernel — the current one of an active job —
+// ready, and counts it if that made it dispatchable (a paused job's kernel
+// becomes ready but is counted only by the recount after its Resume).
+func (s *System) markReady(inst *gpu.KernelInstance) {
+	if inst.State() != gpu.KernelWaiting {
+		return
+	}
+	inst.MarkReady(s.eng.Now())
+	if inst.Dispatchable() {
+		s.addReady(s.dev.FootprintClass(inst), 1)
+	}
+}
+
+// addReady adjusts ready[c], growing the slice to classes the device
+// registered since the last call.
+func (s *System) addReady(c, delta int) {
+	for len(s.ready) <= c {
+		s.ready = append(s.ready, 0)
+	}
+	s.ready[c] += delta
+}
+
+// placeable reports whether some footprint class has a ready kernel and is
+// not blocked on the device. Only meaningful while the counts are not stale.
+func (s *System) placeable() bool {
+	for c, n := range s.ready {
+		if n > 0 && !s.dev.ClassBlocked(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // onWGComplete refills the device after every workgroup completion.
@@ -381,7 +433,16 @@ func (s *System) Cancel(jr *JobRun) {
 	jr.FinishTime = s.eng.Now()
 	s.probeJob(obs.JobCancel, jr)
 	s.retire()
-	jr.Pause() // no further WG dispatch from any of its kernels
+	s.drop(jr)
+	s.releaseQueue(jr)
+	s.Dispatch()
+}
+
+// drop takes an unfinished job off the device: none of its kernels
+// dispatches again (in-flight WGs drain), and it leaves the active and
+// gate-blocked sets. Pause marks the ready counts stale, which covers both.
+func (s *System) drop(jr *JobRun) {
+	jr.Pause()
 	for i, a := range s.active {
 		if a == jr {
 			s.active = append(s.active[:i], s.active[i+1:]...)
@@ -395,8 +456,6 @@ func (s *System) Cancel(jr *JobRun) {
 			break
 		}
 	}
-	s.releaseQueue(jr)
-	s.Dispatch()
 }
 
 // onKernelDone advances the job's kernel chain.
@@ -433,7 +492,7 @@ func (s *System) tryAdvance(jr *JobRun) {
 	}
 	next := jr.Current()
 	s.afterLaunch(func() {
-		next.MarkReady(s.eng.Now())
+		s.markReady(next)
 		s.Dispatch()
 	})
 }
@@ -462,7 +521,7 @@ func (s *System) recheckBlocked() {
 		}
 		next := jr.Current()
 		s.afterLaunch(func() {
-			next.MarkReady(s.eng.Now())
+			s.markReady(next)
 			s.Dispatch()
 		})
 	}
@@ -509,6 +568,14 @@ func (s *System) releaseQueue(jr *JobRun) {
 // to the device in policy order, filling WG slots greedily ("LAX issues all
 // WGs from the highest priority job[, then] moves on to the next highest
 // priority ready job ... until all WG slots are filled", §4.4).
+//
+// The round does only the part of that walk that can place a WG. While the
+// ready counts are current it returns at once — before asking the policy for
+// an order — when no footprint class has both a ready kernel and room on the
+// device, passes over a kernel of a blocked class without offering it, and
+// stops as soon as a placement leaves nothing placeable; the jobs it does
+// not reach are exactly those the device would refuse. A round that finds
+// the counts stale walks every job and recounts.
 func (s *System) Dispatch() {
 	if s.dev.Stalled() {
 		if !s.stallKickArmed {
@@ -520,13 +587,31 @@ func (s *System) Dispatch() {
 		}
 		return
 	}
+	recount := s.readyStale
+	if recount {
+		// Cleared before the walk, not after: policy code runs inside it
+		// (Order, Served), and staleness raised there must outlive the round.
+		s.readyStale = false
+		clear(s.ready)
+	} else if !s.placeable() {
+		return
+	}
 	for _, jr := range s.dispatchOrder() {
 		inst := jr.Current()
 		if inst == nil || !inst.Dispatchable() {
 			continue
 		}
+		c := s.dev.FootprintClass(inst)
+		if recount {
+			s.addReady(c, 1)
+		}
+		if s.dev.ClassBlocked(c) {
+			continue
+		}
+		s.offers++
 		wasRunning := inst.State() == gpu.KernelRunning
 		if s.dev.TryDispatch(inst, -1) > 0 {
+			s.placements++
 			jr.state = JobRunning
 			if jr.FirstDispatch < 0 {
 				jr.FirstDispatch = s.eng.Now()
@@ -539,7 +624,22 @@ func (s *System) Dispatch() {
 				s.observer.Served(jr)
 			}
 		}
+		// The offer either placed every remaining WG or was refused and
+		// blocked the class: one of the two inputs of placeable just moved.
+		if inst.RemainingWGs() == 0 {
+			s.ready[c]--
+		}
+		if !recount && !s.placeable() {
+			return
+		}
 	}
+}
+
+// DispatchStats returns how many kernels dispatch rounds have offered to the
+// device so far, and how many of those offers placed at least one WG. Their
+// ratio is the cost of a placement in offers: 1 when every offer lands.
+func (s *System) DispatchStats() (offers, placements int64) {
+	return s.offers, s.placements
 }
 
 // dispatchOrder returns active jobs in dispatch order: the policy's Orderer
@@ -552,6 +652,11 @@ func (s *System) dispatchOrder() []*JobRun {
 	if s.orderer != nil {
 		return s.orderer.Order(s.active)
 	}
+	return s.priorityOrder()
+}
+
+// priorityOrder is dispatchOrder without an Orderer: the memoized sort.
+func (s *System) priorityOrder() []*JobRun {
 	if s.orderValid {
 		for i, jr := range s.orderCache {
 			if jr.Priority != s.orderPrios[i] {
@@ -658,20 +763,27 @@ func (s *System) armTimer() {
 // jobs, dispatch, and re-arm.
 func (s *System) tick() {
 	s.timerArmed = false
-	lat := s.pol.Overheads().PriorityUpdateLatency
-	if lat > 0 {
-		// CPU-side policies: the decision lands a round trip later.
-		s.eng.After(lat, func() {
-			s.pol.Reprioritize()
-			s.recheckBlocked()
-			s.Dispatch()
-		})
-	} else {
-		s.pol.Reprioritize()
-		s.recheckBlocked()
-		s.Dispatch()
-	}
+	s.reprioritize()
 	s.armTimer()
+}
+
+// reprioritize runs the policy's pass now, or a host round trip later for
+// CPU-side policies (the decision lands that much after the tick).
+func (s *System) reprioritize() {
+	if lat := s.pol.Overheads().PriorityUpdateLatency; lat > 0 {
+		s.eng.After(lat, s.applyReprioritize)
+		return
+	}
+	s.applyReprioritize()
+}
+
+// applyReprioritize is the pass and what follows from it. The policy may
+// have paused and resumed jobs, so the ready counts are stale after it.
+func (s *System) applyReprioritize() {
+	s.pol.Reprioritize()
+	s.readyStale = true
+	s.recheckBlocked()
+	s.Dispatch()
 }
 
 // Completed returns the number of jobs that finished (regardless of

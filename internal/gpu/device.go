@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"laxgpu/internal/sim"
 )
@@ -35,6 +36,15 @@ type Device struct {
 	// own CU fit: roomFreed re-tests that one CU. TryDispatch answers from
 	// the list without scanning; placements and rrCursor are untouched.
 	noRoom []wgFootprint
+
+	// classes are the distinct WG footprints dispatch has seen, indexed by the
+	// dense class id FootprintClass caches on each instance, and blocked[c]
+	// holds exactly when classes[c] covers some noRoom entry. noRoom changes
+	// in two places — TryDispatch's append and roomFreed — and both keep
+	// blocked in step, so "no room for this class" is one array lookup for
+	// TryDispatch and for the CP's dispatch round (ClassBlocked).
+	classes []wgFootprint
+	blocked []bool
 
 	counters Counters
 	energy   EnergyMeter
@@ -194,26 +204,71 @@ func (d *Device) TryDispatch(inst *KernelInstance, limit int) int {
 	if d.Stalled() || !inst.Dispatchable() {
 		return 0
 	}
-	f := footprintOf(inst.Desc, d.cfg.WavefrontSize)
-	if !d.cus[0].canEverFit(f) {
-		panic(fmt.Sprintf("gpu: kernel %s WG footprint %+v exceeds CU capacity", inst.Desc.Name, f))
+	c := d.FootprintClass(inst)
+	if d.blocked[c] {
+		return 0
 	}
-	for _, g := range d.noRoom {
-		if f.covers(g) {
-			return 0
-		}
-	}
+	f := d.classes[c]
 	placed := 0
 	for inst.RemainingWGs() > 0 && (limit < 0 || placed < limit) {
 		cu := d.pickCU(f)
 		if cu == nil {
 			d.noRoom = append(d.noRoom, f)
+			for k, g := range d.classes {
+				if g.covers(f) {
+					d.blocked[k] = true
+				}
+			}
 			break
 		}
 		d.startWG(inst, cu, f)
 		placed++
 	}
 	return placed
+}
+
+// FootprintClass returns the dense id of inst's WG-footprint class: kernels
+// share a class exactly when one WG of each costs a CU the same resources,
+// so the device has room for all of a class or for none. The id is resolved
+// once per instance and cached on it, like the counter id. It panics if the
+// kernel could never fit on an empty CU — a workload-definition bug.
+func (d *Device) FootprintClass(inst *KernelInstance) int {
+	if inst.classPlus1 == 0 {
+		inst.classPlus1 = int32(d.classOf(inst.Desc)) + 1
+	}
+	return int(inst.classPlus1) - 1
+}
+
+// classOf finds or registers desc's footprint class.
+func (d *Device) classOf(desc *KernelDesc) int {
+	f := footprintOf(desc, d.cfg.WavefrontSize)
+	for c, g := range d.classes {
+		if g == f {
+			return c
+		}
+	}
+	if !d.cus[0].canEverFit(f) {
+		panic(fmt.Sprintf("gpu: kernel %s WG footprint %+v exceeds CU capacity", desc.Name, f))
+	}
+	d.classes = append(d.classes, f)
+	d.blocked = append(d.blocked, d.refused(f))
+	return len(d.classes) - 1
+}
+
+// ClassBlocked reports whether the device is known to have no room for a WG
+// of footprint class c: TryDispatch places nothing for any kernel of the
+// class until a release makes room. False promises nothing — the next offer
+// may still be refused (and then blocks the class).
+func (d *Device) ClassBlocked(c int) bool { return d.blocked[c] }
+
+// refused reports whether f covers a no-room entry, i.e. no CU fits it.
+func (d *Device) refused(f wgFootprint) bool {
+	for _, g := range d.noRoom {
+		if f.covers(g) {
+			return true
+		}
+	}
+	return false
 }
 
 // pickCU selects a CU with room for the footprint per the configured
@@ -251,7 +306,8 @@ func (d *Device) pickCU(f wgFootprint) *computeUnit {
 	}
 }
 
-// roomFreed drops the no-room entries cu fits after a release on it.
+// roomFreed drops the no-room entries cu fits after a release on it, and
+// re-derives blocked when one was dropped (most releases drop none).
 func (d *Device) roomFreed(cu *computeUnit) {
 	kept := d.noRoom[:0]
 	for _, g := range d.noRoom {
@@ -259,7 +315,13 @@ func (d *Device) roomFreed(cu *computeUnit) {
 			kept = append(kept, g)
 		}
 	}
+	if len(kept) == len(d.noRoom) {
+		return
+	}
 	d.noRoom = kept
+	for c, f := range d.classes {
+		d.blocked[c] = d.refused(f)
+	}
 }
 
 // startWG reserves resources and schedules the WG's completion. The latency
@@ -328,7 +390,7 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 // counter ID on the instance so steady-state dispatch skips the name map.
 func (d *Device) counterFor(inst *KernelInstance) *KernelCounter {
 	if inst.cidPlus1 == 0 {
-		inst.cidPlus1 = d.counters.idFor(inst.Desc.Name) + 1
+		inst.cidPlus1 = int32(d.counters.idFor(inst.Desc.Name)) + 1
 	}
 	return d.counters.byID[inst.cidPlus1-1]
 }
@@ -528,6 +590,25 @@ func (d *Device) ActiveWGs() int {
 		n += cu.activeWGs
 	}
 	return n
+}
+
+// String renders everything WG placement can observe — the round-robin
+// cursor, then per CU its id, WG count and free threads, wavefronts, VGPR and
+// LDS bytes — for logs and test failures: two devices that print the same
+// place the same WG on the same CU. Built with strconv, not fmt, because the
+// dispatch differential test prints one per placement.
+func (d *Device) String() string {
+	b := strconv.AppendInt([]byte("rr="), int64(d.rrCursor), 10)
+	for _, cu := range d.cus {
+		b = append(b, ' ')
+		for _, v := range [...]int{cu.id, cu.activeWGs, cu.threadsFree, cu.wavefrontsFree, cu.vgprFree, cu.ldsFree} {
+			b = append(strconv.AppendInt(b, int64(v), 10), '/')
+		}
+		if cu.retired {
+			b = append(b, "retired"...)
+		}
+	}
+	return string(b)
 }
 
 // Utilization returns the fraction of device thread contexts occupied.

@@ -151,7 +151,11 @@ type KernelInstance struct {
 	// cidPlus1 caches the device counter ID for Desc.Name, plus one so the
 	// zero value means "unresolved". Instances are per-run and per-device,
 	// so the cache can never leak across counter blocks.
-	cidPlus1 int
+	cidPlus1 int32
+
+	// classPlus1 caches the device's footprint class id for Desc the same
+	// way (Device.FootprintClass); the two ids share a word.
+	classPlus1 int32
 
 	ReadyAt    sim.Time // when dependencies were satisfied
 	StartedAt  sim.Time // first WG dispatch

@@ -14,14 +14,17 @@ import (
 // list before every dispatch, so its TryDispatch always scans the CUs — the
 // code path before the memo existed.
 type memoRig struct {
-	d      *Device
-	eng    *sim.Engine
-	rng    *rand.Rand
-	scan   bool
-	track  bool
-	descs  []*KernelDesc
-	insts  []*KernelInstance
-	nextID int
+	d     *Device
+	eng   *sim.Engine
+	rng   *rand.Rand
+	scan  bool
+	track bool
+	// skipRecompute is the broken variant: a release that drops a no-room
+	// entry leaves blocked as it was, as if roomFreed forgot to re-derive it.
+	skipRecompute bool
+	descs         []*KernelDesc
+	insts         []*KernelInstance
+	nextID        int
 
 	placed   int // WGs placed by the step's dispatches (callbacks included)
 	memoHits int // dispatches the no-room list answered without a scan
@@ -78,9 +81,26 @@ func (r *memoRig) pick() *KernelInstance {
 	return r.insts[i]
 }
 
+// forgetNoRoom empties the no-room list and the blocked bits derived from it.
+func forgetNoRoom(d *Device) {
+	d.noRoom = d.noRoom[:0]
+	clear(d.blocked)
+}
+
+// blockedMatchesNoRoom checks blocked[c] ⇔ some noRoom entry is covered by
+// class c, re-derived for every class.
+func blockedMatchesNoRoom(d *Device) error {
+	for c, f := range d.classes {
+		if d.blocked[c] != d.refused(f) {
+			return fmt.Errorf("class %d %+v: blocked = %v, but noRoom = %+v", c, f, d.blocked[c], d.noRoom)
+		}
+	}
+	return nil
+}
+
 func (r *memoRig) dispatch(inst *KernelInstance, limit int) {
 	if r.scan {
-		r.d.noRoom = r.d.noRoom[:0]
+		forgetNoRoom(r.d)
 	} else if !r.d.Stalled() && inst.Dispatchable() {
 		f := footprintOf(inst.Desc, r.d.cfg.WavefrontSize)
 		for _, g := range r.d.noRoom {
@@ -95,6 +115,16 @@ func (r *memoRig) dispatch(inst *KernelInstance, limit int) {
 
 func (r *memoRig) step() {
 	r.placed = 0
+	if r.skipRecompute {
+		before, entries := append([]bool(nil), r.d.blocked...), len(r.d.noRoom)
+		defer func() {
+			if len(r.d.noRoom) < entries {
+				for c, was := range before {
+					r.d.blocked[c] = r.d.blocked[c] || was
+				}
+			}
+		}()
+	}
 	switch op := r.rng.Intn(100); {
 	case op < 50:
 		r.dispatch(r.pick(), []int{-1, -1, 1, 2, 3}[r.rng.Intn(5)])
@@ -114,15 +144,11 @@ func (r *memoRig) step() {
 	}
 }
 
-// state renders everything placement can observe: per-CU occupancy (which
-// pins the CU every WG was placed on), the round-robin cursor, the clock and
-// CanFit's answer for every kernel shape.
+// state renders everything placement can observe: the device's per-CU
+// occupancy and round-robin cursor (which pin the CU every WG was placed on),
+// the clock and CanFit's answer for every kernel shape.
 func (r *memoRig) state() string {
-	s := fmt.Sprintf("t=%d placed=%d rr=%d active=%d |", r.eng.Now(), r.placed, r.d.rrCursor, r.d.ActiveWGs())
-	for _, cu := range r.d.cus {
-		s += fmt.Sprintf(" %d:%d/%d/%d/%d/%d/%v", cu.id, cu.activeWGs, cu.threadsFree,
-			cu.wavefrontsFree, cu.vgprFree, cu.ldsFree, cu.retired)
-	}
+	s := fmt.Sprintf("t=%d placed=%d active=%d | %v", r.eng.Now(), r.placed, r.d.ActiveWGs(), r.d)
 	s += " | fit"
 	for _, k := range r.descs {
 		s += fmt.Sprintf(" %v", r.d.CanFit(k))
@@ -134,7 +160,8 @@ func (r *memoRig) state() string {
 // "no room" from its list and one that always scans stay in the same state
 // through 10 000 random dispatches (limited and unlimited), WG completions,
 // kills, CU retirements and stalls, under every placement policy, on both
-// the tracked and the batched completion path.
+// the tracked and the batched completion path — and after every step the
+// memo device's blocked bits are exactly what its no-room list implies.
 func TestNoRoomMemoMatchesScan(t *testing.T) {
 	for _, placement := range []PlacementPolicy{FirstFit, BestFit, RoundRobin} {
 		for _, track := range []bool{false, true} {
@@ -149,12 +176,35 @@ func TestNoRoomMemoMatchesScan(t *testing.T) {
 					if got, want := memo.state(), ref.state(); got != want {
 						t.Fatalf("step %d diverged:\n memo %s\n scan %s", i, got, want)
 					}
+					if err := blockedMatchesNoRoom(memo.d); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
 				}
 				if memo.memoHits < 1000 {
 					t.Fatalf("the no-room list answered only %d dispatches; the test exercises nothing", memo.memoHits)
 				}
 			})
 		}
+	}
+}
+
+// TestStaleBlockedIsCaught runs the broken variant — roomFreed drops an entry
+// but blocked keeps its old bits — and requires both guards above to notice:
+// the blocked/noRoom equivalence breaks, and the device refuses a WG the
+// scanning reference places.
+func TestStaleBlockedIsCaught(t *testing.T) {
+	broken := newMemoRig(FirstFit, 17, false, false)
+	broken.skipRecompute = true
+	ref := newMemoRig(FirstFit, 17, false, true)
+	invariant, diverged := false, false
+	for i := 0; i < 10000 && !diverged; i++ {
+		broken.step()
+		ref.step()
+		invariant = invariant || blockedMatchesNoRoom(broken.d) != nil
+		diverged = broken.state() != ref.state()
+	}
+	if !invariant || !diverged {
+		t.Fatalf("skipping the blocked recompute went unnoticed: invariant broken=%v, diverged from scan=%v", invariant, diverged)
 	}
 }
 

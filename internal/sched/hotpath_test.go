@@ -65,6 +65,33 @@ func TestPREMAEpochAllocationFree(t *testing.T) {
 	}
 }
 
+// TestHostLAXRemainingAllocationFree: LAX-SW and LAX-CPU re-read every active
+// job's kernel-granular WGList each tick; the list is built in policy-owned
+// scratch, so neither it nor the drain estimate summed from it allocates.
+func TestHostLAXRemainingAllocationFree(t *testing.T) {
+	lib := workload.NewLibrary(gpu.DefaultConfig())
+	bench, err := workload.FindBenchmark("LSTM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*LAX{NewLAXSW(), NewLAXCPU()} {
+		sys := cp.NewSystem(cp.DefaultSystemConfig(), bench.Generate(lib, workload.HighRate, 64, 1), p)
+		allocs, active := -1.0, 0
+		sys.Engine().Schedule(2*sim.Millisecond, func() {
+			active = len(sys.Active())
+			p.EstimateDrain() // warm: grows the buffer to the longest chain
+			allocs = testing.AllocsPerRun(200, func() { p.EstimateDrain() })
+		})
+		sys.Run()
+		if active < 4 { // admission control keeps LAX's active set small
+			t.Fatalf("%s: only %d active jobs at the measured instant", p.Name(), active)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a drain estimate over %d jobs allocates %v, want 0", p.Name(), active, allocs)
+		}
+	}
+}
+
 // TestStaticPrioritiesAreThePlainCast pins SJF/LJF after clampPriority's
 // removal (it was documented as saturating and was a bare cast): for every
 // library benchmark's kernel chain the priority is ± the predicted job time.

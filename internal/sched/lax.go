@@ -122,6 +122,10 @@ type LAX struct {
 	// legacy walk.
 	jt *jobTable
 
+	// wgList is remaining's buffer for the host-side variants, reused for
+	// every job of every tick.
+	wgList []core.WGEntry
+
 	traceJob int // job ID to trace for Figure 10 (-1 = off)
 	tracePts []TracePoint
 
@@ -196,16 +200,19 @@ func (p *LAX) table() *core.ProfilingTable {
 // CP reads the live WGList, decremented per WG completion. The host-side
 // variants have no access to the WG-completion counter (it is the paper's
 // proposed hardware extension, §4.1.1) — they observe kernel completions
-// only, so a kernel in flight still counts in full.
+// only, so a kernel in flight still counts in full; their list is built in
+// p.wgList and is valid only until the next call (RemainingTime and
+// RemainingDrain sum it and keep nothing).
 func (p *LAX) remaining(j *cp.JobRun) []core.WGEntry {
 	if p.variant == VariantCP {
 		return j.RemainingWGList()
 	}
-	var out []core.WGEntry
+	out := p.wgList[:0]
 	for i := j.CurrentIndex(); i < len(j.Instances); i++ {
 		d := j.Instances[i].Desc
 		out = append(out, core.WGEntry{Kernel: d.Name, WGs: d.NumWGs})
 	}
+	p.wgList = out
 	return out
 }
 

@@ -145,20 +145,23 @@ func (c *Checker) violate(at sim.Time, rule string, job int, format string, args
 	c.violations = append(c.violations, v)
 }
 
-// check evaluates one rule instance.
-func (c *Checker) check(ok bool, at sim.Time, rule string, job int, format string, args ...any) {
+// fails counts one rule evaluation and reports whether it failed. Call
+// sites read `if c.fails(cond) { c.violate(...) }` so the violation's
+// arguments are built — boxed into the variadic — only when there is one:
+// a clean event stream allocates nothing here.
+func (c *Checker) fails(ok bool) bool {
 	c.checks++
-	if !ok {
-		c.violate(at, rule, job, format, args...)
-	}
+	return !ok
 }
 
 // clock enforces monotone non-decreasing event time across every probe
 // stream — the engine fires events in (time, seq) order, so any probe
 // callback going backwards means a scheduling bug.
 func (c *Checker) clock(at sim.Time) {
-	c.check(!c.sawTime || at >= c.lastAt, at, "monotone-time", -1,
-		"event at %v after event at %v", at, c.lastAt)
+	if c.fails(!c.sawTime || at >= c.lastAt) {
+		c.violate(at, "monotone-time", -1,
+			"event at %v after event at %v", at, c.lastAt)
+	}
 	if at > c.lastAt {
 		c.lastAt = at
 	}
@@ -189,34 +192,56 @@ func (c *Checker) Job(e obs.JobEvent) {
 		a.arrives++
 		a.absDeadline = e.Deadline
 		a.hasDeadline = true
-		c.check(a.arrives == 1, e.At, "lifecycle", e.Job, "job arrived %d times", a.arrives)
-		c.check(a.readies+a.finishes+a.rejects+a.cancels == 0, e.At, "lifecycle", e.Job,
-			"lifecycle event preceded arrival")
+		if c.fails(a.arrives == 1) {
+			c.violate(e.At, "lifecycle", e.Job, "job arrived %d times", a.arrives)
+		}
+		if c.fails(a.readies+a.finishes+a.rejects+a.cancels == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"lifecycle event preceded arrival")
+		}
 	case obs.JobReject:
 		a.rejects++
-		c.check(a.arrives == 1, e.At, "lifecycle", e.Job, "reject without arrival")
-		c.check(a.rejects == 1 && a.finishes == 0 && a.cancels == 0, e.At, "lifecycle", e.Job,
-			"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
-		c.check(a.readies == 0 && len(a.starts) == 0, e.At, "lifecycle", e.Job,
-			"rejected job made progress: readies=%d started-kernels=%d", a.readies, len(a.starts))
+		if c.fails(a.arrives == 1) {
+			c.violate(e.At, "lifecycle", e.Job, "reject without arrival")
+		}
+		if c.fails(a.rejects == 1 && a.finishes == 0 && a.cancels == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
+		}
+		if c.fails(a.readies == 0 && len(a.starts) == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"rejected job made progress: readies=%d started-kernels=%d", a.readies, len(a.starts))
+		}
 	case obs.JobReady:
 		a.readies++
-		c.check(a.arrives == 1 && a.rejects == 0, e.At, "lifecycle", e.Job,
-			"ready without accepted arrival")
+		if c.fails(a.arrives == 1 && a.rejects == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"ready without accepted arrival")
+		}
 	case obs.JobFinish:
 		a.finishes++
-		c.check(a.arrives == 1, e.At, "lifecycle", e.Job, "finish without arrival")
-		c.check(a.finishes == 1 && a.rejects == 0 && a.cancels == 0, e.At, "lifecycle", e.Job,
-			"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
+		if c.fails(a.arrives == 1) {
+			c.violate(e.At, "lifecycle", e.Job, "finish without arrival")
+		}
+		if c.fails(a.finishes == 1 && a.rejects == 0 && a.cancels == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
+		}
 		if a.hasDeadline {
-			c.check(e.Met == (e.At <= a.absDeadline), e.At, "deadline-flag", e.Job,
-				"Met=%v but finish=%v deadline=%v", e.Met, e.At, a.absDeadline)
+			if c.fails(e.Met == (e.At <= a.absDeadline)) {
+				c.violate(e.At, "deadline-flag", e.Job,
+					"Met=%v but finish=%v deadline=%v", e.Met, e.At, a.absDeadline)
+			}
 		}
 	case obs.JobCancel:
 		a.cancels++
-		c.check(a.arrives == 1, e.At, "lifecycle", e.Job, "cancel without arrival")
-		c.check(a.cancels == 1 && a.rejects == 0 && a.finishes == 0, e.At, "lifecycle", e.Job,
-			"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
+		if c.fails(a.arrives == 1) {
+			c.violate(e.At, "lifecycle", e.Job, "cancel without arrival")
+		}
+		if c.fails(a.cancels == 1 && a.rejects == 0 && a.finishes == 0) {
+			c.violate(e.At, "lifecycle", e.Job,
+				"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
+		}
 	}
 }
 
@@ -230,18 +255,24 @@ func (c *Checker) Admission(e obs.AdmissionDecision) {
 	a := c.acct(e.Job)
 	a.admissions++
 	a.accepted = e.Accepted
-	c.check(a.admissions == 1, e.At, "admission-sum", e.Job,
-		"job admitted %d times", a.admissions)
+	if c.fails(a.admissions == 1) {
+		c.violate(e.At, "admission-sum", e.Job,
+			"job admitted %d times", a.admissions)
+	}
 	if c.opt.AdmissionAblated {
-		c.check(e.Accepted, e.At, "admission-sum", e.Job,
-			"admission-ablated policy rejected a job")
+		if c.fails(e.Accepted) {
+			c.violate(e.At, "admission-sum", e.Job,
+				"admission-ablated policy rejected a job")
+		}
 		return
 	}
 	if e.HasTerms {
 		want := e.QueueDelay+e.HoldTime < e.Deadline
-		c.check(e.Accepted == want, e.At, "admission-sum", e.Job,
-			"accepted=%v but queueDelay=%v + hold=%v vs deadline=%v",
-			e.Accepted, e.QueueDelay, e.HoldTime, e.Deadline)
+		if c.fails(e.Accepted == want) {
+			c.violate(e.At, "admission-sum", e.Job,
+				"accepted=%v but queueDelay=%v + hold=%v vs deadline=%v",
+				e.Accepted, e.QueueDelay, e.HoldTime, e.Deadline)
+		}
 	}
 }
 
@@ -252,10 +283,14 @@ func (c *Checker) Epoch(e obs.EpochSnapshot) {
 	if c.sys == nil {
 		return
 	}
-	c.check(e.Active == len(c.sys.Active()), e.At, "epoch-consistency", -1,
-		"epoch reports %d active, system has %d", e.Active, len(c.sys.Active()))
-	c.check(e.HostQueued == c.sys.HostQueueLen(), e.At, "epoch-consistency", -1,
-		"epoch reports %d host-queued, system has %d", e.HostQueued, c.sys.HostQueueLen())
+	if c.fails(e.Active == len(c.sys.Active())) {
+		c.violate(e.At, "epoch-consistency", -1,
+			"epoch reports %d active, system has %d", e.Active, len(c.sys.Active()))
+	}
+	if c.fails(e.HostQueued == c.sys.HostQueueLen()) {
+		c.violate(e.At, "epoch-consistency", -1,
+			"epoch reports %d host-queued, system has %d", e.HostQueued, c.sys.HostQueueLen())
+	}
 }
 
 // Sample checks Equation 1's laxity arithmetic: when a sample carries both
@@ -273,17 +308,21 @@ func (c *Checker) Sample(e obs.JobSample) {
 	if diff < 0 {
 		diff = -diff
 	}
-	c.check(diff <= c.opt.Tolerance, e.At, "laxity-arithmetic", e.Job,
-		"laxity=%v but deadline−rem−now = %v−%v−%v = %v",
-		e.Laxity, a.absDeadline, e.PredictedRem, e.At, want)
+	if c.fails(diff <= c.opt.Tolerance) {
+		c.violate(e.At, "laxity-arithmetic", e.Job,
+			"laxity=%v but deadline−rem−now = %v−%v−%v = %v",
+			e.Laxity, a.absDeadline, e.PredictedRem, e.At, want)
+	}
 }
 
 // TableRefresh checks the profiling table never reports a negative kernel
 // count (and participates in the monotone clock).
 func (c *Checker) TableRefresh(e obs.TableRefresh) {
 	c.clock(e.At)
-	c.check(e.Kernels >= 0, e.At, "table-refresh", -1,
-		"profiling table reports %d kernels", e.Kernels)
+	if c.fails(e.Kernels >= 0) {
+		c.violate(e.At, "table-refresh", -1,
+			"profiling table reports %d kernels", e.Kernels)
+	}
 }
 
 // KernelStart checks kernel sequencing — kernels of a job run strictly in
@@ -293,16 +332,24 @@ func (c *Checker) TableRefresh(e obs.TableRefresh) {
 func (c *Checker) KernelStart(e obs.KernelStart) {
 	c.clock(e.At)
 	a := c.acct(e.Job)
-	c.check(a.arrives == 1 && a.rejects == 0, e.At, "kernel-sequencing", e.Job,
-		"kernel %d started for a job not accepted", e.Seq)
-	if !c.opt.AllowStranded {
-		c.check(a.starts[e.Seq] == 0, e.At, "kernel-sequencing", e.Job,
-			"kernel %d started twice without fault injection", e.Seq)
-		c.check(e.Seq == a.doneCount, e.At, "kernel-sequencing", e.Job,
-			"kernel %d started with %d kernels done", e.Seq, a.doneCount)
+	if c.fails(a.arrives == 1 && a.rejects == 0) {
+		c.violate(e.At, "kernel-sequencing", e.Job,
+			"kernel %d started for a job not accepted", e.Seq)
 	}
-	c.check(a.dones[e.Seq] == 0, e.At, "kernel-sequencing", e.Job,
-		"kernel %d started after completing", e.Seq)
+	if !c.opt.AllowStranded {
+		if c.fails(a.starts[e.Seq] == 0) {
+			c.violate(e.At, "kernel-sequencing", e.Job,
+				"kernel %d started twice without fault injection", e.Seq)
+		}
+		if c.fails(e.Seq == a.doneCount) {
+			c.violate(e.At, "kernel-sequencing", e.Job,
+				"kernel %d started with %d kernels done", e.Seq, a.doneCount)
+		}
+	}
+	if c.fails(a.dones[e.Seq] == 0) {
+		c.violate(e.At, "kernel-sequencing", e.Job,
+			"kernel %d started after completing", e.Seq)
+	}
 	a.starts[e.Seq]++
 	a.lastStart[e.Seq] = e.At
 	if c.opt.CheckDispatchOrder {
@@ -329,9 +376,11 @@ func (c *Checker) dispatchOrder(e obs.KernelStart) {
 		if k == nil || !k.Dispatchable() {
 			continue
 		}
-		c.check(!dev.CanFit(k.Desc), e.At, "dispatch-order", e.Job,
-			"started at priority %d while %v (priority %d) had a dispatchable kernel that fits",
-			j.Priority, other, other.Priority)
+		if c.fails(!dev.CanFit(k.Desc)) {
+			c.violate(e.At, "dispatch-order", e.Job,
+				"started at priority %d while %v (priority %d) had a dispatchable kernel that fits",
+				j.Priority, other, other.Priority)
+		}
 	}
 }
 
@@ -341,16 +390,24 @@ func (c *Checker) dispatchOrder(e obs.KernelStart) {
 func (c *Checker) KernelDone(e obs.KernelDone) {
 	c.clock(e.At)
 	a := c.acct(e.Job)
-	c.check(a.starts[e.Seq] >= 1, e.At, "kernel-sequencing", e.Job,
-		"kernel %d done without a start", e.Seq)
-	c.check(a.dones[e.Seq] == 0, e.At, "kernel-sequencing", e.Job,
-		"kernel %d done twice", e.Seq)
-	c.check(e.At >= e.Start, e.At, "kernel-sequencing", e.Job,
-		"kernel %d done at %v before start %v", e.Seq, e.At, e.Start)
+	if c.fails(a.starts[e.Seq] >= 1) {
+		c.violate(e.At, "kernel-sequencing", e.Job,
+			"kernel %d done without a start", e.Seq)
+	}
+	if c.fails(a.dones[e.Seq] == 0) {
+		c.violate(e.At, "kernel-sequencing", e.Job,
+			"kernel %d done twice", e.Seq)
+	}
+	if c.fails(e.At >= e.Start) {
+		c.violate(e.At, "kernel-sequencing", e.Job,
+			"kernel %d done at %v before start %v", e.Seq, e.At, e.Start)
+	}
 	if !c.opt.AllowStranded {
 		if start, ok := a.lastStart[e.Seq]; ok {
-			c.check(e.Start == start, e.At, "kernel-sequencing", e.Job,
-				"kernel %d done reports start %v, probed start was %v", e.Seq, e.Start, start)
+			if c.fails(e.Start == start) {
+				c.violate(e.At, "kernel-sequencing", e.Job,
+					"kernel %d done reports start %v, probed start was %v", e.Seq, e.Start, start)
+			}
 		}
 	}
 	if a.dones[e.Seq] == 0 {
@@ -361,8 +418,10 @@ func (c *Checker) KernelDone(e obs.KernelDone) {
 		jr := c.sys.Job(e.Job)
 		if jr != nil && e.Seq < len(jr.Instances) {
 			inst := jr.Instances[e.Seq]
-			c.check(inst.CompletedWGs() == inst.Desc.NumWGs, e.At, "wg-conservation", e.Job,
-				"kernel %d done with %d/%d WGs completed", e.Seq, inst.CompletedWGs(), inst.Desc.NumWGs)
+			if c.fails(inst.CompletedWGs() == inst.Desc.NumWGs) {
+				c.violate(e.At, "wg-conservation", e.Job,
+					"kernel %d done with %d/%d WGs completed", e.Seq, inst.CompletedWGs(), inst.Desc.NumWGs)
+			}
 		}
 	}
 }
@@ -382,18 +441,26 @@ func (c *Checker) Finalize() error {
 		}
 		finishes += a.finishes
 		rejects += a.rejects
-		c.check(a.admissions == 1, at, "no-lost-jobs", id,
-			"job saw %d admission decisions", a.admissions)
+		if c.fails(a.admissions == 1) {
+			c.violate(at, "no-lost-jobs", id,
+				"job saw %d admission decisions", a.admissions)
+		}
 		terminal := a.finishes + a.rejects + a.cancels
 		if c.opt.AllowStranded {
-			c.check(terminal <= 1, at, "no-lost-jobs", id,
-				"job has %d terminal events", terminal)
+			if c.fails(terminal <= 1) {
+				c.violate(at, "no-lost-jobs", id,
+					"job has %d terminal events", terminal)
+			}
 		} else {
-			c.check(terminal == 1, at, "no-lost-jobs", id,
-				"job has %d terminal events (finishes=%d rejects=%d cancels=%d)",
-				terminal, a.finishes, a.rejects, a.cancels)
-			c.check(a.accepted == (a.rejects == 0), at, "no-lost-jobs", id,
-				"admission accepted=%v but rejects=%d", a.accepted, a.rejects)
+			if c.fails(terminal == 1) {
+				c.violate(at, "no-lost-jobs", id,
+					"job has %d terminal events (finishes=%d rejects=%d cancels=%d)",
+					terminal, a.finishes, a.rejects, a.cancels)
+			}
+			if c.fails(a.accepted == (a.rejects == 0)) {
+				c.violate(at, "no-lost-jobs", id,
+					"admission accepted=%v but rejects=%d", a.accepted, a.rejects)
+			}
 		}
 	}
 	if c.sys != nil {
@@ -406,14 +473,20 @@ func (c *Checker) Finalize() error {
 // terminal state.
 func (c *Checker) finalizeSystem(at sim.Time, finishes, rejects int) {
 	sys := c.sys
-	c.check(sys.Completed() == finishes, at, "no-lost-jobs", -1,
-		"system completed %d jobs, probe saw %d finishes", sys.Completed(), finishes)
-	c.check(sys.RejectedCount() == rejects, at, "no-lost-jobs", -1,
-		"system rejected %d jobs, probe saw %d rejects", sys.RejectedCount(), rejects)
+	if c.fails(sys.Completed() == finishes) {
+		c.violate(at, "no-lost-jobs", -1,
+			"system completed %d jobs, probe saw %d finishes", sys.Completed(), finishes)
+	}
+	if c.fails(sys.RejectedCount() == rejects) {
+		c.violate(at, "no-lost-jobs", -1,
+			"system rejected %d jobs, probe saw %d rejects", sys.RejectedCount(), rejects)
+	}
 	for _, jr := range sys.Jobs() {
 		a := c.jobs[jr.Job.ID]
-		c.check(a != nil && a.arrives == 1, at, "no-lost-jobs", jr.Job.ID,
-			"job in trace never arrived at the probe")
+		if c.fails(a != nil && a.arrives == 1) {
+			c.violate(at, "no-lost-jobs", jr.Job.ID,
+				"job in trace never arrived at the probe")
+		}
 		switch jr.State() {
 		case cp.JobDone:
 			if jr.FellBack {
@@ -422,18 +495,24 @@ func (c *Checker) finalizeSystem(at sim.Time, finishes, rejects int) {
 				continue
 			}
 			for seq, inst := range jr.Instances {
-				c.check(inst.CompletedWGs() == inst.Desc.NumWGs, at, "wg-conservation", jr.Job.ID,
-					"done job: kernel %d has %d/%d WGs", seq, inst.CompletedWGs(), inst.Desc.NumWGs)
+				if c.fails(inst.CompletedWGs() == inst.Desc.NumWGs) {
+					c.violate(at, "wg-conservation", jr.Job.ID,
+						"done job: kernel %d has %d/%d WGs", seq, inst.CompletedWGs(), inst.Desc.NumWGs)
+				}
 				if a != nil {
-					c.check(a.dones[seq] == 1, at, "wg-conservation", jr.Job.ID,
-						"done job: kernel %d has %d done events", seq, a.dones[seq])
+					if c.fails(a.dones[seq] == 1) {
+						c.violate(at, "wg-conservation", jr.Job.ID,
+							"done job: kernel %d has %d done events", seq, a.dones[seq])
+					}
 				}
 			}
 		case cp.JobRejected, cp.JobCancelled:
 			// Terminal; event pairing already checked above.
 		default:
-			c.check(c.opt.AllowStranded, at, "no-lost-jobs", jr.Job.ID,
-				"job ended the run in non-terminal state %v", jr.State())
+			if c.fails(c.opt.AllowStranded) {
+				c.violate(at, "no-lost-jobs", jr.Job.ID,
+					"job ended the run in non-terminal state %v", jr.State())
+			}
 		}
 	}
 }

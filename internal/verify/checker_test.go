@@ -36,6 +36,37 @@ func TestCheckerCleanRunIsClean(t *testing.T) {
 	}
 }
 
+// TestCheckerPassingChecksDoNotAllocate: a rule that holds costs a counter
+// bump — the violation's arguments are built only when there is a violation.
+// The stream is one the checker accepts any number of times over (a live job
+// re-announcing ready, a retried kernel start under fault options, samples,
+// epochs, table refreshes), so every run is clean and past the first none
+// grows the ledger.
+func TestCheckerPassingChecksDoNotAllocate(t *testing.T) {
+	c := New(Options{AllowStranded: true})
+	deadline := sim.Second
+	c.Job(obs.JobEvent{At: 0, Kind: obs.JobArrive, Job: 0, Deadline: deadline})
+	c.Admission(obs.AdmissionDecision{At: 0, Job: 0, Accepted: true})
+	at := sim.Time(0)
+	stream := func() {
+		at += sim.Microsecond // past the small integers the runtime boxes for free
+		c.Job(obs.JobEvent{At: at, Kind: obs.JobReady, Job: 0})
+		c.KernelStart(obs.KernelStart{At: at, Job: 0, Seq: 0, Kernel: "k"})
+		c.Sample(obs.JobSample{At: at, Job: 0, HasLaxity: true, HasPrediction: true,
+			PredictedRem: 5 * sim.Microsecond, Laxity: deadline - 5*sim.Microsecond - at})
+		c.Epoch(obs.EpochSnapshot{At: at})
+		c.TableRefresh(obs.TableRefresh{At: at, Kernels: 3})
+	}
+	stream() // the first start of kernel 0 adds its ledger rows
+	before := c.Checks()
+	if n := testing.AllocsPerRun(100, stream); n != 0 {
+		t.Errorf("a clean event stream allocates %v per pass, want 0", n)
+	}
+	if c.Checks() == before || c.Err() != nil {
+		t.Fatalf("the stream must be checked and clean: %d new checks, err %v", c.Checks()-before, c.Err())
+	}
+}
+
 func wantRule(t *testing.T, c *Checker, rule string) {
 	t.Helper()
 	vs := c.Violations()
