@@ -28,8 +28,8 @@ import (
 // are pre-scheduled, the fault retirement schedule (if installed) is armed,
 // and jobs enter via SubmitNow. Like RunContext it latches runStarted, so
 // observers must already be attached. The caller owns the event loop: it
-// advances time with Engine().RunBefore / RunUntil between submissions, from
-// a single goroutine.
+// advances time with Engine().RunBefore / RunUntil between submissions, one
+// goroutine at a time.
 func (s *System) StartOnline() {
 	if s.runStarted {
 		panic("cp: StartOnline after the run has started")
@@ -91,6 +91,17 @@ func (s *System) Unfinished() []*JobRun {
 		}
 	}
 	return out
+}
+
+// UnfinishedCount is len(Unfinished()) without building the slice.
+func (s *System) UnfinishedCount() int {
+	n := 0
+	for _, jr := range s.jobs {
+		if !jr.terminal() {
+			n++
+		}
+	}
+	return n
 }
 
 // retire drops the terminal prefix of the job window. It runs after every

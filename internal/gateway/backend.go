@@ -158,7 +158,7 @@ type InprocConfig struct {
 	// Clock paces the driver (required; share one clock fleet-wide).
 	Clock serve.Clock
 
-	// AcceptQueue bounds the driver's command queue (default 64).
+	// AcceptQueue caps the callers waiting for or holding the node (default 64).
 	AcceptQueue int
 
 	// Registry optionally collects the node's scheduler metrics.
@@ -198,8 +198,8 @@ func (b *InprocBackend) Driver() *serve.Driver { return b.host.Driver }
 // Shutdown drains the in-process node (Backend side of Gateway.Shutdown).
 func (b *InprocBackend) Shutdown(grace time.Duration) int { return b.host.Shutdown(grace) }
 
-// Probe implements Backend: the node's own drain estimate, read on the
-// driver goroutine.
+// Probe implements Backend: the node's own drain estimate, read with the
+// node held.
 func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 	drain, unfinished, frac, ok := b.host.Headroom()
 	if !ok {
@@ -209,8 +209,10 @@ func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 }
 
 // Submit implements Backend: the full host-side offload decision runs
-// inline on the driver goroutine; done is registered before Submit returns,
-// so no completion can slip between the verdict and the registration.
+// inline on the caller's goroutine with the node held; done is registered
+// before the node is released, so no completion can slip in between. done
+// fires with the node held — inside a later Submit or Probe, or on the
+// pacer — and must not call back into b.
 func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	var v Verdict
 	if !b.host.Call(func() {

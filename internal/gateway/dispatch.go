@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"laxgpu/internal/metrics"
@@ -55,8 +56,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	}
 	n := gw.table.nodes[target]
 	e.dispatches = append(e.dispatches, n.be.Name())
-	e.span(now, obs.EventRoute, fmt.Sprintf("routed to %s (drain=%dus, accepted=%v)",
-		n.be.Name(), usOf(n.headroom.Drain), v.Accepted))
+	e.span(now, obs.EventRoute, routeDetail(n.be.Name(), n.headroom.Drain, v.Accepted))
 	if !v.Accepted {
 		gw.reject(e, serve.ReasonAdmission, v.Retry)
 		gw.cRejected.Inc()
@@ -81,6 +81,15 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	}
 	gw.cAccepted.Inc()
 	return job.ID, v, ""
+}
+
+// routeDetail renders the route span's detail — written on every submission,
+// so appended into a stack buffer (one allocation) rather than formatted.
+func routeDetail(node string, drain sim.Time, accepted bool) string {
+	b := append(append(make([]byte, 0, 96), "routed to "...), node...)
+	b = strconv.AppendInt(append(b, " (drain="...), usOf(drain), 10)
+	b = strconv.AppendBool(append(b, "us, accepted="...), accepted)
+	return string(append(b, ')'))
 }
 
 // place is the one route-and-offer loop, shared by arrivals and failover: it

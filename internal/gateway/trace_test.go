@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"testing"
 
 	"laxgpu/internal/obs"
@@ -189,5 +190,24 @@ func TestGatewayMissCauseCounters(t *testing.T) {
 	}
 	if got := gw.cMissCause[Standard]["rejected"].Value(); got != 0 {
 		t.Errorf("standard-class rejected counter = %d, want 0", got)
+	}
+}
+
+// TestRouteDetailTextAndAllocs: the route span's detail reads exactly as the
+// fmt.Sprintf it replaced and costs one allocation.
+func TestRouteDetailTextAndAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		node     string
+		drain    sim.Time
+		accepted bool
+	}{{"node0", 0, true}, {"node17", 1234567 * sim.Microsecond, false}, {"http://127.0.0.1:8471", 999, true}} {
+		want := fmt.Sprintf("routed to %s (drain=%dus, accepted=%v)", tc.node, usOf(tc.drain), tc.accepted)
+		if got := routeDetail(tc.node, tc.drain, tc.accepted); got != want {
+			t.Errorf("routeDetail = %q, want %q", got, want)
+		}
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = routeDetail("node1", 123456*sim.Microsecond, true) }); allocs > 1 {
+		t.Errorf("route detail costs %.0f allocations, want at most 1 (%q)", allocs, sink)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"laxgpu/internal/sim"
@@ -132,7 +133,7 @@ func (t *JobTrace) Wire(node string) WireTrace {
 // admission verdict, the parse/queue/exec phase partition, every kernel
 // execution, and the CPU-fallback transition. Finished traces are kept in a
 // bounded ring (oldest evicted); live traces are keyed by the node-local
-// job ID. Probe callbacks arrive on the driver goroutine; Get/Recent/Assign
+// job ID. Probe callbacks arrive from whoever holds the node; Get/Recent/Assign
 // may be called concurrently from HTTP handlers, so every method locks.
 //
 // A nil *TraceRecorder is never attached (obs.Multi drops nils), so runs
@@ -329,12 +330,28 @@ func (r *TraceRecorder) Admission(e AdmissionDecision) {
 	}
 	detail := verdict
 	if e.HasTerms {
-		detail = fmt.Sprintf("%s: queue_delay=%dus + hold=%dus vs deadline=%dus",
-			verdict, int64(us(e.QueueDelay)), int64(us(e.HoldTime)), int64(us(e.Deadline)))
+		detail = admissionDetail(verdict, e.QueueDelay, e.HoldTime, e.Deadline)
 	}
 	t.Spans = append(t.Spans, Span{
 		Kind: SpanEvent, Name: EventAdmit, Start: e.At, End: e.At, Detail: detail,
 	})
+}
+
+// admissionDetail renders the Algorithm 1 terms in whole microseconds. Span
+// details are written for every job and read for the few a ring still holds,
+// so they are appended into a stack buffer — one allocation — not formatted.
+func admissionDetail(verdict string, queueDelay, hold, deadline sim.Time) string {
+	b := append(make([]byte, 0, 96), verdict...)
+	b = strconv.AppendInt(append(b, ": queue_delay="...), int64(us(queueDelay)), 10)
+	b = strconv.AppendInt(append(b, "us + hold="...), int64(us(hold)), 10)
+	b = strconv.AppendInt(append(b, "us vs deadline="...), int64(us(deadline)), 10)
+	return string(append(b, "us"...))
+}
+
+// intDetail renders prefix, n in decimal, suffix, likewise.
+func intDetail(prefix string, n int, suffix string) string {
+	b := strconv.AppendInt(append(make([]byte, 0, 48), prefix...), int64(n), 10)
+	return string(append(b, suffix...))
 }
 
 // Epoch implements Probe (epochs are fleet-wide, not per-job).
@@ -367,7 +384,7 @@ func (r *TraceRecorder) KernelStart(e KernelStart) {
 		}
 		t.Spans = append(t.Spans, Span{
 			Kind: SpanPhase, Name: PhaseQueue, Start: start, End: e.At,
-			Detail: fmt.Sprintf("behind %d admitted jobs", behind),
+			Detail: intDetail("behind ", behind, " admitted jobs"),
 		})
 	}
 }
@@ -382,6 +399,6 @@ func (r *TraceRecorder) KernelDone(e KernelDone) {
 	}
 	t.Spans = append(t.Spans, Span{
 		Kind: SpanKernel, Name: e.Kernel, Start: e.Start, End: e.At,
-		Detail: fmt.Sprintf("seq %d", e.Seq),
+		Detail: intDetail("seq ", e.Seq, ""),
 	})
 }

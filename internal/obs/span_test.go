@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -290,6 +291,36 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent accepted %q", bad)
+		}
+	}
+}
+
+// TestSpanDetailsTextAndAllocs: the per-job span details read exactly as the
+// fmt.Sprintf they replaced and cost one allocation (the string) each.
+func TestSpanDetailsTextAndAllocs(t *testing.T) {
+	for _, n := range []int{0, 7, 1234, 1 << 40, -3} {
+		if got, want := intDetail("behind ", n, " admitted jobs"), fmt.Sprintf("behind %d admitted jobs", n); got != want {
+			t.Errorf("intDetail = %q, want %q", got, want)
+		}
+		if got, want := intDetail("seq ", n, ""), fmt.Sprintf("seq %d", n); got != want {
+			t.Errorf("intDetail = %q, want %q", got, want)
+		}
+	}
+	for _, terms := range [][3]sim.Time{{0, 0, 0}, {10 * usT, 50 * usT, 1000 * usT}, {1999, 123456789, 3 * sim.Second}, {-1500, 999, 1000}} {
+		want := fmt.Sprintf("%s: queue_delay=%dus + hold=%dus vs deadline=%dus",
+			"reject", int64(us(terms[0])), int64(us(terms[1])), int64(us(terms[2])))
+		if got := admissionDetail("reject", terms[0], terms[1], terms[2]); got != want {
+			t.Errorf("admissionDetail = %q, want %q", got, want)
+		}
+	}
+	var sink string
+	for name, render := range map[string]func(){
+		"admission": func() { sink = admissionDetail("accept", 123456*usT, 7890*usT, 3*sim.Second) },
+		"behind":    func() { sink = intDetail("behind ", 1234, " admitted jobs") },
+		"seq":       func() { sink = intDetail("seq ", 1234, "") },
+	} {
+		if allocs := testing.AllocsPerRun(100, render); allocs > 1 {
+			t.Errorf("%s detail costs %.0f allocations, want at most 1 (%q)", name, allocs, sink)
 		}
 	}
 }

@@ -12,8 +12,9 @@
 //     ever sees simulated instants, so tests drive it deterministically and
 //     the equivalence suite proves a replayed trace matches sim mode
 //     job-for-job.
-//   - Driver is the single goroutine that paces a Node against a Clock and
-//     serializes every touch of the (single-threaded) simulation.
+//   - Driver is the lock around a Node's (single-threaded) simulation —
+//     callers run on their own goroutine with it held — plus the pacer that
+//     runs events falling due on the Clock when nobody is calling.
 //   - Server is the HTTP frontend: admission verdicts as status codes,
 //     per-job records, server-sent events, Prometheus metrics, graceful
 //     drain.
@@ -75,8 +76,8 @@ func (c *WallClock) Until(t sim.Time) time.Duration {
 // ManualClock is a Clock that only moves when told to — the deterministic
 // replacement for WallClock in tests: drivers paced by it advance their
 // nodes exactly to the instants the test sets, and Until reports an hour
-// for any future instant so a pacing loop parks instead of busy-waiting
-// (commands still wake it immediately).
+// for any future instant so a pacer parks instead of busy-waiting (callers
+// run what is due themselves).
 type ManualClock struct {
 	mu  sync.Mutex
 	now sim.Time
@@ -109,9 +110,8 @@ func (c *ManualClock) Advance(d sim.Time) {
 	c.now += d
 }
 
-// Until implements Clock: one hour for any future instant (a parked pacing
-// loop re-checks whenever a command arrives or the hour elapses), zero for
-// instants already reached.
+// Until implements Clock: one hour for any future instant (a parked pacer
+// re-checks when the hour elapses), zero for instants already reached.
 func (c *ManualClock) Until(t sim.Time) time.Duration {
 	if t <= c.Now() {
 		return 0

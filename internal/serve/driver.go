@@ -1,188 +1,146 @@
 package serve
 
 import (
+	"math"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"laxgpu/internal/sim"
 )
 
-// Driver paces one Node against a Clock from a single goroutine — the only
-// goroutine that ever touches the node's simulation. HTTP handlers reach the
-// node by enqueuing closures on a bounded command channel; the channel's
-// capacity is the server's accept queue, and a full channel is backpressure
-// the frontend surfaces as 503.
-//
-// The loop alternates between advancing the simulation to "now" on the
-// clock, executing queued commands at that instant, and sleeping until
-// whichever comes first: the next simulated event's wall time or a new
-// command.
+// Driver paces one Node against a Clock. A mutex owns the node's
+// (single-threaded) simulation and whoever holds it is the driver: Call runs
+// on the caller's own goroutine, and the pacer — the one goroutine Start
+// launches — takes the same lock whenever a simulated event falls due on the
+// clock with no caller around to run it. The accept queue is the cap on
+// callers waiting for or holding the lock; one more is backpressure the
+// frontend surfaces as 503.
 type Driver struct {
 	node  *Node
 	clock Clock
 
-	cmds    chan func()
-	stop    chan struct{} // closed by the drain command; loop exits
-	done    chan struct{} // closed when the loop has exited
-	stopped atomic.Bool   // guards double-close of stop
+	queue   int64
+	callers atomic.Int64 // waiting for or holding mu
+
+	mu      sync.Mutex
+	stopped bool        // the drain has run; Call refuses, the pacer exits
+	armed   sim.Time    // the instant timer is set for; never when it is not
+	timer   *time.Timer // wakes the pacer; Reset only with mu held
+
+	shutdown sync.Once     // the drain runs once
+	done     chan struct{} // closed when the pacer has exited
 }
 
-// NewDriver wraps node with a command loop paced by clock. queue bounds the
-// accept queue (commands pending execution); values < 1 default to 64.
+// never is later than every simulated instant: the pacer is not armed.
+const never = sim.Time(math.MaxInt64)
+
+// NewDriver wraps node with a lock paced by clock. queue bounds the accept
+// queue (callers waiting for or holding the node); values < 1 default to 64.
 func NewDriver(node *Node, clock Clock, queue int) *Driver {
 	if queue < 1 {
 		queue = 64
 	}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	return &Driver{
 		node:  node,
 		clock: clock,
-		cmds:  make(chan func(), queue),
-		stop:  make(chan struct{}),
+		queue: int64(queue),
+		armed: never,
+		timer: timer,
 		done:  make(chan struct{}),
 	}
 }
 
-// Node returns the driven node. Only the driver goroutine (inside a Do/Call
-// closure) may touch it.
+// Node returns the driven node; only a Call closure may touch it.
 func (d *Driver) Node() *Node { return d.node }
 
-// Start launches the pacing loop.
-func (d *Driver) Start() { go d.loop() }
+// Start launches the pacer; without it simulated time moves only inside Call.
+func (d *Driver) Start() { go d.pace() }
 
-// Do enqueues fn for the driver goroutine, which runs it with the
-// simulation advanced to the current clock instant. It reports false — and
-// does not enqueue — when the accept queue is full or the driver has
-// stopped: the caller's backpressure signal.
-func (d *Driver) Do(fn func()) bool {
-	select {
-	case <-d.done:
-		return false
-	default:
-	}
-	select {
-	case d.cmds <- fn:
-		return true
-	default:
-		return false
-	}
-}
-
-// Call runs fn on the driver goroutine and waits for it to finish. It
-// reports false if the command could not be enqueued or the driver stopped
-// before executing it.
+// Call takes the node and runs fn on the caller's goroutine, with every
+// event strictly before the current clock instant executed first and every
+// event due at that instant after, so nothing due is pending when it
+// returns. It reports false — and does not run fn — when the accept queue is
+// full or the driver has stopped: the caller's backpressure signal. Completion
+// callbacks fire with the node held; one that calls Call on its own driver
+// deadlocks.
 func (d *Driver) Call(fn func()) bool {
-	ran := make(chan struct{})
-	if !d.Do(func() { fn(); close(ran) }) {
+	defer d.callers.Add(-1)
+	if d.callers.Add(1) > d.queue {
 		return false
 	}
-	select {
-	case <-ran:
-		return true
-	case <-d.done:
-		// The loop exited with the command still queued.
-		select {
-		case <-ran:
-			return true
-		default:
-			return false
-		}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		return false
+	}
+	now := d.clock.Now()
+	d.node.AdvanceTo(now)
+	fn()
+	d.node.CatchUp(now) // or they wait forever on a clock that is not moving
+	d.arm()
+	return true
+}
+
+// arm sets the pacer's timer for the earliest pending event when that is
+// sooner than what it is set for. Events only run with mu held, so armed is
+// at or before the earliest pending event whenever mu is free. A timer left
+// set for an event a caller already ran, or a fire racing the Reset (go.mod
+// predates Go 1.23's timers), costs one empty pacer round, never a lost one.
+func (d *Driver) arm() {
+	if te, ok := d.node.NextEvent(); ok && te < d.armed {
+		d.armed = te
+		d.timer.Reset(d.clock.Until(te))
 	}
 }
 
-// Done returns a channel closed when the pacing loop has exited.
+// pace is the pacer goroutine: parked until the timer arm set fires, then
+// one round of due events under the lock; Shutdown's last tick ends it.
+func (d *Driver) pace() {
+	defer close(d.done)
+	for range d.timer.C {
+		d.mu.Lock()
+		if d.stopped {
+			d.mu.Unlock()
+			return
+		}
+		d.armed = never
+		d.node.CatchUp(d.clock.Now())
+		d.arm()
+		d.mu.Unlock()
+	}
+}
+
+// Done returns a channel closed when the pacer has exited.
 func (d *Driver) Done() <-chan struct{} { return d.done }
 
-// Shutdown gracefully drains the node: commands already queued execute
-// first, then the node keeps pacing until every in-flight job reaches a
-// terminal state or grace expires, at which point the remainder is forced
-// off the GPU via the CPU-fallback path and the simulation runs to
-// quiescence. It returns the number of jobs forced off. Callers must stop
-// producing new work first. Safe to call once; repeat calls just wait.
-func (d *Driver) Shutdown(grace time.Duration) int {
-	forced := 0
-	if d.stopped.CompareAndSwap(false, true) {
+// Shutdown gracefully drains the node: callers that get the node first run
+// to completion, later ones are refused; the node then keeps pacing until
+// every in-flight job reaches a terminal state or grace expires, when the
+// rest are forced off the GPU via the CPU-fallback path and the simulation
+// runs to quiescence. It returns the number of jobs forced off. Callers must
+// stop producing new work first; Start must have been called; repeats wait.
+func (d *Driver) Shutdown(grace time.Duration) (forced int) {
+	d.shutdown.Do(func() {
 		deadline := time.Now().Add(grace)
-		// Block (not Do) so the drain command cannot be lost to a full
-		// queue; commands ahead of it drain quickly.
-		select {
-		case d.cmds <- func() {
-			forced = d.drain(deadline)
-			close(d.stop)
-		}:
-		case <-d.done:
-			return 0
-		}
-	}
+		d.mu.Lock()
+		forced = d.drain(deadline)
+		d.stopped = true
+		d.timer.Reset(0) // one more tick: the pacer sees stopped and exits
+		d.mu.Unlock()
+	})
 	<-d.done
 	return forced
 }
 
-func (d *Driver) loop() {
-	defer close(d.done)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		d.node.AdvanceTo(d.clock.Now())
-
-		// Execute everything already queued at this instant.
-	queued:
-		for {
-			select {
-			case fn := <-d.cmds:
-				d.node.AdvanceTo(d.clock.Now())
-				fn()
-				select {
-				case <-d.stop:
-					return
-				default:
-				}
-			default:
-				break queued
-			}
-		}
-
-		// Sleep until the next simulated event is due — or indefinitely
-		// when the node is idle — interruptible by new commands.
-		var wake <-chan time.Time
-		if te, ok := d.node.NextEvent(); ok {
-			dur := d.clock.Until(te)
-			if dur <= 0 {
-				// Due exactly now: AdvanceTo's strictly-before semantics
-				// would leave it pending forever on a clock that is not
-				// moving, so run events at this instant inclusively.
-				d.node.CatchUp(d.clock.Now())
-				continue
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(dur)
-			wake = timer.C
-		}
-		select {
-		case fn := <-d.cmds:
-			d.node.AdvanceTo(d.clock.Now())
-			fn()
-			select {
-			case <-d.stop:
-				return
-			default:
-			}
-		case <-wake:
-		case <-d.stop:
-			return
-		}
-	}
-}
-
-// drain runs on the driver goroutine: paced execution until the node
-// quiesces naturally or the wall deadline passes, then forced CPU fallback
-// for whatever is left. Returns the number of jobs forced off the GPU.
+// drain runs with the node held: paced execution until the node quiesces or
+// the wall deadline passes, then CPU fallback for the jobs left, counted.
 func (d *Driver) drain(deadline time.Time) int {
 	for {
-		d.node.AdvanceTo(d.clock.Now())
-		if len(d.node.Unfinished()) == 0 {
+		d.node.CatchUp(d.clock.Now())
+		if d.node.UnfinishedCount() == 0 {
 			return 0
 		}
 		te, ok := d.node.NextEvent()
@@ -193,12 +151,7 @@ func (d *Driver) drain(deadline time.Time) int {
 		if time.Now().Add(dur).After(deadline) {
 			break // the next completion lands past the grace period
 		}
-		if dur > 0 {
-			time.Sleep(dur)
-		} else {
-			d.node.CatchUp(d.clock.Now())
-		}
+		time.Sleep(dur)
 	}
-	d.node.AdvanceTo(d.clock.Now())
 	return d.node.ForceDrain()
 }

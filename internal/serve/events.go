@@ -9,7 +9,7 @@ import (
 
 // broker fans job lifecycle events out to server-sent-event subscribers.
 // Publishing never blocks: a subscriber that cannot keep up loses events
-// (counted) rather than stalling the driver goroutine.
+// (counted) rather than stalling whoever holds the node.
 type broker struct {
 	mu      sync.Mutex
 	subs    map[chan []byte]struct{}

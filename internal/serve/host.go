@@ -8,7 +8,7 @@ import (
 )
 
 // Host is one serving device as a daemon hosts it: a Node behind its Driver
-// (embedded: Start, Do, Call, Done and Shutdown are the driver's), the
+// (embedded: Start, Call, Done and Shutdown are the driver's), the
 // optional ring of per-job traces, and the completion callbacks of the jobs
 // the node has admitted. laxd keeps one Host per device; laxgw's in-process
 // backend is a Host with a name.
@@ -19,7 +19,7 @@ type Host struct {
 	tracer *obs.TraceRecorder
 
 	// pending maps the node's dense local job IDs to completion callbacks.
-	// Touched only on the driver goroutine.
+	// Touched only with the node held.
 	pending map[int]pendingJob
 }
 
@@ -29,10 +29,10 @@ type pendingJob struct {
 }
 
 // NewHost assembles one device and its driver. The node's probe chain —
-// scheduler metrics into reg (skipped when reg is nil), the completion
-// notifier, then the trace ring (traceDepth 0 = default 256, negative =
-// tracing off) — is built here, so cfg.Probe is ignored. Call Start to begin
-// pacing.
+// scheduler metrics into reg (skipped when reg is nil), the trace ring
+// (traceDepth 0 = default 256, negative = tracing off), then the completion
+// notifier, so whoever a completion wakes finds the job's trace finished —
+// is built here, so cfg.Probe is ignored. Call Start to begin pacing.
 func NewHost(cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Registry, traceDepth int) (*Host, error) {
 	h := &Host{pending: make(map[int]pendingJob)}
 	// obs.Multi drops nil interfaces, not typed-nil pointers: the optional
@@ -45,7 +45,7 @@ func NewHost(cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Registry, tr
 		h.tracer = obs.NewTraceRecorder(traceDepth)
 		tracer = h.tracer
 	}
-	cfg.Probe = obs.Multi(metrics, (*hostProbe)(h), tracer)
+	cfg.Probe = obs.Multi(metrics, tracer, (*hostProbe)(h))
 	node, err := NewNode(cfg)
 	if err != nil {
 		return nil, err
@@ -57,8 +57,8 @@ func NewHost(cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Registry, tr
 // Submit runs the full host-side offload decision for job and binds traceID
 // (when non-empty) to its recorded timeline. An admitted job's done fires
 // exactly once, at its terminal transition; a rejected job comes back with
-// the node's drain estimate as the retry hint. Both Submit and done run on
-// the driver goroutine: call Submit inside Do or Call.
+// the node's drain estimate as the retry hint. Both Submit and done run with
+// the node held: call Submit inside Call.
 func (h *Host) Submit(job *workload.Job, traceID string, done func(*cp.JobRun, obs.JobEvent)) (jr *cp.JobRun, retry sim.Time) {
 	jr = h.node.Submit(job)
 	if h.tracer != nil && traceID != "" {
@@ -71,7 +71,7 @@ func (h *Host) Submit(job *workload.Job, traceID string, done func(*cp.JobRun, o
 	return jr, 0
 }
 
-// Headroom reads the device's live capacity on the driver goroutine: its own
+// Headroom reads the device's live capacity with the node held: its own
 // Algorithm 1 drain estimate, its admitted non-terminal job count and the
 // fraction of its CUs that survive retirement. ok is false when the driver
 // has stopped or its accept queue is saturated — no headroom to offer.
@@ -83,7 +83,7 @@ func (h *Host) Headroom() (drain sim.Time, unfinished int, capacityFrac float64,
 			capacityFrac = float64(dev.ActiveCUs()) / float64(total)
 		}
 		drain = h.node.EstimateDrain()
-		unfinished = len(h.node.Unfinished())
+		unfinished = h.node.UnfinishedCount()
 	})
 	return drain, unfinished, capacityFrac, ok
 }
@@ -107,7 +107,7 @@ func (h *Host) RecentTraces(n int) []obs.JobTrace {
 }
 
 // hostProbe is the Host's probe alias: terminal job events fire the pending
-// completion callbacks on the driver goroutine.
+// completion callbacks with the node held.
 type hostProbe Host
 
 // Job implements obs.Probe.

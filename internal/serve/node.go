@@ -38,7 +38,7 @@ type NodeConfig struct {
 // machinery runs under the real-time Driver and under the deterministic
 // equivalence tests.
 //
-// Node is not safe for concurrent use; a single goroutine (the Driver, or a
+// Node is not safe for concurrent use; whoever holds the Driver's lock (or a
 // test) owns it.
 type Node struct {
 	sys  *cp.System
@@ -82,15 +82,14 @@ func (n *Node) AdvanceTo(t sim.Time) {
 }
 
 // NextEvent returns the simulated time of the earliest pending event, if
-// any — what a pacing loop sleeps toward.
+// any — what a pacer sleeps toward.
 func (n *Node) NextEvent() (sim.Time, bool) {
 	return n.sys.Engine().PeekTime()
 }
 
-// CatchUp runs every event due at or before t, inclusively. AdvanceTo keeps
-// strictly-before semantics so a command at instant t still executes ahead
-// of events scheduled at t; the pacing loop calls CatchUp when the next
-// event is due exactly now and the clock may not move on its own.
+// CatchUp runs every event due at or before t, inclusively: what the Driver
+// does after a command at instant t, which AdvanceTo's strictly-before
+// semantics put ahead of the events at t, since the clock may not move again.
 func (n *Node) CatchUp(t sim.Time) {
 	if t >= n.sys.Engine().Now() {
 		n.sys.Engine().RunUntil(t)
@@ -114,6 +113,9 @@ func (n *Node) Submitted() int { return n.next }
 func (n *Node) Unfinished() []*cp.JobRun {
 	return n.sys.Unfinished()
 }
+
+// UnfinishedCount returns len(Unfinished()) without building the slice.
+func (n *Node) UnfinishedCount() int { return n.sys.UnfinishedCount() }
 
 // EstimateDrain predicts how long the device needs to finish every admitted
 // unfinished job — the Retry-After hint handed to rejected clients. Policies

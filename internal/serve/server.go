@@ -49,8 +49,8 @@ type Options struct {
 	// real time). Tests and demos compress time with larger values.
 	Speed float64
 
-	// AcceptQueue bounds commands awaiting the per-device driver; a full
-	// queue surfaces as HTTP 503 backpressure (default 64).
+	// AcceptQueue caps the callers waiting for or holding one device's
+	// driver; one more surfaces as HTTP 503 backpressure (default 64).
 	AcceptQueue int
 
 	// MaxPerClient caps one client's in-flight (non-terminal) jobs;
@@ -186,7 +186,7 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Start launches every device's pacing loop.
+// Start launches every device's pacer.
 func (s *Server) Start() {
 	for _, h := range s.hosts {
 		h.Start()
@@ -370,8 +370,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.records.add(rec)
 	s.cSubmitted.Inc()
 
-	// The verdict's bookkeeping runs on the driver goroutine, ahead of any
-	// completion the same goroutine will deliver.
+	// The verdict's bookkeeping runs with the node held, ahead of any
+	// completion the node will deliver.
 	var rejected bool
 	var retry sim.Time
 	host := s.hosts[dev]
@@ -569,7 +569,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // completeJob finalizes a record when its job finishes or is cancelled.
-// Called by the Host on the owning device's driver goroutine, so reading the
+// Called by the Host with the owning device's node held, so reading the
 // JobRun is safe.
 func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
 	state, met := "cancelled", false

@@ -38,8 +38,8 @@ type ServerOptions struct {
 	// microsecond-scale jobs to human-observable durations.
 	Speed float64
 
-	// AcceptQueue bounds each device's pending-command queue; a full queue
-	// surfaces as HTTP 503 backpressure (default 64).
+	// AcceptQueue caps the requests waiting for or holding one device; one
+	// more surfaces as HTTP 503 backpressure (default 64).
 	AcceptQueue int
 
 	// MaxPerClient caps one client's in-flight jobs; exceeding it yields
