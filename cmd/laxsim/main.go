@@ -475,7 +475,6 @@ func runFleet(ctx context.Context, r *harness.Runner, schedName, benchName strin
 	res, checks, err := harness.RunFleet(ctx, cluster.Config{
 		GPUs:      gpus,
 		System:    r.Cfg,
-		Routing:   cluster.RouteLeastLoaded,
 		Scheduler: schedName,
 	}, set, r.Verify)
 	if err != nil {

@@ -100,7 +100,7 @@ func TestReactiveScalesOnDamage(t *testing.T) {
 		t.Fatalf("decided %v (+%d) on rejects, want scale-up to the knee (+2)", d.Action, d.Nodes)
 	}
 	// SLO burn alone also triggers, even with zero rejects.
-	p2 := &Reactive{}
+	p2 := &Reactive{Patience: 2}
 	if d := p2.Decide(Analysis{Active: 1, MetNow: 0.99, MissDelta: 1, KneeNodes: 1}); d.Action != ScaleUp {
 		t.Fatalf("decided %v on deadline misses, want scale-up", d.Action)
 	}
@@ -155,6 +155,31 @@ func TestPredictiveProvisionsAheadOfKnee(t *testing.T) {
 	}
 	if d := p.Decide(over); d.Action != Drain {
 		t.Fatalf("decided %v after patience, want drain", d.Action)
+	}
+}
+
+// TestForPolicyDefaultsDrainPatience pins laxgw's path: it never sets
+// Config.DrainPatience, so the scaling policies ForPolicy builds must drain
+// after exactly the default 3 calm ticks — not on the first one.
+func TestForPolicyDefaultsDrainPatience(t *testing.T) {
+	gw, _, grow := oneNodeFleet(t, 1)
+	for name, calm := range map[string]Analysis{
+		"reactive":   {Active: 3, Utilization: 0.6, MetNow: 0.99, MetDown: 0.99},
+		"predictive": {Active: 3, Utilization: 0.6, KneeNodes: 1},
+	} {
+		ctrl, err := ForPolicy(name, Options{Gateway: gw, Config: Config{NodeRate: 100}, Factory: grow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 1; tick <= 3; tick++ {
+			want := Hold
+			if tick == 3 {
+				want = Drain
+			}
+			if d := ctrl.policy.Decide(calm); d.Action != want {
+				t.Fatalf("%s: calm tick %d decided %v, want %v", name, tick, d.Action, want)
+			}
+		}
 	}
 }
 

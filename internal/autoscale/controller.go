@@ -132,15 +132,16 @@ func New(opt Options) (*Controller, error) {
 // an experiment table — the one place the names are matched. static-min holds
 // the fleet it is given; reactive scales on damage and, like static-min,
 // never sees opt.Forecast; predictive reads it one lag ahead. The scaling
-// policies drain after opt.Config.DrainPatience calm ticks.
+// policies drain after opt.Config.DrainPatience calm ticks (default 3).
 func ForPolicy(name string, opt Options) (*Controller, error) {
+	patience := opt.Config.withDefaults().DrainPatience
 	switch name {
 	case "static-min":
 		opt.Policy, opt.Forecast = Static{}, nil
 	case "reactive":
-		opt.Policy, opt.Forecast = &Reactive{Patience: opt.Config.DrainPatience}, nil
+		opt.Policy, opt.Forecast = &Reactive{Patience: patience}, nil
 	case "predictive":
-		opt.Policy = &Predictive{Patience: opt.Config.DrainPatience}
+		opt.Policy = &Predictive{Patience: patience}
 	default:
 		return nil, fmt.Errorf("autoscale: unknown policy %q (want static-min, reactive or predictive)", name)
 	}

@@ -92,8 +92,8 @@ func (Static) Decide(Analysis) Decision { return Decision{Action: Hold} }
 // wait for Patience consecutive ticks in which the model says one fewer
 // node still clears the target.
 type Reactive struct {
-	// Patience is the calm-tick count a drain waits for (zero means 3;
-	// ForPolicy passes Config.DrainPatience).
+	// Patience is the calm-tick count a drain waits for; it must be ≥ 1.
+	// ForPolicy passes Config.DrainPatience, defaulted.
 	Patience int
 
 	calm int // consecutive ticks the smaller fleet looked sufficient
@@ -104,11 +104,6 @@ func (*Reactive) Name() string { return "reactive" }
 
 // Decide implements Policy.
 func (p *Reactive) Decide(a Analysis) Decision {
-	patience := p.Patience
-	if patience <= 0 {
-		patience = 3
-	}
-
 	hurting := a.RejectDelta > 0 || a.MissDelta > 0
 	if hurting && a.Active > 0 {
 		p.calm = 0
@@ -129,11 +124,11 @@ func (p *Reactive) Decide(a Analysis) Decision {
 	// thought we were short — shrinking now would flap).
 	if a.Pending == 0 && a.Active > 1 && (a.MetDown >= targetMet || downUtil(a) <= idleLowWater) {
 		p.calm++
-		if p.calm >= patience {
+		if p.calm >= p.Patience {
 			p.calm = 0
 			return Decision{Action: Drain,
 				Reason: fmt.Sprintf("met(n-1)=%.3f≥%.2f for %d ticks at %.0f jobs/s",
-					a.MetDown, targetMet, patience, a.Rate)}
+					a.MetDown, targetMet, p.Patience, a.Rate)}
 		}
 	} else {
 		p.calm = 0
@@ -148,8 +143,8 @@ func (p *Reactive) Decide(a Analysis) Decision {
 // Reactive, but because the forecast is folded into MetDown, a fleet never
 // shrinks into an upcoming step.
 type Predictive struct {
-	// Patience is the calm-tick count a drain waits for (zero means 3;
-	// ForPolicy passes Config.DrainPatience).
+	// Patience is the calm-tick count a drain waits for; it must be ≥ 1.
+	// ForPolicy passes Config.DrainPatience, defaulted.
 	Patience int
 
 	calm int
@@ -160,11 +155,6 @@ func (*Predictive) Name() string { return "predictive" }
 
 // Decide implements Policy.
 func (p *Predictive) Decide(a Analysis) Decision {
-	patience := p.Patience
-	if patience <= 0 {
-		patience = 3
-	}
-
 	have := a.Active + a.Pending
 	if a.KneeNodes > have {
 		p.calm = 0
@@ -180,11 +170,11 @@ func (p *Predictive) Decide(a Analysis) Decision {
 	if a.Pending == 0 && a.Active > 1 &&
 		(a.Active > a.KneeNodes || downUtil(a) <= idleLowWater) {
 		p.calm++
-		if p.calm >= patience {
+		if p.calm >= p.Patience {
 			p.calm = 0
 			return Decision{Action: Drain,
 				Reason: fmt.Sprintf("knee=%d nodes < active=%d for %d ticks",
-					a.KneeNodes, a.Active, patience)}
+					a.KneeNodes, a.Active, p.Patience)}
 		}
 	} else {
 		p.calm = 0

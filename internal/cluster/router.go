@@ -6,31 +6,33 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// Router makes front-end placement decisions one arrival at a time with
-// front-end knowledge only: static job-size estimates, its own bookkeeping
-// of what it already sent where, and coarse per-device health (the fraction
-// of compute capacity still alive after CU retirements). It is the routing
-// core of the offline trace splitter (Split) and of the gateway tier, which
-// cannot see the whole trace and must decide per arrival.
+// Router makes front-end placement decisions one arrival at a time, under
+// one of two models. Least-loaded (Split's) knows only static job-size
+// estimates and its own bookkeeping of what it already sent where. Headroom
+// (the gateway's) scores the queue-drain estimates the nodes report, plus
+// what it sent since, weighted by the coarse per-device health the
+// gateway's probes set (the fraction of compute capacity still alive after
+// CU retirements). Both decide per arrival, without seeing the whole trace.
 //
 // Router is not safe for concurrent use; callers serialize Pick/SetHealth.
 type Router struct {
 	policy RoutingPolicy
 
 	// outstanding estimates the device-time each GPU still owes for jobs
-	// already routed to it, decayed between arrivals: a healthy device
-	// drains one device-second per second, a degraded one proportionally
-	// less.
+	// already routed to it (RouteLeastLoaded only), drained one
+	// device-second per second between arrivals.
 	outstanding []sim.Time
-	capacity    []float64
 	lastArrival sim.Time
-	rr          int
 
 	// reported is each device's last self-reported queue-drain estimate
 	// (RouteHeadroom only); sinceReport is the estimated device-time routed
 	// there after that report, so headroom stays honest between probes.
+	// capacity is each device's health (SetHealth), and rr cycles the
+	// devices when every one of them is dead.
 	reported    []sim.Time
 	sinceReport []sim.Time
+	capacity    []float64
+	rr          int
 }
 
 // NewRouter returns a router over gpus devices, all initially healthy.
@@ -65,11 +67,9 @@ func (r *Router) Add() int {
 }
 
 // SetHealth records device g's surviving capacity fraction in [0,1] (1 =
-// fully healthy, 0 = dead). Least-loaded and headroom routing drain and
-// weigh the device by it — a fraction of 0 excludes the device from picks
-// entirely until health recovers; round-robin and job-hash ignore health by
-// design — they are stateless spreading/affinity policies a front end uses
-// precisely when it has no load signal.
+// fully healthy, 0 = dead). Only headroom routing reads it: it weighs each
+// device's drain time by it, and a fraction of 0 excludes the device from
+// picks entirely until health recovers.
 func (r *Router) SetHealth(g int, frac float64) {
 	if frac < 0 {
 		frac = 0
@@ -93,11 +93,10 @@ func (r *Router) SetHeadroom(g int, drain sim.Time) {
 }
 
 // Pick chooses the device for a job arriving at arrival with estimated
-// serial device-time est. jobID feeds the job-hash policy. Arrivals must be
-// presented in non-decreasing time order.
+// serial device-time est. jobID is unused. Arrivals must be presented in
+// non-decreasing time order.
 func (r *Router) Pick(arrival, est sim.Time, jobID int) int {
-	switch r.policy {
-	case RouteHeadroom:
+	if r.policy == RouteHeadroom {
 		best := -1
 		var bestLoad float64
 		for g := range r.reported {
@@ -119,43 +118,19 @@ func (r *Router) Pick(arrival, est sim.Time, jobID int) int {
 		}
 		r.sinceReport[best] += est
 		return best
-	case RouteLeastLoaded:
-		elapsed := arrival - r.lastArrival
-		if elapsed < 0 {
-			elapsed = 0
-		}
-		for g := range r.outstanding {
-			r.outstanding[g] -= sim.Time(float64(elapsed) * r.capacity[g])
-			if r.outstanding[g] < 0 {
-				r.outstanding[g] = 0
-			}
-		}
-		r.lastArrival = arrival
-		best := -1
-		var bestLoad float64
-		for g := range r.outstanding {
-			if r.capacity[g] <= 0 {
-				continue
-			}
-			// Score the drain time *after* placement: a degraded device
-			// then loses ties against a healthy one even when both idle.
-			load := float64(r.outstanding[g]+est) / r.capacity[g]
-			if best < 0 || load < bestLoad {
-				best, bestLoad = g, load
-			}
-		}
-		if best < 0 {
-			// Every device is dead; round-robin rather than blackhole one.
-			best = r.rr % len(r.outstanding)
-			r.rr++
-		}
-		r.outstanding[best] += est
-		return best
-	case RouteJobHash:
-		return jobID % len(r.outstanding)
-	default:
-		g := r.rr % len(r.outstanding)
-		r.rr++
-		return g
 	}
+
+	// Least-loaded: drain every device by the time since the last arrival,
+	// then place on the least outstanding work, ties toward the lowest index.
+	elapsed := max(arrival-r.lastArrival, 0)
+	r.lastArrival = arrival
+	best := 0
+	for g := range r.outstanding {
+		r.outstanding[g] = max(r.outstanding[g]-elapsed, 0)
+		if r.outstanding[g] < r.outstanding[best] {
+			best = g
+		}
+	}
+	r.outstanding[best] += est
+	return best
 }

@@ -1,29 +1,11 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
-	"laxgpu/internal/faults"
 	"laxgpu/internal/sim"
 )
-
-func TestRouterRoundRobinCycles(t *testing.T) {
-	r := NewRouter(RouteRoundRobin, 3)
-	for i := 0; i < 9; i++ {
-		if g := r.Pick(0, sim.Microsecond, i); g != i%3 {
-			t.Fatalf("pick %d routed to %d, want %d", i, g, i%3)
-		}
-	}
-}
-
-func TestRouterJobHashPins(t *testing.T) {
-	r := NewRouter(RouteJobHash, 4)
-	for id := 0; id < 16; id++ {
-		if g := r.Pick(0, sim.Microsecond, id); g != id%4 {
-			t.Fatalf("job %d routed to %d, want %d", id, g, id%4)
-		}
-	}
-}
 
 func TestRouterLeastLoadedTracksOutstandingWork(t *testing.T) {
 	r := NewRouter(RouteLeastLoaded, 2)
@@ -44,28 +26,107 @@ func TestRouterLeastLoadedTracksOutstandingWork(t *testing.T) {
 	}
 }
 
-func TestRouterLeastLoadedAvoidsDegradedGPU(t *testing.T) {
-	r := NewRouter(RouteLeastLoaded, 2)
-	// Equal standing load on both devices, but device 0 lost half its CUs:
-	// its normalized drain time doubles, so new work must go to device 1.
+// parentLeastLoaded is the least-loaded arm as it stood while it still read
+// device health: float drain-time scores divided by a per-device capacity,
+// and a round-robin when every device is dead. Split never set health, so
+// every capacity here stays 1.
+type parentLeastLoaded struct {
+	outstanding []sim.Time
+	capacity    []float64
+	lastArrival sim.Time
+	rr          int
+}
+
+func newParentLeastLoaded(gpus int) *parentLeastLoaded {
+	r := &parentLeastLoaded{outstanding: make([]sim.Time, gpus), capacity: make([]float64, gpus)}
+	for g := range r.capacity {
+		r.capacity[g] = 1
+	}
+	return r
+}
+
+func (r *parentLeastLoaded) pick(arrival, est sim.Time) int {
+	elapsed := arrival - r.lastArrival
+	if elapsed < 0 {
+		elapsed = 0
+	}
+	for g := range r.outstanding {
+		r.outstanding[g] -= sim.Time(float64(elapsed) * r.capacity[g])
+		if r.outstanding[g] < 0 {
+			r.outstanding[g] = 0
+		}
+	}
+	r.lastArrival = arrival
+	best := -1
+	var bestLoad float64
+	for g := range r.outstanding {
+		if r.capacity[g] <= 0 {
+			continue
+		}
+		load := float64(r.outstanding[g]+est) / r.capacity[g]
+		if best < 0 || load < bestLoad {
+			best, bestLoad = g, load
+		}
+	}
+	if best < 0 {
+		best = r.rr % len(r.outstanding)
+		r.rr++
+	}
+	r.outstanding[best] += est
+	return best
+}
+
+// TestLeastLoadedMatchesParentRouter pins Split's picks: the integer
+// least-loaded arm places every job where the float, capacity-weighted arm
+// it replaced did, over random non-decreasing arrivals that include
+// same-instant bursts, zero estimates, idle gaps long enough to drain every
+// device (all-zero ties) and loads deep enough to keep several queued.
+func TestLeastLoadedMatchesParentRouter(t *testing.T) {
+	const picks = 20000
+	rng := rand.New(rand.NewSource(29))
+	for gpus := 1; gpus <= 8; gpus++ {
+		got, want := NewRouter(RouteLeastLoaded, gpus), newParentLeastLoaded(gpus)
+		var now sim.Time
+		for i := 0; i < picks; i++ {
+			switch rng.Intn(8) {
+			case 0, 1, 2: // same instant as the previous arrival
+			case 3:
+				now += sim.Millisecond // every device drains to zero
+			default:
+				now += sim.Time(rng.Intn(60)) * sim.Microsecond
+			}
+			// Estimates on a coarse grid (zero included) so equal loads,
+			// and with them the lowest-index tie-break, come up often.
+			est := sim.Time(rng.Intn(8)) * 25 * sim.Microsecond
+			if g, w := got.Pick(now, est, i), want.pick(now, est); g != w {
+				t.Fatalf("%d GPUs, pick %d (arrival %v, est %v): got device %d, parent router picked %d",
+					gpus, i, now, est, g, w)
+			}
+		}
+	}
+}
+
+// TestRouterHeadroomAvoidsDegradedNode pins health weighting: with equal
+// reports, a node that lost half its CUs doubles its normalized drain time,
+// so new work goes to the healthy node, which absorbs more of a burst.
+func TestRouterHeadroomAvoidsDegradedNode(t *testing.T) {
+	r := NewRouter(RouteHeadroom, 2)
 	r.SetHealth(0, 0.5)
 	first := r.Pick(0, sim.Millisecond, 0)
 	if first != 1 {
-		t.Fatalf("degraded device 0 still preferred (got %d)", first)
+		t.Fatalf("degraded node 0 still preferred (got %d)", first)
 	}
-	// Keep offering simultaneous equal jobs: the healthy device absorbs
-	// proportionally more of them.
 	counts := [2]int{0: 0, 1: 1} // first pick recorded above
 	for id := 1; id < 30; id++ {
 		counts[r.Pick(0, sim.Millisecond, id)]++
 	}
 	if counts[1] <= counts[0] {
-		t.Fatalf("healthy device got %d jobs, degraded got %d", counts[1], counts[0])
+		t.Fatalf("healthy node got %d jobs, degraded got %d", counts[1], counts[0])
 	}
 }
 
 func TestRouterSkipsDeadGPU(t *testing.T) {
-	r := NewRouter(RouteLeastLoaded, 3)
+	r := NewRouter(RouteHeadroom, 3)
 	r.SetHealth(1, 0)
 	for id := 0; id < 12; id++ {
 		if g := r.Pick(0, sim.Microsecond, id); g == 1 {
@@ -85,65 +146,15 @@ func TestRouterSkipsDeadGPU(t *testing.T) {
 }
 
 func TestNewRouterPanicsOnEmptyFleet(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRouter(_, 0) did not panic")
-		}
-	}()
-	NewRouter(RouteRoundRobin, 0)
-}
-
-// TestHealthScheduleShiftsRouting pins the satellite requirement: a fault
-// plan's scheduled CU retirements must change least-loaded routing decisions
-// once arrivals pass the retirement time.
-func TestHealthScheduleShiftsRouting(t *testing.T) {
-	spec, err := faults.ParseSpec("retire=8@1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []faults.Spec{spec, {Recover: true}}
-	h := NewHealthSchedule(8, specs)
-
-	r := NewRouter(RouteLeastLoaded, 2)
-	// Before the retirement both devices are candidates.
-	h.Apply(r, 0)
-	before := map[int]bool{}
-	for id := 0; id < 4; id++ {
-		before[r.Pick(0, sim.Microsecond, id)] = true
-	}
-	if !before[0] || !before[1] {
-		t.Fatalf("pre-fault routing used only %v", before)
-	}
-	// After all 8 CUs retire, device 0 is dead and every pick lands on 1.
-	h.Apply(r, 2*sim.Millisecond)
-	for id := 4; id < 12; id++ {
-		if g := r.Pick(2*sim.Millisecond, sim.Microsecond, id); g != 0 {
-			continue
-		}
-		t.Fatalf("job %d routed to the fully retired device", id)
-	}
-}
-
-// TestHealthBlindPoliciesIgnoreFaults pins the complementary invariant:
-// round-robin and job-hash deliberately ignore health, so their decisions
-// are identical with and without a fault plan.
-func TestHealthBlindPoliciesIgnoreFaults(t *testing.T) {
-	spec, err := faults.ParseSpec("retire=8@0s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, policy := range []RoutingPolicy{RouteRoundRobin, RouteJobHash} {
-		clean := NewRouter(policy, 3)
-		faulted := NewRouter(policy, 3)
-		h := NewHealthSchedule(8, []faults.Spec{spec, {Recover: true}, {Recover: true}})
-		for id := 0; id < 12; id++ {
-			h.Apply(faulted, sim.Millisecond)
-			a := clean.Pick(sim.Millisecond, sim.Microsecond, id)
-			b := faulted.Pick(sim.Millisecond, sim.Microsecond, id)
-			if a != b {
-				t.Fatalf("%v: health changed decision for job %d (%d vs %d)", policy, id, a, b)
-			}
-		}
+	for _, policy := range []RoutingPolicy{RouteLeastLoaded, RouteHeadroom} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewRouter(%v, 0) did not panic", policy)
+				}
+			}()
+			NewRouter(policy, 0)
+		}()
 	}
 }
 
@@ -151,20 +162,18 @@ func TestHealthBlindPoliciesIgnoreFaults(t *testing.T) {
 // fully dead receives nothing, and restoring health 1.0 makes it a candidate
 // again on equal terms.
 func TestRouterHealthRecovery(t *testing.T) {
-	for _, policy := range []RoutingPolicy{RouteLeastLoaded, RouteHeadroom} {
-		r := NewRouter(policy, 2)
-		r.SetHealth(0, 0)
-		for id := 0; id < 8; id++ {
-			if g := r.Pick(0, sim.Microsecond, id); g != 1 {
-				t.Fatalf("%v: job %d routed to the dead device", policy, id)
-			}
+	r := NewRouter(RouteHeadroom, 2)
+	r.SetHealth(0, 0)
+	for id := 0; id < 8; id++ {
+		if g := r.Pick(0, sim.Microsecond, id); g != 1 {
+			t.Fatalf("job %d routed to the dead device", id)
 		}
-		// Recovery: back to full health, with no backlog bookkeeping — the
-		// recovered device must win the next pick (device 1 is loaded).
-		r.SetHealth(0, 1)
-		if g := r.Pick(0, sim.Microsecond, 100); g != 0 {
-			t.Fatalf("%v: recovered device not picked (got %d)", policy, g)
-		}
+	}
+	// Recovery: back to full health, with no backlog bookkeeping — the
+	// recovered device must win the next pick (device 1 is loaded).
+	r.SetHealth(0, 1)
+	if g := r.Pick(0, sim.Microsecond, 100); g != 0 {
+		t.Fatalf("recovered device not picked (got %d)", g)
 	}
 }
 
@@ -173,20 +182,18 @@ func TestRouterHealthRecovery(t *testing.T) {
 // repeated picks must alternate as the bookkeeping accrues — never flap on
 // map order or randomness.
 func TestRouterTieBreakEquallyDegraded(t *testing.T) {
-	for _, policy := range []RoutingPolicy{RouteLeastLoaded, RouteHeadroom} {
-		r := NewRouter(policy, 3)
-		r.SetHealth(0, 0.5)
-		r.SetHealth(1, 0.5)
-		r.SetHealth(2, 0) // dead: must never appear
-		var got []int
-		for id := 0; id < 6; id++ {
-			got = append(got, r.Pick(0, sim.Microsecond, id))
-		}
-		want := []int{0, 1, 0, 1, 0, 1}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: pick sequence %v, want %v", policy, got, want)
-			}
+	r := NewRouter(RouteHeadroom, 3)
+	r.SetHealth(0, 0.5)
+	r.SetHealth(1, 0.5)
+	r.SetHealth(2, 0) // dead: must never appear
+	var got []int
+	for id := 0; id < 6; id++ {
+		got = append(got, r.Pick(0, sim.Microsecond, id))
+	}
+	want := []int{0, 1, 0, 1, 0, 1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pick sequence %v, want %v", got, want)
 		}
 	}
 }
@@ -224,39 +231,5 @@ func TestRouterHeadroomRoutesOnReports(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Fatalf("all-dead fallback used only devices %v", seen)
-	}
-}
-
-// TestHealthScheduleApplyEdges pins Apply's consumption semantics: events
-// fire once (idempotent re-Apply), events at time zero apply immediately,
-// stacked retirements accumulate, and retiring every CU clamps the fraction
-// to exactly 0.
-func TestHealthScheduleApplyEdges(t *testing.T) {
-	spec, err := faults.ParseSpec("retire=4@0s,retire=4@2ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHealthSchedule(8, []faults.Spec{spec, {Recover: true}})
-	r := NewRouter(RouteLeastLoaded, 2)
-
-	h.Apply(r, 0) // the t=0 event fires immediately: health 0.5
-	got := map[int]bool{}
-	for id := 0; id < 4; id++ {
-		got[r.Pick(0, sim.Microsecond, id)] = true
-	}
-	if !got[1] {
-		t.Fatalf("healthy device unused after partial retirement: %v", got)
-	}
-
-	// Re-applying at the same instant must not double-consume or rewind.
-	h.Apply(r, 0)
-	h.Apply(r, sim.Millisecond)
-
-	// The second retirement kills the device outright (8 of 8 CUs gone).
-	h.Apply(r, 2*sim.Millisecond)
-	for id := 0; id < 8; id++ {
-		if g := r.Pick(2*sim.Millisecond, sim.Microsecond, id); g == 0 {
-			t.Fatal("fully retired device still picked")
-		}
 	}
 }

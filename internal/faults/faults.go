@@ -71,28 +71,6 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseSpecs parses a fleet's per-device fault list — entry g is a ParseSpec
-// string for device g — into exactly n specs: devices beyond the list stay
-// healthy (recovery on, nothing injected), and more entries than devices is
-// an error.
-func ParseSpecs(list []string, n int) ([]Spec, error) {
-	if len(list) > n {
-		return nil, fmt.Errorf("faults: %d fault specs for %d devices", len(list), n)
-	}
-	specs := make([]Spec, n)
-	for g := range specs {
-		specs[g] = Spec{Recover: true}
-		if g < len(list) {
-			sp, err := ParseSpec(list[g])
-			if err != nil {
-				return nil, fmt.Errorf("device %d: %w", g, err)
-			}
-			specs[g] = sp
-		}
-	}
-	return specs, nil
-}
-
 // ParseSpec parses a comma-separated fault specification:
 //
 //	hang=P        per-attempt hang probability in [0,1]

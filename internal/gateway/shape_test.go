@@ -205,3 +205,31 @@ func TestLaxdIsOneDevice(t *testing.T) {
 		t.Errorf("cluster.NewRouter( is called from %v, want exactly %v (Split and gateway.New)", routers, want)
 	}
 }
+
+// TestRouterKeepsOneModelPerFleet keeps internal/cluster at the two routing
+// models its callers use: the offline splitter routes least-loaded, the
+// gateway on probed headroom, and the models and health replay nobody
+// selects stay deleted.
+func TestRouterKeepsOneModelPerFleet(t *testing.T) {
+	gone := regexp.MustCompile(`\b(RouteRoundRobin|RouteJobHash|HealthSchedule|ParseSpecs)\b`)
+	leastLoaded := regexp.MustCompile(`(^|[^\w.])NewRouter\(RouteLeastLoaded\b|\bcluster\.NewRouter\(cluster\.RouteLeastLoaded\b`)
+	headroom := regexp.MustCompile(`\bcluster\.NewRouter\(cluster\.RouteHeadroom\b`)
+	var leastSites, headroomSites []string
+	for rel, src := range moduleSources(t) {
+		for _, m := range gone.FindAllString(src, -1) {
+			t.Errorf("%s mentions %s; internal/cluster keeps least-loaded (Split) and headroom (gateway) only", rel, m)
+		}
+		for range leastLoaded.FindAllString(src, -1) {
+			leastSites = append(leastSites, rel)
+		}
+		for range headroom.FindAllString(src, -1) {
+			headroomSites = append(headroomSites, rel)
+		}
+	}
+	if want := []string{"internal/cluster/cluster.go"}; !reflect.DeepEqual(leastSites, want) {
+		t.Errorf("a least-loaded Router is built in %v, want exactly %v (Split, as a bare NewRouter)", leastSites, want)
+	}
+	if want := []string{"internal/gateway/gateway.go"}; !reflect.DeepEqual(headroomSites, want) {
+		t.Errorf("a headroom Router is built in %v, want exactly %v (gateway.New)", headroomSites, want)
+	}
+}

@@ -10,10 +10,10 @@ import (
 )
 
 // RunFleet is the offline multi-GPU run: the front end splits the trace
-// across the fleet (cluster.Split), then every GPU replays its share through
-// the Sim recipe — GPU g's fault spec drawn from cfg.Seed+g, the invariant
-// checker attached when verify is set. It returns the fleet aggregate and
-// the checks performed summed over the GPUs.
+// across the fleet least-loaded (cluster.Split), then every GPU replays its
+// share fault-free through the Sim recipe, the invariant checker attached
+// when verify is set. It returns the fleet aggregate and the checks
+// performed summed over the GPUs.
 func RunFleet(ctx context.Context, cfg cluster.Config, set *workload.JobSet, verify bool) (cluster.Result, int64, error) {
 	subsets, err := cluster.Split(cfg, set)
 	if err != nil {
@@ -24,11 +24,7 @@ func RunFleet(ctx context.Context, cfg cluster.Config, set *workload.JobSet, ver
 	minJobs, maxJobs := set.Len()+1, 0
 	for g, sub := range subsets {
 		minJobs, maxJobs = min(minJobs, sub.Len()), max(maxJobs, sub.Len())
-		sim := Sim{Sched: cfg.Scheduler, Cfg: cfg.System, Set: sub, FaultSeed: cfg.Seed + int64(g), Verify: verify}
-		if g < len(cfg.Faults) {
-			sim.Faults = cfg.Faults[g]
-		}
-		sys, n, err := sim.Run(ctx)
+		sys, n, err := Sim{Sched: cfg.Scheduler, Cfg: cfg.System, Set: sub, Verify: verify}.Run(ctx)
 		if err != nil {
 			return cluster.Result{}, 0, err
 		}

@@ -107,7 +107,6 @@ func fleetTable(ctx context.Context, r *Runner) *Table {
 		res, _, err := RunFleet(ctx, cluster.Config{
 			GPUs:      fleetGPUCounts[g],
 			System:    r.Cfg,
-			Routing:   cluster.RouteLeastLoaded,
 			Scheduler: scheds[s],
 		}, set, r.Verify)
 		return res.DeadlineFrac(), err

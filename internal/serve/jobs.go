@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"time"
 
 	"laxgpu/internal/sim"
 )
@@ -59,11 +58,10 @@ type JobStatus struct {
 // record is the server-side state behind a JobStatus. Mutable fields are
 // guarded by the owning recordTable's mutex.
 type record struct {
-	status    JobStatus
-	client    string
-	submitted time.Time
-	done      chan struct{} // closed at the first terminal transition
-	terminal  bool
+	status   JobStatus
+	client   string
+	done     chan struct{} // closed at the first terminal transition
+	terminal bool
 }
 
 // maxRecords bounds a server's job-status registry.

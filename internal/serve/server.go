@@ -321,9 +321,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			DeadlineUs: usOf(deadline),
 			TraceID:    traceID,
 		},
-		client:    client,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		client: client,
+		done:   make(chan struct{}),
 	}
 	s.records.add(rec)
 	s.cSubmitted.Inc()
