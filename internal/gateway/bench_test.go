@@ -6,6 +6,7 @@ import (
 	"laxgpu/internal/cp"
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
+	"laxgpu/internal/verify"
 	"laxgpu/internal/workload"
 )
 
@@ -35,5 +36,72 @@ func BenchmarkInprocSubmit(b *testing.B) {
 		if _, err := be.Submit(clock.Now(), &Job{Benchmark: "STEM", Deadline: wj.Deadline, Kernels: wj.Kernels}, done); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// instantStub is a node that admits every job and reports it met before
+// Submit returns: the gateway's own cost, with no node behind it.
+type instantStub struct{ name string }
+
+func (s instantStub) Name() string { return s.name }
+
+func (instantStub) Probe(sim.Time) (Headroom, error) {
+	return Headroom{Capacity: 1, CapacityFrac: 1}, nil
+}
+
+func (instantStub) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
+	done(Outcome{Terminal: verify.FleetDone, Met: true})
+	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+}
+
+// pastCapWarmup is the submissions a steady-state measurement runs first:
+// past the journal's cap, so every further Submit evicts.
+const pastCapWarmup = 70_000
+
+// pastCapSubmit builds a gateway over two instant stubs, runs pastCapWarmup
+// STEM submissions through it and returns one more.
+func pastCapSubmit(tb testing.TB) func() {
+	tb.Helper()
+	gw, err := New(Options{
+		Backends: []Backend{instantStub{"stub0"}, instantStub{"stub1"}},
+		Clock:    serve.NewManualClock(),
+		Seed:     1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stem, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	submit := func() {
+		if _, _, reason := gw.Submit(stem, stem.Deadline, Standard); reason != "" {
+			tb.Fatalf("stub submission refused: %s", reason)
+		}
+	}
+	for i := 0; i < pastCapWarmup; i++ {
+		submit()
+	}
+	return submit
+}
+
+// BenchmarkGatewaySubmit is one steady-state Gateway.Submit past the journal
+// cap over an instant-completing stub: sample, journal, route, settle, evict.
+func BenchmarkGatewaySubmit(b *testing.B) {
+	submit := pastCapSubmit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+}
+
+// TestSubmitAllocsPastCap bounds a steady-state Submit's allocations: the
+// sampled kernel chain, the Job, its trace ID and the completion callback.
+// Nothing the journal keeps may allocate per submission.
+func TestSubmitAllocsPastCap(t *testing.T) {
+	submit := pastCapSubmit(t)
+	if allocs := testing.AllocsPerRun(1000, submit); allocs > 5 {
+		t.Errorf("Submit past the cap makes %.1f allocations, want at most 5", allocs)
 	}
 }

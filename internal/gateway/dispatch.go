@@ -32,10 +32,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 		Kernels:   sampled.Kernels,
 	}
 	job.Est = (&workload.Job{Kernels: job.Kernels}).SerialTime(gw.gpu)
-	// The gateway mints the fleet-wide trace ID: every node the job ever
-	// touches records spans under it, so the timeline stitches across
-	// processes and across failover re-dispatches.
-	job.TraceID = obs.TraceIDFrom(uint64(gw.opt.Seed)^0x6c61786777, uint64(gw.nextID))
+	job.TraceID = gw.traceID(job.ID)
 	gw.nextID++
 	e := gw.journal.open(job, now)
 	gw.statJournaled++
@@ -47,23 +44,23 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 		gw.cShed[class].Inc()
 		return job.ID, Verdict{Retry: wait}, serve.ReasonShed
 	}
-	target, v, ok := gw.place(now, e)
+	target, v, ok := gw.place(now, job)
 	if !ok {
 		// No routable node, or every route attempt hit a dead one.
 		gw.reject(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
 		gw.cUnhealthy.Inc()
 		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
+	// The route span renders from these and the verdict (accepted) on read.
 	n := gw.table.nodes[target]
-	e.dispatches = append(e.dispatches, n.be.Name())
-	e.span(now, obs.EventRoute, routeDetail(n.be.Name(), n.headroom.Drain, v.Accepted))
+	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 	if !v.Accepted {
 		gw.reject(e, serve.ReasonAdmission, v.Retry)
 		gw.cRejected.Inc()
 		return job.ID, v, serve.ReasonAdmission
 	}
 	e.accepted = true
-	e.backend = target
+	e.backend = int32(target)
 	e.remoteID = v.RemoteID
 	// Only accepted jobs shape the tightest-deadline stat: a hopeless
 	// deadline bounced at admission never ran, so it says nothing about the
@@ -74,7 +71,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	// The completion may already have raced in while place had mu released
 	// (real clocks, fast jobs): settle saw accepted==false then and skipped
 	// the decrement, so only count still-open entries.
-	if e.terminal == "" {
+	if e.terminal == 0 {
 		gw.inflight++
 		gw.gInflight.Set(float64(gw.inflight))
 		n.inflight++
@@ -83,13 +80,22 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	return job.ID, v, ""
 }
 
-// routeDetail renders the route span's detail — written on every submission,
-// so appended into a stack buffer (one allocation) rather than formatted.
+// routeDetail renders the route span's detail — rendered for every routed job
+// a journal read returns, so appended into a stack buffer (one allocation)
+// rather than formatted.
 func routeDetail(node string, drain sim.Time, accepted bool) string {
 	b := append(append(make([]byte, 0, 96), "routed to "...), node...)
 	b = strconv.AppendInt(append(b, " (drain="...), usOf(drain), 10)
 	b = strconv.AppendBool(append(b, "us, accepted="...), accepted)
 	return string(append(b, ')'))
+}
+
+// traceID is the fleet-wide trace ID the gateway mints for job id: every node
+// the job ever touches records spans under it, so the timeline stitches
+// across processes and across failover re-dispatches. A pure function of
+// (seed, id), so the journal re-derives it instead of storing it.
+func (gw *Gateway) traceID(id int64) string {
+	return obs.TraceIDFrom(uint64(gw.opt.Seed)^0x6c61786777, uint64(id))
 }
 
 // place is the one route-and-offer loop, shared by arrivals and failover: it
@@ -98,13 +104,13 @@ func routeDetail(node string, drain sim.Time, accepted bool) string {
 // the first verdict a node gives. ok is false when nobody took the job: no
 // node is routable, or every attempt hit a dead one. The caller holds mu and
 // holds it again on return; place releases it around each backend call.
-func (gw *Gateway) place(now sim.Time, e *entry) (int, Verdict, bool) {
-	id := e.job.ID
+func (gw *Gateway) place(now sim.Time, job *Job) (int, Verdict, bool) {
+	id := job.ID
 	for attempt := 0; attempt < len(gw.table.nodes) && gw.table.healthy() > 0; attempt++ {
-		target := gw.table.router.Pick(now, e.job.Est, int(id))
+		target := gw.table.router.Pick(now, job.Est, int(id))
 		be := gw.table.nodes[target].be
 		gw.mu.Unlock()
-		v, err := be.Submit(now, e.job, func(o Outcome) { gw.complete(id, o) })
+		v, err := be.Submit(now, job, func(o Outcome) { gw.complete(id, o) })
 		if err != nil {
 			gw.strike(now, target)
 		}
@@ -126,38 +132,38 @@ func (gw *Gateway) strike(now sim.Time, g int) {
 		gw.mu.Unlock()
 		return
 	}
-	orphans := gw.journal.detach(g)
+	orphans, jobs := gw.journal.detach(g)
 	gw.table.nodes[g].inflight -= len(orphans)
 	gw.table.maybeRetire(gw.clock.Now(), g)
 	gw.mu.Unlock()
-	gw.failover(now, orphans)
+	gw.failover(now, orphans, jobs)
 }
 
 // failover re-dispatches the orphans of a dead node in ID order: each goes
 // to the healthiest survivor willing to take it, or to the gateway's CPU
 // fallback when no survivor exists or the survivor's admission refuses it —
-// either way the job reaches a terminal state. Deterministic given the same
-// journal and probe history: placement is the same loop arrivals use.
-// Called without mu.
-func (gw *Gateway) failover(now sim.Time, orphans []*entry) {
+// either way the job reaches a terminal state. jobs[i] is orphans[i]'s job,
+// kept even if a late completion closes the entry meanwhile. Deterministic
+// given the same journal and probe history: placement is the same loop
+// arrivals use. Called without mu.
+func (gw *Gateway) failover(now sim.Time, orphans []*entry, jobs []*Job) {
 	start := time.Now()
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	for _, e := range orphans {
-		target, v, ok := gw.place(now, e)
+	for i, e := range orphans {
+		target, v, ok := gw.place(now, jobs[i])
 		if ok {
 			n := gw.table.nodes[target]
-			e.dispatches = append(e.dispatches, n.be.Name())
-			e.span(now, obs.EventRedispatch,
+			gw.journal.failedOver(e, n.be.Name(), now, obs.EventRedispatch,
 				fmt.Sprintf("journal re-dispatch to %s (accepted=%v)", n.be.Name(), v.Accepted))
 			if v.Accepted {
-				e.backend = target
+				e.backend = int32(target)
 				e.remoteID = v.RemoteID
-				if e.terminal == "" {
+				if e.terminal == 0 {
 					n.inflight++
 				}
 				gw.table.event(now, obs.EventRedispatch, n.be.Name(),
-					fmt.Sprintf("job %d re-dispatched", e.job.ID))
+					fmt.Sprintf("job %d re-dispatched", e.id))
 				gw.cFailoverJobs.Inc()
 				gw.hRedispatchUs.Observe(float64(time.Since(start).Microseconds()))
 				continue
@@ -167,9 +173,8 @@ func (gw *Gateway) failover(now sim.Time, orphans []*entry) {
 		// state ("fallback", deadline missed) rather than a silent loss.
 		gw.cFailoverFallback.Inc()
 		at := gw.clock.Now()
-		e.dispatches = append(e.dispatches, "cpu")
-		e.span(at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
-		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", e.job.ID))
+		gw.journal.failedOver(e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
+		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", e.id))
 		gw.settle(e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
 	}
 }
@@ -179,7 +184,7 @@ func (gw *Gateway) failover(now sim.Time, orphans []*entry) {
 func (gw *Gateway) complete(id int64, o Outcome) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	if e := gw.journal.entries[id]; e != nil {
+	if e := gw.journal.lookup(id); e != nil {
 		gw.settle(e, o)
 	}
 }
@@ -198,15 +203,16 @@ func (gw *Gateway) settle(e *entry, o Outcome) {
 	e.latencyUs = usOf(o.Latency)
 	if !o.Met {
 		gw.statMissed++
-		e.cause = missCause(o)
-		if c := gw.cMissCause[e.job.Class][e.cause]; c != nil {
+		cause := missCause(o)
+		e.cause = gw.journal.intern(cause)
+		if c := gw.cMissCause[Class(e.class)][cause]; c != nil {
 			c.Inc()
 		}
 	}
 	if e.accepted {
 		gw.inflight--
 		gw.gInflight.Set(float64(gw.inflight))
-		if g := e.backend; g >= 0 && g < len(gw.table.nodes) {
+		if g := int(e.backend); g >= 0 && g < len(gw.table.nodes) {
 			gw.table.nodes[g].inflight--
 			gw.table.maybeRetire(gw.clock.Now(), g)
 		}
@@ -216,7 +222,7 @@ func (gw *Gateway) settle(e *entry, o Outcome) {
 // reject settles a journaled entry as refused at the gateway, with the
 // machine-readable reason and Retry-After hint. Caller holds mu.
 func (gw *Gateway) reject(e *entry, reason string, retry sim.Time) {
-	e.reason = reason
+	e.reason = gw.journal.intern(reason)
 	e.retryUs = usOf(retry)
 	gw.settle(e, Outcome{Terminal: verify.FleetRejected})
 }

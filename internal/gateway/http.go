@@ -29,31 +29,34 @@ type JobStatus struct {
 	MissCause    string   `json:"miss_cause,omitempty"`
 }
 
-func (e *entry) status() JobStatus {
-	state := e.terminal
+// status renders e's API record. Caller holds mu.
+func (gw *Gateway) status(e *entry) JobStatus {
+	j := &gw.journal
+	state := j.names[e.terminal]
 	if state == "" {
 		state = "admitted"
 	}
+	dispatches := j.dispatches(e)
 	node := ""
-	if n := len(e.dispatches); n > 0 {
-		node = e.dispatches[n-1]
+	if n := len(dispatches); n > 0 {
+		node = dispatches[n-1]
 	}
 	return JobStatus{
-		ID:           e.job.ID,
-		Benchmark:    e.job.Benchmark,
+		ID:           e.id,
+		Benchmark:    j.names[e.bench],
 		Node:         node,
 		State:        state,
-		Class:        e.job.Class.String(),
+		Class:        Class(e.class).String(),
 		Accepted:     e.accepted,
 		MetDeadline:  e.met,
 		FellBack:     e.fellBack,
-		DeadlineUs:   usOf(e.job.Deadline),
+		DeadlineUs:   usOf(e.deadline),
 		LatencyUs:    e.latencyUs,
-		Reason:       e.reason,
+		Reason:       j.names[e.reason],
 		RetryAfterUs: e.retryUs,
-		Dispatches:   append([]string(nil), e.dispatches...),
-		TraceID:      e.job.TraceID,
-		MissCause:    e.cause,
+		Dispatches:   dispatches,
+		TraceID:      gw.traceID(e.id),
+		MissCause:    j.names[e.cause],
 	}
 }
 
@@ -61,11 +64,11 @@ func (e *entry) status() JobStatus {
 func (gw *Gateway) Status(id int64) (JobStatus, bool) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	e := gw.journal.entries[id]
+	e := gw.journal.lookup(id)
 	if e == nil {
 		return JobStatus{}, false
 	}
-	return e.status(), true
+	return gw.status(e), true
 }
 
 // Done returns the journaled job's completion channel (closed at its first
@@ -73,10 +76,7 @@ func (gw *Gateway) Status(id int64) (JobStatus, bool) {
 func (gw *Gateway) Done(id int64) <-chan struct{} {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	if e := gw.journal.entries[id]; e != nil {
-		return e.done
-	}
-	return nil
+	return gw.journal.done(id)
 }
 
 // NodeStatus is one row of the GET /v1/fleet report.
@@ -153,14 +153,14 @@ func (gw *Gateway) Fleet() FleetStatus {
 func (gw *Gateway) gatewayHalf(id int64) (wire obs.WireTrace, src TraceSource, remoteID int64, ok bool) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	e := gw.journal.entries[id]
+	e := gw.journal.lookup(id)
 	if e == nil {
 		return obs.WireTrace{}, nil, 0, false
 	}
-	if g := e.backend; g >= 0 && g < len(gw.table.nodes) {
+	if g := int(e.backend); g >= 0 && g < len(gw.table.nodes) {
 		src, _ = gw.table.nodes[g].be.(TraceSource)
 	}
-	st := e.status()
+	st := gw.status(e)
 	return obs.WireTrace{
 		TraceID:   st.TraceID,
 		Job:       strconv.FormatInt(id, 10),
@@ -169,9 +169,9 @@ func (gw *Gateway) gatewayHalf(id int64) (wire obs.WireTrace, src TraceSource, r
 		State:     st.State,
 		Met:       st.MetDeadline,
 		FellBack:  st.FellBack,
-		SlackUs:   float64(e.job.Deadline) / float64(sim.Microsecond),
+		SlackUs:   float64(e.deadline) / float64(sim.Microsecond),
 		LatencyUs: float64(st.LatencyUs),
-		Spans:     append([]obs.WireSpan(nil), e.spans...),
+		Spans:     gw.journal.spans(e),
 	}, src, e.remoteID, true
 }
 

@@ -1,112 +1,269 @@
 package gateway
 
 import (
+	"fmt"
+
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/verify"
 )
 
-// entry is one journal row: everything the gateway must remember to keep
-// its no-lost-jobs promise for one submission.
+// entry is one journal row: everything the gateway must remember to keep its
+// no-lost-jobs promise for one submission. It holds no pointers, so a page of
+// rows is an object the collector never scans. Names are indexes into the
+// journal's intern table (0 is ""), and the dispatch chain and gateway spans
+// are rendered from the row when read.
 type entry struct {
-	job        *Job
-	accepted   bool
-	terminal   string
-	met        bool
-	fellBack   bool
-	latencyUs  int64
-	reason     string
-	retryUs    int64
-	cause      string // miss-cause verdict (metrics taxonomy); "" while open or met
-	dispatches []string
-	backend    int // routing index of the live dispatch; -1 when none
-	remoteID   int64
-	duplicates int
-	submitAt   sim.Time
-	spans      []obs.WireSpan // gateway-side events, times relative to submitAt
-	done       chan struct{}
+	id, remoteID            int64
+	submitAt, deadline      sim.Time
+	latencyUs, retryUs      int64
+	drainUs                 int64 // the routed-to member's probed drain, for the route span
+	backend, duplicates     int32 // backend: routing index of the live dispatch; -1 when none
+	bench, route            uint16
+	terminal, reason        uint16
+	cause                   uint16 // miss-cause verdict (metrics taxonomy); 0 while open or met
+	class                   uint8
+	accepted, met, fellBack bool
+	evicted                 bool
 }
 
-// span appends one gateway-side instant event to the entry's timeline.
-func (e *entry) span(now sim.Time, name, detail string) {
-	at := float64(now-e.submitAt) / float64(sim.Microsecond)
-	e.spans = append(e.spans, obs.WireSpan{
-		Kind: obs.SpanEvent, Name: name, Node: "laxgw",
-		StartUs: at, EndUs: at, Detail: detail,
-	})
+// pageRows is the rows per journal page. Pages never move once allocated, so
+// a caller may hold an *entry while mu is released.
+const pageRows = 1024
+
+// hop is one failover step of a journaled job: the dispatch it added and
+// the gateway span that records it.
+type hop struct {
+	to   string
+	span obs.WireSpan
 }
+
+// closedDone is the Done channel of every entry already terminal.
+var closedDone = make(chan struct{})
+
+func init() { close(closedDone) }
 
 // journal is the no-lost-jobs ledger: every submission in arrival order,
-// bounded by evicting the oldest terminal entries. It owns the one terminal
+// bounded by evicting the oldest terminal entries. Rows live in fixed pages
+// found by id − base, because IDs are dense. It owns the one terminal
 // transition and knows nothing about the fleet beyond the routing index an
 // entry carries. Not safe for concurrent use: Gateway.mu guards it.
 type journal struct {
-	max     int
-	entries map[int64]*entry
-	order   []int64 // exactly the keys of entries, in arrival order
+	max   int
+	base  int64 // ID of pages[0][0]
+	pages []*[pageRows]entry
+	jobs  []*[pageRows]*Job // each open entry's job, dropped at close
 
-	// terminals counts the entries that have a terminal state: bumped by
-	// close, dropped where such an entry is evicted.
-	terminals int
+	// head is the oldest retained ID and next the ID open expects. Every
+	// retained row below cursor is open, so eviction resumes there.
+	head, next, cursor int64
+
+	// retained counts the rows not evicted; terminals the retained rows
+	// that have a terminal state.
+	retained, terminals int
+
+	names   []string
+	index   map[string]uint16
+	hops    map[int64][]hop         // failed-over jobs only
+	waiters map[int64]chan struct{} // open jobs someone waits on
 }
 
 func newJournal(max int) journal {
-	return journal{max: max, entries: make(map[int64]*entry)}
+	return journal{
+		max:     max,
+		names:   []string{""},
+		index:   map[string]uint16{"": 0},
+		hops:    map[int64][]hop{},
+		waiters: map[int64]chan struct{}{},
+	}
+}
+
+// intern returns the index of name in the journal's name table.
+func (j *journal) intern(name string) uint16 {
+	if i, ok := j.index[name]; ok {
+		return i
+	}
+	if len(j.names) > 0xffff {
+		panic("gateway: journal name table is full")
+	}
+	i := uint16(len(j.names))
+	j.names = append(j.names, name)
+	j.index[name] = i
+	return i
+}
+
+func (j *journal) row(id int64) *entry {
+	k := id - j.base
+	return &j.pages[k/pageRows][k%pageRows]
+}
+
+// job is id's slot in the parallel pointer pages: its job while open, nil
+// once closed.
+func (j *journal) job(id int64) **Job {
+	k := id - j.base
+	return &j.jobs[k/pageRows][k%pageRows]
+}
+
+// lookup returns the retained entry of id, or nil.
+func (j *journal) lookup(id int64) *entry {
+	if id < j.head || id >= j.next {
+		return nil
+	}
+	if e := j.row(id); !e.evicted {
+		return e
+	}
+	return nil
 }
 
 // open journals a new submission, evicting the oldest terminal entries past
-// the cap. Non-terminal entries are never evicted.
+// the cap. Non-terminal entries are never evicted. IDs must be consecutive.
 func (j *journal) open(job *Job, now sim.Time) *entry {
-	e := &entry{job: job, backend: -1, submitAt: now, done: make(chan struct{})}
-	j.entries[job.ID] = e
-	j.order = append(j.order, job.ID)
-	for len(j.order) > j.max {
-		i := 0
-		for i < len(j.order) {
-			if j.entries[j.order[i]].terminal != "" {
-				break
-			}
-			i++
-		}
-		if i == len(j.order) {
-			break // every entry is still open: the journal runs over its cap
-		}
-		id := j.order[i]
-		if i == 0 {
-			// The usual case, O(1): move the slice head. append copies the
-			// live entries to a fresh array once per quarter-cap of submits.
-			j.order = j.order[1:]
-		} else {
-			j.order = append(j.order[:i], j.order[i+1:]...)
-		}
-		j.terminals--
-		delete(j.entries, id)
+	if job.ID != j.next {
+		panic(fmt.Sprintf("gateway: journal opened ID %d, want %d", job.ID, j.next))
+	}
+	if j.next-j.base == int64(len(j.pages))*pageRows {
+		j.pages = append(j.pages, new([pageRows]entry))
+		j.jobs = append(j.jobs, new([pageRows]*Job))
+	}
+	e := j.row(job.ID)
+	*e = entry{
+		id: job.ID, submitAt: now, deadline: job.Deadline, backend: -1,
+		bench: j.intern(job.Benchmark), class: uint8(job.Class),
+	}
+	*j.job(job.ID) = job
+	j.next++
+	j.retained++
+	for j.retained > j.max && j.evictOldestTerminal() {
 	}
 	return e
 }
 
-// close moves e to a terminal state and wakes its waiters. Only the first
-// report wins: close reports false, changing nothing, for an entry that is
-// already terminal.
+// evictOldestTerminal evicts the oldest retained terminal row, reporting
+// false when every retained row is open: the journal then runs over its cap.
+func (j *journal) evictOldestTerminal() bool {
+	for ; j.cursor < j.next; j.cursor++ {
+		e := j.row(j.cursor)
+		if e.evicted || e.terminal == 0 {
+			continue
+		}
+		e.evicted = true
+		delete(j.hops, e.id)
+		j.retained--
+		j.terminals--
+		for j.head < j.next && j.row(j.head).evicted {
+			j.head++
+		}
+		for j.head-j.base >= pageRows {
+			j.pages[0], j.jobs[0] = nil, nil
+			j.pages, j.jobs = j.pages[1:], j.jobs[1:]
+			j.base += pageRows
+		}
+		j.cursor = max(j.cursor+1, j.head)
+		return true
+	}
+	return false
+}
+
+// close moves e to a terminal state, drops its job and wakes its waiters.
+// Only the first report wins: close reports false, changing nothing, for an
+// entry that is already terminal.
 func (j *journal) close(e *entry, terminal string) bool {
-	if e.terminal != "" {
+	if e.terminal != 0 {
 		return false
 	}
-	e.terminal = terminal
+	e.terminal = j.intern(terminal)
 	j.terminals++
-	close(e.done)
+	*j.job(e.id) = nil
+	if e.id < j.cursor {
+		j.cursor = e.id
+	}
+	if _, ok := j.waiters[e.id]; ok {
+		close(j.waiters[e.id])
+		delete(j.waiters, e.id)
+	}
 	return true
 }
 
+// done returns the channel closed at id's terminal transition, creating a
+// waiter for an open entry, or nil for an unknown or evicted ID.
+func (j *journal) done(id int64) <-chan struct{} {
+	e := j.lookup(id)
+	switch {
+	case e == nil:
+		return nil
+	case e.terminal != 0:
+		return closedDone
+	}
+	ch, ok := j.waiters[id]
+	if !ok {
+		ch = make(chan struct{})
+		j.waiters[id] = ch
+	}
+	return ch
+}
+
 // detach collects the accepted, still-open entries dispatched to routing
-// index g, in ID order, and clears their dispatch: the caller re-homes them.
-func (j *journal) detach(g int) []*entry {
-	var out []*entry
-	for _, id := range j.order {
-		if e := j.entries[id]; e.accepted && e.terminal == "" && e.backend == g {
+// index g, in ID order, with their jobs, and clears their dispatch: the
+// caller re-homes them.
+func (j *journal) detach(g int) ([]*entry, []*Job) {
+	var es []*entry
+	var jobs []*Job
+	for id := j.head; id < j.next; id++ {
+		if e := j.row(id); !e.evicted && e.accepted && e.terminal == 0 && int(e.backend) == g {
 			e.backend = -1
-			out = append(out, e)
+			es = append(es, e)
+			jobs = append(jobs, *j.job(id))
 		}
+	}
+	return es, jobs
+}
+
+// failedOver records one failover step of e: the dispatch to, and a gateway
+// event at now. A late completion can close an orphan mid-failover and a
+// submission evict it; its steps then have nowhere to go.
+func (j *journal) failedOver(e *entry, to string, now sim.Time, name, detail string) {
+	if e.evicted {
+		return
+	}
+	at := float64(now-e.submitAt) / float64(sim.Microsecond)
+	j.hops[e.id] = append(j.hops[e.id], hop{to, gatewaySpan(at, name, detail)})
+}
+
+func gatewaySpan(at float64, name, detail string) obs.WireSpan {
+	return obs.WireSpan{Kind: obs.SpanEvent, Name: name, Node: "laxgw", StartUs: at, EndUs: at, Detail: detail}
+}
+
+// dispatches renders e's dispatch chain: the routed-to member, then each
+// failover step's.
+func (j *journal) dispatches(e *entry) []string {
+	hops := j.hops[e.id]
+	if e.route == 0 && len(hops) == 0 {
+		return nil
+	}
+	out := make([]string, 0, 1+len(hops))
+	if e.route != 0 {
+		out = append(out, j.names[e.route])
+	}
+	for _, h := range hops {
+		out = append(out, h.to)
+	}
+	return out
+}
+
+// spans renders e's gateway-side events, times relative to its submission:
+// the route at 0, then each failover step's.
+func (j *journal) spans(e *entry) []obs.WireSpan {
+	hops := j.hops[e.id]
+	if e.route == 0 && len(hops) == 0 {
+		return nil
+	}
+	out := make([]obs.WireSpan, 0, 1+len(hops))
+	if e.route != 0 {
+		detail := routeDetail(j.names[e.route], sim.Time(e.drainUs)*sim.Microsecond, e.accepted)
+		out = append(out, gatewaySpan(0, obs.EventRoute, detail))
+	}
+	for _, h := range hops {
+		out = append(out, h.span)
 	}
 	return out
 }
@@ -115,9 +272,9 @@ func (j *journal) detach(g int) []*entry {
 // first.
 func (j *journal) newestTerminal(n int) []int64 {
 	var ids []int64
-	for i := len(j.order) - 1; i >= 0 && len(ids) < n; i-- {
-		if j.entries[j.order[i]].terminal != "" {
-			ids = append(ids, j.order[i])
+	for id := j.next - 1; id >= j.head && len(ids) < n; id-- {
+		if e := j.row(id); !e.evicted && e.terminal != 0 {
+			ids = append(ids, id)
 		}
 	}
 	return ids
@@ -125,16 +282,19 @@ func (j *journal) newestTerminal(n int) []int64 {
 
 // fleetJobs snapshots the journal as verify.FleetJob rows.
 func (j *journal) fleetJobs() []verify.FleetJob {
-	out := make([]verify.FleetJob, 0, len(j.order))
-	for _, id := range j.order {
-		e := j.entries[id]
+	out := make([]verify.FleetJob, 0, j.retained)
+	for id := j.head; id < j.next; id++ {
+		e := j.row(id)
+		if e.evicted {
+			continue
+		}
 		out = append(out, verify.FleetJob{
 			ID:         id,
 			Accepted:   e.accepted,
-			Terminal:   e.terminal,
-			Dispatches: append([]string(nil), e.dispatches...),
-			Duplicates: e.duplicates,
-			Spans:      append([]obs.WireSpan(nil), e.spans...),
+			Terminal:   j.names[e.terminal],
+			Dispatches: j.dispatches(e),
+			Duplicates: int(e.duplicates),
+			Spans:      j.spans(e),
 		})
 	}
 	return out

@@ -1,11 +1,15 @@
 package gateway
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/verify"
+	"laxgpu/internal/workload"
 )
 
 // checkTerminalCount asserts the maintained terminal counter behind
@@ -30,6 +34,7 @@ type shiftJournal struct {
 	max      int
 	order    []int64
 	terminal map[int64]bool
+	evicted  []int64
 }
 
 func (j *shiftJournal) add(id int64) {
@@ -40,6 +45,7 @@ func (j *shiftJournal) add(id int64) {
 			if j.terminal[old] {
 				j.order = append(j.order[:i], j.order[i+1:]...)
 				delete(j.terminal, old)
+				j.evicted = append(j.evicted, old)
 				evicted = true
 				break
 			}
@@ -50,18 +56,32 @@ func (j *shiftJournal) add(id int64) {
 	}
 }
 
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestJournalEvictionMatchesShiftOracle drives a few thousand random
-// open/close interleavings through a 64-entry journal: after every step the
-// journal's ID sequence equals the slice-shift oracle's, no open entry is ever
-// evicted, and the terminal counter stays exact — with stretches where more
-// than 64 jobs are open at once, so the still-open-head fallback and the
-// over-cap journal both run.
+// open/close interleavings of consecutive IDs, as the gateway opens them,
+// through a 64-entry journal: after every step the journal's ID sequence
+// equals the slice-shift oracle's, no open entry is ever evicted, an evicted
+// ID has no Done channel, a closed entry's is already closed, and the
+// terminal counter stays exact — with stretches where more than 64 jobs are
+// open at once, so the still-open-head fallback and the over-cap journal
+// both run. Every third open entry gets a waiter, and the waiter map is
+// empty once everything is closed.
 func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	const maxRecords = 64
 	j := newJournal(maxRecords)
 	oracle := &shiftJournal{max: maxRecords, terminal: map[int64]bool{}}
 	rng := sim.NewRNG(17)
 	var open []*entry
+	waiters := map[int64]<-chan struct{}{}
 	overCap := false
 	for step := 0; step < 6000; step++ {
 		// Phases of 500 steps alternate between completing eagerly and
@@ -72,25 +92,32 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 		}
 		switch {
 		case len(open) == 0 || rng.Float64() < pSubmit:
-			e := j.open(&Job{ID: int64(step)}, 0)
-			e.dispatches = []string{"node0"}
-			oracle.add(e.job.ID)
+			e := j.open(&Job{ID: j.next}, 0)
+			e.route = j.intern("node0")
+			oracle.add(e.id)
 			if rng.Float64() < 0.9 {
 				e.accepted = true
 				open = append(open, e)
+				if e.id%3 == 0 {
+					waiters[e.id] = j.done(e.id)
+				}
 			} else {
 				j.close(e, verify.FleetRejected) // rejected at admission: terminal on arrival
-				oracle.terminal[e.job.ID] = true
+				oracle.terminal[e.id] = true
 			}
 		default:
 			k := rng.Intn(len(open))
 			if rng.Float64() < 0.5 {
 				k = 0 // oldest first, the common order
 			}
-			if !j.close(open[k], verify.FleetDone) {
-				t.Fatalf("step %d: first close of job %d reported a duplicate", step, open[k].job.ID)
+			e := open[k]
+			if !j.close(e, verify.FleetDone) {
+				t.Fatalf("step %d: first close of job %d reported a duplicate", step, e.id)
 			}
-			oracle.terminal[open[k].job.ID] = true
+			if !closed(j.done(e.id)) {
+				t.Fatalf("step %d: Done of closed job %d is not closed", step, e.id)
+			}
+			oracle.terminal[e.id] = true
 			open = append(open[:k], open[k+1:]...)
 		}
 
@@ -104,10 +131,16 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 			t.Fatalf("step %d: journal order diverged from the slice-shift oracle\n got %v\nwant %v", step, got, oracle.order)
 		}
 		for _, e := range open {
-			if j.entries[e.job.ID] != e {
-				t.Fatalf("step %d: open job %d was evicted", step, e.job.ID)
+			if j.lookup(e.id) != e {
+				t.Fatalf("step %d: open job %d was evicted", step, e.id)
 			}
 		}
+		for _, id := range oracle.evicted {
+			if j.done(id) != nil {
+				t.Fatalf("step %d: evicted job %d still has a Done channel", step, id)
+			}
+		}
+		oracle.evicted = oracle.evicted[:0]
 		if len(got) > maxRecords {
 			overCap = true
 		}
@@ -118,16 +151,128 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	for _, e := range open {
 		j.close(e, verify.FleetDone)
 		if j.close(e, verify.FleetDone) {
-			t.Fatalf("second close of job %d won", e.job.ID)
+			t.Fatalf("second close of job %d won", e.id)
 		}
-		select {
-		case <-e.done:
-		default:
-			t.Fatalf("job %d closed without waking its waiters", e.job.ID)
+	}
+	for id, ch := range waiters {
+		if !closed(ch) {
+			t.Fatalf("job %d closed without waking its waiters", id)
 		}
+	}
+	if len(j.waiters) != 0 {
+		t.Errorf("%d waiters left once every job is closed", len(j.waiters))
 	}
 	checkTerminalCount(t, &j)
 	if vs := verify.CheckFleetScaled(0, j.fleetJobs(), nil); len(vs) != 0 {
 		t.Errorf("journal violations at quiescence: %v", vs)
+	}
+}
+
+// asyncStub admits every job and reports it from one of its worker
+// goroutines, so completions land while other submissions hold an *entry
+// with mu released.
+type asyncStub struct {
+	name string
+	work chan func()
+}
+
+func (s *asyncStub) Name() string { return s.name }
+
+func (s *asyncStub) Probe(sim.Time) (Headroom, error) {
+	return Headroom{Capacity: 1, CapacityFrac: 1}, nil
+}
+
+func (s *asyncStub) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
+	met := job.ID%5 != 0
+	s.work <- func() { done(Outcome{Terminal: verify.FleetDone, Met: met}) }
+	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+}
+
+// TestJournalRowsStableUnderConcurrentCompletions runs three submitters
+// across the journal's cap and dozens of page boundaries while stub nodes
+// complete jobs on their own goroutines. A row that moved under an *entry
+// held across place would lose its acceptance or its terminal report, so
+// the journal would fail Check or leave jobs in flight.
+func TestJournalRowsStableUnderConcurrentCompletions(t *testing.T) {
+	const submitters, perSubmitter = 3, (maxRecords + 3*pageRows) / 3
+	var backends []Backend
+	var stubs []*asyncStub
+	var workers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		s := &asyncStub{name: fmt.Sprintf("stub%d", g), work: make(chan func(), 64)}
+		stubs = append(stubs, s)
+		for w := 0; w < 2; w++ {
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				for f := range s.work {
+					f()
+				}
+			}()
+		}
+		backends = append(backends, s)
+	}
+	clock := serve.NewManualClock()
+	gw, err := New(Options{Backends: backends, Clock: clock, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var waited []<-chan struct{}
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				id, _, reason := gw.Submit(bench, bench.Deadline, Standard)
+				if reason != "" {
+					t.Errorf("job %d refused: %s", id, reason)
+					return
+				}
+				if id%97 == 0 {
+					ch := gw.Done(id)
+					mu.Lock()
+					waited = append(waited, ch)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range stubs {
+		close(s.work) // every Submit has returned: the workers deliver the rest and stop
+	}
+	workers.Wait()
+
+	if n := gw.Inflight(); n != 0 {
+		t.Fatalf("%d jobs in flight after every completion was delivered", n)
+	}
+	if vs := gw.Check(clock.Now()); len(vs) != 0 {
+		t.Fatalf("journal violations: %v", vs)
+	}
+	gw.mu.Lock()
+	waiters, next := len(gw.journal.waiters), gw.journal.next
+	gw.mu.Unlock()
+	if waiters != 0 {
+		t.Errorf("%d waiters left with every job terminal", waiters)
+	}
+	if next != submitters*perSubmitter || len(gw.FleetJobs()) != maxRecords {
+		t.Errorf("journal issued %d IDs and keeps %d, want %d and %d", next, len(gw.FleetJobs()), submitters*perSubmitter, maxRecords)
+	}
+	for i, ch := range waited {
+		if !closed(ch) {
+			t.Fatalf("waited channel %d never closed", i)
+		}
+	}
+	for _, fj := range gw.FleetJobs() {
+		if !closed(gw.Done(fj.ID)) {
+			t.Fatalf("Done of terminal job %d is not closed", fj.ID)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // sources reads the non-test Go files of dir, line comments stripped, keyed
@@ -50,7 +51,7 @@ func TestEachFleetDecisionIsWrittenOnce(t *testing.T) {
 	for _, once := range []struct{ what, pattern string }{
 		{"the route pick (place)", `router\.Pick\(`},
 		{"the breaker failure (nodeTable.fail)", `breaker\.Failure\(`},
-		{"the terminal transition (journal.close)", `close\(\w+\.done\)`},
+		{"the terminal transition (journal.close wakes the waiters)", `close\(\w+\.waiters\[`},
 	} {
 		if n := len(regexp.MustCompile(once.pattern).FindAllString(all, -1)); n != 1 {
 			t.Errorf("%s: /%s/ appears %d times in non-test internal/gateway, want exactly 1", once.what, once.pattern, n)
@@ -76,6 +77,31 @@ func TestEachFleetDecisionIsWrittenOnce(t *testing.T) {
 	noop := regexp.MustCompile(`\) TableRefresh\(obs\.TableRefresh\)\s+\{\}`)
 	if n := len(noop.FindAllString(all, -1)); n != 1 {
 		t.Errorf("%d no-op obs.Probe implementations across internal/serve + internal/gateway, want only serve.Host's", n)
+	}
+}
+
+// TestJournalRowIsPointerFree keeps a journal row something the collector
+// never marks: no field of entry, however nested, may hold a pointer, and a
+// row stays within 96 bytes, so a page of 1 024 rows is one no-scan object.
+func TestJournalRowIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("journal row field %s is a %s; a row must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("entry", reflect.TypeOf(entry{}))
+	if size := unsafe.Sizeof(entry{}); size > 96 {
+		t.Errorf("journal row is %d bytes, want at most 96", size)
 	}
 }
 
