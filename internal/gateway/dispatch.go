@@ -51,7 +51,6 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 		gw.cUnhealthy.Inc()
 		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
-	// The route span renders from these and the verdict (accepted) on read.
 	n := gw.table.nodes[target]
 	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 	if !v.Accepted {
@@ -80,9 +79,8 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	return job.ID, v, ""
 }
 
-// routeDetail renders the route span's detail — rendered for every routed job
-// a journal read returns, so appended into a stack buffer (one allocation)
-// rather than formatted.
+// routeDetail renders the route span's detail on every journal read of a
+// routed job, so appends into a stack buffer (one allocation), not formats.
 func routeDetail(node string, drain sim.Time, accepted bool) string {
 	b := append(append(make([]byte, 0, 96), "routed to "...), node...)
 	b = strconv.AppendInt(append(b, " (drain="...), usOf(drain), 10)
@@ -90,10 +88,9 @@ func routeDetail(node string, drain sim.Time, accepted bool) string {
 	return string(append(b, ')'))
 }
 
-// traceID is the fleet-wide trace ID the gateway mints for job id: every node
-// the job ever touches records spans under it, so the timeline stitches
-// across processes and across failover re-dispatches. A pure function of
-// (seed, id), so the journal re-derives it instead of storing it.
+// traceID is the fleet-wide trace ID of job id: every node the job touches
+// records spans under it, so its timeline stitches across processes and
+// failover re-dispatches. Pure in (seed, id), so the journal never stores it.
 func (gw *Gateway) traceID(id int64) string {
 	return obs.TraceIDFrom(uint64(gw.opt.Seed)^0x6c61786777, uint64(id))
 }
@@ -203,10 +200,13 @@ func (gw *Gateway) settle(e *entry, o Outcome) {
 	e.latencyUs = usOf(o.Latency)
 	if !o.Met {
 		gw.statMissed++
+		// A node may report any cause; only the taxonomy is interned.
 		cause := missCause(o)
-		e.cause = gw.journal.intern(cause)
 		if c := gw.cMissCause[Class(e.class)][cause]; c != nil {
 			c.Inc()
+			e.cause = gw.journal.intern(cause)
+		} else {
+			gw.journal.causes[e.id] = cause
 		}
 	}
 	if e.accepted {

@@ -56,7 +56,7 @@ func (gw *Gateway) status(e *entry) JobStatus {
 		RetryAfterUs: e.retryUs,
 		Dispatches:   dispatches,
 		TraceID:      gw.traceID(e.id),
-		MissCause:    j.names[e.cause],
+		MissCause:    j.missCause(e),
 	}
 }
 

@@ -21,15 +21,23 @@ type entry struct {
 	backend, duplicates     int32 // backend: routing index of the live dispatch; -1 when none
 	bench, route            uint16
 	terminal, reason        uint16
-	cause                   uint16 // miss-cause verdict (metrics taxonomy); 0 while open or met
+	cause                   uint16 // miss-cause verdict in the metrics taxonomy; 0 while open or met, or if outside it
 	class                   uint8
 	accepted, met, fellBack bool
-	evicted                 bool
+	evicted                 bool // only ever set on a terminal row
 }
 
 // pageRows is the rows per journal page. Pages never move once allocated, so
 // a caller may hold an *entry while mu is released.
 const pageRows = 1024
+
+// page holds pageRows consecutive rows and each open row's job. It is freed
+// (rows and jobs nil) once every row is evicted: an open job pins one page.
+type page struct {
+	rows *[pageRows]entry
+	jobs *[pageRows]*Job
+	live int // rows not evicted
+}
 
 // hop is one failover step of a journaled job: the dispatch it added and
 // the gateway span that records it.
@@ -39,9 +47,7 @@ type hop struct {
 }
 
 // closedDone is the Done channel of every entry already terminal.
-var closedDone = make(chan struct{})
-
-func init() { close(closedDone) }
+var closedDone = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
 
 // journal is the no-lost-jobs ledger: every submission in arrival order,
 // bounded by evicting the oldest terminal entries. Rows live in fixed pages
@@ -50,13 +56,11 @@ func init() { close(closedDone) }
 // entry carries. Not safe for concurrent use: Gateway.mu guards it.
 type journal struct {
 	max   int
-	base  int64 // ID of pages[0][0]
-	pages []*[pageRows]entry
-	jobs  []*[pageRows]*Job // each open entry's job, dropped at close
+	pages []page // pages[0] is the oldest page not yet freed
 
-	// head is the oldest retained ID and next the ID open expects. Every
+	// base is the first ID of pages[0] and next the ID open expects. Every
 	// retained row below cursor is open, so eviction resumes there.
-	head, next, cursor int64
+	base, next, cursor int64
 
 	// retained counts the rows not evicted; terminals the retained rows
 	// that have a terminal state.
@@ -65,6 +69,7 @@ type journal struct {
 	names   []string
 	index   map[string]uint16
 	hops    map[int64][]hop         // failed-over jobs only
+	causes  map[int64]string        // node-given miss causes outside the metrics taxonomy
 	waiters map[int64]chan struct{} // open jobs someone waits on
 }
 
@@ -74,11 +79,13 @@ func newJournal(max int) journal {
 		names:   []string{""},
 		index:   map[string]uint16{"": 0},
 		hops:    map[int64][]hop{},
+		causes:  map[int64]string{},
 		waiters: map[int64]chan struct{}{},
 	}
 }
 
-// intern returns the index of name in the journal's name table.
+// intern returns the index of name in the journal's name table. Callers pass
+// only closed sets (benchmarks, members, states, reasons, the miss taxonomy).
 func (j *journal) intern(name string) uint16 {
 	if i, ok := j.index[name]; ok {
 		return i
@@ -92,25 +99,40 @@ func (j *journal) intern(name string) uint16 {
 	return i
 }
 
+// row returns id's row, or nil once its page is freed.
 func (j *journal) row(id int64) *entry {
 	k := id - j.base
-	return &j.pages[k/pageRows][k%pageRows]
+	if p := &j.pages[k/pageRows]; p.rows != nil {
+		return &p.rows[k%pageRows]
+	}
+	return nil
 }
 
-// job is id's slot in the parallel pointer pages: its job while open, nil
-// once closed.
+// job is id's slot beside its row: its job while open, nil once closed.
 func (j *journal) job(id int64) **Job {
 	k := id - j.base
-	return &j.jobs[k/pageRows][k%pageRows]
+	return &j.pages[k/pageRows].jobs[k%pageRows]
 }
 
 // lookup returns the retained entry of id, or nil.
 func (j *journal) lookup(id int64) *entry {
-	if id < j.head || id >= j.next {
-		return nil
+	if id >= j.base && id < j.next {
+		if e := j.row(id); e != nil && !e.evicted {
+			return e
+		}
 	}
-	if e := j.row(id); !e.evicted {
-		return e
+	return nil
+}
+
+// nextRetained returns the first retained entry at or after id, skipping
+// freed pages whole, or nil.
+func (j *journal) nextRetained(id int64) *entry {
+	for id = max(id, j.base); id < j.next; id++ {
+		if e := j.row(id); e == nil {
+			id += pageRows - 1 - (id-j.base)%pageRows
+		} else if !e.evicted {
+			return e
+		}
 	}
 	return nil
 }
@@ -122,9 +144,9 @@ func (j *journal) open(job *Job, now sim.Time) *entry {
 		panic(fmt.Sprintf("gateway: journal opened ID %d, want %d", job.ID, j.next))
 	}
 	if j.next-j.base == int64(len(j.pages))*pageRows {
-		j.pages = append(j.pages, new([pageRows]entry))
-		j.jobs = append(j.jobs, new([pageRows]*Job))
+		j.pages = append(j.pages, page{rows: new([pageRows]entry), jobs: new([pageRows]*Job)})
 	}
+	j.pages[len(j.pages)-1].live++
 	e := j.row(job.ID)
 	*e = entry{
 		id: job.ID, submitAt: now, deadline: job.Deadline, backend: -1,
@@ -140,27 +162,28 @@ func (j *journal) open(job *Job, now sim.Time) *entry {
 
 // evictOldestTerminal evicts the oldest retained terminal row, reporting
 // false when every retained row is open: the journal then runs over its cap.
+// A page is freed with its last row, and dropped once no live page is older.
 func (j *journal) evictOldestTerminal() bool {
-	for ; j.cursor < j.next; j.cursor++ {
-		e := j.row(j.cursor)
-		if e.evicted || e.terminal == 0 {
+	for e := j.nextRetained(j.cursor); e != nil; e = j.nextRetained(e.id + 1) {
+		if e.terminal == 0 {
 			continue
 		}
 		e.evicted = true
 		delete(j.hops, e.id)
+		delete(j.causes, e.id)
 		j.retained--
 		j.terminals--
-		for j.head < j.next && j.row(j.head).evicted {
-			j.head++
+		p := &j.pages[(e.id-j.base)/pageRows]
+		if p.live--; p.live == 0 {
+			*p = page{}
 		}
-		for j.head-j.base >= pageRows {
-			j.pages[0], j.jobs[0] = nil, nil
-			j.pages, j.jobs = j.pages[1:], j.jobs[1:]
-			j.base += pageRows
+		for len(j.pages) > 0 && j.pages[0].rows == nil {
+			j.pages, j.base = j.pages[1:], j.base+pageRows
 		}
-		j.cursor = max(j.cursor+1, j.head)
+		j.cursor = e.id + 1
 		return true
 	}
+	j.cursor = j.next
 	return false
 }
 
@@ -187,32 +210,26 @@ func (j *journal) close(e *entry, terminal string) bool {
 // done returns the channel closed at id's terminal transition, creating a
 // waiter for an open entry, or nil for an unknown or evicted ID.
 func (j *journal) done(id int64) <-chan struct{} {
-	e := j.lookup(id)
-	switch {
-	case e == nil:
+	if e := j.lookup(id); e == nil {
 		return nil
-	case e.terminal != 0:
+	} else if e.terminal != 0 {
 		return closedDone
 	}
-	ch, ok := j.waiters[id]
-	if !ok {
-		ch = make(chan struct{})
-		j.waiters[id] = ch
+	if j.waiters[id] == nil {
+		j.waiters[id] = make(chan struct{})
 	}
-	return ch
+	return j.waiters[id]
 }
 
 // detach collects the accepted, still-open entries dispatched to routing
 // index g, in ID order, with their jobs, and clears their dispatch: the
 // caller re-homes them.
-func (j *journal) detach(g int) ([]*entry, []*Job) {
-	var es []*entry
-	var jobs []*Job
-	for id := j.head; id < j.next; id++ {
-		if e := j.row(id); !e.evicted && e.accepted && e.terminal == 0 && int(e.backend) == g {
+func (j *journal) detach(g int) (es []*entry, jobs []*Job) {
+	for e := j.nextRetained(j.base); e != nil; e = j.nextRetained(e.id + 1) {
+		if e.accepted && e.terminal == 0 && int(e.backend) == g {
 			e.backend = -1
 			es = append(es, e)
-			jobs = append(jobs, *j.job(id))
+			jobs = append(jobs, *j.job(e.id))
 		}
 	}
 	return es, jobs
@@ -235,16 +252,11 @@ func gatewaySpan(at float64, name, detail string) obs.WireSpan {
 
 // dispatches renders e's dispatch chain: the routed-to member, then each
 // failover step's.
-func (j *journal) dispatches(e *entry) []string {
-	hops := j.hops[e.id]
-	if e.route == 0 && len(hops) == 0 {
-		return nil
-	}
-	out := make([]string, 0, 1+len(hops))
+func (j *journal) dispatches(e *entry) (out []string) {
 	if e.route != 0 {
 		out = append(out, j.names[e.route])
 	}
-	for _, h := range hops {
+	for _, h := range j.hops[e.id] {
 		out = append(out, h.to)
 	}
 	return out
@@ -252,28 +264,34 @@ func (j *journal) dispatches(e *entry) []string {
 
 // spans renders e's gateway-side events, times relative to its submission:
 // the route at 0, then each failover step's.
-func (j *journal) spans(e *entry) []obs.WireSpan {
-	hops := j.hops[e.id]
-	if e.route == 0 && len(hops) == 0 {
-		return nil
-	}
-	out := make([]obs.WireSpan, 0, 1+len(hops))
+func (j *journal) spans(e *entry) (out []obs.WireSpan) {
 	if e.route != 0 {
 		detail := routeDetail(j.names[e.route], sim.Time(e.drainUs)*sim.Microsecond, e.accepted)
 		out = append(out, gatewaySpan(0, obs.EventRoute, detail))
 	}
-	for _, h := range hops {
+	for _, h := range j.hops[e.id] {
 		out = append(out, h.span)
 	}
 	return out
+}
+
+// missCause renders e's miss cause, from the name table or, for a node-given
+// cause outside the metrics taxonomy, from beside the row.
+func (j *journal) missCause(e *entry) string {
+	if c, ok := j.causes[e.id]; ok {
+		return c
+	}
+	return j.names[e.cause]
 }
 
 // newestTerminal returns the IDs of the newest n terminal entries, newest
 // first.
 func (j *journal) newestTerminal(n int) []int64 {
 	var ids []int64
-	for id := j.next - 1; id >= j.head && len(ids) < n; id-- {
-		if e := j.row(id); !e.evicted && e.terminal != 0 {
+	for id := j.next - 1; id >= j.base && len(ids) < n; id-- {
+		if e := j.row(id); e == nil {
+			id -= (id - j.base) % pageRows // skip the freed page whole
+		} else if !e.evicted && e.terminal != 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -283,13 +301,9 @@ func (j *journal) newestTerminal(n int) []int64 {
 // fleetJobs snapshots the journal as verify.FleetJob rows.
 func (j *journal) fleetJobs() []verify.FleetJob {
 	out := make([]verify.FleetJob, 0, j.retained)
-	for id := j.head; id < j.next; id++ {
-		e := j.row(id)
-		if e.evicted {
-			continue
-		}
+	for e := j.nextRetained(j.base); e != nil; e = j.nextRetained(e.id + 1) {
 		out = append(out, verify.FleetJob{
-			ID:         id,
+			ID:         e.id,
 			Accepted:   e.accepted,
 			Terminal:   j.names[e.terminal],
 			Dispatches: j.dispatches(e),

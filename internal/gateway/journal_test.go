@@ -168,6 +168,101 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	}
 }
 
+// livePages counts the journal's pages not yet freed.
+func livePages(j *journal) int {
+	n := 0
+	for _, p := range j.pages {
+		if p.rows != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJournalFreesPagesAroundAnOpenJob holds one job open, as a node that
+// never answers for it would, across ten caps' worth of submissions. The
+// journal must keep about a cap's worth of pages, not every page from the
+// open job's onward, and drop the freed ones once the job closes.
+func TestJournalFreesPagesAroundAnOpenJob(t *testing.T) {
+	const bound = maxRecords/pageRows + 2
+	j := newJournal(maxRecords)
+	job := &Job{}
+	submit := func() *entry {
+		job.ID = j.next
+		return j.open(job, 0)
+	}
+	pinned := submit()
+	for i := 0; i < 10*maxRecords; i++ {
+		j.close(submit(), verify.FleetDone)
+		if i%pageRows == 0 && livePages(&j) > bound {
+			t.Fatalf("after %d submissions the journal holds %d pages, want at most %d", i+1, livePages(&j), bound)
+		}
+	}
+	if j.lookup(pinned.id) != pinned {
+		t.Fatal("the open job was evicted")
+	}
+	if n := len(j.fleetJobs()); n != maxRecords {
+		t.Fatalf("the journal keeps %d jobs, want %d", n, maxRecords)
+	}
+	if es, _ := j.detach(-1); len(es) != 0 {
+		t.Fatalf("detach of an unused index returned %d jobs", len(es))
+	}
+	if ids := j.newestTerminal(maxRecords); len(ids) != maxRecords-1 || ids[0] != j.next-1 {
+		t.Fatalf("newestTerminal returned %d IDs, want the %d terminal ones", len(ids), maxRecords-1)
+	}
+	j.close(pinned, verify.FleetDone)
+	for i := 0; i < pageRows; i++ {
+		j.close(submit(), verify.FleetDone)
+	}
+	if j.lookup(pinned.id) != nil || len(j.pages) > bound {
+		t.Fatalf("after the open job closed the journal spans %d pages, want at most %d", len(j.pages), bound)
+	}
+	checkTerminalCount(t, &j)
+}
+
+// causeStub admits every job and reports it missed with a cause no other job
+// shares, as a buggy or newer node could.
+type causeStub struct{ instantStub }
+
+func (causeStub) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
+	done(Outcome{Terminal: verify.FleetDone, Cause: fmt.Sprintf("node-cause-%d", job.ID)})
+	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+}
+
+// TestNodeGivenCausesStayOutOfTheNameTable feeds the gateway more distinct
+// node-given miss causes than the journal's name table could hold: they are
+// reported verbatim, kept only while their job is retained, and the gateway
+// keeps serving.
+func TestNodeGivenCausesStayOutOfTheNameTable(t *testing.T) {
+	clock := serve.NewManualClock()
+	gw, err := New(Options{Backends: []Backend{causeStub{instantStub{"odd"}}}, Clock: clock, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1<<16 + 100
+	for i := 0; i < n; i++ {
+		if id, _, reason := gw.Submit(bench, bench.Deadline, Standard); reason != "" {
+			t.Fatalf("job %d refused: %s", id, reason)
+		}
+	}
+	if st, ok := gw.Status(n - 1); !ok || st.MissCause != fmt.Sprintf("node-cause-%d", n-1) {
+		t.Fatalf("newest job's status = %+v, want its node-given cause", st)
+	}
+	gw.mu.Lock()
+	names, causes := len(gw.journal.names), len(gw.journal.causes)
+	gw.mu.Unlock()
+	if names > 8 || causes != maxRecords {
+		t.Errorf("name table holds %d names and the side map %d causes, want a handful and %d", names, causes, maxRecords)
+	}
+	if vs := gw.Check(clock.Now()); len(vs) != 0 {
+		t.Fatalf("journal violations: %v", vs)
+	}
+}
+
 // asyncStub admits every job and reports it from one of its worker
 // goroutines, so completions land while other submissions hold an *entry
 // with mu released.
