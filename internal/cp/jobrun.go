@@ -192,16 +192,6 @@ func (j *JobRun) RemainingWGList() []core.WGEntry {
 	return out
 }
 
-// TotalWGList returns the full stream-inspection result: every kernel in
-// the queue with its total WG count (what LAX parses before execution).
-func (j *JobRun) TotalWGList() []core.WGEntry {
-	out := make([]core.WGEntry, 0, len(j.Instances))
-	for _, inst := range j.Instances {
-		out = append(out, core.WGEntry{Kernel: inst.Desc.Name, WGs: inst.Desc.NumWGs})
-	}
-	return out
-}
-
 // Pause marks every unfinished kernel of the job non-dispatchable
 // (preemption-style descheduling; in-flight WGs drain naturally).
 func (j *JobRun) Pause() { j.setPaused(true) }

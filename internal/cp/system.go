@@ -1,9 +1,10 @@
 package cp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"laxgpu/internal/core"
 	"laxgpu/internal/gpu"
@@ -673,16 +674,16 @@ func (s *System) priorityOrder() []*JobRun {
 		prio = s.quantizedPriority()
 	}
 	order := append(s.orderCache[:0], s.active...)
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		pa, pb := prio(ja), prio(jb)
-		if pa != pb {
-			return pa < pb
+	// Ties end on the unique job ID: a total order, so every sort agrees on
+	// the result, and the generic one needs no reflective swapper.
+	slices.SortStableFunc(order, func(ja, jb *JobRun) int {
+		if pa, pb := prio(ja), prio(jb); pa != pb {
+			return cmp.Compare(pa, pb)
 		}
 		if ja.SubmitTime != jb.SubmitTime {
-			return ja.SubmitTime < jb.SubmitTime
+			return cmp.Compare(ja.SubmitTime, jb.SubmitTime)
 		}
-		return ja.Job.ID < jb.Job.ID
+		return cmp.Compare(ja.Job.ID, jb.Job.ID)
 	})
 	s.orderCache = order
 	s.orderPrios = s.orderPrios[:0]

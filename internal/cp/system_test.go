@@ -373,9 +373,9 @@ func TestWGListViews(t *testing.T) {
 	set := makeSet(1, 2, desc, 0, 10*sim.Millisecond)
 	sys := NewSystem(smallConfig(), set, &fifoPolicy{})
 	jr := sys.Job(0)
-	total := jr.TotalWGList()
-	if len(total) != 2 || total[0].WGs != 3 || total[0].Kernel != "k" {
-		t.Fatalf("TotalWGList = %v", total)
+	// Before the run the remaining list is the full stream-inspection result.
+	if total := jr.RemainingWGList(); len(total) != 2 || total[0].WGs != 3 || total[0].Kernel != "k" {
+		t.Fatalf("RemainingWGList before the run = %v", total)
 	}
 	probed := false
 	sys.Engine().Schedule(7*sim.Microsecond, func() {

@@ -62,11 +62,6 @@ type JobTrace struct {
 	Met       bool
 	FellBack  bool
 	Spans     []Span
-
-	firstDispatch sim.Time
-	ready         sim.Time
-	hasReady      bool
-	hasDispatch   bool
 }
 
 // WireSpan is a Span flattened for transport: start/end are microseconds
@@ -136,15 +131,109 @@ func (t *JobTrace) Wire(node string) WireTrace {
 // job ID. Probe callbacks arrive from whoever holds the node; Get/Recent/Assign
 // may be called concurrently from HTTP handlers, so every method locks.
 //
+// Each job is one traceRow of scalars plus a row-owned buffer of compact span
+// records; Span values and their Detail strings are built only when a trace
+// is read. The row the ring evicts is reused by the next arrival, so in
+// steady state a recorded job allocates nothing. Reuse must not keep a peak
+// alive: at most maxFreeRows evicted rows wait for an arrival (the rest of a
+// burst goes to the collector), and a span buffer grown past maxKeptSpans by
+// a long chain is dropped when its row is recycled.
+//
 // A nil *TraceRecorder is never attached (obs.Multi drops nils), so runs
 // without tracing keep the plain nil-probe hot path and allocate nothing.
 type TraceRecorder struct {
 	mu       sync.Mutex
 	depth    int
-	live     map[int]*JobTrace
-	done     []*JobTrace // ring, insertion order; done[next] is oldest
+	live     map[int]*traceRow
+	done     []*traceRow // ring, insertion order; done[next] is oldest
 	next     int
-	inflight int // admitted, not yet terminal — the "behind N jobs" count
+	free     []*traceRow // evicted rows awaiting reuse, at most maxFreeRows
+	inflight int         // admitted, not yet terminal — the "behind N jobs" count
+}
+
+const (
+	// maxFreeRows bounds the evicted rows kept for reuse. Steady state needs
+	// one (each finish evicts a row, each arrival takes one); a longer list
+	// would only hold on to the largest burst of live jobs ever seen.
+	maxFreeRows = 8
+	// maxKeptSpans is the largest span buffer a recycled row keeps: room for
+	// a chain of a dozen kernels. A longer chain's buffer is dropped, or every
+	// row would end up holding the capacity of the longest chain it served.
+	maxKeptSpans = 16
+	// firstSpans is the capacity a fresh span buffer starts with.
+	firstSpans = 8
+)
+
+// traceRow is one job's trace as stored: scalars and compact span records,
+// rendered into a JobTrace on read.
+type traceRow struct {
+	traceID   string
+	benchmark string
+	job       int
+
+	arrival, deadline, finish sim.Time
+	ready, firstDispatch      sim.Time
+
+	// The Algorithm 1 terms of the job's admission verdict (cp.System asks
+	// the policy once per job), valid when the admit record has admitTerms.
+	queueDelay, hold, budget sim.Time
+
+	state                                traceState
+	met, fellBack, hasReady, hasDispatch bool
+
+	spans []spanRec
+}
+
+type traceState uint8
+
+const (
+	stateRunning traceState = iota
+	stateDone
+	stateRejected
+	stateCancelled
+)
+
+var stateNames = [...]string{"running", "done", "rejected", "cancelled"}
+
+// spanRec is one recorded span. n carries the kind's one integer: the
+// kernel's sequence number, the queue phase's behind count, or the admit
+// record's admitAccepted|admitTerms bits. name is set on kernel records only
+// and is the kernel descriptor's own string, never a copy.
+type spanRec struct {
+	start, end sim.Time
+	n          int64
+	name       string
+	kind       spanKind
+}
+
+type spanKind uint8
+
+const (
+	recParse    spanKind = iota // phase: arrival → ready (or → finish, never ready)
+	recQueue                    // phase: ready → first dispatch
+	recExec                     // phase: first dispatch → finish
+	recCPU                      // phase: ready → finish, never dispatched
+	recAdmit                    // event: the admission verdict
+	recFellBack                 // event: the job moved to the host CPU
+	recKernel                   // kernel: one execution
+)
+
+// Admit record bits.
+const (
+	admitAccepted = 1 << iota
+	admitTerms
+)
+
+// spanForms is each record kind's fixed Span fields; queue, admit and kernel
+// records add a Detail (and a kernel its name) when rendered.
+var spanForms = [...]struct{ kind, name, detail string }{
+	recParse:    {SpanPhase, PhaseParse, ""},
+	recQueue:    {SpanPhase, PhaseQueue, ""},
+	recExec:     {SpanPhase, PhaseExec, ""},
+	recCPU:      {SpanPhase, PhaseFallback, "completed without ever dispatching to the GPU"},
+	recAdmit:    {SpanEvent, EventAdmit, ""},
+	recFellBack: {SpanEvent, EventFallback, "remaining kernels moved to the host CPU"},
+	recKernel:   {SpanKernel, "", ""},
 }
 
 // NewTraceRecorder returns a recorder retaining up to depth finished traces
@@ -155,7 +244,7 @@ func NewTraceRecorder(depth int) *TraceRecorder {
 	}
 	return &TraceRecorder{
 		depth: depth,
-		live:  make(map[int]*JobTrace),
+		live:  make(map[int]*traceRow),
 	}
 }
 
@@ -165,7 +254,7 @@ func (r *TraceRecorder) Assign(job int, traceID string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t := r.lookupLocked(job); t != nil {
-		t.TraceID = traceID
+		t.traceID = traceID
 	}
 }
 
@@ -175,7 +264,7 @@ func (r *TraceRecorder) Get(job int) (JobTrace, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t := r.lookupLocked(job); t != nil {
-		return snapshot(t), true
+		return t.render(), true
 	}
 	return JobTrace{}, false
 }
@@ -185,13 +274,13 @@ func (r *TraceRecorder) GetByID(traceID string) (JobTrace, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, t := range r.live {
-		if t.TraceID == traceID {
-			return snapshot(t), true
+		if t.traceID == traceID {
+			return t.render(), true
 		}
 	}
 	for _, t := range r.done {
-		if t.TraceID == traceID {
-			return snapshot(t), true
+		if t.traceID == traceID {
+			return t.render(), true
 		}
 	}
 	return JobTrace{}, false
@@ -208,110 +297,147 @@ func (r *TraceRecorder) Recent(n int) []JobTrace {
 	for i := 0; i < n; i++ {
 		// Newest is the slot just before next (ring insertion order).
 		idx := (r.next - 1 - i + len(r.done)) % len(r.done)
-		out = append(out, snapshot(r.done[idx]))
+		out = append(out, r.done[idx].render())
 	}
 	return out
 }
 
-func (r *TraceRecorder) lookupLocked(job int) *JobTrace {
+func (r *TraceRecorder) lookupLocked(job int) *traceRow {
 	if t, ok := r.live[job]; ok {
 		return t
 	}
 	for _, t := range r.done {
-		if t.Job == job {
+		if t.job == job {
 			return t
 		}
 	}
 	return nil
 }
 
-func snapshot(t *JobTrace) JobTrace {
-	c := *t
-	c.Spans = append([]Span(nil), t.Spans...)
-	return c
+// render builds the JobTrace a reader sees, with every Span and Detail.
+func (t *traceRow) render() JobTrace {
+	jt := JobTrace{
+		TraceID: t.traceID, Job: t.job, Benchmark: t.benchmark,
+		Arrival: t.arrival, Deadline: t.deadline, Finish: t.finish,
+		State: stateNames[t.state], Met: t.met, FellBack: t.fellBack,
+	}
+	if len(t.spans) == 0 {
+		return jt
+	}
+	jt.Spans = make([]Span, len(t.spans))
+	for i, s := range t.spans {
+		f := spanForms[s.kind]
+		sp := Span{Kind: f.kind, Name: f.name, Start: s.start, End: s.end, Detail: f.detail}
+		switch s.kind {
+		case recQueue:
+			sp.Detail = intDetail("behind ", int(s.n), " admitted jobs")
+		case recAdmit:
+			sp.Detail = "reject"
+			if s.n&admitAccepted != 0 {
+				sp.Detail = "accept"
+			}
+			if s.n&admitTerms != 0 {
+				sp.Detail = admissionDetail(sp.Detail, t.queueDelay, t.hold, t.budget)
+			}
+		case recKernel:
+			sp.Name, sp.Detail = s.name, intDetail("seq ", int(s.n), "")
+		}
+		jt.Spans[i] = sp
+	}
+	return jt
 }
 
-// finishLocked moves a live trace into the done ring.
-func (r *TraceRecorder) finishLocked(t *JobTrace) {
-	delete(r.live, t.Job)
+func (t *traceRow) add(kind spanKind, start, end sim.Time, n int64, name string) {
+	t.spans = append(t.spans, spanRec{start: start, end: end, n: n, name: name, kind: kind})
+}
+
+// arriveLocked starts the job's row: its live row again if the ID is already
+// live, else a recycled row, else a new one.
+func (r *TraceRecorder) arriveLocked(e JobEvent) {
+	t := r.live[e.Job]
+	if t == nil {
+		if n := len(r.free); n > 0 {
+			t, r.free[n-1] = r.free[n-1], nil
+			r.free = r.free[:n-1]
+		} else {
+			t = new(traceRow)
+		}
+		r.live[e.Job] = t
+	}
+	spans := t.spans[:0]
+	if spans == nil {
+		spans = make([]spanRec, 0, firstSpans)
+	}
+	*t = traceRow{
+		job: e.Job, benchmark: e.Benchmark,
+		arrival: e.At, deadline: e.Deadline, spans: spans,
+	}
+}
+
+// finishLocked moves a live row into the done ring and recycles the row it
+// evicts.
+func (r *TraceRecorder) finishLocked(t *traceRow) {
+	delete(r.live, t.job)
 	if len(r.done) < r.depth {
 		r.done = append(r.done, t)
 		r.next = len(r.done) % r.depth
 		return
 	}
+	old := r.done[r.next]
 	r.done[r.next] = t
 	r.next = (r.next + 1) % r.depth
+	if len(r.free) < maxFreeRows {
+		if cap(old.spans) > maxKeptSpans {
+			old.spans = nil
+		}
+		r.free = append(r.free, old)
+	}
 }
 
 // Job implements Probe.
 func (r *TraceRecorder) Job(e JobEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch e.Kind {
-	case JobArrive:
-		r.live[e.Job] = &JobTrace{
-			Job: e.Job, Benchmark: e.Benchmark,
-			Arrival: e.At, Deadline: e.Deadline, State: "running",
-		}
-	case JobReject:
-		if t, ok := r.live[e.Job]; ok {
-			t.State, t.Finish = "rejected", e.At
-			r.finishLocked(t)
-		}
-	case JobReady:
-		if t, ok := r.live[e.Job]; ok {
-			t.ready, t.hasReady = e.At, true
-			t.Spans = append(t.Spans, Span{
-				Kind: SpanPhase, Name: PhaseParse, Start: t.Arrival, End: e.At,
-			})
-		}
-	case JobFallback:
-		if t, ok := r.live[e.Job]; ok {
-			t.FellBack = true
-			t.Spans = append(t.Spans, Span{
-				Kind: SpanEvent, Name: EventFallback, Start: e.At, End: e.At,
-				Detail: "remaining kernels moved to the host CPU",
-			})
-		}
-	case JobFinish, JobCancel:
-		t, ok := r.live[e.Job]
-		if !ok {
-			return
-		}
-		r.inflight-- // finished and cancelled jobs were both admitted
-		t.Finish = e.At
-		if e.Kind == JobCancel {
-			t.State = "cancelled"
-		} else {
-			t.State, t.Met = "done", e.Met
-		}
-		r.closePhasesLocked(t)
-		r.finishLocked(t)
+	if e.Kind == JobArrive {
+		r.arriveLocked(e)
+		return
 	}
-}
-
-// closePhasesLocked appends the remaining phase spans so that the phase
-// partition covers [arrival, finish] exactly:
-//
-//	dispatched:       parse | queue | exec
-//	never dispatched: parse | fallback   (CPU-only completion)
-func (r *TraceRecorder) closePhasesLocked(t *JobTrace) {
-	switch {
-	case t.hasDispatch:
-		t.Spans = append(t.Spans, Span{
-			Kind: SpanPhase, Name: PhaseExec, Start: t.firstDispatch, End: t.Finish,
-		})
-	case t.hasReady:
-		t.Spans = append(t.Spans, Span{
-			Kind: SpanPhase, Name: PhaseFallback, Start: t.ready, End: t.Finish,
-			Detail: "completed without ever dispatching to the GPU",
-		})
-	default:
-		// Terminal before stream inspection finished (e.g. cancelled while
-		// host-queued): the whole lifetime is parse.
-		t.Spans = append(t.Spans, Span{
-			Kind: SpanPhase, Name: PhaseParse, Start: t.Arrival, End: t.Finish,
-		})
+	t, ok := r.live[e.Job]
+	if !ok {
+		return
+	}
+	switch e.Kind {
+	case JobReject:
+		t.state, t.finish = stateRejected, e.At
+		r.finishLocked(t)
+	case JobReady:
+		t.ready, t.hasReady = e.At, true
+		t.add(recParse, t.arrival, e.At, 0, "")
+	case JobFallback:
+		t.fellBack = true
+		t.add(recFellBack, e.At, e.At, 0, "")
+	case JobFinish, JobCancel:
+		r.inflight-- // finished and cancelled jobs were both admitted
+		t.finish = e.At
+		if e.Kind == JobCancel {
+			t.state = stateCancelled
+		} else {
+			t.state, t.met = stateDone, e.Met
+		}
+		// Close the phase partition so it covers [arrival, finish] exactly:
+		//
+		//	dispatched:       parse | queue | exec
+		//	never dispatched: parse | fallback   (CPU-only completion)
+		//	never ready:      parse              (e.g. cancelled while host-queued)
+		switch {
+		case t.hasDispatch:
+			t.add(recExec, t.firstDispatch, t.finish, 0, "")
+		case t.hasReady:
+			t.add(recCPU, t.ready, t.finish, 0, "")
+		default:
+			t.add(recParse, t.arrival, t.finish, 0, "")
+		}
+		r.finishLocked(t)
 	}
 }
 
@@ -323,23 +449,20 @@ func (r *TraceRecorder) Admission(e AdmissionDecision) {
 	if !ok {
 		return
 	}
-	verdict := "reject"
+	var bits int64
 	if e.Accepted {
-		verdict = "accept"
+		bits |= admitAccepted
 		r.inflight++
 	}
-	detail := verdict
 	if e.HasTerms {
-		detail = admissionDetail(verdict, e.QueueDelay, e.HoldTime, e.Deadline)
+		bits |= admitTerms
+		t.queueDelay, t.hold, t.budget = e.QueueDelay, e.HoldTime, e.Deadline
 	}
-	t.Spans = append(t.Spans, Span{
-		Kind: SpanEvent, Name: EventAdmit, Start: e.At, End: e.At, Detail: detail,
-	})
+	t.add(recAdmit, e.At, e.At, bits, "")
 }
 
-// admissionDetail renders the Algorithm 1 terms in whole microseconds. Span
-// details are written for every job and read for the few a ring still holds,
-// so they are appended into a stack buffer — one allocation — not formatted.
+// admissionDetail renders the Algorithm 1 terms in whole microseconds,
+// appended into one buffer — one allocation — rather than formatted.
 func admissionDetail(verdict string, queueDelay, hold, deadline sim.Time) string {
 	b := append(make([]byte, 0, 96), verdict...)
 	b = strconv.AppendInt(append(b, ": queue_delay="...), int64(us(queueDelay)), 10)
@@ -364,41 +487,31 @@ func (r *TraceRecorder) Sample(JobSample) {}
 func (r *TraceRecorder) TableRefresh(TableRefresh) {}
 
 // KernelStart implements Probe: the first dispatch closes the queue phase
-// and records where exec begins; every dispatch opens a kernel span.
+// and records where exec begins.
 func (r *TraceRecorder) KernelStart(e KernelStart) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.live[e.Job]
-	if !ok {
+	if !ok || t.hasDispatch {
 		return
 	}
-	if !t.hasDispatch {
-		t.firstDispatch, t.hasDispatch = e.At, true
-		start := t.Arrival
-		if t.hasReady {
-			start = t.ready
-		}
-		behind := r.inflight - 1
-		if behind < 0 {
-			behind = 0
-		}
-		t.Spans = append(t.Spans, Span{
-			Kind: SpanPhase, Name: PhaseQueue, Start: start, End: e.At,
-			Detail: intDetail("behind ", behind, " admitted jobs"),
-		})
+	t.firstDispatch, t.hasDispatch = e.At, true
+	start := t.arrival
+	if t.hasReady {
+		start = t.ready
 	}
+	behind := r.inflight - 1
+	if behind < 0 {
+		behind = 0
+	}
+	t.add(recQueue, start, e.At, int64(behind), "")
 }
 
 // KernelDone implements Probe: each completed kernel becomes one span.
 func (r *TraceRecorder) KernelDone(e KernelDone) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.live[e.Job]
-	if !ok {
-		return
+	if t, ok := r.live[e.Job]; ok {
+		t.add(recKernel, e.Start, e.At, int64(e.Seq), e.Kernel)
 	}
-	t.Spans = append(t.Spans, Span{
-		Kind: SpanKernel, Name: e.Kernel, Start: e.Start, End: e.At,
-		Detail: intDetail("seq ", e.Seq, ""),
-	})
 }

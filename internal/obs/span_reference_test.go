@@ -214,24 +214,6 @@ func (r *referenceRecorder) KernelDone(e KernelDone) {
 	})
 }
 
-// public is t without the fields a reader cannot see, so traces from the two
-// recorders compare by what Get, GetByID and Recent expose.
-func public(t JobTrace) JobTrace {
-	return JobTrace{
-		TraceID: t.TraceID, Job: t.Job, Benchmark: t.Benchmark,
-		Arrival: t.Arrival, Deadline: t.Deadline, Finish: t.Finish,
-		State: t.State, Met: t.Met, FellBack: t.FellBack, Spans: t.Spans,
-	}
-}
-
-func publicAll(ts []JobTrace) []JobTrace {
-	out := make([]JobTrace, len(ts))
-	for i, t := range ts {
-		out[i] = public(t)
-	}
-	return out
-}
-
 // TestTraceRecorderMatchesReference feeds random event interleavings to the
 // recorder and to referenceRecorder and requires equal Get, GetByID and
 // Recent answers after every event. The script gives each job one admission
@@ -261,19 +243,19 @@ func TestTraceRecorderMatchesReference(t *testing.T) {
 			for id := -1; id <= arrived; id++ {
 				g, gok := got.Get(id)
 				w, wok := want.Get(id)
-				if gok != wok || !reflect.DeepEqual(public(g), w) {
+				if gok != wok || !reflect.DeepEqual(g, w) {
 					fail(fmt.Sprintf("Get(%d)", id), g, w)
 				}
 			}
 			for _, tid := range append(traceIDs, "never-assigned") {
 				g, gok := got.GetByID(tid)
 				w, wok := want.GetByID(tid)
-				if gok != wok || !reflect.DeepEqual(public(g), w) {
+				if gok != wok || !reflect.DeepEqual(g, w) {
 					fail(fmt.Sprintf("GetByID(%q)", tid), g, w)
 				}
 			}
 			for _, n := range []int{-1, 0, 1, 2, 7, 300} {
-				if g, w := got.Recent(n), want.Recent(n); !reflect.DeepEqual(publicAll(g), w) {
+				if g, w := got.Recent(n), want.Recent(n); !reflect.DeepEqual(g, w) {
 					fail(fmt.Sprintf("Recent(%d)", n), g, w)
 				}
 			}

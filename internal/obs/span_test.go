@@ -22,6 +22,128 @@ func feedJob(r *TraceRecorder, id int, arrive, ready, dispatch, finish sim.Time,
 	r.Job(JobEvent{At: finish, Kind: JobFinish, Job: id, Met: met})
 }
 
+// fourKernelJob drives one job of four kernels through its whole lifecycle:
+// arrive, admit with terms, ready, four kernel executions, finish.
+func fourKernelJob(r *TraceRecorder, id int, at sim.Time) {
+	r.Job(JobEvent{At: at, Kind: JobArrive, Job: id, Benchmark: "LSTM", Deadline: at + 1000*usT})
+	r.Admission(AdmissionDecision{At: at, Job: id, Accepted: true, HasTerms: true,
+		QueueDelay: 10 * usT, HoldTime: 50 * usT, Deadline: 1000 * usT})
+	r.Job(JobEvent{At: at + usT, Kind: JobReady, Job: id})
+	for seq := 0; seq < 4; seq++ {
+		start := at + sim.Time(2+10*seq)*usT
+		r.KernelStart(KernelStart{At: start, Job: id, Seq: seq, Kernel: "gemm"})
+		r.KernelDone(KernelDone{At: start + 10*usT, Job: id, Seq: seq, Kernel: "gemm", Start: start})
+	}
+	r.Job(JobEvent{At: at + 50*usT, Kind: JobFinish, Job: id, Met: true})
+}
+
+// TestTraceRecorderSteadyStateAllocs: once the ring is full, recording one
+// more job reuses the row the ring evicts and allocates nothing — the spans
+// and their details are built only when the trace is read.
+func TestTraceRecorderSteadyStateAllocs(t *testing.T) {
+	const depth = 32
+	r := NewTraceRecorder(depth)
+	id := 0
+	for ; id < 2*depth; id++ {
+		fourKernelJob(r, id, sim.Time(id)*100*usT)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		fourKernelJob(r, id, sim.Time(id)*100*usT)
+		id++
+	})
+	if allocs != 0 {
+		t.Errorf("a recorded 4-kernel job past the ring depth costs %v allocations, want 0", allocs)
+	}
+	if tr, ok := r.Get(id - 1); !ok || len(tr.Spans) != 8 || tr.State != "done" {
+		t.Fatalf("last job's trace = %+v, %v; want done with admit, parse, queue, 4 kernels, exec", tr, ok)
+	}
+}
+
+// BenchmarkTraceRecorderJob is the cost of recording one 4-kernel job on a
+// recorder at the default depth whose ring is already full.
+func BenchmarkTraceRecorderJob(b *testing.B) {
+	r := NewTraceRecorder(0)
+	id := 0
+	for ; id < 512; id++ {
+		fourKernelJob(r, id, sim.Time(id)*100*usT)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fourKernelJob(r, id, sim.Time(id)*100*usT)
+		id++
+	}
+}
+
+// retained counts the rows the recorder holds — live, in the ring and
+// waiting for reuse — and the span capacity they own.
+func retained(r *TraceRecorder) (rows, spans int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, set := range [][]*traceRow{r.done, r.free} {
+		for _, t := range set {
+			rows++
+			spans += cap(t.spans)
+		}
+	}
+	for _, t := range r.live {
+		rows++
+		spans += cap(t.spans)
+	}
+	return rows, spans
+}
+
+// TestTraceRecorderRetainsNoPeak: recycling must not keep the largest burst
+// or the longest chain alive. After 1 000 jobs live at once, one 500-kernel
+// chain, then ten ring depths of ordinary jobs, the recorder holds at most
+// depth + maxFreeRows rows, each with at most maxKeptSpans span slots.
+func TestTraceRecorderRetainsNoPeak(t *testing.T) {
+	const depth, burst = 8, 1000
+	r := NewTraceRecorder(depth)
+	at := sim.Time(0)
+	for id := 0; id < burst; id++ {
+		r.Job(JobEvent{At: at, Kind: JobArrive, Job: id, Deadline: at + sim.Second})
+		r.Admission(AdmissionDecision{At: at, Job: id, Accepted: true})
+		r.Job(JobEvent{At: at, Kind: JobReady, Job: id})
+	}
+	for id := 0; id < burst; id++ {
+		at += usT
+		r.KernelStart(KernelStart{At: at, Job: id, Kernel: "k"})
+		r.KernelDone(KernelDone{At: at + usT, Job: id, Kernel: "k", Start: at})
+		r.Job(JobEvent{At: at + usT, Kind: JobFinish, Job: id, Met: true})
+	}
+	if rows, _ := retained(r); rows > depth+maxFreeRows {
+		t.Errorf("after a burst of %d live jobs the recorder holds %d rows, want at most %d", burst, rows, depth+maxFreeRows)
+	}
+
+	long := burst
+	r.Job(JobEvent{At: at, Kind: JobArrive, Job: long, Deadline: at + sim.Second})
+	r.Admission(AdmissionDecision{At: at, Job: long, Accepted: true})
+	r.Job(JobEvent{At: at, Kind: JobReady, Job: long})
+	for seq := 0; seq < 500; seq++ {
+		at += usT
+		r.KernelStart(KernelStart{At: at, Job: long, Seq: seq, Kernel: "k"})
+		r.KernelDone(KernelDone{At: at + usT, Job: long, Seq: seq, Kernel: "k", Start: at})
+	}
+	r.Job(JobEvent{At: at + usT, Kind: JobFinish, Job: long, Met: true})
+	if tr, ok := r.Get(long); !ok || len(tr.Spans) != 504 {
+		t.Fatalf("500-kernel trace has %d spans (ok=%v), want 504", len(tr.Spans), ok)
+	}
+
+	for id := long + 1; id <= long+10*depth; id++ {
+		at += 100 * usT
+		fourKernelJob(r, id, at)
+	}
+	rows, spans := retained(r)
+	if maxRows := depth + maxFreeRows; rows > maxRows || spans > maxRows*maxKeptSpans {
+		t.Errorf("recorder retains %d rows with %d span slots, want at most %d rows and %d slots",
+			rows, spans, maxRows, maxRows*maxKeptSpans)
+	}
+	if got := r.Recent(0); len(got) != depth || got[0].Job != long+10*depth {
+		t.Errorf("ring holds %d traces, newest job %d; want %d, newest %d", len(got), got[0].Job, depth, long+10*depth)
+	}
+}
+
 func TestTraceRecorderPhasePartition(t *testing.T) {
 	r := NewTraceRecorder(8)
 	feedJob(r, 0, 0, 5*usT, 30*usT, 130*usT, false)

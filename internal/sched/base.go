@@ -43,6 +43,17 @@ func staticJobTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 	return t
 }
 
+// holdTime is Algorithm 1's holdTime from stream inspection: the profiled
+// execution-time estimate of every kernel in the job's chain at its full WG
+// count, summed in chain order.
+func holdTime(pt *core.ProfilingTable, j *cp.JobRun) sim.Time {
+	var t sim.Time
+	for _, inst := range j.Instances {
+		t += pt.KernelTime(inst.Desc.Name, inst.Desc.NumWGs)
+	}
+	return t
+}
+
 // staticRemainingTime is the offline prediction restricted to kernels that
 // have not completed yet.
 func staticRemainingTime(dev *gpu.Device, j *cp.JobRun) sim.Time {

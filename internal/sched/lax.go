@@ -230,7 +230,7 @@ func (p *LAX) Admit(j *cp.JobRun) bool {
 		p.jt.register(j)
 	}
 	queueDelay := p.EstimateDrain()
-	hold := p.table().RemainingTime(j.TotalWGList())
+	hold := holdTime(p.table(), j)
 	accepted := p.cfg.DisableAdmission || core.Admit(queueDelay, hold, 0, j.Job.Deadline)
 	probeAdmissionTerms(p.sys, p.Name(), j, accepted, queueDelay, hold)
 	if !accepted {

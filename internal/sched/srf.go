@@ -42,7 +42,7 @@ func (p *SRF) Attach(s *cp.System) {
 func (p *SRF) Admit(j *cp.JobRun) bool {
 	registerCapacities(p.pt, p.sys.Device(), j)
 	p.jt.register(j)
-	j.Priority = int64(p.pt.RemainingTime(j.TotalWGList()))
+	j.Priority = int64(holdTime(p.pt, j))
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
