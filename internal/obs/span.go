@@ -134,10 +134,8 @@ func (t *JobTrace) Wire(node string) WireTrace {
 // Each job is one traceRow of scalars plus a row-owned buffer of compact span
 // records; Span values and their Detail strings are built only when a trace
 // is read. The row the ring evicts is reused by the next arrival, so in
-// steady state a recorded job allocates nothing. Reuse must not keep a peak
-// alive: at most maxFreeRows evicted rows wait for an arrival (the rest of a
-// burst goes to the collector), and a span buffer grown past maxKeptSpans by
-// a long chain is dropped when its row is recycled.
+// steady state a recorded job allocates nothing; maxFreeRows and
+// maxKeptSpans keep that reuse from retaining a peak.
 //
 // A nil *TraceRecorder is never attached (obs.Multi drops nils), so runs
 // without tracing keep the plain nil-probe hot path and allocate nothing.
@@ -152,9 +150,10 @@ type TraceRecorder struct {
 }
 
 const (
-	// maxFreeRows bounds the evicted rows kept for reuse. Steady state needs
-	// one (each finish evicts a row, each arrival takes one); a longer list
-	// would only hold on to the largest burst of live jobs ever seen.
+	// maxFreeRows bounds the evicted rows kept for reuse; the rest of a burst
+	// goes to the collector. Steady state needs one (each finish evicts a
+	// row, each arrival takes one); a longer list would only hold on to the
+	// largest burst of live jobs ever seen.
 	maxFreeRows = 8
 	// maxKeptSpans is the largest span buffer a recycled row keeps: room for
 	// a chain of a dozen kernels. A longer chain's buffer is dropped, or every
