@@ -122,7 +122,7 @@ func TestProbeHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { sys.probeJob(obs.JobArrive, jr) }); n != 0 {
 		t.Errorf("probeJob with nil probe allocates %v per op", n)
 	}
-	inst := jr.Instances[0]
+	inst := jr.Current()
 	if n := testing.AllocsPerRun(1000, func() { sys.probeKernelStart(jr, inst) }); n != 0 {
 		t.Errorf("probeKernelStart with nil probe allocates %v per op", n)
 	}

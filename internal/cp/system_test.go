@@ -98,14 +98,22 @@ func TestKernelChainIsSequential(t *testing.T) {
 	desc := testDesc("k", 1, 64, 10*sim.Microsecond)
 	set := makeSet(1, 5, desc, 0, sim.Millisecond)
 	sys := NewSystem(smallConfig(), set, &fifoPolicy{})
+	pr := newRecordingProbe()
+	sys.SetProbe(pr)
 	sys.Run()
 	jr := sys.Job(0)
 	// 5 dependent kernels cannot overlap: 2µs parse + 5×10µs.
 	if want := 52 * sim.Microsecond; jr.FinishTime != want {
 		t.Fatalf("finish at %v, want %v (kernels must serialize)", jr.FinishTime, want)
 	}
-	for i := 1; i < len(jr.Instances); i++ {
-		if jr.Instances[i].StartedAt < jr.Instances[i-1].FinishedAt {
+	if len(pr.starts) != 5 || len(pr.dones) != 5 {
+		t.Fatalf("kernel events: %d starts, %d dones, want 5/5", len(pr.starts), len(pr.dones))
+	}
+	for i := range pr.starts {
+		if pr.starts[i].Seq != i || pr.dones[i].Seq != i {
+			t.Fatalf("kernel event %d is for start seq %d, done seq %d", i, pr.starts[i].Seq, pr.dones[i].Seq)
+		}
+		if i > 0 && pr.starts[i].At < pr.dones[i-1].At {
 			t.Fatalf("kernel %d started before %d finished", i, i-1)
 		}
 	}

@@ -29,34 +29,62 @@ func TestEverySchedulerSatisfiesSystemInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys := cp.NewSystem(cfg, set, pol)
+			ev := &kernelEvents{}
+			sys.SetProbe(ev)
 			sys.Run()
-			checkInvariants(t, schedName, bench.Name, sys)
+			checkInvariants(t, schedName, bench.Name, sys, *ev)
 		}
 	}
 }
 
-func checkInvariants(t *testing.T, schedName, bench string, sys *cp.System) {
+func checkInvariants(t *testing.T, schedName, bench string, sys *cp.System, events kernelEvents) {
 	t.Helper()
 	id := schedName + "/" + bench
+
+	// Per job and kernel seq: how often it completed, its first start and
+	// its last completion.
+	type kernelLog struct {
+		dones         int
+		started       bool
+		start, finish sim.Time
+	}
+	logs := map[int][]kernelLog{}
+	for _, e := range events {
+		l := logs[e.Job]
+		for len(l) <= e.Seq {
+			l = append(l, kernelLog{})
+		}
+		switch k := &l[e.Seq]; {
+		case !e.Start:
+			k.dones++
+			k.finish = e.At
+		case !k.started:
+			k.started, k.start = true, e.At
+		}
+		logs[e.Job] = l
+	}
 
 	var done, rejected, cancelled int
 	for _, j := range sys.Jobs() {
 		switch {
 		case j.Done():
 			done++
-			// Every kernel of a completed job ran exactly once.
-			for i, inst := range j.Instances {
-				if !inst.Done() {
-					t.Fatalf("%s: job %d done but kernel %d is %v", id, j.Job.ID, i, inst.State())
-				}
-				if inst.CompletedWGs() != inst.Desc.NumWGs {
-					t.Fatalf("%s: job %d kernel %d completed %d/%d WGs",
-						id, j.Job.ID, i, inst.CompletedWGs(), inst.Desc.NumWGs)
+			// Every kernel of a completed job ran exactly once, all of its WGs.
+			l := logs[j.Job.ID]
+			if len(l) != len(j.Job.Kernels) {
+				t.Fatalf("%s: job %d done with events for %d of %d kernels", id, j.Job.ID, len(l), len(j.Job.Kernels))
+			}
+			for i, k := range l {
+				if k.dones != 1 {
+					t.Fatalf("%s: job %d done but kernel %d completed %d times", id, j.Job.ID, i, k.dones)
 				}
 			}
+			if j.WGsCompleted() != j.Job.TotalWGs() {
+				t.Fatalf("%s: job %d completed %d/%d WGs", id, j.Job.ID, j.WGsCompleted(), j.Job.TotalWGs())
+			}
 			// Kernels executed in dependency order.
-			for i := 1; i < len(j.Instances); i++ {
-				if j.Instances[i].StartedAt < j.Instances[i-1].FinishedAt {
+			for i := 1; i < len(l); i++ {
+				if l[i].start < l[i-1].finish {
 					t.Fatalf("%s: job %d kernel %d overlapped its predecessor", id, j.Job.ID, i)
 				}
 			}

@@ -26,8 +26,8 @@ func premaReferenceEpoch(sys *cp.System) premaVerdict {
 	cfg := sys.Device().Config()
 	token := func(j *cp.JobRun) float64 {
 		var ideal sim.Time
-		for _, inst := range j.Instances {
-			ideal += gpu.IsolatedKernelTime(cfg, inst.Desc)
+		for _, k := range j.Job.Kernels {
+			ideal += gpu.IsolatedKernelTime(cfg, k)
 		}
 		if ideal <= 0 {
 			ideal = 1

@@ -114,10 +114,10 @@ func (w *drainWatch) look() {
 		if !jr.Cancelled() || w.sys.Job(jr.Job.ID) != nil {
 			continue
 		}
-		for _, inst := range jr.Instances {
-			if inst.OutstandingWGs() > 0 {
-				w.seen = true
-			}
+		// A cancelled job never advances, so its head kernel is the only one
+		// that can have WGs on the device.
+		if inst := jr.Current(); inst != nil && inst.OutstandingWGs() > 0 {
+			w.seen = true
 		}
 	}
 }
