@@ -68,12 +68,19 @@ type JobRun struct {
 	Job     *workload.Job
 	QueueID int
 
-	// Instances are the job's kernel launches in dependency order.
-	Instances []*gpu.KernelInstance
+	// head is the live launch of Job.Kernels[cur]. The chain's kernels are
+	// sequentially dependent, so the head is the only one that can ever be
+	// dispatched; advance re-initialises it in place for the next kernel, and
+	// the kernels behind it are read as descriptors. Its Desc is nil once
+	// the chain is done (and in a JobRun built outside a System).
+	head gpu.KernelInstance
 
 	// cur indexes the kernel currently eligible to run (all earlier ones
 	// are done).
 	cur int
+
+	// paused is the job-level Pause/Resume flag each new head inherits.
+	paused bool
 
 	// Priority is the queue's priority register: lower values are more
 	// urgent (priority 0 is the highest level, as in Algorithm 2). Ties
@@ -116,17 +123,13 @@ type JobRun struct {
 	sys *System
 }
 
-// newJobRun builds the runtime state of one job of this system. The kernel
-// instances live in one slab per job — the chain is allocated, used and
-// dropped together, so the allocator and the collector track one object
-// instead of one per kernel.
-func (s *System) newJobRun(job *workload.Job) *JobRun {
-	jr := &JobRun{Job: job, QueueID: -1, state: JobPending, FirstDispatch: -1, sys: s}
-	slab := make([]gpu.KernelInstance, len(job.Kernels))
-	jr.Instances = make([]*gpu.KernelInstance, len(job.Kernels))
-	for i, kd := range job.Kernels {
-		slab[i] = gpu.KernelInstance{Desc: kd, JobID: job.ID, QueueID: -1, Seq: i}
-		jr.Instances[i] = &slab[i]
+// initJobRun sets jr up as the runtime state of one job of this system, its
+// head waiting on the first kernel. NewSystem initialises a whole trace's
+// runs in one slab; online submissions allocate one run each.
+func (s *System) initJobRun(jr *JobRun, job *workload.Job) *JobRun {
+	*jr = JobRun{Job: job, QueueID: -1, state: JobPending, FirstDispatch: -1, sys: s}
+	if len(job.Kernels) > 0 {
+		jr.head = gpu.KernelInstance{Desc: job.Kernels[0], JobID: job.ID, QueueID: -1}
 	}
 	return jr
 }
@@ -136,13 +139,35 @@ func (j *JobRun) State() JobState { return j.state }
 
 // Current returns the kernel instance at the head of the chain (the only
 // dispatchable one, since kernels are sequentially dependent), or nil when
-// the job is done.
+// the job is done. The pointer is the same for every kernel of the job.
 func (j *JobRun) Current() *gpu.KernelInstance {
-	if j.cur >= len(j.Instances) {
+	if j.head.Desc == nil {
 		return nil
 	}
-	return j.Instances[j.cur]
+	return &j.head
 }
+
+// advance moves the chain past its completed head and reports whether a
+// kernel remains. The next kernel's instance is built in place: waiting,
+// nothing dispatched, attempt 0, no cached device ids, on the head's queue
+// and under the job's pause flag.
+func (j *JobRun) advance() bool {
+	j.cur++
+	if j.cur >= len(j.Job.Kernels) {
+		j.head.Desc = nil
+		return false
+	}
+	j.head = gpu.KernelInstance{
+		Desc: j.Job.Kernels[j.cur], JobID: j.Job.ID, Seq: j.cur,
+		QueueID: j.head.QueueID, Paused: j.paused,
+	}
+	return true
+}
+
+// RemainingKernels returns the descriptors of the kernels not yet completed:
+// the head's, then the chain behind it. Only the head can be partly done;
+// its uncompleted WG count is Current().UncompletedWGs().
+func (j *JobRun) RemainingKernels() []*gpu.KernelDesc { return j.Job.Kernels[j.cur:] }
 
 // CurrentIndex returns the index of the current kernel.
 func (j *JobRun) CurrentIndex() int { return j.cur }
@@ -183,10 +208,13 @@ func (j *JobRun) WGsCompleted() int { return j.wgsCompleted }
 // complete (§4.2: "As WGs complete, the WGCount entry ... is decremented").
 func (j *JobRun) RemainingWGList() []core.WGEntry {
 	var out []core.WGEntry
-	for i := j.cur; i < len(j.Instances); i++ {
-		inst := j.Instances[i]
-		if n := inst.UncompletedWGs(); n > 0 {
-			out = append(out, core.WGEntry{Kernel: inst.Desc.Name, WGs: n})
+	for i, d := range j.RemainingKernels() {
+		n := d.NumWGs
+		if i == 0 {
+			n = j.head.UncompletedWGs()
+		}
+		if n > 0 {
+			out = append(out, core.WGEntry{Kernel: d.Name, WGs: n})
 		}
 	}
 	return out
@@ -202,9 +230,8 @@ func (j *JobRun) Resume() { j.setPaused(false) }
 // setPaused writes the flag and marks the system's ready counts stale: a
 // kernel just became, or stopped being, dispatchable behind Dispatch's back.
 func (j *JobRun) setPaused(paused bool) {
-	for i := j.cur; i < len(j.Instances); i++ {
-		j.Instances[i].Paused = paused
-	}
+	j.paused = paused
+	j.head.Paused = paused
 	if j.sys != nil {
 		j.sys.readyStale = true
 	}
@@ -219,5 +246,5 @@ func (j *JobRun) Paused() bool {
 // String summarizes the job for logs and test failures.
 func (j *JobRun) String() string {
 	return fmt.Sprintf("job%d(%s q%d %s k%d/%d prio=%d)",
-		j.Job.ID, j.Job.Benchmark, j.QueueID, j.state, j.cur, len(j.Instances), j.Priority)
+		j.Job.ID, j.Job.Benchmark, j.QueueID, j.state, j.cur, len(j.Job.Kernels), j.Priority)
 }

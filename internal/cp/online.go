@@ -59,7 +59,7 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	if job.Arrival != s.eng.Now() {
 		panic(fmt.Sprintf("cp: online arrival %v != engine now %v", job.Arrival, s.eng.Now()))
 	}
-	jr := s.newJobRun(job)
+	jr := s.initJobRun(new(JobRun), job)
 	s.jobs = append(s.jobs, jr)
 
 	// If this arrival lands exactly on a reprioritization grid point while

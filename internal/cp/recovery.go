@@ -81,11 +81,13 @@ type RecoveryStats struct {
 	RetiredCUs int
 }
 
-// wdEntry is one armed watchdog: the timer, the attempt it guards, and the
-// progress watermark that distinguishes a hang from slow-but-alive.
+// wdEntry is one armed watchdog: the timer, the kernel (chain seq) and
+// attempt it guards, and the progress watermark that distinguishes a hang
+// from slow-but-alive. A job's kernels share one instance, so the seq, not
+// the pointer, says which kernel the entry was armed for.
 type wdEntry struct {
 	ev             sim.Handle
-	attempt        int
+	seq, attempt   int
 	completedAtArm int
 }
 
@@ -185,7 +187,7 @@ func (s *System) armWatchdog(jr *JobRun, inst *gpu.KernelInstance) {
 	if prev := s.wdTimers[inst]; prev != nil {
 		prev.ev.Cancel()
 	}
-	entry := &wdEntry{attempt: inst.Attempt, completedAtArm: inst.CompletedWGs()}
+	entry := &wdEntry{seq: inst.Seq, attempt: inst.Attempt, completedAtArm: inst.CompletedWGs()}
 	entry.ev = s.eng.Schedule(now+timeout, func() { s.watchdogFire(jr, inst, entry) })
 	s.wdTimers[inst] = entry
 }
@@ -208,7 +210,7 @@ func (s *System) watchdogFire(jr *JobRun, inst *gpu.KernelInstance, entry *wdEnt
 	if jr.terminal() {
 		return
 	}
-	if inst.Done() || jr.Current() != inst || inst.Attempt != entry.attempt {
+	if inst.Done() || jr.cur != entry.seq || inst.Attempt != entry.attempt {
 		return
 	}
 	if inst.CompletedWGs() > entry.completedAtArm {
@@ -263,8 +265,9 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 	}
 	inst.Paused = true
 	s.readyStale = true
+	seq := inst.Seq
 	s.eng.After(backoff, func() {
-		if jr.terminal() || jr.Current() != inst {
+		if jr.terminal() || jr.cur != seq {
 			return
 		}
 		inst.Paused = false
@@ -285,13 +288,18 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 	s.releaseQueue(jr)
 
 	// CPU time is proportional to the work left, using the nominal device
-	// as the unit of work (host speed does not degrade with retired CUs).
+	// as the unit of work (host speed does not degrade with retired CUs):
+	// each kernel's isolated time t scaled by its uncompleted share u/n,
+	// where only the head can have u < n.
 	var remaining sim.Time
-	for i := jr.cur; i < len(jr.Instances); i++ {
-		inst := jr.Instances[i]
-		t := gpu.IsolatedKernelTime(s.cfg.GPU, inst.Desc)
-		if n := inst.Desc.NumWGs; n > 0 {
-			t = sim.Time(float64(t) * float64(inst.UncompletedWGs()) / float64(n))
+	for i, d := range jr.RemainingKernels() {
+		t := gpu.IsolatedKernelTime(s.cfg.GPU, d)
+		if n := d.NumWGs; n > 0 {
+			u := n
+			if i == 0 {
+				u = jr.head.UncompletedWGs()
+			}
+			t = sim.Time(float64(t) * float64(u) / float64(n))
 		}
 		remaining += t
 	}

@@ -153,7 +153,7 @@ type System struct {
 }
 
 // NewSystem builds a system for the job set under the policy. The job set
-// is not mutated; a JobRun is created per job.
+// is not mutated; a JobRun is created per job, all of them in one slab.
 func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	if cfg.NumQueues <= 0 || cfg.ParseStreams <= 0 {
 		panic(fmt.Sprintf("cp: invalid system config %+v", cfg))
@@ -178,12 +178,13 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	for i := range s.freeQueues {
 		s.freeQueues[i] = cfg.NumQueues - 1 - i // pop from the back → queue 0 first
 	}
+	runs := make([]JobRun, len(set.Jobs))
 	s.jobs = make([]*JobRun, len(set.Jobs))
 	for i, job := range set.Jobs {
 		if job.ID != i {
 			panic(fmt.Sprintf("cp: job IDs must be dense, got %d at %d", job.ID, i))
 		}
-		s.jobs[i] = s.newJobRun(job)
+		s.jobs[i] = s.initJobRun(&runs[i], job)
 	}
 	pol.Attach(s)
 	s.orderer, _ = pol.(Orderer)
@@ -306,9 +307,7 @@ func (s *System) bindQueue(jr *JobRun) {
 	qid := s.freeQueues[n-1]
 	s.freeQueues = s.freeQueues[:n-1]
 	jr.QueueID = qid
-	for _, inst := range jr.Instances {
-		inst.QueueID = qid
-	}
+	jr.head.QueueID = qid
 	jr.state = JobInit
 	s.active = append(s.active, jr)
 	s.invalidateOrder()
@@ -329,29 +328,31 @@ func (s *System) bindQueue(jr *JobRun) {
 	s.parserFreeAt[slot] = done
 
 	ov := s.pol.Overheads()
-	s.eng.Schedule(done+ov.PerJobAdmission, func() {
-		s.afterLaunch(func() {
-			if jr.state != JobInit { // defensive: policy may have mutated state
-				return
-			}
-			// The policy's AdvanceGate also guards the first kernel
-			// (BatchMaker holds new jobs until a batch forms around them).
-			if gate, ok := s.pol.(AdvanceGate); ok && !gate.CanAdvance(jr) {
-				s.blocked = append(s.blocked, jr)
-				return
-			}
-			s.makeFirstReady(jr)
-		})
-	})
+	s.eng.Schedule(done+ov.PerJobAdmission, func() { s.afterLaunch(jr, (*System).inspected) })
 }
 
-// afterLaunch runs fn once the host launch pipe has issued one kernel
+// inspected runs once a job's stream inspection and first kernel launch are
+// through: the first kernel becomes ready unless the policy's gate holds it.
+func (s *System) inspected(jr *JobRun) {
+	if jr.state != JobInit { // defensive: policy may have mutated state
+		return
+	}
+	// The policy's AdvanceGate also guards the first kernel (BatchMaker
+	// holds new jobs until a batch forms around them).
+	if gate, ok := s.pol.(AdvanceGate); ok && !gate.CanAdvance(jr) {
+		s.blocked = append(s.blocked, jr)
+		return
+	}
+	s.makeFirstReady(jr)
+}
+
+// afterLaunch runs fn(s, jr) once the host launch pipe has issued one kernel
 // launch for this policy. CP-side policies (zero PerKernelLaunch) proceed
-// immediately; CPU-side policies wait for the shared pipe.
-func (s *System) afterLaunch(fn func()) {
+// immediately, with no closure; CPU-side policies wait for the shared pipe.
+func (s *System) afterLaunch(jr *JobRun, fn func(*System, *JobRun)) {
 	d := s.pol.Overheads().PerKernelLaunch
 	if d <= 0 {
-		fn()
+		fn(s, jr)
 		return
 	}
 	start := s.eng.Now()
@@ -359,7 +360,7 @@ func (s *System) afterLaunch(fn func()) {
 		start = s.hostFreeAt
 	}
 	s.hostFreeAt = start + d
-	s.eng.Schedule(s.hostFreeAt, fn)
+	s.eng.Schedule(s.hostFreeAt, func() { fn(s, jr) })
 }
 
 // makeFirstReady transitions an inspected job to ready and dispatches.
@@ -465,7 +466,7 @@ func (s *System) onKernelDone(inst *gpu.KernelInstance) {
 	if jr == nil || jr.state == JobCancelled {
 		return // draining WGs of a dropped job (nil: already retired online)
 	}
-	if jr.Current() != inst {
+	if jr.Current() != inst || inst.Seq != jr.cur {
 		panic(fmt.Sprintf("cp: out-of-order kernel completion for %v", jr))
 	}
 	if s.probe != nil {
@@ -474,9 +475,11 @@ func (s *System) onKernelDone(inst *gpu.KernelInstance) {
 			Seq: inst.Seq, Kernel: inst.Desc.Name, Start: inst.StartedAt,
 		})
 	}
+	// The watchdog is disarmed before the head is re-initialised: the device
+	// holds nothing more of this kernel (its last WG just completed), so the
+	// instance is free to become the next kernel.
 	s.disarmWatchdog(inst)
-	jr.cur++
-	if jr.Current() == nil {
+	if !jr.advance() {
 		s.finish(jr)
 		return
 	}
@@ -491,11 +494,13 @@ func (s *System) tryAdvance(jr *JobRun) {
 		s.blocked = append(s.blocked, jr)
 		return
 	}
-	next := jr.Current()
-	s.afterLaunch(func() {
-		s.markReady(next)
-		s.Dispatch()
-	})
+	s.afterLaunch(jr, (*System).readyHead)
+}
+
+// readyHead makes the job's head kernel ready and dispatches.
+func (s *System) readyHead(jr *JobRun) {
+	s.markReady(jr.Current())
+	s.Dispatch()
 }
 
 // recheckBlocked re-tests gate-blocked jobs (batch groups may have caught
@@ -520,11 +525,7 @@ func (s *System) recheckBlocked() {
 			s.makeFirstReady(jr)
 			continue
 		}
-		next := jr.Current()
-		s.afterLaunch(func() {
-			s.markReady(next)
-			s.Dispatch()
-		})
+		s.afterLaunch(jr, (*System).readyHead)
 	}
 	s.blocked = still
 	s.Dispatch()

@@ -81,44 +81,49 @@ type Device struct {
 	retiredCUs int
 }
 
-// wgInFlight records one dispatched, uncompleted WG so a kill can cancel
-// its completion and release what it holds. Only the tracked (fault /
-// watchdog) path allocates these; the healthy path batches completions
-// through pooled wgBatch structs instead.
-type wgInFlight struct {
-	ev       sim.Handle // zero for hung WGs (they never scheduled one)
-	cu       *computeUnit
+// wgLoad is what one running WG holds besides its CU: its footprint there
+// and its shares of the DRAM and L2 bandwidth demand. All three are
+// functions of the kernel's descriptor and the device config.
+type wgLoad struct {
 	f        wgFootprint
 	demand   float64
 	l2demand float64
 }
 
-// wgEntry is one WG's share of a completion batch.
-type wgEntry struct {
-	cu       *computeUnit
-	f        wgFootprint
-	demand   float64
-	l2demand float64
+// wgInFlight records one dispatched, uncompleted WG so a kill can cancel
+// its completion and release what it holds. Only the tracked (fault /
+// watchdog) path allocates these; the healthy path batches completions
+// through pooled wgBatch structs instead.
+type wgInFlight struct {
+	ev sim.Handle // zero for hung WGs (they never scheduled one)
+	cu *computeUnit
+	wgLoad
 }
 
 // wgBatch is one pooled engine event carrying the completions of a
 // contiguous run of same-instance WGs that were dispatched back to back for
 // the same completion instant. Firing the batch replays each WG's
 // completion in dispatch order, which is exactly the order the per-WG
-// events would have fired in: the entries' would-be sequence numbers were
+// events would have fired in: the WGs' would-be sequence numbers were
 // consecutive (enforced via Engine.NextSeq at append time), so no foreign
 // event could have interleaved.
+//
+// Every WG of a batch is of one instance, so the batch stores the load once
+// and only the CU per WG. An instance that a CP re-initialises for its job's
+// next kernel never joins a batch of the kernel before: that kernel is done
+// only once its last WG has completed, so none of its batches is still open.
 type wgBatch struct {
 	d    *Device
 	inst *KernelInstance
 	ctr  *KernelCounter
 	at   sim.Time // completion instant
-	lat  sim.Time // dispatch-to-completion latency (same for all entries)
+	lat  sim.Time // dispatch-to-completion latency (same for all WGs)
+	load wgLoad   // same for all WGs
 	// seqAfter is the engine's next sequence number as of the last append;
 	// a WG may join only while it still matches (no event scheduled since).
 	seqAfter uint64
-	entries  []wgEntry
-	next     *wgBatch // free list link
+	cus      []*computeUnit // one per WG, in dispatch order
+	next     *wgBatch       // free list link
 }
 
 // Act fires the batch (sim.Action).
@@ -337,14 +342,13 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 	}
 	inst.noteDispatch(now)
 
-	demand := inst.Desc.MemIntensity * float64(inst.Desc.ThreadsPerWG)
-	l2Demand := 0.0
+	load := wgLoad{f: f, demand: inst.Desc.MemIntensity * float64(inst.Desc.ThreadsPerWG)}
 	if d.cfg.L2BandwidthDemand > 0 {
-		l2Demand = demand * inst.Desc.L2HitFrac
-		demand -= l2Demand
+		load.l2demand = load.demand * inst.Desc.L2HitFrac
+		load.demand -= load.l2demand
 	}
-	d.activeMemDemand += demand
-	d.activeL2Demand += l2Demand
+	d.activeMemDemand += load.demand
+	d.activeL2Demand += load.l2demand
 
 	lat := d.wgLatency(inst.Desc)
 	if inst.fault.Outcome == FaultSlow && inst.fault.SlowFactor > 1 {
@@ -356,11 +360,11 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 	if !d.track {
 		// Healthy fast path: no kill can ever target this WG, so no
 		// per-WG bookkeeping — fold the completion into a batch event.
-		d.batchWG(inst, ctr, now+lat, lat, wgEntry{cu: cu, f: f, demand: demand, l2demand: l2Demand})
+		d.batchWG(inst, ctr, now+lat, lat, cu, load)
 		return
 	}
 
-	wg := &wgInFlight{cu: cu, f: f, demand: demand, l2demand: l2Demand}
+	wg := &wgInFlight{cu: cu, wgLoad: load}
 	switch inst.fault.Outcome {
 	case FaultHang:
 		// The WG holds its CU and memory demand forever; only Kill (the
@@ -381,7 +385,7 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 	}
 	wg.ev = d.eng.Schedule(now+lat, func() {
 		d.untrackWG(inst, wg)
-		d.completeWG(inst, ctr, lat, wgEntry{cu: cu, f: f, demand: demand, l2demand: l2Demand})
+		d.completeWG(inst, ctr, lat, wg.cu, wg.wgLoad)
 	})
 	d.trackWG(inst, wg)
 }
@@ -399,7 +403,7 @@ func (d *Device) counterFor(inst *KernelInstance) *KernelCounter {
 // preserves event order — same instance, same completion instant, and no
 // event scheduled since the batch's own (so the per-WG events' sequence
 // numbers would have been consecutive) — and otherwise opens a new batch.
-func (d *Device) batchWG(inst *KernelInstance, ctr *KernelCounter, at, lat sim.Time, en wgEntry) {
+func (d *Device) batchWG(inst *KernelInstance, ctr *KernelCounter, at, lat sim.Time, cu *computeUnit, load wgLoad) {
 	b := d.curBatch
 	if b == nil || b.inst != inst || b.at != at || d.eng.NextSeq() != b.seqAfter {
 		b = d.getBatch()
@@ -407,11 +411,12 @@ func (d *Device) batchWG(inst *KernelInstance, ctr *KernelCounter, at, lat sim.T
 		b.ctr = ctr
 		b.at = at
 		b.lat = lat
+		b.load = load
 		d.eng.ScheduleAct(at, b)
 		b.seqAfter = d.eng.NextSeq()
 		d.curBatch = b
 	}
-	b.entries = append(b.entries, en)
+	b.cus = append(b.cus, cu)
 }
 
 // completeBatch replays each batched WG completion in dispatch order and
@@ -422,20 +427,20 @@ func (d *Device) completeBatch(b *wgBatch) {
 	if d.curBatch == b {
 		d.curBatch = nil
 	}
-	inst, ctr, lat := b.inst, b.ctr, b.lat
-	for i := range b.entries {
-		d.completeWG(inst, ctr, lat, b.entries[i])
+	inst, ctr, lat, load := b.inst, b.ctr, b.lat, b.load
+	for _, cu := range b.cus {
+		d.completeWG(inst, ctr, lat, cu, load)
 	}
 	d.putBatch(b)
 }
 
 // completeWG performs one WG completion: release resources, fold the
 // latency into the counters, and notify the CP.
-func (d *Device) completeWG(inst *KernelInstance, ctr *KernelCounter, lat sim.Time, en wgEntry) {
-	en.cu.release(en.f)
-	d.roomFreed(en.cu)
-	d.activeMemDemand -= en.demand
-	d.activeL2Demand -= en.l2demand
+func (d *Device) completeWG(inst *KernelInstance, ctr *KernelCounter, lat sim.Time, cu *computeUnit, load wgLoad) {
+	cu.release(load.f)
+	d.roomFreed(cu)
+	d.activeMemDemand -= load.demand
+	d.activeL2Demand -= load.l2demand
 	if d.activeMemDemand < 1e-9 {
 		d.activeMemDemand = 0
 	}
@@ -467,11 +472,11 @@ func (d *Device) getBatch() *wgBatch {
 }
 
 // putBatch recycles a fired batch: payload references are dropped so pooled
-// structs never pin instances, but the entries backing array is kept.
+// structs never pin instances, but the CU list's backing array is kept.
 func (d *Device) putBatch(b *wgBatch) {
 	b.inst = nil
 	b.ctr = nil
-	b.entries = b.entries[:0]
+	b.cus = b.cus[:0]
 	b.next = d.freeBatches
 	d.freeBatches = b
 }

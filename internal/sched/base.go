@@ -37,8 +37,8 @@ const (
 // (device config, kernel chain): compute it once per job, never per epoch.
 func staticJobTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 	var t sim.Time
-	for _, inst := range j.Instances {
-		t += dev.IsolatedKernelTime(inst.Desc)
+	for _, k := range j.Job.Kernels {
+		t += dev.IsolatedKernelTime(k)
 	}
 	return t
 }
@@ -48,8 +48,8 @@ func staticJobTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 // count, summed in chain order.
 func holdTime(pt *core.ProfilingTable, j *cp.JobRun) sim.Time {
 	var t sim.Time
-	for _, inst := range j.Instances {
-		t += pt.KernelTime(inst.Desc.Name, inst.Desc.NumWGs)
+	for _, k := range j.Job.Kernels {
+		t += pt.KernelTime(k.Name, k.NumWGs)
 	}
 	return t
 }
@@ -58,8 +58,8 @@ func holdTime(pt *core.ProfilingTable, j *cp.JobRun) sim.Time {
 // have not completed yet.
 func staticRemainingTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
 	var t sim.Time
-	for i := j.CurrentIndex(); i < len(j.Instances); i++ {
-		t += dev.IsolatedKernelTime(j.Instances[i].Desc)
+	for _, k := range j.RemainingKernels() {
+		t += dev.IsolatedKernelTime(k)
 	}
 	return t
 }
@@ -142,7 +142,7 @@ func staticKernelEstimate(sys *cp.System, j *cp.JobRun) (sim.Time, bool) {
 // laxity estimates track the current capacity of a degraded (CU-retired)
 // device.
 func registerCapacities(pt *core.ProfilingTable, dev *gpu.Device, j *cp.JobRun) {
-	for _, inst := range j.Instances {
-		pt.SetCapacity(inst.Desc.Name, dev.MaxConcurrentWGs(inst.Desc))
+	for _, k := range j.Job.Kernels {
+		pt.SetCapacity(k.Name, dev.MaxConcurrentWGs(k))
 	}
 }

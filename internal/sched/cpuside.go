@@ -24,6 +24,19 @@ type BAT struct {
 	// members). Groups are re-formed every interval from jobs whose current
 	// kernel types match.
 	group map[*cp.JobRun][]*cp.JobRun
+
+	// cells is the epoch's scratch: the active jobs at each cell. Every
+	// epoch clears and truncates its member lists and clears group, so a
+	// steady-state epoch reuses their storage instead of remaking both maps,
+	// and no list keeps a finished job reachable.
+	cells map[batCell][]*cp.JobRun
+}
+
+// batCell is a (kernel type, position in chain) pair: jobs at the same cell
+// are fused into one batch.
+type batCell struct {
+	kernel string
+	index  int
 }
 
 // NewBAT returns the BatchMaker scheduler.
@@ -36,6 +49,7 @@ func (p *BAT) Name() string { return "BAT" }
 func (p *BAT) Attach(s *cp.System) {
 	p.sys = s
 	p.group = make(map[*cp.JobRun][]*cp.JobRun)
+	p.cells = make(map[batCell][]*cp.JobRun)
 }
 
 // Admit implements cp.Policy: BatchMaker is deadline-blind; everything is
@@ -52,21 +66,20 @@ func (p *BAT) Admit(j *cp.JobRun) bool {
 // which is exactly what ignores deadlines.
 func (p *BAT) Reprioritize() {
 	probeEpoch(p.sys, p.Name())
-	type cell struct {
-		kernel string
-		index  int
+	for c, members := range p.cells {
+		clear(members)
+		p.cells[c] = members[:0]
 	}
-	groups := make(map[cell][]*cp.JobRun)
 	for _, j := range p.sys.Active() {
 		k := j.Current()
 		if k == nil {
 			continue
 		}
-		c := cell{k.Desc.Name, j.CurrentIndex()}
-		groups[c] = append(groups[c], j)
+		c := batCell{k.Desc.Name, j.CurrentIndex()}
+		p.cells[c] = append(p.cells[c], j)
 	}
-	p.group = make(map[*cp.JobRun][]*cp.JobRun, len(p.sys.Active()))
-	for _, members := range groups {
+	clear(p.group)
+	for _, members := range p.cells {
 		for _, j := range members {
 			p.group[j] = members
 			// Bigger batch → higher priority (lower value).
@@ -83,7 +96,7 @@ func (p *BAT) Reprioritize() {
 // (finished jobs drop out naturally). Single-kernel jobs have no cells to
 // fuse and pass straight through.
 func (p *BAT) CanAdvance(j *cp.JobRun) bool {
-	if len(j.Instances) <= 1 {
+	if len(j.Job.Kernels) <= 1 {
 		return true
 	}
 	if p.group[j] == nil {
@@ -160,7 +173,7 @@ func (p *BAY) queueEstimate() sim.Time {
 // predicted run time fit in the deadline (QoS headroom > 0).
 func (p *BAY) Admit(j *cp.JobRun) bool {
 	jobTime := staticJobTime(p.sys.Device(), j) +
-		sim.Time(len(j.Instances))*HostLaunchOverhead
+		sim.Time(len(j.Job.Kernels))*HostLaunchOverhead
 	queue := p.queueEstimate()
 	need := BaymaxModelOverhead + queue + jobTime
 	accepted := need < j.Job.Deadline

@@ -65,6 +65,36 @@ func TestPREMAEpochAllocationFree(t *testing.T) {
 	}
 }
 
+// TestBATEpochAllocationFree: a BAT epoch re-forms its batches in the
+// policy-owned cell and group maps, truncated and cleared rather than
+// remade, so over a fixed active set it allocates nothing.
+func TestBATEpochAllocationFree(t *testing.T) {
+	lib := workload.NewLibrary(gpu.DefaultConfig())
+	bench, err := workload.FindBenchmark("LSTM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewBAT()
+	sys := cp.NewSystem(cp.DefaultSystemConfig(), bench.Generate(lib, workload.HighRate, 64, 1), p)
+	allocs, active, batches := -1.0, 0, 0
+	sys.Engine().Schedule(2*sim.Millisecond, func() {
+		active = len(sys.Active())
+		allocs = testing.AllocsPerRun(200, p.Reprioritize)
+		for _, members := range p.cells {
+			if len(members) > 0 {
+				batches++
+			}
+		}
+	})
+	sys.Run()
+	if active < 8 || batches < 2 {
+		t.Fatalf("only %d active jobs in %d batches at the measured epoch", active, batches)
+	}
+	if allocs != 0 {
+		t.Errorf("mid-flight BAT epoch over %d jobs in %d batches allocates %v, want 0", active, batches, allocs)
+	}
+}
+
 // TestHostLAXRemainingAllocationFree: LAX-SW and LAX-CPU re-read every active
 // job's kernel-granular WGList each tick; the list is built in policy-owned
 // scratch, so neither it nor the drain estimate summed from it allocates.

@@ -80,9 +80,9 @@ func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	if e, ok := j.SchedState.(*jobEntry); ok {
 		return e
 	}
-	e := &jobEntry{chain: make([]int32, len(j.Instances))}
-	for i, inst := range j.Instances {
-		e.chain[i] = t.slotFor(int32(t.pt.IDFor(inst.Desc.Name)), int32(inst.Desc.NumWGs))
+	e := &jobEntry{chain: make([]int32, len(j.Job.Kernels))}
+	for i, k := range j.Job.Kernels {
+		e.chain[i] = t.slotFor(int32(t.pt.IDFor(k.Name)), int32(k.NumWGs))
 	}
 	j.SchedState = e
 	return e
@@ -128,7 +128,7 @@ func (t *jobTable) estimates(j *cp.JobRun) (rem, drain sim.Time) {
 	if int(cur) < len(chain) {
 		// Head kernel: partially complete, so its WG count is live state,
 		// not a shared slot.
-		n := j.Instances[cur].UncompletedWGs()
+		n := j.Current().UncompletedWGs()
 		ptID := int(t.slots[chain[cur]].ptID)
 		rem += t.pt.KernelTimeID(ptID, n)
 		drain += t.pt.DrainTimeID(ptID, n)

@@ -208,8 +208,7 @@ func (p *LAX) remaining(j *cp.JobRun) []core.WGEntry {
 		return j.RemainingWGList()
 	}
 	out := p.wgList[:0]
-	for i := j.CurrentIndex(); i < len(j.Instances); i++ {
-		d := j.Instances[i].Desc
+	for _, d := range j.RemainingKernels() {
 		out = append(out, core.WGEntry{Kernel: d.Name, WGs: d.NumWGs})
 	}
 	p.wgList = out

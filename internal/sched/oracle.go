@@ -63,18 +63,20 @@ func (p *ORACLE) Attach(s *cp.System) { p.sys = s }
 func (p *ORACLE) drain(j *cp.JobRun) sim.Time {
 	cfg := p.sys.Device().Config()
 	var total float64
-	for i := j.CurrentIndex(); i < len(j.Instances); i++ {
-		inst := j.Instances[i]
-		wgs := inst.UncompletedWGs()
+	for i, d := range j.RemainingKernels() {
+		wgs := d.NumWGs // only the head can be partly done
+		if i == 0 {
+			wgs = j.Current().UncompletedWGs()
+		}
 		if wgs == 0 {
 			continue
 		}
-		cap := gpu.MaxConcurrentWGs(cfg, inst.Desc)
+		cap := gpu.MaxConcurrentWGs(cfg, d)
 		if cap < 1 {
 			cap = 1
 		}
-		perWG := float64(gpu.IsolatedKernelTime(cfg, inst.Desc)) /
-			float64((inst.Desc.NumWGs+cap-1)/cap)
+		perWG := float64(gpu.IsolatedKernelTime(cfg, d)) /
+			float64((d.NumWGs+cap-1)/cap)
 		total += float64(wgs) * perWG / float64(cap)
 	}
 	return sim.Time(total)

@@ -130,8 +130,8 @@ func (n *Node) EstimateDrain() sim.Time {
 	cfg := n.sys.Device().Config()
 	var total sim.Time
 	for _, a := range n.sys.Active() {
-		for i := a.CurrentIndex(); i < len(a.Instances); i++ {
-			total += gpu.IsolatedKernelTime(cfg, a.Instances[i].Desc)
+		for _, k := range a.RemainingKernels() {
+			total += gpu.IsolatedKernelTime(cfg, k)
 		}
 	}
 	return total

@@ -415,12 +415,15 @@ func (c *Checker) KernelDone(e obs.KernelDone) {
 	}
 	a.dones[e.Seq]++
 	if c.sys != nil {
-		jr := c.sys.Job(e.Job)
-		if jr != nil && e.Seq < len(jr.Instances) {
-			inst := jr.Instances[e.Seq]
-			if c.fails(inst.CompletedWGs() == inst.Desc.NumWGs) {
+		// The probe fires before the chain advances: the head is kernel e.Seq.
+		if jr := c.sys.Job(e.Job); jr != nil {
+			head := jr.Current()
+			if c.fails(head != nil && head.Seq == e.Seq) {
 				c.violate(e.At, "wg-conservation", e.Job,
-					"kernel %d done with %d/%d WGs completed", e.Seq, inst.CompletedWGs(), inst.Desc.NumWGs)
+					"kernel %d done while the chain's head is kernel %d", e.Seq, jr.CurrentIndex())
+			} else if c.fails(head.CompletedWGs() == head.Desc.NumWGs) {
+				c.violate(e.At, "wg-conservation", e.Job,
+					"kernel %d done with %d/%d WGs completed", e.Seq, head.CompletedWGs(), head.Desc.NumWGs)
 			}
 		}
 	}
@@ -494,12 +497,12 @@ func (c *Checker) finalizeSystem(at sim.Time, finishes, rejects int) {
 				// kernels legitimately never complete on the GPU.
 				continue
 			}
-			for seq, inst := range jr.Instances {
-				if c.fails(inst.CompletedWGs() == inst.Desc.NumWGs) {
-					c.violate(at, "wg-conservation", jr.Job.ID,
-						"done job: kernel %d has %d/%d WGs", seq, inst.CompletedWGs(), inst.Desc.NumWGs)
-				}
-				if a != nil {
+			if total := jr.Job.TotalWGs(); c.fails(jr.WGsCompleted() == total) {
+				c.violate(at, "wg-conservation", jr.Job.ID,
+					"done job completed %d/%d WGs", jr.WGsCompleted(), total)
+			}
+			if a != nil {
+				for seq := range jr.Job.Kernels {
 					if c.fails(a.dones[seq] == 1) {
 						c.violate(at, "wg-conservation", jr.Job.ID,
 							"done job: kernel %d has %d done events", seq, a.dones[seq])

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/gpu"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
+	"laxgpu/internal/workload"
 )
 
 // feedCleanJob drives one well-formed job lifecycle through the checker.
@@ -161,6 +163,57 @@ func TestCheckerFlagsDoubleKernelDone(t *testing.T) {
 	c.KernelDone(obs.KernelDone{At: 5, Job: 0, Seq: 0, Start: 1})
 	c.KernelDone(obs.KernelDone{At: 6, Job: 0, Seq: 0, Start: 1})
 	wantRule(t, c, "kernel-sequencing")
+}
+
+// TestCheckerFlagsKernelDoneBeforeItsWGs forges a KernelDone into a live
+// run while the job's head kernel has completed only part of its WGs: the
+// checker, attached to the system, reads the head and flags workgroup
+// conservation — for the head itself, and for the kernel behind it.
+func TestCheckerFlagsKernelDoneBeforeItsWGs(t *testing.T) {
+	for _, tc := range []struct {
+		seq  int
+		want string
+	}{
+		{0, "WGs completed"},
+		{1, "the chain's head is kernel 0"},
+	} {
+		// 4096 WGs take dozens of waves on the default device.
+		k := &gpu.KernelDesc{Name: "k", NumWGs: 4096, ThreadsPerWG: 256, BaseWGTime: 10 * sim.Microsecond, InstPerThread: 1}
+		set := &workload.JobSet{Benchmark: "synthetic", Jobs: []*workload.Job{
+			{ID: 0, Benchmark: "synthetic", Deadline: sim.Second, Kernels: []*gpu.KernelDesc{k, k}},
+		}}
+		pol, err := sched.New("FCFS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
+		c := New(Options{Scheduler: "FCFS"})
+		c.Attach(sys)
+		sys.SetProbe(c)
+		forged := false
+		sys.Engine().Schedule(100*sim.Microsecond, func() {
+			head := sys.Job(0).Current()
+			if head.Seq != 0 || head.CompletedWGs() == 0 || head.UncompletedWGs() == 0 {
+				t.Fatalf("head is %v at the forgery, want kernel 0 part done", head)
+			}
+			if err := c.Err(); err != nil {
+				t.Fatalf("clean run flagged before the forgery: %v", err)
+			}
+			c.KernelDone(obs.KernelDone{At: sys.Now(), Job: 0, Seq: tc.seq, Kernel: "k", Start: head.StartedAt})
+			for _, v := range c.Violations() {
+				if v.Rule == "wg-conservation" && strings.Contains(v.Detail, tc.want) {
+					forged = true
+				}
+			}
+			if !forged {
+				t.Fatalf("forged done of kernel %d: violations %v, want wg-conservation: %q", tc.seq, c.Violations(), tc.want)
+			}
+		})
+		sys.Run()
+		if !forged {
+			t.Fatal("the forgery never ran")
+		}
+	}
 }
 
 func TestCheckerFlagsOutOfOrderKernelStart(t *testing.T) {
