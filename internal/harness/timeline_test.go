@@ -68,13 +68,18 @@ func timelineSchedulers() []string {
 // Kernels that fail past the retry budget fall back to the CPU.
 const timelineFaults = "hang=0.15,abort=0.1,slow=0.1x3,retire=2@2ms,retire=2@6ms"
 
+// timelineUnrecovered injects hangs and aborts with recovery off.
+const timelineUnrecovered = "hang=0.15,abort=0.1,recover=off"
+
 // TestKernelTimelineGolden pins when every kernel of every job starts and
 // completes, and what the policy predicted at its start, across the 13
 // sweep schedulers × 8 benchmarks at 32 jobs, plus faulted LSTM runs — fault
 // injection, watchdog retries, CPU fallback and CU retirement — under LAX,
-// the pausing PREMA and PRO, and the gated, host-launched BAT. Every run is
-// checked by the invariant checker. The golden stores one sha256 per run of
-// its timeline, so a drift names the cell that moved.
+// the pausing PREMA and PRO, and the gated, host-launched BAT; hangs and
+// aborts with recovery off under LAX and PREMA; and a fault-free LAX run
+// under an armed watchdog. Every run is checked by the invariant checker. The
+// golden stores one sha256 per run of its timeline, so a drift names the cell
+// that moved.
 func TestKernelTimelineGolden(t *testing.T) {
 	lib := workload.NewLibrary(gpu.DefaultConfig())
 	cfg := cp.DefaultSystemConfig()
@@ -119,6 +124,31 @@ func TestKernelTimelineGolden(t *testing.T) {
 	}
 	if rec.WatchdogKills == 0 || rec.Aborts == 0 || rec.Retries == 0 || rec.Fallbacks == 0 || rec.RetiredCUs == 0 {
 		t.Fatalf("faulted runs lost a recovery path: %+v", rec)
+	}
+	// Recovery off: hangs strand their jobs until the fault horizon and
+	// aborts cancel theirs, so the device keeps hung WGs to the end.
+	for _, s := range []string{"LAX", "PREMA"} {
+		sys := run(s+"/LSTM/unrecovered", Sim{
+			Sched: s, Cfg: cfg, Set: lstm.Generate(lib, workload.HighRate, 64, 1),
+			Faults: timelineUnrecovered, FaultSeed: 7,
+		})
+		stranded, cancelled := 0, 0
+		for _, jr := range sys.Jobs() {
+			switch {
+			case jr.Cancelled():
+				cancelled++
+			case !jr.Done() && !jr.Rejected():
+				stranded++
+			}
+		}
+		if stranded == 0 || cancelled == 0 {
+			t.Fatalf("%s unrecovered: %d stranded, %d cancelled jobs; want both", s, stranded, cancelled)
+		}
+	}
+	// A healthy device under an armed watchdog: every timeout finds progress.
+	sys := run("LAX/LSTM/watchdog", Sim{Sched: "LAX", Cfg: faulted, Set: lstm.Generate(lib, workload.HighRate, 32, 1)})
+	if r := sys.Recovery(); r != (cp.RecoveryStats{}) {
+		t.Fatalf("fault-free watchdog run recovered something: %+v", r)
 	}
 	compareTimelineGolden(t, "kernel_timeline.golden.sha256", golden.Bytes())
 }
