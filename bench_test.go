@@ -165,6 +165,10 @@ func BenchmarkSeeds(b *testing.B) { runExperiment(b, "seeds") }
 // BenchmarkScaling regenerates the device-size sweep and multi-tenant mix.
 func BenchmarkScaling(b *testing.B) { runExperiment(b, "scaling") }
 
+// BenchmarkFaults regenerates the fault-injection sweep, recovery on against
+// recovery off.
+func BenchmarkFaults(b *testing.B) { runExperiment(b, "faults") }
+
 // benchSweepTable5 times the full table5 cell grid (13 schedulers x 8
 // benchmarks at the high rate) through the sweep engine at a fixed pool
 // width. Comparing the Serial and Parallel variants measures the speedup
@@ -290,21 +294,41 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	eng.Run()
 }
 
+// slowAttempts is a fault injector that stretches every attempt's WGs.
+type slowAttempts struct{}
+
+func (slowAttempts) KernelLaunch(sim.Time, int, int, int) gpu.KernelFault {
+	return gpu.KernelFault{Outcome: gpu.FaultSlow, SlowFactor: 1.5}
+}
+
 // BenchmarkDeviceWGThroughput measures WG dispatch+completion cost on a
-// saturated device.
+// saturated device, healthy and with a fault injector installed that slows
+// the attempt down.
 func BenchmarkDeviceWGThroughput(b *testing.B) {
-	eng := sim.NewEngine()
-	dev := gpu.New(gpu.DefaultConfig(), eng)
-	desc := &gpu.KernelDesc{
-		Name: "bench", NumWGs: b.N, ThreadsPerWG: 256,
-		BaseWGTime: sim.Microsecond, MemIntensity: 0.5, InstPerThread: 100,
+	for _, faulted := range []bool{false, true} {
+		name := "healthy"
+		if faulted {
+			name = "faulted"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			eng := sim.NewEngine()
+			dev := gpu.New(gpu.DefaultConfig(), eng)
+			if faulted {
+				dev.SetFaultInjector(slowAttempts{})
+			}
+			desc := &gpu.KernelDesc{
+				Name: "bench", NumWGs: b.N, ThreadsPerWG: 256,
+				BaseWGTime: sim.Microsecond, MemIntensity: 0.5, InstPerThread: 100,
+			}
+			inst := gpu.NewKernelInstance(desc, 0, 0, 0)
+			inst.MarkReady(0)
+			dev.OnWGComplete(func(*gpu.KernelInstance) { dev.TryDispatch(inst, -1) })
+			b.ResetTimer()
+			dev.TryDispatch(inst, -1)
+			eng.Run()
+		})
 	}
-	inst := gpu.NewKernelInstance(desc, 0, 0, 0)
-	inst.MarkReady(0)
-	dev.OnWGComplete(func(*gpu.KernelInstance) { dev.TryDispatch(inst, -1) })
-	b.ResetTimer()
-	dev.TryDispatch(inst, -1)
-	eng.Run()
 }
 
 // BenchmarkLAXReprioritize measures one Algorithm 2 pass over a full

@@ -130,30 +130,12 @@ func (s *System) retire() {
 // terminal state and is accounted for. The GPU queue is released
 // immediately; the job finishes (late) after its remaining work runs
 // serially at the configured CPUSlowdown, or the default recovery slowdown
-// when recovery is not configured. Terminal and not-yet-admitted jobs are
-// unaffected.
+// when recovery is not configured. Terminal jobs are unaffected; an
+// admitted job still waiting on the host for a queue falls back like any
+// other (online submission runs admission inline, so no job stays
+// pre-admission).
 func (s *System) FallBackToCPU(jr *JobRun) {
-	if jr.terminal() {
-		return
+	if !jr.terminal() {
+		s.fallbackToCPU(jr)
 	}
-	// A JobPending job here is admitted but host-queued (online submission
-	// runs arrive inline, so no job stays pre-admission): it falls back like
-	// any other — it has no queue to release and no watchdog to disarm.
-	if s.cfg.Recovery.CPUSlowdown <= 0 {
-		saved := s.cfg.Recovery.CPUSlowdown
-		s.cfg.Recovery.CPUSlowdown = DefaultRecoveryConfig().CPUSlowdown
-		defer func() { s.cfg.Recovery.CPUSlowdown = saved }()
-	}
-	if cur := jr.Current(); cur != nil {
-		s.disarmWatchdog(cur)
-	}
-	// A job still waiting for a compute queue must leave the host queue, or
-	// a later releaseQueue would bind a job that already fell back.
-	for i, h := range s.hostQ {
-		if h == jr {
-			s.hostQ = append(s.hostQ[:i], s.hostQ[i+1:]...)
-			break
-		}
-	}
-	s.fallbackToCPU(jr)
 }

@@ -1,6 +1,8 @@
 package cp
 
 import (
+	"slices"
+
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
@@ -277,10 +279,19 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 }
 
 // fallbackToCPU completes the job's remaining kernels on the host CPU: the
-// GPU queue is released immediately (another job can bind), and the job
-// finishes — late — after executing its remaining work serially at
-// CPUSlowdown × the isolated-GPU time.
+// watchdog is disarmed, the GPU queue is released immediately (another job
+// can bind) or the job leaves the host queue, and the job finishes — late —
+// after executing its remaining work serially at CPUSlowdown × the
+// isolated-GPU time, with the default slowdown when none is configured.
 func (s *System) fallbackToCPU(jr *JobRun) {
+	if cur := jr.Current(); cur != nil {
+		s.disarmWatchdog(cur)
+	}
+	// A job still waiting for a compute queue must leave the host queue, or
+	// a later releaseQueue would bind a job that already fell back.
+	if i := slices.Index(s.hostQ, jr); i >= 0 {
+		s.hostQ = slices.Delete(s.hostQ, i, i+1)
+	}
 	s.recStats.Fallbacks++
 	jr.FellBack = true
 	s.drop(jr)
@@ -303,7 +314,11 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 		}
 		remaining += t
 	}
-	cpuTime := sim.Time(float64(remaining) * s.cfg.Recovery.CPUSlowdown)
+	slowdown := s.cfg.Recovery.CPUSlowdown
+	if slowdown <= 0 {
+		slowdown = DefaultRecoveryConfig().CPUSlowdown
+	}
+	cpuTime := sim.Time(float64(remaining) * slowdown)
 	s.eng.After(cpuTime, func() {
 		jr.state = JobDone
 		jr.FinishTime = s.eng.Now()

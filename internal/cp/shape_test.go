@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/workload"
@@ -44,6 +45,15 @@ func TestJobRunHoldsOneKernelInstance(t *testing.T) {
 	}
 	if held != 1 {
 		t.Errorf("JobRun holds %d kernel instances by value, want exactly 1 (the head)", held)
+	}
+}
+
+// TestJobRunSlabFitsSizeClass keeps JobRun at 256 bytes or less, so the slab
+// NewSystem builds for a 128-job trace stays one 32 KB object: a few more
+// bytes per run put it in the next size class and add kilobytes per trace.
+func TestJobRunSlabFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(JobRun{}); size > 256 {
+		t.Errorf("JobRun is %d B; a 128-job slab no longer fits 32 KB", size)
 	}
 }
 

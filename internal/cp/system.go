@@ -168,7 +168,6 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	s.dev.OnWGComplete(s.onWGComplete)
 	s.dev.OnKernelDone(s.onKernelDone)
 	if cfg.Recovery.Watchdog {
-		s.dev.EnableWGTracking()
 		s.wdTimers = make(map[*gpu.KernelInstance]*wdEntry)
 		s.wdTable = core.NewProfilingTable(1)
 		s.wdKernels = make(map[string]*gpu.KernelDesc)

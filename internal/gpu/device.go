@@ -63,16 +63,9 @@ type Device struct {
 	// injector, when set, decides the fate of every kernel attempt.
 	injector FaultInjector
 
-	// track enables per-instance in-flight WG bookkeeping so Kill can
-	// reclaim resources. Off on the healthy fast path; turned on when an
-	// injector is installed or the CP arms its watchdog.
-	track    bool
-	inflight map[*KernelInstance][]*wgInFlight
-
-	// curBatch is the open WG-completion batch: consecutive WGs of one
+	// curBatch is the batch the next WG may join: consecutive WGs of one
 	// instance that share a completion instant and between which no other
-	// event was scheduled collapse into a single engine event. Only used on
-	// the untracked fast path.
+	// event was scheduled collapse into a single engine event.
 	curBatch *wgBatch
 	// freeBatches is the batch free list (singly linked through next).
 	freeBatches *wgBatch
@@ -90,16 +83,6 @@ type wgLoad struct {
 	l2demand float64
 }
 
-// wgInFlight records one dispatched, uncompleted WG so a kill can cancel
-// its completion and release what it holds. Only the tracked (fault /
-// watchdog) path allocates these; the healthy path batches completions
-// through pooled wgBatch structs instead.
-type wgInFlight struct {
-	ev sim.Handle // zero for hung WGs (they never scheduled one)
-	cu *computeUnit
-	wgLoad
-}
-
 // wgBatch is one pooled engine event carrying the completions of a
 // contiguous run of same-instance WGs that were dispatched back to back for
 // the same completion instant. Firing the batch replays each WG's
@@ -109,21 +92,30 @@ type wgInFlight struct {
 // event could have interleaved.
 //
 // Every WG of a batch is of one instance, so the batch stores the load once
-// and only the CU per WG. An instance that a CP re-initialises for its job's
-// next kernel never joins a batch of the kernel before: that kernel is done
-// only once its last WG has completed, so none of its batches is still open.
+// and only the CU per WG. The instance links its open batches, which is all
+// Kill needs to cancel them and release what their WGs hold. An instance
+// that a CP re-initialises for its job's next kernel never joins a batch of
+// the kernel before: that kernel is done only once its last WG has
+// completed, so none of its batches is still open.
+//
+// Faulted attempts batch too. A hung attempt's WGs sit in one held batch
+// that is never scheduled, and an aborting attempt's batch kills the attempt
+// when it fires instead of completing its WGs.
 type wgBatch struct {
 	d    *Device
 	inst *KernelInstance
 	ctr  *KernelCounter
-	at   sim.Time // completion instant
-	lat  sim.Time // dispatch-to-completion latency (same for all WGs)
-	load wgLoad   // same for all WGs
+	ev   sim.Handle // the batch's event; zero for a held batch
+	at   sim.Time   // completion instant
+	lat  sim.Time   // dispatch-to-completion latency (same for all WGs)
+	load wgLoad     // same for all WGs
 	// seqAfter is the engine's next sequence number as of the last append;
 	// a WG may join only while it still matches (no event scheduled since).
 	seqAfter uint64
 	cus      []*computeUnit // one per WG, in dispatch order
-	next     *wgBatch       // free list link
+	// prev and next link the instance's open batches; next alone links the
+	// free list.
+	prev, next *wgBatch
 }
 
 // Act fires the batch (sim.Action).
@@ -168,22 +160,8 @@ func (d *Device) OnKernelDone(fn func(*KernelInstance)) { d.onKernelDone = fn }
 func (d *Device) OnKernelAbort(fn func(*KernelInstance)) { d.onKernelAbort = fn }
 
 // SetFaultInjector installs a fault injector consulted at the start of
-// every kernel execution attempt, and enables the WG tracking a kill
-// needs. Pass before any dispatch.
-func (d *Device) SetFaultInjector(fi FaultInjector) {
-	d.injector = fi
-	d.EnableWGTracking()
-}
-
-// EnableWGTracking turns on per-instance in-flight bookkeeping so Kill can
-// reclaim a running attempt's resources. The CP enables it when its
-// watchdog is armed; SetFaultInjector enables it implicitly.
-func (d *Device) EnableWGTracking() {
-	d.track = true
-	if d.inflight == nil {
-		d.inflight = make(map[*KernelInstance][]*wgInFlight)
-	}
-}
+// every kernel execution attempt. Pass before any dispatch.
+func (d *Device) SetFaultInjector(fi FaultInjector) { d.injector = fi }
 
 // Stall blocks new WG dispatch for the given duration from now. In-flight
 // WGs are unaffected (they drain naturally). Overlapping stalls extend to
@@ -356,38 +334,7 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 	}
 	ctr := d.counterFor(inst)
 	d.counters.noteDispatch(ctr, now)
-
-	if !d.track {
-		// Healthy fast path: no kill can ever target this WG, so no
-		// per-WG bookkeeping — fold the completion into a batch event.
-		d.batchWG(inst, ctr, now+lat, lat, cu, load)
-		return
-	}
-
-	wg := &wgInFlight{cu: cu, wgLoad: load}
-	switch inst.fault.Outcome {
-	case FaultHang:
-		// The WG holds its CU and memory demand forever; only Kill (the
-		// CP watchdog) releases it. No completion is scheduled.
-		d.trackWG(inst, wg)
-		return
-	case FaultAbort:
-		// The attempt dies with its first failing WG: everything in
-		// flight is reclaimed and the CP is told it may retry.
-		wg.ev = d.eng.Schedule(now+lat, func() {
-			d.Kill(inst)
-			if d.onKernelAbort != nil {
-				d.onKernelAbort(inst)
-			}
-		})
-		d.trackWG(inst, wg)
-		return
-	}
-	wg.ev = d.eng.Schedule(now+lat, func() {
-		d.untrackWG(inst, wg)
-		d.completeWG(inst, ctr, lat, wg.cu, wg.wgLoad)
-	})
-	d.trackWG(inst, wg)
+	d.batchWG(inst, ctr, now+lat, lat, cu, load)
 }
 
 // counterFor resolves the instance's counter block, caching the dense
@@ -399,35 +346,74 @@ func (d *Device) counterFor(inst *KernelInstance) *KernelCounter {
 	return d.counters.byID[inst.cidPlus1-1]
 }
 
-// batchWG appends the WG to the open completion batch when it provably
+// batchWG adds the WG to a batch of its instance. A hung attempt's WGs join
+// its one held batch, which is never scheduled: they hold their CUs and
+// demand until Kill. Any other WG joins the open batch when that provably
 // preserves event order — same instance, same completion instant, and no
 // event scheduled since the batch's own (so the per-WG events' sequence
 // numbers would have been consecutive) — and otherwise opens a new batch.
 func (d *Device) batchWG(inst *KernelInstance, ctr *KernelCounter, at, lat sim.Time, cu *computeUnit, load wgLoad) {
 	b := d.curBatch
-	if b == nil || b.inst != inst || b.at != at || d.eng.NextSeq() != b.seqAfter {
-		b = d.getBatch()
-		b.inst = inst
-		b.ctr = ctr
-		b.at = at
-		b.lat = lat
-		b.load = load
-		d.eng.ScheduleAct(at, b)
+	switch {
+	case inst.fault.Outcome == FaultHang:
+		// Every open batch of the attempt is the held one.
+		if b = inst.batches; b == nil {
+			b = d.openBatch(inst, ctr, at, lat, load)
+		}
+	case b == nil || b.inst != inst || b.at != at || d.eng.NextSeq() != b.seqAfter:
+		b = d.openBatch(inst, ctr, at, lat, load)
+		b.ev = d.eng.ScheduleAct(at, b)
 		b.seqAfter = d.eng.NextSeq()
 		d.curBatch = b
 	}
 	b.cus = append(b.cus, cu)
 }
 
-// completeBatch replays each batched WG completion in dispatch order and
-// recycles the batch. New WGs dispatched by the completion callbacks open
-// fresh batches (curBatch is cleared first), so the struct is never
-// appended to while firing.
+// openBatch takes a batch off the free list (or allocates the first time)
+// and links it at the head of the instance's open batches.
+func (d *Device) openBatch(inst *KernelInstance, ctr *KernelCounter, at, lat sim.Time, load wgLoad) *wgBatch {
+	b := d.freeBatches
+	if b == nil {
+		b = &wgBatch{d: d}
+	} else {
+		d.freeBatches = b.next
+	}
+	b.inst, b.ctr, b.at, b.lat, b.load = inst, ctr, at, lat, load
+	b.next = inst.batches
+	if b.next != nil {
+		b.next.prev = b
+	}
+	inst.batches = b
+	return b
+}
+
+// completeBatch fires a batch. An aborting attempt's batch kills the attempt
+// — reclaiming this batch with the others — and tells the CP it may retry.
+// Any other batch replays each WG completion in dispatch order and is
+// recycled. New WGs dispatched by the completion callbacks open fresh
+// batches (curBatch is cleared first, and the batch is unlinked from its
+// instance), so the struct is never appended to while firing.
 func (d *Device) completeBatch(b *wgBatch) {
 	if d.curBatch == b {
 		d.curBatch = nil
 	}
-	inst, ctr, lat, load := b.inst, b.ctr, b.lat, b.load
+	inst := b.inst
+	if inst.fault.Outcome == FaultAbort {
+		d.Kill(inst)
+		if d.onKernelAbort != nil {
+			d.onKernelAbort(inst)
+		}
+		return
+	}
+	if b.prev == nil {
+		inst.batches = b.next
+	} else {
+		b.prev.next = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	}
+	ctr, lat, load := b.ctr, b.lat, b.load
 	for _, cu := range b.cus {
 		d.completeWG(inst, ctr, lat, cu, load)
 	}
@@ -459,71 +445,43 @@ func (d *Device) completeWG(inst *KernelInstance, ctr *KernelCounter, lat sim.Ti
 	}
 }
 
-// getBatch takes a batch struct off the free list (or allocates the first
-// time).
-func (d *Device) getBatch() *wgBatch {
-	b := d.freeBatches
-	if b == nil {
-		return &wgBatch{d: d}
-	}
-	d.freeBatches = b.next
-	b.next = nil
-	return b
-}
-
-// putBatch recycles a fired batch: payload references are dropped so pooled
-// structs never pin instances, but the CU list's backing array is kept.
+// putBatch recycles a fired or killed batch: payload references are dropped
+// so pooled structs never pin instances, but the CU list's backing array is
+// kept.
 func (d *Device) putBatch(b *wgBatch) {
-	b.inst = nil
-	b.ctr = nil
+	b.inst, b.ctr, b.prev = nil, nil, nil
+	b.ev = sim.Handle{}
 	b.cus = b.cus[:0]
 	b.next = d.freeBatches
 	d.freeBatches = b
 }
 
-func (d *Device) trackWG(inst *KernelInstance, wg *wgInFlight) {
-	if !d.track {
-		return
-	}
-	d.inflight[inst] = append(d.inflight[inst], wg)
-}
-
-func (d *Device) untrackWG(inst *KernelInstance, wg *wgInFlight) {
-	if !d.track {
-		return
-	}
-	list := d.inflight[inst]
-	for i, w := range list {
-		if w == wg {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(d.inflight, inst)
-	} else {
-		d.inflight[inst] = list
-	}
-}
-
-// Kill aborts the instance's current execution attempt: every in-flight WG
-// is cancelled and its resources reclaimed, dispatched-but-unfinished work
-// is rolled back (completed WGs are kept), and the instance returns to
-// ready under a new Attempt number. Returns the number of WGs reclaimed.
-// Requires WG tracking (a fault injector or the CP watchdog).
+// Kill aborts the instance's current execution attempt: its open batches are
+// cancelled and every WG in them releases what it holds, dispatched-but-
+// unfinished work is rolled back (completed WGs are kept), and the instance
+// returns to ready under a new Attempt number. Returns the number of WGs
+// reclaimed.
 func (d *Device) Kill(inst *KernelInstance) int {
-	entries := d.inflight[inst]
-	delete(d.inflight, inst)
 	now := d.eng.Now()
-	for _, wg := range entries {
-		wg.ev.Cancel() // no-op for hung WGs (zero Handle) and fired events
-		wg.cu.release(wg.f)
-		d.roomFreed(wg.cu)
-		d.activeMemDemand -= wg.demand
-		d.activeL2Demand -= wg.l2demand
-		d.counters.noteKilled(d.counterFor(inst), now)
+	killed := 0
+	for b := inst.batches; b != nil; {
+		next := b.next
+		b.ev.Cancel() // no-op for a held batch and for one firing now
+		if d.curBatch == b {
+			d.curBatch = nil
+		}
+		for _, cu := range b.cus {
+			cu.release(b.load.f)
+			d.roomFreed(cu)
+			d.activeMemDemand -= b.load.demand
+			d.activeL2Demand -= b.load.l2demand
+			d.counters.noteKilled(b.ctr, now)
+		}
+		killed += len(b.cus)
+		d.putBatch(b)
+		b = next
 	}
+	inst.batches = nil
 	if d.activeMemDemand < 1e-9 {
 		d.activeMemDemand = 0
 	}
@@ -531,7 +489,7 @@ func (d *Device) Kill(inst *KernelInstance) int {
 		d.activeL2Demand = 0
 	}
 	inst.resetAttempt()
-	return len(entries)
+	return killed
 }
 
 // RetireCUs permanently removes up to n CUs from WG placement, highest

@@ -115,7 +115,6 @@ func TestFaultAbortKillsAttemptAndFiresCallback(t *testing.T) {
 func TestKillKeepsCompletedWGs(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(DefaultConfig(), eng)
-	d.EnableWGTracking()
 	// 4 WGs of staggered dispatch: run until 2 complete, then kill.
 	k := testKernel("k", 4, 64, 10*sim.Microsecond, 0)
 	inst := NewKernelInstance(k, 1, 1, 0)
@@ -196,5 +195,133 @@ func TestHealthyPathIdenticalWithNoneInjector(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("injector-free run finished at %v, none-injector run at %v", a, b)
+	}
+}
+
+// noneOrSlow draws no fault for even job IDs and a 2x slowdown for odd ones.
+type noneOrSlow struct{}
+
+func (noneOrSlow) KernelLaunch(_ sim.Time, jobID, _, _ int) KernelFault {
+	if jobID%2 == 1 {
+		return KernelFault{Outcome: FaultSlow, SlowFactor: 2}
+	}
+	return KernelFault{}
+}
+
+// TestFaultedWGPathAllocationFree: a device with a fault injector completes
+// WGs through the same pooled batches as a healthy one, so once the pools
+// are warm a WG costs no allocation, whether its attempt drew no fault or a
+// slowdown.
+func TestFaultedWGPathAllocationFree(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(DefaultConfig(), eng)
+	d.SetFaultInjector(noneOrSlow{})
+	k := testKernel("k", 64, 256, 10*sim.Microsecond, 0.5)
+	insts := []*KernelInstance{NewKernelInstance(k, 0, 0, 0), NewKernelInstance(k, 1, 1, 0)}
+	d.OnWGComplete(func(ki *KernelInstance) { d.TryDispatch(ki, -1) })
+	finished := make([]sim.Time, len(insts))
+	d.OnKernelDone(func(ki *KernelInstance) { finished[ki.JobID] = eng.Now() })
+	run := func() {
+		start := eng.Now()
+		for i, inst := range insts {
+			*inst = KernelInstance{Desc: k, JobID: i, QueueID: i}
+			inst.MarkReady(start)
+			d.TryDispatch(inst, -1)
+		}
+		eng.Run()
+		for i := range finished {
+			finished[i] -= start
+		}
+	}
+	for range 3 { // warm the batch pool, the CU lists and the event heap
+		run()
+	}
+	if finished[1] <= finished[0] {
+		t.Fatalf("slowed kernel took %v, unslowed %v: the injector drew nothing", finished[1], finished[0])
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("%v allocations per %d WGs on a faulted device, want 0", allocs, len(insts)*k.NumWGs)
+	}
+}
+
+// TestKillReclaimsOpenBatches: Kill cancels every open batch of the killed
+// attempt — batches for distinct completion instants, among them the open
+// one the next WG could join, and a hung attempt's held batch — and returns
+// what their WGs hold: the CUs and both bandwidth demands come back to zero,
+// no killed batch fires, and the retries reuse the pooled batches.
+func TestKillReclaimsOpenBatches(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2BandwidthDemand = cfg.MemBandwidthDemand // two-level model: DRAM and L2 demand
+	eng := sim.NewEngine()
+	d := New(cfg, eng)
+	d.SetFaultInjector(&scriptedInjector{faults: map[[3]int]KernelFault{{2, 0, 0}: {Outcome: FaultHang}}})
+	k := testKernel("k", 8, 64, 10*sim.Microsecond, 0.5)
+	k.L2HitFrac = 0.5
+	running, hung := NewKernelInstance(k, 1, 1, 0), NewKernelInstance(k, 2, 2, 0)
+	running.MarkReady(0)
+	hung.MarkReady(0)
+	idle := d.String()
+
+	for i := range 3 { // two WGs completing at 10, 11 and 12 µs
+		eng.RunUntil(sim.Time(i) * sim.Microsecond)
+		d.TryDispatch(running, 2)
+	}
+	d.TryDispatch(hung, 3)
+	if d.curBatch == nil || d.curBatch.inst != running {
+		t.Fatal("the running attempt's last batch is not the open one")
+	}
+	reclaimed := map[*wgBatch]bool{}
+	for _, inst := range []*KernelInstance{running, hung} {
+		for b := inst.batches; b != nil; b = b.next {
+			reclaimed[b] = true
+		}
+	}
+	if held := hung.batches; held == nil || held.next != nil || held.ev != (sim.Handle{}) || len(held.cus) != 3 {
+		t.Fatal("the hung attempt's WGs are not in one unscheduled batch")
+	}
+	if len(reclaimed) != 4 {
+		t.Fatalf("%d open batches, want 3 for the running attempt and 1 held", len(reclaimed))
+	}
+
+	if n := d.Kill(running); n != 6 {
+		t.Fatalf("Kill(running) reclaimed %d WGs, want 6", n)
+	}
+	if n := d.Kill(hung); n != 3 {
+		t.Fatalf("Kill(hung) reclaimed %d WGs, want 3", n)
+	}
+	if d.ActiveWGs() != 0 || d.activeMemDemand != 0 || d.activeL2Demand != 0 || d.String() != idle {
+		t.Fatalf("after the kills: %d WGs, DRAM demand %v, L2 demand %v, CUs %s; want an idle device %s",
+			d.ActiveWGs(), d.activeMemDemand, d.activeL2Demand, d, idle)
+	}
+	if d.curBatch != nil || running.batches != nil || hung.batches != nil {
+		t.Fatal("a killed batch is still open")
+	}
+	free := 0
+	for b := d.freeBatches; b != nil; b = b.next {
+		if !reclaimed[b] || b.inst != nil || len(b.cus) != 0 {
+			t.Fatal("the free list holds a batch Kill did not reclaim, or one still loaded")
+		}
+		free++
+	}
+	if free != 4 {
+		t.Fatalf("%d batches back in the pool, want 4", free)
+	}
+	d.OnWGComplete(func(*KernelInstance) { t.Fatal("a killed WG completed") })
+	eng.Run()
+	if d.Counters().TotalKilled() != 9 || d.Counters().TotalCompleted() != 0 {
+		t.Fatalf("counters: %d killed, %d completed; want 9, 0", d.Counters().TotalKilled(), d.Counters().TotalCompleted())
+	}
+
+	// The retries (attempt 1 draws no fault) run on pooled batches.
+	d.OnWGComplete(nil)
+	for _, inst := range []*KernelInstance{running, hung} {
+		d.TryDispatch(inst, -1)
+		if !reclaimed[d.curBatch] {
+			t.Fatal("a retry allocated a batch while the pool had one")
+		}
+	}
+	eng.Run()
+	if !running.Done() || !hung.Done() {
+		t.Fatalf("retries did not finish: %v, %v", running, hung)
 	}
 }

@@ -144,6 +144,10 @@ type KernelInstance struct {
 	// attempt's first WG dispatches.
 	fault KernelFault
 
+	// batches heads the list of the device's open completion batches
+	// holding this instance's in-flight WGs (see wgBatch).
+	batches *wgBatch
+
 	state      KernelState
 	dispatched int // WGs handed to CUs
 	completed  int // WGs finished

@@ -14,11 +14,10 @@ import (
 // list before every dispatch, so its TryDispatch always scans the CUs — the
 // code path before the memo existed.
 type memoRig struct {
-	d     *Device
-	eng   *sim.Engine
-	rng   *rand.Rand
-	scan  bool
-	track bool
+	d    *Device
+	eng  *sim.Engine
+	rng  *rand.Rand
+	scan bool
 	// skipRecompute is the broken variant: a release that drops a no-room
 	// entry leaves blocked as it was, as if roomFreed forgot to re-derive it.
 	skipRecompute bool
@@ -48,15 +47,12 @@ func memoDescs() []*KernelDesc {
 	}
 }
 
-func newMemoRig(placement PlacementPolicy, seed int64, track, scan bool) *memoRig {
+func newMemoRig(placement PlacementPolicy, seed int64, scan bool) *memoRig {
 	cfg := DefaultConfig()
 	cfg.Placement = placement
 	eng := sim.NewEngine()
 	r := &memoRig{d: New(cfg, eng), eng: eng, rng: rand.New(rand.NewSource(seed)),
-		scan: scan, track: track, descs: memoDescs()}
-	if track {
-		r.d.EnableWGTracking()
-	}
+		scan: scan, descs: memoDescs()}
 	for i := 0; i < 8; i++ {
 		r.insts = append(r.insts, r.fresh())
 	}
@@ -131,9 +127,7 @@ func (r *memoRig) step() {
 	case op < 88:
 		r.eng.Step() // one WG completion (or batch of them), refills included
 	case op < 92:
-		if r.track {
-			r.d.Kill(r.pick())
-		}
+		r.d.Kill(r.pick())
 	case op < 93:
 		if r.d.ActiveCUs() > 3 {
 			r.d.RetireCUs(1)
@@ -159,32 +153,30 @@ func (r *memoRig) state() string {
 // TestNoRoomMemoMatchesScan is the memo's property test: a device answering
 // "no room" from its list and one that always scans stay in the same state
 // through 10 000 random dispatches (limited and unlimited), WG completions,
-// kills, CU retirements and stalls, under every placement policy, on both
-// the tracked and the batched completion path — and after every step the
-// memo device's blocked bits are exactly what its no-room list implies.
+// kills, CU retirements and stalls, under every placement policy from two
+// seeds each — and after every step the memo device's blocked bits are
+// exactly what its no-room list implies.
 func TestNoRoomMemoMatchesScan(t *testing.T) {
 	for _, placement := range []PlacementPolicy{FirstFit, BestFit, RoundRobin} {
-		for _, track := range []bool{false, true} {
-			name := fmt.Sprintf("%v/track=%v", placement, track)
-			t.Run(name, func(t *testing.T) {
-				seed := int64(placement)*2 + 17
-				memo := newMemoRig(placement, seed, track, false)
-				ref := newMemoRig(placement, seed, track, true)
+		t.Run(placement.String(), func(t *testing.T) {
+			for _, seed := range []int64{int64(placement)*2 + 17, int64(placement)*2 + 18} {
+				memo := newMemoRig(placement, seed, false)
+				ref := newMemoRig(placement, seed, true)
 				for i := 0; i < 10000; i++ {
 					memo.step()
 					ref.step()
 					if got, want := memo.state(), ref.state(); got != want {
-						t.Fatalf("step %d diverged:\n memo %s\n scan %s", i, got, want)
+						t.Fatalf("seed %d step %d diverged:\n memo %s\n scan %s", seed, i, got, want)
 					}
 					if err := blockedMatchesNoRoom(memo.d); err != nil {
-						t.Fatalf("step %d: %v", i, err)
+						t.Fatalf("seed %d step %d: %v", seed, i, err)
 					}
 				}
 				if memo.memoHits < 1000 {
-					t.Fatalf("the no-room list answered only %d dispatches; the test exercises nothing", memo.memoHits)
+					t.Fatalf("seed %d: the no-room list answered only %d dispatches; the test exercises nothing", seed, memo.memoHits)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -193,9 +185,9 @@ func TestNoRoomMemoMatchesScan(t *testing.T) {
 // the blocked/noRoom equivalence breaks, and the device refuses a WG the
 // scanning reference places.
 func TestStaleBlockedIsCaught(t *testing.T) {
-	broken := newMemoRig(FirstFit, 17, false, false)
+	broken := newMemoRig(FirstFit, 17, false)
 	broken.skipRecompute = true
-	ref := newMemoRig(FirstFit, 17, false, true)
+	ref := newMemoRig(FirstFit, 17, true)
 	invariant, diverged := false, false
 	for i := 0; i < 10000 && !diverged; i++ {
 		broken.step()
