@@ -24,6 +24,7 @@ type memoRig struct {
 	descs         []*KernelDesc
 	insts         []*KernelInstance
 	nextID        int
+	faults        *memoFaults // nil on a healthy rig
 
 	placed   int // WGs placed by the step's dispatches (callbacks included)
 	memoHits int // dispatches the no-room list answered without a scan
@@ -47,12 +48,36 @@ func memoDescs() []*KernelDesc {
 	}
 }
 
-func newMemoRig(placement PlacementPolicy, seed int64, scan bool) *memoRig {
+// memoFaults gives one attempt in six a hang, one an abort and one a 1.5x
+// slowdown, keyed on (jobID + attempt) so a killed attempt may draw a
+// different fate on its retry. drawn counts the attempts given each outcome.
+type memoFaults struct{ drawn [4]int }
+
+func (mf *memoFaults) KernelLaunch(_ sim.Time, jobID, _, attempt int) KernelFault {
+	f := KernelFault{}
+	switch (jobID + attempt) % 6 {
+	case 0:
+		f = KernelFault{Outcome: FaultHang}
+	case 1:
+		f = KernelFault{Outcome: FaultAbort}
+	case 2:
+		f = KernelFault{Outcome: FaultSlow, SlowFactor: 1.5}
+	}
+	mf.drawn[f.Outcome]++
+	return f
+}
+
+// newMemoRig builds a rig; faulted attaches memoFaults to its device.
+func newMemoRig(placement PlacementPolicy, seed int64, faulted, scan bool) *memoRig {
 	cfg := DefaultConfig()
 	cfg.Placement = placement
 	eng := sim.NewEngine()
 	r := &memoRig{d: New(cfg, eng), eng: eng, rng: rand.New(rand.NewSource(seed)),
 		scan: scan, descs: memoDescs()}
+	if faulted {
+		r.faults = &memoFaults{}
+		r.d.SetFaultInjector(r.faults)
+	}
 	for i := 0; i < 8; i++ {
 		r.insts = append(r.insts, r.fresh())
 	}
@@ -155,28 +180,40 @@ func (r *memoRig) state() string {
 // through 10 000 random dispatches (limited and unlimited), WG completions,
 // kills, CU retirements and stalls, under every placement policy from two
 // seeds each — and after every step the memo device's blocked bits are
-// exactly what its no-room list implies.
+// exactly what its no-room list implies. Subtests with track=true attach a
+// fault injector, so WGs of hung, aborting and slowed attempts also hold and
+// release room through the batches; track=false runs healthy.
 func TestNoRoomMemoMatchesScan(t *testing.T) {
 	for _, placement := range []PlacementPolicy{FirstFit, BestFit, RoundRobin} {
-		t.Run(placement.String(), func(t *testing.T) {
-			for _, seed := range []int64{int64(placement)*2 + 17, int64(placement)*2 + 18} {
-				memo := newMemoRig(placement, seed, false)
-				ref := newMemoRig(placement, seed, true)
-				for i := 0; i < 10000; i++ {
-					memo.step()
-					ref.step()
-					if got, want := memo.state(), ref.state(); got != want {
-						t.Fatalf("seed %d step %d diverged:\n memo %s\n scan %s", seed, i, got, want)
+		for _, track := range []bool{false, true} {
+			name := fmt.Sprintf("%v/track=%v", placement, track)
+			t.Run(name, func(t *testing.T) {
+				for _, seed := range []int64{int64(placement)*2 + 17, int64(placement)*2 + 18} {
+					memo := newMemoRig(placement, seed, track, false)
+					ref := newMemoRig(placement, seed, track, true)
+					for i := 0; i < 10000; i++ {
+						memo.step()
+						ref.step()
+						if got, want := memo.state(), ref.state(); got != want {
+							t.Fatalf("seed %d step %d diverged:\n memo %s\n scan %s", seed, i, got, want)
+						}
+						if err := blockedMatchesNoRoom(memo.d); err != nil {
+							t.Fatalf("seed %d step %d: %v", seed, i, err)
+						}
 					}
-					if err := blockedMatchesNoRoom(memo.d); err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, i, err)
+					if memo.memoHits < 1000 {
+						t.Fatalf("seed %d: the no-room list answered only %d dispatches; the test exercises nothing", seed, memo.memoHits)
+					}
+					if track {
+						for _, o := range []FaultOutcome{FaultHang, FaultAbort, FaultSlow} {
+							if n := memo.faults.drawn[o]; n < 20 {
+								t.Fatalf("seed %d: only %d attempts drew %v; the faulted run exercises nothing", seed, n, o)
+							}
+						}
 					}
 				}
-				if memo.memoHits < 1000 {
-					t.Fatalf("seed %d: the no-room list answered only %d dispatches; the test exercises nothing", seed, memo.memoHits)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -185,9 +222,9 @@ func TestNoRoomMemoMatchesScan(t *testing.T) {
 // the blocked/noRoom equivalence breaks, and the device refuses a WG the
 // scanning reference places.
 func TestStaleBlockedIsCaught(t *testing.T) {
-	broken := newMemoRig(FirstFit, 17, false)
+	broken := newMemoRig(FirstFit, 17, false, false)
 	broken.skipRecompute = true
-	ref := newMemoRig(FirstFit, 17, true)
+	ref := newMemoRig(FirstFit, 17, false, true)
 	invariant, diverged := false, false
 	for i := 0; i < 10000 && !diverged; i++ {
 		broken.step()
