@@ -29,9 +29,9 @@ type CapacityOptions struct {
 	// sustain". Empty means a healthy device.
 	Faults string
 
-	// Scenario optionally names a workload scenario — a builtin from
-	// examples/scenarios ("diurnal", "burst-storm", "three-tenant") or a
-	// path to a scenario JSON file. When set, every probe replays the
+	// Scenario optionally names a workload scenario — a builtin, that is
+	// any examples/scenarios/<name>.json by name ("steady", "diurnal", ...),
+	// or a path to a scenario JSON file. When set, every probe replays the
 	// scenario's peak-phase tenant mix scaled to the probed aggregate rate
 	// (see scenario.PeakPhase), so the search answers "what total arrival
 	// rate does this scenario's worst phase allow". Benchmark is ignored.

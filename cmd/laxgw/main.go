@@ -102,23 +102,23 @@ func run(args []string, stderr io.Writer) int {
 
 // build assembles the fleet (gateway.NewFleet) and, with -autoscale, its
 // controller (autoscale.ForPolicy; nil otherwise).
-func build(o options) (*gateway.Gateway, *autoscale.Controller, func(), error) {
+func build(o options) (*gateway.Gateway, *autoscale.Controller, error) {
 	var forecast autoscale.Forecast
 	if o.autoscale != "" {
 		if o.nodes != "" {
-			return nil, nil, nil, errors.New("-autoscale scales in-process nodes only and does not combine with -nodes")
+			return nil, nil, errors.New("-autoscale scales in-process nodes only and does not combine with -nodes")
 		}
 		if o.forecast != "" {
 			spec, err := scenario.Load(o.forecast)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("-scale-forecast: %w", err)
+				return nil, nil, fmt.Errorf("-scale-forecast: %w", err)
 			}
 			forecast = spec
 		}
 	}
 	reg := obs.NewRegistry()
 	simulated := func(wall time.Duration) sim.Time { return sim.FromDuration(time.Duration(float64(wall) * o.speed)) }
-	gw, grow, closeFleet, err := gateway.NewFleet(o.gpus, o.nodes, gateway.InprocConfig{
+	gw, err := gateway.NewFleet(o.gpus, o.nodes, gateway.InprocConfig{
 		Node:        serve.NodeConfig{Scheduler: o.scheduler, Seed: o.seed},
 		AcceptQueue: o.queue,
 		Registry:    reg,
@@ -130,31 +130,27 @@ func build(o options) (*gateway.Gateway, *autoscale.Controller, func(), error) {
 		Seed:          o.seed,
 	})
 	if err != nil || o.autoscale == "" {
-		return gw, nil, closeFleet, err
+		return gw, nil, err
 	}
 	ctrl, err := autoscale.ForPolicy(o.autoscale, autoscale.Options{
 		Gateway:  gw,
 		Forecast: forecast,
 		Config:   autoscale.Config{NodeRate: o.nodeRate, Lag: simulated(o.scaleLag), MinNodes: o.minNodes, MaxNodes: o.maxNodes},
-		Factory:  grow,
-		// A drained node's simulation can stop as soon as the gateway
-		// retires it; don't stall the control tick on it.
-		OnRetire: func(_ string, be gateway.Backend) { go be.(*gateway.InprocBackend).Shutdown(time.Second) },
 	})
 	if err != nil {
-		closeFleet()
-		return nil, nil, nil, fmt.Errorf("-autoscale: %w", err)
+		gw.Close(context.Background(), 0)
+		return nil, nil, fmt.Errorf("-autoscale: %w", err)
 	}
-	return gw, ctrl, closeFleet, nil
+	return gw, ctrl, nil
 }
 
 // serveFleet builds the fleet, serves it until SIGINT/SIGTERM and drains it.
 func serveFleet(o options, stderr io.Writer) error {
-	gw, ctrl, closeFleet, err := build(o)
+	gw, ctrl, err := build(o)
 	if err != nil {
 		return err
 	}
-	defer closeFleet()
+	defer gw.Close(context.Background(), o.drain) // joins the drain below once it has begun
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
@@ -185,7 +181,7 @@ func serveFleet(o options, stderr io.Writer) error {
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), o.drain+10*time.Second)
 	defer cancel()
-	if err := gw.Shutdown(sctx, o.drain); err != nil {
+	if err := gw.Close(sctx, o.drain); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	_ = hs.Shutdown(sctx) // best effort: every job is already terminal

@@ -1,9 +1,12 @@
 package autoscale
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/serve"
@@ -162,12 +165,12 @@ func TestPredictiveProvisionsAheadOfKnee(t *testing.T) {
 // Config.DrainPatience, so the scaling policies ForPolicy builds must drain
 // after exactly the default 3 calm ticks — not on the first one.
 func TestForPolicyDefaultsDrainPatience(t *testing.T) {
-	gw, _, grow := oneNodeFleet(t, 1)
+	gw, _ := oneNodeFleet(t, 1)
 	for name, calm := range map[string]Analysis{
 		"reactive":   {Active: 3, Utilization: 0.6, MetNow: 0.99, MetDown: 0.99},
 		"predictive": {Active: 3, Utilization: 0.6, KneeNodes: 1},
 	} {
-		ctrl, err := ForPolicy(name, Options{Gateway: gw, Config: Config{NodeRate: 100}, Factory: grow})
+		ctrl, err := ForPolicy(name, Options{Gateway: gw, Config: Config{NodeRate: 100}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,24 +228,23 @@ func (f stepForecast) RateAt(t sim.Time) float64 {
 }
 
 // oneNodeFleet is the recipe's one-node in-process LAX fleet on a manual
-// clock, with the node factory controllers grow it by.
-func oneNodeFleet(t *testing.T, seed int64) (*gateway.Gateway, *serve.ManualClock, Factory) {
+// clock; controllers grow it from the recipe's template.
+func oneNodeFleet(t *testing.T, seed int64) (*gateway.Gateway, *serve.ManualClock) {
 	t.Helper()
 	clock := serve.NewManualClock()
-	gw, grow, closeFleet, err := gateway.NewFleet(1, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
+	gw, err := gateway.NewFleet(1, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
 		gateway.Options{Clock: clock, Seed: seed, FailThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(closeFleet)
-	return gw, clock, grow
+	t.Cleanup(func() { gw.Close(context.Background(), time.Second) })
+	return gw, clock
 }
 
 // lifecycleRun is one deterministic predictive-controller run's summary.
 type lifecycleRun struct {
 	ScaleUps, Drains int
 	ActiveEnd        int
-	Retired          []string
 	Drained          []string
 	NodeSeconds      float64
 }
@@ -251,8 +253,7 @@ type lifecycleRun struct {
 // [20ms, 50ms), predictive policy with 10ms lag. Ticks every 1ms to 60ms.
 func runLifecycle(t *testing.T) lifecycleRun {
 	t.Helper()
-	gw, _, grow := oneNodeFleet(t, 7)
-	var retired []string
+	gw, _ := oneNodeFleet(t, 7)
 	ctrl, err := New(Options{
 		Gateway: gw,
 		Policy:  &Predictive{Patience: 2},
@@ -263,8 +264,6 @@ func runLifecycle(t *testing.T) lifecycleRun {
 			MaxNodes: 4,
 		},
 		Forecast: stepForecast{from: 20 * sim.Millisecond, to: 50 * sim.Millisecond, low: 50, high: 900},
-		Factory:  grow,
-		OnRetire: func(name string, be gateway.Backend) { retired = append(retired, name) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +291,6 @@ func runLifecycle(t *testing.T) lifecycleRun {
 		ScaleUps:    ctrl.ScaleUps(),
 		Drains:      ctrl.Drains(),
 		ActiveEnd:   gw.ActiveNodes(),
-		Retired:     retired,
 		Drained:     gw.DrainedNodes(),
 		NodeSeconds: ctrl.NodeSeconds(),
 	}
@@ -312,10 +310,10 @@ func TestControllerLagLifecycle(t *testing.T) {
 	if r.ActiveEnd < 1 {
 		t.Fatalf("fleet fell below MinNodes: %d", r.ActiveEnd)
 	}
-	if len(r.Retired) == 0 || len(r.Retired) != len(r.Drained) {
-		t.Fatalf("OnRetire fired for %v but gateway drained %v", r.Retired, r.Drained)
+	if len(r.Drained) == 0 {
+		t.Fatal("gateway retired no drained node")
 	}
-	for _, name := range r.Retired {
+	for _, name := range r.Drained {
 		if len(name) < 5 || name[:5] != "scale" {
 			t.Fatalf("drained the seed node %q — LIFO scale-in must retire grown nodes first", name)
 		}
@@ -337,11 +335,10 @@ func TestControllerDeterministic(t *testing.T) {
 }
 
 func TestControllerReactiveWithTrafficLossless(t *testing.T) {
-	gw, clock, grow := oneNodeFleet(t, 9)
+	gw, clock := oneNodeFleet(t, 9)
 	ctrl, err := ForPolicy("reactive", Options{
 		Gateway: gw,
 		Config:  Config{NodeRate: 50, Lag: 5 * sim.Millisecond, MinNodes: 1, MaxNodes: 3, DrainPatience: 2},
-		Factory: grow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +415,46 @@ func TestControllerReactiveWithTrafficLossless(t *testing.T) {
 	}
 }
 
+// stubNode is a healthy node that refuses every job: a hand-assembled
+// gateway's only member.
+type stubNode struct{}
+
+func (stubNode) Name() string                             { return "stub" }
+func (stubNode) Probe(sim.Time) (gateway.Headroom, error) { return gateway.Headroom{}, nil }
+func (stubNode) Submit(sim.Time, *gateway.Job, func(gateway.Outcome)) (gateway.Verdict, error) {
+	return gateway.Verdict{}, errors.New("stub refuses work")
+}
+
+// alwaysUp asks for one more node every tick.
+type alwaysUp struct{}
+
+func (alwaysUp) Name() string             { return "always-up" }
+func (alwaysUp) Decide(Analysis) Decision { return Decision{Action: ScaleUp, Nodes: 1} }
+
+// TestGrowFailureIsFailedProvision pins the scale-up path on a fleet the
+// gateway cannot grow (remote or hand-assembled): each due node is counted
+// as a failed provision and the fleet keeps its size.
+func TestGrowFailureIsFailedProvision(t *testing.T) {
+	gw, err := gateway.New(gateway.Options{Backends: []gateway.Backend{stubNode{}}, Clock: serve.NewManualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := New(Options{Gateway: gw, Policy: alwaysUp{}, Config: Config{NodeRate: 100, Lag: sim.Millisecond, MaxNodes: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Tick(0)
+	ctrl.Tick(sim.Millisecond)
+	if got := ctrl.cFailedProvision.Value(); got != 1 {
+		t.Fatalf("failed provisions = %d, want 1", got)
+	}
+	if n := len(gw.Loads()); n != 1 {
+		t.Fatalf("fleet has %d nodes after a failed provision, want 1", n)
+	}
+}
+
 func TestControllerMetricsRegistered(t *testing.T) {
-	gw, _, _ := oneNodeFleet(t, 1)
+	gw, _ := oneNodeFleet(t, 1)
 	if _, err := New(Options{Gateway: gw, Config: Config{NodeRate: 100}}); err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +484,7 @@ func TestNewRejectsMisconfiguration(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("New accepted a nil gateway")
 	}
-	gw, _, _ := oneNodeFleet(t, 1)
+	gw, _ := oneNodeFleet(t, 1)
 	if _, err := New(Options{Gateway: gw}); err == nil {
 		t.Error("New accepted a zero NodeRate")
 	}

@@ -11,12 +11,6 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// Factory provisions one new serving node when a scale-up's lag elapses.
-// It returns the backend the gateway should start routing to; an error
-// cancels that scale-up (the controller logs it as a failed provision and
-// the policy will re-request if still short).
-type Factory func(name string) (gateway.Backend, error)
-
 // Options wires a Controller to its gateway.
 type Options struct {
 	// Gateway is the fleet front tier being scaled (required).
@@ -32,15 +26,6 @@ type Options struct {
 	// Forecast optionally publishes the workload's future offered rate
 	// (wire the run's *scenario.Spec here for the predictive policy).
 	Forecast Forecast
-
-	// Factory builds nodes for scale-ups (required unless the policy can
-	// never scale up).
-	Factory Factory
-
-	// OnRetire fires once per node the controller drained, when the
-	// gateway retires it (all its work finished or re-dispatched) — the
-	// hook to Shutdown an InprocBackend's driver. Called from Tick.
-	OnRetire func(name string, be gateway.Backend)
 }
 
 // pendingNode is a scale-up inside its provisioning lag.
@@ -54,17 +39,13 @@ type pendingNode struct {
 // lag. It is not goroutine-safe — drive it from one goroutine (a
 // gateway.Replay hook or Start's ticker), which also serializes policy state.
 type Controller struct {
-	gw       *gateway.Gateway
-	policy   Policy
-	cfg      Config
-	an       analyzer
-	factory  Factory
-	onRetire func(string, gateway.Backend)
+	gw     *gateway.Gateway
+	policy Policy
+	cfg    Config
+	an     analyzer
 
 	pending []pendingNode
-	grown   int                        // names minted so far
-	owned   map[string]gateway.Backend // nodes this controller added, by name
-	retired map[string]bool            // owned nodes already handed to OnRetire
+	grown   int // names minted so far
 
 	lastTick    sim.Time
 	haveTick    bool
@@ -94,14 +75,10 @@ func New(opt Options) (*Controller, error) {
 		pol = Static{}
 	}
 	c := &Controller{
-		gw:       opt.Gateway,
-		policy:   pol,
-		cfg:      cfg,
-		an:       analyzer{cfg: cfg, forecast: opt.Forecast},
-		factory:  opt.Factory,
-		onRetire: opt.OnRetire,
-		owned:    make(map[string]gateway.Backend),
-		retired:  make(map[string]bool),
+		gw:     opt.Gateway,
+		policy: pol,
+		cfg:    cfg,
+		an:     analyzer{cfg: cfg, forecast: opt.Forecast},
 	}
 	reg := opt.Gateway.Registry()
 	labels := map[string]string{"policy": pol.Name()}
@@ -124,7 +101,7 @@ func New(opt Options) (*Controller, error) {
 	c.cDrains = reg.CounterWith("laxgw_autoscale_drains_total",
 		"Drain decisions applied.", labels)
 	c.cFailedProvision = reg.CounterWith("laxgw_autoscale_failed_provisions_total",
-		"Scale-ups whose node factory failed at activation.", labels)
+		"Scale-ups whose node failed to build at activation.", labels)
 	return c, nil
 }
 
@@ -172,12 +149,10 @@ func (c *Controller) Drains() int { return c.drains }
 func (c *Controller) LastAnalysis() Analysis { return c.last }
 
 // Tick runs one control iteration at the given instant: activate pending
-// nodes whose lag elapsed, hand retired drains to OnRetire, analyze, decide
-// and apply. Call with non-decreasing instants; a repeated instant only
+// nodes whose lag elapsed, analyze, decide and apply. Call with non-decreasing instants; a repeated instant only
 // re-runs activation (no new analysis, so no duplicate policy decision).
 func (c *Controller) Tick(now sim.Time) {
 	c.activate(now)
-	c.reapRetired()
 
 	if c.haveTick && now <= c.lastTick {
 		return
@@ -268,8 +243,10 @@ func (c *Controller) drain(now sim.Time, a Analysis, d Decision) {
 		fmt.Sprintf("%s: drain node %d (%d inflight): %s", c.policy.Name(), victim, inflight, d.Reason))
 }
 
-// activate turns pending nodes whose provisioning lag has elapsed into live
-// gateway backends, in decision order.
+// activate grows the gateway by each pending node whose provisioning lag has
+// elapsed, in decision order. A node that fails to build — on a remote
+// fleet, every one — is a failed provision: the policy re-requests if the
+// fleet is still short.
 func (c *Controller) activate(now sim.Time) {
 	keep := c.pending[:0]
 	for _, p := range c.pending {
@@ -277,37 +254,11 @@ func (c *Controller) activate(now sim.Time) {
 			keep = append(keep, p)
 			continue
 		}
-		if c.factory == nil {
-			c.cFailedProvision.Inc()
-			c.gw.RecordEvent(now, obs.EventScaleUp, "autoscale",
-				fmt.Sprintf("provision %s failed: no node factory", p.name))
-			continue
-		}
-		be, err := c.factory(p.name)
-		if err != nil {
+		if _, err := c.gw.Grow(p.name); err != nil {
 			c.cFailedProvision.Inc()
 			c.gw.RecordEvent(now, obs.EventScaleUp, "autoscale",
 				fmt.Sprintf("provision %s failed: %v", p.name, err))
-			continue
 		}
-		c.owned[be.Name()] = be
-		c.gw.AddBackend(be)
 	}
 	c.pending = keep
-}
-
-// reapRetired hands each controller-grown node to OnRetire once the gateway
-// retires it (drain complete), so the caller can stop its driver.
-func (c *Controller) reapRetired() {
-	if c.onRetire == nil {
-		return
-	}
-	for _, name := range c.gw.DrainedNodes() {
-		be, mine := c.owned[name]
-		if !mine || c.retired[name] {
-			continue
-		}
-		c.retired[name] = true
-		c.onRetire(name, be)
-	}
 }

@@ -197,7 +197,10 @@ func (b *InprocBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace,
 // Driver exposes the backend's pacing driver (tests, benchmarks).
 func (b *InprocBackend) Driver() *serve.Driver { return b.host.Driver }
 
-// Shutdown drains the in-process node (Backend side of Gateway.Shutdown).
+// Shutdown drains the in-process node, forcing the jobs still running after
+// grace onto the CPU fallback, and returns how many it forced. Gateway.Close
+// calls it for every node NewFleet or Grow built; the caller of a bare
+// NewInprocBackend stops its own node.
 func (b *InprocBackend) Shutdown(grace time.Duration) int { return b.host.Shutdown(grace) }
 
 // Probe implements Backend: the node's own drain estimate, read with the

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"laxgpu/internal/faults"
@@ -14,32 +16,20 @@ import (
 
 // NewFleet is the one place a fleet is put together — nodes, each optionally
 // behind a chaos plan, under a gateway — for laxgw, the autoscale experiment
-// and the fleet tests alike.
+// and the fleet tests alike. The gateway owns the nodes it builds: Grow adds
+// more and Close stops them all.
 //
 // remote is a comma-separated list of laxd base URLs to front as node0..;
 // when it names none the fleet is nodes (at least one) in-process backends
 // stamped from tmpl on opt.Clock, the k-th node ever built drawing
 // tmpl.Node.Seed+k. chaos is the ';'-separated per-node spec list
 // (faults.ParseNodeSpec; an empty entry leaves its node alone), node g's
-// plan seeded opt.Seed+g.
-//
-// grow builds one more in-process node from the template — the autoscaler's
-// Factory; nil for a remote fleet. closeFleet stops the remote pollers and
-// shuts down every node grow ever built, retired ones included
-// (Gateway.Shutdown only drains current members); a failed NewFleet has
-// already called it. Neither is safe for concurrent use: stop the autoscaler
-// before closing.
-func NewFleet(nodes int, remote string, tmpl InprocConfig, chaos string, opt Options) (gw *Gateway, grow func(name string) (Backend, error), closeFleet func(), err error) {
-	var closers []func()
-	closeFleet = func() {
-		for _, c := range closers {
-			c()
-		}
-		closers = nil
-	}
+// plan seeded opt.Seed+g. A failed NewFleet stops whatever it built.
+func NewFleet(nodes int, remote string, tmpl InprocConfig, chaos string, opt Options) (gw *Gateway, err error) {
+	var f owned
 	defer func() {
 		if err != nil {
-			closeFleet()
+			f.stop(time.Second)
 		}
 	}()
 
@@ -47,29 +37,19 @@ func NewFleet(nodes int, remote string, tmpl InprocConfig, chaos string, opt Opt
 	for _, u := range strings.Split(remote, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			rb := NewRemoteBackend(fmt.Sprintf("node%d", len(backends)), u, nil)
-			closers = append(closers, rb.Close)
+			f.remote = append(f.remote, rb)
 			backends = append(backends, rb)
 		}
 	}
 	if len(backends) == 0 {
 		tmpl.Clock = opt.Clock
-		grow = func(name string) (Backend, error) {
-			cfg := tmpl
-			cfg.Name = name
-			cfg.Node.Seed += int64(len(closers))
-			ib, err := NewInprocBackend(cfg)
+		f.tmpl = &tmpl
+		for g := 0; g < max(nodes, 1); g++ {
+			ib, err := f.build(fmt.Sprintf("node%d", g))
 			if err != nil {
 				return nil, err
 			}
-			closers = append(closers, func() { ib.Shutdown(time.Second) })
-			return ib, nil
-		}
-		for g := 0; g < max(nodes, 1); g++ {
-			be, err := grow(fmt.Sprintf("node%d", g))
-			if err != nil {
-				return nil, nil, closeFleet, err
-			}
-			backends = append(backends, be)
+			backends = append(backends, ib)
 		}
 	}
 
@@ -78,20 +58,105 @@ func NewFleet(nodes int, remote string, tmpl InprocConfig, chaos string, opt Opt
 		specs = strings.Split(chaos, ";")
 	}
 	if len(specs) > len(backends) {
-		return nil, nil, closeFleet, fmt.Errorf("gateway: %d chaos specs for %d nodes", len(specs), len(backends))
+		return nil, fmt.Errorf("gateway: %d chaos specs for %d nodes", len(specs), len(backends))
 	}
 	for g, spec := range specs {
 		ns, err := faults.ParseNodeSpec(spec)
 		if err != nil {
-			return nil, nil, closeFleet, fmt.Errorf("gateway: node %d chaos: %w", g, err)
+			return nil, fmt.Errorf("gateway: node %d chaos: %w", g, err)
 		}
 		if !ns.Zero() {
 			backends[g] = NewChaosBackend(backends[g], faults.NewNodePlan(ns, opt.Seed+int64(g)), opt.Clock)
 		}
 	}
 	opt.Backends = backends
-	gw, err = New(opt)
-	return gw, grow, closeFleet, err
+	if gw, err = New(opt); err != nil {
+		return nil, err
+	}
+	gw.owned = f
+	return gw, nil
+}
+
+// owned is what NewFleet and Grow built: the in-process node template (nil
+// for a remote fleet), every in-process node ever built, retired ones
+// included, and the remote backends whose pollers Close stops.
+type owned struct {
+	tmpl   *InprocConfig
+	inproc []*InprocBackend
+	remote []*RemoteBackend
+}
+
+// build stamps the fleet's next in-process node from its template.
+func (f *owned) build(name string) (*InprocBackend, error) {
+	if f.tmpl == nil {
+		return nil, errors.New("gateway: only an in-process fleet grows")
+	}
+	cfg := *f.tmpl
+	cfg.Name = name
+	cfg.Node.Seed += int64(len(f.inproc))
+	ib, err := NewInprocBackend(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.inproc = append(f.inproc, ib)
+	return ib, nil
+}
+
+// stop drains every in-process node concurrently, forcing the jobs still
+// running once grace has passed onto the CPU fallback, then stops the
+// remote pollers.
+func (f owned) stop(grace time.Duration) {
+	var wg sync.WaitGroup
+	for _, ib := range f.inproc {
+		wg.Add(1)
+		go func() { defer wg.Done(); ib.Shutdown(grace) }()
+	}
+	wg.Wait()
+	for _, rb := range f.remote {
+		rb.Close()
+	}
+}
+
+// Grow builds one more in-process node from NewFleet's template and adds it
+// to the fleet, returning its routing index — the autoscaler's scale-up. It
+// fails on a remote or hand-assembled fleet and once Close has begun.
+// Building a node makes no backend call, so it runs under mu, which orders
+// it against Close.
+func (gw *Gateway) Grow(name string) (int, error) {
+	gw.mu.Lock()
+	if gw.draining.Load() {
+		gw.mu.Unlock()
+		return 0, errors.New("gateway: closed")
+	}
+	ib, err := gw.owned.build(name)
+	gw.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return gw.addBackend(ib), nil
+}
+
+// Close stops the fleet: new submissions get 503 drain, every in-process
+// node NewFleet or Grow ever built — retired ones included — drains
+// concurrently, its jobs forced onto the CPU fallback once grace has passed,
+// and then the remote pollers stop (remote nodes drain themselves). It
+// returns ctx.Err() if ctx expires first; the drain carries on. Close is
+// idempotent: every call waits on the one drain.
+func (gw *Gateway) Close(ctx context.Context, grace time.Duration) error {
+	gw.closeOnce.Do(func() {
+		gw.mu.Lock()
+		gw.draining.Store(true)
+		f := gw.owned
+		gw.mu.Unlock()
+		gw.closed = make(chan struct{})
+		go func() { defer close(gw.closed); f.stop(grace) }()
+	})
+	select {
+	case <-gw.closed:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // replayQuiesceTicks bounds how long Replay waits for the fleet to finish

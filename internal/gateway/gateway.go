@@ -13,11 +13,9 @@
 package gateway
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
@@ -129,9 +127,9 @@ type Options struct {
 // headroom, health-checks nodes with per-node circuit breakers, journals
 // every accepted job and re-dispatches the unfinished work of dead nodes —
 // or falls it back to the CPU — so acceptance is a promise that survives
-// node death. The fleet is dynamic: AddBackend grows it mid-run and
-// DrainBackend retires a node journal-safely, which is what the autoscaler
-// drives.
+// node death. The fleet is dynamic: Grow adds a node mid-run and
+// DrainBackend retires one journal-safely, which is what the autoscaler
+// drives; Close stops every node NewFleet or Grow built.
 type Gateway struct {
 	opt   Options
 	clock serve.Clock
@@ -161,7 +159,12 @@ type Gateway struct {
 	statTightestUs int64 // smallest relative deadline ever accepted (0 = none yet)
 	statJournaled  int64 // journaled submissions (denominator for the sums)
 
-	draining atomic.Bool
+	// owned is what NewFleet and Grow built (guarded by mu); Close stops it
+	// once and closes closed when the drain is done.
+	owned     owned
+	draining  atomic.Bool
+	closeOnce sync.Once
+	closed    chan struct{}
 
 	cSubmitted, cAccepted, cRejected *obs.Counter
 	cUnhealthy, cDuplicates          *obs.Counter
@@ -267,43 +270,6 @@ func (gw *Gateway) FleetJobs() []verify.FleetJob {
 func (gw *Gateway) Check(at sim.Time) []verify.Violation {
 	jobs := gw.FleetJobs()
 	return verify.CheckFleetScaled(at, jobs, gw.DrainedNodes())
-}
-
-// Shutdown drains the fleet: new submissions are refused, and every
-// in-process backend drains its node (remote nodes drain themselves). It
-// returns ctx.Err if the context expires first.
-func (gw *Gateway) Shutdown(ctx context.Context, grace time.Duration) error {
-	gw.draining.Store(true)
-	type drainer interface{ Shutdown(time.Duration) int }
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for _, be := range gw.Backends() {
-			if d, ok := unwrap(be).(drainer); ok {
-				wg.Add(1)
-				go func(d drainer) { defer wg.Done(); d.Shutdown(grace) }(d)
-			}
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// unwrap peels chaos decorators off a backend.
-func unwrap(be Backend) Backend {
-	for {
-		c, ok := be.(*ChaosBackend)
-		if !ok {
-			return be
-		}
-		be = c.inner
-	}
 }
 
 func usOf(t sim.Time) int64 { return int64(t / sim.Microsecond) }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"laxgpu/internal/faults"
 	"laxgpu/internal/serve"
@@ -156,16 +158,15 @@ func TestGatewayNoHealthyBackend(t *testing.T) {
 // NewFleet; chaos is the ';'-separated per-node spec list.
 func fleet(t *testing.T, nodes int, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock) {
 	t.Helper()
-	gw, clock, _ := growableFleet(t, nodes, serve.NodeConfig{Scheduler: "LAX"}, chaos, seed, failThreshold)
-	return gw, clock
+	return templateFleet(t, nodes, serve.NodeConfig{Scheduler: "LAX"}, chaos, seed, failThreshold)
 }
 
-// growableFleet is fleet with a per-node template and the recipe's node
-// factory, for tests that grow the fleet or degrade its devices.
-func growableFleet(t *testing.T, nodes int, node serve.NodeConfig, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock, func(string) (Backend, error)) {
+// templateFleet is fleet with a per-node template, for tests that grow the
+// fleet or degrade its devices.
+func templateFleet(t *testing.T, nodes int, node serve.NodeConfig, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock) {
 	t.Helper()
 	clock := serve.NewManualClock()
-	gw, grow, closeFleet, err := NewFleet(nodes, "", InprocConfig{Node: node}, chaos, Options{
+	gw, err := NewFleet(nodes, "", InprocConfig{Node: node}, chaos, Options{
 		Clock:         clock,
 		Seed:          seed,
 		FailThreshold: failThreshold,
@@ -174,8 +175,8 @@ func growableFleet(t *testing.T, nodes int, node serve.NodeConfig, chaos string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(closeFleet)
-	return gw, clock, grow
+	t.Cleanup(func() { gw.Close(context.Background(), time.Second) })
+	return gw, clock
 }
 
 // submitN submits n benchmark jobs with per-job exponentially growing

@@ -163,11 +163,11 @@ func (t *nodeTable) fail(now sim.Time, g int) (tripped bool) {
 	return tripped
 }
 
-// AddBackend grows the fleet by one node mid-run and returns its routing
+// addBackend grows the fleet by one node mid-run and returns its routing
 // index. The node joins healthy and idle: the router starts steering new
 // arrivals at it immediately, and the next TickProbes round folds its real
-// headroom in. This is the autoscaler's ScaleUp primitive.
-func (gw *Gateway) AddBackend(be Backend) int {
+// headroom in. Grow adds the nodes it builds through it.
+func (gw *Gateway) addBackend(be Backend) int {
 	now := gw.clock.Now()
 	gw.mu.Lock()
 	defer gw.mu.Unlock()

@@ -12,28 +12,28 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// addNode grows the fleet by one node from the recipe's factory mid-run and
+// addNode grows the fleet by one node from the recipe's template mid-run and
 // returns its routing index.
-func addNode(t *testing.T, gw *Gateway, grow func(string) (Backend, error), name string) int {
+func addNode(t *testing.T, gw *Gateway, name string) int {
 	t.Helper()
-	be, err := grow(name)
+	g, err := gw.Grow(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gw.AddBackend(be)
+	return g
 }
 
 func TestGatewayAddBackendRoutesNewWork(t *testing.T) {
-	gw, clock, grow := growableFleet(t, 1, serve.NodeConfig{Scheduler: "LAX"}, "", 11, 3)
+	gw, clock := templateFleet(t, 1, serve.NodeConfig{Scheduler: "LAX"}, "", 11, 3)
 	gw.TickProbes(0)
 	submitN(t, gw, 4, sim.Second)
 
-	g := addNode(t, gw, grow, "late0")
+	g := addNode(t, gw, "late0")
 	if g != 1 {
-		t.Fatalf("AddBackend index = %d, want 1", g)
+		t.Fatalf("Grow index = %d, want 1", g)
 	}
 	if n := gw.ActiveNodes(); n != 2 {
-		t.Fatalf("ActiveNodes = %d after AddBackend, want 2", n)
+		t.Fatalf("ActiveNodes = %d after Grow, want 2", n)
 	}
 
 	// The new node joins idle; node0 carries a 4-job backlog. Headroom
@@ -137,7 +137,7 @@ func countDispatches(gw *Gateway, name string) int {
 // must reach exactly one terminal state, and the retired ledger must hold.
 func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	t.Helper()
-	gw, clock, grow := growableFleet(t, 2, serve.NodeConfig{Scheduler: "LAX"}, ";crash@5ms", 21, 1)
+	gw, clock := templateFleet(t, 2, serve.NodeConfig{Scheduler: "LAX"}, ";crash@5ms", 21, 1)
 	gw.TickProbes(0)
 	submitN(t, gw, 8, sim.Second)
 
@@ -146,7 +146,7 @@ func scaleChurnScenario(t *testing.T) ([]verify.FleetJob, []string) {
 	if _, err := gw.DrainBackend(1); err != nil {
 		t.Fatal(err)
 	}
-	g := addNode(t, gw, grow, "grown0")
+	g := addNode(t, gw, "grown0")
 	clock.Set(6 * sim.Millisecond)
 	gw.TickProbes(6 * sim.Millisecond)
 
@@ -295,13 +295,13 @@ func TestGatewayChaosRetirementShrinksRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, clock, _ := growableFleet(t, 1, serve.NodeConfig{Scheduler: "LAX", Faults: retire}, "", 5, 3)
+	gw, clock := templateFleet(t, 1, serve.NodeConfig{Scheduler: "LAX", Faults: retire}, "", 5, 3)
 	healthy, err := NewInprocBackend(InprocConfig{Name: "node1", Node: serve.NodeConfig{Scheduler: "LAX"}, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { healthy.Shutdown(time.Second) })
-	gw.AddBackend(healthy)
+	gw.addBackend(healthy)
 	gw.TickProbes(0)
 	// Trip the fault by advancing past its instant, then probe.
 	clock.Set(2 * sim.Millisecond)

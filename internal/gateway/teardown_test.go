@@ -18,27 +18,19 @@ import (
 // the controller has drained both grown nodes, the gateway has retired them
 // and 20 more ticks have passed. check, when non-nil, runs after every tick
 // with every in-process node the fleet has built so far. It returns the
-// fleet, those nodes and the fleet's closer.
-func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway.InprocBackend)) (*gateway.Gateway, []*gateway.InprocBackend, func()) {
+// fleet and those nodes.
+func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway.InprocBackend)) (*gateway.Gateway, []*gateway.InprocBackend) {
 	t.Helper()
 	clock := serve.NewManualClock()
-	gw, grow, closeFleet, err := gateway.NewFleet(1, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
+	gw, err := gateway.NewFleet(1, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
 		gateway.Options{Clock: clock, Seed: 9, FailThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(closeFleet)
-	built := []*gateway.InprocBackend{gw.Backends()[0].(*gateway.InprocBackend)}
+	t.Cleanup(func() { gw.Close(context.Background(), time.Second) })
 	ctrl, err := autoscale.ForPolicy("reactive", autoscale.Options{
 		Gateway: gw,
 		Config:  autoscale.Config{NodeRate: 100000, Lag: 5 * sim.Millisecond, MinNodes: 1, MaxNodes: 3, DrainPatience: 10},
-		Factory: func(name string) (gateway.Backend, error) {
-			be, err := grow(name)
-			if err == nil {
-				built = append(built, be.(*gateway.InprocBackend))
-			}
-			return be, err
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +45,7 @@ func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway
 		gw.TickProbes(at)
 		ctrl.Tick(at)
 		if check != nil {
-			check(gw, built)
+			check(gw, gateway.InprocNodes(gw))
 		}
 	}
 	// Two bursts a tick apart, each with a hopeless half the node rejects:
@@ -77,7 +69,7 @@ func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway
 	var retiredAt sim.Time
 	for at := 2 * sim.Millisecond; retiredAt == 0 || at <= retiredAt+20*sim.Millisecond; at += sim.Millisecond {
 		if at > sim.Second {
-			t.Fatalf("grown nodes never retired: drained %v, %d built", gw.DrainedNodes(), len(built))
+			t.Fatalf("grown nodes never retired: drained %v, %d built", gw.DrainedNodes(), len(gateway.InprocNodes(gw)))
 		}
 		clock.Set(at)
 		if _, _, reason := gw.Submit(bench, sim.Second, gateway.Standard); reason != "" {
@@ -88,6 +80,7 @@ func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway
 			retiredAt = at
 		}
 	}
+	built := gateway.InprocNodes(gw)
 	if len(built) != 3 {
 		t.Fatalf("fleet built %d nodes, want 3 (one seed, two grown)", len(built))
 	}
@@ -98,7 +91,7 @@ func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway
 			t.Fatalf("%s never served a job; the churn wants every node busy once", ib.Name())
 		}
 	}
-	return gw, built, closeFleet
+	return gw, built
 }
 
 // TestFleetTeardownStopsEveryNode pins the fleet teardown: after scale churn,
@@ -106,13 +99,12 @@ func churnedFleet(t *testing.T, check func(gw *gateway.Gateway, built []*gateway
 // retired grown ones — has stopped, no accepted job is left open and the
 // journal checks clean.
 func TestFleetTeardownStopsEveryNode(t *testing.T) {
-	gw, built, closeFleet := churnedFleet(t, nil)
+	gw, built := churnedFleet(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := gw.Shutdown(ctx, 10*time.Millisecond); err != nil {
-		t.Fatalf("Shutdown = %v, want nil", err)
+	if err := gw.Close(ctx, 10*time.Millisecond); err != nil {
+		t.Fatalf("Close = %v, want nil", err)
 	}
-	closeFleet()
 	for _, ib := range built {
 		select {
 		case <-ib.Driver().Done():

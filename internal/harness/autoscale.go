@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"laxgpu/internal/autoscale"
 	"laxgpu/internal/cp"
@@ -12,8 +13,7 @@ import (
 	"laxgpu/internal/workload/scenario"
 )
 
-// autoscaleScenarios are the committed scenario files the experiment replays
-// (the builtin copies are pinned byte-equal to examples/scenarios/).
+// autoscaleScenarios are the committed scenario files the experiment replays.
 var autoscaleScenarios = []string{"diurnal", "burst-storm", "three-tenant"}
 
 // autoscalePolicies is the comparison set in presentation order:
@@ -111,7 +111,7 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 		return AutoscaleResult{}, err
 	}
 	nodeSys := s.nodeSystem()
-	gw, grow, closeFleet, err := gateway.NewFleet(s.MinNodes, "", gateway.InprocConfig{
+	gw, err := gateway.NewFleet(s.MinNodes, "", gateway.InprocConfig{
 		Node:       serve.NodeConfig{System: nodeSys, Scheduler: "LAX"},
 		TraceDepth: -1,
 	}, "", gateway.Options{
@@ -124,7 +124,7 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-	defer closeFleet()
+	defer gw.Close(context.Background(), time.Second)
 	ctrl, err := autoscale.ForPolicy(policy, autoscale.Options{
 		Gateway:  gw,
 		Forecast: spec,
@@ -135,7 +135,6 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 			MaxNodes:      s.MaxNodes,
 			DrainPatience: s.Patience,
 		},
-		Factory: grow,
 	})
 	if err != nil {
 		return AutoscaleResult{}, err

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"laxgpu/internal/autoscale"
 	"laxgpu/internal/gateway"
@@ -32,7 +34,7 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, grow, closeFleet, err := gateway.NewFleet(2, "", gateway.InprocConfig{
+	gw, err := gateway.NewFleet(2, "", gateway.InprocConfig{
 		Node: serve.NodeConfig{System: s.nodeSystem(), Scheduler: "LAX"},
 	}, "netdelay=6ms;crash@20ms", gateway.Options{
 		Clock:         serve.NewManualClock(),
@@ -44,12 +46,11 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeFleet()
+	defer gw.Close(context.Background(), time.Second)
 	ctrl, err = autoscale.ForPolicy("predictive", autoscale.Options{
 		Gateway:  gw,
 		Forecast: spec,
 		Config:   autoscale.Config{NodeRate: s.NodeRate, Lag: s.Lag, MinNodes: 1, MaxNodes: 2, DrainPatience: s.Patience},
-		Factory:  grow,
 	})
 	if err != nil {
 		t.Fatal(err)

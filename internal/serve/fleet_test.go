@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"laxgpu/internal/gateway"
 	"laxgpu/internal/serve"
@@ -16,12 +18,12 @@ import (
 // and every job reaches a terminal state.
 func TestMultiDeviceSpreadsLoad(t *testing.T) {
 	clock := serve.NewManualClock()
-	gw, _, closeFleet, err := gateway.NewFleet(3, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
+	gw, err := gateway.NewFleet(3, "", gateway.InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "",
 		gateway.Options{Clock: clock, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeFleet()
+	defer gw.Close(context.Background(), time.Second)
 	gw.TickProbes(0)
 
 	bench, err := workload.FindBenchmark("GMM")

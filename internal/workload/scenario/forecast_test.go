@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"laxgpu/internal/sim"
@@ -111,34 +108,6 @@ func TestPeakShares(t *testing.T) {
 	for i, w := range want {
 		if shares[i] != w {
 			t.Errorf("share[%d] (%s) = %g, want %g", i, s.Cohorts[i].Name, shares[i], w)
-		}
-	}
-}
-
-// TestBuiltinsMatchCommittedFiles pins each embedded scenario byte-for-byte
-// against its examples/scenarios/ counterpart, so the two copies cannot
-// drift apart silently.
-func TestBuiltinsMatchCommittedFiles(t *testing.T) {
-	for _, name := range BuiltinNames() {
-		path := filepath.Join("..", "..", "..", "examples", "scenarios", name+".json")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := builtinJSON[name]; got != string(want) {
-			t.Errorf("builtin %q differs from %s; update them together", name, path)
-		}
-		// And the embedded copy must survive a canonical rewrite unchanged.
-		s, err := Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := s.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != builtinJSON[name] {
-			t.Errorf("builtin %q is not in canonical Write form", name)
 		}
 	}
 }
