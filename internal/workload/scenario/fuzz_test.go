@@ -15,7 +15,8 @@ import (
 // examples (and testdata/fuzz corpus) as seeds. Invariants under arbitrary
 // input: Parse never panics; an accepted document re-serializes canonically
 // (Write∘Parse∘Write is a fixed point); and small accepted scenarios expand
-// deterministically (two Generate calls agree byte for byte).
+// deterministically (two Generate calls agree byte for byte) to the
+// sort-based reference's trace.
 func FuzzParseScenario(f *testing.F) {
 	files, _ := filepath.Glob("../../../examples/scenarios/*.json")
 	for _, path := range files {
@@ -73,6 +74,13 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if errA == nil && Fingerprint(a) != Fingerprint(b) {
 			t.Fatal("Generate not deterministic")
+		}
+		ref, errR := refGenerate(spec, lib, 0)
+		if (errA == nil) != (errR == nil) {
+			t.Fatalf("Generate error %v, reference error %v", errA, errR)
+		}
+		if errA == nil {
+			sameExpansion(t, "fuzz", a, ref)
 		}
 	})
 }

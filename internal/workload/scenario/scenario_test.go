@@ -321,25 +321,48 @@ func TestWorkMultiplierStretchesChains(t *testing.T) {
 	}
 }
 
+// TestMergeOrderIsStable merges cohorts whose arrivals collide: at 10⁹
+// jobs/s and above the 1 ns gap clamp puts most arrivals of every cohort on
+// the same instants. Same-instant jobs must come in declaration order, each
+// cohort's own jobs in sequence order, and IDs must be dense.
 func TestMergeOrderIsStable(t *testing.T) {
 	lib := testLib(t)
-	s := minimal()
-	s.Cohorts = append(s.Cohorts, Cohort{
-		Name:      "b",
-		Benchmark: "GMM",
-		Phases:    []Phase{{DurationUs: 20000, Rate: 4000}},
-	})
+	s := tieHeavySpec()
 	set, err := s.Generate(lib, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(set.Jobs); i++ {
-		if set.Jobs[i].Arrival < set.Jobs[i-1].Arrival {
-			t.Fatal("merged trace not sorted by arrival")
-		}
-		if set.Jobs[i].ID != i {
+	index := map[string]int{}
+	for i, c := range s.Cohorts {
+		index[c.Name] = i
+	}
+	last := map[string]sim.Time{}
+	ties := 0
+	for i, j := range set.Jobs {
+		if j.ID != i {
 			t.Fatal("IDs not dense")
 		}
+		// A cohort's arrivals strictly increase with its sequence number.
+		if at, ok := last[j.Cohort]; ok && j.Arrival <= at {
+			t.Fatalf("job %d: cohort %s arrives at %v after its job at %v; want sequence order", i, j.Cohort, j.Arrival, at)
+		}
+		last[j.Cohort] = j.Arrival
+		if i == 0 {
+			continue
+		}
+		prev := set.Jobs[i-1]
+		switch {
+		case j.Arrival < prev.Arrival:
+			t.Fatal("merged trace not sorted by arrival")
+		case j.Arrival == prev.Arrival:
+			if index[j.Cohort] <= index[prev.Cohort] {
+				t.Fatalf("job %d (%s) follows job %d (%s) at %v; want declaration order", i, j.Cohort, i-1, prev.Cohort, j.Arrival)
+			}
+			ties++
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("%d same-instant arrivals across cohorts, want at least 100", ties)
 	}
 }
 
