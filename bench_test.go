@@ -413,6 +413,40 @@ func BenchmarkScenarioGenerate(b *testing.B) {
 	b.ReportMetric(float64(jobs), "jobs")
 }
 
+// BenchmarkScenarioGenerateLarge expands a ~150k-job, four-cohort scenario
+// over 22 s shaped like the benchmark's fleet replay (a two-phase STEM tier,
+// steady GMM, bursty lognormal CUCKOO and sparse LSTM chains; the same spec
+// as the scenario package's reference test): the set-up a long replay pays
+// before its first submission.
+func BenchmarkScenarioGenerateLarge(b *testing.B) {
+	spec := &scenario.Spec{
+		Format: scenario.FormatTag, Version: scenario.Version, Name: "fleet-shaped", Seed: 1, DurationUs: 22_000_000,
+		Cohorts: []scenario.Cohort{
+			{Name: "interactive", Benchmark: "STEM", Criticality: "critical", DeadlineUs: 360,
+				Phases: []scenario.Phase{{DurationUs: 400_000, Rate: 4600}, {DurationUs: 400_000, Rate: 6200}}},
+			{Name: "analytics", Benchmark: "GMM", Criticality: "standard",
+				Phases: []scenario.Phase{{DurationUs: 1_000_000, Rate: 250}}},
+			{Name: "lookup", Benchmark: "CUCKOO", Criticality: "best-effort", Arrival: "lognormal:sigma=1.2",
+				Phases: []scenario.Phase{{DurationUs: 1_000_000, Rate: 1200}},
+				Bursts: []scenario.Burst{{AtUs: 8_000_000, DurationUs: 200_000, Factor: 4}}},
+			{Name: "chains", Benchmark: "LSTM", Criticality: "standard", DeadlineUs: 20_000,
+				Phases: []scenario.Phase{{DurationUs: 1_000_000, Rate: 40}}},
+		},
+	}
+	lib := workload.NewLibrary(gpu.DefaultConfig())
+	var jobs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set, err := spec.Generate(lib, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = len(set.Jobs)
+	}
+	b.ReportMetric(float64(jobs), "jobs")
+}
+
 // TestNoProbeHotPathAllocationFree pins the observer-off guarantee at the
 // public surface: with no probe attached, every emission site reduces to the
 // nil check below, so a plain run heap-allocates nothing for telemetry.

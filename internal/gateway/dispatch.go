@@ -23,13 +23,13 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	sampled := bench.Sample(gw.lib, gw.rng, 0, 0)
+	kernels, _ := bench.SampleChain(gw.lib, gw.rng)
 	job := &Job{
 		ID:        gw.nextID,
 		Benchmark: bench.Name,
 		Deadline:  deadline,
 		Class:     class,
-		Kernels:   sampled.Kernels,
+		Kernels:   kernels,
 	}
 	job.Est = (&workload.Job{Kernels: job.Kernels}).SerialTime(gw.gpu)
 	job.TraceID = gw.traceID(job.ID)

@@ -295,8 +295,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(job.Kernels) == 0 {
-		sampled := bench.Sample(s.lib, s.rng, 0, 0)
-		job.Kernels, job.SeqLen = sampled.Kernels, sampled.SeqLen
+		job.Kernels, job.SeqLen = bench.SampleChain(s.lib, s.rng)
 	}
 	id := s.nextID
 	s.nextID++
@@ -453,7 +452,8 @@ func (s *Server) benchmarkCapacity(b *workload.Benchmark) float64 {
 	rng := sim.NewRNG(12345)
 	var total sim.Time
 	for i := 0; i < samples; i++ {
-		total += b.Sample(s.lib, rng, i, 0).SerialTime(s.gpu)
+		kernels, _ := b.SampleChain(s.lib, rng)
+		total += (&workload.Job{Kernels: kernels}).SerialTime(s.gpu)
 	}
 	mean := float64(total) / samples
 	if mean <= 0 {

@@ -85,68 +85,20 @@ type Benchmark struct {
 	// (Table 4).
 	Rates map[Rate]int
 
-	// build constructs the kernel chain (and sequence length) for one job.
+	// build samples one job's kernel chain (and sequence length) from the
+	// pieces NewLibrary resolved; SampleChain is its one caller.
 	build func(lib *Library, rng *sim.RNG) (kernels []*gpu.KernelDesc, seqLen int)
 }
 
 // JobsPerSecond returns the offered load for the rate level.
 func (b *Benchmark) JobsPerSecond(r Rate) int { return b.Rates[r] }
 
-// lstmChain builds an LSTM inference job for sequence length L: a fixed
-// prologue (tensor setup) plus, per time step, one GEMM and three
-// gate-elementwise + activation pairs. For L=13 this yields exactly the
-// Table 1 call counts (GEMM×13, TensorKernel4×40, ActivationKernel5×39).
-func lstmChain(lib *Library, L int) []*gpu.KernelDesc {
-	t1 := lib.Kernel("TensorKernel1")
-	t2 := lib.Kernel("TensorKernel2")
-	t3 := lib.Kernel("TensorKernel3")
-	t4 := lib.Kernel("TensorKernel4")
-	act := lib.Kernel("ActivationKernel5")
-	gemm := lib.Kernel("rocBLASGEMMKernel1")
-
-	ks := []*gpu.KernelDesc{t1, t1, t1, t2, t2, t2, t2, t2, t3, t3, t4}
-	for i := 0; i < L; i++ {
-		ks = append(ks, gemm, t4, act, t4, act, t4, act)
-	}
-	return ks
-}
-
-// gruChain builds a GRU job: same prologue, two gate pairs per step (GRU
-// has 3 gates vs LSTM's 4). gemmName selects the hidden-size-specific GEMM.
-func gruChain(lib *Library, L int, gemmName string) []*gpu.KernelDesc {
-	t1 := lib.Kernel("TensorKernel1")
-	t2 := lib.Kernel("TensorKernel2")
-	t3 := lib.Kernel("TensorKernel3")
-	t4 := lib.Kernel("TensorKernel4")
-	act := lib.Kernel("ActivationKernel5")
-	gemm := lib.Kernel(gemmName)
-
-	ks := []*gpu.KernelDesc{t1, t1, t2, t2, t2, t3, t4}
-	for i := 0; i < L; i++ {
-		ks = append(ks, gemm, t4, act, t4, act)
-	}
-	return ks
-}
-
-// vanChain builds a Vanilla RNN job (hidden size 256 per Table 4): one gate
-// pair per step with the larger VanGEMM.
-func vanChain(lib *Library, L int) []*gpu.KernelDesc {
-	t1 := lib.Kernel("TensorKernel1")
-	t2 := lib.Kernel("TensorKernel2")
-	t4 := lib.Kernel("TensorKernel4")
-	act := lib.Kernel("ActivationKernel5")
-	gemm := lib.Kernel("VanGEMMKernel")
-
-	ks := []*gpu.KernelDesc{t1, t1, t2, t2, t4}
-	for i := 0; i < L; i++ {
-		ks = append(ks, gemm, t4, act)
-	}
-	return ks
-}
-
+// singleKernel builds a one-kernel benchmark's job: the library's shared
+// one-element chain for the named Table 1 kernel.
 func singleKernel(name string) func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
+	k := table1Index(name)
 	return func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
-		return []*gpu.KernelDesc{lib.Kernel(name)}, 0
+		return lib.descs[k : k+1 : k+1], 0
 	}
 }
 
@@ -161,7 +113,7 @@ var benchmarks = []*Benchmark{
 		Rates: map[Rate]int{HighRate: 8000, MediumRate: 5000, LowRate: 3000},
 		build: func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
 			L := sampleSeqLen(rng)
-			return lstmChain(lib, L), L
+			return lib.lstm.build(L), L
 		},
 	},
 	{
@@ -169,7 +121,7 @@ var benchmarks = []*Benchmark{
 		Rates: map[Rate]int{HighRate: 8000, MediumRate: 5000, LowRate: 3000},
 		build: func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
 			L := sampleSeqLen(rng)
-			return gruChain(lib, L, "rocBLASGEMMKernel1"), L
+			return lib.gru.build(L), L
 		},
 	},
 	{
@@ -177,7 +129,7 @@ var benchmarks = []*Benchmark{
 		Rates: map[Rate]int{HighRate: 8000, MediumRate: 5000, LowRate: 3000},
 		build: func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
 			L := sampleSeqLen(rng)
-			return vanChain(lib, L), L
+			return lib.van.build(L), L
 		},
 	},
 	{
@@ -186,9 +138,9 @@ var benchmarks = []*Benchmark{
 		build: func(lib *Library, rng *sim.RNG) ([]*gpu.KernelDesc, int) {
 			L := sampleSeqLen(rng)
 			if rng.Float64() < 0.5 {
-				return lstmChain(lib, L), L
+				return lib.lstm.build(L), L
 			}
-			return gruChain(lib, L, "GRU256GEMMKernel"), L
+			return lib.gru256.build(L), L
 		},
 	},
 	{
@@ -241,12 +193,23 @@ func FindBenchmark(name string) (*Benchmark, error) {
 	return nil, fmt.Errorf("workload: unknown benchmark %q (valid: %v)", name, valid)
 }
 
-// Sample draws one job from the benchmark's kernel-chain distribution. It
-// consumes exactly the RNG draws GenerateCustom's loop body consumes after
-// the inter-arrival gap, so a frontend sampling jobs one at a time from the
-// same RNG stream reproduces a generated trace byte for byte.
+// SampleChain draws one job's kernel chain and RNN sequence length (0 for a
+// single-kernel benchmark) from the benchmark's distribution. It is the one
+// sampling path: Sample, the trace generators and the gateway's and laxd's
+// submit paths all take it. A single-kernel chain is shared across the whole
+// Library with len == cap, so it costs no allocation and an append to it
+// copies; an RNN chain is one allocation of exactly its final length.
+// Callers must not write into a chain's elements.
+func (b *Benchmark) SampleChain(lib *Library, rng *sim.RNG) (kernels []*gpu.KernelDesc, seqLen int) {
+	return b.build(lib, rng)
+}
+
+// Sample draws one job: SampleChain's chain with the benchmark's name and
+// deadline. It consumes exactly the RNG draws GenerateCustom's loop body
+// consumes after the inter-arrival gap, so a frontend sampling jobs one at a
+// time from the same RNG stream reproduces a generated trace byte for byte.
 func (b *Benchmark) Sample(lib *Library, rng *sim.RNG, id int, arrival sim.Time) *Job {
-	kernels, seqLen := b.build(lib, rng)
+	kernels, seqLen := b.SampleChain(lib, rng)
 	return &Job{
 		ID: id, Benchmark: b.Name, Arrival: arrival,
 		Deadline: b.Deadline, Kernels: kernels, SeqLen: seqLen,

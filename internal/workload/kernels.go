@@ -41,18 +41,53 @@ var table1 = []kernelSpec{
 // Library holds the kernel descriptors calibrated for one device
 // configuration: BaseWGTime is solved so that the kernel's isolated
 // execution time on the configured device matches its Table 1 row.
+// NewLibrary also resolves every benchmark's chain pieces, so sampling a job
+// looks nothing up by name, and a built Library is read-only: pool workers
+// and daemons share one freely.
 type Library struct {
 	cfg     gpu.Config
 	kernels map[string]*gpu.KernelDesc
+
+	// descs holds the descriptors in table1 order; a single-kernel
+	// benchmark's chain is a one-element window of it.
+	descs []*gpu.KernelDesc
+
+	// The RNN benchmarks' chain families: lstm (LSTM and HYBRID's LSTM
+	// half), gru (GRU), gru256 (HYBRID's GRU half, over the hidden-256
+	// GEMM) and van (VAN).
+	lstm, gru, gru256, van rnnChain
 }
 
-// NewLibrary calibrates all Table 1 kernels against cfg.
+// NewLibrary calibrates all Table 1 kernels against cfg and resolves the
+// benchmarks' chains over them.
 func NewLibrary(cfg gpu.Config) *Library {
-	lib := &Library{cfg: cfg, kernels: make(map[string]*gpu.KernelDesc, len(table1))}
-	for _, s := range table1 {
-		lib.kernels[s.name] = calibrate(cfg, s)
+	lib := &Library{
+		cfg:     cfg,
+		kernels: make(map[string]*gpu.KernelDesc, len(table1)),
+		descs:   make([]*gpu.KernelDesc, len(table1)),
 	}
+	for i, s := range table1 {
+		lib.descs[i] = calibrate(cfg, s)
+		lib.kernels[s.name] = lib.descs[i]
+	}
+	k := lib.Kernel
+	t1, t2, t3, t4, act := k("TensorKernel1"), k("TensorKernel2"), k("TensorKernel3"), k("TensorKernel4"), k("ActivationKernel5")
+	lib.lstm = newRNNChain(LSTMCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
+	lib.gru = newRNNChain(GRUCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
+	lib.gru256 = newRNNChain(GRUCell, t1, t2, t3, t4, act, k("GRU256GEMMKernel"))
+	lib.van = newRNNChain(VanillaCell, t1, t2, t3, t4, act, k("VanGEMMKernel"))
 	return lib
+}
+
+// table1Index returns the table1 row of the named kernel. It panics on an
+// unknown name, like Library.Kernel: the benchmark registry is static.
+func table1Index(name string) int {
+	for i, s := range table1 {
+		if s.name == name {
+			return i
+		}
+	}
+	panic("workload: unknown kernel " + name)
 }
 
 // Kernel returns the calibrated descriptor for a Table 1 kernel name. It

@@ -153,28 +153,44 @@ func (b *RNNBuilder) Build(spec RNNSpec) []*gpu.KernelDesc {
 		panic(err)
 	}
 	h, bs := spec.Hidden, spec.BatchSize
-	t1 := b.scale("TensorKernel1", h, bs)
-	t2 := b.scale("TensorKernel2", h, bs)
-	t3 := b.scale("TensorKernel3", h, bs)
-	t4 := b.scale("TensorKernel4", h, bs)
-	act := b.scale("ActivationKernel5", h, bs)
-	gemm := b.scale("rocBLASGEMMKernel1", h, bs)
+	return newRNNChain(spec.Cell,
+		b.scale("TensorKernel1", h, bs), b.scale("TensorKernel2", h, bs), b.scale("TensorKernel3", h, bs),
+		b.scale("TensorKernel4", h, bs), b.scale("ActivationKernel5", h, bs), b.scale("rocBLASGEMMKernel1", h, bs),
+	).build(spec.SeqLen)
+}
 
-	var ks []*gpu.KernelDesc
-	switch spec.Cell {
+// rnnChain is one RNN chain family over fixed descriptors: a prologue
+// (tensor setup), then per time step one GEMM and the cell's gate pairs. An
+// LSTM over the Table 1 kernels at L=13 yields exactly the Table 1 call
+// counts (GEMM×13, TensorKernel4×40, ActivationKernel5×39).
+type rnnChain struct{ prologue, step []*gpu.KernelDesc }
+
+// newRNNChain lays out the chain family of a cell type over the given
+// descriptors.
+func newRNNChain(cell CellType, t1, t2, t3, t4, act, gemm *gpu.KernelDesc) rnnChain {
+	var pro []*gpu.KernelDesc
+	switch cell {
 	case LSTMCell:
-		ks = []*gpu.KernelDesc{t1, t1, t1, t2, t2, t2, t2, t2, t3, t3, t4}
+		pro = []*gpu.KernelDesc{t1, t1, t1, t2, t2, t2, t2, t2, t3, t3, t4}
 	case GRUCell:
-		ks = []*gpu.KernelDesc{t1, t1, t2, t2, t2, t3, t4}
+		pro = []*gpu.KernelDesc{t1, t1, t2, t2, t2, t3, t4}
 	default:
-		ks = []*gpu.KernelDesc{t1, t1, t2, t2, t4}
+		pro = []*gpu.KernelDesc{t1, t1, t2, t2, t4}
 	}
-	pairs := spec.Cell.gatePairs()
-	for step := 0; step < spec.SeqLen; step++ {
-		ks = append(ks, gemm)
-		for g := 0; g < pairs; g++ {
-			ks = append(ks, t4, act)
-		}
+	step := []*gpu.KernelDesc{gemm}
+	for g := 0; g < cell.gatePairs(); g++ {
+		step = append(step, t4, act)
+	}
+	return rnnChain{pro, step}
+}
+
+// build returns the chain for sequence length L as one slice of exactly its
+// final length: 11+7L for an LSTM, 7+5L for a GRU, 5+3L for a vanilla RNN.
+func (r rnnChain) build(L int) []*gpu.KernelDesc {
+	ks := make([]*gpu.KernelDesc, len(r.prologue)+L*len(r.step))
+	n := copy(ks, r.prologue)
+	for n < len(ks) {
+		n += copy(ks[n:], r.step)
 	}
 	return ks
 }

@@ -32,7 +32,7 @@ func TestRNNBuilderAnchorMatchesTable1Chain(t *testing.T) {
 	// At the anchor configuration (LSTM, hidden 128, seq 13, batch 1) the
 	// builder must reproduce the hand-written Table 1 chain exactly.
 	built := b.Build(RNNSpec{Cell: LSTMCell, Hidden: 128, SeqLen: 13, BatchSize: 1})
-	want := lstmChain(l, 13)
+	want := l.lstm.build(13)
 	if len(built) != len(want) {
 		t.Fatalf("chain length %d, want %d", len(built), len(want))
 	}

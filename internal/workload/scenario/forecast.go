@@ -20,7 +20,8 @@ func (s *Spec) RateAt(t sim.Time) float64 {
 	}
 	var total float64
 	for i := range s.Cohorts {
-		total += s.Cohorts[i].rateAt(t)
+		c := &s.Cohorts[i]
+		total += c.rateAt(t, c.period())
 	}
 	return total
 }
@@ -42,8 +43,9 @@ func (s *Spec) PeakRate() (sim.Time, float64) {
 		// The next instant any cohort's rate could change.
 		next := horizon
 		for i := range s.Cohorts {
-			if c := s.Cohorts[i].nextChange(t); c < next {
-				next = c
+			c := &s.Cohorts[i]
+			if at := c.nextChange(t, c.period()); at < next {
+				next = at
 			}
 		}
 		if next >= horizon {
@@ -65,7 +67,8 @@ func (s *Spec) PeakShares() (at sim.Time, shares []float64) {
 	at, _ = s.PeakRate()
 	shares = make([]float64, len(s.Cohorts))
 	for i := range s.Cohorts {
-		shares[i] = s.Cohorts[i].rateAt(at)
+		c := &s.Cohorts[i]
+		shares[i] = c.rateAt(at, c.period())
 	}
 	return at, shares
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
@@ -18,11 +17,11 @@ import (
 const maxWorkRepeat = 64
 
 // Generate expands the scenario into a deterministic job trace: each
-// cohort's arrival process is generated independently from its own RNG
-// stream (derived from the scenario seed, the cohort's position and its
-// name), the streams are merged by arrival time with ties broken by cohort
-// declaration order, and jobs get dense IDs. seed overrides the file's seed
-// when non-zero; pass 0 to use the spec's own.
+// cohort's arrival process is drawn from its own RNG stream (derived from
+// the scenario seed, the cohort's position and its name), the streams are
+// merged by arrival time with ties broken by cohort declaration order, and
+// jobs get dense IDs. seed overrides the file's seed when non-zero; pass 0
+// to use the spec's own.
 //
 // The trace is a pure function of (spec, effective seed, library): the same
 // inputs always produce a byte-identical trace, which is what makes a
@@ -36,94 +35,149 @@ func (s *Spec) Generate(lib *workload.Library, seed int64) (*workload.JobSet, er
 	}
 	horizon := sim.Time(s.DurationUs) * sim.Microsecond
 
-	// genJob carries the deterministic tie-break key alongside the job:
-	// cohort declaration index, then per-cohort sequence.
-	type genJob struct {
-		j      *workload.Job
-		cohort int
-		seq    int
-	}
-	var merged []genJob
-
+	streams := make([]stream, len(s.Cohorts))
+	var expected float64
 	for ci := range s.Cohorts {
-		c := &s.Cohorts[ci]
-		bench, err := workload.FindBenchmark(c.Benchmark)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cohort %q: %w", c.Name, err)
+		st := &streams[ci]
+		if err := st.init(&s.Cohorts[ci], ci, seed); err != nil {
+			return nil, err
 		}
-		arrival, err := parseDist(c.Arrival, distArrival)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cohort %q: arrival: %w", c.Name, err)
-		}
-		work, err := parseDist(c.Work, distWork)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: cohort %q: work: %w", c.Name, err)
-		}
-		deadline := bench.Deadline
-		if c.DeadlineUs > 0 {
-			deadline = sim.Time(c.DeadlineUs) * sim.Microsecond
-		}
-		rng := sim.NewRNG(cohortSeed(seed, ci, c.Name))
-
-		var t sim.Time
-		for seq := 0; c.MaxJobs == 0 || seq < c.MaxJobs; seq++ {
-			r := c.rateAt(t)
-			for r <= 0 {
-				// Silent period: skip to the next schedule boundary where
-				// the rate could change. Boundaries strictly advance, so
-				// this always terminates at the horizon.
-				t = c.nextChange(t)
-				if t > horizon {
-					break
-				}
-				r = c.rateAt(t)
-			}
-			if t > horizon {
-				break
-			}
-			mean := sim.Time(float64(sim.Second) / r)
-			gap := arrival.gap(rng, mean)
-			if gap <= 0 {
-				gap = 1 // keep time strictly advancing under extreme rates
-			}
-			t += gap
-			if t > horizon {
-				break
-			}
-			j := bench.Sample(lib, rng, 0, t)
-			j.Deadline = deadline
-			j.Cohort = c.Name
-			j.Criticality = normalizeCriticality(c.Criticality)
-			if k := workRepeat(work, rng); k > 1 {
-				j.Kernels = repeatChain(j.Kernels, k)
-			}
-			merged = append(merged, genJob{j: j, cohort: ci, seq: seq})
-		}
+		expected += st.expectedJobs(horizon)
+		st.advance(lib, horizon)
 	}
 
-	sort.SliceStable(merged, func(a, b int) bool {
-		if merged[a].j.Arrival != merged[b].j.Arrival {
-			return merged[a].j.Arrival < merged[b].j.Arrival
+	// A k-way merge. Each stream's arrivals strictly increase, so taking the
+	// earliest head, the lowest cohort index on a tie, emits jobs in
+	// (arrival, cohort, sequence) order without a sort. Jobs are stored by
+	// value: the first slab holds the expected count plus two Poisson
+	// standard deviations, and an expansion past it goes on in slabs of a
+	// quarter of the jobs so far.
+	slab := make([]workload.Job, int(expected+2*math.Sqrt(expected))+1)
+	jobs := make([]*workload.Job, 0, len(slab))
+	for {
+		var next *stream
+		for i := range streams {
+			if st := &streams[i]; st.live && (next == nil || st.head.Arrival < next.head.Arrival) {
+				next = st
+			}
 		}
-		if merged[a].cohort != merged[b].cohort {
-			return merged[a].cohort < merged[b].cohort
+		if next == nil {
+			break
 		}
-		return merged[a].seq < merged[b].seq
-	})
-	set := &workload.JobSet{
-		Benchmark: s.Label(),
-		Rate:      workload.ScenarioRate,
-		Seed:      seed,
-		Jobs:      make([]*workload.Job, len(merged)),
+		if len(slab) == 0 {
+			slab = make([]workload.Job, len(jobs)/4+1)
+		}
+		j := &slab[0]
+		slab = slab[1:]
+		*j = next.head
+		j.ID = len(jobs)
+		jobs = append(jobs, j)
+		next.advance(lib, horizon)
 	}
-	for i, g := range merged {
-		g.j.ID = i
-		set.Jobs[i] = g.j
-	}
-	if len(set.Jobs) == 0 {
+	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scenario: %q generated no jobs before the %dµs horizon", s.Name, s.DurationUs)
 	}
-	return set, nil
+	return &workload.JobSet{Benchmark: s.Label(), Rate: workload.ScenarioRate, Seed: seed, Jobs: jobs}, nil
+}
+
+// stream is one cohort's arrival process, drawn on demand from the cohort's
+// own RNG. head is its next job while live.
+type stream struct {
+	c             *Cohort
+	bench         *workload.Benchmark
+	arrival, work dist
+	deadline      sim.Time
+	criticality   string
+	period        int64
+	rng           *sim.RNG
+	t             sim.Time
+	seq           int
+	head          workload.Job
+	live          bool
+}
+
+// init resolves cohort c, declared at index, under the effective seed.
+func (st *stream) init(c *Cohort, index int, seed int64) error {
+	bench, err := workload.FindBenchmark(c.Benchmark)
+	if err != nil {
+		return fmt.Errorf("scenario: cohort %q: %w", c.Name, err)
+	}
+	arrival, err := parseDist(c.Arrival, distArrival)
+	if err != nil {
+		return fmt.Errorf("scenario: cohort %q: arrival: %w", c.Name, err)
+	}
+	work, err := parseDist(c.Work, distWork)
+	if err != nil {
+		return fmt.Errorf("scenario: cohort %q: work: %w", c.Name, err)
+	}
+	deadline := bench.Deadline
+	if c.DeadlineUs > 0 {
+		deadline = sim.Time(c.DeadlineUs) * sim.Microsecond
+	}
+	*st = stream{
+		c: c, bench: bench, arrival: arrival, work: work, deadline: deadline,
+		criticality: normalizeCriticality(c.Criticality),
+		period:      c.period(),
+		rng:         sim.NewRNG(cohortSeed(seed, index, c.Name)),
+	}
+	return nil
+}
+
+// advance draws the stream's next job into head, or ends the stream at the
+// horizon or at the cohort's max_jobs. Per job it draws the gap, then the
+// kernel chain, then the work multiplier: the order every committed trace
+// depends on.
+func (st *stream) advance(lib *workload.Library, horizon sim.Time) {
+	c := st.c
+	st.live = false
+	if c.MaxJobs > 0 && st.seq >= c.MaxJobs {
+		return
+	}
+	r := c.rateAt(st.t, st.period)
+	for r <= 0 {
+		// Silent period: skip to the next schedule boundary where the rate
+		// could change. Boundaries strictly advance, so this always
+		// terminates at the horizon.
+		if st.t = c.nextChange(st.t, st.period); st.t > horizon {
+			return
+		}
+		r = c.rateAt(st.t, st.period)
+	}
+	// The 1 ns floor keeps time strictly advancing under extreme rates,
+	// which the merge relies on.
+	st.t += max(st.arrival.gap(st.rng, sim.Time(float64(sim.Second)/r)), 1)
+	if st.t > horizon {
+		return
+	}
+	kernels, seqLen := st.bench.SampleChain(lib, st.rng)
+	if k := workRepeat(st.work, st.rng); k > 1 {
+		kernels = repeatChain(kernels, k)
+	}
+	st.head = workload.Job{
+		Benchmark: st.bench.Name, Arrival: st.t, Deadline: st.deadline,
+		Kernels: kernels, SeqLen: seqLen, Cohort: c.Name, Criticality: st.criticality,
+	}
+	st.seq++
+	st.live = true
+}
+
+// expectedJobs is the stream's mean job count, which sizes Generate's first
+// slab: the rate integrated over [0, horizon] between the change points
+// where the piecewise-constant rate can move (extrapolated past
+// maxChangePoints), at most one job per nanosecond, capped by max_jobs.
+func (st *stream) expectedJobs(horizon sim.Time) float64 {
+	var n float64
+	t := sim.Time(0)
+	for i := 0; i < maxChangePoints && t < horizon; i++ {
+		next := min(st.c.nextChange(t, st.period), horizon)
+		n += min(st.c.rateAt(t, st.period)*(next-t).Seconds(), float64(next-t))
+		t = next
+	}
+	n *= float64(horizon) / float64(t)
+	if st.c.MaxJobs > 0 {
+		n = min(n, float64(st.c.MaxJobs))
+	}
+	return n
 }
 
 // workRepeat converts one multiplier draw into a chain repetition count in
@@ -164,11 +218,11 @@ func cohortSeed(seed int64, index int, name string) int64 {
 }
 
 // rateAt evaluates the cohort's offered rate (jobs/second) at simulated
-// time t: the cycling phase schedule's rate multiplied by every burst
-// window covering t.
-func (c *Cohort) rateAt(t sim.Time) float64 {
+// time t: the phase schedule's rate, cycling with the cohort's period(),
+// multiplied by every burst window covering t.
+func (c *Cohort) rateAt(t sim.Time, period int64) float64 {
 	tu := int64(t / sim.Microsecond)
-	rate := c.phaseRate(tu)
+	rate := c.phaseRate(tu, period)
 	for i := range c.Bursts {
 		if c.Bursts[i].covers(tu) {
 			rate *= c.Bursts[i].Factor
@@ -187,9 +241,9 @@ func (c *Cohort) period() int64 {
 }
 
 // phaseRate returns the scheduled base rate at tu microseconds, cycling the
-// phase list with period period().
-func (c *Cohort) phaseRate(tu int64) float64 {
-	pos := tu % c.period()
+// phase list with the given period.
+func (c *Cohort) phaseRate(tu, period int64) float64 {
+	pos := tu % period
 	for _, ph := range c.Phases {
 		if pos < ph.DurationUs {
 			return ph.Rate
@@ -211,11 +265,12 @@ func (b *Burst) covers(tu int64) bool {
 }
 
 // nextChange returns the earliest instant strictly after t at which the
-// cohort's rate could change: the next phase boundary or burst edge. Used
-// to skip silent (rate-0) stretches without sampling.
-func (c *Cohort) nextChange(t sim.Time) sim.Time {
+// cohort's rate could change: the next phase boundary (for the cohort's
+// period()) or burst edge. Used to skip silent (rate-0) stretches without
+// sampling.
+func (c *Cohort) nextChange(t sim.Time, period int64) sim.Time {
 	tu := int64(t / sim.Microsecond)
-	next := c.nextPhaseBoundary(tu)
+	next := c.nextPhaseBoundary(tu, period)
 	for i := range c.Bursts {
 		if e, ok := c.Bursts[i].nextEdge(tu); ok && e < next {
 			next = e
@@ -229,8 +284,7 @@ func (c *Cohort) nextChange(t sim.Time) sim.Time {
 }
 
 // nextPhaseBoundary returns the first phase boundary (µs) strictly after tu.
-func (c *Cohort) nextPhaseBoundary(tu int64) int64 {
-	period := c.period()
+func (c *Cohort) nextPhaseBoundary(tu, period int64) int64 {
 	cycle := (tu / period) * period
 	pos := tu - cycle
 	var cum int64

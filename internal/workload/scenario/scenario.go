@@ -56,8 +56,9 @@ type Spec struct {
 	DurationUs int64 `json:"duration_us"`
 
 	// Cohorts are the tenant populations; at least one is required. Merge
-	// order is deterministic: jobs sort by arrival time, ties break by
-	// cohort position in this list, then by per-cohort sequence.
+	// order is deterministic: jobs are ordered by arrival time, ties broken
+	// by cohort position in this list (a cohort never has two jobs at one
+	// instant).
 	Cohorts []Cohort `json:"cohorts"`
 }
 

@@ -366,6 +366,39 @@ func TestMergeOrderIsStable(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocsIndependentOfJobCount pins the expansion's allocation
+// shape: per cohort and per slab, never per job. Single-kernel cohorts
+// without a work multiplier allocate no chain, so a hundredfold longer
+// horizon may add at most a few overflow slabs.
+func TestGenerateAllocsIndependentOfJobCount(t *testing.T) {
+	lib := testLib(t)
+	allocs := func(durationUs int64) (float64, int) {
+		s := minimal()
+		s.DurationUs = durationUs
+		s.Cohorts[0].Phases[0].DurationUs = durationUs
+		s.Cohorts = append(s.Cohorts, Cohort{Name: "b", Benchmark: "GMM", Arrival: "lognormal:sigma=1",
+			Phases: []Phase{{DurationUs: durationUs, Rate: 2000}}})
+		var jobs int
+		n := testing.AllocsPerRun(3, func() {
+			set, err := s.Generate(lib, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = len(set.Jobs)
+		})
+		return n, jobs
+	}
+	short, shortJobs := allocs(20_000)
+	long, longJobs := allocs(2_000_000)
+	if longJobs < 50*shortJobs {
+		t.Fatalf("%d and %d jobs: the long horizon should make ~100x more", shortJobs, longJobs)
+	}
+	if long > short+4 {
+		t.Errorf("Generate makes %.0f allocations for %d jobs and %.0f for %d; want growth in slabs, not jobs",
+			short, shortJobs, long, longJobs)
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := map[string]struct {
 		mutate func(*Spec)

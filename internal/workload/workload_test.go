@@ -68,7 +68,7 @@ func TestCalibratedKernelsFitOnDevice(t *testing.T) {
 func TestLSTMChainMatchesTable1CallCounts(t *testing.T) {
 	l := lib(t)
 	// Table 1 characterizes an LSTM job with sequence length 13.
-	chain := lstmChain(l, 13)
+	chain := l.lstm.build(13)
 	counts := map[string]int{}
 	for _, k := range chain {
 		counts[k.Name]++
@@ -93,14 +93,61 @@ func TestLSTMChainMatchesTable1CallCounts(t *testing.T) {
 
 func TestChainLengthScalesWithSeqLen(t *testing.T) {
 	l := lib(t)
-	for _, build := range []func(int) []*gpu.KernelDesc{
-		func(L int) []*gpu.KernelDesc { return lstmChain(l, L) },
-		func(L int) []*gpu.KernelDesc { return gruChain(l, L, "rocBLASGEMMKernel1") },
-		func(L int) []*gpu.KernelDesc { return vanChain(l, L) },
-	} {
+	for _, build := range []func(int) []*gpu.KernelDesc{l.lstm.build, l.gru.build, l.van.build} {
 		short, long := build(4), build(40)
 		if len(long) <= len(short) {
 			t.Errorf("chain does not grow with sequence length: %d vs %d", len(short), len(long))
+		}
+	}
+}
+
+// TestSampleChainAllocs pins the sampler's cost: a single-kernel benchmark
+// hands out the Library's shared chain for no allocation, and an RNN chain
+// is one allocation of exactly its final length.
+func TestSampleChainAllocs(t *testing.T) {
+	l := lib(t)
+	rng := sim.NewRNG(1)
+	for _, b := range Benchmarks() {
+		want := 0.0
+		if b.ManyKernel {
+			want = 1
+		}
+		var chain []*gpu.KernelDesc
+		if got := testing.AllocsPerRun(200, func() { chain, _ = b.SampleChain(l, rng) }); got != want {
+			t.Errorf("%s: SampleChain makes %.1f allocations, want %.0f", b.Name, got, want)
+		}
+		if len(chain) != cap(chain) {
+			t.Errorf("%s: chain has len %d, cap %d; want an exact-size slice", b.Name, len(chain), cap(chain))
+		}
+	}
+}
+
+// TestSharedChainIsAppendSafe appends to every sampled single-kernel chain
+// and writes into the result, as a kernel-override path building on a
+// sampled chain would, then checks the next samples are unchanged: a shared
+// chain has no spare capacity, so the append copies it.
+func TestSharedChainIsAppendSafe(t *testing.T) {
+	l := lib(t)
+	rng := sim.NewRNG(1)
+	extra := l.Kernel("TensorKernel1")
+	want := map[string]*gpu.KernelDesc{}
+	for _, b := range Benchmarks() {
+		if !b.ManyKernel {
+			chain, _ := b.SampleChain(l, rng)
+			want[b.Name] = chain[0]
+		}
+	}
+	for _, b := range Benchmarks() {
+		if !b.ManyKernel {
+			chain, _ := b.SampleChain(l, rng)
+			grown := append(chain, extra)
+			grown[0] = extra
+		}
+	}
+	for name, k := range want {
+		b, _ := FindBenchmark(name)
+		if chain, _ := b.SampleChain(l, rng); len(chain) != 1 || chain[0] != k {
+			t.Errorf("%s: an append to a sampled chain changed the next sample", name)
 		}
 	}
 }
