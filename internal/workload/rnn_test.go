@@ -30,18 +30,33 @@ func TestRNNBuilderAnchorMatchesTable1Chain(t *testing.T) {
 	l := lib(t)
 	b := NewRNNBuilder(l)
 	// At the anchor configuration (LSTM, hidden 128, seq 13, batch 1) the
-	// builder must reproduce the hand-written Table 1 chain exactly.
-	built := b.Build(RNNSpec{Cell: LSTMCell, Hidden: 128, SeqLen: 13, BatchSize: 1})
-	want := l.lstm.build(13)
-	if len(built) != len(want) {
-		t.Fatalf("chain length %d, want %d", len(built), len(want))
+	// builder must produce the Table 1 LSTM layout, written out here, with
+	// the Library's own descriptors: three TensorKernel1, five
+	// TensorKernel2, two TensorKernel3 and one TensorKernel4, then per step
+	// the GEMM and three TensorKernel4/ActivationKernel5 gate pairs.
+	const L = 13
+	names := []string{
+		"TensorKernel1", "TensorKernel1", "TensorKernel1",
+		"TensorKernel2", "TensorKernel2", "TensorKernel2", "TensorKernel2", "TensorKernel2",
+		"TensorKernel3", "TensorKernel3", "TensorKernel4",
 	}
-	for i := range want {
-		if built[i].Name != want[i].Name {
-			t.Fatalf("kernel %d: %s, want %s", i, built[i].Name, want[i].Name)
+	for i := 0; i < L; i++ {
+		names = append(names, "rocBLASGEMMKernel1",
+			"TensorKernel4", "ActivationKernel5",
+			"TensorKernel4", "ActivationKernel5",
+			"TensorKernel4", "ActivationKernel5")
+	}
+	built := b.Build(RNNSpec{Cell: LSTMCell, Hidden: 128, SeqLen: L, BatchSize: 1})
+	if len(built) != len(names) {
+		t.Fatalf("chain length %d, want %d", len(built), len(names))
+	}
+	for i, name := range names {
+		want := l.Kernel(name)
+		if built[i].Name != name {
+			t.Fatalf("kernel %d: %s, want %s", i, built[i].Name, name)
 		}
-		if built[i].NumWGs != want[i].NumWGs || built[i].BaseWGTime != want[i].BaseWGTime {
-			t.Fatalf("kernel %d (%s) parameters diverge from anchor", i, built[i].Name)
+		if built[i].NumWGs != want.NumWGs || built[i].BaseWGTime != want.BaseWGTime {
+			t.Fatalf("kernel %d (%s) parameters diverge from anchor", i, name)
 		}
 	}
 }

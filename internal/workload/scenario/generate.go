@@ -164,7 +164,8 @@ func (st *stream) advance(lib *workload.Library, horizon sim.Time) {
 // expectedJobs is the stream's mean job count, which sizes Generate's first
 // slab: the rate integrated over [0, horizon] between the change points
 // where the piecewise-constant rate can move (extrapolated past
-// maxChangePoints), at most one job per nanosecond, capped by max_jobs.
+// maxChangePoints), at most one job per nanosecond, capped by max_jobs. The
+// scan stops once the count reaches max_jobs.
 func (st *stream) expectedJobs(horizon sim.Time) float64 {
 	var n float64
 	t := sim.Time(0)
@@ -172,6 +173,9 @@ func (st *stream) expectedJobs(horizon sim.Time) float64 {
 		next := min(st.c.nextChange(t, st.period), horizon)
 		n += min(st.c.rateAt(t, st.period)*(next-t).Seconds(), float64(next-t))
 		t = next
+		if st.c.MaxJobs > 0 && n >= float64(st.c.MaxJobs) {
+			return float64(st.c.MaxJobs)
+		}
 	}
 	n *= float64(horizon) / float64(t)
 	if st.c.MaxJobs > 0 {
