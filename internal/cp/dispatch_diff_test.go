@@ -20,13 +20,16 @@ import (
 // time": the ready counts may only ever save work. These tests hold the real
 // system against an always-walk reference (cp.System.AlwaysWalk, test-only)
 // over seeded full runs, bit for bit, and check the counts themselves against
-// a from-scratch recount after every engine event. Whether the device's
-// blocked bit equals a scan of its CUs is gpu's TestNoRoomMemoMatchesScan.
+// a from-scratch recount — and the memoized dispatch order against a fresh
+// stable sort — after every engine event. Whether the device's blocked bit
+// equals a scan of its CUs is gpu's TestNoRoomMemoMatchesScan.
 
-// diffCase is one seeded run: a scheduler, a fault plan, batch or online.
+// diffCase is one seeded run: a scheduler, a fault plan, batch or online,
+// and the number of hardware priority levels (0: unlimited).
 type diffCase struct {
 	sched, faults string
 	online        bool
+	levels        int
 }
 
 func (c diffCase) String() string {
@@ -36,6 +39,9 @@ func (c diffCase) String() string {
 	}
 	if plan == "" {
 		plan = "healthy"
+	}
+	if c.levels > 0 {
+		mode += fmt.Sprintf("/levels=%d", c.levels)
 	}
 	return fmt.Sprintf("%s/%s/%s", c.sched, plan, mode)
 }
@@ -71,7 +77,9 @@ func (c diffCase) run(t *testing.T, set *workload.JobSet, reference bool, each f
 	if c.online {
 		trace = &workload.JobSet{Benchmark: set.Benchmark}
 	}
-	sys, _, err := sched.Assemble(c.sched, cp.DefaultSystemConfig(), trace, spec, 1)
+	cfg := cp.DefaultSystemConfig()
+	cfg.PriorityLevels = c.levels
+	sys, _, err := sched.Assemble(c.sched, cfg, trace, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,8 @@ func diverged(got, want diffRun) string {
 // the same WGs on the same CUs at every placement — which is also the order
 // RR and MLFQ see Served in — and end with the same per-job outcomes and
 // metrics.Summary; and after every engine event of the real run, counts that
-// claim to be current equal a recount.
+// claim to be current equal a recount and a trusted dispatch order equals a
+// fresh sort.
 func TestDispatchMatchesAlwaysWalk(t *testing.T) {
 	jobs := 24
 	if testing.Short() {
@@ -182,10 +191,13 @@ func TestDispatchMatchesAlwaysWalk(t *testing.T) {
 	for _, name := range schedulers {
 		for _, plan := range []string{"", "hang=0.1,abort=0.1", "retire=2@2ms"} {
 			for _, online := range []bool{false, true} {
-				c := diffCase{name, plan, online}
+				c := diffCase{name, plan, online, 0}
 				t.Run(c.String(), func(t *testing.T) {
 					real := c.run(t, set, false, func(sys *cp.System) {
 						if err := sys.CheckReady(); err != nil {
+							t.Fatal(err)
+						}
+						if err := sys.CheckOrder(); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -209,7 +221,7 @@ func TestDispatchMatchesAlwaysWalk(t *testing.T) {
 func TestLostReadyIncrementIsCaught(t *testing.T) {
 	set := lstmTrace(t, 16)
 	for _, online := range []bool{false, true} {
-		c := diffCase{"EDF", "", online}
+		c := diffCase{"EDF", "", online, 0}
 		events, lost, recount := 0, false, error(nil)
 		broken := c.run(t, set, false, func(sys *cp.System) {
 			if events++; events > 2000 && !lost {
@@ -227,6 +239,63 @@ func TestLostReadyIncrementIsCaught(t *testing.T) {
 		}
 		if diverged(broken, c.run(t, set, true, nil)) == "" {
 			t.Errorf("%v: a run that lost a ready kernel still matches the reference", c)
+		}
+	}
+}
+
+// TestPriorityOrderMatchesStableSort: for the 13 sweep schedulers and
+// LAX-PREMA x PriorityLevels {0, 2, 4} x {healthy, hangs and aborts under
+// recovery, CU retirement} x {batch, online}, after every engine event a
+// dispatch order the System would return as it stands equals a fresh stable
+// sort of the active jobs. (RR and MLFQ order through their own Orderer; the
+// check passes them trivially and their runs keep the table whole.)
+func TestPriorityOrderMatchesStableSort(t *testing.T) {
+	jobs := 16
+	if testing.Short() {
+		jobs = 8
+	}
+	set := lstmTrace(t, jobs)
+	schedulers := append(append([]string(nil), sched.Table5Schedulers...), "LAX-SW", "LAX-CPU", "LAX-PREMA")
+	for _, name := range schedulers {
+		for _, levels := range []int{0, 2, 4} {
+			for _, plan := range []string{"", "hang=0.1,abort=0.1", "retire=2@2ms"} {
+				for _, online := range []bool{false, true} {
+					c := diffCase{name, plan, online, levels}
+					t.Run(c.String(), func(t *testing.T) {
+						c.run(t, set, false, func(sys *cp.System) {
+							if err := sys.CheckOrder(); err != nil {
+								t.Fatal(err)
+							}
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSwappedOrderIsCaught runs the broken variant — two entries of a
+// trusted dispatch order trade places mid-run — and requires CheckOrder to
+// notice at once.
+func TestSwappedOrderIsCaught(t *testing.T) {
+	set := lstmTrace(t, 16)
+	for _, levels := range []int{0, 2} {
+		for _, online := range []bool{false, true} {
+			c := diffCase{"EDF", "", online, levels}
+			events, swapped, caught := 0, false, error(nil)
+			c.run(t, set, false, func(sys *cp.System) {
+				if events++; events > 2000 && !swapped {
+					if swapped = sys.SwapOrder(); swapped {
+						caught = sys.CheckOrder()
+					}
+				}
+			})
+			if !swapped {
+				t.Fatalf("%v: never found a trusted order of two jobs to swap", c)
+			}
+			if caught == nil {
+				t.Errorf("%v: CheckOrder accepts an order with two jobs swapped", c)
+			}
 		}
 	}
 }

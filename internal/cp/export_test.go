@@ -1,6 +1,10 @@
 package cp
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Hooks for the external tests in dispatch_diff_test.go, which need the
 // schedulers of internal/sched (an importer of this package) and reach the
@@ -79,4 +83,62 @@ func (s *System) LoseReady() bool {
 		}
 	}
 	return false
+}
+
+// CheckOrder holds the memoized dispatch order of a policy without an
+// Orderer against its definition: whenever the cache is trusted — the next
+// priorityOrder call would return it as it stands — it must equal a fresh
+// stable sort of Active() by (priority, quantized when PriorityLevels is set;
+// SubmitTime; ID). A cache awaiting revalidation promises nothing and passes.
+func (s *System) CheckOrder() error {
+	if s.orderer != nil || !s.orderTrusted() {
+		return nil
+	}
+	prio := func(j *JobRun) int64 { return j.Priority }
+	if s.cfg.PriorityLevels > 0 {
+		prio = s.quantizedPriority()
+	}
+	want := slices.Clone(s.active)
+	slices.SortStableFunc(want, func(ja, jb *JobRun) int {
+		return cmp.Or(cmp.Compare(prio(ja), prio(jb)), cmp.Compare(ja.SubmitTime, jb.SubmitTime), cmp.Compare(ja.Job.ID, jb.Job.ID))
+	})
+	if !slices.Equal(s.orderCache, want) {
+		ids := func(js []*JobRun) []int {
+			out := make([]int, len(js))
+			for i, j := range js {
+				out[i] = j.Job.ID
+			}
+			return out
+		}
+		return fmt.Errorf("t=%v: cached dispatch order %v, a stable sort of the %d active jobs gives %v", s.eng.Now(), ids(s.orderCache), len(s.active), ids(want))
+	}
+	return nil
+}
+
+// orderTrusted reports whether priorityOrder would return the cache without
+// re-sorting it.
+func (s *System) orderTrusted() bool {
+	if !s.orderValid {
+		return false
+	}
+	for i, jr := range s.orderCache {
+		if jr.Priority != s.orderPrios[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// SwapOrder is the broken variant "the repair left two jobs out of order": it
+// swaps the first two cached entries, stamps and all, so the cache stays
+// trusted. The sort key is a total order, so any swap of two jobs breaks the
+// sort. It reports whether the trusted cache held two jobs to swap.
+func (s *System) SwapOrder() bool {
+	if s.orderer != nil || !s.orderTrusted() || len(s.orderCache) < 2 {
+		return false
+	}
+	c, p := s.orderCache, s.orderPrios
+	c[0], c[1] = c[1], c[0]
+	p[0], p[1] = p[1], p[0]
+	return true
 }
