@@ -276,6 +276,34 @@ func TestPREMACellCostTracksEDF(t *testing.T) {
 	}
 }
 
+// TestSRFCellCostTracksEDF is the same guard for SRF's remaining-time
+// estimates: SRF re-ranks every active job each 100 µs epoch while EDF ranks
+// once at admission, yet the SRF/LSTM cell may not cost more than 1.25x the
+// EDF/LSTM cell. It cost 1.75-2.3x while the job table re-walked each
+// dirty job's ~60-kernel tail every epoch and the dispatch order re-sorted
+// after every epoch; summing the tail by shape and repairing the order
+// bring it to about 0.85x.
+func TestSRFCellCostTracksEDF(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six full simulations")
+	}
+	r := benchRunner()
+	best := func(schedName string) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			sweepCell(t, r, schedName)
+			d = min(d, time.Since(start))
+		}
+		return d
+	}
+	edf, srf := best("EDF"), best("SRF")
+	if 4*srf > 5*edf {
+		t.Fatalf("SRF/LSTM cell took %v vs EDF/LSTM %v; want <= 1.25x", srf, edf)
+	}
+	t.Logf("SRF/LSTM %v, EDF/LSTM %v (%.2fx)", srf, edf, float64(srf)/float64(edf))
+}
+
 // --- Micro-benchmarks for the simulation substrate ---
 
 // BenchmarkEngineEventChurn measures raw discrete-event throughput.
@@ -341,6 +369,28 @@ func BenchmarkLAXReprioritize(b *testing.B) {
 	}
 	set := bench.Generate(lib, workload.HighRate, 128, 1)
 	pol := sched.NewLAX()
+	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
+	// Populate the system mid-flight, then measure pure reprioritization.
+	sys.Engine().Schedule(2*sim.Millisecond, func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pol.Reprioritize()
+		}
+		b.StopTimer()
+	})
+	sys.Run()
+}
+
+// BenchmarkSRFReprioritize measures one SRF pass — a profiling-table
+// refresh and a remaining-time re-rank — over a full 128-queue system.
+func BenchmarkSRFReprioritize(b *testing.B) {
+	lib := workload.NewLibrary(gpu.DefaultConfig())
+	bench, err := workload.FindBenchmark("LSTM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := bench.Generate(lib, workload.HighRate, 128, 1)
+	pol := sched.NewSRF()
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
 	// Populate the system mid-flight, then measure pure reprioritization.
 	sys.Engine().Schedule(2*sim.Millisecond, func() {

@@ -85,12 +85,29 @@ func (s *System) LoseReady() bool {
 	return false
 }
 
-// CheckOrder holds the memoized dispatch order of a policy without an
-// Orderer against its definition: whenever the cache is trusted — the next
+// CheckOrder holds the dispatch order of a policy without an Orderer
+// against its definition. The cache must be a permutation of Active() at all
+// times, its stamps aligned with it; and whenever it is trusted — the next
 // priorityOrder call would return it as it stands — it must equal a fresh
-// stable sort of Active() by (priority, quantized when PriorityLevels is set;
-// SubmitTime; ID). A cache awaiting revalidation promises nothing and passes.
+// stable sort of Active() by (priority, quantized when PriorityLevels is
+// set; SubmitTime; ID). A cache awaiting a compare or a repair promises no
+// order and passes that part.
 func (s *System) CheckOrder() error {
+	ids := func(js []*JobRun) []int {
+		out := make([]int, len(js))
+		for i, j := range js {
+			out[i] = j.Job.ID
+		}
+		return out
+	}
+	sorted := func(js []*JobRun) []int {
+		out := ids(js)
+		slices.Sort(out)
+		return out
+	}
+	if !slices.Equal(sorted(s.orderCache), sorted(s.active)) || len(s.orderPrios) != len(s.orderCache) {
+		return fmt.Errorf("t=%v: dispatch order %v (%d stamps) is not a permutation of the active jobs %v", s.eng.Now(), ids(s.orderCache), len(s.orderPrios), ids(s.active))
+	}
 	if s.orderer != nil || !s.orderTrusted() {
 		return nil
 	}
@@ -103,27 +120,23 @@ func (s *System) CheckOrder() error {
 		return cmp.Or(cmp.Compare(prio(ja), prio(jb)), cmp.Compare(ja.SubmitTime, jb.SubmitTime), cmp.Compare(ja.Job.ID, jb.Job.ID))
 	})
 	if !slices.Equal(s.orderCache, want) {
-		ids := func(js []*JobRun) []int {
-			out := make([]int, len(js))
-			for i, j := range js {
-				out[i] = j.Job.ID
-			}
-			return out
-		}
 		return fmt.Errorf("t=%v: cached dispatch order %v, a stable sort of the %d active jobs gives %v", s.eng.Now(), ids(s.orderCache), len(s.active), ids(want))
 	}
 	return nil
 }
 
-// orderTrusted reports whether priorityOrder would return the cache without
-// re-sorting it.
+// orderTrusted reports whether priorityOrder would return the cache as it
+// stands: no compare pending, or one that would find every stamp current,
+// and no repair pending.
 func (s *System) orderTrusted() bool {
-	if !s.orderValid {
+	if s.orderDirty {
 		return false
 	}
-	for i, jr := range s.orderCache {
-		if jr.Priority != s.orderPrios[i] {
-			return false
+	if s.prioMoved || s.inPass {
+		for i, jr := range s.orderCache {
+			if jr.Priority != s.orderPrios[i] {
+				return false
+			}
 		}
 	}
 	return true

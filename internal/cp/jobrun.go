@@ -79,9 +79,6 @@ type JobRun struct {
 	// are done).
 	cur int
 
-	// paused is the job-level Pause/Resume flag each new head inherits.
-	paused bool
-
 	// Priority is the queue's priority register: lower values are more
 	// urgent (priority 0 is the highest level, as in Algorithm 2). Ties
 	// break FIFO on SubmitTime.
@@ -110,6 +107,10 @@ type JobRun struct {
 	// completed, almost always past its deadline.
 	FellBack bool
 
+	// paused is the job-level Pause/Resume flag each new head inherits. (It
+	// sits beside FellBack so the two share one word.)
+	paused bool
+
 	// wgsCompleted counts WGs finished across all kernels (Figure 9).
 	wgsCompleted int
 
@@ -121,6 +122,35 @@ type JobRun struct {
 	// sys is the owning system (nil for a JobRun built outside one), told
 	// when Pause or Resume changes what is dispatchable.
 	sys *System
+
+	// launch is the job's next step on the CP launch path — the end of
+	// stream inspection, or a CPU-side policy's kernel launch leaving the
+	// host pipe — as a pooled engine payload, so the path schedules no
+	// closure per job or per kernel.
+	launch launchStep
+}
+
+// launchStep is a JobRun's pending launch-path step (sim.Action). The chain
+// is sequential, so a job has at most one step in flight.
+type launchStep struct {
+	jr *JobRun
+	fn func(*System, *JobRun)
+}
+
+// Act runs the step.
+func (l *launchStep) Act() {
+	fn := l.fn
+	l.fn = nil
+	fn(l.jr.sys, l.jr)
+}
+
+// scheduleLaunch runs fn(sys, j) at the given instant.
+func (j *JobRun) scheduleLaunch(at sim.Time, fn func(*System, *JobRun)) {
+	if j.launch.fn != nil {
+		panic(fmt.Sprintf("cp: second launch step in flight for %v", j))
+	}
+	j.launch = launchStep{j, fn}
+	j.sys.eng.ScheduleAct(at, &j.launch)
 }
 
 // initJobRun sets jr up as the runtime state of one job of this system, its

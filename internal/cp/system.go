@@ -1,7 +1,6 @@
 package cp
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -74,17 +73,33 @@ type System struct {
 	orderer  Orderer
 	observer ServeObserver
 
-	// orderCache memoizes dispatchOrder for non-Orderer policies. The sort's
-	// comparator is a total order (Job.ID tie-break), so its output is a pure
-	// function of (active set, priorities, SubmitTimes); SubmitTime and ID
-	// are immutable once a job is active, so the cache revalidates by
-	// checking membership (orderValid, cleared on every active-set mutation)
-	// and comparing each job's Priority against the stamp taken at sort time
-	// — O(n) compares instead of an O(n log n) sort per WG completion,
-	// robust against priority writes from any policy hook.
+	// orderCache is the dispatch order of a policy without an Orderer: the
+	// active jobs by ascending (priority, quantized under PriorityLevels;
+	// SubmitTime; Job.ID). The key is a total order, so the sorted sequence
+	// is unique. The cache is a permutation of active at all times and is
+	// repaired, never re-sorted: a job that binds a queue is appended, and a
+	// job that leaves is deleted in place, which keeps the rest sorted.
+	// orderPrios[i] is the Priority orderCache[i] was placed under.
+	//
+	// Priorities move only where policy code runs: cp.Policy has Admit and
+	// Reprioritize write JobRun.Priority and nothing else. So the stamps are
+	// compared only after those hooks — prioMoved is raised after Admit and
+	// after Reprioritize, and inPass keeps the compare on for every dispatch
+	// during Reprioritize (LAX-PREMA cancels, and so dispatches, midway
+	// through its pass). A stamp mismatch, a join, or a leave under
+	// PriorityLevels (the quantization spans the active set, so a leave can
+	// move other jobs' levels) sets orderDirty, and the next priorityOrder
+	// runs one insertion pass: O(n + inversions), and, the key being a total
+	// order, exactly the stable sort's result.
 	orderCache []*JobRun
 	orderPrios []int64
-	orderValid bool
+	orderKeys  []int64 // repairOrder's scratch: each entry's sort key
+	prioMoved  bool
+	inPass     bool
+	orderDirty bool
+
+	// activeGen counts joins to and leaves from active (see ActiveGen).
+	activeGen uint64
 
 	// ready[c] counts the active jobs whose current kernel is Dispatchable
 	// and of device footprint class c (gpu.Device.FootprintClass). With the
@@ -285,7 +300,9 @@ func (s *System) RunContext(ctx context.Context) error {
 func (s *System) arrive(jr *JobRun) {
 	s.arrivalsLeft--
 	s.probeJob(obs.JobArrive, jr)
-	if !s.pol.Admit(jr) {
+	accepted := s.pol.Admit(jr)
+	s.prioMoved = true
+	if !accepted {
 		jr.state = JobRejected
 		s.rejected++
 		s.probeJob(obs.JobReject, jr)
@@ -309,7 +326,10 @@ func (s *System) bindQueue(jr *JobRun) {
 	jr.head.QueueID = qid
 	jr.state = JobInit
 	s.active = append(s.active, jr)
-	s.invalidateOrder()
+	s.activeGen++
+	s.orderCache = append(s.orderCache, jr)
+	s.orderPrios = append(s.orderPrios, jr.Priority)
+	s.orderDirty = true
 	s.armTimer()
 
 	// Stream inspection: claim the earliest parser slot.
@@ -326,9 +346,12 @@ func (s *System) bindQueue(jr *JobRun) {
 	done := start + s.cfg.ParseLatency
 	s.parserFreeAt[slot] = done
 
-	ov := s.pol.Overheads()
-	s.eng.Schedule(done+ov.PerJobAdmission, func() { s.afterLaunch(jr, (*System).inspected) })
+	jr.scheduleLaunch(done+s.pol.Overheads().PerJobAdmission, (*System).inspectionDone)
 }
+
+// inspectionDone runs when a job's stream inspection (and its policy's
+// per-job admission cost) is through: its first kernel launch goes out.
+func (s *System) inspectionDone(jr *JobRun) { s.afterLaunch(jr, (*System).inspected) }
 
 // inspected runs once a job's stream inspection and first kernel launch are
 // through: the first kernel becomes ready unless the policy's gate holds it.
@@ -347,7 +370,7 @@ func (s *System) inspected(jr *JobRun) {
 
 // afterLaunch runs fn(s, jr) once the host launch pipe has issued one kernel
 // launch for this policy. CP-side policies (zero PerKernelLaunch) proceed
-// immediately, with no closure; CPU-side policies wait for the shared pipe.
+// immediately; CPU-side policies wait for the shared pipe.
 func (s *System) afterLaunch(jr *JobRun, fn func(*System, *JobRun)) {
 	d := s.pol.Overheads().PerKernelLaunch
 	if d <= 0 {
@@ -359,7 +382,7 @@ func (s *System) afterLaunch(jr *JobRun, fn func(*System, *JobRun)) {
 		start = s.hostFreeAt
 	}
 	s.hostFreeAt = start + d
-	s.eng.Schedule(s.hostFreeAt, func() { fn(s, jr) })
+	jr.scheduleLaunch(s.hostFreeAt, fn)
 }
 
 // makeFirstReady transitions an inspected job to ready and dispatches.
@@ -444,13 +467,7 @@ func (s *System) Cancel(jr *JobRun) {
 // gate-blocked sets. Pause marks the ready counts stale, which covers both.
 func (s *System) drop(jr *JobRun) {
 	jr.Pause()
-	for i, a := range s.active {
-		if a == jr {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			s.invalidateOrder()
-			break
-		}
-	}
+	s.leave(jr)
 	for i, b := range s.blocked {
 		if b == jr {
 			s.blocked = append(s.blocked[:i], s.blocked[i+1:]...)
@@ -538,16 +555,33 @@ func (s *System) finish(jr *JobRun) {
 	s.completed++
 	s.probeJob(obs.JobFinish, jr)
 	s.retire()
-	for i, a := range s.active {
-		if a == jr {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			s.invalidateOrder()
-			break
-		}
-	}
+	s.leave(jr)
 	s.releaseQueue(jr)
 	s.Dispatch()
 }
+
+// leave takes jr out of active and out of the dispatch order, if it is in
+// them. Deleting in place keeps the order sorted, except under
+// PriorityLevels, where the levels span the active set.
+func (s *System) leave(jr *JobRun) {
+	i := slices.Index(s.active, jr)
+	if i < 0 {
+		return
+	}
+	s.active = slices.Delete(s.active, i, i+1)
+	s.activeGen++
+	i = slices.Index(s.orderCache, jr)
+	s.orderCache = slices.Delete(s.orderCache, i, i+1)
+	s.orderPrios = slices.Delete(s.orderPrios, i, i+1)
+	if s.cfg.PriorityLevels > 0 {
+		s.orderDirty = true
+	}
+}
+
+// ActiveGen returns a counter that changes whenever a job joins or leaves
+// Active(). Active() keeps its members in arrival order, so two calls that
+// see the same generation see the same slice contents.
+func (s *System) ActiveGen() uint64 { return s.activeGen }
 
 // releaseQueue returns the job's compute queue to the free pool and binds
 // the longest-waiting host-queued job, if any. Safe to call once per job
@@ -656,48 +690,63 @@ func (s *System) dispatchOrder() []*JobRun {
 	return s.priorityOrder()
 }
 
-// priorityOrder is dispatchOrder without an Orderer: the memoized sort.
+// priorityOrder is dispatchOrder without an Orderer: the repaired cache.
 func (s *System) priorityOrder() []*JobRun {
-	if s.orderValid {
+	if s.prioMoved || s.inPass {
+		s.prioMoved = false
 		for i, jr := range s.orderCache {
 			if jr.Priority != s.orderPrios[i] {
-				s.orderValid = false
+				s.orderDirty = true
 				break
 			}
 		}
-		if s.orderValid {
-			return s.orderCache
-		}
 	}
-	prio := func(j *JobRun) int64 { return j.Priority }
-	if s.cfg.PriorityLevels > 0 {
-		prio = s.quantizedPriority()
+	if s.orderDirty {
+		s.orderDirty = false
+		s.repairOrder()
 	}
-	order := append(s.orderCache[:0], s.active...)
-	// Ties end on the unique job ID: a total order, so every sort agrees on
-	// the result, and the generic one needs no reflective swapper.
-	slices.SortStableFunc(order, func(ja, jb *JobRun) int {
-		if pa, pb := prio(ja), prio(jb); pa != pb {
-			return cmp.Compare(pa, pb)
-		}
-		if ja.SubmitTime != jb.SubmitTime {
-			return cmp.Compare(ja.SubmitTime, jb.SubmitTime)
-		}
-		return cmp.Compare(ja.Job.ID, jb.Job.ID)
-	})
-	s.orderCache = order
-	s.orderPrios = s.orderPrios[:0]
-	for _, jr := range order {
-		s.orderPrios = append(s.orderPrios, jr.Priority)
-	}
-	s.orderValid = true
-	return order
+	return s.orderCache
 }
 
-// invalidateOrder drops the memoized dispatch order. Called on every
-// active-set mutation; priority-only changes are caught by the stamp check
-// in dispatchOrder instead.
-func (s *System) invalidateOrder() { s.orderValid = false }
+// repairOrder restores the dispatch order with one insertion pass over the
+// cache and re-stamps every entry's priority.
+func (s *System) repairOrder() {
+	order, keys := s.orderCache, s.orderKeys[:0]
+	if s.cfg.PriorityLevels > 0 {
+		level := s.quantizedPriority()
+		for _, jr := range order {
+			keys = append(keys, level(jr))
+		}
+	} else {
+		for _, jr := range order {
+			keys = append(keys, jr.Priority)
+		}
+	}
+	s.orderKeys = keys
+	for i := 1; i < len(order); i++ {
+		jr, k := order[i], keys[i]
+		j := i
+		for ; j > 0 && orderBefore(k, jr, keys[j-1], order[j-1]); j-- {
+			order[j], keys[j] = order[j-1], keys[j-1]
+		}
+		order[j], keys[j] = jr, k
+	}
+	for i, jr := range order {
+		s.orderPrios[i] = jr.Priority
+	}
+}
+
+// orderBefore is the dispatch order's key comparison: a (sort key a) goes
+// before b (key kb). Ties end on the unique job ID, so it is a total order.
+func orderBefore(ka int64, a *JobRun, kb int64, b *JobRun) bool {
+	if ka != kb {
+		return ka < kb
+	}
+	if a.SubmitTime != b.SubmitTime {
+		return a.SubmitTime < b.SubmitTime
+	}
+	return a.Job.ID < b.Job.ID
+}
 
 // quantizedPriority maps the active jobs' raw priorities onto the
 // configured number of hardware levels by rank: the most urgent 1/N of the
@@ -756,8 +805,19 @@ func (s *System) armTimer() {
 	if s.online {
 		at = (s.eng.Now()/iv + 1) * iv // next strict grid point
 	}
-	s.eng.Schedule(at, s.tick)
+	s.eng.ScheduleAct(at, (*tickEvent)(s))
 }
+
+// tickEvent and passEvent are the System as the engine payload of its timer
+// tick and of a CPU-side policy's delayed pass: Actions, so scheduling them
+// allocates nothing (a method value would allocate a closure each time).
+type (
+	tickEvent System
+	passEvent System
+)
+
+func (t *tickEvent) Act() { (*System)(t).tick() }
+func (p *passEvent) Act() { (*System)(p).applyReprioritize() }
 
 // tick is the reprioritization timer body: run the policy's Algorithm 2 pass
 // (a host round trip later for CPU-side policies), re-test gate-blocked
@@ -772,16 +832,21 @@ func (s *System) tick() {
 // CPU-side policies (the decision lands that much after the tick).
 func (s *System) reprioritize() {
 	if lat := s.pol.Overheads().PriorityUpdateLatency; lat > 0 {
-		s.eng.After(lat, s.applyReprioritize)
+		s.eng.ScheduleAct(s.eng.Now()+lat, (*passEvent)(s))
 		return
 	}
 	s.applyReprioritize()
 }
 
 // applyReprioritize is the pass and what follows from it. The policy may
-// have paused and resumed jobs, so the ready counts are stale after it.
+// have paused and resumed jobs, so the ready counts are stale after it, and
+// it may have written priorities, so the dispatch order compares its stamps
+// on every dispatch during the pass and on the next one after it.
 func (s *System) applyReprioritize() {
+	s.inPass = true
 	s.pol.Reprioritize()
+	s.inPass = false
+	s.prioMoved = true
 	s.readyStale = true
 	s.recheckBlocked()
 	s.Dispatch()

@@ -374,7 +374,9 @@ func (d *Device) batchWG(inst *KernelInstance, ctr *KernelCounter, at, lat sim.T
 func (d *Device) openBatch(inst *KernelInstance, ctr *KernelCounter, at, lat sim.Time, load wgLoad) *wgBatch {
 	b := d.freeBatches
 	if b == nil {
-		b = &wgBatch{d: d}
+		// A batch holds the WGs dispatched back to back for one instant,
+		// rarely more than one per CU: sized so appends seldom grow it.
+		b = &wgBatch{d: d, cus: make([]*computeUnit, 0, len(d.cus))}
 	} else {
 		d.freeBatches = b.next
 	}

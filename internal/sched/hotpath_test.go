@@ -145,3 +145,47 @@ func TestStaticPrioritiesAreThePlainCast(t *testing.T) {
 		}
 	}
 }
+
+// TestCPULaunchPathAllocatesNothingPerKernel: a CPU-side policy's kernel
+// launches leave the host pipe through the JobRun's embedded launch step, so
+// what a run allocates does not grow with the kernels its jobs launch. BAT,
+// BAY and PRO each run the same 16 jobs with 2-kernel and with 32-kernel
+// chains: the long chains launch 480 more kernels and may cost fewer than
+// 120 more allocations, one per four extra launches. What they do cost more
+// is bookkeeping that grows with a run's length and overlap — BAT's batch
+// cell per chain position, the engine's event arena — 16 for BAY and PRO,
+// 74 for BAT; a closure per launch cost 513-573 more.
+func TestCPULaunchPathAllocatesNothingPerKernel(t *testing.T) {
+	k := kdesc("k", 2, 256, 5*sim.Microsecond, 0.2)
+	trace := func(kernels int) *workload.JobSet {
+		chain := make([]*gpu.KernelDesc, kernels)
+		for i := range chain {
+			chain[i] = k
+		}
+		var specs []jobSpec
+		for i := 0; i < 16; i++ {
+			specs = append(specs, jobSpec{sim.Time(i) * 20 * sim.Microsecond, 50 * sim.Millisecond, chain})
+		}
+		return buildSet(specs)
+	}
+	short, long := trace(2), trace(32)
+	for _, name := range []string{"BAT", "BAY", "PRO"} {
+		allocs := func(set *workload.JobSet) float64 {
+			return testing.AllocsPerRun(5, func() {
+				pol, err := New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
+				sys.Run()
+				if sys.Completed() != len(set.Jobs) {
+					t.Fatalf("%s: %d of %d jobs completed", name, sys.Completed(), len(set.Jobs))
+				}
+			})
+		}
+		s, l := allocs(short), allocs(long)
+		if l-s >= 120 {
+			t.Errorf("%s: %v allocations with 2-kernel chains, %v with 32-kernel chains: the launch path allocates per kernel", name, s, l)
+		}
+	}
+}

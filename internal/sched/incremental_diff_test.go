@@ -8,6 +8,7 @@ import (
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
 	"laxgpu/internal/gpu"
+	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
 
@@ -177,4 +178,26 @@ func TestMLFQOrderMatchesReference(t *testing.T) {
 		t.Fatalf("coverage too thin: %d Order calls, %d of them rotated", calls, rotated)
 	}
 	t.Logf("%d Order calls, %d of them rotated", calls, rotated)
+}
+
+// TestSRFUnpackedChainMatchesWalk runs the oracle on jobs with more
+// distinct kernel shapes than a byte-packed chain can index, so the job
+// table keeps one shape index per word: the estimates must not change.
+func TestSRFUnpackedChainMatchesWalk(t *testing.T) {
+	var chain []*gpu.KernelDesc
+	for i := 0; i < packedShapes+44; i++ {
+		chain = append(chain, kdesc(fmt.Sprintf("k%d", i), 1+i%3, 256, 10*sim.Microsecond, 0.1))
+	}
+	set := buildSet([]jobSpec{
+		{0, 50 * sim.Millisecond, chain},
+		{30 * sim.Microsecond, 50 * sim.Millisecond, chain[:len(chain)/2]},
+	})
+	c := &srfChecked{SRF: NewSRF(), t: t}
+	runPolicy(t, c, set)
+	if e := c.sys.Job(0).SchedState.(*jobEntry); e.d <= packedShapes {
+		t.Fatalf("job 0 has %d shapes, want more than %d", e.d, packedShapes)
+	}
+	if c.jobs < 20 {
+		t.Fatalf("coverage too thin: %d job estimates", c.jobs)
+	}
 }

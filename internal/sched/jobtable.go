@@ -21,16 +21,24 @@ import (
 // A job whose three stamps match is clean: its cached remaining/drain
 // estimates are returned untouched. Any mismatch marks the job dirty and
 // recomputes from per-(kernel, WG-count) launch-time slots that are
-// themselves memoized per table version, so a chain of thirty GEMMs costs
-// thirty slice reads and adds — the float divisions happen once per kernel
-// shape per epoch, not once per job per kernel per epoch.
+// themselves memoized per table version — the float divisions happen once
+// per kernel shape per epoch, not once per job per kernel per epoch.
+//
+// The recompute sums the tail by shape, not kernel by kernel. Chains are
+// long (LSTM averages 122 kernels) but have few distinct shapes (5-6 for
+// the RNN benchmarks, 1 for the single-kernel ones), so each entry counts
+// how many tail kernels have each of its shapes. A kernel completing
+// moves one kernel out of the tail and decrements one count, and the tail
+// estimate is Σ count × slot time: a handful of multiply-adds per dirty job
+// where the kernel-by-kernel walk did one slice read and add per kernel.
 //
 // Exactness: estimates are integer sums (sim.Time) of per-kernel launch
 // times that depend only on (rate, capacity, WG count). The version stamp
-// pins the first two and the cur/WG stamps pin the third, so a cache hit
-// returns bit-identical values to a full recompute — pinned by the
-// differential suite (TestIncrementalLAXDifferential, 500 random workloads
-// against the DisableIncremental reference path).
+// pins the first two and the cur/WG stamps pin the third, and integer
+// addition does not care about order, so a cache hit and a shape-count sum
+// return bit-identical values to a full walk — pinned by the differential
+// suite (TestIncrementalLAXDifferential, 500 random workloads against the
+// DisableIncremental reference path; TestSRFPrioritiesMatchFromScratchWalk).
 type jobTable struct {
 	pt *core.ProfilingTable
 
@@ -39,17 +47,41 @@ type jobTable struct {
 	// computed at.
 	slots   []fullSlot
 	slotIdx map[slotKey]int32
+
+	// register's scratch: the job's distinct slots, each kernel's local
+	// shape index, and localOf[slot] = 1 + local index while registering.
+	shapes, local, localOf []int32
 }
 
 // jobEntry caches one job's estimates and the stamps that validate them.
+//
+// Its shapes, tail counts and chain share one backing array, buf, so an
+// entry costs the job two allocations, as a plain per-kernel slot chain
+// did: buf[:d] holds the job's d distinct slots, buf[d:2d] how many tail
+// kernels have each, and buf[2d:] the chain — each kernel's local shape
+// index, packed four to a word (one byte each) when d <= 256, which every
+// benchmark meets, and one to a word otherwise.
 type jobEntry struct {
-	chain   []int32 // per kernel: index into slots, resolved at admit
-	valid   bool
-	lastVer uint64
-	lastCur int32
-	lastWGs int32
-	rem     sim.Time // pt.RemainingTime(j.RemainingWGList())
-	drain   sim.Time // pt.RemainingDrain(j.RemainingWGList())
+	buf      []int32
+	d        int32 // distinct shapes
+	tailFrom int32 // the counts cover kernels tailFrom onwards
+	lastVer  uint64
+	lastCur  int32 // -1 until the first estimate
+	lastWGs  int32
+	rem      sim.Time // pt.RemainingTime(j.RemainingWGList())
+	drain    sim.Time // pt.RemainingDrain(j.RemainingWGList())
+}
+
+// packedShapes is the most shapes a byte-packed chain can index.
+const packedShapes = 256
+
+// shapeOf returns kernel k's local shape index.
+func (e *jobEntry) shapeOf(k int32) int32 {
+	chain := e.buf[2*e.d:]
+	if e.d > packedShapes {
+		return chain[k]
+	}
+	return chain[k/4] >> (8 * (k % 4)) & 0xff
 }
 
 type slotKey struct {
@@ -73,17 +105,45 @@ func newJobTable(pt *core.ProfilingTable) *jobTable {
 	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32)}
 }
 
-// register resolves the job's kernel chain to slot indices and hangs the
-// entry off the JobRun. Called at admission (stream inspection already walks
-// the chain there); idempotent.
+// register resolves the job's kernel chain to shapes and hangs the entry
+// off the JobRun. Called at admission (stream inspection already walks the
+// chain there); idempotent.
 func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	if e, ok := j.SchedState.(*jobEntry); ok {
 		return e
 	}
-	e := &jobEntry{chain: make([]int32, len(j.Job.Kernels))}
-	for i, k := range j.Job.Kernels {
-		e.chain[i] = t.slotFor(int32(t.pt.IDFor(k.Name)), int32(k.NumWGs))
+	shapes, local := t.shapes[:0], t.local[:0]
+	for _, k := range j.Job.Kernels {
+		si := t.slotFor(int32(t.pt.IDFor(k.Name)), int32(k.NumWGs))
+		for len(t.localOf) <= int(si) {
+			t.localOf = append(t.localOf, 0)
+		}
+		if t.localOf[si] == 0 {
+			shapes = append(shapes, si)
+			t.localOf[si] = int32(len(shapes))
+		}
+		local = append(local, t.localOf[si]-1)
 	}
+	d := int32(len(shapes))
+	words := len(local)
+	if d <= packedShapes {
+		words = (len(local) + 3) / 4
+	}
+	e := &jobEntry{buf: make([]int32, 2*int(d)+words), d: d, lastCur: -1}
+	copy(e.buf, shapes)
+	counts, chain := e.buf[d:2*d], e.buf[2*d:]
+	for k, li := range local {
+		counts[li]++
+		if d > packedShapes {
+			chain[k] = li
+		} else {
+			chain[k/4] |= li << (8 * (k % 4))
+		}
+	}
+	for _, si := range shapes {
+		t.localOf[si] = 0
+	}
+	t.shapes, t.local = shapes, local
 	j.SchedState = e
 	return e
 }
@@ -114,30 +174,36 @@ func (t *jobTable) slotTimes(si int32, ver uint64) (sim.Time, sim.Time) {
 
 // estimates returns the job's remaining-time and drain estimates, exactly
 // equal to pt.RemainingTime/RemainingDrain over j.RemainingWGList(). Clean
-// jobs return cached values; dirty jobs recompute incrementally.
+// jobs return cached values; dirty jobs recompute from the shape counts.
 func (t *jobTable) estimates(j *cp.JobRun) (rem, drain sim.Time) {
 	e := t.register(j)
 	ver := t.pt.Version()
 	cur := int32(j.CurrentIndex())
 	wgs := int32(j.WGsCompleted())
-	if e.valid && e.lastVer == ver && e.lastCur == cur && e.lastWGs == wgs {
+	if e.lastCur == cur && e.lastVer == ver && e.lastWGs == wgs {
 		return e.rem, e.drain
 	}
 	rem, drain = 0, 0
-	chain := e.chain
-	if int(cur) < len(chain) {
+	if int(cur) < len(j.Job.Kernels) {
+		shapes, counts := e.buf[:e.d], e.buf[e.d:2*e.d]
+		// Kernels up to the head have left the tail (cur only grows).
+		for ; e.tailFrom <= cur; e.tailFrom++ {
+			counts[e.shapeOf(e.tailFrom)]--
+		}
 		// Head kernel: partially complete, so its WG count is live state,
 		// not a shared slot.
 		n := j.Current().UncompletedWGs()
-		ptID := int(t.slots[chain[cur]].ptID)
+		ptID := int(t.slots[shapes[e.shapeOf(cur)]].ptID)
 		rem += t.pt.KernelTimeID(ptID, n)
 		drain += t.pt.DrainTimeID(ptID, n)
 		// Tail kernels have not started (chains are sequential), so each is
-		// a full launch of a shared shape.
-		for _, si := range chain[cur+1:] {
-			kt, dt := t.slotTimes(si, ver)
-			rem += kt
-			drain += dt
+		// a full launch of one of the job's shapes.
+		for i, c := range counts {
+			if c > 0 {
+				kt, dt := t.slotTimes(shapes[i], ver)
+				rem += sim.Time(c) * kt
+				drain += sim.Time(c) * dt
+			}
 		}
 	}
 	e.lastVer = ver
@@ -145,6 +211,5 @@ func (t *jobTable) estimates(j *cp.JobRun) (rem, drain sim.Time) {
 	e.lastWGs = wgs
 	e.rem = rem
 	e.drain = drain
-	e.valid = true
 	return rem, drain
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"laxgpu/internal/core"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/sim"
@@ -22,8 +24,20 @@ type MLFQ struct {
 	sys     *cp.System
 	current *cp.JobRun // high-queue entry in service
 
-	// high and order are Order's buffers, reused every round.
-	high, order []*cp.JobRun
+	// Order is memoized on everything its output reads. high and low are
+	// the two queues in active order; they depend only on the active jobs,
+	// kept in members, and the split between the queues, which only Admit
+	// and Reprioritize change (split counts the passes that moved a job
+	// between the queues; a job Admit places joins the active jobs after
+	// it). order is high rotated to begin at start, then low: it further
+	// depends on current and, through start, on whether current still has
+	// WGs to issue.
+	members, high, low, order []*cp.JobRun
+	split, builtSplit         uint64
+	built                     bool
+	builtCurrent              *cp.JobRun
+	curIdx                    int // current's index in high, -1 when not there
+	start                     int // the rotation order was built with
 }
 
 // NewMLFQ returns the multi-level feedback queue scheduler.
@@ -47,17 +61,21 @@ func (p *MLFQ) Admit(j *cp.JobRun) bool {
 func (p *MLFQ) Reprioritize() {
 	probeEpoch(p.sys, p.Name())
 	now := p.sys.Now()
+	moved := false
 	for _, j := range p.sys.Active() {
 		runtime := now - j.SubmitTime
 		d := j.Job.Deadline
-		switch {
-		case runtime > 2*d/3:
-			j.Priority = mlfqHigh // promoted back near (or past) the deadline
-		case runtime > d/3:
-			j.Priority = mlfqLow
-		default:
-			j.Priority = mlfqHigh
+		prio := mlfqHigh // promoted back near (or past) the deadline, or new
+		if runtime > d/3 && runtime <= 2*d/3 {
+			prio = mlfqLow
 		}
+		if j.Priority != prio {
+			j.Priority = prio
+			moved = true
+		}
+	}
+	if moved {
+		p.split++
 	}
 	probeSamples(p.sys)
 }
@@ -75,34 +93,49 @@ func (p *MLFQ) Order(active []*cp.JobRun) []*cp.JobRun {
 	if len(active) == 0 {
 		return nil
 	}
-	high := p.high[:0]
-	for _, j := range active {
-		if j.Priority == mlfqHigh {
-			high = append(high, j)
+	queuesOK := p.built && p.builtSplit == p.split && slices.Equal(p.members, active)
+	currentOK := queuesOK && p.builtCurrent == p.current
+	if !queuesOK {
+		high, low := p.high[:0], p.low[:0]
+		for _, j := range active {
+			if j.Priority == mlfqHigh {
+				high = append(high, j)
+			} else {
+				low = append(low, j)
+			}
 		}
+		p.high, p.low = high, low
+		p.members = append(p.members[:0], active...)
+		p.builtSplit = p.split
 	}
-	p.high = high
+	if !currentOK {
+		p.curIdx = -1
+		if p.current != nil {
+			for i, j := range p.high {
+				if j == p.current {
+					p.curIdx = i
+					break
+				}
+			}
+		}
+		p.builtCurrent = p.current
+	}
+	high := p.high
 	s := 0 // where the high queue's cycle resumes
-	if len(high) > 1 && p.current != nil {
-		for i, j := range high {
-			if j != p.current {
-				continue
-			}
-			s = i
-			if k := j.Current(); k == nil || k.RemainingWGs() == 0 || j.Paused() {
-				s = (i + 1) % len(high)
-			}
-			break
+	if len(high) > 1 && p.curIdx >= 0 {
+		s = p.curIdx
+		j := high[s]
+		if k := j.Current(); k == nil || k.RemainingWGs() == 0 || j.Paused() {
+			s = (s + 1) % len(high)
 		}
 	}
-	out := append(append(p.order[:0], high[s:]...), high[:s]...)
-	for _, j := range active {
-		if j.Priority != mlfqHigh {
-			out = append(out, j)
-		}
+	if currentOK && s == p.start {
+		return p.order
 	}
-	p.order = out
-	return out
+	p.order = append(append(append(p.order[:0], high[s:]...), high[:s]...), p.low...)
+	p.start = s
+	p.built = true
+	return p.order
 }
 
 // Served implements cp.ServeObserver.

@@ -4,20 +4,20 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. Events fire in (At, seq) order: events
+// Event is one scheduled payload. Events fire in (time, seq) order: events
 // scheduled for the same instant fire in the order they were scheduled,
-// which keeps multi-component simulations deterministic.
+// which keeps multi-component simulations deterministic. The firing key
+// lives in the heap entry; the payload lives here, in the engine's event
+// arena, where the entry's slot finds it.
 //
 // Event structs are pooled: once an event fires (or a cancelled event is
-// discarded) the engine recycles the struct for a future Schedule call.
-// Model code therefore never holds a *Event — Schedule returns a Handle,
-// which detects recycling through a generation counter and degrades to a
-// no-op once stale.
+// discarded) the engine recycles its slot for a future Schedule call. Model
+// code therefore never holds an *Event — Schedule returns a Handle, which
+// detects recycling through a generation counter and degrades to a no-op
+// once stale.
 type Event struct {
-	At   Time
 	fn   func()
 	act  Action
-	seq  uint64
 	gen  uint32
 	dead bool // cancelled
 }
@@ -55,26 +55,35 @@ func (h Handle) Cancelled() bool {
 	return h.ev == nil || h.ev.gen != h.gen || h.ev.dead
 }
 
-// eventLess orders events by (At, seq) ascending.
-func eventLess(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+// entry is one heap element: an event's firing key and its arena slot. It
+// holds no pointer, so the sift loops move plain values and the garbage
+// collector's write barrier never sees them.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// before orders entries by (at, seq) ascending.
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapQueue is a hand-specialized binary min-heap over (At, seq). It
+// heapQueue is a hand-specialized binary min-heap over (at, seq). It
 // replaces container/heap on the engine's hottest path: the sift loops are
 // direct slice operations with no interface dispatch or any-boxing.
-type heapQueue struct{ h []*Event }
+type heapQueue struct{ h []entry }
 
-func (q *heapQueue) push(e *Event) {
+func (q *heapQueue) push(e entry) {
 	h := append(q.h, e)
 	// Sift up.
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(h[i], h[p]) {
+		if !h[i].before(h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -83,16 +92,15 @@ func (q *heapQueue) push(e *Event) {
 	q.h = h
 }
 
-func (q *heapQueue) pop() *Event {
+func (q *heapQueue) pop() (entry, bool) {
 	h := q.h
 	n := len(h)
 	if n == 0 {
-		return nil
+		return entry{}, false
 	}
 	top := h[0]
 	n--
 	h[0] = h[n]
-	h[n] = nil
 	h = h[:n]
 	q.h = h
 	// Sift down.
@@ -103,24 +111,18 @@ func (q *heapQueue) pop() *Event {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			m = r
 		}
-		if !eventLess(h[m], h[i]) {
+		if !h[m].before(h[i]) {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
+	return top, true
 }
 
-func (q *heapQueue) peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
 func (q *heapQueue) len() int { return len(q.h) }
 
 // interruptStride is the number of events executed between interrupt-check
@@ -139,7 +141,8 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	heap    heapQueue
-	free    []*Event // recycled event structs
+	events  []*Event // the arena: an entry's slot indexes it
+	free    []int32  // recycled slots
 	fired   uint64
 	running bool
 
@@ -172,32 +175,33 @@ func (e *Engine) NextSeq() uint64 { return e.nextSeq }
 // cancelled events that have not yet been discarded).
 func (e *Engine) Pending() int { return e.heap.len() }
 
-// alloc takes an event struct from the free list (or allocates the first
-// time) and stamps it with the next sequence number.
+// alloc takes a slot from the free list (or grows the arena the first
+// time), queues it at (at, next sequence number) and returns its event.
 func (e *Engine) alloc(at Time) *Event {
-	var ev *Event
+	var slot int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{}
+		slot = int32(len(e.events))
+		e.events = append(e.events, &Event{})
 	}
-	ev.At = at
-	ev.seq = e.nextSeq
+	ev := e.events[slot]
 	ev.dead = false
+	e.heap.push(entry{at: at, seq: e.nextSeq, slot: slot})
 	e.nextSeq++
 	return ev
 }
 
-// recycle returns a popped event struct to the free list. The generation
-// bump invalidates every outstanding Handle to it; the payload references
-// are dropped so pooled structs never pin closures or actions.
-func (e *Engine) recycle(ev *Event) {
+// recycle returns a popped slot to the free list. The generation bump
+// invalidates every outstanding Handle to its event; the payload
+// references are dropped so pooled structs never pin closures or actions.
+func (e *Engine) recycle(slot int32) {
+	ev := e.events[slot]
 	ev.gen++
 	ev.fn = nil
 	ev.act = nil
-	e.free = append(e.free, ev)
+	e.free = append(e.free, slot)
 }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
@@ -208,7 +212,6 @@ func (e *Engine) Schedule(at Time, fn func()) Handle {
 	}
 	ev := e.alloc(at)
 	ev.fn = fn
-	e.heap.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -221,7 +224,6 @@ func (e *Engine) ScheduleAct(at Time, a Action) Handle {
 	}
 	ev := e.alloc(at)
 	ev.act = a
-	e.heap.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -235,15 +237,16 @@ func (e *Engine) After(delay Time, fn func()) Handle {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// fire advances the clock to ev, recycles the struct, and invokes the
+// fire advances the clock to the entry, recycles its slot, and invokes the
 // payload. Recycling first is deliberate: the callback may schedule new
-// events, and letting them reuse the just-fired struct is what makes the
+// events, and letting them reuse the just-fired slot is what makes the
 // steady-state hot path allocation-free.
-func (e *Engine) fire(ev *Event) {
-	e.now = ev.At
+func (e *Engine) fire(en entry) {
+	e.now = en.at
 	e.fired++
+	ev := e.events[en.slot]
 	fn, act := ev.fn, ev.act
-	e.recycle(ev)
+	e.recycle(en.slot)
 	if act != nil {
 		act.Act()
 	} else {
@@ -251,21 +254,29 @@ func (e *Engine) fire(ev *Event) {
 	}
 }
 
+// popLive pops entries until one whose event is live, recycling the
+// cancelled ones, and reports false once the queue is empty.
+func (e *Engine) popLive() (entry, bool) {
+	for {
+		en, ok := e.heap.pop()
+		if !ok {
+			return entry{}, false
+		}
+		if !e.events[en.slot].dead {
+			return en, true
+		}
+		e.recycle(en.slot)
+	}
+}
+
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for {
-		ev := e.heap.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.fire(ev)
-		return true
+	en, ok := e.popLive()
+	if ok {
+		e.fire(en)
 	}
+	return ok
 }
 
 // SetInterrupt installs a check polled every interruptStride events during
@@ -321,17 +332,15 @@ func (e *Engine) Run() {
 // second return is false when no live events remain. Real-time frontends use
 // this to decide how long to sleep before the next batch of simulated work.
 func (e *Engine) PeekTime() (Time, bool) {
-	for {
-		head := e.heap.peek()
-		if head == nil {
-			return 0, false
+	for len(e.heap.h) > 0 {
+		head := e.heap.h[0]
+		if !e.events[head.slot].dead {
+			return head.at, true
 		}
-		if head.dead {
-			e.recycle(e.heap.pop())
-			continue
-		}
-		return head.At, true
+		e.heap.pop()
+		e.recycle(head.slot)
 	}
+	return 0, false
 }
 
 // RunBefore executes events with timestamps strictly before limit and then
@@ -344,35 +353,7 @@ func (e *Engine) RunBefore(limit Time) uint64 {
 	if e.running {
 		panic("sim: RunBefore called reentrantly")
 	}
-	e.running = true
-	defer func() { e.running = false }()
-	start := e.fired
-	if e.pollInterrupt() {
-		return 0
-	}
-	stride := 0
-	for {
-		head := e.heap.peek()
-		if head == nil || head.At >= limit {
-			break
-		}
-		ev := e.heap.pop()
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.fire(ev)
-		if stride++; stride >= interruptStride {
-			stride = 0
-			if e.pollInterrupt() {
-				return e.fired - start
-			}
-		}
-	}
-	if e.now < limit {
-		e.now = limit
-	}
-	return e.fired - start
+	return e.runTo(limit, false)
 }
 
 // RunUntil executes events with timestamps <= limit and then sets the clock
@@ -382,6 +363,12 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 	if e.running {
 		panic("sim: RunUntil called reentrantly")
 	}
+	return e.runTo(limit, true)
+}
+
+// runTo is RunBefore (events at limit stay queued) and RunUntil (inclusive:
+// they fire).
+func (e *Engine) runTo(limit Time, inclusive bool) uint64 {
 	e.running = true
 	defer func() { e.running = false }()
 	start := e.fired
@@ -389,17 +376,17 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 		return 0
 	}
 	stride := 0
-	for {
-		head := e.heap.peek()
-		if head == nil || head.At > limit {
+	for len(e.heap.h) > 0 {
+		head := e.heap.h[0]
+		if head.at > limit || (head.at == limit && !inclusive) {
 			break
 		}
-		ev := e.heap.pop()
-		if ev.dead {
-			e.recycle(ev)
+		e.heap.pop()
+		if e.events[head.slot].dead {
+			e.recycle(head.slot)
 			continue
 		}
-		e.fire(ev)
+		e.fire(head)
 		if stride++; stride >= interruptStride {
 			stride = 0
 			if e.pollInterrupt() {
