@@ -81,7 +81,8 @@ type JobRun struct {
 
 	// Priority is the queue's priority register: lower values are more
 	// urgent (priority 0 is the highest level, as in Algorithm 2). Ties
-	// break FIFO on SubmitTime.
+	// break FIFO on SubmitTime. Only the policy writes it, and only from
+	// Admit and Reprioritize (see Policy).
 	Priority int64
 
 	// state transitions are owned by the System.

@@ -26,6 +26,11 @@ type Overheads struct {
 // periodic timer (reprioritization) and, for policies that implement the
 // optional interfaces below, at dispatch-ordering and kernel-advance
 // decisions.
+//
+// A policy writes JobRun.Priority only from Admit and Reprioritize. The
+// System's dispatch order compares priorities only after those two hooks,
+// so a write from anywhere else — another hook, an engine event of the
+// policy's own — goes unseen until the next Admit or Reprioritize.
 type Policy interface {
 	// Name is the scheduler's short name as used in the paper's figures
 	// (RR, BAT, BAY, PRO, MLFQ, EDF, SJF, SRF, LJF, PREMA, LAX, LAX-SW,
@@ -38,12 +43,12 @@ type Policy interface {
 
 	// Admit decides whether to offload an arriving job. Returning false
 	// rejects the job (it never occupies a queue and completes no WGs).
-	// Deadline-blind policies simply return true.
+	// Deadline-blind policies simply return true. It may write priorities.
 	Admit(j *JobRun) bool
 
 	// Reprioritize runs every Interval while jobs are active. It mutates
-	// JobRun.Priority (and may pause/resume jobs). The System re-runs the
-	// dispatch loop afterwards.
+	// JobRun.Priority (and may pause/resume or cancel jobs). The System
+	// re-runs the dispatch loop afterwards.
 	Reprioritize()
 
 	// Interval is the reprioritization period (0 disables the timer).
@@ -63,8 +68,12 @@ type Orderer interface {
 	// The result is borrowed: it may live in a buffer the policy reuses, so
 	// it is valid only until the next Order call, and Dispatch never retains
 	// it. Order is not called once per round: a round that can place nothing
-	// returns without asking, so Order must not carry state from call to
-	// call (Served is where a cyclic policy advances).
+	// returns without asking, so Order must not carry scheduling state from
+	// call to call (Served is where a cyclic policy advances). Memoizing is
+	// allowed: Order may return its last answer, or rebuild only part of
+	// it, as long as the result stays a pure function of what Order reads —
+	// active, the jobs' priorities and kernel state, and the policy's own
+	// state.
 	Order(active []*JobRun) []*JobRun
 }
 

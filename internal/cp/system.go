@@ -98,9 +98,6 @@ type System struct {
 	inPass     bool
 	orderDirty bool
 
-	// activeGen counts joins to and leaves from active (see ActiveGen).
-	activeGen uint64
-
 	// ready[c] counts the active jobs whose current kernel is Dispatchable
 	// and of device footprint class c (gpu.Device.FootprintClass). With the
 	// device's per-class blocked bit it tells Dispatch when a round can place
@@ -326,7 +323,6 @@ func (s *System) bindQueue(jr *JobRun) {
 	jr.head.QueueID = qid
 	jr.state = JobInit
 	s.active = append(s.active, jr)
-	s.activeGen++
 	s.orderCache = append(s.orderCache, jr)
 	s.orderPrios = append(s.orderPrios, jr.Priority)
 	s.orderDirty = true
@@ -569,7 +565,6 @@ func (s *System) leave(jr *JobRun) {
 		return
 	}
 	s.active = slices.Delete(s.active, i, i+1)
-	s.activeGen++
 	i = slices.Index(s.orderCache, jr)
 	s.orderCache = slices.Delete(s.orderCache, i, i+1)
 	s.orderPrios = slices.Delete(s.orderPrios, i, i+1)
@@ -577,11 +572,6 @@ func (s *System) leave(jr *JobRun) {
 		s.orderDirty = true
 	}
 }
-
-// ActiveGen returns a counter that changes whenever a job joins or leaves
-// Active(). Active() keeps its members in arrival order, so two calls that
-// see the same generation see the same slice contents.
-func (s *System) ActiveGen() uint64 { return s.activeGen }
 
 // releaseQueue returns the job's compute queue to the free pool and binds
 // the longest-waiting host-queued job, if any. Safe to call once per job
