@@ -274,6 +274,33 @@ func TestPriorityOrderMatchesStableSort(t *testing.T) {
 	}
 }
 
+// TestPriorityOrderAtUseMatchesStableSort checks the order where it is used:
+// every dispatch round of EDF, LAX and LAX-PREMA x PriorityLevels {0, 2} x
+// {healthy, hangs and aborts under recovery} x {batch, online} walks a fresh
+// stable sort of the active jobs — including LAX-PREMA's rounds inside its
+// pass, where it cancels expired jobs after rewriting every priority.
+func TestPriorityOrderAtUseMatchesStableSort(t *testing.T) {
+	set := lstmTrace(t, 24)
+	for _, name := range []string{"EDF", "LAX", "LAX-PREMA"} {
+		for _, levels := range []int{0, 2} {
+			for _, plan := range []string{"", "hang=0.1,abort=0.1"} {
+				for _, online := range []bool{false, true} {
+					c := diffCase{name, plan, online, levels}
+					t.Run(c.String(), func(t *testing.T) {
+						installed := false
+						c.run(t, set, false, func(sys *cp.System) {
+							if !installed {
+								installed = true
+								sys.CheckOrderAtUse(func(err error) { t.Fatal(err) })
+							}
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestSwappedOrderIsCaught runs the broken variant — two entries of a
 // trusted dispatch order trade places mid-run — and requires CheckOrder to
 // notice at once.

@@ -93,24 +93,26 @@ func (s *System) LoseReady() bool {
 // set; SubmitTime; ID). A cache awaiting a compare or a repair promises no
 // order and passes that part.
 func (s *System) CheckOrder() error {
-	ids := func(js []*JobRun) []int {
-		out := make([]int, len(js))
-		for i, j := range js {
-			out[i] = j.Job.ID
-		}
-		return out
-	}
 	sorted := func(js []*JobRun) []int {
-		out := ids(js)
+		out := jobIDs(js)
 		slices.Sort(out)
 		return out
 	}
 	if !slices.Equal(sorted(s.orderCache), sorted(s.active)) || len(s.orderPrios) != len(s.orderCache) {
-		return fmt.Errorf("t=%v: dispatch order %v (%d stamps) is not a permutation of the active jobs %v", s.eng.Now(), ids(s.orderCache), len(s.orderPrios), ids(s.active))
+		return fmt.Errorf("t=%v: dispatch order %v (%d stamps) is not a permutation of the active jobs %v", s.eng.Now(), jobIDs(s.orderCache), len(s.orderPrios), jobIDs(s.active))
 	}
 	if s.orderer != nil || !s.orderTrusted() {
 		return nil
 	}
+	if want := s.sortedActive(); !slices.Equal(s.orderCache, want) {
+		return fmt.Errorf("t=%v: cached dispatch order %v, a stable sort of the %d active jobs gives %v", s.eng.Now(), jobIDs(s.orderCache), len(s.active), jobIDs(want))
+	}
+	return nil
+}
+
+// sortedActive is the dispatch order's definition: a fresh stable sort of
+// the active jobs.
+func (s *System) sortedActive() []*JobRun {
 	prio := func(j *JobRun) int64 { return j.Priority }
 	if s.cfg.PriorityLevels > 0 {
 		prio = s.quantizedPriority()
@@ -119,10 +121,38 @@ func (s *System) CheckOrder() error {
 	slices.SortStableFunc(want, func(ja, jb *JobRun) int {
 		return cmp.Or(cmp.Compare(prio(ja), prio(jb)), cmp.Compare(ja.SubmitTime, jb.SubmitTime), cmp.Compare(ja.Job.ID, jb.Job.ID))
 	})
-	if !slices.Equal(s.orderCache, want) {
-		return fmt.Errorf("t=%v: cached dispatch order %v, a stable sort of the %d active jobs gives %v", s.eng.Now(), ids(s.orderCache), len(s.active), ids(want))
+	return want
+}
+
+func jobIDs(js []*JobRun) []int {
+	out := make([]int, len(js))
+	for i, j := range js {
+		out[i] = j.Job.ID
 	}
-	return nil
+	return out
+}
+
+// CheckOrderAtUse checks the order every dispatch round of a policy without
+// an Orderer uses, at the moment it uses it — also inside a Reprioritize
+// pass, which the after-each-event CheckOrder never sees — against a fresh
+// stable sort, reporting each mismatch to fail.
+func (s *System) CheckOrderAtUse(fail func(error)) {
+	if s.orderer == nil {
+		s.orderer = checkedOrder{s, fail}
+	}
+}
+
+type checkedOrder struct {
+	s    *System
+	fail func(error)
+}
+
+func (c checkedOrder) Order([]*JobRun) []*JobRun {
+	got := c.s.priorityOrder()
+	if want := c.s.sortedActive(); !slices.Equal(got, want) {
+		c.fail(fmt.Errorf("t=%v (in a pass: %v): dispatch uses order %v, a stable sort of the %d active jobs gives %v", c.s.eng.Now(), c.s.inPass, jobIDs(got), len(c.s.active), jobIDs(want)))
+	}
+	return got
 }
 
 // orderTrusted reports whether priorityOrder would return the cache as it

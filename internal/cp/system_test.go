@@ -230,6 +230,35 @@ func TestPriorityOrderControlsDispatch(t *testing.T) {
 	}
 }
 
+// TestAdmitMayRerankActiveJobs: Admit may write any job's priority, not
+// only the arriving one's, and even when it then rejects the job (so no join
+// makes the order repair itself). Every admission here reverses the active
+// jobs' order and rejects every other arrival; every dispatch round must
+// still walk the order a fresh sort gives.
+func TestAdmitMayRerankActiveJobs(t *testing.T) {
+	cfg := smallConfig()
+	cfg.GPU.NumCUs = 1
+	desc := testDesc("k", 1, 2560, 20*sim.Microsecond)
+	set := makeSet(12, 4, desc, 15*sim.Microsecond, 10*sim.Millisecond)
+	pol := &fifoPolicy{}
+	admissions := 0
+	pol.admitFn = func(j *JobRun) bool {
+		admissions++
+		for _, a := range pol.sys.Active() {
+			a.Priority = int64(admissions%2*2-1) * int64(a.Job.ID)
+		}
+		return j.Job.ID%2 == 0
+	}
+	sys := NewSystem(cfg, set, pol)
+	checked := 0
+	sys.CheckOrderAtUse(func(err error) { t.Fatal(err) })
+	sys.TapServed(func(*JobRun) { checked++ })
+	sys.Run()
+	if sys.Completed() != 6 || sys.RejectedCount() != 6 || checked < 24 {
+		t.Fatalf("%d completed, %d rejected, %d placements: the run exercises nothing", sys.Completed(), sys.RejectedCount(), checked)
+	}
+}
+
 func TestPerKernelLaunchOverhead(t *testing.T) {
 	desc := testDesc("k", 1, 64, 10*sim.Microsecond)
 	set := makeSet(1, 3, desc, 0, sim.Millisecond)

@@ -34,7 +34,6 @@ type MLFQ struct {
 	// WGs to issue.
 	members, high, low, order []*cp.JobRun
 	split, builtSplit         uint64
-	built                     bool
 	builtCurrent              *cp.JobRun
 	curIdx                    int // current's index in high, -1 when not there
 	start                     int // the rotation order was built with
@@ -93,7 +92,7 @@ func (p *MLFQ) Order(active []*cp.JobRun) []*cp.JobRun {
 	if len(active) == 0 {
 		return nil
 	}
-	queuesOK := p.built && p.builtSplit == p.split && slices.Equal(p.members, active)
+	queuesOK := p.builtSplit == p.split && slices.Equal(p.members, active)
 	currentOK := queuesOK && p.builtCurrent == p.current
 	if !queuesOK {
 		high, low := p.high[:0], p.low[:0]
@@ -134,7 +133,6 @@ func (p *MLFQ) Order(active []*cp.JobRun) []*cp.JobRun {
 	}
 	p.order = append(append(append(p.order[:0], high[s:]...), high[:s]...), p.low...)
 	p.start = s
-	p.built = true
 	return p.order
 }
 

@@ -254,29 +254,21 @@ func (e *Engine) fire(en entry) {
 	}
 }
 
-// popLive pops entries until one whose event is live, recycling the
-// cancelled ones, and reports false once the queue is empty.
-func (e *Engine) popLive() (entry, bool) {
-	for {
-		en, ok := e.heap.pop()
-		if !ok {
-			return entry{}, false
-		}
-		if !e.events[en.slot].dead {
-			return en, true
-		}
-		e.recycle(en.slot)
-	}
-}
-
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	en, ok := e.popLive()
-	if ok {
+	for {
+		en, ok := e.heap.pop()
+		if !ok {
+			return false
+		}
+		if e.events[en.slot].dead {
+			e.recycle(en.slot)
+			continue
+		}
 		e.fire(en)
+		return true
 	}
-	return ok
 }
 
 // SetInterrupt installs a check polled every interruptStride events during
