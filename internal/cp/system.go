@@ -93,7 +93,6 @@ type System struct {
 	// order, exactly the stable sort's result.
 	orderCache []*JobRun
 	orderPrios []int64
-	orderKeys  []int64 // repairOrder's scratch: each entry's sort key
 	prioMoved  bool
 	inPass     bool
 	orderDirty bool
@@ -701,25 +700,18 @@ func (s *System) priorityOrder() []*JobRun {
 // repairOrder restores the dispatch order with one insertion pass over the
 // cache and re-stamps every entry's priority.
 func (s *System) repairOrder() {
-	order, keys := s.orderCache, s.orderKeys[:0]
+	key := func(j *JobRun) int64 { return j.Priority }
 	if s.cfg.PriorityLevels > 0 {
-		level := s.quantizedPriority()
-		for _, jr := range order {
-			keys = append(keys, level(jr))
-		}
-	} else {
-		for _, jr := range order {
-			keys = append(keys, jr.Priority)
-		}
+		key = s.quantizedPriority()
 	}
-	s.orderKeys = keys
+	order := s.orderCache
 	for i := 1; i < len(order); i++ {
-		jr, k := order[i], keys[i]
+		jr, k := order[i], key(order[i])
 		j := i
-		for ; j > 0 && orderBefore(k, jr, keys[j-1], order[j-1]); j-- {
-			order[j], keys[j] = order[j-1], keys[j-1]
+		for ; j > 0 && orderBefore(k, jr, key(order[j-1]), order[j-1]); j-- {
+			order[j] = order[j-1]
 		}
-		order[j], keys[j] = jr, k
+		order[j] = jr
 	}
 	for i, jr := range order {
 		s.orderPrios[i] = jr.Priority

@@ -6,9 +6,8 @@ import (
 
 // Event is one scheduled payload. Events fire in (time, seq) order: events
 // scheduled for the same instant fire in the order they were scheduled,
-// which keeps multi-component simulations deterministic. The firing key
-// lives in the heap entry; the payload lives here, in the engine's event
-// arena, where the entry's slot finds it.
+// which keeps multi-component simulations deterministic. Events live in the
+// engine's event arena; the heap holds their slot numbers.
 //
 // Event structs are pooled: once an event fires (or a cancelled event is
 // discarded) the engine recycles its slot for a future Schedule call. Model
@@ -18,9 +17,15 @@ import (
 type Event struct {
 	fn   func()
 	act  Action
-	gen  uint32
-	dead bool // cancelled
+	at   Time
+	seq  uint64 // schedule order: breaks ties between same-instant events
+	gen  uint32 // generation; the cancelled bit marks a cancelled event
+	next int32  // 1 + the next free slot, while this one is free
 }
+
+// cancelled is the generation bit Cancel sets. A Handle holds the
+// generation without it, so a cancelled event's handles read stale at once.
+const cancelled = 1 << 31
 
 // Action is the closure-free scheduling payload: components that schedule
 // one event per unit of work (e.g. a workgroup completion) implement Act on
@@ -44,7 +49,7 @@ type Handle struct {
 // longer matches the struct's — deliberately does nothing.
 func (h Handle) Cancel() {
 	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.dead = true
+		h.ev.gen |= cancelled
 	}
 }
 
@@ -52,57 +57,57 @@ func (h Handle) Cancel() {
 // cancelled, or it already fired and the struct was recycled. A zero Handle
 // reports true.
 func (h Handle) Cancelled() bool {
-	return h.ev == nil || h.ev.gen != h.gen || h.ev.dead
+	return h.ev == nil || h.ev.gen != h.gen
 }
 
-// entry is one heap element: an event's firing key and its arena slot. It
-// holds no pointer, so the sift loops move plain values and the garbage
-// collector's write barrier never sees them.
-type entry struct {
-	at   Time
-	seq  uint64
-	slot int32
+// chunkEvents is the number of events in one arena chunk (64 × 48 B, a
+// malloc size class). Chunks never move, so a Handle may point into one.
+const chunkEvents = 64
+
+// event returns the event in a slot.
+func (e *Engine) event(slot int32) *Event {
+	return &e.chunks[slot/chunkEvents][slot%chunkEvents]
 }
 
-// before orders entries by (at, seq) ascending.
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// before orders slots by their events' (time, seq), ascending.
+func (e *Engine) before(a, b int32) bool {
+	ea, eb := e.event(a), e.event(b)
+	if ea.at != eb.at {
+		return ea.at < eb.at
 	}
-	return a.seq < b.seq
+	return ea.seq < eb.seq
 }
 
-// heapQueue is a hand-specialized binary min-heap over (at, seq). It
-// replaces container/heap on the engine's hottest path: the sift loops are
-// direct slice operations with no interface dispatch or any-boxing.
-type heapQueue struct{ h []entry }
-
-func (q *heapQueue) push(e entry) {
-	h := append(q.h, e)
+// push and pop are a hand-specialized binary min-heap over (time, seq). It
+// holds slot numbers, not pointers: the sift loops move 4-byte values, with
+// no interface dispatch, no any-boxing and no garbage-collector write
+// barrier.
+func (e *Engine) push(slot int32) {
+	h := append(e.heap, slot)
 	// Sift up.
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h[i].before(h[p]) {
+		if !e.before(h[i], h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	q.h = h
+	e.heap = h
 }
 
-func (q *heapQueue) pop() (entry, bool) {
-	h := q.h
+func (e *Engine) pop() (int32, bool) {
+	h := e.heap
 	n := len(h)
 	if n == 0 {
-		return entry{}, false
+		return 0, false
 	}
 	top := h[0]
 	n--
 	h[0] = h[n]
 	h = h[:n]
-	q.h = h
+	e.heap = h
 	// Sift down.
 	i := 0
 	for {
@@ -111,10 +116,10 @@ func (q *heapQueue) pop() (entry, bool) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h[r].before(h[l]) {
+		if r := l + 1; r < n && e.before(h[r], h[l]) {
 			m = r
 		}
-		if !h[m].before(h[i]) {
+		if !e.before(h[m], h[i]) {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
@@ -122,8 +127,6 @@ func (q *heapQueue) pop() (entry, bool) {
 	}
 	return top, true
 }
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 // interruptStride is the number of events executed between interrupt-check
 // polls during Run/RunUntil. Checking every event would put a closure call
@@ -140,9 +143,10 @@ const interruptStride = 64
 type Engine struct {
 	now     Time
 	nextSeq uint64
-	heap    heapQueue
-	events  []*Event // the arena: an entry's slot indexes it
-	free    []int32  // recycled slots
+	heap    []int32               // pending slots
+	chunks  []*[chunkEvents]Event // the event arena
+	slots   int32                 // arena slots handed out so far
+	free    int32                 // 1 + the first free slot; 0 when none
 	fired   uint64
 	running bool
 
@@ -168,40 +172,47 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Components that batch same-instant work (e.g. workgroup completions) use
 // it to prove no foreign event was interleaved since the batch was opened,
 // which is exactly the condition under which batching preserves the
-// engine's (At, seq) fire order.
+// engine's (time, seq) fire order.
 func (e *Engine) NextSeq() uint64 { return e.nextSeq }
 
 // Pending returns the number of events currently queued (including
 // cancelled events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.heap.len() }
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// alloc takes a slot from the free list (or grows the arena the first
-// time), queues it at (at, next sequence number) and returns its event.
+// alloc takes a slot from the free list (or a new one, growing the arena a
+// chunk at a time), stamps its event with the next sequence number, queues
+// it at the given time and returns the event.
 func (e *Engine) alloc(at Time) *Event {
 	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
+	if e.free > 0 {
+		slot = e.free - 1
+		e.free = e.event(slot).next
 	} else {
-		slot = int32(len(e.events))
-		e.events = append(e.events, &Event{})
+		slot = e.slots
+		if slot%chunkEvents == 0 {
+			e.chunks = append(e.chunks, new([chunkEvents]Event))
+		}
+		e.slots++
 	}
-	ev := e.events[slot]
-	ev.dead = false
-	e.heap.push(entry{at: at, seq: e.nextSeq, slot: slot})
+	ev := e.event(slot)
+	ev.at = at
+	ev.seq = e.nextSeq
 	e.nextSeq++
+	e.push(slot)
 	return ev
 }
 
-// recycle returns a popped slot to the free list. The generation bump
-// invalidates every outstanding Handle to its event; the payload
-// references are dropped so pooled structs never pin closures or actions.
+// recycle returns a popped slot to the free list. The generation bump (which
+// also clears the cancelled bit) invalidates every outstanding Handle to its
+// event; the payload references are dropped so pooled structs never pin
+// closures or actions.
 func (e *Engine) recycle(slot int32) {
-	ev := e.events[slot]
-	ev.gen++
+	ev := e.event(slot)
+	ev.gen = (ev.gen&^cancelled + 1) &^ cancelled
 	ev.fn = nil
 	ev.act = nil
-	e.free = append(e.free, slot)
+	ev.next = e.free
+	e.free = slot + 1
 }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
@@ -237,16 +248,16 @@ func (e *Engine) After(delay Time, fn func()) Handle {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// fire advances the clock to the entry, recycles its slot, and invokes the
-// payload. Recycling first is deliberate: the callback may schedule new
-// events, and letting them reuse the just-fired slot is what makes the
-// steady-state hot path allocation-free.
-func (e *Engine) fire(en entry) {
-	e.now = en.at
+// fire advances the clock to the slot's event, recycles the slot, and
+// invokes the payload. Recycling first is deliberate: the callback may
+// schedule new events, and letting them reuse the just-fired slot is what
+// makes the steady-state hot path allocation-free.
+func (e *Engine) fire(slot int32) {
+	ev := e.event(slot)
+	e.now = ev.at
 	e.fired++
-	ev := e.events[en.slot]
 	fn, act := ev.fn, ev.act
-	e.recycle(en.slot)
+	e.recycle(slot)
 	if act != nil {
 		act.Act()
 	} else {
@@ -258,15 +269,15 @@ func (e *Engine) fire(en entry) {
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for {
-		en, ok := e.heap.pop()
+		slot, ok := e.pop()
 		if !ok {
 			return false
 		}
-		if e.events[en.slot].dead {
-			e.recycle(en.slot)
+		if e.event(slot).gen&cancelled != 0 {
+			e.recycle(slot)
 			continue
 		}
-		e.fire(en)
+		e.fire(slot)
 		return true
 	}
 }
@@ -324,13 +335,13 @@ func (e *Engine) Run() {
 // second return is false when no live events remain. Real-time frontends use
 // this to decide how long to sleep before the next batch of simulated work.
 func (e *Engine) PeekTime() (Time, bool) {
-	for len(e.heap.h) > 0 {
-		head := e.heap.h[0]
-		if !e.events[head.slot].dead {
+	for len(e.heap) > 0 {
+		slot := e.heap[0]
+		if head := e.event(slot); head.gen&cancelled == 0 {
 			return head.at, true
 		}
-		e.heap.pop()
-		e.recycle(head.slot)
+		e.pop()
+		e.recycle(slot)
 	}
 	return 0, false
 }
@@ -368,17 +379,18 @@ func (e *Engine) runTo(limit Time, inclusive bool) uint64 {
 		return 0
 	}
 	stride := 0
-	for len(e.heap.h) > 0 {
-		head := e.heap.h[0]
+	for len(e.heap) > 0 {
+		slot := e.heap[0]
+		head := e.event(slot)
 		if head.at > limit || (head.at == limit && !inclusive) {
 			break
 		}
-		e.heap.pop()
-		if e.events[head.slot].dead {
-			e.recycle(head.slot)
+		e.pop()
+		if head.gen&cancelled != 0 {
+			e.recycle(slot)
 			continue
 		}
-		e.fire(head)
+		e.fire(slot)
 		if stride++; stride >= interruptStride {
 			stride = 0
 			if e.pollInterrupt() {
