@@ -6,8 +6,9 @@ import (
 
 // Event is one scheduled payload. Events fire in (time, seq) order: events
 // scheduled for the same instant fire in the order they were scheduled,
-// which keeps multi-component simulations deterministic. Events live in the
-// engine's event arena; the heap holds their slot numbers.
+// which keeps multi-component simulations deterministic. The heap holds
+// each event's time and arena slot; the payload and the sequence number
+// live here, in the engine's event arena.
 //
 // Event structs are pooled: once an event fires (or a cancelled event is
 // discarded) the engine recycles its slot for a future Schedule call. Model
@@ -17,7 +18,6 @@ import (
 type Event struct {
 	fn   func()
 	act  Action
-	at   Time
 	seq  uint64 // schedule order: breaks ties between same-instant events
 	gen  uint32 // generation; the cancelled bit marks a cancelled event
 	next int32  // 1 + the next free slot, while this one is free
@@ -60,8 +60,16 @@ func (h Handle) Cancelled() bool {
 	return h.ev == nil || h.ev.gen != h.gen
 }
 
-// chunkEvents is the number of events in one arena chunk (64 × 48 B, a
-// malloc size class). Chunks never move, so a Handle may point into one.
+// entry is one heap element: an event's firing time and its arena slot. It
+// holds no pointer, so the sift loops move plain 16-byte values and the
+// garbage collector's write barrier never sees them.
+type entry struct {
+	at   Time
+	slot int32
+}
+
+// chunkEvents is the number of events in one arena chunk. Chunks never
+// move, so a Handle may point into one.
 const chunkEvents = 64
 
 // event returns the event in a slot.
@@ -69,21 +77,20 @@ func (e *Engine) event(slot int32) *Event {
 	return &e.chunks[slot/chunkEvents][slot%chunkEvents]
 }
 
-// before orders slots by their events' (time, seq), ascending.
-func (e *Engine) before(a, b int32) bool {
-	ea, eb := e.event(a), e.event(b)
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// before orders entries by (time, seq), ascending. Only a tie on time reads
+// the arena.
+func (e *Engine) before(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return e.event(a.slot).seq < e.event(b.slot).seq
 }
 
-// push and pop are a hand-specialized binary min-heap over (time, seq). It
-// holds slot numbers, not pointers: the sift loops move 4-byte values, with
-// no interface dispatch, no any-boxing and no garbage-collector write
-// barrier.
-func (e *Engine) push(slot int32) {
-	h := append(e.heap, slot)
+// push and pop are a hand-specialized binary min-heap over (time, seq): the
+// sift loops are direct slice operations with no interface dispatch or
+// any-boxing.
+func (e *Engine) push(en entry) {
+	h := append(e.heap, en)
 	// Sift up.
 	i := len(h) - 1
 	for i > 0 {
@@ -97,11 +104,11 @@ func (e *Engine) push(slot int32) {
 	e.heap = h
 }
 
-func (e *Engine) pop() (int32, bool) {
+func (e *Engine) pop() (entry, bool) {
 	h := e.heap
 	n := len(h)
 	if n == 0 {
-		return 0, false
+		return entry{}, false
 	}
 	top := h[0]
 	n--
@@ -143,7 +150,7 @@ const interruptStride = 64
 type Engine struct {
 	now     Time
 	nextSeq uint64
-	heap    []int32               // pending slots
+	heap    []entry
 	chunks  []*[chunkEvents]Event // the event arena
 	slots   int32                 // arena slots handed out so far
 	free    int32                 // 1 + the first free slot; 0 when none
@@ -195,10 +202,9 @@ func (e *Engine) alloc(at Time) *Event {
 		e.slots++
 	}
 	ev := e.event(slot)
-	ev.at = at
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	e.push(slot)
+	e.push(entry{at: at, slot: slot})
 	return ev
 }
 
@@ -248,16 +254,16 @@ func (e *Engine) After(delay Time, fn func()) Handle {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// fire advances the clock to the slot's event, recycles the slot, and
-// invokes the payload. Recycling first is deliberate: the callback may
-// schedule new events, and letting them reuse the just-fired slot is what
-// makes the steady-state hot path allocation-free.
-func (e *Engine) fire(slot int32) {
-	ev := e.event(slot)
-	e.now = ev.at
+// fire advances the clock to the entry, recycles its slot, and invokes the
+// payload. Recycling first is deliberate: the callback may schedule new
+// events, and letting them reuse the just-fired slot is what makes the
+// steady-state hot path allocation-free.
+func (e *Engine) fire(en entry) {
+	e.now = en.at
 	e.fired++
+	ev := e.event(en.slot)
 	fn, act := ev.fn, ev.act
-	e.recycle(slot)
+	e.recycle(en.slot)
 	if act != nil {
 		act.Act()
 	} else {
@@ -269,15 +275,15 @@ func (e *Engine) fire(slot int32) {
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for {
-		slot, ok := e.pop()
+		en, ok := e.pop()
 		if !ok {
 			return false
 		}
-		if e.event(slot).gen&cancelled != 0 {
-			e.recycle(slot)
+		if e.event(en.slot).gen&cancelled != 0 {
+			e.recycle(en.slot)
 			continue
 		}
-		e.fire(slot)
+		e.fire(en)
 		return true
 	}
 }
@@ -336,12 +342,12 @@ func (e *Engine) Run() {
 // this to decide how long to sleep before the next batch of simulated work.
 func (e *Engine) PeekTime() (Time, bool) {
 	for len(e.heap) > 0 {
-		slot := e.heap[0]
-		if head := e.event(slot); head.gen&cancelled == 0 {
+		head := e.heap[0]
+		if e.event(head.slot).gen&cancelled == 0 {
 			return head.at, true
 		}
 		e.pop()
-		e.recycle(slot)
+		e.recycle(head.slot)
 	}
 	return 0, false
 }
@@ -380,17 +386,16 @@ func (e *Engine) runTo(limit Time, inclusive bool) uint64 {
 	}
 	stride := 0
 	for len(e.heap) > 0 {
-		slot := e.heap[0]
-		head := e.event(slot)
+		head := e.heap[0]
 		if head.at > limit || (head.at == limit && !inclusive) {
 			break
 		}
 		e.pop()
-		if head.gen&cancelled != 0 {
-			e.recycle(slot)
+		if e.event(head.slot).gen&cancelled != 0 {
+			e.recycle(head.slot)
 			continue
 		}
-		e.fire(slot)
+		e.fire(head)
 		if stride++; stride >= interruptStride {
 			stride = 0
 			if e.pollInterrupt() {
