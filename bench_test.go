@@ -279,10 +279,10 @@ func TestPREMACellCostTracksEDF(t *testing.T) {
 // TestSRFCellCostTracksEDF is the same guard for SRF's remaining-time
 // estimates: SRF re-ranks every active job each 100 µs epoch while EDF ranks
 // once at admission, yet the SRF/LSTM cell may not cost more than 1.25x the
-// EDF/LSTM cell. It cost 1.75-2.3x while the job table re-walked each
-// dirty job's ~60-kernel tail every epoch and the dispatch order re-sorted
-// after every epoch; summing the tail by shape and repairing the order
-// bring it to about 0.85x.
+// EDF/LSTM cell. It cost 1.5-1.6x on a 2-vCPU Xeon while the job table
+// re-walked each dirty job's ~60-kernel tail every epoch and the dispatch
+// order re-sorted after every epoch; summing the tail by shape and
+// repairing the order bring it to 0.65-1.0x there.
 func TestSRFCellCostTracksEDF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six full simulations")

@@ -718,7 +718,7 @@ func (s *System) repairOrder() {
 	}
 }
 
-// orderBefore is the dispatch order's key comparison: a (sort key a) goes
+// orderBefore is the dispatch order's key comparison: a (sort key ka) goes
 // before b (key kb). Ties end on the unique job ID, so it is a total order.
 func orderBefore(ka int64, a *JobRun, kb int64, b *JobRun) bool {
 	if ka != kb {
