@@ -216,18 +216,30 @@ func sweepSchedulers() []string {
 
 // BenchmarkSweepCell times one cell per sweep scheduler, so a per-policy
 // cost (ns/op, allocs/op) is one `go test -bench SweepCell -benchmem` away
-// instead of a profile of the whole grid.
+// instead of a profile of the whole grid. It measures the path sim-sweep
+// takes: each iteration runs the cell through a new Runner's memoized Run,
+// which builds it in the system the previous iteration released (the trace
+// is generated with the timer stopped).
 func BenchmarkSweepCell(b *testing.B) {
-	r := benchRunner()
-	if _, err := r.JobSet("LSTM", workload.HighRate); err != nil {
-		b.Fatal(err)
-	}
 	for _, s := range sweepSchedulers() {
 		b.Run(s, func(b *testing.B) {
+			offers, placements := sweepCell(b, benchRunner(), s).DispatchStats()
+			runCell := func() {
+				b.StopTimer()
+				r := benchRunner()
+				if _, err := r.JobSet("LSTM", workload.HighRate); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := r.Run(s, "LSTM", workload.HighRate); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runCell() // warm: leaves a released system to build in
 			b.ReportAllocs()
-			var offers, placements int64
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				offers, placements = sweepCell(b, r, s).DispatchStats()
+				runCell()
 			}
 			b.ReportMetric(float64(offers)/float64(placements), "offers/placement")
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"laxgpu/internal/core"
 	"laxgpu/internal/gpu"
@@ -62,6 +63,10 @@ type System struct {
 	// oldest unfinished job to the newest submission — live work, not history.
 	jobs []*JobRun
 	base int
+
+	// slab holds a batch trace's JobRuns, jobs[i] = &slab[i]; a recycled
+	// system keeps it for the next trace that fits (see NewSystem).
+	slab []JobRun
 
 	active  []*JobRun // admitted, unfinished, holding a queue
 	hostQ   []*JobRun // admitted, waiting for a free queue
@@ -163,19 +168,51 @@ type System struct {
 	wdKernels       map[string]*gpu.KernelDesc
 }
 
+// shells holds the systems Release handed back. NewSystem builds every
+// system in one, so a run starts with the event arena, WG batch pool,
+// JobRun slab and slices an earlier run grew; an empty pool hands out a
+// shell with a new engine and a zero device.
+var shells = sync.Pool{New: func() any { return &System{eng: sim.NewEngine(), dev: new(gpu.Device)} }}
+
 // NewSystem builds a system for the job set under the policy. The job set
 // is not mutated; a JobRun is created per job, all of them in one slab.
+//
+// The system is built in a shell from the pool Release fills, and built the
+// same way whether the shell is new or recycled: the engine and device are
+// Reset, every field is rewritten, and of the last run only storage
+// survives — the slab when the trace fits in it, and the backing arrays of
+// the job, queue, order and parser slices, cleared so they keep nothing of
+// that run reachable.
 func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	if cfg.NumQueues <= 0 || cfg.ParseStreams <= 0 {
 		panic(fmt.Sprintf("cp: invalid system config %+v", cfg))
 	}
-	s := &System{
-		cfg:        cfg,
-		eng:        sim.NewEngine(),
-		pol:        pol,
-		readyStale: true,
+	s := shells.Get().(*System)
+	s.eng.Reset()
+	s.dev.Reset(cfg.GPU, s.eng)
+	n := len(set.Jobs)
+	slab := s.slab
+	if cap(slab) < n {
+		slab = make([]JobRun, n)
 	}
-	s.dev = gpu.New(cfg.GPU, s.eng)
+	clear(slab[n:cap(slab)])
+	*s = System{
+		cfg:          cfg,
+		eng:          s.eng,
+		dev:          s.dev,
+		pol:          pol,
+		readyStale:   true,
+		slab:         slab[:n],
+		jobs:         emptied(s.jobs),
+		active:       emptied(s.active),
+		hostQ:        emptied(s.hostQ),
+		blocked:      emptied(s.blocked),
+		orderCache:   emptied(s.orderCache),
+		orderPrios:   s.orderPrios[:0],
+		ready:        s.ready[:0],
+		freeQueues:   s.freeQueues[:0],
+		parserFreeAt: append(s.parserFreeAt[:0], make([]sim.Time, cfg.ParseStreams)...),
+	}
 	s.dev.OnWGComplete(s.onWGComplete)
 	s.dev.OnKernelDone(s.onKernelDone)
 	if cfg.Recovery.Watchdog {
@@ -183,23 +220,42 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 		s.wdTable = core.NewProfilingTable(1)
 		s.wdKernels = make(map[string]*gpu.KernelDesc)
 	}
-	s.parserFreeAt = make([]sim.Time, cfg.ParseStreams)
-	s.freeQueues = make([]int, cfg.NumQueues)
-	for i := range s.freeQueues {
-		s.freeQueues[i] = cfg.NumQueues - 1 - i // pop from the back → queue 0 first
+	for i := cfg.NumQueues - 1; i >= 0; i-- {
+		s.freeQueues = append(s.freeQueues, i) // pop from the back → queue 0 first
 	}
-	runs := make([]JobRun, len(set.Jobs))
-	s.jobs = make([]*JobRun, len(set.Jobs))
 	for i, job := range set.Jobs {
 		if job.ID != i {
 			panic(fmt.Sprintf("cp: job IDs must be dense, got %d at %d", job.ID, i))
 		}
-		s.jobs[i] = s.initJobRun(&runs[i], job)
+		s.jobs = append(s.jobs, s.initJobRun(&s.slab[i], job))
 	}
 	pol.Attach(s)
 	s.orderer, _ = pol.(Orderer)
 	s.observer, _ = pol.(ServeObserver)
 	return s
+}
+
+// emptied returns s truncated, its backing array cleared first so a
+// recycled slice keeps no pointer from its last run reachable.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// Release hands a finished batch run's system back for NewSystem to build a
+// later system in. The caller must be the system's only holder and must
+// drop every reference to it and to what it returned — JobRuns, Jobs(),
+// Active(), the device, the engine, the counters — since all of it is
+// rebuilt in place. Release takes only a system whose engine drained: it
+// ignores one that never ran, an online one, one with faults installed (a
+// run bounded by the fault horizon can stop with work queued, and a hung
+// kernel's batch is never freed), one with the watchdog armed, and one
+// whose run its context stopped.
+func (s *System) Release() {
+	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recovery.Watchdog || s.eng.Pending() != 0 {
+		return
+	}
+	shells.Put(s)
 }
 
 // Engine returns the simulation engine (policies schedule their own events

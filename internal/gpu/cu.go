@@ -26,8 +26,9 @@ type computeUnit struct {
 	retired bool
 }
 
-func newComputeUnit(id int, cfg Config) *computeUnit {
-	return &computeUnit{
+// init makes c the empty CU id of cfg.
+func (c *computeUnit) init(id int, cfg Config) {
+	*c = computeUnit{
 		id:             id,
 		threadsFree:    cfg.ThreadsPerCU,
 		wavefrontsFree: cfg.WavefrontsPerCU(),

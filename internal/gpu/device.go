@@ -121,20 +121,45 @@ type wgBatch struct {
 // Act fires the batch (sim.Action).
 func (b *wgBatch) Act() { b.d.completeBatch(b) }
 
-// New constructs a device for the configuration. It panics on an invalid
-// configuration: device construction happens once at experiment setup and a
-// bad machine description is unrecoverable.
+// New constructs a device for the configuration: Reset on a zero Device.
 func New(cfg Config, eng *sim.Engine) *Device {
+	d := new(Device)
+	d.Reset(cfg, eng)
+	return d
+}
+
+// Reset makes d the device New builds for cfg on eng. A zero Device is built
+// from scratch, and so is one last built for another configuration. One
+// whose run is over and whose configuration is cfg is recycled: its CUs are
+// re-initialised in place, and its counters, energy, stall, placement
+// cursor, no-room memo, footprint classes, callbacks and fault injector are
+// cleared, while its pool of WG batches is kept. It panics on an invalid
+// configuration: a bad machine description is unrecoverable.
+func (d *Device) Reset(cfg Config, eng *sim.Engine) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{cfg: cfg, eng: eng}
-	d.cus = make([]*computeUnit, cfg.NumCUs)
-	for i := range d.cus {
-		d.cus[i] = newComputeUnit(i, cfg)
+	if d.cfg != cfg {
+		*d = Device{cus: make([]*computeUnit, cfg.NumCUs)}
+		for i := range d.cus {
+			d.cus[i] = new(computeUnit)
+		}
 	}
-	d.counters.perKernel = make(map[string]*KernelCounter)
-	return d
+	perKernel := d.counters.perKernel
+	if perKernel == nil {
+		perKernel = make(map[string]*KernelCounter)
+	}
+	clear(perKernel)
+	clear(d.counters.byID)
+	*d = Device{
+		cfg: cfg, eng: eng, cus: d.cus,
+		noRoom: d.noRoom[:0], classes: d.classes[:0], blocked: d.blocked[:0],
+		counters:    Counters{perKernel: perKernel, byID: d.counters.byID[:0]},
+		freeBatches: d.freeBatches,
+	}
+	for i, cu := range d.cus {
+		cu.init(i, cfg)
+	}
 }
 
 // Config returns the device configuration.

@@ -178,7 +178,12 @@ func (r *Runner) RunContext(ctx context.Context, schedName, benchName string, ra
 		if err != nil {
 			return metrics.Summary{}, err
 		}
-		return metrics.Summarize(sys, schedName, benchName, rate.String()), nil
+		sum := metrics.Summarize(sys, schedName, benchName, rate.String())
+		// Only the summary leaves this cell, so the system goes back for the
+		// next cell to be built in. Every other path hands its system to a
+		// caller and so never releases it.
+		sys.Release()
+		return sum, nil
 	})
 }
 

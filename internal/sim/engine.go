@@ -167,6 +167,21 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset readies a drained engine for a new run: the clock, the sequence
+// numbers and the fired count go back to zero and the interrupt check is
+// removed, while the event arena, its free list and the heap's capacity are
+// kept, so the run starts with the storage the last one grew. Generations
+// are never reset: every Handle from before stays stale. It panics on an
+// engine with events still queued or a run in progress — their events
+// would fire in the new run.
+func (e *Engine) Reset() {
+	if len(e.heap) != 0 || e.running {
+		panic(fmt.Sprintf("sim: Reset with %d events queued", len(e.heap)))
+	}
+	e.now, e.nextSeq, e.fired = 0, 0, 0
+	e.interrupt, e.interrupted = nil, false
+}
+
 // Now returns the current simulated time. Inside an event callback it is the
 // time the event was scheduled for.
 func (e *Engine) Now() Time { return e.now }

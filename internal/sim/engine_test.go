@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -482,4 +484,68 @@ func TestPooledEventPathAllocationFree(t *testing.T) {
 			t.Errorf("Action schedule+fire allocates %v per event, want 0", n)
 		}
 	})
+}
+
+// resetScript schedules a fixed mix of same-instant and nested events on e
+// and runs it, recording each firing's instant, label and the engine's next
+// sequence number, then the final clock and fired count.
+func resetScript(e *Engine) []string {
+	var got []string
+	rec := func(label int) func() {
+		return func() { got = append(got, fmt.Sprint(e.Now(), label, e.NextSeq())) }
+	}
+	for i := 0; i < 50; i++ {
+		e.Schedule(Time(i%7)*10, rec(i))
+	}
+	e.Schedule(25, func() {
+		e.After(0, rec(100))
+		e.After(3, rec(101)).Cancel()
+		e.After(5, rec(102))
+	})
+	e.Run()
+	return append(got, fmt.Sprint(e.Now(), e.Fired(), e.NextSeq()))
+}
+
+// TestEngineResetReplaysLikeNew: a drained engine, Reset, runs a schedule
+// exactly as a new engine does — same instants, order and sequence numbers —
+// while its arena is reused, every Handle from before the Reset stays stale
+// (cancelling one does not touch the event now in its slot), and the
+// interrupt check is gone. Reset panics with events still queued.
+func TestEngineResetReplaysLikeNew(t *testing.T) {
+	want := resetScript(NewEngine())
+
+	e := NewEngine()
+	for i := 0; i < 300; i++ {
+		e.Schedule(Time(1000+i), func() {})
+	}
+	old := e.Schedule(5000, func() {})
+	e.SetInterrupt(func() bool { return false })
+	e.Run()
+	chunks := len(e.chunks)
+	e.Reset()
+	if e.interrupt != nil || e.Now() != 0 || e.Fired() != 0 || e.NextSeq() != 0 {
+		t.Fatalf("Reset left now %v, fired %d, next seq %d, interrupt set %v", e.Now(), e.Fired(), e.NextSeq(), e.interrupt != nil)
+	}
+	fired := false
+	e.Schedule(1, func() { fired = true })
+	old.Cancel()
+	e.Run()
+	if !fired || !old.Cancelled() {
+		t.Fatalf("a pre-Reset handle cancelled the event now in its slot (fired %v)", fired)
+	}
+	e.Reset()
+	if got := resetScript(e); !slices.Equal(got, want) {
+		t.Fatalf("reset engine ran\n%v\nwant\n%v", got, want)
+	}
+	if len(e.chunks) != chunks {
+		t.Errorf("arena grew from %d to %d chunks on a smaller run", chunks, len(e.chunks))
+	}
+
+	e.After(10, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with an event queued did not panic")
+		}
+	}()
+	e.Reset()
 }
