@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -226,6 +227,27 @@ func TestSnapshotIsIndependent(t *testing.T) {
 	}
 	if r, _ := pt.Rate("k"); r != 0.999 {
 		t.Fatalf("original lost update: %v", r)
+	}
+}
+
+// TestSnapshotIntoMatchesSnapshot: a snapshot written over a used table —
+// more kernels, another alpha, a version history — is the table Snapshot
+// returns: same IDs, rates and capacities, a fresh version history.
+func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
+	dst := NewProfilingTable(0.5)
+	for _, k := range []string{"x", "y", "z"} {
+		dst.SetCapacity(k, 7)
+		dst.ObserveRate(k, 0.3)
+	}
+	pt := NewProfilingTable(1)
+	pt.SetCapacity("b", 40)
+	pt.ObserveRate("a", 0.002)
+	pt.SnapshotInto(dst)
+	if want := pt.Snapshot(); !reflect.DeepEqual(dst, want) {
+		t.Fatalf("SnapshotInto over a used table = %+v, want %+v", dst, want)
+	}
+	if dst.Version() != 0 || dst.IDFor("b") != pt.IDFor("b") {
+		t.Fatalf("version %d, ID of b %d; want 0 and %d", dst.Version(), dst.IDFor("b"), pt.IDFor("b"))
 	}
 }
 

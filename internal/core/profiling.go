@@ -226,14 +226,31 @@ func (t *ProfilingTable) Rate(name string) (float64, bool) {
 // preserved, so estimates resolved against the live table index the
 // snapshot identically; the copy starts a fresh version history.
 func (t *ProfilingTable) Snapshot() *ProfilingTable {
-	c := NewProfilingTable(t.alpha)
-	c.ks = append(c.ks, t.ks...)
-	for k, v := range t.ids {
-		c.ids[k] = v
-	}
-	c.ctrIDs = append(c.ctrIDs, t.ctrIDs...)
-	c.lastSample = t.lastSample
+	c := new(ProfilingTable)
+	t.SnapshotInto(c)
 	return c
+}
+
+// SnapshotInto makes dst the table Snapshot would return, reusing dst's
+// storage: a caller that takes a snapshot every window keeps two tables and
+// writes each new snapshot over the older one. dst may be a zero
+// ProfilingTable, and must not be t.
+func (t *ProfilingTable) SnapshotInto(dst *ProfilingTable) {
+	ids := dst.ids
+	if ids == nil {
+		ids = make(map[string]int, len(t.ids))
+	}
+	clear(ids)
+	for k, v := range t.ids {
+		ids[k] = v
+	}
+	*dst = ProfilingTable{
+		alpha:      t.alpha,
+		ids:        ids,
+		ks:         append(dst.ks[:0], t.ks...),
+		lastSample: t.lastSample,
+		ctrIDs:     append(dst.ctrIDs[:0], t.ctrIDs...),
+	}
 }
 
 // KernelTime estimates how long one launch of wgs workgroups of the kernel

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"laxgpu/internal/core"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
@@ -65,9 +66,10 @@ func TestPREMAEpochAllocationFree(t *testing.T) {
 	}
 }
 
-// TestBATEpochAllocationFree: a BAT epoch re-forms its batches in the
-// policy-owned cell and group maps, truncated and cleared rather than
-// remade, so over a fixed active set it allocates nothing.
+// TestBATEpochAllocationFree: a BAT epoch re-forms its batches in
+// policy-owned scratch, truncated and cleared rather than remade, so over a
+// fixed active set it allocates nothing; and the scratch holds the epoch's
+// cells only, never more than there are active jobs.
 func TestBATEpochAllocationFree(t *testing.T) {
 	lib := workload.NewLibrary(gpu.DefaultConfig())
 	bench, err := workload.FindBenchmark("LSTM")
@@ -76,19 +78,18 @@ func TestBATEpochAllocationFree(t *testing.T) {
 	}
 	p := NewBAT()
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), bench.Generate(lib, workload.HighRate, 64, 1), p)
-	allocs, active, batches := -1.0, 0, 0
+	allocs, active, batches, sizes := -1.0, 0, 0, 0
 	sys.Engine().Schedule(2*sim.Millisecond, func() {
 		active = len(sys.Active())
 		allocs = testing.AllocsPerRun(200, p.Reprioritize)
-		for _, members := range p.cells {
-			if len(members) > 0 {
-				batches++
-			}
-		}
+		batches, sizes = len(p.slot), len(p.size)
 	})
 	sys.Run()
 	if active < 8 || batches < 2 {
 		t.Fatalf("only %d active jobs in %d batches at the measured epoch", active, batches)
+	}
+	if batches > active || sizes != batches {
+		t.Errorf("epoch over %d active jobs keeps %d cells (%d sizes)", active, batches, sizes)
 	}
 	if allocs != 0 {
 		t.Errorf("mid-flight BAT epoch over %d jobs in %d batches allocates %v, want 0", active, batches, allocs)
@@ -187,5 +188,31 @@ func TestCPULaunchPathAllocatesNothingPerKernel(t *testing.T) {
 		if l-s >= 120 {
 			t.Errorf("%s: %v allocations with 2-kernel chains, %v with 32-kernel chains: the launch path allocates per kernel", name, s, l)
 		}
+	}
+}
+
+// TestJobTableRegisterCarvesFromSlab: registering a job hangs an entry and
+// its shape/count/chain buffer off it, both carved from the table's slab
+// chunks, so admitting a trace's worth of LSTM jobs allocates a chunk every
+// few dozen jobs instead of two objects per job.
+func TestJobTableRegisterCarvesFromSlab(t *testing.T) {
+	lib := workload.NewLibrary(gpu.DefaultConfig())
+	bench, err := workload.FindBenchmark("LSTM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := bench.Generate(lib, workload.HighRate, 128, 1)
+	jt := newJobTable(core.NewProfilingTable(1))
+	jt.register(&cp.JobRun{Job: set.Jobs[0]}) // warm: interns the shapes, grows the scratch
+	runs := make([]cp.JobRun, len(set.Jobs))
+	i := 0
+	// AllocsPerRun makes one warm-up call besides the counted ones.
+	allocs := testing.AllocsPerRun(len(runs)-2, func() {
+		i++
+		runs[i].Job = set.Jobs[i]
+		jt.register(&runs[i])
+	})
+	if allocs > 0.25 {
+		t.Errorf("registering an LSTM job allocates %.2f objects, want <= 0.25", allocs)
 	}
 }

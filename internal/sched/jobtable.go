@@ -51,13 +51,25 @@ type jobTable struct {
 	// register's scratch: the job's distinct slots, each kernel's local
 	// shape index, and localOf[slot] = 1 + local index while registering.
 	shapes, local, localOf []int32
+
+	// entries and words are the unused rest of the chunks register carves
+	// entries and their bufs from, so an admitted job costs no allocation
+	// of its own. A chunk stays reachable while any job carved from it is.
+	entries []jobEntry
+	words   []int32
 }
+
+// entryChunk and wordChunk size the slab chunks: 32 entries (2 KiB) and
+// 1024 words (4 KiB, the bufs of about 22 LSTM jobs).
+const (
+	entryChunk = 32
+	wordChunk  = 1024
+)
 
 // jobEntry caches one job's estimates and the stamps that validate them.
 //
-// Its shapes, tail counts and chain share one backing array, buf, so an
-// entry costs the job two allocations, as a plain per-kernel slot chain
-// did: buf[:d] holds the job's d distinct slots, buf[d:2d] how many tail
+// Its shapes, tail counts and chain share one backing array, buf, and both
+// the entry and buf are carved from the table's slab chunks: buf[:d] holds the job's d distinct slots, buf[d:2d] how many tail
 // kernels have each, and buf[2d:] the chain — each kernel's local shape
 // index, packed four to a word (one byte each) when d <= 256, which every
 // benchmark meets, and one to a word otherwise.
@@ -129,7 +141,8 @@ func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	if d <= packedShapes {
 		words = (len(local) + 3) / 4
 	}
-	e := &jobEntry{buf: make([]int32, 2*int(d)+words), d: d, lastCur: -1}
+	e := t.carve(2*int(d) + words)
+	e.d, e.lastCur = d, -1
 	copy(e.buf, shapes)
 	counts, chain := e.buf[d:2*d], e.buf[2*d:]
 	for k, li := range local {
@@ -145,6 +158,22 @@ func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	}
 	t.shapes, t.local = shapes, local
 	j.SchedState = e
+	return e
+}
+
+// carve cuts a zero entry with a zeroed n-word buf from the slab chunks,
+// starting a new chunk when the current one is used up.
+func (t *jobTable) carve(n int) *jobEntry {
+	if len(t.entries) == 0 {
+		t.entries = make([]jobEntry, entryChunk)
+	}
+	e := &t.entries[0]
+	t.entries = t.entries[1:]
+	if len(t.words) < n {
+		t.words = make([]int32, max(n, wordChunk))
+	}
+	e.buf = t.words[:n:n]
+	t.words = t.words[n:]
 	return e
 }
 

@@ -116,6 +116,11 @@ type LAX struct {
 	pt    *core.ProfilingTable
 	stale *core.ProfilingTable
 
+	// snaps are the two tables stale alternates between: each window's
+	// snapshot is written over the one stale does not point at, so taking
+	// it allocates nothing once both have grown.
+	snaps [2]core.ProfilingTable
+
 	// jt caches per-job remaining-time/drain estimates for the CP variant
 	// (the dirty-set incremental path; see jobtable.go). Host variants
 	// schedule from snapshots with kernel-granular WGLists and keep the
@@ -176,7 +181,8 @@ func (p *LAX) Name() string {
 func (p *LAX) Attach(s *cp.System) {
 	p.sys = s
 	p.pt = core.NewProfilingTable(p.cfg.Alpha)
-	p.stale = p.pt.Snapshot()
+	p.stale = &p.snaps[0]
+	p.pt.SnapshotInto(p.stale)
 	p.jt = newJobTable(p.pt)
 }
 
@@ -280,7 +286,12 @@ func (p *LAX) Reprioritize() {
 
 	// Host-side variants schedule from the previous window's rates.
 	if p.variant != VariantCP {
-		p.stale = p.pt.Snapshot()
+		next := &p.snaps[0]
+		if p.stale == next {
+			next = &p.snaps[1]
+		}
+		p.pt.SnapshotInto(next)
+		p.stale = next
 	}
 	p.pt.Update(p.sys.Device().Counters(), p.sys.Now())
 	probeTableRefresh(p.sys, p.Name(), p.pt.Len())
