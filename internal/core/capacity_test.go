@@ -160,7 +160,8 @@ func TestSnapshotCopiesCapacityState(t *testing.T) {
 	pt.SetCapacity("k", 320)
 	pt.Update(dev.Counters(), now)
 
-	snap := pt.Snapshot()
+	snap := new(ProfilingTable)
+	pt.SnapshotInto(snap)
 	r1, _ := pt.Rate("k")
 	r2, ok := snap.Rate("k")
 	if !ok || r1 != r2 {

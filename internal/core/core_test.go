@@ -220,7 +220,8 @@ func TestQueueDelay(t *testing.T) {
 func TestSnapshotIsIndependent(t *testing.T) {
 	pt := NewProfilingTable(1)
 	pt.ObserveRate("k", 0.001)
-	snap := pt.Snapshot()
+	snap := new(ProfilingTable)
+	pt.SnapshotInto(snap)
 	pt.ObserveRate("k", 0.999)
 	if r, _ := snap.Rate("k"); r != 0.001 {
 		t.Fatalf("snapshot mutated: %v", r)
@@ -230,10 +231,10 @@ func TestSnapshotIsIndependent(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntoMatchesSnapshot: a snapshot written over a used table —
-// more kernels, another alpha, a version history — is the table Snapshot
-// returns: same IDs, rates and capacities, a fresh version history.
-func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
+// TestSnapshotIntoReusedTable: a snapshot written over a used table — more
+// kernels, another alpha, a version history — equals one written into a
+// zero table: same IDs, rates and capacities, a fresh version history.
+func TestSnapshotIntoReusedTable(t *testing.T) {
 	dst := NewProfilingTable(0.5)
 	for _, k := range []string{"x", "y", "z"} {
 		dst.SetCapacity(k, 7)
@@ -243,8 +244,10 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	pt.SetCapacity("b", 40)
 	pt.ObserveRate("a", 0.002)
 	pt.SnapshotInto(dst)
-	if want := pt.Snapshot(); !reflect.DeepEqual(dst, want) {
-		t.Fatalf("SnapshotInto over a used table = %+v, want %+v", dst, want)
+	want := new(ProfilingTable)
+	pt.SnapshotInto(want)
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("snapshot over a used table = %+v, want %+v", dst, want)
 	}
 	if dst.Version() != 0 || dst.IDFor("b") != pt.IDFor("b") {
 		t.Fatalf("version %d, ID of b %d; want 0 and %d", dst.Version(), dst.IDFor("b"), pt.IDFor("b"))

@@ -220,21 +220,13 @@ func (t *ProfilingTable) Rate(name string) (float64, bool) {
 	return 0, false
 }
 
-// Snapshot returns a deep copy of the table's current rates. CPU-side LAX
-// variants schedule from snapshots that lag the live table by a host-device
-// round trip (the paper's fidelity argument for extending the CP). IDs are
-// preserved, so estimates resolved against the live table index the
-// snapshot identically; the copy starts a fresh version history.
-func (t *ProfilingTable) Snapshot() *ProfilingTable {
-	c := new(ProfilingTable)
-	t.SnapshotInto(c)
-	return c
-}
-
-// SnapshotInto makes dst the table Snapshot would return, reusing dst's
-// storage: a caller that takes a snapshot every window keeps two tables and
-// writes each new snapshot over the older one. dst may be a zero
-// ProfilingTable, and must not be t.
+// SnapshotInto makes dst a deep copy of the table's current rates, reusing
+// dst's storage. CPU-side LAX variants schedule from snapshots that lag the
+// live table by a host-device round trip (the paper's fidelity argument for
+// extending the CP), taking one every window into the older of two tables.
+// IDs are preserved, so estimates resolved against the live table index the
+// snapshot identically; the copy starts a fresh version history. dst may be
+// a zero ProfilingTable, and must not be t.
 func (t *ProfilingTable) SnapshotInto(dst *ProfilingTable) {
 	ids := dst.ids
 	if ids == nil {

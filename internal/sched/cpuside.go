@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"laxgpu/internal/cp"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
@@ -27,17 +25,13 @@ type BAT struct {
 	// kernel types match.
 	group map[*cp.JobRun][]*cp.JobRun
 
-	// The epoch's scratch keys the cells densely. slot numbers this epoch's
-	// cells in the order active jobs reach them, cellOf[i] is active job i's
-	// slot (-1 when it has no current kernel), size[s] counts slot s's jobs,
-	// and members holds every batch back to back, slot by slot, each in
-	// active order; a batch ends at end[s]. All of it is cleared and refilled
-	// each epoch, so it holds only cells some active job is at — never every
-	// cell the run has passed through — and keeps no finished job reachable.
-	slot      map[batCell]int32
-	cellOf    []int32
-	size, end []int32
-	members   []*cp.JobRun
+	// slot numbers the epoch's cells densely, and batches[s] lists the
+	// active jobs at cell s. Every epoch clears the map and truncates and
+	// clears the lists, so a steady-state epoch reuses their storage, the
+	// map holds only cells some active job is at — not every cell the run
+	// has passed through — and no list keeps a finished job reachable.
+	slot    map[batCell]int
+	batches [][]*cp.JobRun
 }
 
 // batCell is a (kernel type, position in chain) pair: jobs at the same cell
@@ -57,7 +51,7 @@ func (p *BAT) Name() string { return "BAT" }
 func (p *BAT) Attach(s *cp.System) {
 	p.sys = s
 	p.group = make(map[*cp.JobRun][]*cp.JobRun)
-	p.slot = make(map[batCell]int32)
+	p.slot = make(map[batCell]int)
 }
 
 // Admit implements cp.Policy: BatchMaker is deadline-blind; everything is
@@ -74,49 +68,34 @@ func (p *BAT) Admit(j *cp.JobRun) bool {
 // which is exactly what ignores deadlines.
 func (p *BAT) Reprioritize() {
 	probeEpoch(p.sys, p.Name())
-	active := p.sys.Active()
 	clear(p.slot)
-	p.cellOf, p.size = p.cellOf[:0], p.size[:0]
-	for _, j := range active {
+	for s, members := range p.batches {
+		clear(members)
+		p.batches[s] = members[:0]
+	}
+	for _, j := range p.sys.Active() {
 		k := j.Current()
 		if k == nil {
-			p.cellOf = append(p.cellOf, -1)
 			continue
 		}
 		c := batCell{k.Desc.Name, j.CurrentIndex()}
 		s, ok := p.slot[c]
 		if !ok {
-			s = int32(len(p.size))
+			s = len(p.slot)
 			p.slot[c] = s
-			p.size = append(p.size, 0)
+			if s == len(p.batches) {
+				p.batches = append(p.batches, nil)
+			}
 		}
-		p.size[s]++
-		p.cellOf = append(p.cellOf, s)
-	}
-	p.end = p.end[:0]
-	n := int32(0)
-	for _, size := range p.size {
-		p.end = append(p.end, n)
-		n += size
-	}
-	clear(p.members)
-	p.members = slices.Grow(p.members[:0], int(n))[:n]
-	for i, j := range active {
-		if s := p.cellOf[i]; s >= 0 {
-			p.members[p.end[s]] = j
-			p.end[s]++
-		}
+		p.batches[s] = append(p.batches[s], j)
 	}
 	clear(p.group)
-	for i, j := range active {
-		s := p.cellOf[i]
-		if s < 0 {
-			continue
+	for _, members := range p.batches[:len(p.slot)] {
+		for _, j := range members {
+			p.group[j] = members
+			// Bigger batch → higher priority (lower value).
+			j.Priority = -int64(len(members))
 		}
-		end := p.end[s]
-		p.group[j] = p.members[end-p.size[s] : end : end]
-		// Bigger batch → higher priority (lower value).
-		j.Priority = -int64(p.size[s])
 	}
 	probeSamples(p.sys)
 }
