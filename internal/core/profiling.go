@@ -12,6 +12,8 @@
 package core
 
 import (
+	"maps"
+
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
 )
@@ -233,9 +235,7 @@ func (t *ProfilingTable) SnapshotInto(dst *ProfilingTable) {
 		ids = make(map[string]int, len(t.ids))
 	}
 	clear(ids)
-	for k, v := range t.ids {
-		ids[k] = v
-	}
+	maps.Copy(ids, t.ids)
 	*dst = ProfilingTable{
 		alpha:      t.alpha,
 		ids:        ids,

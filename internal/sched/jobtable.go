@@ -69,10 +69,11 @@ const (
 // jobEntry caches one job's estimates and the stamps that validate them.
 //
 // Its shapes, tail counts and chain share one backing array, buf, and both
-// the entry and buf are carved from the table's slab chunks: buf[:d] holds the job's d distinct slots, buf[d:2d] how many tail
-// kernels have each, and buf[2d:] the chain — each kernel's local shape
-// index, packed four to a word (one byte each) when d <= 256, which every
-// benchmark meets, and one to a word otherwise.
+// the entry and buf are carved from the table's slab chunks: buf[:d] holds
+// the job's d distinct slots, buf[d:2d] how many tail kernels have each,
+// and buf[2d:] the chain — each kernel's local shape index, packed four to
+// a word (one byte each) when d <= 256, which every benchmark meets, and
+// one to a word otherwise.
 type jobEntry struct {
 	buf      []int32
 	d        int32 // distinct shapes
