@@ -3,6 +3,7 @@ package cp
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"laxgpu/internal/sim"
@@ -29,6 +30,9 @@ func releaseOutcome(sys *System) string {
 // with faults installed, one with the watchdog armed, and one whose run was
 // cancelled are not taken.
 func TestReleaseRecyclesOnlyDrainedBatchRuns(t *testing.T) {
+	// One P: a sync.Pool keeps what is put in the putting P's private slot,
+	// which a Get on another P does not see.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	desc := testDesc("k", 6, 256, 10*sim.Microsecond)
 	small := makeSet(12, 3, desc, 4*sim.Microsecond, sim.Millisecond)
 	large := makeSet(40, 2, desc, 3*sim.Microsecond, sim.Millisecond)

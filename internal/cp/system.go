@@ -203,14 +203,14 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 		pol:          pol,
 		readyStale:   true,
 		slab:         slab[:n],
-		jobs:         emptied(s.jobs),
+		jobs:         slices.Grow(emptied(s.jobs), n),
 		active:       emptied(s.active),
 		hostQ:        emptied(s.hostQ),
 		blocked:      emptied(s.blocked),
 		orderCache:   emptied(s.orderCache),
 		orderPrios:   s.orderPrios[:0],
 		ready:        s.ready[:0],
-		freeQueues:   s.freeQueues[:0],
+		freeQueues:   slices.Grow(s.freeQueues[:0], cfg.NumQueues),
 		parserFreeAt: append(s.parserFreeAt[:0], make([]sim.Time, cfg.ParseStreams)...),
 	}
 	s.dev.OnWGComplete(s.onWGComplete)

@@ -17,6 +17,10 @@ func TestRecycledCellBytesPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a random quarter of what is put in it")
 	}
+	// One P: a sync.Pool keeps what is put in the putting P's private slot,
+	// which a Get on another P does not see, so a goroutine moved between
+	// the two runs would build its second cell from scratch.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := NewRunner()
 	r.Workers = 1
 	if _, err := r.Run("EDF", "LSTM", workload.HighRate); err != nil {

@@ -191,10 +191,11 @@ func TestCPULaunchPathAllocatesNothingPerKernel(t *testing.T) {
 	}
 }
 
-// TestJobTableRegisterCarvesFromSlab: registering a job hangs an entry and
-// its shape/count/chain buffer off it, both carved from the table's slab
-// chunks, so admitting a trace's worth of LSTM jobs allocates a chunk every
-// few dozen jobs instead of two objects per job.
+// TestJobTableRegisterCarvesFromSlab: registering a job of a batch trace
+// hangs an entry and its shape/count/chain buffer off it, both carved from
+// the table's slabs, so admitting a trace's worth of LSTM jobs allocates one
+// entry slab and a buffer chunk every few dozen jobs instead of two objects
+// per job.
 func TestJobTableRegisterCarvesFromSlab(t *testing.T) {
 	lib := workload.NewLibrary(gpu.DefaultConfig())
 	bench, err := workload.FindBenchmark("LSTM")
@@ -202,7 +203,7 @@ func TestJobTableRegisterCarvesFromSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := bench.Generate(lib, workload.HighRate, 128, 1)
-	jt := newJobTable(core.NewProfilingTable(1))
+	jt := newJobTable(core.NewProfilingTable(1), len(set.Jobs))
 	jt.register(&cp.JobRun{Job: set.Jobs[0]}) // warm: interns the shapes, grows the scratch
 	runs := make([]cp.JobRun, len(set.Jobs))
 	i := 0

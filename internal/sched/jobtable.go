@@ -52,24 +52,26 @@ type jobTable struct {
 	// shape index, and localOf[slot] = 1 + local index while registering.
 	shapes, local, localOf []int32
 
-	// entries and words are the unused rest of the chunks register carves
-	// entries and their bufs from, so an admitted job costs no allocation
-	// of its own. A chunk stays reachable while any job carved from it is.
+	// entries and words are the unused rest of the slabs register carves
+	// entries and their bufs from, so an admitted job of a batch trace costs
+	// no allocation of its own: one entry slab sized to the trace (jobs),
+	// and bufs from chunks of up to wordChunk words. A slab stays reachable
+	// while any job carved from it is, so an online table (jobs 0: no
+	// trace, and jobs retire as the node runs) allocates each job's entry
+	// and buf alone.
+	jobs    int
 	entries []jobEntry
 	words   []int32
 }
 
-// entryChunk and wordChunk size the slab chunks: 32 entries (2 KiB) and
-// 1024 words (4 KiB, the bufs of about 22 LSTM jobs).
-const (
-	entryChunk = 32
-	wordChunk  = 1024
-)
+// wordChunk is the size of a batch table's buf chunks: 4 KiB, the bufs of
+// about 22 LSTM jobs.
+const wordChunk = 1024
 
 // jobEntry caches one job's estimates and the stamps that validate them.
 //
 // Its shapes, tail counts and chain share one backing array, buf, and both
-// the entry and buf are carved from the table's slab chunks: buf[:d] holds
+// the entry and buf are carved from the table's slabs: buf[:d] holds
 // the job's d distinct slots, buf[d:2d] how many tail kernels have each,
 // and buf[2d:] the chain — each kernel's local shape index, packed four to
 // a word (one byte each) when d <= 256, which every benchmark meets, and
@@ -114,8 +116,10 @@ type fullSlot struct {
 	dt      sim.Time
 }
 
-func newJobTable(pt *core.ProfilingTable) *jobTable {
-	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32)}
+// newJobTable returns an empty table over pt for a system whose batch trace
+// has jobs jobs (0 online).
+func newJobTable(pt *core.ProfilingTable, jobs int) *jobTable {
+	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32), jobs: jobs}
 }
 
 // register resolves the job's kernel chain to shapes and hangs the entry
@@ -162,16 +166,19 @@ func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	return e
 }
 
-// carve cuts a zero entry with a zeroed n-word buf from the slab chunks,
-// starting a new chunk when the current one is used up.
+// carve cuts a zero entry with a zeroed n-word buf from the slabs, starting
+// a new one when the current one is used up.
 func (t *jobTable) carve(n int) *jobEntry {
 	if len(t.entries) == 0 {
-		t.entries = make([]jobEntry, entryChunk)
+		t.entries = make([]jobEntry, max(t.jobs, 1))
 	}
 	e := &t.entries[0]
 	t.entries = t.entries[1:]
 	if len(t.words) < n {
-		t.words = make([]int32, max(n, wordChunk))
+		// Room for this buf and, up to wordChunk, for as many more as the
+		// entry slab still expects, if they are of its size: an online
+		// table, whose slab is one entry, gets exactly this buf.
+		t.words = make([]int32, max(n, min(wordChunk, (len(t.entries)+1)*n)))
 	}
 	e.buf = t.words[:n:n]
 	t.words = t.words[n:]

@@ -183,7 +183,7 @@ func (p *LAX) Attach(s *cp.System) {
 	p.pt = core.NewProfilingTable(p.cfg.Alpha)
 	p.stale = &p.snaps[0]
 	p.pt.SnapshotInto(p.stale)
-	p.jt = newJobTable(p.pt)
+	p.jt = newJobTable(p.pt, len(s.Jobs()))
 }
 
 // incremental reports whether the dirty-set job table serves this variant's

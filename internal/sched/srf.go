@@ -33,7 +33,7 @@ func (p *SRF) Name() string { return "SRF" }
 func (p *SRF) Attach(s *cp.System) {
 	p.sys = s
 	p.pt = core.NewProfilingTable(1)
-	p.jt = newJobTable(p.pt)
+	p.jt = newJobTable(p.pt, len(s.Jobs()))
 }
 
 // Admit implements cp.Policy: no admission control; the initial priority is
