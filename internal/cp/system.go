@@ -250,7 +250,7 @@ func emptied[T any](s []T) []T {
 // ignores one that never ran, an online one, one with faults installed (a
 // run bounded by the fault horizon can stop with work queued, and a hung
 // kernel's batch is never freed), one with the watchdog armed, and one
-// whose run its context stopped.
+// whose context stopped it before its queue drained.
 func (s *System) Release() {
 	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recovery.Watchdog || s.eng.Pending() != 0 {
 		return

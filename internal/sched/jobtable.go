@@ -116,8 +116,8 @@ type fullSlot struct {
 	dt      sim.Time
 }
 
-// newJobTable returns an empty table over pt for a system whose batch trace
-// has jobs jobs (0 online).
+// newJobTable returns an empty table over pt; jobs is the length of the
+// system's batch trace, 0 for an online system.
 func newJobTable(pt *core.ProfilingTable, jobs int) *jobTable {
 	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32), jobs: jobs}
 }
