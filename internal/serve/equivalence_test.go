@@ -1,10 +1,12 @@
 package serve
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"testing"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/faults"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
@@ -22,43 +24,66 @@ func cloneSet(set *workload.JobSet) *workload.JobSet {
 	return out
 }
 
+// byArrival returns the trace's jobs in the order they arrive: by Arrival,
+// ties by ID. A serving frontend sees them in this order and numbers them as
+// they come.
+func byArrival(set *workload.JobSet) []*workload.Job {
+	jobs := slices.Clone(set.Jobs)
+	slices.SortStableFunc(jobs, func(a, b *workload.Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	return jobs
+}
+
 // runSim replays the trace through the offline simulator, the reference the
-// online path must match.
-func runSim(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
+// online path must match, and returns its JobRuns in arrival order. A faulty
+// run stops at its horizon (see cp.System.RunContext).
+func runSim(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) []*cp.JobRun {
 	t.Helper()
-	pol, err := sched.New(policy)
+	sys, _, err := sched.Assemble(policy, cp.DefaultSystemConfig(), set, spec, equivSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
 	sys.Run()
-	return sys.Jobs()
+	runs := make([]*cp.JobRun, 0, len(set.Jobs))
+	for _, j := range byArrival(set) {
+		runs = append(runs, sys.Job(j.ID))
+	}
+	return runs
 }
 
 // replayOnline pushes the same trace through a Node exactly as the serving
 // frontend does — advance to the arrival instant, submit, read the verdict —
-// then runs the remaining events to quiescence. The JobRuns are the ones
-// Submit returned: an online system retires terminal jobs from Jobs().
-func replayOnline(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
+// then runs the remaining events to quiescence, or for a faulty run to the
+// batch run's horizon: the last deadline plus 250 ms. The JobRuns are the
+// ones Submit returned, in arrival order: an online system retires terminal
+// jobs from Jobs().
+func replayOnline(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) []*cp.JobRun {
 	t.Helper()
-	node, err := NewNode(NodeConfig{Scheduler: policy})
+	node, err := NewNode(NodeConfig{Scheduler: policy, Faults: spec, Seed: equivSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := make([]*cp.JobRun, 0, len(set.Jobs))
-	for _, j := range set.Jobs {
+	for k, j := range byArrival(set) {
 		node.AdvanceTo(j.Arrival)
 		jr := node.Submit(j)
-		if jr.Job.ID != j.ID {
-			t.Fatalf("online replay renumbered job %d to %d", j.ID, jr.Job.ID)
+		if jr.Job.ID != k {
+			t.Fatalf("online replay numbered its job %d as %d", k, jr.Job.ID)
 		}
 		runs = append(runs, jr)
 	}
-	node.System().Engine().Run()
+	if spec.Zero() {
+		node.System().Engine().Run()
+	} else {
+		node.System().Engine().RunUntil(set.Horizon() + 250*sim.Millisecond)
+	}
 	return runs
 }
 
-// compareRuns asserts per-job outcome identity between the two modes.
+// equivSeed seeds the fault plans of both modes.
+const equivSeed = 3
+
+// compareRuns asserts per-job outcome identity between the two modes; both
+// slices are in arrival order.
 func compareRuns(t *testing.T, simJobs, onlJobs []*cp.JobRun) {
 	t.Helper()
 	if len(simJobs) != len(onlJobs) {
@@ -67,52 +92,107 @@ func compareRuns(t *testing.T, simJobs, onlJobs []*cp.JobRun) {
 	for i := range simJobs {
 		s, o := simJobs[i], onlJobs[i]
 		if s.State() != o.State() {
-			t.Errorf("job %d state: sim %v, online %v", i, s.State(), o.State())
+			t.Errorf("arrival %d (sim job %d) state: sim %v, online %v", i, s.Job.ID, s.State(), o.State())
 		}
 		if s.FinishTime != o.FinishTime {
-			t.Errorf("job %d finish: sim %v, online %v", i, s.FinishTime, o.FinishTime)
+			t.Errorf("arrival %d (sim job %d) finish: sim %v, online %v", i, s.Job.ID, s.FinishTime, o.FinishTime)
 		}
 		if s.MetDeadline() != o.MetDeadline() {
-			t.Errorf("job %d met-deadline: sim %v, online %v", i, s.MetDeadline(), o.MetDeadline())
+			t.Errorf("arrival %d (sim job %d) met-deadline: sim %v, online %v", i, s.Job.ID, s.MetDeadline(), o.MetDeadline())
 		}
 		if s.FellBack != o.FellBack {
-			t.Errorf("job %d fell-back: sim %v, online %v", i, s.FellBack, o.FellBack)
+			t.Errorf("arrival %d (sim job %d) fell-back: sim %v, online %v", i, s.Job.ID, s.FellBack, o.FellBack)
 		}
 	}
 }
 
-// TestOnlineMatchesSimMode is the clock-abstraction equivalence pin: for a
-// spread of policies and workloads at the paper's high contention rate, the
+// equivalent runs the trace both ways and compares them.
+func equivalent(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) {
+	t.Helper()
+	compareRuns(t, runSim(t, policy, cloneSet(set), spec), replayOnline(t, policy, cloneSet(set), spec))
+}
+
+// TestOnlineMatchesSimMode is the clock-abstraction equivalence pin: the
 // online submission path (AdvanceTo + SubmitNow) must agree with a sim-mode
-// Run of the identical trace on every job's verdict, finish time and
-// deadline outcome.
+// Run of the identical trace on every job's verdict, finish time, deadline
+// outcome and CPU fallback. It covers every registered scheduler on every
+// benchmark at the low and the high rate; every scheduler on every benchmark
+// under two fault plans (hangs, aborts and slowdowns under recovery, and
+// unrecovered hangs with a CU retirement), both modes stopped at the same
+// horizon; a trace whose IDs are not in arrival order and whose arrivals tie;
+// and a trace long enough for the online window to retire most of it.
 func TestOnlineMatchesSimMode(t *testing.T) {
-	cfg := cp.DefaultSystemConfig()
-	lib := workload.NewLibrary(cfg.GPU)
-	policies := []string{"LAX", "LAX-SW", "EDF", "SRF", "RR", "ORACLE"}
-	benches := []string{"LSTM", "STEM", "CUCKOO"}
-	for _, policy := range policies {
-		for _, name := range benches {
-			t.Run(fmt.Sprintf("%s/%s", policy, name), func(t *testing.T) {
-				b, err := workload.FindBenchmark(name)
-				if err != nil {
-					t.Fatal(err)
+	lib := workload.NewLibrary(cp.DefaultSystemConfig().GPU)
+	for _, policy := range sched.Names() {
+		for _, b := range workload.Benchmarks() {
+			t.Run(policy+"/"+b.Name, func(t *testing.T) {
+				for _, rate := range []workload.Rate{workload.LowRate, workload.HighRate} {
+					t.Run(rate.String(), func(t *testing.T) {
+						equivalent(t, policy, b.Generate(lib, rate, 96, 7), faults.Spec{})
+					})
 				}
-				set := b.Generate(lib, workload.HighRate, 96, 7)
-				simJobs := runSim(t, policy, cloneSet(set))
-				onlJobs := replayOnline(t, policy, cloneSet(set))
-				compareRuns(t, simJobs, onlJobs)
+				for _, plan := range []string{"hang=0.1,abort=0.1,slow=0.1", "hang=0.1,retire=4@1ms,recover=off"} {
+					spec, err := faults.ParseSpec(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Run(plan, func(t *testing.T) {
+						equivalent(t, policy, b.Generate(lib, workload.HighRate, 48, 7), spec)
+					})
+				}
 			})
 		}
+		t.Run(policy+"/permuted", func(t *testing.T) {
+			equivalent(t, policy, permutedTrace(t, lib), faults.Spec{})
+		})
 	}
 	// Long enough that the online window retires most of the trace while it
 	// runs, with LSTM chains holding the window head across STEM turnover.
 	t.Run("LAX/LSTM+STEM", func(t *testing.T) {
-		set := mixedTrace(lib, 2000, 7)
-		simJobs := runSim(t, "LAX", cloneSet(set))
-		onlJobs := replayOnline(t, "LAX", cloneSet(set))
-		compareRuns(t, simJobs, onlJobs)
+		equivalent(t, "LAX", mixedTrace(lib, 2000, 7), faults.Spec{})
 	})
+}
+
+// permutedTrace is a mixed GMM/STEM trace at the high rate whose arrivals
+// are cut to 50 µs steps — half of them on LAX's 100 µs reprioritization
+// grid — so that several jobs arrive at once, and whose IDs are a shuffle of
+// arrival order: set.Jobs stays indexed by ID, but ID 0 need not arrive
+// first.
+func permutedTrace(t *testing.T, lib *workload.Library) *workload.JobSet {
+	t.Helper()
+	set := &workload.JobSet{Benchmark: "GMM+STEM"}
+	for _, name := range []string{"GMM", "STEM"} {
+		b, err := workload.FindBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Jobs = append(set.Jobs, b.Generate(lib, workload.HighRate, 48, 5).Jobs...)
+	}
+	rng := sim.NewRNG(9)
+	ids := make([]int, len(set.Jobs))
+	for i := range ids {
+		ids[i] = i
+	}
+	rng.Shuffle(len(ids), func(i, k int) { ids[i], ids[k] = ids[k], ids[i] })
+	const step = 50 * sim.Microsecond
+	jobs := make([]*workload.Job, len(set.Jobs))
+	for i, j := range set.Jobs {
+		c := *j
+		c.Arrival = c.Arrival / step * step
+		c.ID = ids[i]
+		jobs[c.ID] = &c
+	}
+	set.Jobs = jobs
+	tie, inverted := false, false
+	order := byArrival(set)
+	for i := 1; i < len(order); i++ {
+		tie = tie || order[i].Arrival == order[i-1].Arrival
+		inverted = inverted || order[i].ID < order[i-1].ID
+	}
+	if !tie || !inverted {
+		t.Fatalf("permuted trace: arrivals tie %v, IDs out of arrival order %v; want both", tie, inverted)
+	}
+	return set
 }
 
 // TestOnlineMatchesSimModeOnGridArrivals stresses the lazily armed online
@@ -142,9 +222,7 @@ func TestOnlineMatchesSimModeOnGridArrivals(t *testing.T) {
 	for i, at := range arrivals {
 		set.Jobs = append(set.Jobs, b.Sample(lib, rng, i, at))
 	}
-	simJobs := runSim(t, "LAX", cloneSet(set))
-	onlJobs := replayOnline(t, "LAX", cloneSet(set))
-	compareRuns(t, simJobs, onlJobs)
+	equivalent(t, "LAX", set, faults.Spec{})
 }
 
 // TestNodeOverloadVerdicts checks Algorithm 1 behaves sanely against offered
