@@ -10,6 +10,17 @@ import (
 // schedulers of internal/sched (an importer of this package) and reach the
 // dispatch round's unexported bookkeeping through here.
 
+// StartTrace starts a batch run as RunContext does and returns its jobs in
+// the order RunContext submits them. Arrive submits one through the step
+// RunContext calls; the caller runs the engine up to each arrival first, as
+// RunContext does.
+func (s *System) StartTrace() []*JobRun {
+	s.start("StartTrace")
+	return s.arrivalOrder()
+}
+
+func (s *System) Arrive(jr *JobRun) { s.submit(jr) }
+
 // AlwaysWalk turns s into the always-walk reference: every round reaches the
 // policy's order with the ready counts stale again, so no round returns or
 // stops early — each walks every active job in order, the dispatch loop as it

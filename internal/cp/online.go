@@ -6,40 +6,25 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// Online mode drives a System from the outside — a serving frontend injects
-// jobs as they arrive over the network instead of replaying a pre-scheduled
-// trace. The contract mirrors sim mode exactly:
-//
-//   - the caller advances the engine with Engine().RunBefore(t) so events
-//     strictly before an injection fire first, and an arrival injected at t
-//     precedes device events AT t (the same order sim mode guarantees via
-//     arrival events holding the lowest seq numbers);
-//   - SubmitNow runs the identical arrive() path (admission, queue binding,
-//     stream inspection) at the current engine time;
-//   - the reprioritization timer ticks on the sim-mode grid (see armTimer),
-//     with a catch-up tick injected when an arrival lands exactly on a grid
-//     point the lazily-armed online timer had slept through.
-//
-// Under that contract, replaying a trace through AdvanceTo+SubmitNow yields
-// bit-identical job outcomes to a sim-mode Run of the same trace — the
-// property the serve equivalence test pins.
+// Online mode drives a System from the outside: a serving frontend injects
+// jobs as they arrive instead of handing over a trace. The caller advances
+// the engine with Engine().RunBefore(t), so an arrival at t follows every
+// earlier event and precedes every event at t, and SubmitNow runs it through
+// submit. That is the one arrival path: a batch run is this loop fed by its
+// trace (see RunContext), and the serve equivalence test pins that a replay
+// through AdvanceTo+SubmitNow yields the batch run's job outcomes.
 
-// StartOnline switches the system into externally driven mode: no arrivals
-// are pre-scheduled, the fault retirement schedule (if installed) is armed,
-// and jobs enter via SubmitNow. Like RunContext it latches runStarted, so
-// observers must already be attached. The caller owns the event loop: it
-// advances time with Engine().RunBefore / RunUntil between submissions, one
-// goroutine at a time.
+// StartOnline switches the system into externally driven mode: the fault
+// retirement schedule (if installed) is armed, and jobs enter via SubmitNow.
+// Like RunContext it latches the run, so observers must already be attached.
+// The caller owns the event loop: it advances time with Engine().RunBefore /
+// RunUntil between submissions, one goroutine at a time.
 func (s *System) StartOnline() {
-	if s.runStarted {
-		panic("cp: StartOnline after the run has started")
-	}
+	s.start("StartOnline")
 	if len(s.jobs) != 0 {
 		panic("cp: StartOnline needs an empty job set (jobs enter via SubmitNow)")
 	}
-	s.runStarted = true
 	s.online = true
-	s.scheduleRetirements()
 }
 
 // SubmitNow injects one job at the current engine time and runs the
@@ -47,8 +32,8 @@ func (s *System) StartOnline() {
 // and stream inspection all happen before it returns, so the caller can read
 // the verdict off the returned JobRun (State() == JobRejected means the
 // admission test refused it). IDs must be dense and Arrival must equal the
-// engine's now: both are the submission-order invariants sim mode gets from
-// its pre-scheduled trace, and the panics catch frontends that drift.
+// engine's now: both are the submission-order invariants a batch run gets
+// from its trace, and the panics catch frontends that drift.
 func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	if !s.online {
 		panic("cp: SubmitNow on a system not started with StartOnline")
@@ -61,21 +46,7 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	}
 	jr := s.initJobRun(new(JobRun), job)
 	s.jobs = append(s.jobs, jr)
-
-	// If this arrival lands exactly on a reprioritization grid point while
-	// the online timer is disarmed, sim mode — whose timer stays armed for
-	// the whole trace — would fire a tick at this very instant, after the
-	// arrival. Schedule the tick body at now to replicate it; the ordinary
-	// re-arm (for the next grid point) happens inside arrive→bindQueue.
-	iv := s.pol.Interval()
-	catchup := iv > 0 && !s.timerArmed && s.eng.Now() >= iv && s.eng.Now()%iv == 0
-
-	s.arrivalsLeft++ // arrive() decrements; net zero for injected jobs
-	s.arrive(jr)
-
-	if catchup {
-		s.eng.Schedule(s.eng.Now(), s.reprioritize)
-	}
+	s.submit(jr)
 	return jr
 }
 

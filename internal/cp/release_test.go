@@ -27,8 +27,9 @@ func releaseOutcome(sys *System) string {
 // device and slab when the trace fits — and the system built there runs
 // exactly as a new one, a larger trace getting a new slab and another GPU
 // configuration a rebuilt device. A system that never ran, an online one, one
-// with faults installed, one with the watchdog armed, and one whose run was
-// cancelled are not taken.
+// with faults installed, one with the watchdog armed, one whose run was
+// cancelled before it began, and one cancelled between arrivals with its
+// engine drained are not taken.
 func TestReleaseRecyclesOnlyDrainedBatchRuns(t *testing.T) {
 	// One P: a sync.Pool keeps what is put in the putting P's private slot,
 	// which a Get on another P does not see.
@@ -69,6 +70,33 @@ func TestReleaseRecyclesOnlyDrainedBatchRuns(t *testing.T) {
 			cancel()
 			if err := s.RunContext(ctx); err == nil {
 				t.Fatal("cancelled run returned nil")
+			}
+			return s
+		},
+		"cancelled mid-trace": func() *System {
+			// The first half of the trace runs and drains; the context is
+			// cancelled as the next job is refused, so the run stops between
+			// arrivals with its engine empty and the rest never submitted.
+			gapped := makeSet(12, 3, desc, 4*sim.Microsecond, sim.Millisecond)
+			for _, j := range gapped.Jobs[6:] {
+				j.Arrival += sim.Millisecond
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pol := &fifoPolicy{admitFn: func(jr *JobRun) bool {
+				if jr.Job.ID == 6 {
+					cancel()
+					return false
+				}
+				return true
+			}}
+			s := NewSystem(smallConfig(), gapped, pol)
+			if err := s.RunContext(ctx); err == nil {
+				t.Fatal("cancelled run returned nil")
+			}
+			if s.Engine().Pending() != 0 || !s.Job(5).Done() || s.Job(7).State() != JobPending {
+				t.Fatalf("run stopped with %d events queued, job 5 %v, job 7 %v; want a drained engine between arrivals",
+					s.Engine().Pending(), s.Job(5).State(), s.Job(7).State())
 			}
 			return s
 		},

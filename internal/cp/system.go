@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -132,7 +133,8 @@ type System struct {
 	// demand can exceed the pipe's bandwidth.
 	hostFreeAt sim.Time
 
-	arrivalsLeft   int
+	// submitted counts the jobs that have arrived (see submit).
+	submitted      int
 	timerArmed     bool
 	stallKickArmed bool
 
@@ -142,14 +144,12 @@ type System struct {
 	// compare (see the harness golden-equivalence test).
 	probe obs.Probe
 
-	// runStarted latches once RunContext begins so probe attachment after
-	// the fact is rejected (see SetProbe).
+	// runStarted latches once RunContext or StartOnline begins, so probe
+	// attachment after the fact is rejected (see SetProbe).
 	runStarted bool
 
-	// online marks a system driven by StartOnline/SubmitNow instead of a
-	// pre-scheduled trace (see online.go). The reprioritization timer then
-	// self-arms on the same k·Interval grid sim mode ticks on, so both
-	// modes make identical scheduling decisions for identical submissions.
+	// online marks a system started by StartOnline: jobs come from SubmitNow
+	// rather than a trace, and terminal ones retire (see retire).
 	online bool
 
 	completed int
@@ -246,13 +246,15 @@ func emptied[T any](s []T) []T {
 // later system in. The caller must be the system's only holder and must
 // drop every reference to it and to what it returned — JobRuns, Jobs(),
 // Active(), the device, the engine, the counters — since all of it is
-// rebuilt in place. Release takes only a system whose engine drained: it
-// ignores one that never ran, an online one, one with faults installed (a
-// run bounded by the fault horizon can stop with work queued, and a hung
-// kernel's batch is never freed), one with the watchdog armed, and one
-// whose context stopped it before its queue drained.
+// rebuilt in place. Release takes only a system whose whole trace arrived
+// and whose engine drained: it ignores one that never ran, an online one,
+// one with faults installed (a run bounded by the fault horizon can stop
+// with work queued, and a hung kernel's batch is never freed), one with the
+// watchdog armed, and one whose context stopped it before its last arrival
+// or before its queue drained.
 func (s *System) Release() {
-	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recovery.Watchdog || s.eng.Pending() != 0 {
+	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recovery.Watchdog ||
+		s.submitted != len(s.jobs) || s.eng.Pending() != 0 {
 		return
 	}
 	shells.Put(s)
@@ -305,10 +307,10 @@ func (s *System) SetProbe(p obs.Probe) {
 // this from their Admit/Reprioritize hooks to emit decision events.
 func (s *System) Probe() obs.Probe { return s.probe }
 
-// Run schedules all arrivals and drives the simulation until every job has
-// either completed or been rejected. Runs with faults installed are bounded
-// by a horizon well past the last deadline, because an unrecovered hang
-// strands its job forever and the event queue would never drain.
+// Run drives the trace until every job has either completed or been
+// rejected. Runs with faults installed are bounded by a horizon well past the
+// last deadline, because an unrecovered hang strands its job forever and the
+// event queue would never drain.
 func (s *System) Run() {
 	s.RunContext(context.Background())
 }
@@ -318,39 +320,73 @@ func (s *System) Run() {
 // context's error. A run that completes naturally returns nil even if the
 // context was cancelled at the finish line; a cancelled run leaves the
 // system in a consistent but incomplete state and its metrics must be
-// discarded.
+// discarded. It panics on a system whose run has started.
+//
+// A batch run is an online run fed by its trace: each job, in arrival
+// order, arrives as a SubmitNow does once the engine has run every event
+// before it. So the event queue holds work in flight, never the trace.
 func (s *System) RunContext(ctx context.Context) error {
-	s.runStarted = true
-	s.arrivalsLeft = len(s.jobs)
-	for _, jr := range s.jobs {
-		jr := jr
-		s.eng.Schedule(jr.Job.Arrival, func() { s.arrive(jr) })
-	}
-	s.scheduleRetirements()
-	s.armTimer()
+	s.start("RunContext")
 	if ctx.Done() != nil {
 		s.eng.SetInterrupt(func() bool { return ctx.Err() != nil })
 		defer s.eng.SetInterrupt(nil)
 	}
-	if s.faultsInstalled {
-		if horizon := s.faultRunHorizon(); horizon > 0 {
-			s.eng.RunUntil(horizon)
-			if s.eng.Interrupted() {
-				return ctx.Err()
-			}
-			return nil
+	for _, jr := range s.arrivalOrder() {
+		if s.eng.RunBefore(jr.Job.Arrival); s.eng.Interrupted() {
+			return ctx.Err()
 		}
+		s.submit(jr)
 	}
-	s.eng.Run()
+	if horizon := s.faultRunHorizon(); s.faultsInstalled && horizon > 0 {
+		s.eng.RunUntil(horizon)
+	} else {
+		s.eng.Run()
+	}
 	if s.eng.Interrupted() {
 		return ctx.Err()
 	}
 	return nil
 }
 
+// start latches the run, so observers are fixed from here on (see SetProbe),
+// and schedules the fault plan's CU retirements.
+func (s *System) start(caller string) {
+	if s.runStarted {
+		panic("cp: " + caller + " after the run has started")
+	}
+	s.runStarted = true
+	s.scheduleRetirements()
+}
+
+// arrivalOrder returns the trace's jobs by arrival time; ties keep ID order.
+func (s *System) arrivalOrder() []*JobRun {
+	byArrival := func(a, b *JobRun) int { return cmp.Compare(a.Job.Arrival, b.Job.Arrival) }
+	if slices.IsSortedFunc(s.jobs, byArrival) {
+		return s.jobs
+	}
+	order := slices.Clone(s.jobs)
+	slices.SortStableFunc(order, byArrival)
+	return order
+}
+
+// submit runs one arrival at the current engine time, for RunContext and
+// SubmitNow alike. The reprioritization timer ticks at every grid point
+// k·Interval (k ≥ 1) with work present: a disarmed timer had none, so an
+// arrival exactly on a grid point ticks there, after itself (binding a
+// queue re-arms the timer for the next grid point).
+func (s *System) submit(jr *JobRun) {
+	iv := s.pol.Interval()
+	now := s.eng.Now()
+	tick := iv > 0 && !s.timerArmed && now >= iv && now%iv == 0
+	s.submitted++
+	s.arrive(jr)
+	if tick {
+		s.eng.Schedule(now, s.reprioritize)
+	}
+}
+
 // arrive runs the host-side offload decision for a newly arrived job.
 func (s *System) arrive(jr *JobRun) {
-	s.arrivalsLeft--
 	s.probeJob(obs.JobArrive, jr)
 	accepted := s.pol.Admit(jr)
 	s.prioMoved = true
@@ -817,33 +853,19 @@ func (s *System) quantizedPriority() func(*JobRun) int64 {
 	}
 }
 
-// armTimer (re)schedules the policy's reprioritization tick. The timer
-// self-disarms when no work remains so the event queue can drain.
-//
-// In sim mode the timer is armed at t=0 and every re-arm happens inside a
-// tick, so ticks always land on the grid iv, 2·iv, 3·iv, …. Online mode must
-// tick on the same grid — the profiling-table windows and priority updates
-// of the two modes line up only then — but the timer there disarms during
-// idle stretches (no trace end is known) and re-arms from SubmitNow at
-// arbitrary times, so the online re-arm rounds up to the next grid point
-// instead of adding a full interval. Ticks sim mode fires during stretches
-// online mode slept through touch no scheduler state: with no completions in
-// a window the profiling table keeps its last rates (delta == 0) and there
-// are no active jobs to re-rank, so skipping them preserves equivalence.
+// armTimer arms the policy's reprioritization tick for the next grid point
+// k·Interval strictly after now, while work is present: an admitted job
+// holds a queue or waits for one. The timer disarms when no work remains,
+// so the event queue can drain, and an arrival re-arms it. It ticks on the
+// grid wherever it was armed from, so the profiling-table windows do not
+// depend on when work arrived.
 func (s *System) armTimer() {
 	iv := s.pol.Interval()
-	if iv <= 0 || s.timerArmed {
-		return
-	}
-	if len(s.active) == 0 && len(s.hostQ) == 0 && s.arrivalsLeft == 0 {
+	if iv <= 0 || s.timerArmed || len(s.active) == 0 && len(s.hostQ) == 0 {
 		return
 	}
 	s.timerArmed = true
-	at := s.eng.Now() + iv
-	if s.online {
-		at = (s.eng.Now()/iv + 1) * iv // next strict grid point
-	}
-	s.eng.ScheduleAct(at, (*tickEvent)(s))
+	s.eng.ScheduleAct((s.eng.Now()/iv+1)*iv, (*tickEvent)(s))
 }
 
 // tickEvent and passEvent are the System as the engine payload of its timer

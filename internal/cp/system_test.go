@@ -3,6 +3,7 @@ package cp
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"laxgpu/internal/gpu"
@@ -655,5 +656,88 @@ func TestRunContextCancellation(t *testing.T) {
 		if jr.State() != other.State() || jr.MetDeadline() != other.MetDeadline() {
 			t.Fatalf("job %d diverged between RunContext and Run: %v vs %v", i, jr, other)
 		}
+	}
+}
+
+// TestRunContextAfterStartPanics: a run starts once. A second RunContext —
+// after a cancelled one too — and a RunContext on an online system panic up
+// front, as StartOnline does on a started system.
+func TestRunContextAfterStartPanics(t *testing.T) {
+	desc := testDesc("k", 4, 64, 10*sim.Microsecond)
+	set := makeSet(32, 4, desc, 5*sim.Microsecond, 10*sim.Millisecond)
+	const want = "cp: RunContext after the run has started"
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != want {
+				t.Errorf("%s: panic %v, want %q", name, got, want)
+			}
+		}()
+		f()
+	}
+
+	cancelled := NewSystem(DefaultSystemConfig(), set, &fifoPolicy{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := cancelled.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	mustPanic("after a cancelled run", want, func() { cancelled.RunContext(context.Background()) })
+
+	finished := NewSystem(DefaultSystemConfig(), set, &fifoPolicy{})
+	finished.Run()
+	mustPanic("after a finished run", want, finished.Run)
+	mustPanic("StartOnline after a run", "cp: StartOnline after the run has started", finished.StartOnline)
+
+	online := NewSystem(DefaultSystemConfig(), &workload.JobSet{}, &fifoPolicy{})
+	online.StartOnline()
+	mustPanic("on an online system", want, online.Run)
+}
+
+// TestEngineHoldsWorkInFlight: arrivals are not events. When the first job
+// arrives the engine's queue is the same for a 16-job and a 1024-job trace,
+// so it holds work in flight, never the trace.
+func TestEngineHoldsWorkInFlight(t *testing.T) {
+	desc := testDesc("k", 4, 64, 10*sim.Microsecond)
+	pending := func(jobs int) int {
+		at := -1
+		pol := &fifoPolicy{interval: 100 * sim.Microsecond}
+		pol.admitFn = func(*JobRun) bool {
+			if at < 0 {
+				at = pol.sys.Engine().Pending()
+			}
+			return true
+		}
+		NewSystem(DefaultSystemConfig(), makeSet(jobs, 2, desc, 5*sim.Microsecond, 10*sim.Millisecond), pol).Run()
+		return at
+	}
+	if small, large := pending(16), pending(1024); small != large {
+		t.Errorf("events queued at the first arrival: %d for 16 jobs, %d for 1024", small, large)
+	}
+}
+
+// TestTimerTicksGridPointsWithWork: the reprioritization timer ticks at the
+// grid points k·Interval with work present, and at no other. A job arriving
+// exactly on a grid point after an idle stretch brings work there, so that
+// point ticks after the arrival; one arriving between grid points waits for
+// the next.
+func TestTimerTicksGridPointsWithWork(t *testing.T) {
+	const iv = 100 * sim.Microsecond
+	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
+	set := makeSet(3, 3, desc, 0, sim.Millisecond) // each job runs ~32µs
+	set.Jobs[1].Arrival = 5 * iv
+	set.Jobs[2].Arrival = 7*iv + iv/3
+	var ticks []sim.Time
+	pol := &fifoPolicy{interval: iv}
+	pol.admitFn = func(jr *JobRun) bool {
+		if jr.Job.ID == 1 && len(ticks) != 1 {
+			t.Errorf("job 1 arrived after %d ticks, want 1: a grid point's tick follows its arrival", len(ticks))
+		}
+		return true
+	}
+	pol.reprioFn = func() { ticks = append(ticks, pol.sys.Now()) }
+	NewSystem(DefaultSystemConfig(), set, pol).Run()
+	if want := []sim.Time{iv, 5 * iv, 6 * iv, 8 * iv}; !slices.Equal(ticks, want) {
+		t.Errorf("ticks at %v, want %v", ticks, want)
 	}
 }

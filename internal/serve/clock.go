@@ -9,9 +9,9 @@
 //     wait": WallClock maps real time onto the simulation timeline at a
 //     configurable speed factor.
 //   - Node owns one cp.System in online mode and is clock-free — it only
-//     ever sees simulated instants, so tests drive it deterministically and
-//     the equivalence suite proves a replayed trace matches sim mode
-//     job-for-job.
+//     ever sees simulated instants, so tests drive it deterministically. A
+//     batch run takes the same arrival path, and the equivalence suite pins
+//     that a replayed trace matches it job for job.
 //   - Driver is the lock around a Node's (single-threaded) simulation —
 //     callers run on their own goroutine with it held — plus the pacer that
 //     runs events falling due on the Clock when nobody is calling.

@@ -3,13 +3,16 @@ package serve
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"testing"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
+	"laxgpu/internal/workload/scenario"
 )
 
 // cloneSet deep-copies the job structs (kernel descriptors are immutable and
@@ -195,10 +198,10 @@ func permutedTrace(t *testing.T, lib *workload.Library) *workload.JobSet {
 	return set
 }
 
-// TestOnlineMatchesSimModeOnGridArrivals stresses the lazily armed online
+// TestOnlineMatchesSimModeOnGridArrivals stresses the lazily armed
 // reprioritization timer: arrivals pinned exactly to multiples of the
-// policy's update interval hit the catch-up path (sim mode would tick at
-// that very instant; online mode must replicate the tick it slept through).
+// policy's update interval, some after an idle stretch, each bring a tick at
+// their own instant (cp's TestTimerTicksGridPointsWithWork pins the rule).
 func TestOnlineMatchesSimModeOnGridArrivals(t *testing.T) {
 	cfg := cp.DefaultSystemConfig()
 	lib := workload.NewLibrary(cfg.GPU)
@@ -223,6 +226,60 @@ func TestOnlineMatchesSimModeOnGridArrivals(t *testing.T) {
 		set.Jobs = append(set.Jobs, b.Sample(lib, rng, i, at))
 	}
 	equivalent(t, "LAX", set, faults.Spec{})
+}
+
+// TestOnlineMetricsMatchSimMode: a batch run and an online replay of the
+// same trace expose the same telemetry, byte for byte, on a trace with idle
+// gaps. Neither counts a reprioritization pass at a grid point with no work
+// present, so laxsim and laxd count epochs and table refreshes alike.
+func TestOnlineMetricsMatchSimMode(t *testing.T) {
+	spec, err := scenario.Builtin("burst-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := spec.Generate(workload.NewLibrary(cp.DefaultSystemConfig().GPU), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expose := func(m *obs.Metrics) string {
+		var b strings.Builder
+		if err := m.Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, policy := range []string{"LAX", "PREMA"} {
+		t.Run(policy, func(t *testing.T) {
+			batch := obs.NewMetrics()
+			sys, _, err := sched.Assemble(policy, cp.DefaultSystemConfig(), cloneSet(set), faults.Spec{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetProbe(batch)
+			sys.Run()
+
+			online := obs.NewMetrics()
+			node, err := NewNode(NodeConfig{Scheduler: policy, Probe: online})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range byArrival(cloneSet(set)) {
+				node.AdvanceTo(j.Arrival)
+				node.Submit(j)
+			}
+			node.System().Engine().Run()
+
+			want, got := strings.Split(expose(batch), "\n"), strings.Split(expose(online), "\n")
+			for i := range min(len(want), len(got)) {
+				if want[i] != got[i] {
+					t.Fatalf("exposition line %d: batch %q, online %q", i+1, want[i], got[i])
+				}
+			}
+			if len(want) != len(got) {
+				t.Fatalf("exposition: batch %d lines, online %d", len(want), len(got))
+			}
+		})
+	}
 }
 
 // TestNodeOverloadVerdicts checks Algorithm 1 behaves sanely against offered

@@ -25,7 +25,7 @@ type NodeConfig struct {
 
 	// Faults optionally degrades the device with the given fault plan.
 	// When the spec asks for recovery, the watchdog/retry/CPU-fallback
-	// machinery is armed exactly as in sim mode.
+	// machinery is armed exactly as in a batch run.
 	Faults faults.Spec
 
 	// Seed derives the fault plan's deterministic injection stream.
@@ -74,7 +74,7 @@ func (n *Node) Now() sim.Time { return n.sys.Now() }
 // AdvanceTo runs every simulated event strictly before t and moves the
 // clock to t, so a job submitted next arrives at exactly t — ordered after
 // all earlier work and before any device event scheduled at the same
-// instant, matching sim mode's arrival ordering.
+// instant, as each arrival of a batch run is.
 func (n *Node) AdvanceTo(t sim.Time) {
 	if t > n.sys.Engine().Now() {
 		n.sys.Engine().RunBefore(t)

@@ -369,10 +369,8 @@ func (e *Engine) PeekTime() (Time, bool) {
 
 // RunBefore executes events with timestamps strictly before limit and then
 // sets the clock to limit. Unlike RunUntil, events scheduled AT limit stay
-// queued: work injected at the new now (e.g. an online arrival) is therefore
-// ordered ahead of them, matching sim mode, where arrivals are scheduled
-// before any device event and so win the same-instant seq tie-break. It
-// reports the number of events fired.
+// queued, so work injected at the new now (e.g. a job's arrival) is ordered
+// ahead of them. It reports the number of events fired.
 func (e *Engine) RunBefore(limit Time) uint64 {
 	if e.running {
 		panic("sim: RunBefore called reentrantly")
