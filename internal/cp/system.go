@@ -858,7 +858,9 @@ func (s *System) quantizedPriority() func(*JobRun) int64 {
 // holds a queue or waits for one. The timer disarms when no work remains,
 // so the event queue can drain, and an arrival re-arms it. It ticks on the
 // grid wherever it was armed from, so the profiling-table windows do not
-// depend on when work arrived.
+// depend on when work arrived. A grid point it skips would change nothing:
+// with no completions in its window the table keeps its rates, and there is
+// no active job to re-rank.
 func (s *System) armTimer() {
 	iv := s.pol.Interval()
 	if iv <= 0 || s.timerArmed || len(s.active) == 0 && len(s.hostQ) == 0 {
