@@ -2,9 +2,12 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"os"
+	"reflect"
+	"strconv"
+	"strings"
 )
 
 // Perfetto process IDs: one synthetic process groups the per-queue kernel
@@ -15,37 +18,56 @@ const (
 	pidLaxity = 2
 )
 
-// traceEvent is one Chrome trace-event JSON object (the subset Perfetto
-// consumes): ph "M" metadata, "X" complete spans, "C" counters, "i"
-// instants. Timestamps and durations are microseconds.
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+// rowKind names the Chrome trace event a row renders as.
+type rowKind uint8
+
+const (
+	rowProcess    rowKind = iota // "M" process_name; job is the pid
+	rowQueueName                 // "M" thread_name "queue <tid>"
+	rowLaxityName                // "M" thread_name "laxity job <job>"
+	rowJob                       // "i" lifecycle marker; seq is the JobEventKind, t[1] the deadline
+	rowAdmission                 // "i" Algorithm 1 verdict; t[1:4] deadline, hold, queue delay
+	rowLaxity                    // "C" laxity counter; t[1] the laxity
+	rowKernel                    // "X" kernel span; t[1] the duration
+	rowNodeName                  // "M" thread_name <str> on the fleet process
+	rowFleet                     // "i" fleet event on node <str>; strs[seq:] name, detail
+	rowTraceName                 // "M" thread_name "job <str> (<strs[seq]>)"
+	rowSpan                      // "X" (flag) or "i" wire span <str>; t[1] the duration; strs[seq:] kind, node, detail
+)
+
+// row is one recorded trace event: fixed-size and holding one string, so a
+// probe callback costs an append into the current chunk. Times are
+// microseconds; t[0] is the event's ts.
+type row struct {
+	kind rowKind
+	flag bool // met (rowJob), accepted (rowAdmission), complete (rowSpan)
+	job  int
+	tid  int
+	seq  int
+	t    [4]float64
+	str  string // kernel, node or span name
 }
 
-// perfettoTrace is the top-level JSON object ui.perfetto.dev loads.
-type perfettoTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
+// rowsPerChunk rows share one allocation; chunks are never copied.
+const rowsPerChunk = 512
+
+// flushBytes is the size Write fills its buffer to before handing it to w.
+const flushBytes = 32 << 10
 
 // Perfetto is a Probe that records a run as Chrome trace-event JSON,
 // loadable in ui.perfetto.dev (or chrome://tracing): one track per GPU
 // compute queue carrying kernel execution spans, one counter track per job
 // carrying its laxity over time, and instant markers for job lifecycle
-// transitions. Events are buffered in memory; call Write after the run.
+// transitions. Each event is kept as one typed row; Write renders the rows
+// after the run.
 type Perfetto struct {
-	events []traceEvent
+	chunks []*[rowsPerChunk]row
+	n      int
+	strs   []string // export-time rows' second and later strings
+	err    error    // first time JSON cannot carry, returned by Write
 
-	queuesSeen map[int]bool
-	jobsSeen   map[int]bool
+	queuesSeen idSet
+	jobsSeen   idSet
 	headerDone bool
 
 	// Export-time track state (AddFleetEvents / AddWireTrace); untouched by
@@ -55,11 +77,18 @@ type Perfetto struct {
 }
 
 // NewPerfetto returns an empty Perfetto recorder.
-func NewPerfetto() *Perfetto {
-	return &Perfetto{
-		queuesSeen: make(map[int]bool),
-		jobsSeen:   make(map[int]bool),
+func NewPerfetto() *Perfetto { return &Perfetto{} }
+
+// add appends a zeroed row of the given kind and returns it to fill in.
+func (p *Perfetto) add(kind rowKind) *row {
+	i := p.n % rowsPerChunk
+	if i == 0 {
+		p.chunks = append(p.chunks, new([rowsPerChunk]row))
 	}
+	p.n++
+	r := &p.chunks[len(p.chunks)-1][i]
+	r.kind = kind
+	return r
 }
 
 // header lazily emits the process-naming metadata once.
@@ -68,47 +97,26 @@ func (p *Perfetto) header() {
 		return
 	}
 	p.headerDone = true
-	p.events = append(p.events,
-		traceEvent{Name: "process_name", Phase: "M", Pid: pidQueues, Args: map[string]any{"name": "GPU queues"}},
-		traceEvent{Name: "process_name", Phase: "M", Pid: pidLaxity, Args: map[string]any{"name": "LAX laxity"}},
-	)
+	p.add(rowProcess).job = pidQueues
+	p.add(rowProcess).job = pidLaxity
 }
 
 // queueTrack names the queue's thread track on first sight.
 func (p *Perfetto) queueTrack(queue int) {
 	p.header()
-	if queue < 0 || p.queuesSeen[queue] {
+	if queue < 0 || !p.queuesSeen.add(queue) {
 		return
 	}
-	p.queuesSeen[queue] = true
-	p.events = append(p.events, traceEvent{
-		Name: "thread_name", Phase: "M", Pid: pidQueues, Tid: queue,
-		Args: map[string]any{"name": fmt.Sprintf("queue %d", queue)},
-	})
+	p.add(rowQueueName).tid = queue
 }
 
 // Job implements Probe: lifecycle transitions become instant markers on the
 // job's queue track (global scope for queue-less events like reject).
 func (p *Perfetto) Job(e JobEvent) {
 	p.queueTrack(e.Queue)
-	ev := traceEvent{
-		Name:  fmt.Sprintf("job %d %s", e.Job, e.Kind),
-		Phase: "i", Ts: us(e.At), Pid: pidQueues, Cat: "job",
-		Args: map[string]any{"job": e.Job},
-	}
-	if e.Queue >= 0 {
-		ev.Tid = e.Queue
-		ev.Scope = "t"
-	} else {
-		ev.Scope = "g"
-	}
-	if e.Kind == JobArrive {
-		ev.Args["deadline_us"] = us(e.Deadline)
-	}
-	if e.Kind == JobFinish {
-		ev.Args["met"] = e.Met
-	}
-	p.events = append(p.events, ev)
+	r := p.add(rowJob)
+	r.job, r.tid, r.seq, r.flag = e.Job, e.Queue, int(e.Kind), e.Met
+	r.t[0], r.t[1] = us(e.At), us(e.Deadline)
 }
 
 // Admission implements Probe: rejected jobs with computed terms get a
@@ -118,19 +126,9 @@ func (p *Perfetto) Admission(e AdmissionDecision) {
 		return
 	}
 	p.header()
-	verdict := "accept"
-	if !e.Accepted {
-		verdict = "reject"
-	}
-	p.events = append(p.events, traceEvent{
-		Name:  fmt.Sprintf("admit job %d: %s", e.Job, verdict),
-		Phase: "i", Ts: us(e.At), Pid: pidQueues, Scope: "g", Cat: "admission",
-		Args: map[string]any{
-			"queue_delay_us": us(e.QueueDelay),
-			"hold_us":        us(e.HoldTime),
-			"deadline_us":    us(e.Deadline),
-		},
-	})
+	r := p.add(rowAdmission)
+	r.job, r.flag = e.Job, e.Accepted
+	r.t = [4]float64{us(e.At), us(e.Deadline), us(e.HoldTime), us(e.QueueDelay)}
 }
 
 // Epoch implements Probe (no events; epochs show through samples).
@@ -142,18 +140,12 @@ func (p *Perfetto) Sample(e JobSample) {
 		return
 	}
 	p.header()
-	if !p.jobsSeen[e.Job] {
-		p.jobsSeen[e.Job] = true
-		p.events = append(p.events, traceEvent{
-			Name: "thread_name", Phase: "M", Pid: pidLaxity, Tid: e.Job,
-			Args: map[string]any{"name": fmt.Sprintf("laxity job %d", e.Job)},
-		})
+	if p.jobsSeen.add(e.Job) {
+		p.add(rowLaxityName).job = e.Job
 	}
-	p.events = append(p.events, traceEvent{
-		Name:  fmt.Sprintf("laxity job %d", e.Job),
-		Phase: "C", Ts: us(e.At), Pid: pidLaxity, Tid: e.Job,
-		Args: map[string]any{"laxity_us": us(e.Laxity)},
-	})
+	r := p.add(rowLaxity)
+	r.job = e.Job
+	r.t[0], r.t[1] = us(e.At), us(e.Laxity)
 }
 
 // TableRefresh implements Probe (aggregated by Metrics, not drawn).
@@ -167,26 +159,44 @@ func (p *Perfetto) KernelStart(e KernelStart) { p.queueTrack(e.Queue) }
 // complete span ("X") on its queue's track.
 func (p *Perfetto) KernelDone(e KernelDone) {
 	p.queueTrack(e.Queue)
-	p.events = append(p.events, traceEvent{
-		Name:  e.Kernel,
-		Phase: "X", Ts: us(e.Start), Dur: us(e.At - e.Start),
-		Pid: pidQueues, Tid: e.Queue, Cat: "kernel",
-		Args: map[string]any{"job": e.Job, "seq": e.Seq},
-	})
+	r := p.add(rowKernel)
+	r.job, r.tid, r.seq, r.str = e.Job, e.Queue, e.Seq, e.Kernel
+	r.t[0], r.t[1] = us(e.Start), us(e.At-e.Start)
 }
 
 // Events returns the number of buffered trace events.
-func (p *Perfetto) Events() int { return len(p.events) }
+func (p *Perfetto) Events() int { return p.n }
 
-// Write serializes the buffered trace as Chrome trace-event JSON. The
-// output is deterministic: events appear in emission order and map keys are
-// sorted by the JSON encoder.
+// Write serializes the buffered trace as Chrome trace-event JSON: events in
+// emission order, args keys sorted, numbers and strings in encoding/json's
+// form. It renders into one buffer, handed to w every flushBytes. A time
+// JSON cannot carry (NaN or ±Inf, from an export-time event) fails Write
+// before anything is written.
 func (p *Perfetto) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoTrace{
-		TraceEvents:     p.events,
-		DisplayTimeUnit: "ms",
-	})
+	if p.err != nil {
+		return p.err
+	}
+	if p.n == 0 {
+		_, err := io.WriteString(w, "{\"traceEvents\":null,\"displayTimeUnit\":\"ms\"}\n")
+		return err
+	}
+	b := make([]byte, 0, flushBytes+flushBytes/4)
+	b = append(b, `{"traceEvents":[`...)
+	for i := range p.n {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = p.appendRow(b, &p.chunks[i/rowsPerChunk][i%rowsPerChunk])
+		if len(b) >= flushBytes {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	b = append(b, "],\"displayTimeUnit\":\"ms\"}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
 // WriteFile writes the trace to a new file at path (laxgw and laxtrace
@@ -201,4 +211,266 @@ func (p *Perfetto) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// processNames labels each synthetic process, by pid.
+var processNames = [...]string{
+	pidQueues: "GPU queues",
+	pidLaxity: "LAX laxity",
+	pidFleet:  "fleet events",
+	pidJobs:   "job traces",
+}
+
+// appendRow renders one row as a trace-event object with its fields in a
+// fixed order (name, ph, ts, dur, pid, tid, cat, s, args), an empty dur,
+// cat or s left out, and args keys sorted.
+func (p *Perfetto) appendRow(b []byte, r *row) []byte {
+	b = append(b, `{"name":`...)
+	switch r.kind {
+	case rowProcess:
+		b = append(b, `"process_name"`...)
+		b = appendHead(b, "M", 0, 0, r.job, 0)
+		b = append(b, `,"args":{"name":"`...)
+		b = append(b, processNames[r.job]...)
+		return append(b, `"}}`...)
+
+	case rowQueueName:
+		b = append(b, `"thread_name"`...)
+		b = appendHead(b, "M", 0, 0, pidQueues, r.tid)
+		b = append(b, `,"args":{"name":"queue `...)
+		b = strconv.AppendInt(b, int64(r.tid), 10)
+		return append(b, `"}}`...)
+
+	case rowLaxityName:
+		b = append(b, `"thread_name"`...)
+		b = appendHead(b, "M", 0, 0, pidLaxity, r.job)
+		b = append(b, `,"args":{"name":"laxity job `...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		return append(b, `"}}`...)
+
+	case rowJob:
+		kind := JobEventKind(r.seq)
+		b = append(b, `"job `...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		b = append(b, ' ')
+		b = append(b, kind.String()...)
+		b = append(b, '"')
+		scope := `,"cat":"job","s":"t","args":{`
+		tid := r.tid
+		if tid < 0 {
+			tid, scope = 0, `,"cat":"job","s":"g","args":{`
+		}
+		b = appendHead(b, "i", r.t[0], 0, pidQueues, tid)
+		b = append(b, scope...)
+		if kind == JobArrive {
+			b = append(b, `"deadline_us":`...)
+			b = appendFloat(b, r.t[1])
+			b = append(b, ',')
+		}
+		b = append(b, `"job":`...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		if kind == JobFinish {
+			b = append(b, `,"met":`...)
+			b = strconv.AppendBool(b, r.flag)
+		}
+		return append(b, "}}"...)
+
+	case rowAdmission:
+		b = append(b, `"admit job `...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		if r.flag {
+			b = append(b, `: accept"`...)
+		} else {
+			b = append(b, `: reject"`...)
+		}
+		b = appendHead(b, "i", r.t[0], 0, pidQueues, 0)
+		b = append(b, `,"cat":"admission","s":"g","args":{"deadline_us":`...)
+		b = appendFloat(b, r.t[1])
+		b = append(b, `,"hold_us":`...)
+		b = appendFloat(b, r.t[2])
+		b = append(b, `,"queue_delay_us":`...)
+		b = appendFloat(b, r.t[3])
+		return append(b, "}}"...)
+
+	case rowLaxity:
+		b = append(b, `"laxity job `...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		b = append(b, '"')
+		b = appendHead(b, "C", r.t[0], 0, pidLaxity, r.job)
+		b = append(b, `,"args":{"laxity_us":`...)
+		b = appendFloat(b, r.t[1])
+		return append(b, "}}"...)
+
+	case rowKernel:
+		b = appendString(b, r.str)
+		b = appendHead(b, "X", r.t[0], r.t[1], pidQueues, r.tid)
+		b = append(b, `,"cat":"kernel","args":{"job":`...)
+		b = strconv.AppendInt(b, int64(r.job), 10)
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendInt(b, int64(r.seq), 10)
+		return append(b, "}}"...)
+
+	case rowNodeName:
+		b = append(b, `"thread_name"`...)
+		b = appendHead(b, "M", 0, 0, pidFleet, r.tid)
+		b = append(b, `,"args":{"name":`...)
+		b = appendString(b, r.str)
+		return append(b, "}}"...)
+
+	case rowFleet:
+		name, detail := p.strs[r.seq], p.strs[r.seq+1]
+		b = appendJoined(b, name, " ", detail)
+		b = appendHead(b, "i", r.t[0], 0, pidFleet, r.tid)
+		b = append(b, `,"cat":"fleet","s":"t","args":{"event":`...)
+		b = appendString(b, name)
+		b = append(b, `,"node":`...)
+		b = appendString(b, r.str)
+		return append(b, "}}"...)
+
+	case rowTraceName:
+		b = append(b, `"thread_name"`...)
+		b = appendHead(b, "M", 0, 0, pidJobs, r.tid)
+		b = append(b, `,"args":{"name":`...)
+		b = appendJoined(b, "job ", r.str, " (", p.strs[r.seq], ")")
+		return append(b, "}}"...)
+
+	default: // rowSpan
+		cat, node, detail := p.strs[r.seq], p.strs[r.seq+1], p.strs[r.seq+2]
+		b = appendString(b, r.str)
+		if r.flag {
+			b = appendHead(b, "X", r.t[0], r.t[1], pidJobs, r.tid)
+		} else {
+			b = appendHead(b, "i", r.t[0], 0, pidJobs, r.tid)
+		}
+		if cat != "" {
+			b = append(b, `,"cat":`...)
+			b = appendString(b, cat)
+		}
+		if !r.flag {
+			b = append(b, `,"s":"t"`...)
+		}
+		b = append(b, `,"args":{`...)
+		if detail != "" {
+			b = append(b, `"detail":`...)
+			b = appendString(b, detail)
+			b = append(b, ',')
+		}
+		b = append(b, `"node":`...)
+		b = appendString(b, node)
+		return append(b, "}}"...)
+	}
+}
+
+// appendHead appends the fields between name and cat: ph, ts, a non-zero
+// dur, pid and tid.
+func appendHead(b []byte, ph string, ts, dur float64, pid, tid int) []byte {
+	b = append(b, `,"ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","ts":`...)
+	b = appendFloat(b, ts)
+	if dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendFloat(b, dur)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// appendFloat formats a finite f as encoding/json does: the shortest 'f'
+// form, or 'e' with a one-digit negative exponent cleaned of its zero
+// (1e-07 → 1e-7) outside [1e-6, 1e21).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// checkFloat records the first time Write could not render, as the error
+// encoding/json gave for it.
+func (p *Perfetto) checkFloat(f float64) {
+	if p.err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		p.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+}
+
+// plain reports whether s is printable ASCII that JSON carries unescaped:
+// no quote, backslash, or HTML-significant <, > and &.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendString appends s as a JSON string. Anything but plain text takes
+// encoding/json's own escaping (HTML-safe, invalid UTF-8 replaced, U+2028
+// and U+2029 escaped), so the two cannot drift.
+func appendString(b []byte, s string) []byte {
+	if !plain(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJoined appends the JSON string of the parts concatenated, building
+// the concatenation only when a part needs escaping.
+func appendJoined(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		if !plain(s) {
+			return appendString(b, strings.Join(parts, ""))
+		}
+	}
+	b = append(b, '"')
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return append(b, '"')
+}
+
+// idSet is a set of IDs: a bitmap for the dense small non-negative IDs a
+// run hands out, a map for any other.
+type idSet struct {
+	bits []uint64
+	far  map[int]bool
+}
+
+// maxBitmapID bounds the bitmap (128 kB) against a stray huge ID.
+const maxBitmapID = 1 << 20
+
+// add inserts id and reports whether it was new.
+func (s *idSet) add(id int) bool {
+	if id < 0 || id >= maxBitmapID {
+		if s.far[id] {
+			return false
+		}
+		if s.far == nil {
+			s.far = make(map[int]bool)
+		}
+		s.far[id] = true
+		return true
+	}
+	w, bit := id/64, uint64(1)<<(id%64)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	return true
 }

@@ -1,7 +1,5 @@
 package obs
 
-import "fmt"
-
 // Perfetto process IDs for export-time additions (probe-driven tracks use
 // pidQueues/pidLaxity): fleet-level instant events on one process, stitched
 // per-job trace waterfalls on another.
@@ -20,23 +18,18 @@ type FleetEvent struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// fleetHeader lazily names the fleet-event process and one track per node.
+// fleetTrack lazily names the fleet-event process and one track per node.
 func (p *Perfetto) fleetTrack(node string) int {
 	if p.fleetTids == nil {
 		p.fleetTids = make(map[string]int)
-		p.events = append(p.events, traceEvent{
-			Name: "process_name", Phase: "M", Pid: pidFleet,
-			Args: map[string]any{"name": "fleet events"},
-		})
+		p.add(rowProcess).job = pidFleet
 	}
 	tid, ok := p.fleetTids[node]
 	if !ok {
 		tid = len(p.fleetTids)
 		p.fleetTids[node] = tid
-		p.events = append(p.events, traceEvent{
-			Name: "thread_name", Phase: "M", Pid: pidFleet, Tid: tid,
-			Args: map[string]any{"name": node},
-		})
+		r := p.add(rowNodeName)
+		r.tid, r.str = tid, node
 	}
 	return tid
 }
@@ -48,11 +41,10 @@ func (p *Perfetto) fleetTrack(node string) int {
 func (p *Perfetto) AddFleetEvents(evs []FleetEvent) {
 	for _, e := range evs {
 		tid := p.fleetTrack(e.Node)
-		p.events = append(p.events, traceEvent{
-			Name:  fmt.Sprintf("%s %s", e.Name, e.Detail),
-			Phase: "i", Ts: e.AtUs, Pid: pidFleet, Tid: tid, Scope: "t", Cat: "fleet",
-			Args: map[string]any{"node": e.Node, "event": e.Name},
-		})
+		r := p.add(rowFleet)
+		r.tid, r.str, r.seq, r.t[0] = tid, e.Node, len(p.strs), e.AtUs
+		p.strs = append(p.strs, e.Name, e.Detail)
+		p.checkFloat(e.AtUs)
 	}
 }
 
@@ -63,34 +55,20 @@ func (p *Perfetto) AddFleetEvents(evs []FleetEvent) {
 // track. Export-time only, like AddFleetEvents.
 func (p *Perfetto) AddWireTrace(t WireTrace) {
 	if p.traceTid == 0 {
-		p.events = append(p.events, traceEvent{
-			Name: "process_name", Phase: "M", Pid: pidJobs,
-			Args: map[string]any{"name": "job traces"},
-		})
+		p.add(rowProcess).job = pidJobs
 	}
 	p.traceTid++
-	tid := p.traceTid
-	p.events = append(p.events, traceEvent{
-		Name: "thread_name", Phase: "M", Pid: pidJobs, Tid: tid,
-		Args: map[string]any{"name": fmt.Sprintf("job %s (%s)", t.Job, t.Benchmark)},
-	})
+	r := p.add(rowTraceName)
+	r.tid, r.str, r.seq = p.traceTid, t.Job, len(p.strs)
+	p.strs = append(p.strs, t.Benchmark)
 	for _, s := range t.Spans {
-		args := map[string]any{"node": s.Node}
-		if s.Detail != "" {
-			args["detail"] = s.Detail
-		}
+		r := p.add(rowSpan)
+		r.tid, r.str, r.seq, r.t[0] = p.traceTid, s.Name, len(p.strs), s.StartUs
+		p.strs = append(p.strs, s.Kind, s.Node, s.Detail)
+		p.checkFloat(s.StartUs)
 		if s.EndUs > s.StartUs {
-			p.events = append(p.events, traceEvent{
-				Name:  s.Name,
-				Phase: "X", Ts: s.StartUs, Dur: s.EndUs - s.StartUs,
-				Pid: pidJobs, Tid: tid, Cat: s.Kind, Args: args,
-			})
-			continue
+			r.flag, r.t[1] = true, s.EndUs-s.StartUs
+			p.checkFloat(r.t[1])
 		}
-		p.events = append(p.events, traceEvent{
-			Name:  s.Name,
-			Phase: "i", Ts: s.StartUs, Pid: pidJobs, Tid: tid, Scope: "t",
-			Cat: s.Kind, Args: args,
-		})
 	}
 }
