@@ -228,25 +228,28 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 	b = append(b, `{"name":`...)
 	switch r.kind {
 	case rowProcess:
-		b = append(b, `"process_name"`...)
-		b = appendHead(b, "M", 0, 0, r.job, 0)
-		b = append(b, `,"args":{"name":"`...)
-		b = append(b, processNames[r.job]...)
-		return append(b, `"}}`...)
+		b = appendMeta(b, "process_name", r.job, 0)
+		b = appendString(b, processNames[r.job])
 
 	case rowQueueName:
-		b = append(b, `"thread_name"`...)
-		b = appendHead(b, "M", 0, 0, pidQueues, r.tid)
-		b = append(b, `,"args":{"name":"queue `...)
+		b = appendMeta(b, "thread_name", pidQueues, r.tid)
+		b = append(b, `"queue `...)
 		b = strconv.AppendInt(b, int64(r.tid), 10)
-		return append(b, `"}}`...)
+		b = append(b, '"')
 
 	case rowLaxityName:
-		b = append(b, `"thread_name"`...)
-		b = appendHead(b, "M", 0, 0, pidLaxity, r.job)
-		b = append(b, `,"args":{"name":"laxity job `...)
+		b = appendMeta(b, "thread_name", pidLaxity, r.job)
+		b = append(b, `"laxity job `...)
 		b = strconv.AppendInt(b, int64(r.job), 10)
-		return append(b, `"}}`...)
+		b = append(b, '"')
+
+	case rowNodeName:
+		b = appendMeta(b, "thread_name", pidFleet, r.tid)
+		b = appendString(b, r.str)
+
+	case rowTraceName:
+		b = appendMeta(b, "thread_name", pidJobs, r.tid)
+		b = appendJoined(b, "job ", r.str, " (", p.strs[r.seq], ")")
 
 	case rowJob:
 		kind := JobEventKind(r.seq)
@@ -255,8 +258,7 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		b = append(b, ' ')
 		b = append(b, kind.String()...)
 		b = append(b, '"')
-		scope := `,"cat":"job","s":"t","args":{`
-		tid := r.tid
+		tid, scope := r.tid, `,"cat":"job","s":"t","args":{`
 		if tid < 0 {
 			tid, scope = 0, `,"cat":"job","s":"g","args":{`
 		}
@@ -273,7 +275,6 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 			b = append(b, `,"met":`...)
 			b = strconv.AppendBool(b, r.flag)
 		}
-		return append(b, "}}"...)
 
 	case rowAdmission:
 		b = append(b, `"admit job `...)
@@ -290,7 +291,6 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		b = appendFloat(b, r.t[2])
 		b = append(b, `,"queue_delay_us":`...)
 		b = appendFloat(b, r.t[3])
-		return append(b, "}}"...)
 
 	case rowLaxity:
 		b = append(b, `"laxity job `...)
@@ -299,7 +299,6 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		b = appendHead(b, "C", r.t[0], 0, pidLaxity, r.job)
 		b = append(b, `,"args":{"laxity_us":`...)
 		b = appendFloat(b, r.t[1])
-		return append(b, "}}"...)
 
 	case rowKernel:
 		b = appendString(b, r.str)
@@ -308,14 +307,6 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		b = strconv.AppendInt(b, int64(r.job), 10)
 		b = append(b, `,"seq":`...)
 		b = strconv.AppendInt(b, int64(r.seq), 10)
-		return append(b, "}}"...)
-
-	case rowNodeName:
-		b = append(b, `"thread_name"`...)
-		b = appendHead(b, "M", 0, 0, pidFleet, r.tid)
-		b = append(b, `,"args":{"name":`...)
-		b = appendString(b, r.str)
-		return append(b, "}}"...)
 
 	case rowFleet:
 		name, detail := p.strs[r.seq], p.strs[r.seq+1]
@@ -325,16 +316,8 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		b = appendString(b, name)
 		b = append(b, `,"node":`...)
 		b = appendString(b, r.str)
-		return append(b, "}}"...)
 
-	case rowTraceName:
-		b = append(b, `"thread_name"`...)
-		b = appendHead(b, "M", 0, 0, pidJobs, r.tid)
-		b = append(b, `,"args":{"name":`...)
-		b = appendJoined(b, "job ", r.str, " (", p.strs[r.seq], ")")
-		return append(b, "}}"...)
-
-	default: // rowSpan
+	case rowSpan:
 		cat, node, detail := p.strs[r.seq], p.strs[r.seq+1], p.strs[r.seq+2]
 		b = appendString(b, r.str)
 		if r.flag {
@@ -357,8 +340,18 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		}
 		b = append(b, `"node":`...)
 		b = appendString(b, node)
-		return append(b, "}}"...)
 	}
+	return append(b, "}}"...)
+}
+
+// appendMeta appends a metadata event's name and fields up to its one
+// argument's value: the track or process name, which the caller appends.
+func appendMeta(b []byte, what string, pid, tid int) []byte {
+	b = append(b, '"')
+	b = append(b, what...)
+	b = append(b, '"')
+	b = appendHead(b, "M", 0, 0, pid, tid)
+	return append(b, `,"args":{"name":`...)
 }
 
 // appendHead appends the fields between name and cat: ph, ts, a non-zero

@@ -230,7 +230,8 @@ type perfettoExporter interface {
 
 // matchPerfetto feeds the same calls to the exporter and to refPerfetto and
 // requires the same event count, the same Write error and the same bytes.
-func matchPerfetto(t *testing.T, name string, feed func(perfettoExporter)) {
+// It returns the Write error.
+func matchPerfetto(t *testing.T, name string, feed func(perfettoExporter)) error {
 	t.Helper()
 	got, want := NewPerfetto(), newRefPerfetto()
 	feed(got)
@@ -253,13 +254,14 @@ func matchPerfetto(t *testing.T, name string, feed func(perfettoExporter)) {
 		t.Fatalf("%s: output differs from the reference at byte %d\n got  …%s\n want …%s",
 			name, i, g[from:min(len(g), i+80)], w[from:min(len(w), i+80)])
 	}
+	return gerr
 }
 
 // awkward are strings encoding/json escapes: quote, backslash, the HTML
 // characters, control bytes, DEL, invalid and truncated UTF-8, the JSON-legal
 // line separators JavaScript rejects, and non-ASCII text.
 var awkward = []string{
-	"", "gemm", `say "hi"`, `C:\path`, "<b>&amp;</b>", "tab\there", "nl\n\r", "\x00\x01\x1f",
+	"", "gemm", `say "hi"`, `C:\path`, "<b>&amp;</b>", "a<b", "a>b", "a&b", "tab\there", "nl\n\r", "\x00\x01\x1f",
 	"del\x7f", "bad\xff\xfeutf8", "cut\xe2\x80", "\xe2\x80 split", "line\u2028sep\u2029", "héllo wörld", "emoji 🚀",
 }
 
@@ -269,10 +271,18 @@ var awkward = []string{
 // unknown lifecycle kinds, strings that need escaping in every string
 // field, zero-length and inverted spans, and times JSON cannot carry.
 func TestPerfettoMatchesReference(t *testing.T) {
-	matchPerfetto(t, "empty", func(p perfettoExporter) {})
+	// Every document but the non-finite ones must render, or a shared
+	// error would hide a difference in the bytes.
+	match := func(name string, feed func(perfettoExporter)) {
+		t.Helper()
+		if err := matchPerfetto(t, name, feed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	match("empty", func(p perfettoExporter) {})
 
 	times := []sim.Time{0, 1, 999, 1000, 1001, sim.Microsecond * 123456789, -1, -999, math.MaxInt64, math.MinInt64}
-	matchPerfetto(t, "probe times", func(p perfettoExporter) {
+	match("probe times", func(p perfettoExporter) {
 		for i, at := range times {
 			q := i%4 - 1
 			p.Job(JobEvent{At: at, Kind: JobArrive, Job: i, Queue: q, Deadline: times[(i+3)%len(times)]})
@@ -288,7 +298,7 @@ func TestPerfettoMatchesReference(t *testing.T) {
 		}
 	})
 
-	matchPerfetto(t, "probe ids and kinds", func(p perfettoExporter) {
+	match("probe ids and kinds", func(p perfettoExporter) {
 		for i, id := range []int{0, 1, -1, 63, 64, 1<<20 - 1, 1 << 20, -(1 << 40), math.MaxInt64, math.MinInt64, 1, 64} {
 			for k := JobEventKind(-1); k <= JobFallback+1; k++ {
 				p.Job(JobEvent{At: sim.Time(i), Kind: k, Job: id, Queue: id, Deadline: sim.Time(id), Met: true})
@@ -300,7 +310,7 @@ func TestPerfettoMatchesReference(t *testing.T) {
 		}
 	})
 
-	matchPerfetto(t, "strings", func(p perfettoExporter) {
+	match("strings", func(p perfettoExporter) {
 		for i, s := range awkward {
 			p.KernelDone(KernelDone{At: sim.Time(i + 10), Job: i, Queue: i % 3, Seq: i, Kernel: s, Start: 3})
 			p.AddFleetEvents([]FleetEvent{
@@ -316,8 +326,8 @@ func TestPerfettoMatchesReference(t *testing.T) {
 	})
 
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 9.99e-7, 1e-6, 0.001, 0.999, 1, 12.5,
-		123456789.123, 1e20, 1e21, -1e21, 5e22, 1e300, 5e-324, math.MaxFloat64, -math.MaxFloat64, 1.5e-300}
-	matchPerfetto(t, "export floats", func(p perfettoExporter) {
+		123456789.123, 1e20, 1e21, -1e21, 5e22, 1e300, 5e-324, 1.7e308, -1e300, 1.5e-300}
+	match("export floats", func(p perfettoExporter) {
 		for i, f := range floats {
 			g := floats[(i+7)%len(floats)]
 			p.AddFleetEvents([]FleetEvent{{AtUs: f, Name: "redispatch", Node: fmt.Sprint("node-", i%3), Detail: "d"}})
@@ -330,21 +340,37 @@ func TestPerfettoMatchesReference(t *testing.T) {
 		p.AddWireTrace(WireTrace{Job: "empty", Benchmark: "STEM"})
 	})
 
+	// A time JSON cannot carry fails both exporters' Write with the same
+	// error: NaN and ±Inf at either end of a span or on a fleet event, and
+	// a duration that overflows. (A NaN end or a -Inf end is an instant,
+	// whose end is never written.)
+	unsupported := map[string]func(perfettoExporter){
+		"overflowing duration": func(p perfettoExporter) {
+			p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: -math.MaxFloat64, EndUs: math.MaxFloat64}}})
+		},
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		matchPerfetto(t, fmt.Sprint("fleet ", bad), func(p perfettoExporter) {
+		unsupported[fmt.Sprint("fleet ", bad)] = func(p perfettoExporter) {
 			p.Job(JobEvent{At: 5, Kind: JobArrive, Job: 1, Queue: 0})
 			p.AddFleetEvents([]FleetEvent{{AtUs: 1, Name: "a", Node: "n"}, {AtUs: bad, Name: "b", Node: "n"}})
-		})
-		matchPerfetto(t, fmt.Sprint("span start ", bad), func(p perfettoExporter) {
+		}
+		unsupported[fmt.Sprint("span start ", bad)] = func(p perfettoExporter) {
 			p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: bad, EndUs: 3}}})
-		})
-		matchPerfetto(t, fmt.Sprint("span end ", bad), func(p perfettoExporter) {
-			p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: 3, EndUs: bad}}})
+		}
+	}
+	unsupported["span end +Inf"] = func(p perfettoExporter) {
+		p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: 3, EndUs: math.Inf(1)}}})
+	}
+	for name, feed := range unsupported {
+		if err := matchPerfetto(t, name, feed); err == nil {
+			t.Errorf("%s: Write succeeded, want an unsupported-value error", name)
+		}
+	}
+	for _, end := range []float64{math.NaN(), math.Inf(-1)} {
+		match(fmt.Sprint("span end ", end), func(p perfettoExporter) {
+			p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: 3, EndUs: end}}})
 		})
 	}
-	matchPerfetto(t, "overflowing duration", func(p perfettoExporter) {
-		p.AddWireTrace(WireTrace{Job: "1", Spans: []WireSpan{{Name: "s", StartUs: -math.MaxFloat64, EndUs: math.MaxFloat64}}})
-	})
 }
 
 // fuzzStream turns fuzz bytes into exporter calls; an exhausted stream
@@ -463,7 +489,7 @@ func FuzzPerfettoMatchesReference(f *testing.F) {
 	f.Add([]byte("\x07\x03\x40\x81\x82\x00\x08\x02\x80abc\x05\x01\x02\x03\x04\x05\x06"))
 	f.Add([]byte("\x03\x10\x02\x03\x01\x05\x50\x05\x02\x07\x01\x02\x83<\"\\\xff\x08\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		matchPerfetto(t, "fuzz", func(p perfettoExporter) {
+		_ = matchPerfetto(t, "fuzz", func(p perfettoExporter) {
 			s := fuzzStream(data)
 			s.feed(p)
 		})
