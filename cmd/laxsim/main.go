@@ -7,7 +7,7 @@
 //	laxsim -experiment figure7      # one experiment
 //	laxsim -list                    # list experiment IDs
 //	laxsim -run LAX,LSTM,high       # one raw (scheduler,benchmark,rate) cell
-//	laxsim -run LAX,LSTM,high -trace run.jsonl   # + structured event trace
+//	laxsim -run LAX,LSTM,high -trace t.json      # + per-job trace docs (laxtrace -file)
 //	laxsim -run LAX,STEM,high -timeline          # ASCII schedule timeline
 //	laxsim -run LAX,LSTM,high -metrics m.prom    # Prometheus telemetry snapshot
 //	laxsim -run LAX,LSTM,high -perfetto t.json   # Perfetto/Chrome trace export
@@ -30,7 +30,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	_ "expvar" // registers /debug/vars on DefaultServeMux for -pprof
 	"flag"
@@ -62,7 +61,7 @@ func main() {
 		jobs        = flag.Int("jobs", workload.DefaultJobCount, "jobs per benchmark trace")
 		seed        = flag.Int64("seed", 1, "random seed for arrival traces")
 		verbose     = flag.Bool("v", false, "log each simulation run")
-		traceOut    = flag.String("trace", "", "with -run: write a JSON-lines event trace to this file")
+		traceOut    = flag.String("trace", "", "with -run: write every job's trace doc (phases, kernels, slack attribution) as a JSON array to this file; read it with laxtrace -file")
 		timeline    = flag.Bool("timeline", false, "with -run: render an ASCII schedule timeline")
 		sweepRate   = flag.String("sweep", "", "run every Table 3 scheduler x Table 4 benchmark at this rate")
 		csvOut      = flag.String("csv", "", "with -sweep: write summaries as CSV to this file (default stdout)")
@@ -239,19 +238,24 @@ type obsOptions struct {
 // runner — so -seed, -jobs, -faults, -verify and a scenario installed under
 // the cell's name all apply — with the requested observers attached, prints
 // the result (plus a breakdown for each of a scenario cell's cohorts),
-// and writes the artifacts: the JSONL event trace and/or ASCII timeline, the
-// Prometheus snapshot, the Perfetto export and the -probe digest.
+// and writes the artifacts: the per-job trace docs and/or ASCII timeline
+// (both read one span recorder), the Prometheus snapshot, the Perfetto
+// export and the -probe digest.
 func runObserved(ctx context.Context, out io.Writer, r *harness.Runner, cell harness.Cell, o obsOptions, cohorts []string) (metrics.Summary, error) {
 	var (
-		buf    bytes.Buffer
-		trace  *obs.JSONL
+		rec    *obs.TraceRecorder
 		m      *obs.Metrics
 		pf     *obs.Perfetto
 		probes []obs.Probe
 	)
 	if o.tracePath != "" || o.timeline {
-		trace = obs.NewJSONL(&buf)
-		probes = append(probes, trace)
+		set, err := r.JobSet(cell.Bench, cell.Rate)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		// Sized at the trace's job count, the recorder evicts nothing.
+		rec = obs.NewTraceRecorder(len(set.Jobs))
+		probes = append(probes, rec)
 	}
 	if o.metricsPath != "" || o.probeSummary {
 		m = obs.NewMetrics()
@@ -283,11 +287,21 @@ func runObserved(ctx context.Context, out io.Writer, r *harness.Runner, cell har
 		fmt.Fprintf(out, "  recovery: %d watchdog kills, %d aborts, %d retries, %d CPU fallbacks, %d CUs retired\n",
 			sum.WatchdogKills, sum.Aborts, sum.Retries, sum.Fallbacks, sum.RetiredCUs)
 	}
+	var traces []obs.JobTrace
+	if rec != nil {
+		traces = rec.All()
+	}
 	if o.tracePath != "" {
-		if err := os.WriteFile(o.tracePath, buf.Bytes(), 0o644); err != nil {
+		docs := make([]obs.TraceDoc, len(traces))
+		for i := range traces {
+			wire := traces[i].Wire("sim")
+			docs[i] = obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)}
+		}
+		write := func(w io.Writer) error { return obs.WriteTraceDocs(w, docs) }
+		if err := writeFile(o.tracePath, write); err != nil {
 			return sum, err
 		}
-		fmt.Fprintf(out, "wrote %d trace events to %s\n", trace.Events(), o.tracePath)
+		fmt.Fprintf(out, "wrote %d job traces to %s\n", len(docs), o.tracePath)
 	}
 	if o.metricsPath != "" {
 		if err := writeFile(o.metricsPath, m.Registry().WritePrometheus); err != nil {
@@ -308,12 +322,8 @@ func runObserved(ctx context.Context, out io.Writer, r *harness.Runner, cell har
 		fmt.Fprintf(out, "  verify: %d invariant checks, no violations\n", checks)
 	}
 	if o.timeline {
-		events, err := viz.ParseEvents(&buf)
-		if err != nil {
-			return sum, err
-		}
 		fmt.Fprintln(out)
-		return sum, viz.RenderTimeline(out, events, viz.Options{})
+		viz.RenderTimeline(out, traces)
 	}
 	return sum, nil
 }

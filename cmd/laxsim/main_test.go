@@ -5,8 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"laxgpu/internal/obs"
 )
 
 // buildCLI compiles the laxsim binary once per test run.
@@ -66,17 +69,22 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("trace-and-timeline", func(t *testing.T) {
-		tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+		tracePath := filepath.Join(t.TempDir(), "t.json")
 		out, err := run(t, bin, "-run", "RR,STEM,high", "-jobs", "16", "-trace", tracePath, "-timeline")
 		if err != nil {
 			t.Fatal(err, out)
 		}
-		if !strings.Contains(out, "trace events") || !strings.Contains(out, "legend:") {
+		if !strings.Contains(out, "wrote 16 job traces") || !strings.Contains(out, "legend:") {
 			t.Errorf("trace/timeline output wrong:\n%s", out)
 		}
-		data, err := os.ReadFile(tracePath)
-		if err != nil || len(data) == 0 {
-			t.Fatalf("trace file empty: %v", err)
+		docs := readTraceDocs(t, tracePath)
+		if len(docs) != 16 {
+			t.Fatalf("trace file holds %d docs, want one per job (16)", len(docs))
+		}
+		for i, d := range docs {
+			if d.Trace.Job != strconv.Itoa(i) || len(d.Attribution.Phases) == 0 {
+				t.Errorf("doc %d: job %s with %d phases", i, d.Trace.Job, len(d.Attribution.Phases))
+			}
 		}
 	})
 
@@ -179,7 +187,7 @@ func TestCLI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err, bare)
 		}
-		tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+		tracePath := filepath.Join(t.TempDir(), "t.json")
 		out, err := run(t, bin, append(cell, "-trace", tracePath, "-probe")...)
 		if err != nil {
 			t.Fatal(err, out)
@@ -188,17 +196,19 @@ func TestCLI(t *testing.T) {
 		if !strings.Contains(headline(bare), "met deadline") || headline(out) != headline(bare) {
 			t.Errorf("observed faulted run diverged from the bare one:\n%s\nvs\n%s", out, bare)
 		}
-		for _, want := range []string{"recovery:", "probe:", "trace events"} {
+		for _, want := range []string{"recovery:", "probe:", "job traces"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("observed faulted run missing %q:\n%s", want, out)
 			}
 		}
-		data, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
+		fellBack := 0
+		for _, d := range readTraceDocs(t, tracePath) {
+			if d.Trace.FellBack {
+				fellBack++
+			}
 		}
-		if !strings.Contains(string(data), `"kind":"fallback"`) {
-			t.Error("faulted trace records no fallback event")
+		if fellBack == 0 {
+			t.Error("faulted trace records no CPU fallback")
 		}
 		// The same holds for a scenario cell.
 		out, err = run(t, bin, "-scenario", "../../examples/scenarios/three-tenant.json",
@@ -323,7 +333,7 @@ func TestCLI(t *testing.T) {
 			{"-run", "LAX,IPV6,high", "-sweep", "low"},
 			{"-run", "LAX,IPV6,high", "-experiment", "figure3"},
 			{"-sweep", "low", "-experiment", "figure3"},
-			{"-trace", "t.jsonl"},
+			{"-trace", "t.json"},
 			{"-timeline"},
 			{"-gpus", "2"},
 			{"-gpus", "0", "-run", "LAX,IPV6,high"},
@@ -344,6 +354,20 @@ func TestCLI(t *testing.T) {
 			}
 		}
 	})
+}
+
+// readTraceDocs reads a -trace file.
+func readTraceDocs(t *testing.T, path string) []obs.TraceDoc {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := obs.ParseTraceDocs(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
 }
 
 func TestCLIFleet(t *testing.T) {

@@ -1,5 +1,6 @@
 // Command laxtrace renders per-job trace waterfalls and fleet-wide slack
-// attribution from a live laxd/laxgw daemon or a recorded trace file.
+// attribution from a live laxd/laxgw daemon or a recorded trace file (laxtrace
+// -o, or a simulated run's laxsim -trace).
 //
 // Usage:
 //
@@ -8,6 +9,7 @@
 //	laxtrace -addr http://gw:8090 -n 50 -top 10
 //	laxtrace -o traces.json           # record the fetched docs for later
 //	laxtrace -file traces.json        # analyze a recording offline
+//	laxtrace -file t.json             # ... or a simulated run (laxsim -run CELL -trace t.json)
 //	laxtrace -job 7 -perfetto out.json  # also export the waterfall for ui.perfetto.dev
 //
 // A waterfall is the job's phase partition (parse | queue | exec) plus its
@@ -96,7 +98,7 @@ func load(file, base string, job int64, n int) ([]obs.TraceDoc, error) {
 		if err != nil {
 			return nil, err
 		}
-		return parseDocs(raw)
+		return obs.ParseTraceDocs(raw)
 	}
 	if job >= 0 {
 		raw, err := httpGet(fmt.Sprintf("%s/v1/jobs/%d/trace", base, job))
@@ -113,20 +115,7 @@ func load(file, base string, job int64, n int) ([]obs.TraceDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseDocs(raw)
-}
-
-// parseDocs accepts either a JSON array of trace docs or a single doc.
-func parseDocs(raw []byte) ([]obs.TraceDoc, error) {
-	var docs []obs.TraceDoc
-	if err := json.Unmarshal(raw, &docs); err == nil {
-		return docs, nil
-	}
-	var one obs.TraceDoc
-	if err := json.Unmarshal(raw, &one); err != nil {
-		return nil, fmt.Errorf("not a trace doc or array of trace docs: %w", err)
-	}
-	return []obs.TraceDoc{one}, nil
+	return obs.ParseTraceDocs(raw)
 }
 
 func httpGet(url string) ([]byte, error) {
@@ -150,9 +139,7 @@ func writeDocs(path string, docs []obs.TraceDoc) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(docs)
+	werr := obs.WriteTraceDocs(f, docs)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -191,21 +178,18 @@ func waterfall(out io.Writer, doc obs.TraceDoc, width int) {
 		for i := range bar {
 			bar[i] = ' '
 		}
-		from, to := int(s.StartUs*scale), int(s.EndUs*scale)
-		if to > width {
-			to = width
-		}
+		// A hostile or clock-skewed doc can put a span outside [0, span].
+		from := min(max(int(s.StartUs*scale), 0), width)
+		to := min(max(int(s.EndUs*scale), 0), width)
 		if s.EndUs > s.StartUs {
-			for i := from; i <= to && i <= width; i++ {
+			for i := from; i <= to; i++ {
 				bar[i] = '='
 			}
 			fmt.Fprintf(out, "  [%s] %-8s %-14s %9.1f..%-9.1fus %-8s %s\n",
 				string(bar), s.Kind, s.Name, s.StartUs, s.EndUs, s.Node, s.Detail)
 			continue
 		}
-		if from >= 0 && from <= width {
-			bar[from] = '|'
-		}
+		bar[from] = '|'
 		fmt.Fprintf(out, "  [%s] %-8s %-14s %9.1fus           %-8s %s\n",
 			string(bar), s.Kind, s.Name, s.StartUs, s.Node, s.Detail)
 	}

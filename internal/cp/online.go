@@ -100,8 +100,8 @@ func (s *System) retire() {
 // every in-flight job rather than dropping it, so each one still reaches a
 // terminal state and is accounted for. The GPU queue is released
 // immediately; the job finishes (late) after its remaining work runs
-// serially at the configured CPUSlowdown, or the default recovery slowdown
-// when recovery is not configured. Terminal jobs are unaffected; an
+// serially at the recovery path's CPU slowdown, whether or not recovery is
+// on. Terminal jobs are unaffected; an
 // admitted job still waiting on the host for a queue falls back like any
 // other (online submission runs admission inline, so no job stays
 // pre-admission).

@@ -8,57 +8,38 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// RecoveryConfig controls the CP's fault-recovery machinery: a per-kernel
-// watchdog armed from the Kernel Profiling Table's predicted completion
-// time, capped-exponential-backoff retries, and a CPU fallback (the paper's
-// LAX-CPU path — the job still completes, just late). The zero value
-// disables recovery entirely, which keeps healthy runs byte-identical to a
-// build without this subsystem.
-type RecoveryConfig struct {
-	// Watchdog master-switches recovery: per-kernel timeout detection,
-	// retries and CPU fallback. Off (zero value) means faults are fatal:
-	// aborted jobs are cancelled and hung jobs strand forever.
-	Watchdog bool
-
-	// TimeoutMult scales the predicted kernel completion time into the
-	// watchdog timeout. The prediction comes from a recovery-owned Kernel
+// The CP's fault-recovery machinery (SystemConfig.Recover): a per-kernel
+// watchdog armed from the Kernel Profiling Table's predicted completion time,
+// capped-exponential-backoff retries, and a CPU fallback (the paper's LAX-CPU
+// path — the job still completes, just late). With Recover off faults are
+// fatal: aborted jobs are cancelled and hung jobs strand forever, and healthy
+// runs are byte-identical to a build without this subsystem.
+const (
+	// watchdogTimeoutMult scales the predicted kernel completion time into
+	// the watchdog timeout. The prediction comes from a recovery-owned Kernel
 	// Profiling Table (capacity-normalized WG completion rates, §4.2),
-	// falling back to the analytic isolated kernel time before any rate
-	// has been profiled.
-	TimeoutMult float64
+	// falling back to the analytic isolated kernel time before any rate has
+	// been profiled.
+	watchdogTimeoutMult = 4
 
-	// MinTimeout floors the watchdog timeout so short kernels under heavy
-	// contention are not killed spuriously.
-	MinTimeout sim.Time
+	// minWatchdogTimeout floors the watchdog timeout so short kernels under
+	// heavy contention are not killed spuriously.
+	minWatchdogTimeout = 20 * sim.Microsecond
 
-	// MaxRetries is how many GPU re-dispatches a kernel gets after its
-	// first failed attempt before the job falls back to the CPU.
-	MaxRetries int
+	// maxRetries is how many GPU re-dispatches a kernel gets after its first
+	// failed attempt before the job falls back to the CPU.
+	maxRetries = 3
 
-	// BackoffBase is the pause before the first retry; each further retry
-	// doubles it, capped at BackoffCap.
-	BackoffBase sim.Time
-	BackoffCap  sim.Time
+	// backoffBase is the pause before the first retry; each further retry
+	// doubles it, capped at backoffCap.
+	backoffBase = 5 * sim.Microsecond
+	backoffCap  = 40 * sim.Microsecond
 
-	// CPUSlowdown is how much slower the host CPU executes a kernel than
-	// the isolated GPU (the paper's Table 1 shows one to two orders of
+	// cpuSlowdown is how much slower the host CPU executes a kernel than the
+	// isolated GPU (the paper's Table 1 shows one to two orders of
 	// magnitude; LAX-CPU embodies the path).
-	CPUSlowdown float64
-}
-
-// DefaultRecoveryConfig returns recovery enabled with the defaults used by
-// the fault-sweep experiment.
-func DefaultRecoveryConfig() RecoveryConfig {
-	return RecoveryConfig{
-		Watchdog:    true,
-		TimeoutMult: 4,
-		MinTimeout:  20 * sim.Microsecond,
-		MaxRetries:  3,
-		BackoffBase: 5 * sim.Microsecond,
-		BackoffCap:  40 * sim.Microsecond,
-		CPUSlowdown: 10,
-	}
-}
+	cpuSlowdown = 10
+)
 
 // RecoveryStats counts what the recovery machinery did during a run.
 type RecoveryStats struct {
@@ -161,8 +142,7 @@ func (s *System) faultRunHorizon() sim.Time {
 // current attempt. Called when a kernel first receives WG slots and when a
 // fired watchdog observes progress and re-arms.
 func (s *System) armWatchdog(jr *JobRun, inst *gpu.KernelInstance) {
-	rc := s.cfg.Recovery
-	if !rc.Watchdog {
+	if !s.cfg.Recover {
 		return
 	}
 	now := s.eng.Now()
@@ -182,10 +162,7 @@ func (s *System) armWatchdog(jr *JobRun, inst *gpu.KernelInstance) {
 			predicted = gpu.IsolatedKernelTime(cfg, inst.Desc)
 		}
 	}
-	timeout := sim.Time(float64(predicted) * rc.TimeoutMult)
-	if timeout < rc.MinTimeout {
-		timeout = rc.MinTimeout
-	}
+	timeout := max(sim.Time(float64(predicted)*watchdogTimeoutMult), minWatchdogTimeout)
 	if prev := s.wdTimers[inst]; prev != nil {
 		prev.ev.Cancel()
 	}
@@ -239,7 +216,7 @@ func (s *System) onKernelAbort(inst *gpu.KernelInstance) {
 	}
 	s.recStats.Aborts++
 	s.disarmWatchdog(inst)
-	if !s.cfg.Recovery.Watchdog {
+	if !s.cfg.Recover {
 		s.Cancel(jr)
 		return
 	}
@@ -251,8 +228,7 @@ func (s *System) onKernelAbort(inst *gpu.KernelInstance) {
 // retry budget is spent. inst.Attempt counts completed (failed) attempts at
 // this point — Device.Kill already incremented it.
 func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
-	rc := s.cfg.Recovery
-	if inst.Attempt > rc.MaxRetries {
+	if inst.Attempt > maxRetries {
 		s.fallbackToCPU(jr)
 		return
 	}
@@ -261,10 +237,7 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 	if shift > 16 {
 		shift = 16
 	}
-	backoff := rc.BackoffBase << shift
-	if backoff > rc.BackoffCap {
-		backoff = rc.BackoffCap
-	}
+	backoff := min(backoffBase<<shift, backoffCap)
 	inst.Paused = true
 	s.readyStale = true
 	seq := inst.Seq
@@ -281,8 +254,8 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 // fallbackToCPU completes the job's remaining kernels on the host CPU: the
 // watchdog is disarmed, the GPU queue is released immediately (another job
 // can bind) or the job leaves the host queue, and the job finishes — late —
-// after executing its remaining work serially at CPUSlowdown × the
-// isolated-GPU time, with the default slowdown when none is configured.
+// after executing its remaining work serially at cpuSlowdown × the
+// isolated-GPU time.
 func (s *System) fallbackToCPU(jr *JobRun) {
 	if cur := jr.Current(); cur != nil {
 		s.disarmWatchdog(cur)
@@ -314,11 +287,7 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 		}
 		remaining += t
 	}
-	slowdown := s.cfg.Recovery.CPUSlowdown
-	if slowdown <= 0 {
-		slowdown = DefaultRecoveryConfig().CPUSlowdown
-	}
-	cpuTime := sim.Time(float64(remaining) * slowdown)
+	cpuTime := sim.Time(float64(remaining) * cpuSlowdown)
 	s.eng.After(cpuTime, func() {
 		jr.state = JobDone
 		jr.FinishTime = s.eng.Now()

@@ -21,7 +21,7 @@ func TestWatchdogKillsHangAndRetries(t *testing.T) {
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	set := makeSet(1, 2, desc, 0, sim.Millisecond)
 	cfg := smallConfig()
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	// First attempt of the job's first kernel hangs; every retry is clean.
 	sys.InstallFaults(&scriptInjector{faults: map[[3]int]gpu.KernelFault{
@@ -47,7 +47,7 @@ func TestWatchdogKillsHangAndRetries(t *testing.T) {
 		t.Fatal("no WGs reclaimed by the kill")
 	}
 	// The hang cost at least the watchdog timeout.
-	if jr.FinishTime < cfg.Recovery.MinTimeout {
+	if jr.FinishTime < minWatchdogTimeout {
 		t.Fatalf("finished suspiciously early: %v", jr.FinishTime)
 	}
 }
@@ -55,7 +55,7 @@ func TestWatchdogKillsHangAndRetries(t *testing.T) {
 func TestHangWithoutRecoveryStrandsJob(t *testing.T) {
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	set := makeSet(1, 2, desc, 0, sim.Millisecond)
-	cfg := smallConfig() // zero Recovery: disabled
+	cfg := smallConfig() // recovery off
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	sys.InstallFaults(&scriptInjector{faults: map[[3]int]gpu.KernelFault{
 		{0, 0, 0}: {Outcome: gpu.FaultHang},
@@ -75,7 +75,7 @@ func TestTransientAbortRetries(t *testing.T) {
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	set := makeSet(1, 1, desc, 0, sim.Millisecond)
 	cfg := smallConfig()
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	sys.InstallFaults(&scriptInjector{faults: map[[3]int]gpu.KernelFault{
 		{0, 0, 0}: {Outcome: gpu.FaultAbort},
@@ -114,11 +114,11 @@ func TestPersistentHangFallsBackToCPU(t *testing.T) {
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	set := makeSet(1, 2, desc, 0, sim.Millisecond)
 	cfg := smallConfig()
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	// Kernel 0 hangs on every attempt: retries exhaust, CPU completes.
 	faults := map[[3]int]gpu.KernelFault{}
-	for att := 0; att <= cfg.Recovery.MaxRetries; att++ {
+	for att := 0; att <= maxRetries; att++ {
 		faults[[3]int{0, 0, att}] = gpu.KernelFault{Outcome: gpu.FaultHang}
 	}
 	sys.InstallFaults(&scriptInjector{faults: faults}, nil)
@@ -135,11 +135,11 @@ func TestPersistentHangFallsBackToCPU(t *testing.T) {
 	if st.Fallbacks != 1 {
 		t.Fatalf("Fallbacks = %d, want 1", st.Fallbacks)
 	}
-	if st.Retries != cfg.Recovery.MaxRetries {
-		t.Fatalf("Retries = %d, want %d", st.Retries, cfg.Recovery.MaxRetries)
+	if st.Retries != maxRetries {
+		t.Fatalf("Retries = %d, want %d", st.Retries, maxRetries)
 	}
-	if st.WatchdogKills != cfg.Recovery.MaxRetries+1 {
-		t.Fatalf("WatchdogKills = %d, want %d", st.WatchdogKills, cfg.Recovery.MaxRetries+1)
+	if st.WatchdogKills != maxRetries+1 {
+		t.Fatalf("WatchdogKills = %d, want %d", st.WatchdogKills, maxRetries+1)
 	}
 	// CPU is slow: the job must finish later than the GPU would have.
 	if gpuTime := 2 * 10 * sim.Microsecond; jr.FinishTime <= gpuTime {
@@ -152,10 +152,10 @@ func TestFallbackFreesQueueForWaiters(t *testing.T) {
 	set := makeSet(2, 1, desc, 0, sim.Millisecond)
 	cfg := smallConfig()
 	cfg.NumQueues = 1 // job 1 must wait for job 0's queue
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	faults := map[[3]int]gpu.KernelFault{}
-	for att := 0; att <= cfg.Recovery.MaxRetries; att++ {
+	for att := 0; att <= maxRetries; att++ {
 		faults[[3]int{0, 0, att}] = gpu.KernelFault{Outcome: gpu.FaultHang}
 	}
 	sys.InstallFaults(&scriptInjector{faults: faults}, nil)
@@ -180,7 +180,7 @@ func TestSlowFaultRecoversViaProgressAwareWatchdog(t *testing.T) {
 	// land inside every watchdog window even at 8× slowdown, so the
 	// progress check must keep re-arming instead of killing.
 	cfg := smallConfig()
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	desc := testDesc("k", 4*cfg.GPU.NumCUs, 64, 10*sim.Microsecond)
 	desc.LDSBytesPerWG = cfg.GPU.LDSBytesPerCU
 	set := makeSet(1, 1, desc, 0, 10*sim.Millisecond)
@@ -208,7 +208,7 @@ func TestScheduledRetirementDegradesDevice(t *testing.T) {
 	desc := testDesc("k", 4, 64, 10*sim.Microsecond)
 	set := makeSet(1, 1, desc, 0, sim.Millisecond)
 	cfg := smallConfig()
-	cfg.Recovery = DefaultRecoveryConfig()
+	cfg.Recover = true
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	half := cfg.GPU.NumCUs / 2
 	sys.InstallFaults(nil, []gpu.Retirement{{At: 0, CUs: half}})
@@ -233,7 +233,7 @@ func TestHealthyRunUnchangedByRecoveryConfig(t *testing.T) {
 		set := makeSet(3, 3, desc, 5*sim.Microsecond, sim.Millisecond)
 		cfg := smallConfig()
 		if recovery {
-			cfg.Recovery = DefaultRecoveryConfig()
+			cfg.Recover = true
 		}
 		sys := NewSystem(cfg, set, &fifoPolicy{interval: 100 * sim.Microsecond})
 		sys.Run()

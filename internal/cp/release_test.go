@@ -59,7 +59,7 @@ func TestReleaseRecyclesOnlyDrainedBatchRuns(t *testing.T) {
 		},
 		"watchdog": func() *System {
 			cfg := smallConfig()
-			cfg.Recovery = DefaultRecoveryConfig()
+			cfg.Recover = true
 			s := NewSystem(cfg, small, &fifoPolicy{})
 			s.Run()
 			return s

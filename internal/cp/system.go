@@ -35,9 +35,9 @@ type SystemConfig struct {
 	// laxity values. 0 means unlimited (the paper's design).
 	PriorityLevels int
 
-	// Recovery configures the fault watchdog / retry / CPU-fallback
-	// machinery. The zero value disables it.
-	Recovery RecoveryConfig
+	// Recover arms the fault watchdog / retry / CPU-fallback machinery
+	// (recovery.go). Off, faults are fatal to the jobs they hit.
+	Recover bool
 }
 
 // DefaultSystemConfig returns the paper's simulated system.
@@ -215,7 +215,7 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	}
 	s.dev.OnWGComplete(s.onWGComplete)
 	s.dev.OnKernelDone(s.onKernelDone)
-	if cfg.Recovery.Watchdog {
+	if cfg.Recover {
 		s.wdTimers = make(map[*gpu.KernelInstance]*wdEntry)
 		s.wdTable = core.NewProfilingTable(1)
 		s.wdKernels = make(map[string]*gpu.KernelDesc)
@@ -253,7 +253,7 @@ func emptied[T any](s []T) []T {
 // watchdog armed, and one whose context stopped it before its last arrival
 // or before its queue drained.
 func (s *System) Release() {
-	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recovery.Watchdog ||
+	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recover ||
 		s.submitted != len(s.jobs) || s.eng.Pending() != 0 {
 		return
 	}

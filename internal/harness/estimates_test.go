@@ -16,10 +16,9 @@ import (
 
 // TestGoldenEquivalenceWithProbes is the tentpole observer-effect guarantee:
 // running the identical cell with the full telemetry stack attached
-// (metrics + Perfetto probes) must produce a byte-identical JSONL schedule
-// trace and an identical Summary. The trace records every admission,
-// dispatch, and completion with nanosecond timestamps, so byte equality
-// means the probes changed nothing.
+// (metrics + Perfetto probes) must produce byte-identical trace docs and an
+// identical Summary. The docs record every job's admission terms, phases and
+// kernel spans, so byte equality means the probes changed nothing.
 func TestGoldenEquivalenceWithProbes(t *testing.T) {
 	r := NewRunner()
 	r.JobCount = 48
@@ -29,10 +28,20 @@ func TestGoldenEquivalenceWithProbes(t *testing.T) {
 	}
 
 	run := func(probes ...obs.Probe) (string, metrics.Summary) {
-		var buf bytes.Buffer
+		rec := obs.NewTraceRecorder(len(set.Jobs))
 		sys := cp.NewSystem(r.Cfg, set, sched.NewLAX())
-		sys.SetProbe(obs.Multi(append(probes, obs.NewJSONL(&buf))...))
+		sys.SetProbe(obs.Multi(append(probes, rec)...))
 		sys.Run()
+		traces := rec.All()
+		docs := make([]obs.TraceDoc, len(traces))
+		for i := range traces {
+			wire := traces[i].Wire("sim")
+			docs[i] = obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)}
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteTraceDocs(&buf, docs); err != nil {
+			t.Fatal(err)
+		}
 		return buf.String(), metrics.Summarize(sys, "LAX", "LSTM", "high")
 	}
 

@@ -107,7 +107,7 @@ func TestKernelTimelineGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulted := cfg
-	faulted.Recovery = cp.DefaultRecoveryConfig()
+	faulted.Recover = true
 	var rec cp.RecoveryStats
 	for _, s := range []string{"LAX", "PREMA", "PRO", "BAT"} {
 		sys := run(s+"/LSTM/faulted", Sim{

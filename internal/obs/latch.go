@@ -1,11 +1,10 @@
 package obs
 
 // ErrorLatch records the first error a best-effort consumer hits and counts
-// everything it subsequently refuses to process. Both the trace writer
-// (JSONL) and the verification checker share the pattern: after the
-// first failure they stop acting but keep accounting, so a truncated or
-// partially-checked run is detectable — the stream is complete iff Err()
-// is nil, and Dropped() says how much was lost either way.
+// everything it subsequently refuses to process. The verification checker
+// uses it so that after the first failure it stops acting but keeps
+// accounting: a partially-checked run is detectable — the check is complete
+// iff Err() is nil, and Dropped() says how much was lost either way.
 //
 // A nil *ErrorLatch is inert: every method is safe to call and reports the
 // zero state, so embedding call sites need no guards.

@@ -3,7 +3,7 @@ package obs
 import "laxgpu/internal/sim"
 
 // JobEventKind enumerates the job lifecycle transitions a Probe observes;
-// String gives each its TraceEvent kind.
+// String gives each its trace name.
 type JobEventKind int
 
 const (

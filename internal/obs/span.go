@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -93,10 +97,32 @@ type WireTrace struct {
 }
 
 // TraceDoc is the document served by the trace endpoints and written by
-// laxtrace -o: the (possibly stitched) timeline plus its slack attribution.
+// laxsim -trace and laxtrace -o: the (possibly stitched) timeline plus its
+// slack attribution.
 type TraceDoc struct {
 	Trace       WireTrace   `json:"trace"`
 	Attribution Attribution `json:"attribution"`
+}
+
+// WriteTraceDocs writes docs as one indented JSON array, the trace file
+// laxsim -trace and laxtrace -o write and laxtrace -file reads.
+func WriteTraceDocs(w io.Writer, docs []TraceDoc) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(docs)
+}
+
+// ParseTraceDocs reads a JSON array of trace docs, or a single doc.
+func ParseTraceDocs(raw []byte) ([]TraceDoc, error) {
+	var docs []TraceDoc
+	if err := json.Unmarshal(raw, &docs); err == nil {
+		return docs, nil
+	}
+	var one TraceDoc
+	if err := json.Unmarshal(raw, &one); err != nil {
+		return nil, fmt.Errorf("not a trace doc or array of trace docs: %w", err)
+	}
+	return []TraceDoc{one}, nil
 }
 
 // Wire converts the trace for transport, stamping every span with node.
@@ -298,6 +324,23 @@ func (r *TraceRecorder) Recent(n int) []JobTrace {
 		idx := (r.next - 1 - i + len(r.done)) % len(r.done)
 		out = append(out, r.done[idx].render())
 	}
+	return out
+}
+
+// All returns copies of every retained trace, live and finished, in job-ID
+// order. A job still live when a run ends (one a hang stranded with recovery
+// off) is included in state "running".
+func (r *TraceRecorder) All() []JobTrace {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]JobTrace, 0, len(r.live)+len(r.done))
+	for _, t := range r.live {
+		out = append(out, t.render())
+	}
+	for _, t := range r.done {
+		out = append(out, t.render())
+	}
+	slices.SortFunc(out, func(a, b JobTrace) int { return cmp.Compare(a.Job, b.Job) })
 	return out
 }
 

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -444,5 +446,67 @@ func TestSpanDetailsTextAndAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, render); allocs > 1 {
 			t.Errorf("%s detail costs %.0f allocations, want at most 1 (%q)", name, allocs, sink)
 		}
+	}
+}
+
+// TestTraceRecorderAll: every retained trace, finished or still live, comes
+// back in job-ID order whatever order the jobs finished in.
+func TestTraceRecorderAll(t *testing.T) {
+	r := NewTraceRecorder(8)
+	feedJob(r, 2, 0, usT, 2*usT, 5*usT, true)
+	r.Job(JobEvent{At: usT, Kind: JobArrive, Job: 1, Deadline: 100 * usT})
+	r.Admission(AdmissionDecision{At: usT, Job: 1, Accepted: true})
+	r.KernelStart(KernelStart{At: 3 * usT, Job: 1, Kernel: "gemm"})
+	feedJob(r, 0, 2*usT, 3*usT, 4*usT, 9*usT, false)
+	all := r.All()
+	if len(all) != 3 {
+		t.Fatalf("All = %d traces, want 3", len(all))
+	}
+	for i, want := range []string{"done", "running", "done"} {
+		if all[i].Job != i || all[i].State != want {
+			t.Errorf("All[%d] = job %d %s, want job %d %s", i, all[i].Job, all[i].State, i, want)
+		}
+	}
+}
+
+// TestTraceDocsRoundTrip: the doc array WriteTraceDocs writes reads back
+// unchanged, and a single doc reads as a one-element array.
+func TestTraceDocsRoundTrip(t *testing.T) {
+	r := NewTraceRecorder(8)
+	feedJob(r, 0, 0, usT, 2*usT, 5*usT, true)
+	feedJob(r, 1, usT, 2*usT, 40*usT, 1500*usT, false)
+	var docs []TraceDoc
+	for _, tr := range r.All() {
+		wire := tr.Wire("sim")
+		docs = append(docs, TraceDoc{Trace: wire, Attribution: Attribute(wire)})
+	}
+	var buf strings.Builder
+	if err := WriteTraceDocs(&buf, docs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseTraceDocs([]byte(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, docs) {
+		t.Fatalf("round trip changed the docs:\n got %+v\nwant %+v", got, docs)
+	}
+	one, err := json.Marshal(docs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ParseTraceDocs(one); err != nil || len(got) != 1 || got[0].Attribution.Cause != docs[1].Attribution.Cause {
+		t.Fatalf("single doc read as %+v, %v", got, err)
+	}
+}
+
+func TestParseTraceDocsErrors(t *testing.T) {
+	for _, bad := range []string{"{not json}", "", `[{"trace":7}]`} {
+		if _, err := ParseTraceDocs([]byte(bad)); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	if docs, err := ParseTraceDocs([]byte("[]")); err != nil || len(docs) != 0 {
+		t.Fatalf("empty array read as %v, %v", docs, err)
 	}
 }

@@ -20,7 +20,7 @@ func Assemble(name string, cfg cp.SystemConfig, set *workload.JobSet, spec fault
 		return nil, nil, err
 	}
 	if !spec.Zero() && spec.Recover {
-		cfg.Recovery = cp.DefaultRecoveryConfig()
+		cfg.Recover = true
 	}
 	sys := cp.NewSystem(cfg, set, pol)
 	if !spec.Zero() {

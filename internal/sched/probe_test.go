@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -132,10 +133,10 @@ func TestOracleKernelEstimatesAreExact(t *testing.T) {
 
 // TestProbedRunIsByteIdenticalPerPolicy is the observer-effect guard at the
 // scheduler layer: attaching the full telemetry stack (metrics + Perfetto)
-// must not change a single scheduling decision for any policy. The JSONL
-// trace captures the complete schedule, so byte equality is equivalence;
-// the unobserved run (nil probe, so no trace) is compared on every job's
-// first dispatch and finish time.
+// must not change a single scheduling decision for any policy. The recorded
+// trace docs hold every job's admission terms, phases and kernel spans, so
+// byte equality is equivalence; the unobserved run (nil probe, so no trace)
+// is compared on every job's first dispatch and finish time.
 func TestProbedRunIsByteIdenticalPerPolicy(t *testing.T) {
 	for _, name := range []string{"RR", "LAX", "PREMA", "BAY", "MLFQ", "SRF", "ORACLE"} {
 		t.Run(name, func(t *testing.T) {
@@ -145,14 +146,18 @@ func TestProbedRunIsByteIdenticalPerPolicy(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf, jobs strings.Builder
+				rec := obs.NewTraceRecorder(8)
 				if trace {
-					probes = append(probes, obs.NewJSONL(&buf))
+					probes = append(probes, rec)
 				}
 				sys := cp.NewSystem(cp.DefaultSystemConfig(), probeSet(8), pol)
 				sys.SetProbe(obs.Multi(probes...))
 				sys.Run()
 				for _, j := range sys.Jobs() {
 					fmt.Fprintln(&jobs, j.Job.ID, j.State(), j.FirstDispatch, j.FinishTime)
+				}
+				if trace {
+					writeTraceDocs(t, &buf, rec)
 				}
 				return buf.String(), jobs.String()
 			}
@@ -169,5 +174,20 @@ func TestProbedRunIsByteIdenticalPerPolicy(t *testing.T) {
 				t.Fatalf("%s: observed runs diverged from the unobserved run:\n%s\nvs\n%s\nvs\n%s", name, bareJobs, plainJobs, probedJobs)
 			}
 		})
+	}
+}
+
+// writeTraceDocs writes every trace rec holds as the doc array laxsim -trace
+// writes.
+func writeTraceDocs(t *testing.T, w io.Writer, rec *obs.TraceRecorder) {
+	t.Helper()
+	traces := rec.All()
+	docs := make([]obs.TraceDoc, len(traces))
+	for i := range traces {
+		wire := traces[i].Wire("sim")
+		docs[i] = obs.TraceDoc{Trace: wire, Attribution: obs.Attribute(wire)}
+	}
+	if err := obs.WriteTraceDocs(w, docs); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // DefaultMaxViolations bounds how many violations a Checker records in
-// detail before it only counts further failed checks.
+// detail before it only counts further failed checks, which keep running.
 const DefaultMaxViolations = 16
 
 // Options configures which invariants a Checker enforces and how strictly.
@@ -45,15 +45,6 @@ type Options struct {
 	// terminal event, retried kernels re-emit starts, and CPU fallback
 	// finishes a job without completing its kernels on the device.
 	AllowStranded bool
-
-	// Tolerance is the slack allowed in the laxity arithmetic identity.
-	// The identity is exact in this simulator, so zero is the right
-	// default; the knob exists for experiments that perturb timestamps.
-	Tolerance sim.Time
-
-	// MaxViolations caps recorded violations (DefaultMaxViolations if 0).
-	// Checks keep running past the cap; excess failures are only counted.
-	MaxViolations int
 }
 
 // Violation is one invariant failure: where, which rule, and why.
@@ -108,9 +99,6 @@ type Checker struct {
 
 // New returns a Checker enforcing the given options.
 func New(opt Options) *Checker {
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = DefaultMaxViolations
-	}
 	return &Checker{opt: opt, jobs: make(map[int]*jobAcct)}
 }
 
@@ -123,10 +111,11 @@ func (c *Checker) Attach(sys *cp.System) { c.sys = sys }
 func (c *Checker) Checks() int64 { return c.checks }
 
 // Violations returns the recorded violations, oldest first. At most
-// MaxViolations are recorded; Dropped counts the rest.
+// DefaultMaxViolations are recorded; Dropped counts the rest.
 func (c *Checker) Violations() []Violation { return c.violations }
 
-// Dropped returns how many violations past MaxViolations were only counted.
+// Dropped returns how many violations past DefaultMaxViolations were only
+// counted.
 func (c *Checker) Dropped() int { return c.latch.Dropped() }
 
 // Err returns the first violation as an error, or nil if the run is clean
@@ -134,11 +123,11 @@ func (c *Checker) Dropped() int { return c.latch.Dropped() }
 func (c *Checker) Err() error { return c.latch.Err() }
 
 // violate records one failed check. The first failure latches as Err; past
-// MaxViolations only the count grows.
+// DefaultMaxViolations only the count grows.
 func (c *Checker) violate(at sim.Time, rule string, job int, format string, args ...any) {
 	v := Violation{At: at, Rule: rule, Job: job, Detail: fmt.Sprintf(format, args...)}
 	c.latch.Latch(fmt.Errorf("%s", v))
-	if len(c.violations) >= c.opt.MaxViolations {
+	if len(c.violations) >= DefaultMaxViolations {
 		c.latch.CountDropped()
 		return
 	}
@@ -295,8 +284,8 @@ func (c *Checker) Epoch(e obs.EpochSnapshot) {
 
 // Sample checks Equation 1's laxity arithmetic: when a sample carries both
 // a laxity and a remaining-time prediction, laxity must equal
-// deadline − durTime − remTime, i.e. absDeadline − remTime − now, within
-// Tolerance (exactly, by default).
+// deadline − durTime − remTime, i.e. absDeadline − remTime − now, exactly:
+// the identity holds to the nanosecond in this simulator.
 func (c *Checker) Sample(e obs.JobSample) {
 	c.clock(e.At)
 	a := c.acct(e.Job)
@@ -304,11 +293,7 @@ func (c *Checker) Sample(e obs.JobSample) {
 		return
 	}
 	want := a.absDeadline - e.PredictedRem - e.At
-	diff := e.Laxity - want
-	if diff < 0 {
-		diff = -diff
-	}
-	if c.fails(diff <= c.opt.Tolerance) {
+	if c.fails(e.Laxity == want) {
 		c.violate(e.At, "laxity-arithmetic", e.Job,
 			"laxity=%v but deadline−rem−now = %v−%v−%v = %v",
 			e.Laxity, a.absDeadline, e.PredictedRem, e.At, want)

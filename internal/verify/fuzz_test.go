@@ -126,7 +126,7 @@ func FuzzFaultPlan(f *testing.F) {
 
 		cfg := cfgBase
 		if spec.Recover {
-			cfg.Recovery = cp.DefaultRecoveryConfig()
+			cfg.Recover = true
 		}
 		pol, err := sched.New(policy)
 		if err != nil {

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// traceRun produces a real trace from a small simulation.
-func traceRun(t *testing.T, admit func(*cp.JobRun) bool) []obs.TraceEvent {
+// traceRun records the traces of a small simulation.
+func traceRun(t *testing.T) []obs.JobTrace {
 	t.Helper()
 	desc := &gpu.KernelDesc{Name: "k", NumWGs: 2, ThreadsPerWG: 64,
 		BaseWGTime: 50 * sim.Microsecond, InstPerThread: 1}
@@ -27,51 +28,16 @@ func traceRun(t *testing.T, admit func(*cp.JobRun) bool) []obs.TraceEvent {
 			Kernels:  []*gpu.KernelDesc{desc, desc},
 		})
 	}
-	var buf bytes.Buffer
-	tr := obs.NewJSONL(&buf)
-	pol := sched.NewRR()
-	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
-	sys.SetProbe(tr)
+	rec := obs.NewTraceRecorder(len(set.Jobs))
+	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, sched.NewRR())
+	sys.SetProbe(rec)
 	sys.Run()
-	events, err := ParseEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events
-}
-
-func TestParseEventsRoundTrip(t *testing.T) {
-	events := traceRun(t, nil)
-	if len(events) == 0 {
-		t.Fatal("no events parsed")
-	}
-	kinds := map[string]bool{}
-	for _, e := range events {
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{"arrive", "ready", "kernel_start", "kernel_done", "finish"} {
-		if !kinds[want] {
-			t.Errorf("missing %q events", want)
-		}
-	}
-}
-
-func TestParseEventsErrors(t *testing.T) {
-	if _, err := ParseEvents(strings.NewReader("{not json}\n")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	events, err := ParseEvents(strings.NewReader("\n\n"))
-	if err != nil || len(events) != 0 {
-		t.Fatal("blank lines should parse to nothing")
-	}
+	return rec.All()
 }
 
 func TestRenderTimeline(t *testing.T) {
-	events := traceRun(t, nil)
 	var out bytes.Buffer
-	if err := RenderTimeline(&out, events, Options{Width: 60}); err != nil {
-		t.Fatal(err)
-	}
+	RenderTimeline(&out, traceRun(t))
 	s := out.String()
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	// Header, legend, blank, 5 job rows, blank, summary.
@@ -92,7 +58,7 @@ func TestRenderTimeline(t *testing.T) {
 		if !strings.HasPrefix(l, "j") {
 			continue
 		}
-		if !strings.ContainsRune(l, glyphRunning) && !strings.ContainsRune(l, glyphMet) {
+		if !strings.ContainsRune(l, glyphRunning) {
 			t.Fatalf("job row with no execution: %q", l)
 		}
 		if !strings.ContainsRune(l, glyphMet) {
@@ -103,50 +69,53 @@ func TestRenderTimeline(t *testing.T) {
 
 func TestRenderTimelineEmpty(t *testing.T) {
 	var out bytes.Buffer
-	if err := RenderTimeline(&out, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	RenderTimeline(&out, nil)
 	if !strings.Contains(out.String(), "empty trace") {
 		t.Fatal("empty trace not reported")
 	}
 }
 
 func TestRenderTimelineMaxJobs(t *testing.T) {
-	events := traceRun(t, nil)
-	var out bytes.Buffer
-	if err := RenderTimeline(&out, events, Options{Width: 40, MaxJobs: 2}); err != nil {
-		t.Fatal(err)
+	one := traceRun(t)[0]
+	traces := make([]obs.JobTrace, maxRows+3)
+	for i := range traces {
+		traces[i] = one
+		traces[i].Job = i
 	}
+	var out bytes.Buffer
+	RenderTimeline(&out, traces)
 	s := out.String()
-	if !strings.Contains(s, "3 more jobs not shown") {
+	if !strings.Contains(s, "3 more jobs not shown") || strings.Contains(s, fmt.Sprintf("j%-4d ", maxRows)) {
 		t.Fatalf("row cap not applied:\n%s", s)
 	}
 }
 
 func TestRenderTimelineRejectAndCancel(t *testing.T) {
-	// Synthesize events directly to cover reject/cancel/missed glyphs.
-	events := []obs.TraceEvent{
-		{At: 0, Kind: "arrive", JobID: 0, Deadline: 100},
-		{At: 0, Kind: "reject", JobID: 0},
-		{At: 10, Kind: "arrive", JobID: 1, Deadline: 500},
-		{At: 20, Kind: "kernel_start", JobID: 1, Kernel: "k"},
-		{At: 300, Kind: "cancel", JobID: 1},
-		{At: 10, Kind: "arrive", JobID: 2, Deadline: 50},
-		{At: 20, Kind: "kernel_start", JobID: 2, Kernel: "k"},
-		{At: 400, Kind: "kernel_done", JobID: 2, Kernel: "k"},
-		{At: 400, Kind: "finish", JobID: 2, Met: false},
+	// Hand-built traces cover the reject, cancel, missed and running rows. The
+	// cancelled job's kernel never completed, so it has no kernel span.
+	kernel := obs.Span{Kind: obs.SpanKernel, Name: "k", Start: 20, End: 400}
+	traces := []obs.JobTrace{
+		{Job: 0, Arrival: 0, Deadline: 100, Finish: 0, State: "rejected"},
+		{Job: 1, Arrival: 10, Deadline: 500, Finish: 300, State: "cancelled"},
+		{Job: 2, Arrival: 10, Deadline: 50, Finish: 400, State: "done", Spans: []obs.Span{kernel}},
+		{Job: 3, Arrival: 30, Deadline: 450, State: "running"},
 	}
 	var out bytes.Buffer
-	if err := RenderTimeline(&out, events, Options{Width: 50}); err != nil {
-		t.Fatal(err)
-	}
+	RenderTimeline(&out, traces)
 	s := out.String()
-	if !strings.Contains(s, "0 met, 1 missed, 1 rejected, 1 cancelled") {
+	if !strings.Contains(s, "0 met, 2 missed, 1 rejected, 1 cancelled") {
 		t.Fatalf("summary wrong:\n%s", s)
 	}
 	if !strings.ContainsRune(s, glyphReject) || !strings.ContainsRune(s, glyphCancel) ||
 		!strings.ContainsRune(s, glyphMissed) {
 		t.Fatalf("terminal glyphs missing:\n%s", s)
+	}
+	rows := strings.Split(s, "\n")[3:7]
+	if strings.ContainsRune(rows[1], glyphRunning) {
+		t.Errorf("cancelled job without a completed kernel drawn as running: %q", rows[1])
+	}
+	if !strings.HasSuffix(rows[3], string(glyphWaiting)) {
+		t.Errorf("running job's row does not reach the horizon: %q", rows[3])
 	}
 }
 

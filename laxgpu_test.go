@@ -171,14 +171,6 @@ func TestSessionMemoBounded(t *testing.T) {
 	if mustRunner(t, s, runnerKey{jobs: 8, seed: 2, faults: "hang=0.1"}) == mustRunner(t, s, runnerKey{jobs: 8, seed: 2}) {
 		t.Fatal("fault spec not part of the memo key")
 	}
-	// A custom bound is honored.
-	small := NewSession(SessionOptions{MaxConfigs: 2})
-	for seed := int64(1); seed <= 5; seed++ {
-		mustRunner(t, small, runnerKey{jobs: 8, seed: seed})
-	}
-	if n := small.configCount(); n > 2 {
-		t.Fatalf("MaxConfigs=2 session holds %d runners", n)
-	}
 }
 
 func TestExperimentRendersReport(t *testing.T) {

@@ -26,16 +26,12 @@ type SessionOptions struct {
 	// generators: 0 means GOMAXPROCS, 1 forces the serial reference path.
 	// Results are byte-identical at every width.
 	Parallel int
-
-	// MaxConfigs bounds the memoized runner configurations (one per
-	// distinct (Jobs, Seed, Faults, Verify, System) tuple); the oldest is
-	// evicted FIFO. 0 means 8.
-	MaxConfigs int
 }
 
-// maxRunners is the default bound on memoized configurations: each one
-// caches every simulated cell and its job traces, so an unbounded memo is a
-// slow leak for callers sweeping seeds or fault specs. Eight covers
+// maxRunners bounds the memoized runner configurations (one per distinct
+// (Jobs, Seed, Faults, Verify, System) tuple); the oldest is evicted FIFO.
+// Each one caches every simulated cell and its job traces, so an unbounded
+// memo is a slow leak for callers sweeping seeds or fault specs. Eight covers
 // realistic interleaving (a scheduler sweep touches one key; a paired fault
 // comparison two) while keeping the worst case small.
 const maxRunners = 8
@@ -64,8 +60,7 @@ type runnerKey struct {
 // The zero value is not usable; call NewSession. Package-level Run,
 // Sweep and Experiment delegate to a shared default session.
 type Session struct {
-	parallel   int
-	maxConfigs int
+	parallel int
 
 	mu      sync.Mutex
 	closed  bool
@@ -81,13 +76,8 @@ type Session struct {
 
 // NewSession returns a Session with its own memo and worker pool.
 func NewSession(o SessionOptions) *Session {
-	maxConfigs := o.MaxConfigs
-	if maxConfigs <= 0 {
-		maxConfigs = maxRunners
-	}
 	return &Session{
 		parallel:   o.Parallel,
-		maxConfigs: maxConfigs,
 		runners:    make(map[runnerKey]*harness.Runner),
 		metricsReg: obs.NewRegistry(),
 	}
@@ -109,7 +99,7 @@ func (s *Session) runnerFor(key runnerKey) (*harness.Runner, error) {
 	if r, ok := s.runners[key]; ok {
 		return r, nil
 	}
-	if len(s.runners) >= s.maxConfigs {
+	if len(s.runners) >= maxRunners {
 		delete(s.runners, s.order[0])
 		s.order = s.order[1:]
 	}
