@@ -182,7 +182,7 @@ func TestSlowFaultRecoversViaProgressAwareWatchdog(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Recover = true
 	desc := testDesc("k", 4*cfg.GPU.NumCUs, 64, 10*sim.Microsecond)
-	desc.LDSBytesPerWG = cfg.GPU.LDSBytesPerCU
+	desc.LDSBytesPerWG = gpu.LDSBytesPerCU
 	set := makeSet(1, 1, desc, 0, 10*sim.Millisecond)
 	sys := NewSystem(cfg, set, &fifoPolicy{})
 	sys.InstallFaults(&scriptInjector{faults: map[[3]int]gpu.KernelFault{

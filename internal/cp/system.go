@@ -14,6 +14,13 @@ import (
 	"laxgpu/internal/workload"
 )
 
+// ParseStreams and ParseLatency model stream inspection bandwidth: the CP
+// "can parse four streams in parallel every 2 µs" (§5).
+const (
+	ParseStreams = 4
+	ParseLatency = 2 * sim.Microsecond
+)
+
 // SystemConfig holds the offload-path parameters from §5 of the paper.
 type SystemConfig struct {
 	GPU gpu.Config
@@ -22,11 +29,6 @@ type SystemConfig struct {
 	// If more jobs are admitted than queues exist, the excess waits on the
 	// host until a queue frees.
 	NumQueues int
-
-	// ParseStreams and ParseLatency model stream inspection bandwidth: the
-	// CP "can parse four streams in parallel every 2 µs" (§5).
-	ParseStreams int
-	ParseLatency sim.Time
 
 	// PriorityLevels, when positive, quantizes job priorities into that
 	// many hardware levels at dispatch time — contemporary GPUs expose
@@ -43,10 +45,8 @@ type SystemConfig struct {
 // DefaultSystemConfig returns the paper's simulated system.
 func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{
-		GPU:          gpu.DefaultConfig(),
-		NumQueues:    128,
-		ParseStreams: 4,
-		ParseLatency: 2 * sim.Microsecond,
+		GPU:       gpu.DefaultConfig(),
+		NumQueues: 128,
 	}
 }
 
@@ -124,7 +124,7 @@ type System struct {
 	freeQueues []int
 
 	// parserFreeAt models ParseStreams parallel inspection slots.
-	parserFreeAt []sim.Time
+	parserFreeAt [ParseStreams]sim.Time
 
 	// hostFreeAt models the host-side launch pipe for CPU-side policies: a
 	// single driver thread issues kernel launches one PerKernelLaunch
@@ -181,10 +181,10 @@ var shells = sync.Pool{New: func() any { return &System{eng: sim.NewEngine(), de
 // same way whether the shell is new or recycled: the engine and device are
 // Reset, every field is rewritten, and of the last run only storage
 // survives — the slab when the trace fits in it, and the backing arrays of
-// the job, queue, order and parser slices, cleared so they keep nothing of
-// that run reachable.
+// the job, queue and order slices, cleared so they keep nothing of that run
+// reachable.
 func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
-	if cfg.NumQueues <= 0 || cfg.ParseStreams <= 0 {
+	if cfg.NumQueues <= 0 {
 		panic(fmt.Sprintf("cp: invalid system config %+v", cfg))
 	}
 	s := shells.Get().(*System)
@@ -197,21 +197,20 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	}
 	clear(slab[n:cap(slab)])
 	*s = System{
-		cfg:          cfg,
-		eng:          s.eng,
-		dev:          s.dev,
-		pol:          pol,
-		readyStale:   true,
-		slab:         slab[:n],
-		jobs:         slices.Grow(emptied(s.jobs), n),
-		active:       emptied(s.active),
-		hostQ:        emptied(s.hostQ),
-		blocked:      emptied(s.blocked),
-		orderCache:   emptied(s.orderCache),
-		orderPrios:   s.orderPrios[:0],
-		ready:        s.ready[:0],
-		freeQueues:   slices.Grow(s.freeQueues[:0], cfg.NumQueues),
-		parserFreeAt: append(s.parserFreeAt[:0], make([]sim.Time, cfg.ParseStreams)...),
+		cfg:        cfg,
+		eng:        s.eng,
+		dev:        s.dev,
+		pol:        pol,
+		readyStale: true,
+		slab:       slab[:n],
+		jobs:       slices.Grow(emptied(s.jobs), n),
+		active:     emptied(s.active),
+		hostQ:      emptied(s.hostQ),
+		blocked:    emptied(s.blocked),
+		orderCache: emptied(s.orderCache),
+		orderPrios: s.orderPrios[:0],
+		ready:      s.ready[:0],
+		freeQueues: slices.Grow(s.freeQueues[:0], cfg.NumQueues),
 	}
 	s.dev.OnWGComplete(s.onWGComplete)
 	s.dev.OnKernelDone(s.onKernelDone)
@@ -430,7 +429,7 @@ func (s *System) bindQueue(jr *JobRun) {
 	if s.parserFreeAt[slot] > start {
 		start = s.parserFreeAt[slot]
 	}
-	done := start + s.cfg.ParseLatency
+	done := start + ParseLatency
 	s.parserFreeAt[slot] = done
 
 	jr.scheduleLaunch(done+s.pol.Overheads().PerJobAdmission, (*System).inspectionDone)

@@ -2,30 +2,42 @@ package gpu
 
 import "fmt"
 
-// Config holds the device parameters. DefaultConfig matches Table 2 of the
-// paper (the simulated system).
-type Config struct {
-	// NumCUs is the number of compute units (Table 2: 8).
-	NumCUs int
-
+// The Table 2 machine's per-CU capacities and energy model. Every device
+// the simulator builds is this CU, so these are constants; only the CU
+// count and the memory system scale (Config).
+const (
 	// ThreadsPerCU is the maximum concurrent thread contexts per CU
 	// (GCN: 2560 = 4 SIMD units × 10 wavefronts × 64 lanes).
-	ThreadsPerCU int
+	ThreadsPerCU = 2560
 
-	// SIMDPerCU and WavefrontsPerSIMD bound wavefront slots (Table 2: 4 and
-	// 10).
-	SIMDPerCU         int
-	WavefrontsPerSIMD int
+	// WavefrontsPerCU bounds wavefront slots: SIMD units per CU ×
+	// wavefronts per SIMD (Table 2: 4 and 10).
+	WavefrontsPerCU = 4 * 10
 
 	// WavefrontSize is the number of threads per wavefront (GCN: 64).
-	WavefrontSize int
+	WavefrontSize = 64
 
 	// VGPRBytesPerCU is the vector register file size per CU (Table 2:
 	// 256 KB).
-	VGPRBytesPerCU int
+	VGPRBytesPerCU = 256 << 10
 
 	// LDSBytesPerCU is the local data store per CU (GCN: 64 KB).
-	LDSBytesPerCU int
+	LDSBytesPerCU = 64 << 10
+
+	// EnergyPerInstPJ is the dynamic energy per executed instruction in
+	// picojoules (per-instruction energy model, §5 / [6][81]).
+	EnergyPerInstPJ = 10.0
+
+	// StaticPowerWatts is the constant leakage + idle power drawn for the
+	// whole makespan.
+	StaticPowerWatts = 25.0
+)
+
+// Config holds the device parameters callers vary. DefaultConfig matches
+// Table 2 of the paper (the simulated system).
+type Config struct {
+	// NumCUs is the number of compute units (Table 2: 8).
+	NumCUs int
 
 	// MemBandwidthDemand is the aggregate memory demand (in thread-demand
 	// units: Σ active WGs of MemIntensity × ThreadsPerWG) the memory system
@@ -33,100 +45,28 @@ type Config struct {
 	// latency stretches linearly — the contention signal LAX's profiling
 	// table must track.
 	MemBandwidthDemand float64
-
-	// L2BandwidthDemand, when positive, enables the two-level memory
-	// model: each kernel's L2HitFrac of its traffic contends for this
-	// (larger) L2 bandwidth pool while the remainder contends for
-	// MemBandwidthDemand (DRAM). Zero keeps the single-level model, under
-	// which L2HitFrac is ignored — the default, and the configuration all
-	// published results use.
-	L2BandwidthDemand float64
-
-	// EnergyPerInstPJ is the dynamic energy per executed instruction in
-	// picojoules (per-instruction energy model, §5 / [6][81]).
-	EnergyPerInstPJ float64
-
-	// StaticPowerWatts is the constant leakage + idle power drawn for the
-	// whole makespan.
-	StaticPowerWatts float64
-
-	// Placement selects how the WG scheduler picks a CU for each
-	// workgroup. The default (FirstFit) matches a simple hardware
-	// scanner; BestFit packs tightest and resists fragmentation;
-	// RoundRobin spreads load (and heat) evenly.
-	Placement PlacementPolicy
-}
-
-// PlacementPolicy selects the CU-selection strategy for WG dispatch.
-type PlacementPolicy int
-
-const (
-	// FirstFit scans CUs in index order and places the WG on the first
-	// with room.
-	FirstFit PlacementPolicy = iota
-	// BestFit places the WG on the CU with the least free threads that
-	// still fits it, keeping large holes intact for wide workgroups.
-	BestFit
-	// RoundRobin starts each placement scan after the last CU used.
-	RoundRobin
-)
-
-func (p PlacementPolicy) String() string {
-	switch p {
-	case FirstFit:
-		return "first-fit"
-	case BestFit:
-		return "best-fit"
-	case RoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-	}
 }
 
 // DefaultConfig returns the Table 2 machine.
 func DefaultConfig() Config {
 	return Config{
-		NumCUs:            8,
-		ThreadsPerCU:      2560,
-		SIMDPerCU:         4,
-		WavefrontsPerSIMD: 10,
-		WavefrontSize:     64,
-		VGPRBytesPerCU:    256 << 10,
-		LDSBytesPerCU:     64 << 10,
+		NumCUs: 8,
 		// 60% of full-device thread occupancy issuing memory traffic
 		// saturates bandwidth: 8 × 2560 × 0.6 = 12288 demand units.
 		MemBandwidthDemand: 12288,
-		EnergyPerInstPJ:    10,
-		StaticPowerWatts:   25,
 	}
 }
 
-// WavefrontsPerCU returns the wavefront slot count per CU.
-func (c Config) WavefrontsPerCU() int { return c.SIMDPerCU * c.WavefrontsPerSIMD }
-
 // TotalThreads returns the device-wide thread context capacity.
-func (c Config) TotalThreads() int { return c.NumCUs * c.ThreadsPerCU }
+func (c Config) TotalThreads() int { return c.NumCUs * ThreadsPerCU }
 
 // Validate reports the first configuration error, or nil.
 func (c Config) Validate() error {
 	switch {
 	case c.NumCUs <= 0:
 		return fmt.Errorf("gpu: NumCUs = %d, must be positive", c.NumCUs)
-	case c.ThreadsPerCU <= 0:
-		return fmt.Errorf("gpu: ThreadsPerCU = %d, must be positive", c.ThreadsPerCU)
-	case c.SIMDPerCU <= 0 || c.WavefrontsPerSIMD <= 0:
-		return fmt.Errorf("gpu: SIMD/wavefront configuration must be positive")
-	case c.WavefrontSize <= 0:
-		return fmt.Errorf("gpu: WavefrontSize = %d, must be positive", c.WavefrontSize)
-	case c.VGPRBytesPerCU < 0 || c.LDSBytesPerCU < 0:
-		return fmt.Errorf("gpu: negative register/LDS capacity")
 	case c.MemBandwidthDemand <= 0:
 		return fmt.Errorf("gpu: MemBandwidthDemand = %v, must be positive", c.MemBandwidthDemand)
-	case c.EnergyPerInstPJ < 0 || c.StaticPowerWatts < 0:
-		return fmt.Errorf("gpu: negative energy parameters")
-	case c.Placement != FirstFit && c.Placement != BestFit && c.Placement != RoundRobin:
-		return fmt.Errorf("gpu: unknown placement policy %d", int(c.Placement))
 	}
 	return nil
 }

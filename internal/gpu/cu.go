@@ -14,11 +14,6 @@ type computeUnit struct {
 	vgprFree       int
 	ldsFree        int
 
-	threadsCap    int
-	wavefrontsCap int
-	vgprCap       int
-	ldsCap        int
-
 	activeWGs int
 
 	// retired marks a CU lost to a fault: in-flight WGs drain, nothing new
@@ -26,18 +21,14 @@ type computeUnit struct {
 	retired bool
 }
 
-// init makes c the empty CU id of cfg.
-func (c *computeUnit) init(id int, cfg Config) {
+// init makes c the empty CU id.
+func (c *computeUnit) init(id int) {
 	*c = computeUnit{
 		id:             id,
-		threadsFree:    cfg.ThreadsPerCU,
-		wavefrontsFree: cfg.WavefrontsPerCU(),
-		vgprFree:       cfg.VGPRBytesPerCU,
-		ldsFree:        cfg.LDSBytesPerCU,
-		threadsCap:     cfg.ThreadsPerCU,
-		wavefrontsCap:  cfg.WavefrontsPerCU(),
-		vgprCap:        cfg.VGPRBytesPerCU,
-		ldsCap:         cfg.LDSBytesPerCU,
+		threadsFree:    ThreadsPerCU,
+		wavefrontsFree: WavefrontsPerCU,
+		vgprFree:       VGPRBytesPerCU,
+		ldsFree:        LDSBytesPerCU,
 	}
 }
 
@@ -49,8 +40,8 @@ type wgFootprint struct {
 	lds        int
 }
 
-func footprintOf(desc *KernelDesc, wavefrontSize int) wgFootprint {
-	wf := (desc.ThreadsPerWG + wavefrontSize - 1) / wavefrontSize
+func footprintOf(desc *KernelDesc) wgFootprint {
+	wf := (desc.ThreadsPerWG + WavefrontSize - 1) / WavefrontSize
 	return wgFootprint{
 		threads:    desc.ThreadsPerWG,
 		wavefronts: wf,
@@ -77,11 +68,11 @@ func (c *computeUnit) fits(f wgFootprint) bool {
 }
 
 // canEverFit reports whether an empty CU could host the footprint at all.
-func (c *computeUnit) canEverFit(f wgFootprint) bool {
-	return c.threadsCap >= f.threads &&
-		c.wavefrontsCap >= f.wavefronts &&
-		c.vgprCap >= f.vgpr &&
-		c.ldsCap >= f.lds
+func (f wgFootprint) canEverFit() bool {
+	return ThreadsPerCU >= f.threads &&
+		WavefrontsPerCU >= f.wavefronts &&
+		VGPRBytesPerCU >= f.vgpr &&
+		LDSBytesPerCU >= f.lds
 }
 
 func (c *computeUnit) reserve(f wgFootprint) {
@@ -101,13 +92,13 @@ func (c *computeUnit) release(f wgFootprint) {
 	c.vgprFree += f.vgpr
 	c.ldsFree += f.lds
 	c.activeWGs--
-	if c.threadsFree > c.threadsCap || c.wavefrontsFree > c.wavefrontsCap ||
-		c.vgprFree > c.vgprCap || c.ldsFree > c.ldsCap || c.activeWGs < 0 {
+	if c.threadsFree > ThreadsPerCU || c.wavefrontsFree > WavefrontsPerCU ||
+		c.vgprFree > VGPRBytesPerCU || c.ldsFree > LDSBytesPerCU || c.activeWGs < 0 {
 		panic(fmt.Sprintf("gpu: CU%d release overflow", c.id))
 	}
 }
 
 // utilization returns the fraction of thread contexts in use, in [0,1].
 func (c *computeUnit) utilization() float64 {
-	return float64(c.threadsCap-c.threadsFree) / float64(c.threadsCap)
+	return float64(ThreadsPerCU-c.threadsFree) / ThreadsPerCU
 }

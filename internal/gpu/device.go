@@ -17,24 +17,18 @@ type Device struct {
 	cus []*computeUnit
 
 	// activeMemDemand is Σ over in-flight WGs of MemIntensity×ThreadsPerWG.
-	// With the two-level model enabled it carries only the DRAM (L2-miss)
-	// share, and activeL2Demand carries the L2-hit share.
 	activeMemDemand float64
-	activeL2Demand  float64
 
 	// stallUntil blocks new WG dispatch until the given time; used to model
 	// preemption context save/restore (PREMA) without tearing down state.
 	stallUntil sim.Time
-
-	// rrCursor is RoundRobin placement's scan start.
-	rrCursor int
 
 	// noRoom lists the WG footprints pickCU last refused: no CU fits any of
 	// them, hence none fits a footprint needing at least as much of every
 	// resource. Between releases room only shrinks (reserve, RetireCUs), so
 	// an entry stays true until a release, and a release can only make its
 	// own CU fit: roomFreed re-tests that one CU. TryDispatch answers from
-	// the list without scanning; placements and rrCursor are untouched.
+	// the list without scanning; placements are untouched.
 	noRoom []wgFootprint
 
 	// classes are the distinct WG footprints dispatch has seen, indexed by the
@@ -75,12 +69,11 @@ type Device struct {
 }
 
 // wgLoad is what one running WG holds besides its CU: its footprint there
-// and its shares of the DRAM and L2 bandwidth demand. All three are
-// functions of the kernel's descriptor and the device config.
+// and its share of the memory bandwidth demand. Both are functions of the
+// kernel's descriptor.
 type wgLoad struct {
-	f        wgFootprint
-	demand   float64
-	l2demand float64
+	f      wgFootprint
+	demand float64
 }
 
 // wgBatch is one pooled engine event carrying the completions of a
@@ -131,10 +124,10 @@ func New(cfg Config, eng *sim.Engine) *Device {
 // Reset makes d the device New builds for cfg on eng. A zero Device is built
 // from scratch, and so is one last built for another configuration. One
 // whose run is over and whose configuration is cfg is recycled: its CUs are
-// re-initialised in place, and its counters, energy, stall, placement
-// cursor, no-room memo, footprint classes, callbacks and fault injector are
-// cleared, while its pool of WG batches is kept. It panics on an invalid
-// configuration: a bad machine description is unrecoverable.
+// re-initialised in place, and its counters, energy, stall, no-room memo,
+// footprint classes, callbacks and fault injector are cleared, while its
+// pool of WG batches is kept. It panics on an invalid configuration: a bad
+// machine description is unrecoverable.
 func (d *Device) Reset(cfg Config, eng *sim.Engine) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -158,7 +151,7 @@ func (d *Device) Reset(cfg Config, eng *sim.Engine) {
 		freeBatches: d.freeBatches,
 	}
 	for i, cu := range d.cus {
-		cu.init(i, cfg)
+		cu.init(i)
 	}
 }
 
@@ -249,13 +242,13 @@ func (d *Device) FootprintClass(inst *KernelInstance) int {
 
 // classOf finds or registers desc's footprint class.
 func (d *Device) classOf(desc *KernelDesc) int {
-	f := footprintOf(desc, d.cfg.WavefrontSize)
+	f := footprintOf(desc)
 	for c, g := range d.classes {
 		if g == f {
 			return c
 		}
 	}
-	if !d.cus[0].canEverFit(f) {
+	if !f.canEverFit() {
 		panic(fmt.Sprintf("gpu: kernel %s WG footprint %+v exceeds CU capacity", desc.Name, f))
 	}
 	d.classes = append(d.classes, f)
@@ -279,39 +272,15 @@ func (d *Device) refused(f wgFootprint) bool {
 	return false
 }
 
-// pickCU selects a CU with room for the footprint per the configured
-// placement policy, or nil when nothing fits.
+// pickCU places first-fit: the lowest-index CU with room for the
+// footprint, or nil when nothing fits.
 func (d *Device) pickCU(f wgFootprint) *computeUnit {
-	switch d.cfg.Placement {
-	case BestFit:
-		var best *computeUnit
-		for _, cu := range d.cus {
-			if !cu.fits(f) {
-				continue
-			}
-			if best == nil || cu.threadsFree < best.threadsFree {
-				best = cu
-			}
+	for _, cu := range d.cus {
+		if cu.fits(f) {
+			return cu
 		}
-		return best
-	case RoundRobin:
-		n := len(d.cus)
-		for i := 0; i < n; i++ {
-			cu := d.cus[(d.rrCursor+i)%n]
-			if cu.fits(f) {
-				d.rrCursor = (d.rrCursor + i + 1) % n
-				return cu
-			}
-		}
-		return nil
-	default: // FirstFit
-		for _, cu := range d.cus {
-			if cu.fits(f) {
-				return cu
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
 // roomFreed drops the no-room entries cu fits after a release on it, and
@@ -346,12 +315,7 @@ func (d *Device) startWG(inst *KernelInstance, cu *computeUnit, f wgFootprint) {
 	inst.noteDispatch(now)
 
 	load := wgLoad{f: f, demand: inst.Desc.MemIntensity * float64(inst.Desc.ThreadsPerWG)}
-	if d.cfg.L2BandwidthDemand > 0 {
-		load.l2demand = load.demand * inst.Desc.L2HitFrac
-		load.demand -= load.l2demand
-	}
 	d.activeMemDemand += load.demand
-	d.activeL2Demand += load.l2demand
 
 	lat := d.wgLatency(inst.Desc)
 	if inst.fault.Outcome == FaultSlow && inst.fault.SlowFactor > 1 {
@@ -453,17 +417,13 @@ func (d *Device) completeWG(inst *KernelInstance, ctr *KernelCounter, lat sim.Ti
 	cu.release(load.f)
 	d.roomFreed(cu)
 	d.activeMemDemand -= load.demand
-	d.activeL2Demand -= load.l2demand
 	if d.activeMemDemand < 1e-9 {
 		d.activeMemDemand = 0
-	}
-	if d.activeL2Demand < 1e-9 {
-		d.activeL2Demand = 0
 	}
 	now := d.eng.Now()
 	inst.noteComplete(now)
 	d.counters.noteComplete(ctr, now, lat)
-	d.energy.addWG(inst.Desc, d.cfg.EnergyPerInstPJ)
+	d.energy.addWG(inst.Desc)
 	if d.onWGComplete != nil {
 		d.onWGComplete(inst)
 	}
@@ -501,7 +461,6 @@ func (d *Device) Kill(inst *KernelInstance) int {
 			cu.release(b.load.f)
 			d.roomFreed(cu)
 			d.activeMemDemand -= b.load.demand
-			d.activeL2Demand -= b.load.l2demand
 			d.counters.noteKilled(b.ctr, now)
 		}
 		killed += len(b.cus)
@@ -511,9 +470,6 @@ func (d *Device) Kill(inst *KernelInstance) int {
 	inst.batches = nil
 	if d.activeMemDemand < 1e-9 {
 		d.activeMemDemand = 0
-	}
-	if d.activeL2Demand < 1e-9 {
-		d.activeL2Demand = 0
 	}
 	inst.resetAttempt()
 	return killed
@@ -541,27 +497,11 @@ func (d *Device) ActiveCUs() int { return len(d.cus) - d.retiredCUs }
 func (d *Device) RetiredCUsCount() int { return d.retiredCUs }
 
 // wgLatency computes the contention-stretched latency of one WG of desc if
-// it were dispatched now. Under the single-level model the whole memory
-// fraction stretches with DRAM contention; under the two-level model the
-// kernel's L2-hit share stretches with L2-pool contention and the miss
-// share with DRAM contention.
+// it were dispatched now: the memory fraction stretches with the one
+// bandwidth pool's contention.
 func (d *Device) wgLatency(desc *KernelDesc) sim.Time {
-	dramSlow := d.activeMemDemand / d.cfg.MemBandwidthDemand
-	if dramSlow < 1 {
-		dramSlow = 1
-	}
-	base := float64(desc.BaseWGTime)
 	m := desc.MemIntensity
-	if d.cfg.L2BandwidthDemand <= 0 {
-		return sim.Time(base * ((1 - m) + m*dramSlow))
-	}
-	l2Slow := d.activeL2Demand / d.cfg.L2BandwidthDemand
-	if l2Slow < 1 {
-		l2Slow = 1
-	}
-	h := desc.L2HitFrac
-	memStretch := h*l2Slow + (1-h)*dramSlow
-	return sim.Time(base * ((1 - m) + m*memStretch))
+	return sim.Time(float64(desc.BaseWGTime) * ((1 - m) + m*d.Slowdown()))
 }
 
 // Slowdown returns the current memory contention factor (≥ 1).
@@ -582,15 +522,17 @@ func (d *Device) ActiveWGs() int {
 	return n
 }
 
-// String renders everything WG placement can observe — the round-robin
-// cursor, then per CU its id, WG count and free threads, wavefronts, VGPR and
-// LDS bytes — for logs and test failures: two devices that print the same
-// place the same WG on the same CU. Built with strconv, not fmt, because the
-// dispatch differential test prints one per placement.
+// String renders everything WG placement can observe — per CU its id, WG
+// count and free threads, wavefronts, VGPR and LDS bytes — for logs and test
+// failures: two devices that print the same place the same WG on the same
+// CU. Built with strconv, not fmt, because the dispatch differential test
+// prints one per placement.
 func (d *Device) String() string {
-	b := strconv.AppendInt([]byte("rr="), int64(d.rrCursor), 10)
-	for _, cu := range d.cus {
-		b = append(b, ' ')
+	var b []byte
+	for i, cu := range d.cus {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		for _, v := range [...]int{cu.id, cu.activeWGs, cu.threadsFree, cu.wavefrontsFree, cu.vgprFree, cu.ldsFree} {
 			b = append(strconv.AppendInt(b, int64(v), 10), '/')
 		}
@@ -621,54 +563,47 @@ func (d *Device) FreeThreads() int {
 
 // CanFit reports whether the device could place one WG of desc right now:
 // some non-retired CU has room for its footprint and the device is not
-// stalled. It is a pure query — unlike TryDispatch it reserves nothing and
-// does not advance the round-robin placement cursor — so observers (the
-// verification checker's dispatch-order rule) can probe occupancy without
-// perturbing the run.
+// stalled. It is a pure query — unlike TryDispatch it reserves nothing —
+// so observers (the verification checker's dispatch-order rule) can probe
+// occupancy without perturbing the run.
 func (d *Device) CanFit(desc *KernelDesc) bool {
 	if d.Stalled() {
 		return false
 	}
-	f := footprintOf(desc, d.cfg.WavefrontSize)
-	for _, cu := range d.cus {
-		if cu.fits(f) {
-			return true
-		}
-	}
-	return false
+	return d.pickCU(footprintOf(desc)) != nil
 }
 
 // MaxConcurrentWGs returns how many WGs of desc the device could host
 // simultaneously if idle, counting only non-retired CUs — admission
 // heuristics see the *current* capacity of a degraded device, not nominal.
 func (d *Device) MaxConcurrentWGs(desc *KernelDesc) int {
-	return maxWGsPerCU(&d.cfg, desc) * d.ActiveCUs()
+	return maxWGsPerCU(desc) * d.ActiveCUs()
 }
 
 // IsolatedKernelTime is the package-level IsolatedKernelTime on the
 // device's nominal configuration (the offline profile: retired CUs still
-// count), read in place — Config is 96 bytes and callers sum over chains.
+// count).
 func (d *Device) IsolatedKernelTime(desc *KernelDesc) sim.Time {
-	return isolatedKernelTime(&d.cfg, desc)
+	return IsolatedKernelTime(d.cfg, desc)
 }
 
 // MaxConcurrentWGs computes, for an idle device with the given config, the
 // number of WGs of desc that fit simultaneously.
 func MaxConcurrentWGs(cfg Config, desc *KernelDesc) int {
-	return maxWGsPerCU(&cfg, desc) * cfg.NumCUs
+	return maxWGsPerCU(desc) * cfg.NumCUs
 }
 
-func maxWGsPerCU(cfg *Config, desc *KernelDesc) int {
-	f := footprintOf(desc, cfg.WavefrontSize)
-	perCU := cfg.ThreadsPerCU / max(1, f.threads)
-	if f.wavefronts > 0 { // WavefrontsPerCU, minus its by-value receiver
-		perCU = min(perCU, cfg.SIMDPerCU*cfg.WavefrontsPerSIMD/f.wavefronts)
+func maxWGsPerCU(desc *KernelDesc) int {
+	f := footprintOf(desc)
+	perCU := ThreadsPerCU / max(1, f.threads)
+	if f.wavefronts > 0 {
+		perCU = min(perCU, WavefrontsPerCU/f.wavefronts)
 	}
 	if f.vgpr > 0 {
-		perCU = min(perCU, cfg.VGPRBytesPerCU/f.vgpr)
+		perCU = min(perCU, VGPRBytesPerCU/f.vgpr)
 	}
 	if f.lds > 0 {
-		perCU = min(perCU, cfg.LDSBytesPerCU/f.lds)
+		perCU = min(perCU, LDSBytesPerCU/f.lds)
 	}
 	return perCU
 }
@@ -677,11 +612,7 @@ func maxWGsPerCU(cfg *Config, desc *KernelDesc) int {
 // otherwise idle device: WGs run in ceil(NumWGs / maxConcurrent) waves of
 // BaseWGTime each (memory slowdown from the kernel's own WGs included).
 func IsolatedKernelTime(cfg Config, desc *KernelDesc) sim.Time {
-	return isolatedKernelTime(&cfg, desc)
-}
-
-func isolatedKernelTime(cfg *Config, desc *KernelDesc) sim.Time {
-	conc := maxWGsPerCU(cfg, desc) * cfg.NumCUs
+	conc := maxWGsPerCU(desc) * cfg.NumCUs
 	if conc <= 0 {
 		return sim.Forever
 	}

@@ -56,11 +56,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
-	c = DefaultConfig()
-	c.WavefrontSize = 0
-	if err := c.Validate(); err == nil {
-		t.Error("zero wavefront size accepted")
-	}
 }
 
 func TestSingleWGKernelRunsForBaseTime(t *testing.T) {
@@ -118,11 +113,24 @@ func TestDispatchRespectsLDSCapacity(t *testing.T) {
 	cfg := DefaultConfig()
 	d := New(cfg, eng)
 	k := testKernel("lds", 64, 64, sim.Microsecond, 0)
-	k.LDSBytesPerWG = cfg.LDSBytesPerCU / 2 // two WGs per CU by LDS
+	k.LDSBytesPerWG = LDSBytesPerCU / 2 // two WGs per CU by LDS
 	inst := NewKernelInstance(k, 1, 1, 0)
 	inst.MarkReady(0)
 	if n := d.TryDispatch(inst, -1); n != 2*cfg.NumCUs {
 		t.Fatalf("dispatched %d, want %d (LDS-bound)", n, 2*cfg.NumCUs)
+	}
+}
+
+func TestFirstFitPacksLowCUs(t *testing.T) {
+	d := New(DefaultConfig(), sim.NewEngine())
+	inst := NewKernelInstance(testKernel("s", 64, 256, sim.Millisecond, 0), 0, 0, 0)
+	inst.MarkReady(0)
+	if got := d.TryDispatch(inst, 10); got != 10 {
+		t.Fatalf("placed %d WGs, want 10", got)
+	}
+	// 10 small WGs of 256 threads fill CU0 (capacity 10) entirely.
+	if d.cus[0].activeWGs != 10 || d.cus[1].activeWGs != 0 {
+		t.Fatalf("first-fit spread: %v", d)
 	}
 }
 
@@ -318,11 +326,11 @@ func TestEnergyMeterAccumulates(t *testing.T) {
 	if got := d.Energy().DynamicJoules(); math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("dynamic energy %g, want %g", got, want)
 	}
-	tot := d.Energy().TotalJoules(sim.Second, 25)
+	tot := d.Energy().TotalJoules(sim.Second)
 	if math.Abs(tot-(want+25)) > 1e-6 {
 		t.Fatalf("total energy %g, want ≈%g", tot, want+25)
 	}
-	if mj := d.Energy().TotalMillijoules(sim.Second, 25); math.Abs(mj-tot*1e3) > 1e-9 {
+	if mj := d.Energy().TotalMillijoules(sim.Second); math.Abs(mj-tot*1e3) > 1e-9 {
 		t.Fatalf("mJ conversion mismatch: %g vs %g", mj, tot*1e3)
 	}
 }
@@ -381,7 +389,7 @@ func TestMaxConcurrentWGs(t *testing.T) {
 	if got := MaxConcurrentWGs(cfg, k); got != 10*cfg.NumCUs {
 		t.Fatalf("MaxConcurrentWGs = %d, want %d", got, 10*cfg.NumCUs)
 	}
-	k.VGPRBytesPerWG = cfg.VGPRBytesPerCU // one per CU by registers
+	k.VGPRBytesPerWG = VGPRBytesPerCU // one per CU by registers
 	if got := MaxConcurrentWGs(cfg, k); got != cfg.NumCUs {
 		t.Fatalf("register-bound MaxConcurrentWGs = %d, want %d", got, cfg.NumCUs)
 	}
@@ -391,7 +399,7 @@ func TestOversizedWGPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	d := New(cfg, eng)
-	k := testKernel("toobig", 1, cfg.ThreadsPerCU+1, sim.Microsecond, 0)
+	k := testKernel("toobig", 1, ThreadsPerCU+1, sim.Microsecond, 0)
 	inst := NewKernelInstance(k, 1, 1, 0)
 	inst.MarkReady(0)
 	defer func() {

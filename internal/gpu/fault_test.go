@@ -247,16 +247,13 @@ func TestFaultedWGPathAllocationFree(t *testing.T) {
 // TestKillReclaimsOpenBatches: Kill cancels every open batch of the killed
 // attempt — batches for distinct completion instants, among them the open
 // one the next WG could join, and a hung attempt's held batch — and returns
-// what their WGs hold: the CUs and both bandwidth demands come back to zero,
+// what their WGs hold: the CUs and the bandwidth demand come back to zero,
 // no killed batch fires, and the retries reuse the pooled batches.
 func TestKillReclaimsOpenBatches(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.L2BandwidthDemand = cfg.MemBandwidthDemand // two-level model: DRAM and L2 demand
 	eng := sim.NewEngine()
-	d := New(cfg, eng)
+	d := New(DefaultConfig(), eng)
 	d.SetFaultInjector(&scriptedInjector{faults: map[[3]int]KernelFault{{2, 0, 0}: {Outcome: FaultHang}}})
 	k := testKernel("k", 8, 64, 10*sim.Microsecond, 0.5)
-	k.L2HitFrac = 0.5
 	running, hung := NewKernelInstance(k, 1, 1, 0), NewKernelInstance(k, 2, 2, 0)
 	running.MarkReady(0)
 	hung.MarkReady(0)
@@ -289,9 +286,9 @@ func TestKillReclaimsOpenBatches(t *testing.T) {
 	if n := d.Kill(hung); n != 3 {
 		t.Fatalf("Kill(hung) reclaimed %d WGs, want 3", n)
 	}
-	if d.ActiveWGs() != 0 || d.activeMemDemand != 0 || d.activeL2Demand != 0 || d.String() != idle {
-		t.Fatalf("after the kills: %d WGs, DRAM demand %v, L2 demand %v, CUs %s; want an idle device %s",
-			d.ActiveWGs(), d.activeMemDemand, d.activeL2Demand, d, idle)
+	if d.ActiveWGs() != 0 || d.activeMemDemand != 0 || d.String() != idle {
+		t.Fatalf("after the kills: %d WGs, memory demand %v, CUs %s; want an idle device %s",
+			d.ActiveWGs(), d.activeMemDemand, d, idle)
 	}
 	if d.curBatch != nil || running.batches != nil || hung.batches != nil {
 		t.Fatal("a killed batch is still open")

@@ -46,12 +46,6 @@ type KernelDesc struct {
 	// memory. Only this fraction stretches under bandwidth contention.
 	MemIntensity float64
 
-	// L2HitFrac in [0,1] is the fraction of the kernel's memory traffic
-	// served by the L2 cache. Only meaningful when the device's two-level
-	// memory model is enabled (Config.L2BandwidthDemand > 0); ignored
-	// otherwise.
-	L2HitFrac float64
-
 	// InstPerThread approximates the dynamic instruction count per thread,
 	// used by the per-instruction energy model.
 	InstPerThread int
@@ -80,8 +74,6 @@ func (k *KernelDesc) Validate() error {
 		return fmt.Errorf("gpu: kernel %s: BaseWGTime = %v, must be positive", k.Name, k.BaseWGTime)
 	case k.MemIntensity < 0 || k.MemIntensity > 1:
 		return fmt.Errorf("gpu: kernel %s: MemIntensity = %v, must be in [0,1]", k.Name, k.MemIntensity)
-	case k.L2HitFrac < 0 || k.L2HitFrac > 1:
-		return fmt.Errorf("gpu: kernel %s: L2HitFrac = %v, must be in [0,1]", k.Name, k.L2HitFrac)
 	case k.VGPRBytesPerWG < 0 || k.LDSBytesPerWG < 0:
 		return fmt.Errorf("gpu: kernel %s: negative resource footprint", k.Name)
 	case k.InstPerThread < 0:

@@ -34,7 +34,7 @@ func RunFigure3(ctx context.Context, r *Runner) Figure3Result {
 
 	mkKernel := func(name string, dur sim.Time) *gpu.KernelDesc {
 		return &gpu.KernelDesc{
-			Name: name, NumWGs: 1, ThreadsPerWG: cfg.GPU.ThreadsPerCU,
+			Name: name, NumWGs: 1, ThreadsPerWG: gpu.ThreadsPerCU,
 			BaseWGTime: dur, MemIntensity: 0, InstPerThread: 100,
 		}
 	}

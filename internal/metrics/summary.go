@@ -118,8 +118,7 @@ func Summarize(sys *cp.System, scheduler, benchmark, rate string) Summary {
 	s.Fallbacks = rec.Fallbacks
 	s.RetiredCUs = rec.RetiredCUs
 
-	cfg := sys.Device().Config()
-	totalMJ := sys.Device().Energy().TotalMillijoules(s.Makespan, cfg.StaticPowerWatts)
+	totalMJ := sys.Device().Energy().TotalMillijoules(s.Makespan)
 	if s.MetDeadline > 0 {
 		s.EnergyPerSuccessMJ = totalMJ / float64(s.MetDeadline)
 	} else {

@@ -67,11 +67,11 @@ func FuzzCheckedWorkload(f *testing.F) {
 	f.Add([]byte("\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0"))
 	f.Add([]byte("\x07\x2a\x00\x63\x11\x11\x11\x11\x11\x11\x11\x11\x11\x11\x11"))
 
-	cfg, slots := refSystemConfig(f)
+	_, slots := refSystemConfig(f)
 	refCfg := RefConfig{
 		Slots:        slots,
-		ParseStreams: cfg.ParseStreams,
-		ParseLatency: cfg.ParseLatency,
+		ParseStreams: cp.ParseStreams,
+		ParseLatency: cp.ParseLatency,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs := refWorkload(&byteReader{data: data}, slots)

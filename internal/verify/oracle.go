@@ -48,7 +48,8 @@ type RefConfig struct {
 	// Slots is the device's concurrent-WG capacity for the workload's
 	// uniform footprint (gpu.MaxConcurrentWGs of the real config).
 	Slots int
-	// ParseStreams and ParseLatency mirror cp.SystemConfig.
+	// ParseStreams and ParseLatency mirror cp.ParseStreams and
+	// cp.ParseLatency.
 	ParseStreams int
 	ParseLatency sim.Time
 }

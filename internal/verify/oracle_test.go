@@ -127,11 +127,11 @@ func diffResults(t *testing.T, policy string, seed int64, jobs []RefJob, got, wa
 // workload count (≥ 1000 across policies even with -short) is the
 // acceptance bar for this oracle.
 func TestDifferentialOracle(t *testing.T) {
-	cfg, slots := refSystemConfig(t)
+	_, slots := refSystemConfig(t)
 	refCfg := RefConfig{
 		Slots:        slots,
-		ParseStreams: cfg.ParseStreams,
-		ParseLatency: cfg.ParseLatency,
+		ParseStreams: cp.ParseStreams,
+		ParseLatency: cp.ParseLatency,
 	}
 	perPolicy := 500
 	if testing.Short() {

@@ -136,13 +136,8 @@ func calibrate(cfg gpu.Config, s kernelSpec) *gpu.KernelDesc {
 	// Split context between registers (bulk) and LDS, clamped to CU
 	// capacity so every kernel remains schedulable.
 	vgpr := ctxBytesPerWG * 9 / 10
-	lds := ctxBytesPerWG - vgpr
-	if vgpr > cfg.VGPRBytesPerCU {
-		vgpr = cfg.VGPRBytesPerCU
-	}
-	if lds > cfg.LDSBytesPerCU {
-		lds = cfg.LDSBytesPerCU
-	}
+	lds := min(ctxBytesPerWG-vgpr, gpu.LDSBytesPerCU)
+	vgpr = min(vgpr, gpu.VGPRBytesPerCU)
 
 	desc := &gpu.KernelDesc{
 		Name:           s.name,
