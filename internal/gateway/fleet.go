@@ -164,16 +164,18 @@ func (gw *Gateway) Close(ctx context.Context, grace time.Duration) error {
 // extra ticks is wedged, not slow.
 const replayQuiesceTicks = 1000
 
-// Replay drives the fleet through a recorded arrival trace entirely in
-// simulated time; the gateway's clock must be a serve.ManualClock. Each job
-// submits at its own arrival instant, and at 0 and every tick thereafter the
-// clock moves, one probe round runs and hook (may be nil) is called — the
-// autoscaler's Tick, a test's assertions. Arrivals stop at the later of
-// horizon and the last job; the fleet then quiesces for at most
-// replayQuiesceTicks more ticks and the journal is checked. It returns the
-// final instant, and an error for an unknown benchmark or criticality, a
-// wedged fleet or a journal violation. Deterministic for a fixed fleet
-// recipe and trace.
+// Replay drives the fleet through a trace's arrivals entirely in simulated
+// time; the gateway's clock must be a serve.ManualClock. Each job submits at
+// its own arrival instant with its benchmark, deadline and criticality, but
+// not its kernel chain: Submit samples a fresh chain from the gateway's RNG,
+// so a one-node replay need not match harness.Sim.Run on the same trace.
+// At 0 and every tick thereafter the clock moves, one probe round runs and
+// hook (may be nil) is called — the autoscaler's Tick, a test's assertions.
+// Arrivals stop at the later of horizon and the last job; the fleet then
+// quiesces for at most replayQuiesceTicks more ticks and the journal is
+// checked. It returns the final instant, and an error for an unknown
+// benchmark or criticality, a wedged fleet or a journal violation.
+// Deterministic for a fixed fleet recipe and trace.
 func (gw *Gateway) Replay(jobs []*workload.Job, horizon, tick sim.Time, hook func(now sim.Time)) (sim.Time, error) {
 	clock, ok := gw.clock.(*serve.ManualClock)
 	if !ok {

@@ -92,7 +92,7 @@ type WireTrace struct {
 	Met       bool       `json:"met"`
 	FellBack  bool       `json:"fell_back"`
 	SlackUs   float64    `json:"slack_us"`   // deadline − arrival
-	LatencyUs float64    `json:"latency_us"` // finish − arrival
+	LatencyUs float64    `json:"latency_us"` // finish − arrival; 0 until terminal
 	Spans     []WireSpan `json:"spans"`
 }
 
@@ -136,8 +136,10 @@ func (t *JobTrace) Wire(node string) WireTrace {
 		Met:       t.Met,
 		FellBack:  t.FellBack,
 		SlackUs:   us(t.Deadline - t.Arrival),
-		LatencyUs: us(t.Finish - t.Arrival),
 		Spans:     make([]WireSpan, 0, len(t.Spans)),
+	}
+	if t.State != stateNames[stateRunning] {
+		w.LatencyUs = us(t.Finish - t.Arrival)
 	}
 	for _, s := range t.Spans {
 		w.Spans = append(w.Spans, WireSpan{

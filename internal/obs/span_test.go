@@ -252,6 +252,31 @@ func TestTraceRecorderRejectAndCancel(t *testing.T) {
 	}
 }
 
+// TestRunningTraceWiresZeroLatency: a job still running at 5 ms has no
+// finish, so its wired latency is 0 (not 0 − arrival); once it finishes the
+// latency is finish − arrival.
+func TestRunningTraceWiresZeroLatency(t *testing.T) {
+	r := NewTraceRecorder(8)
+	at := 5000 * usT
+	r.Job(JobEvent{At: at, Kind: JobArrive, Job: 0, Benchmark: "LSTM", Deadline: at + 1000*usT})
+	r.Admission(AdmissionDecision{At: at, Job: 0, Accepted: true})
+	r.Job(JobEvent{At: at + usT, Kind: JobReady, Job: 0})
+	r.KernelStart(KernelStart{At: at + 2*usT, Job: 0, Seq: 0, Kernel: "gemm"})
+	tr, ok := r.Get(0)
+	if !ok || tr.State != "running" {
+		t.Fatalf("trace = %+v ok=%v, want a running trace", tr, ok)
+	}
+	if w := tr.Wire("n"); w.LatencyUs != 0 {
+		t.Fatalf("running trace wires latency_us = %v, want 0", w.LatencyUs)
+	}
+	r.KernelDone(KernelDone{At: at + 40*usT, Job: 0, Seq: 0, Kernel: "gemm", Start: at + 2*usT})
+	r.Job(JobEvent{At: at + 40*usT, Kind: JobFinish, Job: 0, Met: true})
+	tr, _ = r.Get(0)
+	if w := tr.Wire("n"); w.LatencyUs != 40 {
+		t.Fatalf("finished trace wires latency_us = %v, want 40", w.LatencyUs)
+	}
+}
+
 func TestTraceRecorderRingEviction(t *testing.T) {
 	r := NewTraceRecorder(2)
 	for id := 0; id < 5; id++ {
