@@ -13,7 +13,7 @@ import (
 )
 
 // feedCleanJob drives one well-formed job lifecycle through the checker.
-func feedCleanJob(c *Checker, id int, base sim.Time) {
+func feedCleanJob(c obs.Probe, id int, base sim.Time) {
 	c.Job(obs.JobEvent{At: base, Kind: obs.JobArrive, Job: id, Deadline: base + 100*sim.Microsecond})
 	c.Admission(obs.AdmissionDecision{At: base, Job: id, Accepted: true})
 	c.Job(obs.JobEvent{At: base + 2*sim.Microsecond, Kind: obs.JobReady, Job: id})
