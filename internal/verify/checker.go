@@ -13,6 +13,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/obs"
@@ -62,18 +63,46 @@ func (v Violation) String() string {
 	return fmt.Sprintf("verify: t=%v rule=%s job=%d: %s", v.At, v.Rule, v.Job, v.Detail)
 }
 
-// jobAcct is the checker's per-job ledger.
+// jobAcct is the checker's ledger for one job. Its counters are int32: a
+// run would need two billion events on one job to overflow one.
 type jobAcct struct {
-	arrives, rejects, readies, finishes, cancels int
-	admissions                                   int
+	arrives, rejects, readies, finishes, cancels int32
+	admissions                                   int32
+	started                                      int32 // distinct kernels started
+	doneCount                                    int32 // distinct kernels completed
 	accepted                                     bool
-	absDeadline                                  sim.Time
 	hasDeadline                                  bool
-	starts                                       map[int]int // per kernel seq
-	dones                                        map[int]int
-	lastStart                                    map[int]sim.Time
-	doneCount                                    int // distinct kernels completed
+	seen                                         bool // some event named the job
+	absDeadline                                  sim.Time
+
+	// kern holds the ledger of kernels 0..len(kern)-1, carved from the
+	// checker's slab; any other seq lives in Checker.farKerns.
+	kern []kernAcct
 }
+
+// kernAcct is the ledger of one kernel of a job's chain.
+type kernAcct struct {
+	starts, dones int32
+	lastStart     sim.Time // the latest start, once starts > 0
+}
+
+// kernKey names a kernel the dense ledger does not hold.
+type kernKey struct{ job, seq int }
+
+// Dense-ledger bounds. A job ID or kernel seq past the dense storage grows
+// it only when it lies within this slack of twice its length (or within
+// the trace or the chain, when those are known), so the storage stays
+// proportional to the events fed; any other ID or seq, and every negative
+// one, goes to a side map.
+const (
+	denseJobSlack  = 64
+	denseKernSlack = 8
+
+	// kernChunk is the kernel slab's chunk size without an attached
+	// system, and maxKernChunk caps the chunk one is sized to.
+	kernChunk    = 256
+	maxKernChunk = 1 << 16
+)
 
 // Checker validates scheduler invariants live during a run. It implements
 // obs.Probe, so it attaches anywhere a probe does (cp.System.SetProbe,
@@ -84,6 +113,11 @@ type jobAcct struct {
 // state (epoch cross-checks, WG conservation, dispatch order, end-of-run
 // accounting). Call Finalize after the run for the end-of-run rules and the
 // first violation as an error.
+//
+// Its ledger is dense: jobs in a slice indexed by job ID, each job's
+// per-kernel counters in a slice indexed by seq, carved from one slab that
+// an attached system's trace sizes. IDs and seqs outside that storage go to
+// side maps, so a hostile stream gets the same verdicts.
 type Checker struct {
 	opt   Options
 	sys   *cp.System
@@ -94,18 +128,31 @@ type Checker struct {
 
 	lastAt  sim.Time
 	sawTime bool
-	jobs    map[int]*jobAcct
+
+	jobs     []jobAcct        // by job ID, for IDs 0..len(jobs)-1
+	farJobs  map[int]*jobAcct // every other ID
+	farKerns map[kernKey]*kernAcct
+	slab     []kernAcct // the unused rest of the kernel slab
+	chunk    int        // kernels per new slab
 }
 
 // New returns a Checker enforcing the given options.
 func New(opt Options) *Checker {
-	return &Checker{opt: opt, jobs: make(map[int]*jobAcct)}
+	return &Checker{opt: opt, chunk: kernChunk}
 }
 
 // Attach gives the checker read access to the running system, enabling the
 // rules that cross-check probe events against live state. Call it before
-// the run starts, with the same system the checker is probing.
-func (c *Checker) Attach(sys *cp.System) { c.sys = sys }
+// the run starts, with the same system the checker is probing. Attaching also sizes the ledger to the system's trace.
+func (c *Checker) Attach(sys *cp.System) {
+	c.sys = sys
+	kernels := 0
+	for _, jr := range sys.Jobs() {
+		kernels += len(jr.Job.Kernels)
+	}
+	c.jobs = make([]jobAcct, 0, len(sys.Jobs()))
+	c.chunk = min(max(kernels, 1), maxKernChunk)
+}
 
 // Checks returns the number of rule evaluations performed so far.
 func (c *Checker) Checks() int64 { return c.checks }
@@ -157,17 +204,106 @@ func (c *Checker) clock(at sim.Time) {
 	c.sawTime = true
 }
 
-func (c *Checker) acct(job int) *jobAcct {
-	a := c.jobs[job]
-	if a == nil {
-		a = &jobAcct{
-			starts:    make(map[int]int),
-			dones:     make(map[int]int),
-			lastStart: make(map[int]sim.Time),
-		}
-		c.jobs[job] = a
+// acct returns the job's ledger, adding it on first sight.
+func (c *Checker) acct(id int) *jobAcct {
+	if uint(id) < uint(len(c.jobs)) {
+		a := &c.jobs[id]
+		a.seen = true
+		return a
 	}
+	if a := c.farJobs[id]; a != nil {
+		return a
+	}
+	if id >= 0 && id < max(cap(c.jobs), 2*len(c.jobs)+denseJobSlack) {
+		c.jobs = append(c.jobs, make([]jobAcct, id+1-len(c.jobs))...)
+		for fid, a := range c.farJobs {
+			if fid >= 0 && fid < len(c.jobs) {
+				c.jobs[fid] = *a
+				delete(c.farJobs, fid)
+			}
+		}
+		a := &c.jobs[id]
+		a.seen = true
+		return a
+	}
+	if c.farJobs == nil {
+		c.farJobs = make(map[int]*jobAcct)
+	}
+	a := &jobAcct{seen: true}
+	c.farJobs[id] = a
 	return a
+}
+
+// ledger returns the job's ledger, or nil if no event named it.
+func (c *Checker) ledger(id int) *jobAcct {
+	if uint(id) < uint(len(c.jobs)) {
+		if a := &c.jobs[id]; a.seen {
+			return a
+		}
+		return nil
+	}
+	return c.farJobs[id]
+}
+
+// kernel returns the ledger of the job's kernel seq, adding it on first
+// sight. A job's dense kernels are carved at its first kernel event, as
+// many as its chain has when the attached system knows it.
+func (c *Checker) kernel(a *jobAcct, job, seq int) *kernAcct {
+	if uint(seq) < uint(len(a.kern)) {
+		return &a.kern[seq]
+	}
+	key := kernKey{job, seq}
+	if k := c.farKerns[key]; k != nil {
+		return k
+	}
+	chain := c.chainLen(job)
+	if seq >= 0 && seq < max(chain, 2*len(a.kern)+denseKernSlack) {
+		n := max(seq+1, chain, 2*len(a.kern))
+		if len(c.slab) < n {
+			c.slab = make([]kernAcct, max(n, c.chunk))
+		}
+		kern := c.slab[:n:n]
+		c.slab = c.slab[n:]
+		copy(kern, a.kern)
+		a.kern = kern
+		for fk, k := range c.farKerns {
+			if fk.job == job && fk.seq >= 0 && fk.seq < n {
+				kern[fk.seq] = *k
+				delete(c.farKerns, fk)
+			}
+		}
+		return &kern[seq]
+	}
+	if c.farKerns == nil {
+		c.farKerns = make(map[kernKey]*kernAcct)
+	}
+	k := new(kernAcct)
+	c.farKerns[key] = k
+	return k
+}
+
+// dones returns how many done events the job's kernel seq has had.
+func (c *Checker) dones(a *jobAcct, job, seq int) int32 {
+	if uint(seq) < uint(len(a.kern)) {
+		return a.kern[seq].dones
+	}
+	if k := c.farKerns[kernKey{job, seq}]; k != nil {
+		return k.dones
+	}
+	return 0
+}
+
+// chainLen returns the job's chain length from the attached system's
+// trace, or 0 when there is none or the ID is not one of its jobs.
+func (c *Checker) chainLen(job int) int {
+	if c.sys == nil {
+		return 0
+	}
+	jobs := c.sys.Jobs()
+	if uint(job) >= uint(len(jobs)) || jobs[job].Job.ID != job {
+		return 0
+	}
+	return len(jobs[job].Job.Kernels)
 }
 
 // Job checks the lifecycle rules: arrive exactly once and first, at most
@@ -197,9 +333,9 @@ func (c *Checker) Job(e obs.JobEvent) {
 			c.violate(e.At, "lifecycle", e.Job,
 				"duplicate terminal: rejects=%d finishes=%d cancels=%d", a.rejects, a.finishes, a.cancels)
 		}
-		if c.fails(a.readies == 0 && len(a.starts) == 0) {
+		if c.fails(a.readies == 0 && a.started == 0) {
 			c.violate(e.At, "lifecycle", e.Job,
-				"rejected job made progress: readies=%d started-kernels=%d", a.readies, len(a.starts))
+				"rejected job made progress: readies=%d started-kernels=%d", a.readies, a.started)
 		}
 	case obs.JobReady:
 		a.readies++
@@ -317,26 +453,30 @@ func (c *Checker) TableRefresh(e obs.TableRefresh) {
 func (c *Checker) KernelStart(e obs.KernelStart) {
 	c.clock(e.At)
 	a := c.acct(e.Job)
+	k := c.kernel(a, e.Job, e.Seq)
 	if c.fails(a.arrives == 1 && a.rejects == 0) {
 		c.violate(e.At, "kernel-sequencing", e.Job,
 			"kernel %d started for a job not accepted", e.Seq)
 	}
 	if !c.opt.AllowStranded {
-		if c.fails(a.starts[e.Seq] == 0) {
+		if c.fails(k.starts == 0) {
 			c.violate(e.At, "kernel-sequencing", e.Job,
 				"kernel %d started twice without fault injection", e.Seq)
 		}
-		if c.fails(e.Seq == a.doneCount) {
+		if c.fails(e.Seq == int(a.doneCount)) {
 			c.violate(e.At, "kernel-sequencing", e.Job,
 				"kernel %d started with %d kernels done", e.Seq, a.doneCount)
 		}
 	}
-	if c.fails(a.dones[e.Seq] == 0) {
+	if c.fails(k.dones == 0) {
 		c.violate(e.At, "kernel-sequencing", e.Job,
 			"kernel %d started after completing", e.Seq)
 	}
-	a.starts[e.Seq]++
-	a.lastStart[e.Seq] = e.At
+	if k.starts == 0 {
+		a.started++
+	}
+	k.starts++
+	k.lastStart = e.At
 	if c.opt.CheckDispatchOrder {
 		c.dispatchOrder(e)
 	}
@@ -375,11 +515,12 @@ func (c *Checker) dispatchOrder(e obs.KernelStart) {
 func (c *Checker) KernelDone(e obs.KernelDone) {
 	c.clock(e.At)
 	a := c.acct(e.Job)
-	if c.fails(a.starts[e.Seq] >= 1) {
+	k := c.kernel(a, e.Job, e.Seq)
+	if c.fails(k.starts >= 1) {
 		c.violate(e.At, "kernel-sequencing", e.Job,
 			"kernel %d done without a start", e.Seq)
 	}
-	if c.fails(a.dones[e.Seq] == 0) {
+	if c.fails(k.dones == 0) {
 		c.violate(e.At, "kernel-sequencing", e.Job,
 			"kernel %d done twice", e.Seq)
 	}
@@ -387,18 +528,16 @@ func (c *Checker) KernelDone(e obs.KernelDone) {
 		c.violate(e.At, "kernel-sequencing", e.Job,
 			"kernel %d done at %v before start %v", e.Seq, e.At, e.Start)
 	}
-	if !c.opt.AllowStranded {
-		if start, ok := a.lastStart[e.Seq]; ok {
-			if c.fails(e.Start == start) {
-				c.violate(e.At, "kernel-sequencing", e.Job,
-					"kernel %d done reports start %v, probed start was %v", e.Seq, e.Start, start)
-			}
+	if !c.opt.AllowStranded && k.starts > 0 {
+		if c.fails(e.Start == k.lastStart) {
+			c.violate(e.At, "kernel-sequencing", e.Job,
+				"kernel %d done reports start %v, probed start was %v", e.Seq, e.Start, k.lastStart)
 		}
 	}
-	if a.dones[e.Seq] == 0 {
+	if k.dones == 0 {
 		a.doneCount++
 	}
-	a.dones[e.Seq]++
+	k.dones++
 	if c.sys != nil {
 		// The probe fires before the chain advances: the head is kernel e.Seq.
 		if jr := c.sys.Job(e.Job); jr != nil {
@@ -418,43 +557,67 @@ func (c *Checker) KernelDone(e obs.KernelDone) {
 // conservation for every completed job, and agreement with the system's
 // own completion/rejection counters — and returns the first violation (from
 // the whole run, not just Finalize) as an error, or nil for a clean run.
+// It walks the jobs in ascending ID order, so the same run always reports
+// the same violations in the same order.
 func (c *Checker) Finalize() error {
 	at := c.lastAt
 	finishes, rejects := 0, 0
-	for id, a := range c.jobs {
-		if a.arrives == 0 {
-			// Ledger rows created by kernel/sample events only; the
-			// missing arrival was already flagged by those rules.
-			continue
-		}
-		finishes += a.finishes
-		rejects += a.rejects
-		if c.fails(a.admissions == 1) {
-			c.violate(at, "no-lost-jobs", id,
-				"job saw %d admission decisions", a.admissions)
-		}
-		terminal := a.finishes + a.rejects + a.cancels
-		if c.opt.AllowStranded {
-			if c.fails(terminal <= 1) {
-				c.violate(at, "no-lost-jobs", id,
-					"job has %d terminal events", terminal)
-			}
-		} else {
-			if c.fails(terminal == 1) {
-				c.violate(at, "no-lost-jobs", id,
-					"job has %d terminal events (finishes=%d rejects=%d cancels=%d)",
-					terminal, a.finishes, a.rejects, a.cancels)
-			}
-			if c.fails(a.accepted == (a.rejects == 0)) {
-				c.violate(at, "no-lost-jobs", id,
-					"admission accepted=%v but rejects=%d", a.accepted, a.rejects)
-			}
-		}
+	far := make([]int, 0, len(c.farJobs))
+	for id := range c.farJobs {
+		far = append(far, id)
+	}
+	slices.Sort(far)
+	neg, _ := slices.BinarySearch(far, 0)
+	tally := func(id int, a *jobAcct) {
+		f, r := c.finalizeJob(at, id, a)
+		finishes += f
+		rejects += r
+	}
+	for _, id := range far[:neg] {
+		tally(id, c.farJobs[id])
+	}
+	for id := range c.jobs {
+		tally(id, &c.jobs[id])
+	}
+	for _, id := range far[neg:] {
+		tally(id, c.farJobs[id])
 	}
 	if c.sys != nil {
 		c.finalizeSystem(at, finishes, rejects)
 	}
 	return c.latch.Err()
+}
+
+// finalizeJob runs the per-job end-of-run rules and returns the job's
+// finish and reject counts.
+func (c *Checker) finalizeJob(at sim.Time, id int, a *jobAcct) (finishes, rejects int) {
+	if a.arrives == 0 {
+		// Never seen, or ledger rows created by kernel/sample events
+		// only; the missing arrival was already flagged by those rules.
+		return 0, 0
+	}
+	if c.fails(a.admissions == 1) {
+		c.violate(at, "no-lost-jobs", id,
+			"job saw %d admission decisions", a.admissions)
+	}
+	terminal := a.finishes + a.rejects + a.cancels
+	if c.opt.AllowStranded {
+		if c.fails(terminal <= 1) {
+			c.violate(at, "no-lost-jobs", id,
+				"job has %d terminal events", terminal)
+		}
+	} else {
+		if c.fails(terminal == 1) {
+			c.violate(at, "no-lost-jobs", id,
+				"job has %d terminal events (finishes=%d rejects=%d cancels=%d)",
+				terminal, a.finishes, a.rejects, a.cancels)
+		}
+		if c.fails(a.accepted == (a.rejects == 0)) {
+			c.violate(at, "no-lost-jobs", id,
+				"admission accepted=%v but rejects=%d", a.accepted, a.rejects)
+		}
+	}
+	return int(a.finishes), int(a.rejects)
 }
 
 // finalizeSystem cross-checks the probe-side ledger against the system's
@@ -470,7 +633,7 @@ func (c *Checker) finalizeSystem(at sim.Time, finishes, rejects int) {
 			"system rejected %d jobs, probe saw %d rejects", sys.RejectedCount(), rejects)
 	}
 	for _, jr := range sys.Jobs() {
-		a := c.jobs[jr.Job.ID]
+		a := c.ledger(jr.Job.ID)
 		if c.fails(a != nil && a.arrives == 1) {
 			c.violate(at, "no-lost-jobs", jr.Job.ID,
 				"job in trace never arrived at the probe")
@@ -488,9 +651,9 @@ func (c *Checker) finalizeSystem(at sim.Time, finishes, rejects int) {
 			}
 			if a != nil {
 				for seq := range jr.Job.Kernels {
-					if c.fails(a.dones[seq] == 1) {
+					if n := c.dones(a, jr.Job.ID, seq); c.fails(n == 1) {
 						c.violate(at, "wg-conservation", jr.Job.ID,
-							"done job: kernel %d has %d done events", seq, a.dones[seq])
+							"done job: kernel %d has %d done events", seq, n)
 					}
 				}
 			}

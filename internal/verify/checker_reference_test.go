@@ -21,8 +21,9 @@ import (
 // refChecker is the Checker with a ledger of per-job maps, kept as the
 // reference TestCheckerMatchesReference and FuzzCheckerMatchesReference hold
 // the production checker to: same violations in the same order, same check
-// count, same dropped count, same first error. Only identifiers differ from
-// the code it was copied from.
+// count, same dropped count, same first error. It differs from the code it
+// was copied from only in identifiers and in Finalize walking its jobs in
+// ascending ID order, where the copy walked its map in map order.
 
 // refJobAcct is the checker's per-job ledger.
 type refJobAcct struct {
@@ -383,7 +384,13 @@ func (c *refChecker) KernelDone(e obs.KernelDone) {
 func (c *refChecker) Finalize() error {
 	at := c.lastAt
 	finishes, rejects := 0, 0
-	for id, a := range c.jobs {
+	ids := make([]int, 0, len(c.jobs))
+	for id := range c.jobs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		a := c.jobs[id]
 		if a.arrives == 0 {
 			// Ledger rows created by kernel/sample events only; the
 			// missing arrival was already flagged by those rules.
@@ -487,16 +494,9 @@ func newCheckerPair(opt Options, sys *cp.System) *checkerPair {
 func (p *checkerPair) probe() obs.Probe { return obs.Multi(p.got, p.want) }
 
 // finalizeAndMatch finalizes both checkers and fails t unless they agree
-// on Violations, Checks, Dropped and Err. The map-based ledger walks its
-// jobs in map order at Finalize, so the violations Finalize adds compare as
-// a multiset, and the first error they latch only against its own ledger.
+// on Violations, Checks, Dropped and Err.
 func (p *checkerPair) finalizeAndMatch(t *testing.T, name string) {
 	t.Helper()
-	pre, preDropped, preErr := len(p.got.Violations()), p.got.Dropped(), p.got.Err()
-	if n := len(p.want.Violations()); n != pre || p.want.Dropped() != preDropped {
-		t.Fatalf("%s: before Finalize got %d violations (%d dropped), reference %d (%d)",
-			name, pre, preDropped, n, p.want.Dropped())
-	}
 	gotErr, wantErr := p.got.Finalize(), p.want.Finalize()
 	if p.got.Checks() != p.want.Checks() {
 		t.Errorf("%s: %d checks, reference %d", name, p.got.Checks(), p.want.Checks())
@@ -504,36 +504,11 @@ func (p *checkerPair) finalizeAndMatch(t *testing.T, name string) {
 	if p.got.Dropped() != p.want.Dropped() {
 		t.Errorf("%s: %d dropped, reference %d", name, p.got.Dropped(), p.want.Dropped())
 	}
-	gv, wv := p.got.Violations(), p.want.Violations()
-	if len(gv) != len(wv) {
-		t.Fatalf("%s: %d violations, reference %d:\n got %v\nwant %v", name, len(gv), len(wv), gv, wv)
+	if g, w := violationStrings(p.got.Violations()), violationStrings(p.want.Violations()); !slices.Equal(g, w) {
+		t.Errorf("%s: violations differ:\n got %q\nwant %q", name, g, w)
 	}
-	for i := range pre {
-		if gv[i] != wv[i] {
-			t.Errorf("%s: violation %d is %v, reference %v", name, i, gv[i], wv[i])
-		}
-	}
-	if p.got.Dropped() == preDropped {
-		// Every Finalize violation was recorded on both sides.
-		g, w := violationStrings(gv[pre:]), violationStrings(wv[pre:])
-		slices.Sort(g)
-		slices.Sort(w)
-		if !slices.Equal(g, w) {
-			t.Errorf("%s: Finalize violations differ:\n got %q\nwant %q", name, g, w)
-		}
-	}
-	if (gotErr == nil) != (wantErr == nil) || gotErr != p.got.Err() || wantErr != p.want.Err() {
-		t.Fatalf("%s: Finalize returned %v (Err %v), reference %v (Err %v)", name, gotErr, p.got.Err(), wantErr, p.want.Err())
-	}
-	switch {
-	case preErr != nil:
-		if gotErr.Error() != wantErr.Error() {
-			t.Errorf("%s: Err %q, reference %q", name, gotErr, wantErr)
-		}
-	case gotErr != nil && pre < DefaultMaxViolations:
-		if gotErr.Error() != gv[pre].String() || wantErr.Error() != wv[pre].String() {
-			t.Errorf("%s: Err is not the first Finalize violation: %q / %q", name, gotErr, wantErr)
-		}
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotErr != p.got.Err() || wantErr != p.want.Err() {
+		t.Errorf("%s: Finalize returned %v (Err %v), reference %v (Err %v)", name, gotErr, p.got.Err(), wantErr, p.want.Err())
 	}
 }
 

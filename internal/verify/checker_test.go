@@ -69,6 +69,108 @@ func TestCheckerPassingChecksDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestCheckerLedgerAllocsPerJob: the ledger allocates per job at most once,
+// never per kernel. Unattached, a job's kernels are carved from a shared
+// slab as they appear: 256 clean jobs allocate at most 256 times whether
+// each runs 4 kernels or 64. Attached, the trace sizes one slab: a checked
+// LAX run allocates at most one more time per job than the same run
+// unchecked, on a short chain (IPV6) and a long one (LSTM).
+func TestCheckerLedgerAllocsPerJob(t *testing.T) {
+	const jobs = 256
+	for _, kernels := range []int{4, 64} {
+		allocs := testing.AllocsPerRun(3, func() {
+			c := New(Options{})
+			for id := range jobs {
+				at := sim.Time(id) * sim.Millisecond
+				c.Job(obs.JobEvent{At: at, Kind: obs.JobArrive, Job: id, Deadline: at + sim.Second})
+				c.Admission(obs.AdmissionDecision{At: at, Job: id, Accepted: true})
+				for seq := range kernels {
+					c.KernelStart(obs.KernelStart{At: at, Job: id, Seq: seq})
+					c.KernelDone(obs.KernelDone{At: at, Job: id, Seq: seq, Start: at})
+				}
+				c.Job(obs.JobEvent{At: at, Kind: obs.JobFinish, Job: id, Met: true})
+			}
+			if err := c.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > jobs {
+			t.Errorf("%d jobs of %d kernels allocated %v times, want <= %d", jobs, kernels, allocs, jobs)
+		}
+		t.Logf("unattached, %d jobs of %d kernels: %v allocations", jobs, kernels, allocs)
+	}
+
+	cfg := cp.DefaultSystemConfig()
+	lib := workload.NewLibrary(cfg.GPU)
+	for _, bench := range []string{"IPV6", "LSTM"} {
+		b, err := workload.FindBenchmark(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := b.Generate(lib, workload.HighRate, 128, 1)
+		run := func(checked bool) float64 {
+			return testing.AllocsPerRun(1, func() {
+				pol, err := sched.New("LAX")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := cp.NewSystem(cfg, set, pol)
+				if checked {
+					c := New(OptionsFor("LAX", pol, cfg, false))
+					c.Attach(sys)
+					sys.SetProbe(c)
+					defer func() {
+						if err := c.Finalize(); err != nil {
+							t.Fatal(err)
+						}
+					}()
+				}
+				sys.Run()
+			})
+		}
+		bare, checked := run(false), run(true)
+		if extra := checked - bare; extra > float64(len(set.Jobs)) {
+			t.Errorf("checked LAX/%s run: %v allocations, unchecked %v; want at most one more per job (%d jobs)",
+				bench, checked, bare, len(set.Jobs))
+		}
+		t.Logf("LAX/%s/high/%d: %v allocations checked, %v unchecked", bench, len(set.Jobs), checked, bare)
+	}
+}
+
+// TestCheckerFinalizeOrderIsDeterministic: eight jobs the run lost are eight
+// Finalize-time violations, reported in ascending job order, so the same
+// stream latches the same first error every time.
+func TestCheckerFinalizeOrderIsDeterministic(t *testing.T) {
+	const lost = 8
+	var first string
+	for run := range 50 {
+		c := New(Options{})
+		for id := range lost {
+			at := sim.Time(id) * sim.Microsecond
+			c.Job(obs.JobEvent{At: at, Kind: obs.JobArrive, Job: id, Deadline: at + sim.Millisecond})
+			c.Admission(obs.AdmissionDecision{At: at, Job: id, Accepted: true})
+		}
+		err := c.Finalize()
+		if err == nil {
+			t.Fatal("lost jobs not flagged")
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d latched %q, run 0 %q", run, err, first)
+		}
+		vs := c.Violations()
+		if len(vs) != lost {
+			t.Fatalf("run %d: %d violations, want %d: %v", run, len(vs), lost, vs)
+		}
+		for i, v := range vs {
+			if v.Job != i {
+				t.Fatalf("run %d: violation %d is job %d, want job %d: %v", run, i, v.Job, i, vs)
+			}
+		}
+	}
+}
+
 func wantRule(t *testing.T, c *Checker, rule string) {
 	t.Helper()
 	vs := c.Violations()
