@@ -180,8 +180,9 @@ func (r *Runner) RunContext(ctx context.Context, schedName, benchName string, ra
 		}
 		sum := metrics.Summarize(sys, schedName, benchName, rate.String())
 		// Only the summary leaves this cell, so the system goes back for the
-		// next cell to be built in. Every other path hands its system to a
-		// caller and so never releases it.
+		// next cell to be built in. RunSystem hands its system to its caller,
+		// who releases it only if it alone holds it (laxgpu's
+		// Session.simulate does); every other caller keeps it.
 		sys.Release()
 		return sum, nil
 	})

@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
+
+	"laxgpu/internal/sim"
 )
 
 // Perfetto process IDs: one synthetic process groups the per-queue kernel
@@ -25,31 +28,41 @@ const (
 	rowProcess    rowKind = iota // "M" process_name; job is the pid
 	rowQueueName                 // "M" thread_name "queue <tid>"
 	rowLaxityName                // "M" thread_name "laxity job <job>"
-	rowJob                       // "i" lifecycle marker; seq is the JobEventKind, t[1] the deadline
-	rowAdmission                 // "i" Algorithm 1 verdict; t[1:4] deadline, hold, queue delay
-	rowLaxity                    // "C" laxity counter; t[1] the laxity
-	rowKernel                    // "X" kernel span; t[1] the duration
+	rowJob                       // "i" lifecycle marker; seq is the JobEventKind, ns[1] the deadline
+	rowAdmission                 // "i" Algorithm 1 verdict; ns[1:4] deadline, hold, queue delay
+	rowLaxity                    // "C" laxity counter; ns[1] the laxity
+	rowKernel                    // "X" kernel span; ns[1] the duration
 	rowNodeName                  // "M" thread_name <str> on the fleet process
 	rowFleet                     // "i" fleet event on node <str>; strs[seq:] name, detail
 	rowTraceName                 // "M" thread_name "job <str> (<strs[seq]>)"
-	rowSpan                      // "X" (flag) or "i" wire span <str>; t[1] the duration; strs[seq:] kind, node, detail
+	rowSpan                      // "X" (flag) or "i" wire span <str>; us[1] the duration; strs[seq:] kind, node, detail
 )
 
 // row is one recorded trace event: fixed-size and holding one string, so a
-// probe callback costs an append into the current chunk. Times are
-// microseconds; t[0] is the event's ts.
+// probe callback costs an append into the current chunk. A probe row keeps
+// its times as the integer nanoseconds it was given (ns[0] is its ts); an
+// export-time row (rowFleet, rowSpan) keeps the float microseconds it was
+// given (us[0] is its ts).
 type row struct {
 	kind rowKind
 	flag bool // met (rowJob), accepted (rowAdmission), complete (rowSpan)
 	job  int
 	tid  int
 	seq  int
-	t    [4]float64
+	ns   [4]sim.Time
+	us   [2]float64
 	str  string // kernel, node or span name
 }
 
 // rowsPerChunk rows share one allocation; chunks are never copied.
 const rowsPerChunk = 512
+
+// rowChunks recycles the chunks of released recorders, and writeBufs the
+// buffer Write renders into. A sync.Pool keeps neither past two GC cycles.
+var (
+	rowChunks = sync.Pool{New: func() any { return new([rowsPerChunk]row) }}
+	writeBufs = sync.Pool{New: func() any { b := make([]byte, 0, flushBytes+flushBytes/4); return &b }}
+)
 
 // flushBytes is the size Write fills its buffer to before handing it to w.
 const flushBytes = 32 << 10
@@ -80,15 +93,28 @@ type Perfetto struct {
 func NewPerfetto() *Perfetto { return &Perfetto{} }
 
 // add appends a zeroed row of the given kind and returns it to fill in.
+// Chunks come from rowChunks, so a row may hold a released recorder's
+// event until add zeroes it.
 func (p *Perfetto) add(kind rowKind) *row {
 	i := p.n % rowsPerChunk
 	if i == 0 {
-		p.chunks = append(p.chunks, new([rowsPerChunk]row))
+		p.chunks = append(p.chunks, rowChunks.Get().(*[rowsPerChunk]row))
 	}
 	p.n++
 	r := &p.chunks[len(p.chunks)-1][i]
-	r.kind = kind
+	*r = row{kind: kind}
 	return r
+}
+
+// Release hands the recorder's rows back for a later recorder to reuse and
+// empties it. Call it only when nothing will read the recorder again: once
+// its run is over and its trace written, by the recorder's one owner.
+func (p *Perfetto) Release() {
+	for i, c := range p.chunks {
+		rowChunks.Put(c)
+		p.chunks[i] = nil
+	}
+	*p = Perfetto{}
 }
 
 // header lazily emits the process-naming metadata once.
@@ -116,7 +142,7 @@ func (p *Perfetto) Job(e JobEvent) {
 	p.queueTrack(e.Queue)
 	r := p.add(rowJob)
 	r.job, r.tid, r.seq, r.flag = e.Job, e.Queue, int(e.Kind), e.Met
-	r.t[0], r.t[1] = us(e.At), us(e.Deadline)
+	r.ns[0], r.ns[1] = e.At, e.Deadline
 }
 
 // Admission implements Probe: rejected jobs with computed terms get a
@@ -128,7 +154,7 @@ func (p *Perfetto) Admission(e AdmissionDecision) {
 	p.header()
 	r := p.add(rowAdmission)
 	r.job, r.flag = e.Job, e.Accepted
-	r.t = [4]float64{us(e.At), us(e.Deadline), us(e.HoldTime), us(e.QueueDelay)}
+	r.ns = [4]sim.Time{e.At, e.Deadline, e.HoldTime, e.QueueDelay}
 }
 
 // Epoch implements Probe (no events; epochs show through samples).
@@ -145,7 +171,7 @@ func (p *Perfetto) Sample(e JobSample) {
 	}
 	r := p.add(rowLaxity)
 	r.job = e.Job
-	r.t[0], r.t[1] = us(e.At), us(e.Laxity)
+	r.ns[0], r.ns[1] = e.At, e.Laxity
 }
 
 // TableRefresh implements Probe (aggregated by Metrics, not drawn).
@@ -161,7 +187,7 @@ func (p *Perfetto) KernelDone(e KernelDone) {
 	p.queueTrack(e.Queue)
 	r := p.add(rowKernel)
 	r.job, r.tid, r.seq, r.str = e.Job, e.Queue, e.Seq, e.Kernel
-	r.t[0], r.t[1] = us(e.Start), us(e.At-e.Start)
+	r.ns[0], r.ns[1] = e.Start, e.At-e.Start
 }
 
 // Events returns the number of buffered trace events.
@@ -169,9 +195,9 @@ func (p *Perfetto) Events() int { return p.n }
 
 // Write serializes the buffered trace as Chrome trace-event JSON: events in
 // emission order, args keys sorted, numbers and strings in encoding/json's
-// form. It renders into one buffer, handed to w every flushBytes. A time
-// JSON cannot carry (NaN or ±Inf, from an export-time event) fails Write
-// before anything is written.
+// form. It renders into one pooled buffer, handed to w every flushBytes. A
+// time JSON cannot carry (NaN or ±Inf, from an export-time event) fails
+// Write before anything is written.
 func (p *Perfetto) Write(w io.Writer) error {
 	if p.err != nil {
 		return p.err
@@ -180,7 +206,19 @@ func (p *Perfetto) Write(w io.Writer) error {
 		_, err := io.WriteString(w, "{\"traceEvents\":null,\"displayTimeUnit\":\"ms\"}\n")
 		return err
 	}
-	b := make([]byte, 0, flushBytes+flushBytes/4)
+	buf := writeBufs.Get().(*[]byte)
+	b, err := p.render(w, (*buf)[:0])
+	if cap(b) <= 4*flushBytes {
+		// A row with a huge string grew b past this: let that one go.
+		*buf = b[:0]
+		writeBufs.Put(buf)
+	}
+	return err
+}
+
+// render renders the trace into b, handing b to w every flushBytes, and
+// returns b for reuse.
+func (p *Perfetto) render(w io.Writer, b []byte) ([]byte, error) {
 	b = append(b, `{"traceEvents":[`...)
 	for i := range p.n {
 		if i > 0 {
@@ -189,14 +227,14 @@ func (p *Perfetto) Write(w io.Writer) error {
 		b = p.appendRow(b, &p.chunks[i/rowsPerChunk][i%rowsPerChunk])
 		if len(b) >= flushBytes {
 			if _, err := w.Write(b); err != nil {
-				return err
+				return b, err
 			}
 			b = b[:0]
 		}
 	}
 	b = append(b, "],\"displayTimeUnit\":\"ms\"}\n"...)
 	_, err := w.Write(b)
-	return err
+	return b, err
 }
 
 // WriteFile writes the trace to a new file at path (laxgw and laxtrace
@@ -228,27 +266,27 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 	b = append(b, `{"name":`...)
 	switch r.kind {
 	case rowProcess:
-		b = appendMeta(b, "process_name", r.job, 0)
+		b = appendMeta(b, r, "process_name", r.job, 0)
 		b = appendString(b, processNames[r.job])
 
 	case rowQueueName:
-		b = appendMeta(b, "thread_name", pidQueues, r.tid)
+		b = appendMeta(b, r, "thread_name", pidQueues, r.tid)
 		b = append(b, `"queue `...)
 		b = strconv.AppendInt(b, int64(r.tid), 10)
 		b = append(b, '"')
 
 	case rowLaxityName:
-		b = appendMeta(b, "thread_name", pidLaxity, r.job)
+		b = appendMeta(b, r, "thread_name", pidLaxity, r.job)
 		b = append(b, `"laxity job `...)
 		b = strconv.AppendInt(b, int64(r.job), 10)
 		b = append(b, '"')
 
 	case rowNodeName:
-		b = appendMeta(b, "thread_name", pidFleet, r.tid)
+		b = appendMeta(b, r, "thread_name", pidFleet, r.tid)
 		b = appendString(b, r.str)
 
 	case rowTraceName:
-		b = appendMeta(b, "thread_name", pidJobs, r.tid)
+		b = appendMeta(b, r, "thread_name", pidJobs, r.tid)
 		b = appendJoined(b, "job ", r.str, " (", p.strs[r.seq], ")")
 
 	case rowJob:
@@ -262,11 +300,11 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		if tid < 0 {
 			tid, scope = 0, `,"cat":"job","s":"g","args":{`
 		}
-		b = appendHead(b, "i", r.t[0], 0, pidQueues, tid)
+		b = r.appendHead(b, "i", pidQueues, tid)
 		b = append(b, scope...)
 		if kind == JobArrive {
 			b = append(b, `"deadline_us":`...)
-			b = appendFloat(b, r.t[1])
+			b = appendMicros(b, r.ns[1])
 			b = append(b, ',')
 		}
 		b = append(b, `"job":`...)
@@ -284,25 +322,25 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		} else {
 			b = append(b, `: reject"`...)
 		}
-		b = appendHead(b, "i", r.t[0], 0, pidQueues, 0)
+		b = r.appendHead(b, "i", pidQueues, 0)
 		b = append(b, `,"cat":"admission","s":"g","args":{"deadline_us":`...)
-		b = appendFloat(b, r.t[1])
+		b = appendMicros(b, r.ns[1])
 		b = append(b, `,"hold_us":`...)
-		b = appendFloat(b, r.t[2])
+		b = appendMicros(b, r.ns[2])
 		b = append(b, `,"queue_delay_us":`...)
-		b = appendFloat(b, r.t[3])
+		b = appendMicros(b, r.ns[3])
 
 	case rowLaxity:
 		b = append(b, `"laxity job `...)
 		b = strconv.AppendInt(b, int64(r.job), 10)
 		b = append(b, '"')
-		b = appendHead(b, "C", r.t[0], 0, pidLaxity, r.job)
+		b = r.appendHead(b, "C", pidLaxity, r.job)
 		b = append(b, `,"args":{"laxity_us":`...)
-		b = appendFloat(b, r.t[1])
+		b = appendMicros(b, r.ns[1])
 
 	case rowKernel:
 		b = appendString(b, r.str)
-		b = appendHead(b, "X", r.t[0], r.t[1], pidQueues, r.tid)
+		b = r.appendHead(b, "X", pidQueues, r.tid)
 		b = append(b, `,"cat":"kernel","args":{"job":`...)
 		b = strconv.AppendInt(b, int64(r.job), 10)
 		b = append(b, `,"seq":`...)
@@ -311,7 +349,7 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 	case rowFleet:
 		name, detail := p.strs[r.seq], p.strs[r.seq+1]
 		b = appendJoined(b, name, " ", detail)
-		b = appendHead(b, "i", r.t[0], 0, pidFleet, r.tid)
+		b = r.appendHead(b, "i", pidFleet, r.tid)
 		b = append(b, `,"cat":"fleet","s":"t","args":{"event":`...)
 		b = appendString(b, name)
 		b = append(b, `,"node":`...)
@@ -321,9 +359,9 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 		cat, node, detail := p.strs[r.seq], p.strs[r.seq+1], p.strs[r.seq+2]
 		b = appendString(b, r.str)
 		if r.flag {
-			b = appendHead(b, "X", r.t[0], r.t[1], pidJobs, r.tid)
+			b = r.appendHead(b, "X", pidJobs, r.tid)
 		} else {
-			b = appendHead(b, "i", r.t[0], 0, pidJobs, r.tid)
+			b = r.appendHead(b, "i", pidJobs, r.tid)
 		}
 		if cat != "" {
 			b = append(b, `,"cat":`...)
@@ -346,29 +384,65 @@ func (p *Perfetto) appendRow(b []byte, r *row) []byte {
 
 // appendMeta appends a metadata event's name and fields up to its one
 // argument's value: the track or process name, which the caller appends.
-func appendMeta(b []byte, what string, pid, tid int) []byte {
+func appendMeta(b []byte, r *row, what string, pid, tid int) []byte {
 	b = append(b, '"')
 	b = append(b, what...)
 	b = append(b, '"')
-	b = appendHead(b, "M", 0, 0, pid, tid)
+	b = r.appendHead(b, "M", pid, tid)
 	return append(b, `,"args":{"name":`...)
 }
 
-// appendHead appends the fields between name and cat: ph, ts, a non-zero
-// dur, pid and tid.
-func appendHead(b []byte, ph string, ts, dur float64, pid, tid int) []byte {
+// appendHead appends the fields between name and cat: ph, the row's ts, for
+// a span ("X") its duration when non-zero, pid and tid.
+func (r *row) appendHead(b []byte, ph string, pid, tid int) []byte {
 	b = append(b, `,"ph":"`...)
 	b = append(b, ph...)
 	b = append(b, `","ts":`...)
-	b = appendFloat(b, ts)
-	if dur != 0 {
+	b = r.appendTime(b, 0)
+	if ph == "X" && (r.ns[1] != 0 || r.us[1] != 0) {
 		b = append(b, `,"dur":`...)
-		b = appendFloat(b, dur)
+		b = r.appendTime(b, 1)
 	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
 	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// appendTime appends the row's i-th time in microseconds.
+func (r *row) appendTime(b []byte, i int) []byte {
+	if r.kind == rowFleet || r.kind == rowSpan {
+		return appendFloat(b, r.us[i])
+	}
+	return appendMicros(b, r.ns[i])
+}
+
+// appendMicros appends n nanoseconds as microseconds, the bytes
+// appendFloat(float64(n)/1000) appends, with integer arithmetic: the
+// integer part, then '.' and up to three digits with trailing zeros
+// trimmed. Below 10^15 ns the quotient has at most 15 significant digits,
+// which a float64 holds exactly and its shortest rendering gives back;
+// from there on (MinInt64 included) it defers to appendFloat.
+func appendMicros(b []byte, n sim.Time) []byte {
+	if n <= -1e15 || n >= 1e15 {
+		return appendFloat(b, float64(n)/float64(sim.Microsecond))
+	}
+	if n < 0 {
+		b = append(b, '-')
+		n = -n
+	}
+	b = strconv.AppendInt(b, int64(n/sim.Microsecond), 10)
+	frac := n % sim.Microsecond
+	if frac == 0 {
+		return b
+	}
+	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
+	k := len(digits)
+	for digits[k-1] == '0' {
+		k--
+	}
+	b = append(b, '.')
+	return append(b, digits[:k]...)
 }
 
 // appendFloat formats a finite f as encoding/json does: the shortest 'f'

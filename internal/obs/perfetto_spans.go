@@ -42,7 +42,7 @@ func (p *Perfetto) AddFleetEvents(evs []FleetEvent) {
 	for _, e := range evs {
 		tid := p.fleetTrack(e.Node)
 		r := p.add(rowFleet)
-		r.tid, r.str, r.seq, r.t[0] = tid, e.Node, len(p.strs), e.AtUs
+		r.tid, r.str, r.seq, r.us[0] = tid, e.Node, len(p.strs), e.AtUs
 		p.strs = append(p.strs, e.Name, e.Detail)
 		p.checkFloat(e.AtUs)
 	}
@@ -63,12 +63,12 @@ func (p *Perfetto) AddWireTrace(t WireTrace) {
 	p.strs = append(p.strs, t.Benchmark)
 	for _, s := range t.Spans {
 		r := p.add(rowSpan)
-		r.tid, r.str, r.seq, r.t[0] = p.traceTid, s.Name, len(p.strs), s.StartUs
+		r.tid, r.str, r.seq, r.us[0] = p.traceTid, s.Name, len(p.strs), s.StartUs
 		p.strs = append(p.strs, s.Kind, s.Node, s.Detail)
 		p.checkFloat(s.StartUs)
 		if s.EndUs > s.StartUs {
-			r.flag, r.t[1] = true, s.EndUs-s.StartUs
-			p.checkFloat(r.t[1])
+			r.flag, r.us[1] = true, s.EndUs-s.StartUs
+			p.checkFloat(r.us[1])
 		}
 	}
 }

@@ -2,7 +2,11 @@ package obs
 
 import (
 	"io"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"laxgpu/internal/sim"
 )
@@ -30,7 +34,9 @@ func perfettoJob(p *Perfetto, id int) {
 // TestPerfettoRecordAllocs: a probe callback appends one row into the
 // current 512-row chunk, so recording costs at most one allocation per 256
 // events in steady state; and Write renders into one reused buffer, so
-// writing 10 000 escape-free events allocates no more than writing 1 000.
+// writing 10 000 escape-free events allocates no more than writing 1 000;
+// and a recorder released after its run hands its chunks to the next, which
+// records the same run without allocating a chunk.
 func TestPerfettoRecordAllocs(t *testing.T) {
 	p := NewPerfetto()
 	id := 0
@@ -69,6 +75,58 @@ func TestPerfettoRecordAllocs(t *testing.T) {
 		t.Errorf("Write allocates %v times for 10 000 events, %v for 1 000; want the same, at most 2", large, small)
 	}
 	t.Logf("record: %v allocations for %d events; Write: %v allocations for 10 000 events", allocs, events, large)
+
+	// A recycled run: a recorder released after its run hands its chunks to
+	// the next, which records the same run without allocating a chunk.
+	if raceEnabled {
+		t.Log("recycled case skipped: the race detector's sync.Pool drops a random quarter of what is put in it")
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a Put lands in this P's pool
+	run := func() *Perfetto {
+		p := NewPerfetto()
+		for id := range jobs {
+			perfettoJob(p, id)
+		}
+		return p
+	}
+	run().Release()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	p = run()
+	runtime.ReadMemStats(&m1)
+	p.Release()
+	chunk := unsafe.Sizeof([rowsPerChunk]row{})
+	if bytes := m1.TotalAlloc - m0.TotalAlloc; bytes >= uint64(chunk) {
+		t.Errorf("a recycled %d-event run allocated %d B, at least a chunk's %d", 13*jobs, bytes, chunk)
+	}
+	t.Logf("recycled run: %d allocations, %d B for %d events", m1.Mallocs-m0.Mallocs,
+		m1.TotalAlloc-m0.TotalAlloc, 13*jobs)
+}
+
+// TestAppendMicrosMatchesFloat holds appendMicros to what the exporter
+// rendered before probe rows kept integer nanoseconds:
+// appendFloat(float64(n)/1000), at the edges of its fast path and at 2 000
+// random n of each bit width, both signs.
+func TestAppendMicrosMatchesFloat(t *testing.T) {
+	ns := []sim.Time{0, 1, -1, 999, -999, 1000, -1000, 1001, 10, 100, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+		1e15 + 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	rng := rand.New(rand.NewSource(1))
+	for width := 1; width <= 63; width++ {
+		lo := int64(1) << (width - 1)
+		for range 2000 {
+			n := sim.Time(lo | rng.Int63n(lo))
+			ns = append(ns, n, -n)
+		}
+	}
+	var got, want []byte
+	for _, n := range ns {
+		got = appendMicros(got[:0], n)
+		want = appendFloat(want[:0], float64(n)/float64(sim.Microsecond))
+		if string(got) != string(want) {
+			t.Fatalf("appendMicros(%d) = %s, appendFloat gives %s", n, got, want)
+		}
+	}
 }
 
 // BenchmarkPerfettoWrite is the cost of rendering a 1 000-job LAX-shaped

@@ -593,6 +593,25 @@ var checkerStreams = []struct {
 		p.Job(obs.JobEvent{At: 0, Kind: obs.JobArrive, Job: 0, Deadline: 1000})
 		p.Admission(obs.AdmissionDecision{At: 0, Job: 0, Accepted: true})
 	}},
+	{"rejected-job-made-progress", Options{AllowStranded: true}, func(p obs.Probe) {
+		p.Job(obs.JobEvent{At: 0, Kind: obs.JobArrive, Job: 0, Deadline: 1000})
+		p.KernelStart(obs.KernelStart{At: 1, Job: 0, Seq: 0})
+		p.KernelStart(obs.KernelStart{At: 2, Job: 0, Seq: 0})
+		p.KernelStart(obs.KernelStart{At: 3, Job: 0, Seq: 1})
+		p.Job(obs.JobEvent{At: 4, Kind: obs.JobReject, Job: 0})
+	}},
+	{"far-ids-and-seqs", Options{}, func(p obs.Probe) {
+		for _, id := range []int{-3, 1 << 40, 70, 5, math.MaxInt, 0} {
+			for _, seq := range []int{-1, 1000, 0, 1, 40, math.MinInt} {
+				p.KernelStart(obs.KernelStart{At: 1, Job: id, Seq: seq})
+				p.KernelDone(obs.KernelDone{At: 2, Job: id, Seq: seq, Start: 1})
+			}
+			p.Job(obs.JobEvent{At: 3, Kind: obs.JobArrive, Job: id, Deadline: 10})
+			p.Admission(obs.AdmissionDecision{At: 3, Job: id, Accepted: id > 0})
+			p.KernelStart(obs.KernelStart{At: 4, Job: id, Seq: 1000})
+			p.Job(obs.JobEvent{At: 5, Kind: obs.JobFinish, Job: id, Met: true})
+		}
+	}},
 	{"eight-lost-jobs", Options{}, func(p obs.Probe) { feedLostJobs(p, 8) }},
 	{"lost-jobs-past-the-cap", Options{}, func(p obs.Probe) { feedLostJobs(p, DefaultMaxViolations+5) }},
 	{"max-violations", Options{}, func(p obs.Probe) {

@@ -205,7 +205,10 @@ func (s *Session) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	var pf *obs.Perfetto
 	if o.Perfetto != nil {
+		// The run's recorder is this call's alone: once written (or the
+		// run failed), its rows go back for the next recorder.
 		pf = obs.NewPerfetto()
+		defer pf.Release()
 		probes = append(probes, pf)
 	}
 	sum, err := s.simulate(ctx, o, probes)
@@ -229,6 +232,12 @@ func (s *Session) Run(ctx context.Context, o Options) (Result, error) {
 // or expanded scenario straight through the harness recipe, a benchmark cell
 // through the session's memoized runner — from its cache when nothing
 // observes the run, fresh otherwise.
+//
+// A fresh run's system never leaves this function: only its summary does,
+// the checker has finalized inside the recipe, and the probes record events,
+// not the system. So once summarised it goes back to cp's pool
+// (cp.System.Release, which still refuses a faulted, watchdog-armed or
+// cut-short run).
 func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (metrics.Summary, error) {
 	if o.Trace == nil && o.Scenario == nil {
 		key, rate, err := normalizeOptions(o)
@@ -246,7 +255,9 @@ func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (
 		if err != nil {
 			return metrics.Summary{}, err
 		}
-		return metrics.Summarize(sys, o.Scheduler, o.Benchmark, rate.String()), nil
+		sum := metrics.Summarize(sys, o.Scheduler, o.Benchmark, rate.String())
+		sys.Release()
+		return sum, nil
 	}
 	if s.isClosed() {
 		return metrics.Summary{}, ErrSessionClosed
@@ -283,7 +294,9 @@ func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	return metrics.Summarize(sys, o.Scheduler, set.Benchmark, rateLabel), nil
+	sum := metrics.Summarize(sys, o.Scheduler, set.Benchmark, rateLabel)
+	sys.Release()
+	return sum, nil
 }
 
 // WriteMetrics writes the telemetry accumulated by the session's probed
