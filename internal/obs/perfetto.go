@@ -57,15 +57,15 @@ type row struct {
 // rowsPerChunk rows share one allocation; chunks are never copied.
 const rowsPerChunk = 512
 
+// flushBytes is the size Write fills its buffer to before handing it to w.
+const flushBytes = 32 << 10
+
 // rowChunks recycles the chunks of released recorders, and writeBufs the
 // buffer Write renders into. A sync.Pool keeps neither past two GC cycles.
 var (
 	rowChunks = sync.Pool{New: func() any { return new([rowsPerChunk]row) }}
 	writeBufs = sync.Pool{New: func() any { b := make([]byte, 0, flushBytes+flushBytes/4); return &b }}
 )
-
-// flushBytes is the size Write fills its buffer to before handing it to w.
-const flushBytes = 32 << 10
 
 // Perfetto is a Probe that records a run as Chrome trace-event JSON,
 // loadable in ui.perfetto.dev (or chrome://tracing): one track per GPU

@@ -143,7 +143,8 @@ func New(opt Options) *Checker {
 
 // Attach gives the checker read access to the running system, enabling the
 // rules that cross-check probe events against live state. Call it before
-// the run starts, with the same system the checker is probing. Attaching also sizes the ledger to the system's trace.
+// the run starts, with the same system the checker is probing. Attaching
+// also sizes the ledger to the system's trace.
 func (c *Checker) Attach(sys *cp.System) {
 	c.sys = sys
 	kernels := 0
