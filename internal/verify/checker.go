@@ -216,7 +216,8 @@ func (c *Checker) acct(id int) *jobAcct {
 		return a
 	}
 	if id >= 0 && id < max(cap(c.jobs), 2*len(c.jobs)+denseJobSlack) {
-		c.jobs = append(c.jobs, make([]jobAcct, id+1-len(c.jobs))...)
+		// Past len the backing array is zero: it is never truncated.
+		c.jobs = slices.Grow(c.jobs, id+1-len(c.jobs))[:id+1]
 		for fid, a := range c.farJobs {
 			if fid >= 0 && fid < len(c.jobs) {
 				c.jobs[fid] = *a
