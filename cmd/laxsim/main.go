@@ -15,7 +15,7 @@
 //	laxsim -run LAX,LSTM,high -verify            # runtime invariant checker
 //	laxsim -experiment figure7 -verify           # checked experiment grid
 //	laxsim -pprof localhost:6060 -experiment table5  # live pprof/expvar server
-//	laxsim -run LAX,LSTM,high -gpus 4            # multi-GPU fleet run
+//	laxsim -run LAX,LSTM,high -gpus 4            # fleet run through the gateway
 //	laxsim -sweep high -csv out.csv # every scheduler x benchmark at one rate
 //	laxsim -run LAX,LSTM,high -faults hang=0.05,abort=0.1  # fault injection (composes with every -run observer)
 //	laxsim -experiment table5 -parallel 4        # 4 sweep workers
@@ -42,7 +42,6 @@ import (
 	"os/signal"
 	"strings"
 
-	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/harness"
 	"laxgpu/internal/metrics"
@@ -66,7 +65,7 @@ func main() {
 		sweepRate   = flag.String("sweep", "", "run every Table 3 scheduler x Table 4 benchmark at this rate")
 		csvOut      = flag.String("csv", "", "with -sweep: write summaries as CSV to this file (default stdout)")
 		format      = flag.String("format", "text", "report format for experiments: text or markdown")
-		gpus        = flag.Int("gpus", 1, "with -run: route the trace over this many GPUs (least-loaded)")
+		gpus        = flag.Int("gpus", 1, "with -run: replay the trace through the fleet gateway over this many GPUs (headroom routing, criticality shedding)")
 		faults      = flag.String("faults", "", "with -run/-sweep: inject deterministic device faults, e.g. hang=0.05,abort=0.1,slow=0.1x6,retire=2@2ms,recover=on")
 		parallel    = flag.Int("parallel", 0, "sweep worker pool width: 0 = one per CPU, 1 = serial")
 		metricsOut  = flag.String("metrics", "", "with -run: write scheduler telemetry in Prometheus text format to this file")
@@ -186,7 +185,7 @@ func main() {
 			fatal(err)
 		}
 		if *gpus > 1 {
-			if err := runFleet(ctx, r, parts[0], parts[1], rate, *gpus); err != nil {
+			if err := runFleet(r, parts[0], parts[1], rate, *gpus); err != nil {
 				fatal(err)
 			}
 			return
@@ -475,29 +474,47 @@ func servePprof(addr string) error {
 	return nil
 }
 
-// runFleet routes the cell's trace over a multi-GPU cluster with
-// least-loaded front-end routing.
-func runFleet(ctx context.Context, r *harness.Runner, schedName, benchName string, rate workload.Rate, gpus int) error {
+// runFleet replays the cell's trace through the gateway over a fleet of gpus
+// nodes (harness.Fleet).
+func runFleet(r *harness.Runner, schedName, benchName string, rate workload.Rate, gpus int) error {
 	set, err := r.JobSet(benchName, rate)
 	if err != nil {
 		return err
 	}
-	res, checks, err := harness.RunFleet(ctx, cluster.Config{
-		GPUs:      gpus,
-		System:    r.Cfg,
-		Scheduler: schedName,
-	}, set, r.Verify)
+	gw, err := harness.Fleet{Sched: schedName, Cfg: r.Cfg, Nodes: gpus, Set: set, Seed: r.Seed}.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s on %s (%s rate) over %d GPUs: %d/%d met deadline (%.0f%%), %d rejected, imbalance %.2f\n",
-		schedName, benchName, rate, gpus,
-		res.MetDeadline, res.TotalJobs, 100*res.DeadlineFrac(), res.Rejected, res.Imbalance)
-	for g, s := range res.PerGPU {
-		fmt.Printf("  gpu%d: %3d jobs, %3d met, %3d rejected\n", g, s.TotalJobs, s.MetDeadline, s.Rejected)
+	type nodeRow struct{ jobs, met, rejected int }
+	loads := gw.Loads()
+	index := make(map[string]int, len(loads))
+	for _, l := range loads {
+		index[l.Name] = l.Index
+	}
+	rows := make([]nodeRow, len(loads))
+	for id := range int64(set.Len()) {
+		st, _ := gw.Status(id)
+		g, routed := index[st.Node]
+		if !routed {
+			continue // shed at the gateway
+		}
+		rows[g].jobs++
+		if st.MetDeadline {
+			rows[g].met++
+		}
+		if !st.Accepted {
+			rows[g].rejected++
+		}
+	}
+	st := gw.Stats()
+	met := st.Submitted - st.Missed
+	fmt.Printf("%s on %s (%s rate) over %d GPUs: %d/%d met deadline (%.0f%%), %d rejected, %d shed\n",
+		schedName, benchName, rate, gpus, met, set.Len(), 100*float64(met)/float64(set.Len()), st.Rejected, st.Shed)
+	for g, row := range rows {
+		fmt.Printf("  gpu%d: %3d jobs, %3d met, %3d rejected\n", g, row.jobs, row.met, row.rejected)
 	}
 	if r.Verify {
-		fmt.Printf("  verify: %d invariant checks, no violations\n", checks)
+		fmt.Println("  verify: fleet journal checked (verify.CheckFleetScaled), no violations; nodes carry no device checker")
 	}
 	return nil
 }

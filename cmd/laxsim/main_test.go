@@ -146,15 +146,19 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("verify", func(t *testing.T) {
-		// A checked run reports the check count, with or without observers,
-		// and summed over the GPUs of a fleet run.
+		// A checked run reports the check count, with or without observers;
+		// a checked fleet run reports the gateway's journal check.
 		for _, extra := range [][]string{nil, {"-probe"}, {"-gpus", "2"}} {
 			out, err := run(t, bin, append([]string{"-run", "LAX,IPV6,high", "-jobs", "16", "-verify"}, extra...)...)
 			if err != nil {
 				t.Fatal(err, out)
 			}
-			if !strings.Contains(out, "met deadline") || !strings.Contains(out, "invariant checks, no violations") {
-				t.Errorf("checked -run %v missing result or verify summary:\n%s", extra, out)
+			summary := "invariant checks, no violations"
+			if extra != nil && extra[0] == "-gpus" {
+				summary = "verify: fleet journal checked (verify.CheckFleetScaled), no violations"
+			}
+			if !strings.Contains(out, "met deadline") || !strings.Contains(out, summary) {
+				t.Errorf("checked -run %v missing result or %q:\n%s", extra, summary, out)
 			}
 		}
 		// Checked fault-injected run: relaxed rules still pass.

@@ -1,3 +1,10 @@
+// Package cluster holds the fleet's front-end router: the gateway
+// (internal/gateway) places each arriving job on the node whose reported
+// queue-drain estimate, plus the work routed there since, is lowest,
+// weighted by the node's probed health. Every node then runs the paper's
+// machinery (command processor, scheduler, Algorithm 1 admission) on its
+// own — the datacenter setting the paper's introduction motivates, extended
+// from one device to a fleet.
 package cluster
 
 import (
@@ -6,29 +13,37 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// Router makes front-end placement decisions one arrival at a time, under
-// one of two models. Least-loaded (Split's) knows only static job-size
-// estimates and its own bookkeeping of what it already sent where. Headroom
-// (the gateway's) scores the queue-drain estimates the nodes report, plus
-// what it sent since, weighted by the coarse per-device health the
-// gateway's probes set (the fraction of compute capacity still alive after
-// CU retirements). Both decide per arrival, without seeing the whole trace.
+// RoutingPolicy names a routing model. RouteHeadroom is the only one; the
+// type, NewRouter's policy parameter and Pick's arrival and jobID stay
+// because the separately-versioned benchmark module passes them (ROADMAP
+// item 1(e) releases them).
+type RoutingPolicy int
+
+// RouteHeadroom routes on live laxity headroom the nodes themselves report
+// (Router.SetHeadroom): each pick scores a node by its last reported
+// queue-drain estimate plus the work routed there since that report,
+// weighted by health.
+const RouteHeadroom RoutingPolicy = iota
+
+func (p RoutingPolicy) String() string {
+	if p == RouteHeadroom {
+		return "headroom"
+	}
+	return fmt.Sprintf("RoutingPolicy(%d)", int(p))
+}
+
+// Router makes the gateway's placement decisions one arrival at a time: it
+// scores the queue-drain estimates the nodes report, plus what it sent
+// since, weighted by the coarse per-device health the gateway's probes set
+// (the fraction of compute capacity still alive after CU retirements).
 //
 // Router is not safe for concurrent use; callers serialize Pick/SetHealth.
 type Router struct {
-	policy RoutingPolicy
-
-	// outstanding estimates the device-time each GPU still owes for jobs
-	// already routed to it (RouteLeastLoaded only), drained one
-	// device-second per second between arrivals.
-	outstanding []sim.Time
-	lastArrival sim.Time
-
-	// reported is each device's last self-reported queue-drain estimate
-	// (RouteHeadroom only); sinceReport is the estimated device-time routed
-	// there after that report, so headroom stays honest between probes.
-	// capacity is each device's health (SetHealth), and rr cycles the
-	// devices when every one of them is dead.
+	// reported is each device's last self-reported queue-drain estimate;
+	// sinceReport is the estimated device-time routed there after that
+	// report, so headroom stays honest between probes. capacity is each
+	// device's health (SetHealth), and rr cycles the devices when every one
+	// of them is dead.
 	reported    []sim.Time
 	sinceReport []sim.Time
 	capacity    []float64
@@ -36,13 +51,11 @@ type Router struct {
 }
 
 // NewRouter returns a router over gpus devices, all initially healthy.
-func NewRouter(policy RoutingPolicy, gpus int) *Router {
+func NewRouter(_ RoutingPolicy, gpus int) *Router {
 	if gpus < 1 {
 		panic(fmt.Sprintf("cluster: NewRouter with %d GPUs", gpus))
 	}
 	r := &Router{
-		policy:      policy,
-		outstanding: make([]sim.Time, gpus),
 		capacity:    make([]float64, gpus),
 		reported:    make([]sim.Time, gpus),
 		sinceReport: make([]sim.Time, gpus),
@@ -58,8 +71,7 @@ func NewRouter(policy RoutingPolicy, gpus int) *Router {
 // mid-run; existing devices' bookkeeping is untouched, so routing history
 // stays valid across the growth.
 func (r *Router) Add() int {
-	g := len(r.outstanding)
-	r.outstanding = append(r.outstanding, 0)
+	g := len(r.reported)
 	r.capacity = append(r.capacity, 1)
 	r.reported = append(r.reported, 0)
 	r.sinceReport = append(r.sinceReport, 0)
@@ -67,9 +79,9 @@ func (r *Router) Add() int {
 }
 
 // SetHealth records device g's surviving capacity fraction in [0,1] (1 =
-// fully healthy, 0 = dead). Only headroom routing reads it: it weighs each
-// device's drain time by it, and a fraction of 0 excludes the device from
-// picks entirely until health recovers.
+// fully healthy, 0 = dead). Pick weighs each device's drain time by it, and
+// a fraction of 0 excludes the device from picks entirely until health
+// recovers.
 func (r *Router) SetHealth(g int, frac float64) {
 	if frac < 0 {
 		frac = 0
@@ -81,8 +93,8 @@ func (r *Router) SetHealth(g int, frac float64) {
 }
 
 // SetHeadroom records device g's live self-reported queue-drain estimate —
-// how long the node says it needs to finish everything it has admitted. The
-// headroom policy scores on it; the bookkeeping of work routed since the
+// how long the node says it needs to finish everything it has admitted. Pick
+// scores on it; the bookkeeping of work routed since the
 // report resets here, because the next report already includes that work.
 func (r *Router) SetHeadroom(g int, drain sim.Time) {
 	if drain < 0 {
@@ -92,45 +104,28 @@ func (r *Router) SetHeadroom(g int, drain sim.Time) {
 	r.sinceReport[g] = 0
 }
 
-// Pick chooses the device for a job arriving at arrival with estimated
-// serial device-time est. jobID is unused. Arrivals must be presented in
-// non-decreasing time order.
+// Pick chooses the device for a job with estimated serial device-time est.
+// arrival and jobID are unused.
 func (r *Router) Pick(arrival, est sim.Time, jobID int) int {
-	if r.policy == RouteHeadroom {
-		best := -1
-		var bestLoad float64
-		for g := range r.reported {
-			if r.capacity[g] <= 0 {
-				continue
-			}
-			// Drain time after placement, from the node's own estimate plus
-			// what we routed there since it reported. Ties break toward the
-			// lowest index, deterministically.
-			load := float64(r.reported[g]+r.sinceReport[g]+est) / r.capacity[g]
-			if best < 0 || load < bestLoad {
-				best, bestLoad = g, load
-			}
+	best := -1
+	var bestLoad float64
+	for g := range r.reported {
+		if r.capacity[g] <= 0 {
+			continue
 		}
-		if best < 0 {
-			// Every device is dead; round-robin rather than blackhole one.
-			best = r.rr % len(r.reported)
-			r.rr++
-		}
-		r.sinceReport[best] += est
-		return best
-	}
-
-	// Least-loaded: drain every device by the time since the last arrival,
-	// then place on the least outstanding work, ties toward the lowest index.
-	elapsed := max(arrival-r.lastArrival, 0)
-	r.lastArrival = arrival
-	best := 0
-	for g := range r.outstanding {
-		r.outstanding[g] = max(r.outstanding[g]-elapsed, 0)
-		if r.outstanding[g] < r.outstanding[best] {
-			best = g
+		// Drain time after placement, from the node's own estimate plus
+		// what we routed there since it reported. Ties break toward the
+		// lowest index, deterministically.
+		load := float64(r.reported[g]+r.sinceReport[g]+est) / r.capacity[g]
+		if best < 0 || load < bestLoad {
+			best, bestLoad = g, load
 		}
 	}
-	r.outstanding[best] += est
+	if best < 0 {
+		// Every device is dead; round-robin rather than blackhole one.
+		best = r.rr % len(r.reported)
+		r.rr++
+	}
+	r.sinceReport[best] += est
 	return best
 }

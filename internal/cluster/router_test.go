@@ -1,110 +1,10 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 
 	"laxgpu/internal/sim"
 )
-
-func TestRouterLeastLoadedTracksOutstandingWork(t *testing.T) {
-	r := NewRouter(RouteLeastLoaded, 2)
-	// First job lands somewhere; the second, arriving at the same instant,
-	// must go to the other device because the first one's estimate is still
-	// outstanding.
-	a := r.Pick(0, 10*sim.Millisecond, 0)
-	b := r.Pick(0, 10*sim.Millisecond, 1)
-	if a == b {
-		t.Fatalf("both simultaneous jobs routed to device %d", a)
-	}
-	// After far more than the outstanding estimate has elapsed, the decayed
-	// load is zero everywhere and placement follows the tie-break again.
-	c := r.Pick(sim.Second, sim.Microsecond, 2)
-	d := r.Pick(sim.Second, 0, 3)
-	if c == d {
-		t.Fatalf("post-decay jobs both routed to device %d (load should have drained)", c)
-	}
-}
-
-// parentLeastLoaded is the least-loaded arm as it stood while it still read
-// device health: float drain-time scores divided by a per-device capacity,
-// and a round-robin when every device is dead. Split never set health, so
-// every capacity here stays 1.
-type parentLeastLoaded struct {
-	outstanding []sim.Time
-	capacity    []float64
-	lastArrival sim.Time
-	rr          int
-}
-
-func newParentLeastLoaded(gpus int) *parentLeastLoaded {
-	r := &parentLeastLoaded{outstanding: make([]sim.Time, gpus), capacity: make([]float64, gpus)}
-	for g := range r.capacity {
-		r.capacity[g] = 1
-	}
-	return r
-}
-
-func (r *parentLeastLoaded) pick(arrival, est sim.Time) int {
-	elapsed := arrival - r.lastArrival
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	for g := range r.outstanding {
-		r.outstanding[g] -= sim.Time(float64(elapsed) * r.capacity[g])
-		if r.outstanding[g] < 0 {
-			r.outstanding[g] = 0
-		}
-	}
-	r.lastArrival = arrival
-	best := -1
-	var bestLoad float64
-	for g := range r.outstanding {
-		if r.capacity[g] <= 0 {
-			continue
-		}
-		load := float64(r.outstanding[g]+est) / r.capacity[g]
-		if best < 0 || load < bestLoad {
-			best, bestLoad = g, load
-		}
-	}
-	if best < 0 {
-		best = r.rr % len(r.outstanding)
-		r.rr++
-	}
-	r.outstanding[best] += est
-	return best
-}
-
-// TestLeastLoadedMatchesParentRouter pins Split's picks: the integer
-// least-loaded arm places every job where the float, capacity-weighted arm
-// it replaced did, over random non-decreasing arrivals that include
-// same-instant bursts, zero estimates, idle gaps long enough to drain every
-// device (all-zero ties) and loads deep enough to keep several queued.
-func TestLeastLoadedMatchesParentRouter(t *testing.T) {
-	const picks = 20000
-	rng := rand.New(rand.NewSource(29))
-	for gpus := 1; gpus <= 8; gpus++ {
-		got, want := NewRouter(RouteLeastLoaded, gpus), newParentLeastLoaded(gpus)
-		var now sim.Time
-		for i := 0; i < picks; i++ {
-			switch rng.Intn(8) {
-			case 0, 1, 2: // same instant as the previous arrival
-			case 3:
-				now += sim.Millisecond // every device drains to zero
-			default:
-				now += sim.Time(rng.Intn(60)) * sim.Microsecond
-			}
-			// Estimates on a coarse grid (zero included) so equal loads,
-			// and with them the lowest-index tie-break, come up often.
-			est := sim.Time(rng.Intn(8)) * 25 * sim.Microsecond
-			if g, w := got.Pick(now, est, i), want.pick(now, est); g != w {
-				t.Fatalf("%d GPUs, pick %d (arrival %v, est %v): got device %d, parent router picked %d",
-					gpus, i, now, est, g, w)
-			}
-		}
-	}
-}
 
 // TestRouterHeadroomAvoidsDegradedNode pins health weighting: with equal
 // reports, a node that lost half its CUs doubles its normalized drain time,
@@ -146,15 +46,17 @@ func TestRouterSkipsDeadGPU(t *testing.T) {
 }
 
 func TestNewRouterPanicsOnEmptyFleet(t *testing.T) {
-	for _, policy := range []RoutingPolicy{RouteLeastLoaded, RouteHeadroom} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewRouter(%v, 0) did not panic", policy)
-				}
-			}()
-			NewRouter(policy, 0)
-		}()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRouter(RouteHeadroom, 0) did not panic")
+		}
+	}()
+	NewRouter(RouteHeadroom, 0)
+}
+
+func TestRoutingPolicyString(t *testing.T) {
+	if RouteHeadroom.String() != "headroom" || RoutingPolicy(9).String() != "RoutingPolicy(9)" {
+		t.Fatal("routing names wrong")
 	}
 }
 

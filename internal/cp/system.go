@@ -282,9 +282,9 @@ func (s *System) Jobs() []*JobRun { return s.jobs }
 func (s *System) Active() []*JobRun { return s.active }
 
 // Job returns the JobRun for a job ID, or nil for an ID online mode has
-// already retired.
+// already retired or one past the last job submitted.
 func (s *System) Job(id int) *JobRun {
-	if id < s.base {
+	if id < s.base || id >= s.base+len(s.jobs) {
 		return nil
 	}
 	return s.jobs[id-s.base]

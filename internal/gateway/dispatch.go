@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"laxgpu/internal/gpu"
 	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/serve"
@@ -13,17 +14,25 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// Submit runs the gateway's full arrival path for one job: journaling, shed
-// check, headroom routing, node admission. It returns the journaled ID, the
-// verdict and the machine-readable reject reason ("" when accepted). Used by
-// the HTTP handler and directly by tests.
+// Submit runs the gateway's full arrival path for one job, its kernel chain
+// sampled from the gateway's RNG. It returns the journaled ID, the verdict
+// and the machine-readable reject reason ("" when accepted). Used by the
+// HTTP handler and directly by tests.
 func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Class) (int64, Verdict, string) {
-	now := gw.clock.Now()
+	return gw.submit(gw.clock.Now(), bench, nil, deadline, class)
+}
+
+// submit is the arrival path: journaling, shed check, headroom routing, node
+// admission. A nil kernels samples the chain (Submit); Replay passes the
+// trace's own.
+func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gpu.KernelDesc, deadline sim.Time, class Class) (int64, Verdict, string) {
 	gw.cSubmitted.Inc()
 
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	kernels, _ := bench.SampleChain(gw.lib, gw.rng)
+	if kernels == nil {
+		kernels, _ = bench.SampleChain(gw.lib, gw.rng)
+	}
 	job := &Job{
 		ID:        gw.nextID,
 		Benchmark: bench.Name,

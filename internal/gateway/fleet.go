@@ -166,9 +166,9 @@ const replayQuiesceTicks = 1000
 
 // Replay drives the fleet through a trace's arrivals entirely in simulated
 // time; the gateway's clock must be a serve.ManualClock. Each job submits at
-// its own arrival instant with its benchmark, deadline and criticality, but
-// not its kernel chain: Submit samples a fresh chain from the gateway's RNG,
-// so a one-node replay need not match harness.Sim.Run on the same trace.
+// its own arrival instant with its benchmark, kernel chain, deadline and
+// criticality, so a one-node replay of a trace the gateway never sheds runs
+// the jobs harness.Sim.Run runs.
 // At 0 and every tick thereafter the clock moves, one probe round runs and
 // hook (may be nil) is called — the autoscaler's Tick, a test's assertions.
 // Arrivals stop at the later of horizon and the last job; the fleet then
@@ -202,7 +202,7 @@ func (gw *Gateway) Replay(jobs []*workload.Job, horizon, tick sim.Time, hook fun
 				return t, err
 			}
 			clock.Set(j.Arrival)
-			gw.Submit(bench, j.Deadline, class)
+			gw.submit(j.Arrival, bench, j.Kernels, j.Deadline, class)
 		}
 		step(t)
 		if t >= horizon && next == len(jobs) {

@@ -198,7 +198,7 @@ func TestFleetIsAssembledOnce(t *testing.T) {
 
 // TestLaxdIsOneDevice keeps one online routing tier: internal/serve serves a
 // single device (it imports no router and builds one Host), and a
-// cluster.Router is built only by the gateway and the offline splitter.
+// cluster.Router is built only by the gateway.
 func TestLaxdIsOneDevice(t *testing.T) {
 	for name, src := range sources(t, filepath.Join("..", "serve")) {
 		if strings.Contains(src, `"laxgpu/internal/cluster"`) {
@@ -227,33 +227,25 @@ func TestLaxdIsOneDevice(t *testing.T) {
 		t.Errorf("NewHost( has %d non-test call sites in internal/serve %v, want exactly 1 (serve.New)", len(hosts), hosts)
 	}
 	sort.Strings(routers)
-	if want := []string{"internal/cluster/cluster.go", "internal/gateway/gateway.go"}; !reflect.DeepEqual(routers, want) {
-		t.Errorf("cluster.NewRouter( is called from %v, want exactly %v (Split and gateway.New)", routers, want)
+	if want := []string{"internal/gateway/gateway.go"}; !reflect.DeepEqual(routers, want) {
+		t.Errorf("cluster.NewRouter( is called from %v, want exactly %v (gateway.New)", routers, want)
 	}
 }
 
-// TestRouterKeepsOneModelPerFleet keeps internal/cluster at the two routing
-// models its callers use: the offline splitter routes least-loaded, the
-// gateway on probed headroom, and the models and health replay nobody
-// selects stay deleted.
+// TestRouterKeepsOneModelPerFleet keeps one fleet model: the gateway, routing
+// on probed headroom. The offline least-loaded splitter, its harness runner
+// and the routing models and health replay nobody selects stay deleted.
 func TestRouterKeepsOneModelPerFleet(t *testing.T) {
-	gone := regexp.MustCompile(`\b(RouteRoundRobin|RouteJobHash|HealthSchedule|ParseSpecs)\b`)
-	leastLoaded := regexp.MustCompile(`(^|[^\w.])NewRouter\(RouteLeastLoaded\b|\bcluster\.NewRouter\(cluster\.RouteLeastLoaded\b`)
+	gone := regexp.MustCompile(`\b(RouteLeastLoaded|RouteRoundRobin|RouteJobHash|HealthSchedule|ParseSpecs|RunFleet)\b|\bcluster\.Split\b`)
 	headroom := regexp.MustCompile(`\bcluster\.NewRouter\(cluster\.RouteHeadroom\b`)
-	var leastSites, headroomSites []string
+	var headroomSites []string
 	for rel, src := range moduleSources(t) {
 		for _, m := range gone.FindAllString(src, -1) {
-			t.Errorf("%s mentions %s; internal/cluster keeps least-loaded (Split) and headroom (gateway) only", rel, m)
-		}
-		for range leastLoaded.FindAllString(src, -1) {
-			leastSites = append(leastSites, rel)
+			t.Errorf("%s mentions %s; the gateway is the one fleet model", rel, m)
 		}
 		for range headroom.FindAllString(src, -1) {
 			headroomSites = append(headroomSites, rel)
 		}
-	}
-	if want := []string{"internal/cluster/cluster.go"}; !reflect.DeepEqual(leastSites, want) {
-		t.Errorf("a least-loaded Router is built in %v, want exactly %v (Split, as a bare NewRouter)", leastSites, want)
 	}
 	if want := []string{"internal/gateway/gateway.go"}; !reflect.DeepEqual(headroomSites, want) {
 		t.Errorf("a headroom Router is built in %v, want exactly %v (gateway.New)", headroomSites, want)

@@ -3,13 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"laxgpu/internal/autoscale"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gateway"
-	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
+	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
 
@@ -29,9 +28,6 @@ type AutoscaleSettings struct {
 
 	// Lag is the modeled provisioning delay.
 	Lag sim.Time
-
-	// Tick is the control-loop interval.
-	Tick sim.Time
 
 	// MinNodes/MaxNodes bound the fleet; static-min runs MinNodes forever.
 	MinNodes, MaxNodes int
@@ -65,7 +61,6 @@ func DefaultAutoscaleSettings() AutoscaleSettings {
 	return AutoscaleSettings{
 		NodeRate: 7000,
 		Lag:      10 * sim.Millisecond,
-		Tick:     sim.Millisecond,
 		MinNodes: 1,
 		MaxNodes: 6,
 		Patience: 3,
@@ -98,53 +93,37 @@ func (a AutoscaleResult) MetFrac() float64 {
 }
 
 // RunAutoscale replays one scenario through a gateway fleet under one
-// scaling policy, entirely in simulated time (gateway.Replay): arrivals
-// submit at their generated instants, probes and the control loop tick every
-// Settings.Tick, scale-ups activate one provisioning lag after their
-// decision, and the run then quiesces. Every policy starts from the minimum
-// fleet; static-min just never leaves it. Deterministic for a fixed (spec,
-// seed, settings) triple. A wedged replay or a fleet-journal violation
-// (including the fleet-drain-lossless rule) is returned as an error.
+// scaling policy as a Fleet run: the control loop ticks with the probes,
+// scale-ups activate one provisioning lag after their decision, and the run
+// then quiesces. Every policy starts from the minimum fleet; static-min just
+// never leaves it. The trace is drawn from the node's own kernel library, so
+// its jobs are calibrated for the device that runs them. Deterministic for a
+// fixed (spec, seed, settings) triple; a wedged replay or a fleet-journal
+// violation (the fleet-drain-lossless rule included) is an error.
 func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSettings) (AutoscaleResult, error) {
-	set, err := spec.Generate(r.Lib, 0)
-	if err != nil {
-		return AutoscaleResult{}, err
-	}
 	nodeSys := s.nodeSystem()
-	gw, err := gateway.NewFleet(s.MinNodes, "", gateway.InprocConfig{
-		Node:       serve.NodeConfig{System: nodeSys, Scheduler: "LAX"},
-		TraceDepth: -1,
-	}, "", gateway.Options{
-		Clock:         serve.NewManualClock(),
-		Seed:          r.Seed,
-		FailThreshold: 3,
-		ProbeBackoff:  s.Tick,
-		System:        nodeSys,
-	})
+	set, err := spec.Generate(workload.NewLibrary(nodeSys.GPU), 0)
 	if err != nil {
 		return AutoscaleResult{}, err
 	}
-	defer gw.Close(context.Background(), time.Second)
-	ctrl, err := autoscale.ForPolicy(policy, autoscale.Options{
-		Gateway:  gw,
-		Forecast: spec,
-		Config: autoscale.Config{
-			NodeRate:      s.NodeRate,
-			Lag:           s.Lag,
-			MinNodes:      s.MinNodes,
-			MaxNodes:      s.MaxNodes,
-			DrainPatience: s.Patience,
-		},
-	})
-	if err != nil {
-		return AutoscaleResult{}, err
-	}
-
+	var ctrl *autoscale.Controller
 	peakNodes := 0
-	_, err = gw.Replay(set.Jobs, sim.Time(spec.DurationUs)*sim.Microsecond, s.Tick, func(t sim.Time) {
-		ctrl.Tick(t)
-		peakNodes = max(peakNodes, gw.ActiveNodes())
-	})
+	gw, err := Fleet{
+		Sched: "LAX", Cfg: nodeSys, Nodes: s.MinNodes,
+		Set: set, Seed: r.Seed, Horizon: sim.Time(spec.DurationUs) * sim.Microsecond,
+		Attach: func(gw *gateway.Gateway) (_ func(sim.Time), err error) {
+			ctrl, err = autoscale.ForPolicy(policy, autoscale.Options{Gateway: gw, Forecast: spec, Config: autoscale.Config{
+				NodeRate: s.NodeRate, Lag: s.Lag, MinNodes: s.MinNodes, MaxNodes: s.MaxNodes, DrainPatience: s.Patience,
+			}})
+			if err != nil {
+				return nil, err
+			}
+			return func(t sim.Time) {
+				ctrl.Tick(t)
+				peakNodes = max(peakNodes, gw.ActiveNodes())
+			}, nil
+		},
+	}.Run()
 	if err != nil {
 		return AutoscaleResult{}, fmt.Errorf("harness: autoscale %s/%s: %w", spec.Name, policy, err)
 	}
@@ -184,7 +163,7 @@ func Autoscale(ctx context.Context, r *Runner) *Report {
 		Title: "Deadline misses vs provisioned node-seconds under fleet autoscaling",
 		Notes: []string{
 			fmt.Sprintf("Provisioning lag %v, control tick %v, fleet %d..%d nodes, analyzer NodeRate %g jobs/s.",
-				s.Lag, s.Tick, s.MinNodes, s.MaxNodes, s.NodeRate),
+				s.Lag, fleetTick, s.MinNodes, s.MaxNodes, s.NodeRate),
 			"Expected shape: predictive ≥ reactive on deadlines met at similar or lower node-seconds (its scale-ups are ready when a schedule step lands); both beat the static minimum fleet; static-min spends the fewest node-seconds and misses the most.",
 		},
 	}

@@ -12,6 +12,7 @@ import (
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/verify"
+	"laxgpu/internal/workload"
 	"laxgpu/internal/workload/scenario"
 )
 
@@ -30,7 +31,7 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 		t.Fatal(err)
 	}
 	r, s := NewRunner(), DefaultAutoscaleSettings()
-	set, err := spec.Generate(r.Lib, 0)
+	set, err := spec.Generate(workload.NewLibrary(s.nodeSystem().GPU), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 		Clock:         serve.NewManualClock(),
 		Seed:          r.Seed,
 		FailThreshold: 1,
-		ProbeBackoff:  s.Tick,
+		ProbeBackoff:  fleetTick,
 		System:        s.nodeSystem(),
 	})
 	if err != nil {
@@ -55,7 +56,7 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gw.Replay(set.Jobs, sim.Time(spec.DurationUs)*sim.Microsecond, s.Tick, ctrl.Tick); err != nil {
+	if _, err := gw.Replay(set.Jobs, sim.Time(spec.DurationUs)*sim.Microsecond, fleetTick, ctrl.Tick); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/metrics"
 	"laxgpu/internal/workload"
@@ -91,10 +90,11 @@ func deviceSweepTable(ctx context.Context, r *Runner) *Table {
 var fleetGPUCounts = []int{1, 2, 4}
 
 // fleetTable scales out instead of up: the same overloaded LSTM trace
-// routed across 1-4 Table 2 GPUs by a least-loaded front end.
+// replayed through the gateway over 1-4 Table 2 GPUs (a Fleet run), which
+// routes on the headroom its nodes report and sheds what no node can serve.
 func fleetTable(ctx context.Context, r *Runner) *Table {
 	t := &Table{
-		Title:  "Fleet scale-out: LSTM at 4x the high rate, least-loaded routing (% of jobs meeting deadline)",
+		Title:  "Fleet scale-out: LSTM at 4x the high rate through the gateway, headroom routing (% of jobs meeting deadline)",
 		Header: []string{"Scheduler", "1 GPU", "2 GPUs", "4 GPUs"},
 	}
 	bench, err := workload.FindBenchmark("LSTM")
@@ -104,12 +104,12 @@ func fleetTable(ctx context.Context, r *Runner) *Table {
 	set := bench.GenerateCustom(r.Lib, 4*bench.JobsPerSecond(workload.HighRate), r.JobCount, r.Seed)
 	scheds := []string{"RR", "LAX"}
 	fracs := grid(ctx, r, len(scheds), len(fleetGPUCounts), func(ctx context.Context, s, g int) (float64, error) {
-		res, _, err := RunFleet(ctx, cluster.Config{
-			GPUs:      fleetGPUCounts[g],
-			System:    r.Cfg,
-			Scheduler: scheds[s],
-		}, set, r.Verify)
-		return res.DeadlineFrac(), err
+		gw, err := Fleet{Sched: scheds[s], Cfg: r.Cfg, Nodes: fleetGPUCounts[g], Set: set, Seed: r.Seed}.Run()
+		if err != nil {
+			return 0, err
+		}
+		st := gw.Stats()
+		return float64(st.Submitted-st.Missed) / float64(set.Len()), nil
 	})
 	for s, schedName := range scheds {
 		row := []string{schedName}

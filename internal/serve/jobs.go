@@ -60,7 +60,7 @@ type JobStatus struct {
 type record struct {
 	status   JobStatus
 	client   string
-	done     chan struct{} // closed at the first terminal transition
+	done     chan struct{} // closed after the first terminal transition is counted
 	terminal bool
 }
 
@@ -119,8 +119,8 @@ func (t *recordTable) get(id int64) (JobStatus, bool) {
 }
 
 // update mutates a record's status under the table lock and reports whether
-// this call made it terminal (closing the record's done channel exactly
-// once).
+// this call made it terminal. The caller that made it terminal closes the
+// record's done channel, once its own bookkeeping for the outcome is done.
 func (t *recordTable) update(r *record, fn func(*JobStatus), terminal bool) (JobStatus, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -129,7 +129,6 @@ func (t *recordTable) update(r *record, fn func(*JobStatus), terminal bool) (Job
 	if terminal && !r.terminal {
 		r.terminal = true
 		first = true
-		close(r.done)
 	}
 	return r.status, first
 }

@@ -343,6 +343,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cRejected.Inc()
 			s.cMissCause[metrics.MissRejected.String()].Inc()
 			s.releaseClient(rec.client)
+			close(rec.done)
 			s.broker.publish("rejected", st)
 			return
 		}
@@ -357,6 +358,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.cOverflow.Inc()
 		s.records.update(rec, func(js *JobStatus) { js.State = "dropped" }, true)
 		s.releaseClient(client)
+		close(rec.done)
 		WriteReject(w, http.StatusServiceUnavailable, ReasonBackpressure, "accept queue full", 0)
 		return
 	}
@@ -549,6 +551,8 @@ func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
 		s.cCancelled.Inc()
 	}
 	s.releaseClient(rec.client)
+	// A waiter woken by done reads counters that already include this job.
+	close(rec.done)
 	s.broker.publish(state, st)
 }
 

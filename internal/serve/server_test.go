@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"laxgpu/internal/cp"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
 
@@ -519,6 +521,39 @@ func TestTraceListingSize(t *testing.T) {
 		n, ok := TraceListingSize(rec, httptest.NewRequest("GET", "/v1/traces"+tc.query, nil))
 		if ok != (tc.want > 0) || n != tc.want || (!ok && rec.Code != http.StatusBadRequest) {
 			t.Errorf("%q: n=%d ok=%v status=%d, want n=%d", tc.query, n, ok, rec.Code, tc.want)
+		}
+	}
+}
+
+// TestDoneFollowsCounters: a ?wait=1 answer means the job's outcome is
+// already counted. The record's done channel closes only after the
+// completion counters and the in-flight gauge have moved, so a waiter woken
+// by it — the HTTP wait, a /metrics read right after — never sees the job
+// as still running. The completions are driven directly, back to back, so a
+// waiter that wakes early has a window to see stale counters in.
+func TestDoneFollowsCounters(t *testing.T) {
+	srv, _ := startServer(t, Options{})
+	const n = 2000
+	recs := make([]*record, n)
+	for i := range recs {
+		recs[i] = &record{status: JobStatus{ID: int64(i)}, client: "c", done: make(chan struct{})}
+	}
+	srv.mu.Lock()
+	srv.perClient["c"], srv.inflight = n, n
+	srv.mu.Unlock()
+	finished := make(chan struct{})
+	defer func() { <-finished }()
+	go func() {
+		defer close(finished)
+		for _, rec := range recs {
+			srv.completeJob(rec, &cp.JobRun{}, obs.JobEvent{Kind: obs.JobFinish, Met: true})
+		}
+	}()
+	for i, rec := range recs {
+		<-rec.done
+		done := int64(i + 1)
+		if c, m, in := srv.cCompleted.Value(), srv.cMet.Value(), srv.gInflight.Value(); c < done || m < done || in > float64(n-done) {
+			t.Fatalf("job %d done: completed %d, met %d, inflight %g", i, c, m, in)
 		}
 	}
 }

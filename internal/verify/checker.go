@@ -494,6 +494,9 @@ func (c *Checker) dispatchOrder(e obs.KernelStart) {
 		return
 	}
 	j := c.sys.Job(e.Job)
+	if j == nil {
+		return // no live job of the system: the kernel-sequencing rules judge it
+	}
 	dev := c.sys.Device()
 	for _, other := range c.sys.Active() {
 		if other == j || other.Priority >= j.Priority {

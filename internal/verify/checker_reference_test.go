@@ -315,6 +315,9 @@ func (c *refChecker) dispatchOrder(e obs.KernelStart) {
 		return
 	}
 	j := c.sys.Job(e.Job)
+	if j == nil {
+		return // no live job of the system: the kernel-sequencing rules judge it
+	}
 	dev := c.sys.Device()
 	for _, other := range c.sys.Active() {
 		if other == j || other.Priority >= j.Priority {
@@ -662,6 +665,36 @@ func TestCheckerMatchesReference(t *testing.T) {
 		})
 		sys.Run()
 		p.finalizeAndMatch(t, fmt.Sprintf("forged-done-%d", seq))
+	}
+
+	// A forged start and completion naming a job past an attached system's
+	// trace are violations on both checkers, not a panic in the system
+	// lookup.
+	ipv6, err := workload.FindBenchmark("IPV6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := sched.New("LAX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := ipv6.Generate(workload.NewLibrary(gpu.DefaultConfig()), workload.HighRate, 4, 1)
+	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
+	p := newCheckerPair(OptionsFor("LAX", pol, sys.Config(), false), sys)
+	probe := p.probe()
+	sys.SetProbe(probe)
+	// While job 0 is live, so the dispatch-order rule has jobs to compare.
+	sys.Engine().Schedule(set.Jobs[0].Arrival+sim.Microsecond, func() {
+		if len(sys.Active()) == 0 {
+			t.Error("forged-past-trace: no live job when the forged events fire")
+		}
+		probe.KernelStart(obs.KernelStart{At: sys.Now(), Job: 99, Seq: 0, Kernel: "k"})
+		probe.KernelDone(obs.KernelDone{At: sys.Now(), Job: 99, Seq: 0, Kernel: "k"})
+	})
+	sys.Run()
+	p.finalizeAndMatch(t, "forged-past-trace")
+	if p.got.Err() == nil {
+		t.Error("forged-past-trace: a kernel of job 99 of 4 raised no violation")
 	}
 
 	corpus := [][]byte{
