@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/gateway"
 	"laxgpu/internal/workload"
 )
 
@@ -59,33 +60,59 @@ func TestOneNodeFleetMatchesSim(t *testing.T) {
 	}
 }
 
-// TestFleetScaleOut is the scale-out study's ordering and conservation row:
-// on LSTM at four times the high rate, every arrival gets exactly one
-// verdict, LAX meets more deadlines than RR at 1, 2 and 4 nodes, and four
-// nodes meet more than one.
-func TestFleetScaleOut(t *testing.T) {
+// scaleOutNodes are the fleet sizes of the scale-out study.
+var scaleOutNodes = []int{1, 2, 4}
+
+// scaleOutStats runs the scale-out study — LSTM at four times the high rate,
+// RR and LAX over 1, 2 and 4 nodes — and returns each policy's gateway
+// counters, one per fleet size, and the trace's length.
+func scaleOutStats(t *testing.T) (map[string][]gateway.Stats, int) {
+	t.Helper()
 	r := NewRunner()
 	bench, err := workload.FindBenchmark("LSTM")
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := bench.GenerateCustom(r.Lib, 4*bench.JobsPerSecond(workload.HighRate), r.JobCount, r.Seed)
-	met := map[string][]int64{}
+	stats := map[string][]gateway.Stats{}
 	for _, sched := range []string{"RR", "LAX"} {
-		for _, nodes := range []int{1, 2, 4} {
+		for _, nodes := range scaleOutNodes {
 			gw, err := Fleet{Sched: sched, Cfg: r.Cfg, Nodes: nodes, Set: set, Seed: r.Seed}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := gw.Stats()
-			if st.Submitted != int64(set.Len()) || st.Accepted+st.Rejected+st.Shed+st.Unhealthy != st.Submitted {
+			stats[sched] = append(stats[sched], gw.Stats())
+		}
+	}
+	return stats, set.Len()
+}
+
+// TestFleetConservesJobs is the scale-out study's conservation row: at 1, 2
+// and 4 nodes, under RR and LAX, every arrival gets exactly one verdict.
+func TestFleetConservesJobs(t *testing.T) {
+	stats, n := scaleOutStats(t)
+	for sched, row := range stats {
+		for i, st := range row {
+			if st.Submitted != int64(n) || st.Accepted+st.Rejected+st.Shed+st.Unhealthy != st.Submitted {
 				t.Errorf("%s over %d nodes: accepted %d + rejected %d + shed %d + unhealthy %d != submitted %d (trace has %d jobs)",
-					sched, nodes, st.Accepted, st.Rejected, st.Shed, st.Unhealthy, st.Submitted, set.Len())
+					sched, scaleOutNodes[i], st.Accepted, st.Rejected, st.Shed, st.Unhealthy, st.Submitted, n)
 			}
+		}
+	}
+}
+
+// TestFleetScalingHelps is the scale-out study's ordering row: LAX meets
+// more deadlines than RR at 1, 2 and 4 nodes, and four nodes meet more than
+// one.
+func TestFleetScalingHelps(t *testing.T) {
+	stats, _ := scaleOutStats(t)
+	met := map[string][]int64{}
+	for sched, row := range stats {
+		for _, st := range row {
 			met[sched] = append(met[sched], st.Submitted-st.Missed)
 		}
 	}
-	for i, nodes := range []int{1, 2, 4} {
+	for i, nodes := range scaleOutNodes {
 		if met["LAX"][i] <= met["RR"][i] {
 			t.Errorf("%d nodes: LAX met %d <= RR met %d", nodes, met["LAX"][i], met["RR"][i])
 		}
