@@ -3,9 +3,10 @@
 // stages — GMM scoring (3 ms deadline) and word stemming (300 µs deadline)
 // — arrive as separate request streams on one accelerator.
 //
-// Beyond the headline deadline counts, it uses the LAX policy object
-// directly to expose the paper's Figure 10-style introspection: the Kernel
-// Profiling Table's learned rates and a sample job's laxity trajectory.
+// Beyond the headline deadline counts, it uses the LAX policy object and
+// the probe stream to expose the paper's Figure 10-style introspection: the
+// Kernel Profiling Table's learned rates and a sample job's laxity
+// trajectory.
 //
 //	go run ./examples/ipa
 package main
@@ -15,6 +16,7 @@ import (
 	"math"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/viz"
@@ -70,8 +72,20 @@ func main() {
 		}
 	}
 	lax := sched.NewLAX()
-	lax.EnableTrace(sample)
 	sys := cp.NewSystem(cfg, set, lax)
+	// The sample job's reprioritization ticks, with its state at each.
+	type tick struct {
+		dur, predicted sim.Time
+		prio           int64
+		state          cp.JobState
+	}
+	var pts []tick
+	sys.SetProbe(obs.SampleFunc(func(e obs.JobSample) {
+		if e.Job == sample {
+			j := sys.Job(sample)
+			pts = append(pts, tick{e.At - j.SubmitTime, e.PredictedRem, e.Priority, j.State()})
+		}
+	}))
 	var occupancy []float64
 	for at := sim.Time(0); at < 8*sim.Millisecond; at += 100 * sim.Microsecond {
 		at := at
@@ -89,18 +103,17 @@ func main() {
 	j := sys.Job(sample)
 	fmt.Printf("  sample job %d: %s, finish=%v, deadline met=%v\n",
 		sample, j.State(), j.FinishTime, j.MetDeadline())
-	pts := lax.TracePoints()
 	if len(pts) > 0 {
 		fmt.Println("  laxity trajectory (durTime → predicted total, priority):")
 		step := len(pts)/6 + 1
 		for i := 0; i < len(pts); i += step {
 			p := pts[i]
 			prio := "INF"
-			if p.Priority != math.MaxInt64 {
-				prio = sim.Time(p.Priority).String()
+			if p.prio != math.MaxInt64 {
+				prio = sim.Time(p.prio).String()
 			}
 			fmt.Printf("    %8v → %8v  prio %s (%s)\n",
-				p.DurTime, p.DurTime+p.PredictedRem, prio, p.State)
+				p.dur, p.dur+p.predicted, prio, p.state)
 		}
 	} else {
 		fmt.Println("  sample job was rejected by admission control — its deadline was")

@@ -40,7 +40,7 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 		Class:     class,
 		Kernels:   kernels,
 	}
-	job.Est = (&workload.Job{Kernels: job.Kernels}).SerialTime(gw.gpu)
+	job.Est = gpu.SerialTime(gw.gpu, job.Kernels)
 	job.TraceID = gw.traceID(job.ID)
 	gw.nextID++
 	e := gw.journal.open(job, now)

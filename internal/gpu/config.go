@@ -57,6 +57,31 @@ func DefaultConfig() Config {
 	}
 }
 
+// WithCUs returns c resized to n compute units with the memory bandwidth
+// per CU preserved: the memory system grows and shrinks with the chip.
+func (c Config) WithCUs(n int) Config {
+	c.MemBandwidthDemand = c.MemBandwidthDemand * float64(n) / float64(c.NumCUs)
+	c.NumCUs = n
+	return c
+}
+
+// slowdown is the memory contention factor (≥ 1) under demand thread-demand
+// units: demand over what the memory system sustains, never below 1.
+func (c Config) slowdown(demand float64) float64 {
+	slow := demand / c.MemBandwidthDemand
+	if slow < 1 {
+		return 1
+	}
+	return slow
+}
+
+// Stretch is the factor contention stretches a WG's latency by when the
+// device carries demand thread-demand units: the memory fraction m of the
+// latency stretches by the slowdown, the compute fraction never does.
+func (c Config) Stretch(m, demand float64) float64 {
+	return (1 - m) + m*c.slowdown(demand)
+}
+
 // TotalThreads returns the device-wide thread context capacity.
 func (c Config) TotalThreads() int { return c.NumCUs * ThreadsPerCU }
 

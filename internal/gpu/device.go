@@ -500,18 +500,11 @@ func (d *Device) RetiredCUsCount() int { return d.retiredCUs }
 // it were dispatched now: the memory fraction stretches with the one
 // bandwidth pool's contention.
 func (d *Device) wgLatency(desc *KernelDesc) sim.Time {
-	m := desc.MemIntensity
-	return sim.Time(float64(desc.BaseWGTime) * ((1 - m) + m*d.Slowdown()))
+	return sim.Time(float64(desc.BaseWGTime) * d.cfg.Stretch(desc.MemIntensity, d.activeMemDemand))
 }
 
 // Slowdown returns the current memory contention factor (≥ 1).
-func (d *Device) Slowdown() float64 {
-	slow := d.activeMemDemand / d.cfg.MemBandwidthDemand
-	if slow < 1 {
-		return 1
-	}
-	return slow
-}
+func (d *Device) Slowdown() float64 { return d.cfg.slowdown(d.activeMemDemand) }
 
 // ActiveWGs returns the number of in-flight workgroups across all CUs.
 func (d *Device) ActiveWGs() int {
@@ -580,13 +573,6 @@ func (d *Device) MaxConcurrentWGs(desc *KernelDesc) int {
 	return maxWGsPerCU(desc) * d.ActiveCUs()
 }
 
-// IsolatedKernelTime is the package-level IsolatedKernelTime on the
-// device's nominal configuration (the offline profile: retired CUs still
-// count).
-func (d *Device) IsolatedKernelTime(desc *KernelDesc) sim.Time {
-	return IsolatedKernelTime(d.cfg, desc)
-}
-
 // MaxConcurrentWGs computes, for an idle device with the given config, the
 // number of WGs of desc that fit simultaneously.
 func MaxConcurrentWGs(cfg Config, desc *KernelDesc) int {
@@ -621,11 +607,17 @@ func IsolatedKernelTime(cfg Config, desc *KernelDesc) sim.Time {
 	}
 	waves := (desc.NumWGs + conc - 1) / conc
 	demand := float64(conc) * desc.MemIntensity * float64(desc.ThreadsPerWG)
-	slow := demand / cfg.MemBandwidthDemand
-	if slow < 1 {
-		slow = 1
-	}
-	m := desc.MemIntensity
-	perWave := sim.Time(float64(desc.BaseWGTime) * ((1 - m) + m*slow))
+	perWave := sim.Time(float64(desc.BaseWGTime) * cfg.Stretch(desc.MemIntensity, demand))
 	return sim.Time(waves) * perWave
+}
+
+// SerialTime is the sum of the kernels' isolated times under cfg: a job's
+// latency when run alone (its kernels are sequentially dependent), and the
+// offline profile every statically profiled estimate keys on.
+func SerialTime(cfg Config, kernels []*KernelDesc) sim.Time {
+	var t sim.Time
+	for _, k := range kernels {
+		t += IsolatedKernelTime(cfg, k)
+	}
+	return t
 }

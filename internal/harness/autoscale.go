@@ -22,18 +22,11 @@ var autoscalePolicies = []string{"predictive", "reactive", "static-min"}
 // AutoscaleSettings parameterize one fleet replay. The zero value is not
 // useful; DefaultAutoscaleSettings is the experiment's configuration.
 type AutoscaleSettings struct {
-	// NodeRate is the calibrated per-node sustainable throughput handed to
-	// the saturation analyzer (jobs/s).
-	NodeRate float64
-
-	// Lag is the modeled provisioning delay.
-	Lag sim.Time
-
-	// MinNodes/MaxNodes bound the fleet; static-min runs MinNodes forever.
-	MinNodes, MaxNodes int
-
-	// Patience is the drain patience in ticks.
-	Patience int
+	// Config is the scaling controller's: NodeRate is the calibrated
+	// per-node sustainable throughput handed to the saturation analyzer,
+	// Lag the modeled provisioning delay, MinNodes/MaxNodes bound the fleet
+	// (static-min runs MinNodes forever) and DrainPatience is in ticks.
+	autoscale.Config
 
 	// NodeCUs shrinks each fleet node to this many compute units (memory
 	// bandwidth scaled proportionally), so the committed scenarios — sized
@@ -46,9 +39,7 @@ type AutoscaleSettings struct {
 func (s AutoscaleSettings) nodeSystem() cp.SystemConfig {
 	cfg := cp.DefaultSystemConfig()
 	if s.NodeCUs > 0 {
-		scale := float64(s.NodeCUs) / float64(cfg.GPU.NumCUs)
-		cfg.GPU.NumCUs = s.NodeCUs
-		cfg.GPU.MemBandwidthDemand *= scale
+		cfg.GPU = cfg.GPU.WithCUs(s.NodeCUs)
 	}
 	return cfg
 }
@@ -59,12 +50,14 @@ func (s AutoscaleSettings) nodeSystem() cp.SystemConfig {
 // while a damage-driven one is late by one lag.
 func DefaultAutoscaleSettings() AutoscaleSettings {
 	return AutoscaleSettings{
-		NodeRate: 7000,
-		Lag:      10 * sim.Millisecond,
-		MinNodes: 1,
-		MaxNodes: 6,
-		Patience: 3,
-		NodeCUs:  2,
+		Config: autoscale.Config{
+			NodeRate:      7000,
+			Lag:           10 * sim.Millisecond,
+			MinNodes:      1,
+			MaxNodes:      6,
+			DrainPatience: 3,
+		},
+		NodeCUs: 2,
 	}
 }
 
@@ -112,9 +105,7 @@ func RunAutoscale(r *Runner, spec *scenario.Spec, policy string, s AutoscaleSett
 		Sched: "LAX", Cfg: nodeSys, Nodes: s.MinNodes,
 		Set: set, Seed: r.Seed, Horizon: sim.Time(spec.DurationUs) * sim.Microsecond,
 		Attach: func(gw *gateway.Gateway) (_ func(sim.Time), err error) {
-			ctrl, err = autoscale.ForPolicy(policy, autoscale.Options{Gateway: gw, Forecast: spec, Config: autoscale.Config{
-				NodeRate: s.NodeRate, Lag: s.Lag, MinNodes: s.MinNodes, MaxNodes: s.MaxNodes, DrainPatience: s.Patience,
-			}})
+			ctrl, err = autoscale.ForPolicy(policy, autoscale.Options{Gateway: gw, Forecast: spec, Config: s.Config})
 			if err != nil {
 				return nil, err
 			}

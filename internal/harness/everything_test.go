@@ -48,11 +48,8 @@ func everythingOn(t *testing.T) (journal []byte, st gateway.Stats, ctrl *autosca
 		t.Fatal(err)
 	}
 	defer gw.Close(context.Background(), time.Second)
-	ctrl, err = autoscale.ForPolicy("predictive", autoscale.Options{
-		Gateway:  gw,
-		Forecast: spec,
-		Config:   autoscale.Config{NodeRate: s.NodeRate, Lag: s.Lag, MinNodes: 1, MaxNodes: 2, DrainPatience: s.Patience},
-	})
+	s.MaxNodes = 2
+	ctrl, err = autoscale.ForPolicy("predictive", autoscale.Options{Gateway: gw, Forecast: spec, Config: s.Config})
 	if err != nil {
 		t.Fatal(err)
 	}

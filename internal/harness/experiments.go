@@ -124,7 +124,7 @@ func Figure1(ctx context.Context, r *Runner) *Report {
 		for _, j := range set.Jobs {
 			kernels += len(j.Kernels)
 			wgs += j.TotalWGs()
-			serial += float64(j.SerialTime(r.Cfg.GPU))
+			serial += float64(gpu.SerialTime(r.Cfg.GPU, j.Kernels))
 		}
 		n := float64(set.Len())
 		meanKernels := float64(kernels) / n

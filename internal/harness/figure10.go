@@ -6,7 +6,7 @@ import (
 	"math"
 
 	"laxgpu/internal/cp"
-	"laxgpu/internal/sched"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
@@ -17,7 +17,7 @@ import (
 type Figure10Trace struct {
 	Benchmark string
 	JobID     int
-	Points    []sched.TracePoint
+	Points    []Figure10Point
 
 	SubmitTime sim.Time
 	FinishTime sim.Time
@@ -28,6 +28,15 @@ type Figure10Trace struct {
 	// completion time (durTime + predictedRemaining at each tick) versus
 	// the job's actual completion time. The paper reports 8%.
 	MeanAbsErrPct float64
+}
+
+// Figure10Point is LAX's view of the sample job at one reprioritization
+// tick: its JobSample, with the job's state at that instant.
+type Figure10Point struct {
+	DurTime      sim.Time // time since the job was enqueued
+	PredictedRem sim.Time // profiling-table remaining-time estimate
+	Priority     int64    // Algorithm 2 output (0 = highest)
+	State        cp.JobState
 }
 
 // RunFigure10 traces LAX's prediction for a sample job of the benchmark at
@@ -69,11 +78,21 @@ func RunFigure10(ctx context.Context, r *Runner, bench string) (Figure10Trace, e
 		}
 	}
 
-	var pol *sched.LAX
-	sys, err := r.sim(ctx, Sim{Sched: "LAX", Cfg: r.Cfg, Set: set, Before: func(_ *cp.System, p cp.Policy) {
-		pol = p.(*sched.LAX)
-		pol.EnableTrace(sample)
-	}})
+	var (
+		traced *cp.System
+		points []Figure10Point
+	)
+	probe := obs.SampleFunc(func(e obs.JobSample) {
+		if e.Job == sample {
+			j := traced.Job(sample)
+			points = append(points, Figure10Point{
+				DurTime: e.At - j.SubmitTime, PredictedRem: e.PredictedRem,
+				Priority: e.Priority, State: j.State(),
+			})
+		}
+	})
+	sys, err := r.sim(ctx, Sim{Sched: "LAX", Cfg: r.Cfg, Set: set, Probes: []obs.Probe{probe},
+		Before: func(s *cp.System, _ cp.Policy) { traced = s }})
 	if err != nil {
 		return Figure10Trace{}, err
 	}
@@ -82,7 +101,7 @@ func RunFigure10(ctx context.Context, r *Runner, bench string) (Figure10Trace, e
 	tr := Figure10Trace{
 		Benchmark:  bench,
 		JobID:      sample,
-		Points:     pol.TracePoints(),
+		Points:     points,
 		SubmitTime: j.SubmitTime,
 		FinishTime: j.FinishTime,
 		Deadline:   j.Job.Deadline,

@@ -59,10 +59,7 @@ func deviceSweepTable(ctx context.Context, r *Runner) *Table {
 	sets := make([]*workload.JobSet, len(scalingCUCounts))
 	for i, cus := range scalingCUCounts {
 		cfg := r.Cfg
-		cfg.GPU.NumCUs = cus
-		// Bandwidth scales with the memory system, which grows with the
-		// chip: keep the per-CU ratio of the Table 2 machine.
-		cfg.GPU.MemBandwidthDemand = r.Cfg.GPU.MemBandwidthDemand * float64(cus) / 8
+		cfg.GPU = cfg.GPU.WithCUs(cus)
 		lib := workload.NewLibrary(cfg.GPU)
 		rate := bench.JobsPerSecond(workload.HighRate) * cus / 8
 		cfgs[i] = cfg

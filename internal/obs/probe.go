@@ -154,6 +154,18 @@ type Probe interface {
 	KernelDone(KernelDone)
 }
 
+// SampleFunc is a Probe that hands every JobSample to the function and
+// drops every other event.
+type SampleFunc func(JobSample)
+
+func (f SampleFunc) Sample(e JobSample)        { f(e) }
+func (SampleFunc) Job(JobEvent)                {}
+func (SampleFunc) Admission(AdmissionDecision) {}
+func (SampleFunc) Epoch(EpochSnapshot)         {}
+func (SampleFunc) TableRefresh(TableRefresh)   {}
+func (SampleFunc) KernelStart(KernelStart)     {}
+func (SampleFunc) KernelDone(KernelDone)       {}
+
 // multi fans every event out to each probe in order.
 type multi []Probe
 

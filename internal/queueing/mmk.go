@@ -103,12 +103,6 @@ func ForKernel(cfg gpu.Config, desc *gpu.KernelDesc, jobsPerSec int) MMK {
 	}
 	// Memory slowdown with k jobs resident.
 	demand := float64(k*desc.NumWGs) * desc.MemIntensity * float64(desc.ThreadsPerWG)
-	slow := demand / cfg.MemBandwidthDemand
-	if slow < 1 {
-		slow = 1
-	}
-	m := desc.MemIntensity
-	stretch := (1 - m) + m*slow
-	service := sim.Time(float64(gpu.IsolatedKernelTime(cfg, desc)) * stretch)
+	service := sim.Time(float64(gpu.IsolatedKernelTime(cfg, desc)) * cfg.Stretch(desc.MemIntensity, demand))
 	return MMK{Lambda: float64(jobsPerSec), ServiceTime: service, K: k}
 }

@@ -30,17 +30,56 @@ const (
 	MMIOWriteLatency = 1 * sim.Microsecond
 )
 
-// staticJobTime is the offline-profiled prediction of a job's isolated
-// execution time: the sum of its kernels' isolated times on the configured
-// device. BAY's regression model, PRO's offline profiles, and the static
-// SJF/LJF orderings all key off this quantity. It is a pure function of
-// (device config, kernel chain): compute it once per job, never per epoch.
-func staticJobTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
-	var t sim.Time
-	for _, k := range j.Job.Kernels {
-		t += dev.IsolatedKernelTime(k)
+// policy is the skeleton every scheduler embeds: the parts of cp.Policy
+// that are constants of the scheduler (its name, reprioritization interval
+// and communication costs) or of its attachment (the *cp.System). A
+// scheduler states only where it differs: its Admit, a real Reprioritize,
+// an Attach that builds state, and the optional cp interfaces it
+// implements.
+type policy struct {
+	name      string
+	sys       *cp.System
+	interval  sim.Time
+	overheads cp.Overheads
+
+	// profiled marks a scheduler that keys on the offline isolated-time
+	// profile; EstimateKernelTime predicts from it. The rest predict
+	// nothing unless they bring their own estimator.
+	profiled bool
+}
+
+// hostSide is the communication cost of a host-resident scheduler: every
+// kernel launch and every priority write crosses the host-device boundary.
+var hostSide = cp.Overheads{
+	PerKernelLaunch:       HostLaunchOverhead,
+	PriorityUpdateLatency: HostLaunchOverhead,
+}
+
+// Name implements cp.Policy.
+func (p *policy) Name() string { return p.name }
+
+// Attach implements cp.Policy.
+func (p *policy) Attach(s *cp.System) { p.sys = s }
+
+// Reprioritize implements cp.Policy: a scheduler without periodic work
+// never changes a priority.
+func (p *policy) Reprioritize() {}
+
+// Interval implements cp.Policy (0 disables the timer).
+func (p *policy) Interval() sim.Time { return p.interval }
+
+// Overheads implements cp.Policy.
+func (p *policy) Overheads() cp.Overheads { return p.overheads }
+
+// EstimateKernelTime implements cp.KernelEstimator: a profiled scheduler
+// predicts the job's current kernel at its isolated time on the nominal
+// device (retired CUs still count); any other predicts nothing.
+func (p *policy) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
+	k := j.Current()
+	if !p.profiled || k == nil {
+		return 0, false
 	}
-	return t
+	return gpu.IsolatedKernelTime(p.sys.Device().Config(), k.Desc), true
 }
 
 // holdTime is Algorithm 1's holdTime from stream inspection: the profiled
@@ -50,16 +89,6 @@ func holdTime(pt *core.ProfilingTable, j *cp.JobRun) sim.Time {
 	var t sim.Time
 	for _, k := range j.Job.Kernels {
 		t += pt.KernelTime(k.Name, k.NumWGs)
-	}
-	return t
-}
-
-// staticRemainingTime is the offline prediction restricted to kernels that
-// have not completed yet.
-func staticRemainingTime(dev *gpu.Device, j *cp.JobRun) sim.Time {
-	var t sim.Time
-	for _, k := range j.RemainingKernels() {
-		t += dev.IsolatedKernelTime(k)
 	}
 	return t
 }
@@ -121,17 +150,6 @@ func probeTableRefresh(sys *cp.System, name string, kernels int) {
 	if p := sys.Probe(); p != nil {
 		p.TableRefresh(obs.TableRefresh{At: sys.Now(), Scheduler: name, Kernels: kernels})
 	}
-}
-
-// staticKernelEstimate is the offline-profile prediction of a job's current
-// kernel: the KernelEstimator implementation shared by the statically
-// profiled policies (SJF, LJF, BAY, PRO, ORACLE).
-func staticKernelEstimate(sys *cp.System, j *cp.JobRun) (sim.Time, bool) {
-	k := j.Current()
-	if k == nil {
-		return 0, false
-	}
-	return sys.Device().IsolatedKernelTime(k.Desc), true
 }
 
 // registerCapacities tells the profiling table how many WGs of each of the

@@ -89,7 +89,7 @@ func TestEDFOrderingUnderMixedDeadlines(t *testing.T) {
 		{20 * sim.Microsecond, 1 * sim.Millisecond, []*gpu.KernelDesc{k}}, // earliest deadline
 		{30 * sim.Microsecond, 2 * sim.Millisecond, []*gpu.KernelDesc{k}}, // middle
 	})
-	sys := cp.NewSystem(cfg, set, NewEDF())
+	sys := cp.NewSystem(cfg, set, mustNew(t, "EDF"))
 	sys.Run()
 	// After job 0 (head start), the slot order must be 2, 3, 1.
 	if !(sys.Job(2).FinishTime < sys.Job(3).FinishTime &&
@@ -129,7 +129,7 @@ func TestFCFSIsArrivalOrder(t *testing.T) {
 		{sim.Microsecond, sim.Millisecond, []*gpu.KernelDesc{k}},
 		{2 * sim.Microsecond, 500 * sim.Microsecond, []*gpu.KernelDesc{k}},
 	})
-	sys := cp.NewSystem(cfg, set, NewFCFS())
+	sys := cp.NewSystem(cfg, set, mustNew(t, "FCFS"))
 	sys.Run()
 	if !(sys.Job(0).FinishTime < sys.Job(1).FinishTime &&
 		sys.Job(1).FinishTime < sys.Job(2).FinishTime) {
@@ -160,7 +160,7 @@ func TestORACLEAdmissionUsesTrueTimes(t *testing.T) {
 func TestSJFStaticUnderProgress(t *testing.T) {
 	k := kdesc("k", 8, 2560, 500*sim.Microsecond, 0)
 	set := buildSet([]jobSpec{{0, 100 * sim.Millisecond, []*gpu.KernelDesc{k, k, k}}})
-	p := NewSJF()
+	p := mustNew(t, "SJF")
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, p)
 	var first int64 = -1
 	probed := 0

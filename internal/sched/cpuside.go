@@ -2,6 +2,7 @@ package sched
 
 import (
 	"laxgpu/internal/cp"
+	"laxgpu/internal/gpu"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
@@ -18,7 +19,7 @@ const cpuSideInterval = 200 * sim.Microsecond
 // executes these kernels in a lock-step manner and is not aware of the
 // job's deadlines", §6.1.1).
 type BAT struct {
-	sys *cp.System
+	policy
 
 	// group maps a job to its current batch (the set is shared by all
 	// members). Groups are re-formed every interval from jobs whose current
@@ -42,12 +43,11 @@ type batCell struct {
 }
 
 // NewBAT returns the BatchMaker scheduler.
-func NewBAT() *BAT { return &BAT{} }
+func NewBAT() *BAT {
+	return &BAT{policy: policy{name: "BAT", interval: cpuSideInterval, overheads: hostSide}}
+}
 
-// Name implements cp.Policy.
-func (p *BAT) Name() string { return "BAT" }
-
-// Attach implements cp.Policy.
+// Attach implements cp.Policy: empty batch groups.
 func (p *BAT) Attach(s *cp.System) {
 	p.sys = s
 	p.group = make(map[*cp.JobRun][]*cp.JobRun)
@@ -58,7 +58,7 @@ func (p *BAT) Attach(s *cp.System) {
 // batched.
 func (p *BAT) Admit(j *cp.JobRun) bool {
 	j.Priority = 0
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
 
@@ -67,7 +67,7 @@ func (p *BAT) Admit(j *cp.JobRun) bool {
 // into one batch. Larger batches are prioritized (batching efficiency),
 // which is exactly what ignores deadlines.
 func (p *BAT) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 	clear(p.slot)
 	for s, members := range p.batches {
 		clear(members)
@@ -124,17 +124,6 @@ func (p *BAT) CanAdvance(j *cp.JobRun) bool {
 	return true
 }
 
-// Interval implements cp.Policy.
-func (p *BAT) Interval() sim.Time { return cpuSideInterval }
-
-// Overheads implements cp.Policy: host-side launches.
-func (p *BAT) Overheads() cp.Overheads {
-	return cp.Overheads{
-		PerKernelLaunch:       HostLaunchOverhead,
-		PriorityUpdateLatency: HostLaunchOverhead,
-	}
-}
-
 // bayConcurrency is Baymax's coarse assumption about how many jobs the
 // accelerator overlaps; its queuing model divides outstanding work by this
 // fixed factor rather than observing real completion rates — one of the
@@ -147,20 +136,22 @@ const bayConcurrency = 4
 // Every admission costs a 50 µs model invocation, which makes sub-50 µs
 // deadlines (IPV6) unreachable (§6.1.1).
 type BAY struct {
-	sys *cp.System
+	policy
 
 	// outstanding is the predicted work (time) admitted but not yet
 	// finished, the input to the queuing-delay heuristic.
 	predicted map[*cp.JobRun]sim.Time
 }
 
-// NewBAY returns the Baymax scheduler.
-func NewBAY() *BAY { return &BAY{} }
+// NewBAY returns the Baymax scheduler. On top of the host-side costs, every
+// job pays a 50 µs regression-model call.
+func NewBAY() *BAY {
+	o := hostSide
+	o.PerJobAdmission = BaymaxModelOverhead
+	return &BAY{policy: policy{name: "BAY", interval: cpuSideInterval, overheads: o, profiled: true}}
+}
 
-// Name implements cp.Policy.
-func (p *BAY) Name() string { return "BAY" }
-
-// Attach implements cp.Policy.
+// Attach implements cp.Policy: an empty prediction ledger.
 func (p *BAY) Attach(s *cp.System) {
 	p.sys = s
 	p.predicted = make(map[*cp.JobRun]sim.Time)
@@ -183,14 +174,14 @@ func (p *BAY) queueEstimate() sim.Time {
 // Admit implements cp.Policy: accept only if model cost + predicted wait +
 // predicted run time fit in the deadline (QoS headroom > 0).
 func (p *BAY) Admit(j *cp.JobRun) bool {
-	jobTime := staticJobTime(p.sys.Device(), j) +
+	jobTime := gpu.SerialTime(p.sys.Device().Config(), j.Job.Kernels) +
 		sim.Time(len(j.Job.Kernels))*HostLaunchOverhead
 	queue := p.queueEstimate()
 	need := BaymaxModelOverhead + queue + jobTime
 	accepted := need < j.Job.Deadline
 	// Baymax's test is need < deadline with the model cost folded into the
 	// queuing term; report queueDelay = wait-before-run, hold = run time.
-	probeAdmissionTerms(p.sys, p.Name(), j, accepted, BaymaxModelOverhead+queue, jobTime)
+	probeAdmissionTerms(p.sys, p.name, j, accepted, BaymaxModelOverhead+queue, jobTime)
 	if !accepted {
 		return false
 	}
@@ -203,12 +194,12 @@ func (p *BAY) Admit(j *cp.JobRun) bool {
 // (absolute deadline minus now minus predicted remaining time). Smaller
 // headroom → more urgent.
 func (p *BAY) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
-	dev := p.sys.Device()
+	probeEpoch(p.sys, p.name)
+	cfg := p.sys.Device().Config()
 	now := p.sys.Now()
 	pr := p.sys.Probe()
 	for _, j := range p.sys.Active() {
-		rem := staticRemainingTime(dev, j)
+		rem := gpu.SerialTime(cfg, j.RemainingKernels())
 		headroom := j.Job.AbsoluteDeadline() - now - rem
 		j.Priority = int64(headroom)
 		if pr != nil {
@@ -220,25 +211,6 @@ func (p *BAY) Reprioritize() {
 	}
 }
 
-// Interval implements cp.Policy.
-func (p *BAY) Interval() sim.Time { return cpuSideInterval }
-
-// Overheads implements cp.Policy: per-kernel host launches, a 50 µs
-// regression-model call per job, and round-trip-delayed priority updates.
-func (p *BAY) Overheads() cp.Overheads {
-	return cp.Overheads{
-		PerKernelLaunch:       HostLaunchOverhead,
-		PerJobAdmission:       BaymaxModelOverhead,
-		PriorityUpdateLatency: HostLaunchOverhead,
-	}
-}
-
-// EstimateKernelTime implements cp.KernelEstimator from Baymax's regression
-// model (the offline isolated-time profile in this reproduction).
-func (p *BAY) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
-	return staticKernelEstimate(p.sys, j)
-}
-
 // PRO is Prophet [53]: offline profiles predict kernel resource usage and
 // interference, and the host co-schedules only job sets whose *summed*
 // standalone demand fits the device — a conservative estimate that "does
@@ -246,23 +218,20 @@ func (p *BAY) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
 // budget are held (paused), so under heavy load queuing delay grows and
 // held jobs eventually run anyway and miss — the paper's observed waste.
 type PRO struct {
-	sys *cp.System
+	policy
 }
 
-// NewPRO returns the Prophet scheduler.
-func NewPRO() *PRO { return &PRO{} }
-
-// Name implements cp.Policy.
-func (p *PRO) Name() string { return "PRO" }
-
-// Attach implements cp.Policy.
-func (p *PRO) Attach(s *cp.System) { p.sys = s }
+// NewPRO returns the Prophet scheduler: offline profiling avoids BAY's
+// model cost, but launches still cross the host-device boundary.
+func NewPRO() *PRO {
+	return &PRO{policy: policy{name: "PRO", interval: cpuSideInterval, overheads: hostSide, profiled: true}}
+}
 
 // Admit implements cp.Policy: Prophet improves utilization rather than
 // rejecting latency-sensitive work.
 func (p *PRO) Admit(j *cp.JobRun) bool {
 	j.Priority = 0
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
 
@@ -270,7 +239,7 @@ func (p *PRO) Admit(j *cp.JobRun) bool {
 // summed thread and memory demand fits the device under the conservative
 // no-overlap model; hold the rest.
 func (p *PRO) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 	cfg := p.sys.Device().Config()
 	threadBudget := cfg.TotalThreads()
 	memBudget := cfg.MemBandwidthDemand
@@ -295,22 +264,4 @@ func (p *PRO) Reprioritize() {
 		}
 	}
 	probeSamples(p.sys)
-}
-
-// Interval implements cp.Policy.
-func (p *PRO) Interval() sim.Time { return cpuSideInterval }
-
-// Overheads implements cp.Policy: offline profiling avoids BAY's model
-// cost, but launches still cross the host-device boundary.
-func (p *PRO) Overheads() cp.Overheads {
-	return cp.Overheads{
-		PerKernelLaunch:       HostLaunchOverhead,
-		PriorityUpdateLatency: HostLaunchOverhead,
-	}
-}
-
-// EstimateKernelTime implements cp.KernelEstimator from Prophet's offline
-// kernel profiles.
-func (p *PRO) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
-	return staticKernelEstimate(p.sys, j)
 }

@@ -131,11 +131,11 @@ func TestStaticPrioritiesAreThePlainCast(t *testing.T) {
 	for _, name := range workload.BenchmarkNames() {
 		bench, _ := workload.FindBenchmark(name)
 		set := bench.Generate(lib, workload.HighRate, 4, 1)
-		for _, pol := range []cp.Policy{NewSJF(), NewLJF()} {
+		for _, pol := range []cp.Policy{mustNew(t, "SJF"), mustNew(t, "LJF")} {
 			sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
 			for _, j := range sys.Jobs() {
 				pol.Admit(j)
-				want := int64(j.Job.SerialTime(gpu.DefaultConfig()))
+				want := int64(gpu.SerialTime(gpu.DefaultConfig(), j.Job.Kernels))
 				if pol.Name() == "LJF" {
 					want = -want
 				}

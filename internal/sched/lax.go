@@ -29,17 +29,6 @@ const (
 	VariantCPU
 )
 
-// TracePoint is one Figure 10 sample: LAX's view of a job at a
-// reprioritization tick.
-type TracePoint struct {
-	At             sim.Time // absolute simulation time
-	DurTime        sim.Time // time since the job was enqueued
-	PredictedRem   sim.Time // profiling-table remaining-time estimate
-	Priority       int64    // Algorithm 2 output (0 = highest)
-	State          cp.JobState
-	WGsOutstanding int
-}
-
 // InitialPriorityMode selects how a newly admitted job's priority is
 // initialized — the design point of the paper's footnote 2, which found
 // "initializing each job with the lowest priority or running an initial
@@ -107,9 +96,8 @@ type LAXConfig struct {
 // queuing delay forecloses their deadline, and Algorithm 2 re-ranks every
 // job by laxity each 100 µs.
 type LAX struct {
-	cfg     LAXConfig
-	variant LAXVariant
-	sys     *cp.System
+	policy
+	cfg LAXConfig
 
 	// pt is the live Kernel Profiling Table; stale is the snapshot a
 	// host-side variant actually schedules from (one window old).
@@ -131,9 +119,6 @@ type LAX struct {
 	// every job of every tick.
 	wgList []core.WGEntry
 
-	traceJob int // job ID to trace for Figure 10 (-1 = off)
-	tracePts []TracePoint
-
 	// seenRetiredCUs detects device degradation between ticks so per-kernel
 	// capacities can be re-registered against the shrunken device.
 	seenRetiredCUs int
@@ -151,7 +136,14 @@ func NewLAXSW() *LAX { return NewLAXWithConfig(LAXConfig{Variant: VariantSW}) }
 func NewLAXCPU() *LAX { return NewLAXWithConfig(LAXConfig{Variant: VariantCPU}) }
 
 // NewLAXWithConfig returns a laxity scheduler with explicit knobs (used by
-// the ablation study).
+// the ablation study). The variant fixes the placement. The CP-integrated
+// variant runs at the empirically chosen 100 µs cadence and pays no host
+// communication. The host-side variants cannot sample device counters and
+// push decisions through the driver stack that fast: LAX-SW's whole loop
+// (read counters over the bus, recompute, relaunch) runs at BAY/PRO-like
+// host cadence and cost, while LAX-CPU's memory-mapped priority registers
+// let it close the loop faster, though still behind the CP, for one MMIO
+// write per priority update.
 func NewLAXWithConfig(cfg LAXConfig) *LAX {
 	if cfg.UpdateInterval <= 0 {
 		cfg.UpdateInterval = core.DefaultUpdateInterval
@@ -159,25 +151,22 @@ func NewLAXWithConfig(cfg LAXConfig) *LAX {
 	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
 		cfg.Alpha = 1
 	}
-	return &LAX{cfg: cfg, variant: cfg.Variant, traceJob: -1}
-}
-
-// Name implements cp.Policy.
-func (p *LAX) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	switch p.variant {
+	p := &LAX{cfg: cfg, policy: policy{name: "LAX", interval: cfg.UpdateInterval}}
+	switch cfg.Variant {
 	case VariantSW:
-		return "LAX-SW"
+		p.name, p.interval, p.overheads = "LAX-SW", 5*cfg.UpdateInterval, hostSide
 	case VariantCPU:
-		return "LAX-CPU"
-	default:
-		return "LAX"
+		p.name, p.interval = "LAX-CPU", 2*cfg.UpdateInterval
+		p.overheads = cp.Overheads{PriorityUpdateLatency: MMIOWriteLatency}
 	}
+	if cfg.Name != "" {
+		p.name = cfg.Name
+	}
+	return p
 }
 
-// Attach implements cp.Policy.
+// Attach implements cp.Policy: a fresh profiling table, its snapshot and
+// the job table.
 func (p *LAX) Attach(s *cp.System) {
 	p.sys = s
 	p.pt = core.NewProfilingTable(p.cfg.Alpha)
@@ -189,14 +178,14 @@ func (p *LAX) Attach(s *cp.System) {
 // incremental reports whether the dirty-set job table serves this variant's
 // estimates.
 func (p *LAX) incremental() bool {
-	return p.variant == VariantCP && !p.cfg.DisableIncremental
+	return p.cfg.Variant == VariantCP && !p.cfg.DisableIncremental
 }
 
 // table returns the profiling view the variant schedules from: the live
 // table for CP-integrated LAX, the previous window's snapshot for the
 // host-side variants (their counter reads cross the bus).
 func (p *LAX) table() *core.ProfilingTable {
-	if p.variant == VariantCP {
+	if p.cfg.Variant == VariantCP {
 		return p.pt
 	}
 	return p.stale
@@ -210,7 +199,7 @@ func (p *LAX) table() *core.ProfilingTable {
 // p.wgList and is valid only until the next call (RemainingTime and
 // RemainingDrain sum it and keep nothing).
 func (p *LAX) remaining(j *cp.JobRun) []core.WGEntry {
-	if p.variant == VariantCP {
+	if p.cfg.Variant == VariantCP {
 		return j.RemainingWGList()
 	}
 	out := p.wgList[:0]
@@ -237,7 +226,7 @@ func (p *LAX) Admit(j *cp.JobRun) bool {
 	queueDelay := p.EstimateDrain()
 	hold := holdTime(p.table(), j)
 	accepted := p.cfg.DisableAdmission || core.Admit(queueDelay, hold, 0, j.Job.Deadline)
-	probeAdmissionTerms(p.sys, p.Name(), j, accepted, queueDelay, hold)
+	probeAdmissionTerms(p.sys, p.name, j, accepted, queueDelay, hold)
 	if !accepted {
 		return false
 	}
@@ -282,10 +271,10 @@ func (p *LAX) EstimateDrain() sim.Time {
 // Reprioritize implements cp.Policy — Algorithm 2 over all active jobs,
 // every 100 µs.
 func (p *LAX) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 
 	// Host-side variants schedule from the previous window's rates.
-	if p.variant != VariantCP {
+	if p.cfg.Variant != VariantCP {
 		next := &p.snaps[0]
 		if p.stale == next {
 			next = &p.snaps[1]
@@ -294,7 +283,7 @@ func (p *LAX) Reprioritize() {
 		p.stale = next
 	}
 	p.pt.Update(p.sys.Device().Counters(), p.sys.Now())
-	probeTableRefresh(p.sys, p.Name(), p.pt.Len())
+	probeTableRefresh(p.sys, p.name, p.pt.Len())
 
 	// A CU retirement since the last tick shrinks every kernel's concurrent
 	// capacity; re-register so Algorithm 1 stops admitting against the
@@ -328,48 +317,6 @@ func (p *LAX) Reprioritize() {
 				HasPrediction: true, PredictedRem: rem,
 			})
 		}
-		if j.Job.ID == p.traceJob {
-			out := 0
-			if k := j.Current(); k != nil {
-				out = k.OutstandingWGs()
-			}
-			p.tracePts = append(p.tracePts, TracePoint{
-				At: now, DurTime: dur, PredictedRem: rem,
-				Priority: j.Priority, State: j.State(), WGsOutstanding: out,
-			})
-		}
-	}
-}
-
-// Interval implements cp.Policy. The CP-integrated variant runs at the
-// empirically chosen 100 µs cadence. The host-side variants cannot sample
-// device counters and push decisions through the driver stack that fast:
-// LAX-SW's whole loop (read counters over the bus, recompute, relaunch)
-// runs at BAY/PRO-like host cadence, while LAX-CPU's memory-mapped priority
-// registers let it close the loop faster, though still behind the CP.
-func (p *LAX) Interval() sim.Time {
-	switch p.variant {
-	case VariantSW:
-		return 5 * p.cfg.UpdateInterval
-	case VariantCPU:
-		return 2 * p.cfg.UpdateInterval
-	default:
-		return p.cfg.UpdateInterval
-	}
-}
-
-// Overheads implements cp.Policy, encoding the variant's placement.
-func (p *LAX) Overheads() cp.Overheads {
-	switch p.variant {
-	case VariantSW:
-		return cp.Overheads{
-			PerKernelLaunch:       HostLaunchOverhead,
-			PriorityUpdateLatency: HostLaunchOverhead,
-		}
-	case VariantCPU:
-		return cp.Overheads{PriorityUpdateLatency: MMIOWriteLatency}
-	default:
-		return cp.Overheads{}
 	}
 }
 
@@ -384,12 +331,6 @@ func (p *LAX) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
 	}
 	return p.table().KernelTime(k.Desc.Name, k.Desc.NumWGs), true
 }
-
-// EnableTrace records a Figure 10 trace for the given job ID.
-func (p *LAX) EnableTrace(jobID int) { p.traceJob = jobID }
-
-// TracePoints returns the recorded Figure 10 samples.
-func (p *LAX) TracePoints() []TracePoint { return p.tracePts }
 
 // ProfilingTable exposes the live Kernel Profiling Table (for tests and
 // the prediction-accuracy experiment).

@@ -26,7 +26,8 @@ func NewLAXPREMA() *LAXPREMA {
 	return &LAXPREMA{LAX: NewLAX()}
 }
 
-// Name implements cp.Policy.
+// Name implements cp.Policy. The embedded LAX keeps its own name, which
+// the admission, epoch and table-refresh events it emits carry.
 func (p *LAXPREMA) Name() string { return "LAX-PREMA" }
 
 // Reprioritize runs Algorithm 2, then applies the PREMA element: while any

@@ -5,7 +5,6 @@ import (
 
 	"laxgpu/internal/core"
 	"laxgpu/internal/cp"
-	"laxgpu/internal/sim"
 )
 
 // Priority levels for MLFQ's two queues.
@@ -21,7 +20,7 @@ const (
 // promoted back "take up high priority resources even after their
 // deadline" — which this implementation reproduces.
 type MLFQ struct {
-	sys     *cp.System
+	policy
 	current *cp.JobRun // high-queue entry in service
 
 	// Order is memoized on everything its output reads. high and low are
@@ -40,25 +39,21 @@ type MLFQ struct {
 }
 
 // NewMLFQ returns the multi-level feedback queue scheduler.
-func NewMLFQ() *MLFQ { return &MLFQ{} }
-
-// Name implements cp.Policy.
-func (p *MLFQ) Name() string { return "MLFQ" }
-
-// Attach implements cp.Policy.
-func (p *MLFQ) Attach(s *cp.System) { p.sys = s }
+func NewMLFQ() *MLFQ {
+	return &MLFQ{policy: policy{name: "MLFQ", interval: core.DefaultUpdateInterval}}
+}
 
 // Admit implements cp.Policy: jobs enter the high-priority queue.
 func (p *MLFQ) Admit(j *cp.JobRun) bool {
 	j.Priority = mlfqHigh
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
 
 // Reprioritize implements cp.Policy: apply the runtime-threshold demotion
 // and promotion rules.
 func (p *MLFQ) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 	now := p.sys.Now()
 	moved := false
 	for _, j := range p.sys.Active() {
@@ -78,12 +73,6 @@ func (p *MLFQ) Reprioritize() {
 	}
 	probeSamples(p.sys)
 }
-
-// Interval implements cp.Policy.
-func (p *MLFQ) Interval() sim.Time { return core.DefaultUpdateInterval }
-
-// Overheads implements cp.Policy: MLFQ extends the CP.
-func (p *MLFQ) Overheads() cp.Overheads { return cp.Overheads{} }
 
 // Order implements cp.Orderer: high queue before low queue, cyclic service
 // within the high queue ("uses RR to schedule jobs in the high priority

@@ -8,37 +8,6 @@ import (
 	"laxgpu/internal/sim"
 )
 
-// FCFS is a plain first-come-first-served baseline (single priority level,
-// arrival-order tie-break). The paper notes that SJF/SRF "default to
-// first-come-first-serve order" on equal-size jobs; FCFS makes that
-// degenerate behavior directly measurable.
-type FCFS struct{ sys *cp.System }
-
-// NewFCFS returns the first-come-first-served baseline.
-func NewFCFS() *FCFS { return &FCFS{} }
-
-// Name implements cp.Policy.
-func (p *FCFS) Name() string { return "FCFS" }
-
-// Attach implements cp.Policy.
-func (p *FCFS) Attach(s *cp.System) { p.sys = s }
-
-// Admit implements cp.Policy: everything, one priority level.
-func (p *FCFS) Admit(j *cp.JobRun) bool {
-	j.Priority = 0
-	probeAdmission(p.sys, p.Name(), j, true)
-	return true
-}
-
-// Reprioritize implements cp.Policy.
-func (p *FCFS) Reprioritize() {}
-
-// Interval implements cp.Policy.
-func (p *FCFS) Interval() sim.Time { return 0 }
-
-// Overheads implements cp.Policy.
-func (p *FCFS) Overheads() cp.Overheads { return cp.Overheads{} }
-
 // ORACLE is an analysis upper bound, not a realizable scheduler: laxity
 // scheduling and Little's-Law admission exactly as LAX, but fed *perfect*
 // isolated execution-time knowledge instead of profiled completion rates.
@@ -46,17 +15,15 @@ func (p *FCFS) Overheads() cp.Overheads { return cp.Overheads{} }
 // error; the gap between ORACLE and clairvoyant optimal is the residual
 // cost of the greedy laxity heuristic itself.
 type ORACLE struct {
-	sys *cp.System
+	policy
 }
 
-// NewORACLE returns the perfect-information laxity scheduler.
-func NewORACLE() *ORACLE { return &ORACLE{} }
-
-// Name implements cp.Policy.
-func (p *ORACLE) Name() string { return "ORACLE" }
-
-// Attach implements cp.Policy.
-func (p *ORACLE) Attach(s *cp.System) { p.sys = s }
+// NewORACLE returns the perfect-information laxity scheduler. It lives in
+// the CP, and its kernel estimates are the exact isolated times — the
+// zero-error reference for the accuracy tracker.
+func NewORACLE() *ORACLE {
+	return &ORACLE{policy: policy{name: "ORACLE", interval: core.DefaultUpdateInterval, profiled: true}}
+}
 
 // drain is the perfect-information analogue of the profiling table's
 // RemainingDrain: WGs over exact device delivery capacity.
@@ -95,9 +62,9 @@ func (p *ORACLE) EstimateDrain() sim.Time {
 // Admit implements cp.Policy — Algorithm 1 with exact estimates.
 func (p *ORACLE) Admit(j *cp.JobRun) bool {
 	queueDelay := p.EstimateDrain()
-	hold := staticJobTime(p.sys.Device(), j)
+	hold := gpu.SerialTime(p.sys.Device().Config(), j.Job.Kernels)
 	accepted := core.Admit(queueDelay, hold, 0, j.Job.Deadline)
-	probeAdmissionTerms(p.sys, p.Name(), j, accepted, queueDelay, hold)
+	probeAdmissionTerms(p.sys, p.name, j, accepted, queueDelay, hold)
 	if !accepted {
 		return false
 	}
@@ -108,12 +75,12 @@ func (p *ORACLE) Admit(j *cp.JobRun) bool {
 // Reprioritize implements cp.Policy — Algorithm 2 with exact remaining
 // times.
 func (p *ORACLE) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
-	dev := p.sys.Device()
+	probeEpoch(p.sys, p.name)
+	cfg := p.sys.Device().Config()
 	now := p.sys.Now()
 	pr := p.sys.Probe()
 	for _, j := range p.sys.Active() {
-		rem := staticRemainingTime(dev, j)
+		rem := gpu.SerialTime(cfg, j.RemainingKernels())
 		dur := now - j.SubmitTime
 		j.Priority = core.Priority(j.Job.Deadline, rem, dur)
 		if pr != nil {
@@ -124,16 +91,4 @@ func (p *ORACLE) Reprioritize() {
 			})
 		}
 	}
-}
-
-// Interval implements cp.Policy.
-func (p *ORACLE) Interval() sim.Time { return core.DefaultUpdateInterval }
-
-// Overheads implements cp.Policy: the oracle lives in the CP.
-func (p *ORACLE) Overheads() cp.Overheads { return cp.Overheads{} }
-
-// EstimateKernelTime implements cp.KernelEstimator with the oracle's exact
-// isolated kernel time — the zero-error reference for the accuracy tracker.
-func (p *ORACLE) EstimateKernelTime(j *cp.JobRun) (sim.Time, bool) {
-	return staticKernelEstimate(p.sys, j)
 }

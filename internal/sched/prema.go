@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"laxgpu/internal/cp"
+	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
 )
 
@@ -25,7 +26,7 @@ const premaSaveRestoreBytesPerNs = 100
 // device to the highest-token jobs, preempting the rest at a context
 // save/restore cost.
 type PREMA struct {
-	sys *cp.System
+	policy
 
 	// ranked is the epoch's scratch, reused across epochs: one entry per
 	// active job, sorted by token.
@@ -45,19 +46,13 @@ type premaRank struct {
 }
 
 // NewPREMA returns the PREMA scheduler.
-func NewPREMA() *PREMA { return &PREMA{} }
-
-// Name implements cp.Policy.
-func (p *PREMA) Name() string { return "PREMA" }
-
-// Attach implements cp.Policy.
-func (p *PREMA) Attach(s *cp.System) { p.sys = s }
+func NewPREMA() *PREMA { return &PREMA{policy: policy{name: "PREMA", interval: premaInterval}} }
 
 // Admit implements cp.Policy: PREMA has no deadline-based admission.
 func (p *PREMA) Admit(j *cp.JobRun) bool {
 	j.Priority = 0
 	p.state(j)
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
 
@@ -68,7 +63,7 @@ func (p *PREMA) state(j *cp.JobRun) *premaJob {
 	if st, ok := j.SchedState.(*premaJob); ok {
 		return st
 	}
-	st := &premaJob{ideal: max(staticJobTime(p.sys.Device(), j), 1)}
+	st := &premaJob{ideal: max(gpu.SerialTime(p.sys.Device().Config(), j.Job.Kernels), 1)}
 	j.SchedState = st
 	return st
 }
@@ -89,7 +84,7 @@ func (st *premaJob) token(now sim.Time, j *cp.JobRun) float64 {
 // on both (same-instant arrivals of the same shape) keep sys.Active()
 // order — the sort must stay stable over that order.
 func (p *PREMA) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 	active := p.sys.Active()
 	if len(active) == 0 {
 		return
@@ -145,10 +140,3 @@ func (p *PREMA) Reprioritize() {
 	}
 	probeSamples(p.sys)
 }
-
-// Interval implements cp.Policy: the 250 µs preemption epoch.
-func (p *PREMA) Interval() sim.Time { return premaInterval }
-
-// Overheads implements cp.Policy: PREMA extends the accelerator's
-// scheduler; no host communication per kernel.
-func (p *PREMA) Overheads() cp.Overheads { return cp.Overheads{} }

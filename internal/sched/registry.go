@@ -20,10 +20,10 @@ var registry = map[string]Factory{
 	"BAY":     func() cp.Policy { return NewBAY() },
 	"PRO":     func() cp.Policy { return NewPRO() },
 	"MLFQ":    func() cp.Policy { return NewMLFQ() },
-	"EDF":     func() cp.Policy { return NewEDF() },
-	"SJF":     func() cp.Policy { return NewSJF() },
+	"EDF":     func() cp.Policy { return newStatic("EDF", byDeadline) },
+	"SJF":     func() cp.Policy { return newStatic("SJF", byShortest) },
 	"SRF":     func() cp.Policy { return NewSRF() },
-	"LJF":     func() cp.Policy { return NewLJF() },
+	"LJF":     func() cp.Policy { return newStatic("LJF", byLongest) },
 	"PREMA":   func() cp.Policy { return NewPREMA() },
 	"LAX":     func() cp.Policy { return NewLAX() },
 	"LAX-SW":  func() cp.Policy { return NewLAXSW() },
@@ -31,7 +31,7 @@ var registry = map[string]Factory{
 
 	// Extensions beyond the paper's Table 3: baselines for analysis (FCFS,
 	// the perfect-information ORACLE) and the future-work hybrid (§6.1.2).
-	"FCFS":      func() cp.Policy { return NewFCFS() },
+	"FCFS":      func() cp.Policy { return newStatic("FCFS", byArrival) },
 	"ORACLE":    func() cp.Policy { return NewORACLE() },
 	"LAX-PREMA": func() cp.Policy { return NewLAXPREMA() },
 }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"laxgpu/internal/cp"
-	"laxgpu/internal/sim"
-)
+import "laxgpu/internal/cp"
 
 // RR is the contemporary GPU baseline: the CP "schedules kernels within
 // these queues in a round robin manner" (§2.1). It is deadline-blind,
@@ -12,34 +9,19 @@ import (
 // switching to WGs from another kernel"), the pointer stays on a queue
 // until its current kernel has no workgroups left to issue, then moves on.
 type RR struct {
-	sys     *cp.System
+	policy
 	current *cp.JobRun   // queue in service (last granted WG slots)
 	order   []*cp.JobRun // Order's result buffer, reused every round
 }
 
 // NewRR returns the round-robin baseline scheduler.
-func NewRR() *RR { return &RR{} }
-
-// Name implements cp.Policy.
-func (p *RR) Name() string { return "RR" }
-
-// Attach implements cp.Policy.
-func (p *RR) Attach(s *cp.System) { p.sys = s }
+func NewRR() *RR { return &RR{policy: policy{name: "RR"}} }
 
 // Admit implements cp.Policy: contemporary GPUs offload unconditionally.
 func (p *RR) Admit(j *cp.JobRun) bool {
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
-
-// Reprioritize implements cp.Policy: RR never changes priorities.
-func (p *RR) Reprioritize() {}
-
-// Interval implements cp.Policy: no periodic work.
-func (p *RR) Interval() sim.Time { return 0 }
-
-// Overheads implements cp.Policy: the CP pays no host communication.
-func (p *RR) Overheads() cp.Overheads { return cp.Overheads{} }
 
 // Order implements cp.Orderer: cyclic service. The in-service queue stays
 // at the front while its kernel still has WGs to issue; otherwise the cycle

@@ -33,6 +33,16 @@ func buildSet(specs []jobSpec) *workload.JobSet {
 	return set
 }
 
+// mustNew returns a fresh instance of the named registered policy.
+func mustNew(t *testing.T, name string) cp.Policy {
+	t.Helper()
+	p, err := New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func runPolicy(t *testing.T, pol cp.Policy, set *workload.JobSet) *cp.System {
 	t.Helper()
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
@@ -128,7 +138,7 @@ func TestEDFPriorityIsAbsoluteDeadline(t *testing.T) {
 		{0, 5 * sim.Millisecond, []*gpu.KernelDesc{long}},
 		{0, 1 * sim.Millisecond, []*gpu.KernelDesc{long}},
 	})
-	sys := runPolicy(t, NewEDF(), set)
+	sys := runPolicy(t, mustNew(t, "EDF"), set)
 	if sys.Job(0).Priority <= sys.Job(1).Priority {
 		t.Fatalf("EDF priorities wrong: %d vs %d", sys.Job(0).Priority, sys.Job(1).Priority)
 	}
@@ -146,7 +156,7 @@ func TestSJFPrefersShortJobs(t *testing.T) {
 		{0, 10 * sim.Millisecond, []*gpu.KernelDesc{long}},
 		{sim.Microsecond, 10 * sim.Millisecond, []*gpu.KernelDesc{short}},
 	})
-	sys := cp.NewSystem(cfg, set, NewSJF())
+	sys := cp.NewSystem(cfg, set, mustNew(t, "SJF"))
 	sys.Run()
 	if sys.Job(2).FinishTime >= sys.Job(1).FinishTime {
 		t.Fatalf("SJF did not prefer the short job: short at %v, long at %v",
@@ -164,7 +174,7 @@ func TestLJFPrefersLongJobs(t *testing.T) {
 		{0, 10 * sim.Millisecond, []*gpu.KernelDesc{short}},
 		{sim.Microsecond, 10 * sim.Millisecond, []*gpu.KernelDesc{long}},
 	})
-	sys := cp.NewSystem(cfg, set, NewLJF())
+	sys := cp.NewSystem(cfg, set, mustNew(t, "LJF"))
 	sys.Run()
 	if sys.Job(2).FinishTime >= sys.Job(1).FinishTime {
 		t.Fatalf("LJF did not prefer the long job: long at %v, short at %v",
@@ -474,42 +484,6 @@ func TestLAXVariantsOverheads(t *testing.T) {
 	cpu := NewLAXCPU().Overheads()
 	if cpu.PerKernelLaunch != 0 || cpu.PriorityUpdateLatency != MMIOWriteLatency {
 		t.Errorf("LAX-CPU overheads %+v", cpu)
-	}
-}
-
-func TestLAXTraceRecordsFigure10Data(t *testing.T) {
-	k := kdesc("k", 16, 2560, 300*sim.Microsecond, 0)
-	set := buildSet([]jobSpec{{0, 50 * sim.Millisecond, []*gpu.KernelDesc{k, k}}})
-	p := NewLAX()
-	p.EnableTrace(0)
-	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, p)
-	sys.Run()
-	pts := p.TracePoints()
-	if len(pts) < 3 {
-		t.Fatalf("trace has %d points, want several ticks", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At <= pts[i-1].At {
-			t.Fatal("trace times not increasing")
-		}
-		if pts[i].DurTime != pts[i].At-sys.Job(0).SubmitTime {
-			t.Fatal("DurTime inconsistent")
-		}
-	}
-	// The estimate starts at zero (no profile), grows once rates are
-	// learned, then shrinks as work completes: the final sample must be
-	// below the peak.
-	var peak sim.Time
-	for _, p := range pts {
-		if p.PredictedRem > peak {
-			peak = p.PredictedRem
-		}
-	}
-	if peak == 0 {
-		t.Fatal("predicted remaining never became positive; profiling broken")
-	}
-	if last := pts[len(pts)-1].PredictedRem; last >= peak {
-		t.Fatalf("predicted remaining did not shrink: peak=%v last=%v", peak, last)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // priorities" (Table 3) — the profiling-table-driven estimate — but ignores
 // deadlines, laxity and queuing delay.
 type SRF struct {
-	sys *cp.System
-	pt  *core.ProfilingTable
+	policy
+	pt *core.ProfilingTable
 
 	// jt is the shared dirty-set estimate cache (see jobtable.go): SRF uses
 	// LAX's estimator, so it gets the same incremental path.
@@ -24,12 +24,9 @@ type SRF struct {
 }
 
 // NewSRF returns the shortest-remaining-time-first scheduler.
-func NewSRF() *SRF { return &SRF{} }
+func NewSRF() *SRF { return &SRF{policy: policy{name: "SRF", interval: core.DefaultUpdateInterval}} }
 
-// Name implements cp.Policy.
-func (p *SRF) Name() string { return "SRF" }
-
-// Attach implements cp.Policy.
+// Attach implements cp.Policy: a fresh profiling table and job table.
 func (p *SRF) Attach(s *cp.System) {
 	p.sys = s
 	p.pt = core.NewProfilingTable(1)
@@ -43,7 +40,7 @@ func (p *SRF) Admit(j *cp.JobRun) bool {
 	registerCapacities(p.pt, p.sys.Device(), j)
 	p.jt.register(j)
 	j.Priority = int64(holdTime(p.pt, j))
-	probeAdmission(p.sys, p.Name(), j, true)
+	probeAdmission(p.sys, p.name, j, true)
 	return true
 }
 
@@ -51,9 +48,9 @@ func (p *SRF) Admit(j *cp.JobRun) bool {
 // device counters and re-rank every active job by its estimated remaining
 // time.
 func (p *SRF) Reprioritize() {
-	probeEpoch(p.sys, p.Name())
+	probeEpoch(p.sys, p.name)
 	p.pt.Update(p.sys.Device().Counters(), p.sys.Now())
-	probeTableRefresh(p.sys, p.Name(), p.pt.Len())
+	probeTableRefresh(p.sys, p.name, p.pt.Len())
 	if r := p.sys.Device().RetiredCUsCount(); r != p.seenRetiredCUs {
 		p.seenRetiredCUs = r
 		for _, j := range p.sys.Active() {
@@ -73,12 +70,6 @@ func (p *SRF) Reprioritize() {
 		}
 	}
 }
-
-// Interval implements cp.Policy: the same 100 µs cadence as LAX.
-func (p *SRF) Interval() sim.Time { return core.DefaultUpdateInterval }
-
-// Overheads implements cp.Policy: SRF extends the CP.
-func (p *SRF) Overheads() cp.Overheads { return cp.Overheads{} }
 
 // EstimateKernelTime implements cp.KernelEstimator from SRF's own profiling
 // table (it shares LAX's estimator machinery, Table 3).

@@ -8,6 +8,7 @@ import (
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
+	"laxgpu/internal/gpu"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/sim"
@@ -296,7 +297,7 @@ func TestNodeOverloadVerdicts(t *testing.T) {
 	rng := sim.NewRNG(1)
 	var total sim.Time
 	for i := 0; i < samples; i++ {
-		total += b.Sample(lib, rng, i, 0).SerialTime(cfg.GPU)
+		total += gpu.SerialTime(cfg.GPU, b.Sample(lib, rng, i, 0).Kernels)
 	}
 	capacity := samples * float64(sim.Second) / float64(total) // jobs/second
 

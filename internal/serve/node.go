@@ -130,9 +130,7 @@ func (n *Node) EstimateDrain() sim.Time {
 	cfg := n.sys.Device().Config()
 	var total sim.Time
 	for _, a := range n.sys.Active() {
-		for _, k := range a.RemainingKernels() {
-			total += gpu.IsolatedKernelTime(cfg, k)
-		}
+		total += gpu.SerialTime(cfg, a.RemainingKernels())
 	}
 	return total
 }

@@ -455,7 +455,7 @@ func (s *Server) benchmarkCapacity(b *workload.Benchmark) float64 {
 	var total sim.Time
 	for i := 0; i < samples; i++ {
 		kernels, _ := b.SampleChain(s.lib, rng)
-		total += (&workload.Job{Kernels: kernels}).SerialTime(s.gpu)
+		total += gpu.SerialTime(s.gpu, kernels)
 	}
 	mean := float64(total) / samples
 	if mean <= 0 {

@@ -63,17 +63,6 @@ func (j *Job) TotalWGs() int {
 	return n
 }
 
-// SerialTime returns the sum of isolated kernel execution times under cfg:
-// a lower bound on the job's latency when run alone (kernels are
-// sequentially dependent).
-func (j *Job) SerialTime(cfg gpu.Config) sim.Time {
-	var t sim.Time
-	for _, k := range j.Kernels {
-		t += gpu.IsolatedKernelTime(cfg, k)
-	}
-	return t
-}
-
 // Validate reports the first structural error in the job, or nil.
 func (j *Job) Validate() error {
 	if len(j.Kernels) == 0 {

@@ -155,12 +155,7 @@ func calibrate(cfg gpu.Config, s kernelSpec) *gpu.KernelDesc {
 	}
 	waves := (numWGs + conc - 1) / conc
 	demand := float64(conc) * s.memIntensity * float64(threadsPerWG)
-	slow := demand / cfg.MemBandwidthDemand
-	if slow < 1 {
-		slow = 1
-	}
-	stretch := (1 - s.memIntensity) + s.memIntensity*slow
-	base := float64(s.execTime) / (float64(waves) * stretch)
+	base := float64(s.execTime) / (float64(waves) * cfg.Stretch(s.memIntensity, demand))
 	if base < 1 {
 		base = 1
 	}

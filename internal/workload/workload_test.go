@@ -290,7 +290,7 @@ func TestJobHelpers(t *testing.T) {
 	if j.TotalWGs() != l.Kernel("IPV6Kernel").NumWGs {
 		t.Fatal("TotalWGs wrong")
 	}
-	if st := j.SerialTime(gpu.DefaultConfig()); st < 24*sim.Microsecond || st > 26*sim.Microsecond {
+	if st := gpu.SerialTime(gpu.DefaultConfig(), j.Kernels); st < 24*sim.Microsecond || st > 26*sim.Microsecond {
 		t.Fatalf("SerialTime = %v, want ≈25µs", st)
 	}
 	if set.Horizon() < set.LastArrival() {

@@ -261,13 +261,10 @@ type SystemConfig struct {
 	PriorityLevels int
 }
 
-// apply merges the overrides into cfg. Bandwidth scales with the memory
-// system, which grows with the chip: the per-CU ratio of the Table 2
-// machine is preserved.
+// apply merges the overrides into cfg.
 func (c SystemConfig) apply(cfg *cp.SystemConfig) {
 	if c.NumCUs > 0 {
-		cfg.GPU.MemBandwidthDemand = cfg.GPU.MemBandwidthDemand * float64(c.NumCUs) / float64(cfg.GPU.NumCUs)
-		cfg.GPU.NumCUs = c.NumCUs
+		cfg.GPU = cfg.GPU.WithCUs(c.NumCUs)
 	}
 	if c.NumQueues > 0 {
 		cfg.NumQueues = c.NumQueues
