@@ -7,14 +7,7 @@
 # across the scale-down churn.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-    for p in "${pids[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
 
 go build -race -o "$workdir/laxgw" ./cmd/laxgw
 go build -o "$workdir/laxload" ./cmd/laxload
@@ -31,14 +24,7 @@ go build -o "$workdir/laxload" ./cmd/laxload
     2> "$workdir/laxgw.log" &
 gw_pid=$!
 pids+=("$gw_pid")
-gw=""
-for _ in $(seq 1 100); do
-    gw="$(sed -n 's/^laxgw: serving on \([^ ]*\).*/\1/p' "$workdir/laxgw.log")"
-    [ -n "$gw" ] && break
-    kill -0 "$gw_pid" 2>/dev/null || { cat "$workdir/laxgw.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$gw" ] || { echo "laxgw never reported its address"; cat "$workdir/laxgw.log"; exit 1; }
+gw="$(wait_addr "$gw_pid" "$workdir/laxgw.log" laxgw)"
 grep -q '^laxgw: autoscale predictive' "$workdir/laxgw.log" \
     || { echo "FAIL: laxgw did not announce the autoscaler"; cat "$workdir/laxgw.log"; exit 1; }
 echo "laxgw up on $gw (autoscaling 1..4 nodes)"

@@ -5,30 +5,11 @@
 # jobs, and (c) the journal closed every accepted job — zero lost jobs.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-    for p in "${pids[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
 
 go build -race -o "$workdir/laxgw" ./cmd/laxgw
 go build -race -o "$workdir/laxd" ./cmd/laxd
 go build -o "$workdir/laxload" ./cmd/laxload
-
-# wait_addr LOGFILE PREFIX: poll for the daemon's "serving on ADDR" line.
-wait_addr() {
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n "s/^$2: serving on \\([^ ]*\\).*/\\1/p" "$1")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "$2 never reported its address" >&2; cat "$1" >&2; return 1; }
-    echo "$addr"
-}
 
 # Three real laxd nodes; speed 20 compresses simulated time so the run
 # completes thousands of microsecond-scale jobs in wall seconds.
@@ -36,7 +17,7 @@ nodes=()
 for i in 0 1 2; do
     "$workdir/laxd" -addr 127.0.0.1:0 -speed 20 2> "$workdir/laxd$i.log" &
     pids+=($!)
-    nodes+=("http://$(wait_addr "$workdir/laxd$i.log" laxd)")
+    nodes+=("http://$(wait_addr $! "$workdir/laxd$i.log" laxd)")
 done
 victim_pid="${pids[2]}"
 echo "laxd nodes up: ${nodes[*]}"
@@ -47,7 +28,7 @@ echo "laxd nodes up: ${nodes[*]}"
     2> "$workdir/laxgw.log" &
 gw_pid=$!
 pids+=("$gw_pid")
-gw="$(wait_addr "$workdir/laxgw.log" laxgw)"
+gw="$(wait_addr "$gw_pid" "$workdir/laxgw.log" laxgw)"
 echo "laxgw up on $gw fronting 3 nodes"
 
 # Load in the background; kill one node (uncleanly — SIGKILL, no drain)

@@ -5,9 +5,7 @@
 # built with the race detector, asserting every cohort shows up.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+source "$(dirname "$0")/lib.sh"
 
 go build -race -o "$workdir/laxd" ./cmd/laxd
 go build -o "$workdir/laxsim" ./cmd/laxsim
@@ -39,14 +37,8 @@ echo "OK: plan byte-identical ($(wc -l < "$workdir/plan1.txt") lines)"
 #    the whole replay lands in a few wall seconds.
 "$workdir/laxd" -addr 127.0.0.1:0 -speed 50 2> "$workdir/laxd.log" &
 laxd_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^laxd: serving on \([^ ]*\).*/\1/p' "$workdir/laxd.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$laxd_pid" 2>/dev/null || { cat "$workdir/laxd.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "laxd never reported its address"; cat "$workdir/laxd.log"; exit 1; }
+pids+=("$laxd_pid")
+addr="$(wait_addr "$laxd_pid" "$workdir/laxd.log" laxd)"
 echo "laxd up on $addr"
 
 "$workdir/laxload" -addr "http://$addr" \

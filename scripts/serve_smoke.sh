@@ -4,9 +4,7 @@
 # actually admitted jobs via /metrics, then check SIGTERM drains cleanly.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+source "$(dirname "$0")/lib.sh"
 
 go build -race -o "$workdir/laxd" ./cmd/laxd
 go build -o "$workdir/laxload" ./cmd/laxload
@@ -15,17 +13,8 @@ go build -o "$workdir/laxload" ./cmd/laxload
 # plenty of microsecond-scale jobs.
 "$workdir/laxd" -addr 127.0.0.1:0 -speed 50 2> "$workdir/laxd.log" &
 laxd_pid=$!
-
-# laxd logs its bound address ("laxd: serving on 127.0.0.1:PORT (...") once
-# the listener is up; poll for it instead of racing with a fixed sleep.
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^laxd: serving on \([^ ]*\).*/\1/p' "$workdir/laxd.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$laxd_pid" 2>/dev/null || { cat "$workdir/laxd.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "laxd never reported its address"; cat "$workdir/laxd.log"; exit 1; }
+pids+=("$laxd_pid")
+addr="$(wait_addr "$laxd_pid" "$workdir/laxd.log" laxd)"
 echo "laxd up on $addr"
 
 "$workdir/laxload" -addr "http://$addr" -mode closed -c 4 -duration 5s
@@ -38,13 +27,8 @@ echo "laxd up on $addr"
 "$workdir/laxd" -addr 127.0.0.1:0 -speed 0.05 -max-per-client 1000000 \
     2> "$workdir/laxd-slow.log" &
 slow_pid=$!
-slow=""
-for _ in $(seq 1 100); do
-    slow="$(sed -n 's/^laxd: serving on \([^ ]*\).*/\1/p' "$workdir/laxd-slow.log")"
-    [ -n "$slow" ] && break
-    sleep 0.1
-done
-[ -n "$slow" ] || { echo "slow laxd never came up"; cat "$workdir/laxd-slow.log"; exit 1; }
+pids+=("$slow_pid")
+slow="$(wait_addr "$slow_pid" "$workdir/laxd-slow.log" laxd)"
 
 rejected_at() {
     "$workdir/laxload" -addr "http://$slow" -mode open -x "$1" -duration 3s |

@@ -6,31 +6,12 @@
 # and the node's phase partition — and (b) a non-empty slack-attribution table.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-    for p in "${pids[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
 
 go build -race -o "$workdir/laxd" ./cmd/laxd
 go build -race -o "$workdir/laxgw" ./cmd/laxgw
 go build -o "$workdir/laxload" ./cmd/laxload
 go build -o "$workdir/laxtrace" ./cmd/laxtrace
-
-# wait_addr LOGFILE PREFIX: poll for the daemon's "serving on ADDR" line.
-wait_addr() {
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n "s/^$2: serving on \\([^ ]*\\).*/\\1/p" "$1")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "$2 never reported its address" >&2; cat "$1" >&2; return 1; }
-    echo "$addr"
-}
 
 # Two real laxd nodes with distinct names so span provenance is visible.
 nodes=()
@@ -38,7 +19,7 @@ for name in node-a node-b; do
     "$workdir/laxd" -addr 127.0.0.1:0 -speed 20 -name "$name" \
         2> "$workdir/$name.log" &
     pids+=($!)
-    nodes+=("http://$(wait_addr "$workdir/$name.log" laxd)")
+    nodes+=("http://$(wait_addr $! "$workdir/$name.log" laxd)")
 done
 echo "laxd nodes up: ${nodes[*]}"
 
@@ -47,7 +28,7 @@ echo "laxd nodes up: ${nodes[*]}"
     -probe-interval 50ms \
     2> "$workdir/laxgw.log" &
 pids+=($!)
-gw="$(wait_addr "$workdir/laxgw.log" laxgw)"
+gw="$(wait_addr $! "$workdir/laxgw.log" laxgw)"
 echo "laxgw up on $gw fronting 2 nodes"
 
 # Background load so the trace under inspection shares the fleet with real
