@@ -3,10 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/gateway"
+	"laxgpu/internal/sched"
+	"laxgpu/internal/serve"
+	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
 )
 
@@ -57,6 +61,74 @@ func TestOneNodeFleetMatchesSim(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOneNodeFleetIsSimMinusShed extends that pin to every policy: what a
+// one-node Fleet sheds never reaches its node, so every other job must end
+// exactly as in a Sim run of the trace without the shed jobs — same verdict,
+// same deadline outcome, same latency — matched by job ID. The LAX family,
+// ORACLE and BAY admit by their own estimate and keep the node's queue short
+// enough that the gateway sheds nothing; for them that is asserted too. The
+// cells are every registered policy but the LAX ablations, each benchmark at
+// the high rate and four times it, two seeds.
+func TestOneNodeFleetIsSimMinusShed(t *testing.T) {
+	cfg := cp.DefaultSystemConfig()
+	lib := workload.NewLibrary(cfg.GPU)
+	const jobs = 128
+	policies := append(slices.Clone(sched.Table5Schedulers), "LAX-SW", "LAX-CPU", "FCFS", "ORACLE", "LAX-PREMA")
+	neverShed := map[string]bool{"LAX": true, "LAX-SW": true, "LAX-CPU": true, "ORACLE": true, "BAY": true}
+	shed := 0
+	for _, policy := range policies {
+		for _, bench := range workload.Benchmarks() {
+			for _, scale := range []int{1, 4} {
+				for seed := int64(1); seed <= 2; seed++ {
+					set := bench.GenerateCustom(lib, scale*bench.JobsPerSecond(workload.HighRate), jobs, seed)
+					name := fmt.Sprintf("%s/%s/%dx/seed%d", policy, bench.Name, scale, seed)
+					gw, err := Fleet{Sched: policy, Cfg: cfg, Nodes: 1, Set: set, Seed: seed}.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					st := gw.Stats()
+					if st.Unhealthy != 0 || neverShed[policy] && st.Shed != 0 {
+						t.Errorf("%s: the gateway shed %d and refused %d jobs", name, st.Shed, st.Unhealthy)
+					}
+					shed += int(st.Shed)
+					// The trace minus the shed jobs, renumbered densely as the
+					// node numbered what reached it.
+					kept := &workload.JobSet{Benchmark: set.Benchmark}
+					var status []gateway.JobStatus
+					for id, j := range set.Jobs {
+						st, ok := gw.Status(int64(id))
+						if !ok {
+							t.Fatalf("%s: job %d missing from the journal", name, id)
+						}
+						if st.Reason == serve.ReasonShed {
+							continue
+						}
+						c := *j
+						c.ID = len(kept.Jobs)
+						kept.Jobs = append(kept.Jobs, &c)
+						status = append(status, st)
+					}
+					sys, _, err := Sim{Sched: policy, Cfg: cfg, Set: kept}.Run(context.Background())
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, jr := range sys.Jobs() {
+						st := status[i]
+						if st.Accepted == jr.Rejected() || st.MetDeadline != jr.MetDeadline() ||
+							st.LatencyUs != int64(jr.Latency()/sim.Microsecond) {
+							t.Errorf("%s: job %d: fleet accepted=%v met=%v latency=%dus, Sim rejected=%v met=%v latency=%v",
+								name, st.ID, st.Accepted, st.MetDeadline, st.LatencyUs, jr.Rejected(), jr.MetDeadline(), jr.Latency())
+						}
+					}
+				}
+			}
+		}
+	}
+	if shed == 0 {
+		t.Error("no cell shed a job: the trace minus the shed jobs is the whole trace everywhere")
 	}
 }
 

@@ -83,6 +83,49 @@ func replayOnline(t *testing.T, policy string, set *workload.JobSet, spec faults
 	return runs
 }
 
+// replayHost is replayOnline through a Host, the way laxd and a fleet's
+// in-process nodes submit. A Host's JobRun is valid only inside the job's
+// done callback — a rejected job's until the next Submit — so each job's
+// state is copied there, and a job still running at the end is copied then.
+func replayHost(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) []*cp.JobRun {
+	t.Helper()
+	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: equivSeed}, NewManualClock(), 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := h.Node()
+	runs := make([]*cp.JobRun, len(set.Jobs))
+	live := map[int]*cp.JobRun{} // admitted, not yet terminal, by arrival index
+	for k, j := range byArrival(set) {
+		node.AdvanceTo(j.Arrival)
+		jr, _ := h.Submit(j, "", func(jr *cp.JobRun, _ obs.JobEvent) {
+			runs[k] = copyRun(jr)
+			delete(live, k)
+		})
+		if jr.Rejected() {
+			runs[k] = copyRun(jr)
+		} else {
+			live[k] = jr
+		}
+	}
+	if spec.Zero() {
+		node.System().Engine().Run()
+	} else {
+		node.System().Engine().RunUntil(set.Horizon() + 250*sim.Millisecond)
+	}
+	for k, jr := range live {
+		runs[k] = copyRun(jr)
+	}
+	return runs
+}
+
+// copyRun copies a JobRun and its job, so the copy outlives the storage.
+func copyRun(jr *cp.JobRun) *cp.JobRun {
+	c, job := *jr, *jr.Job
+	c.Job = &job
+	return &c
+}
+
 // equivSeed seeds the fault plans of both modes.
 const equivSeed = 3
 
@@ -110,21 +153,27 @@ func compareRuns(t *testing.T, simJobs, onlJobs []*cp.JobRun) {
 	}
 }
 
-// equivalent runs the trace both ways and compares them.
+// equivalent runs the trace in sim mode and online, on a bare Node and
+// through a Host, and compares each online run with the sim-mode one.
 func equivalent(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) {
 	t.Helper()
-	compareRuns(t, runSim(t, policy, cloneSet(set), spec), replayOnline(t, policy, cloneSet(set), spec))
+	want := runSim(t, policy, cloneSet(set), spec)
+	compareRuns(t, want, replayOnline(t, policy, cloneSet(set), spec))
+	compareRuns(t, want, replayHost(t, policy, cloneSet(set), spec))
 }
 
 // TestOnlineMatchesSimMode is the clock-abstraction equivalence pin: the
-// online submission path (AdvanceTo + SubmitNow) must agree with a sim-mode
-// Run of the identical trace on every job's verdict, finish time, deadline
-// outcome and CPU fallback. It covers every registered scheduler on every
-// benchmark at the low and the high rate; every scheduler on every benchmark
-// under two fault plans (hangs, aborts and slowdowns under recovery, and
-// unrecovered hangs with a CU retirement), both modes stopped at the same
-// horizon; a trace whose IDs are not in arrival order and whose arrivals tie;
-// and a trace long enough for the online window to retire most of it.
+// online submission path (AdvanceTo + SubmitNow), on a bare Node and through
+// a Host, must agree with a sim-mode Run of the identical trace on every
+// job's verdict, finish time, deadline outcome and CPU fallback. It covers
+// every registered scheduler on every benchmark at the low and the high
+// rate; every scheduler on every benchmark under two fault plans (hangs,
+// aborts and slowdowns under recovery, and unrecovered hangs with a CU
+// retirement), both modes stopped at the same horizon; a trace whose IDs are
+// not in arrival order and whose arrivals tie; and a trace long enough for
+// the online window to retire most of it, healthy and under hangs and aborts
+// with recovery on, where watchdog-killed attempts are still draining when
+// their job retires.
 func TestOnlineMatchesSimMode(t *testing.T) {
 	lib := workload.NewLibrary(cp.DefaultSystemConfig().GPU)
 	for _, policy := range sched.Names() {
@@ -154,6 +203,13 @@ func TestOnlineMatchesSimMode(t *testing.T) {
 	// runs, with LSTM chains holding the window head across STEM turnover.
 	t.Run("LAX/LSTM+STEM", func(t *testing.T) {
 		equivalent(t, "LAX", mixedTrace(lib, 2000, 7), faults.Spec{})
+	})
+	t.Run("LAX/LSTM+STEM/hang=0.1,abort=0.1", func(t *testing.T) {
+		spec, err := faults.ParseSpec("hang=0.1,abort=0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		equivalent(t, "LAX", mixedTrace(lib, 2000, 7), spec)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sched"
 	"laxgpu/internal/workload"
 )
@@ -102,14 +103,18 @@ func TestOnlineWindowSoak(t *testing.T) {
 // drainWatch reports whether some cancelled job was seen retired from the
 // online window while workgroups of its kernels were still on the device —
 // the state in which the device callbacks are handed a job ID below the
-// window base.
+// window base — and counts the submissions made in that state.
 type drainWatch struct {
-	sys  *cp.System
-	runs []*cp.JobRun
-	seen bool
+	sys     *cp.System
+	runs    []*cp.JobRun
+	seen    bool
+	submits int
 }
 
-func (w *drainWatch) look() {
+// draining reports whether some cancelled job is retired with WGs in
+// flight now, and notes it in seen.
+func (w *drainWatch) draining() bool {
+	now := false
 	for _, jr := range w.runs {
 		if !jr.Cancelled() || w.sys.Job(jr.Job.ID) != nil {
 			continue
@@ -117,9 +122,10 @@ func (w *drainWatch) look() {
 		// A cancelled job never advances, so its head kernel is the only one
 		// that can have WGs on the device.
 		if inst := jr.Current(); inst != nil && inst.OutstandingWGs() > 0 {
-			w.seen = true
+			w.seen, now = true, true
 		}
 	}
+	return now
 }
 
 // TestRetiredJobDrainsSafely covers the hazard the sliding window adds: a
@@ -129,7 +135,11 @@ func (w *drainWatch) look() {
 // driven online — LAX-PREMA preempting past-deadline jobs mid-kernel, and
 // device aborts with recovery off (the device reclaims the attempt's WGs, so
 // those retire with nothing left in flight) — and every job must end exactly
-// as in the sim-mode run of the same trace.
+// as in the sim-mode run of the same trace. Under LAX-PREMA jobs are
+// submitted while a retired job's WGs drain. The trace then runs again
+// through a Host, whose node reuses a retired job's storage for a later one
+// once nothing of it is in flight, and every job must end exactly as on the
+// bare node, which reuses nothing.
 func TestRetiredJobDrainsSafely(t *testing.T) {
 	cfg := cp.DefaultSystemConfig()
 	lib := workload.NewLibrary(cfg.GPU)
@@ -170,7 +180,9 @@ func TestRetiredJobDrainsSafely(t *testing.T) {
 			watch := &drainWatch{sys: node.System()}
 			for _, j := range cloneSet(tc.set).Jobs {
 				node.AdvanceTo(j.Arrival)
-				watch.look()
+				if watch.draining() {
+					watch.submits++
+				}
 				watch.runs = append(watch.runs, node.Submit(j))
 			}
 			for {
@@ -179,7 +191,7 @@ func TestRetiredJobDrainsSafely(t *testing.T) {
 					break
 				}
 				node.CatchUp(at)
-				watch.look()
+				watch.draining()
 			}
 			compareRuns(t, sys.Jobs(), watch.runs)
 			cancelled := 0
@@ -192,6 +204,44 @@ func TestRetiredJobDrainsSafely(t *testing.T) {
 				t.Errorf("%d jobs cancelled, retired-while-draining seen=%v, want %v: the trace does not reach the hazard",
 					cancelled, watch.seen, tc.drains)
 			}
+
+			if tc.drains && watch.submits == 0 {
+				t.Errorf("no job was submitted while a retired job's WGs were in flight")
+			}
+			compareRuns(t, watch.runs, drainThroughHost(t, tc.policy, tc.spec, seed, cloneSet(tc.set)))
 		})
 	}
+}
+
+// drainThroughHost replays the trace through a Host, as the bare-node run
+// above drives it, copying each job's state where the Host says it is valid
+// (see replayHost).
+func drainThroughHost(t *testing.T, policy string, spec faults.Spec, seed int64, set *workload.JobSet) []*cp.JobRun {
+	t.Helper()
+	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: seed}, NewManualClock(), 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := h.Node()
+	runs := make([]*cp.JobRun, len(set.Jobs))
+	for k, j := range set.Jobs {
+		node.AdvanceTo(j.Arrival)
+		jr, _ := h.Submit(j, "", func(jr *cp.JobRun, _ obs.JobEvent) { runs[k] = copyRun(jr) })
+		if jr.Rejected() {
+			runs[k] = copyRun(jr)
+		}
+	}
+	for {
+		at, ok := node.NextEvent()
+		if !ok {
+			break
+		}
+		node.CatchUp(at)
+	}
+	for k, jr := range runs {
+		if jr == nil {
+			t.Fatalf("job %d never reached a terminal state on the Host", k)
+		}
+	}
+	return runs
 }
