@@ -109,8 +109,18 @@ type JobRun struct {
 	FellBack bool
 
 	// paused is the job-level Pause/Resume flag each new head inherits. (It
-	// sits beside FellBack so the two share one word.)
+	// sits beside FellBack, and recycle and backoffs beside it, so the four
+	// share one word.)
 	paused bool
+
+	// recycle marks an online run its holder handed back (System.Recycle):
+	// once retired with nothing of it in flight, its storage serves a later
+	// job.
+	recycle bool
+
+	// backoffs counts the recovery backoff callbacks holding this run that
+	// the engine has yet to fire (recoverKernel).
+	backoffs uint8
 
 	// wgsCompleted counts WGs finished across all kernels (Figure 9).
 	wgsCompleted int
@@ -154,9 +164,18 @@ func (j *JobRun) scheduleLaunch(at sim.Time, fn func(*System, *JobRun)) {
 	j.sys.eng.ScheduleAct(at, &j.launch)
 }
 
+// onlineRun is the storage of one online submission: its JobRun and the
+// system's own copy of its job, which the run's Job points at. The two are
+// allocated together and reused together (see System.Recycle).
+type onlineRun struct {
+	run JobRun
+	job workload.Job
+}
+
 // initJobRun sets jr up as the runtime state of one job of this system, its
 // head waiting on the first kernel. NewSystem initialises a whole trace's
-// runs in one slab; online submissions allocate one run each.
+// runs in one slab; an online submission takes a recycled run or allocates
+// an onlineRun.
 func (s *System) initJobRun(jr *JobRun, job *workload.Job) *JobRun {
 	*jr = JobRun{Job: job, QueueID: -1, state: JobPending, FirstDispatch: -1, sys: s}
 	if len(job.Kernels) > 0 {

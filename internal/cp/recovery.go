@@ -241,7 +241,9 @@ func (s *System) recoverKernel(jr *JobRun, inst *gpu.KernelInstance) {
 	inst.Paused = true
 	s.readyStale = true
 	seq := inst.Seq
+	jr.backoffs++ // the callback holds jr: its storage is not reused before it fires
 	s.eng.After(backoff, func() {
+		jr.backoffs--
 		if jr.terminal() || jr.cur != seq {
 			return
 		}

@@ -138,19 +138,20 @@ type System struct {
 	timerArmed     bool
 	stallKickArmed bool
 
+	// runStarted latches once RunContext or StartOnline begins, so probe
+	// attachment after the fact is rejected (see SetProbe).
+	runStarted bool
+
 	// probe observes scheduler decisions and kernel lifecycle events. It
 	// never influences the simulation: every call site is a pure read of
 	// state the run already computed, and a nil probe costs one pointer
 	// compare (see the harness golden-equivalence test).
 	probe obs.Probe
 
-	// runStarted latches once RunContext or StartOnline begins, so probe
-	// attachment after the fact is rejected (see SetProbe).
-	runStarted bool
-
-	// online marks a system started by StartOnline: jobs come from SubmitNow
-	// rather than a trace, and terminal ones retire (see retire).
-	online bool
+	// online is the state of a system started by StartOnline, nil in batch
+	// mode: jobs come from SubmitNow rather than a trace, and terminal ones
+	// retire (see retire).
+	online *onlineState
 
 	completed int
 	rejected  int
@@ -252,7 +253,7 @@ func emptied[T any](s []T) []T {
 // watchdog armed, and one whose context stopped it before its last arrival
 // or before its queue drained.
 func (s *System) Release() {
-	if !s.runStarted || s.online || s.faultsInstalled || s.cfg.Recover ||
+	if !s.runStarted || s.online != nil || s.faultsInstalled || s.cfg.Recover ||
 		s.submitted != len(s.jobs) || s.eng.Pending() != 0 {
 		return
 	}
@@ -274,7 +275,8 @@ func (s *System) Now() sim.Time { return s.eng.Now() }
 
 // Jobs returns every job in the trace, indexed by job ID. In online mode it
 // covers only the live window — the oldest unfinished job onwards — because
-// terminal jobs are retired; callers there keep the JobRun SubmitNow returns.
+// terminal jobs are retired; callers there keep the JobRun SubmitNow returns
+// (valid until they Recycle it).
 func (s *System) Jobs() []*JobRun { return s.jobs }
 
 // Active returns the jobs currently admitted and unfinished, in arrival
@@ -936,6 +938,7 @@ func (s *System) probeJob(kind obs.JobEventKind, jr *JobRun) {
 	switch kind {
 	case obs.JobArrive:
 		e.Deadline = jr.Job.AbsoluteDeadline()
+		e.Kernels = len(jr.Job.Kernels)
 	case obs.JobFinish:
 		e.Met = jr.MetDeadline()
 	}

@@ -217,16 +217,17 @@ func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 // inline on the caller's goroutine with the node held; done is registered
 // before the node is released, so no completion can slip in between. done
 // fires with the node held — inside a later Submit or Probe, or on the
-// pacer — and must not call back into b.
+// pacer — and must not call back into b. The node copies the job it is
+// handed, so the one built here stays on the stack.
 func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	var v Verdict
 	if !b.host.Call(func() {
-		wj := &workload.Job{
+		wj := workload.Job{
 			Benchmark: job.Benchmark,
 			Deadline:  job.Deadline,
 			Kernels:   job.Kernels,
 		}
-		jr, retry := b.host.Submit(wj, job.TraceID, func(jr *cp.JobRun, e obs.JobEvent) { done(outcomeOf(jr, e)) })
+		jr, retry := b.host.Submit(&wj, job.TraceID, func(jr *cp.JobRun, e obs.JobEvent) { done(outcomeOf(jr, e)) })
 		if jr.Rejected() {
 			v = Verdict{Accepted: false, Retry: retry}
 			return
@@ -239,6 +240,8 @@ func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 }
 
 // outcomeOf turns a node's terminal event for jr into the gateway's report.
+// It runs inside the Host's done callback, the only time jr is valid: the
+// node reuses its storage afterwards.
 func outcomeOf(jr *cp.JobRun, e obs.JobEvent) Outcome {
 	if e.Kind != obs.JobFinish {
 		return Outcome{Terminal: verify.FleetCancelled, Cause: metrics.ClassifyMiss(jr).String()}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"runtime"
 	"testing"
 
 	"laxgpu/internal/cp"
@@ -99,10 +100,23 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 // TestSubmitAllocsPastCap bounds a steady-state Submit's allocations: the
 // Job, its trace ID and the completion callback. STEM's chain is the
 // library's shared one, and nothing the journal keeps may allocate per
-// submission.
+// submission. Its bytes are bounded over several journal pages too, which
+// a count taken over fewer submissions than a page holds cannot see: a
+// journal past its cap opens each page in the one its eviction freed
+// (152 B per Submit; a new page per 1 024 jobs adds about 80).
 func TestSubmitAllocsPastCap(t *testing.T) {
 	submit := pastCapSubmit(t)
 	if allocs := testing.AllocsPerRun(1000, submit); allocs > 3 {
 		t.Errorf("Submit past the cap makes %.1f allocations, want at most 3", allocs)
+	}
+	const n, maxBytes = 8 * pageRows, 176
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		submit()
+	}
+	runtime.ReadMemStats(&after)
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / n; b > maxBytes {
+		t.Errorf("Submit past the cap allocates %.1f B, want at most %d", b, maxBytes)
 	}
 }

@@ -33,6 +33,8 @@ const pageRows = 1024
 
 // page holds pageRows consecutive rows and each open row's job. It is freed
 // (rows and jobs nil) once every row is evicted: an open job pins one page.
+// The journal keeps the last page it freed as the next one it opens, so a
+// journal at its cap allocates no pages.
 type page struct {
 	rows *[pageRows]entry
 	jobs *[pageRows]*Job
@@ -57,6 +59,7 @@ var closedDone = func() chan struct{} { ch := make(chan struct{}); close(ch); re
 type journal struct {
 	max   int
 	pages []page // pages[0] is the oldest page not yet freed
+	spare page   // the last page freed, rows and jobs kept for the next open
 
 	// base is the first ID of pages[0] and next the ID open expects. Every
 	// retained row below cursor is open, so eviction resumes there.
@@ -144,7 +147,11 @@ func (j *journal) open(job *Job, now sim.Time) *entry {
 		panic(fmt.Sprintf("gateway: journal opened ID %d, want %d", job.ID, j.next))
 	}
 	if j.next-j.base == int64(len(j.pages))*pageRows {
-		j.pages = append(j.pages, page{rows: new([pageRows]entry), jobs: new([pageRows]*Job)})
+		p := j.spare
+		if j.spare = (page{}); p.rows == nil {
+			p = page{rows: new([pageRows]entry), jobs: new([pageRows]*Job)}
+		}
+		j.pages = append(j.pages, p)
 	}
 	j.pages[len(j.pages)-1].live++
 	e := j.row(job.ID)
@@ -175,7 +182,9 @@ func (j *journal) evictOldestTerminal() bool {
 		j.terminals--
 		p := &j.pages[(e.id-j.base)/pageRows]
 		if p.live--; p.live == 0 {
-			*p = page{}
+			// Every row is terminal, so every job slot is already nil; open
+			// writes each row whole before it is read.
+			j.spare, *p = page{rows: p.rows, jobs: p.jobs}, page{}
 		}
 		for len(j.pages) > 0 && j.pages[0].rows == nil {
 			j.pages, j.base = j.pages[1:], j.base+pageRows

@@ -51,6 +51,7 @@ type JobEvent struct {
 	Queue     int
 	Benchmark string
 	Deadline  sim.Time // absolute deadline (arrive events)
+	Kernels   int      // length of the job's kernel chain (arrive events)
 	Met       bool     // deadline success (finish events)
 }
 

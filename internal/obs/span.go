@@ -187,8 +187,12 @@ const (
 	// a chain of a dozen kernels. A longer chain's buffer is dropped, or every
 	// row would end up holding the capacity of the longest chain it served.
 	maxKeptSpans = 16
-	// firstSpans is the capacity a fresh span buffer starts with.
+	// firstSpans is the capacity a fresh span buffer starts with when the
+	// arrival does not say how long the job's chain is.
 	firstSpans = 8
+	// jobSpans is how many records a job has besides one per kernel: the
+	// admit event, the parse, queue and exec phases and the fallback event.
+	jobSpans = 5
 )
 
 // traceRow is one job's trace as stored: scalars and compact span records,
@@ -396,7 +400,9 @@ func (t *traceRow) add(kind spanKind, start, end sim.Time, n int64, name string)
 }
 
 // arriveLocked starts the job's row: its live row again if the ID is already
-// live, else a recycled row, else a new one.
+// live, else a recycled row, else a new one. The span buffer is sized once,
+// from the chain length the arrival carries, so a long chain's records never
+// regrow it; a recycled row's buffer is kept when it is big enough.
 func (r *TraceRecorder) arriveLocked(e JobEvent) {
 	t := r.live[e.Job]
 	if t == nil {
@@ -408,9 +414,13 @@ func (r *TraceRecorder) arriveLocked(e JobEvent) {
 		}
 		r.live[e.Job] = t
 	}
+	need := firstSpans
+	if e.Kernels > 0 {
+		need = e.Kernels + jobSpans
+	}
 	spans := t.spans[:0]
-	if spans == nil {
-		spans = make([]spanRec, 0, firstSpans)
+	if cap(spans) < need {
+		spans = make([]spanRec, 0, need)
 	}
 	*t = traceRow{
 		job: e.Job, benchmark: e.Benchmark,

@@ -62,6 +62,11 @@ type jobTable struct {
 	jobs    int
 	entries []jobEntry
 	words   []int32
+
+	// spare is a retired online job's entry handed back through ReuseState
+	// (see reuse): the next register rebuilds its entry in it, and in its
+	// buf when that is long enough.
+	spare *jobEntry
 }
 
 // wordChunk is the size of a batch table's buf chunks: 4 KiB, the bufs of
@@ -166,9 +171,28 @@ func (t *jobTable) register(j *cp.JobRun) *jobEntry {
 	return e
 }
 
+// reuse keeps old, the SchedState a retired online job left, when it is
+// one of this table's entries (cp.StateReuser).
+func (t *jobTable) reuse(old any) {
+	if e, ok := old.(*jobEntry); ok {
+		t.spare = e
+	}
+}
+
 // carve cuts a zero entry with a zeroed n-word buf from the slabs, starting
-// a new one when the current one is used up.
+// a new one when the current one is used up — or, when reuse left a spare
+// entry, zeroes that one, keeping its buf if it holds n words.
 func (t *jobTable) carve(n int) *jobEntry {
+	if e := t.spare; e != nil {
+		t.spare = nil
+		buf := e.buf[:0]
+		if cap(buf) < n {
+			buf = make([]int32, 0, n)
+		}
+		*e = jobEntry{buf: buf[:n]}
+		clear(e.buf)
+		return e
+	}
 	if len(t.entries) == 0 {
 		t.entries = make([]jobEntry, max(t.jobs, 1))
 	}

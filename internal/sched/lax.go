@@ -175,6 +175,10 @@ func (p *LAX) Attach(s *cp.System) {
 	p.jt = newJobTable(p.pt, len(s.Jobs()))
 }
 
+// ReuseState implements cp.StateReuser: a retired online job's table entry
+// is rebuilt for the next job registered.
+func (p *LAX) ReuseState(old any) { p.jt.reuse(old) }
+
 // incremental reports whether the dirty-set job table serves this variant's
 // estimates.
 func (p *LAX) incremental() bool {

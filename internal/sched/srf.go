@@ -33,6 +33,9 @@ func (p *SRF) Attach(s *cp.System) {
 	p.jt = newJobTable(p.pt, len(s.Jobs()))
 }
 
+// ReuseState implements cp.StateReuser (see LAX).
+func (p *SRF) ReuseState(old any) { p.jt.reuse(old) }
+
 // Admit implements cp.Policy: no admission control; the initial priority is
 // the current remaining-time estimate (zero for never-profiled kernels,
 // which the first Reprioritize corrects).

@@ -59,12 +59,18 @@ func NewHost(cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Registry, tr
 // exactly once, at its terminal transition; a rejected job comes back with
 // the node's drain estimate as the retry hint. Both Submit and done run with
 // the node held: call Submit inside Call.
+//
+// The node runs its own copy of job (stamped with the node's job ID, which
+// job also gets) and reuses the JobRun's storage once the job is over: a
+// rejected job's JobRun is valid until the next Submit, and the one done is
+// handed only during that call (see cp.System.Recycle).
 func (h *Host) Submit(job *workload.Job, traceID string, done func(*cp.JobRun, obs.JobEvent)) (jr *cp.JobRun, retry sim.Time) {
 	jr = h.node.Submit(job)
 	if h.tracer != nil && traceID != "" {
 		h.tracer.Assign(job.ID, traceID)
 	}
 	if jr.Rejected() {
+		h.node.sys.Recycle(jr)
 		return jr, h.node.EstimateDrain()
 	}
 	h.pending[job.ID] = pendingJob{jr: jr, done: done}
@@ -107,7 +113,8 @@ func (h *Host) RecentTraces(n int) []obs.JobTrace {
 }
 
 // hostProbe is the Host's probe alias: terminal job events fire the pending
-// completion callbacks with the node held.
+// completion callbacks with the node held, and hand the JobRun back to the
+// node once its callback has returned.
 type hostProbe Host
 
 // Job implements obs.Probe.
@@ -121,6 +128,7 @@ func (p *hostProbe) Job(e obs.JobEvent) {
 	}
 	delete(p.pending, e.Job)
 	pj.done(pj.jr, e)
+	p.node.sys.Recycle(pj.jr)
 }
 
 // The rest of obs.Probe: a Host watches nothing but terminal job events.

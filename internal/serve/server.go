@@ -256,7 +256,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := &workload.Job{Benchmark: bench.Name, Deadline: deadline}
+	job := workload.Job{Benchmark: bench.Name, Deadline: deadline}
 	if len(req.Kernels) > 0 {
 		total := 0
 		for _, kc := range req.Kernels {
@@ -332,7 +332,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var retry sim.Time
 	ok = s.host.Call(func() {
 		var jr *cp.JobRun
-		jr, retry = s.host.Submit(job, traceID, func(jr *cp.JobRun, e obs.JobEvent) { s.completeJob(rec, jr, e) })
+		jr, retry = s.host.Submit(&job, traceID, func(jr *cp.JobRun, e obs.JobEvent) { s.completeJob(rec, jr, e) })
 		if rejected = jr.Rejected(); rejected {
 			st, _ := s.records.update(rec, func(js *JobStatus) {
 				js.State = "rejected"
