@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"laxgpu/internal/core"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/sim"
@@ -185,12 +187,9 @@ func (t *jobTable) reuse(old any) {
 func (t *jobTable) carve(n int) *jobEntry {
 	if e := t.spare; e != nil {
 		t.spare = nil
-		buf := e.buf[:0]
-		if cap(buf) < n {
-			buf = make([]int32, 0, n)
-		}
-		*e = jobEntry{buf: buf[:n]}
-		clear(e.buf)
+		buf := slices.Grow(e.buf[:0], n)[:n]
+		clear(buf)
+		*e = jobEntry{buf: buf}
 		return e
 	}
 	if len(t.entries) == 0 {
