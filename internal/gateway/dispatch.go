@@ -54,6 +54,11 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 		return job.ID, Verdict{Retry: wait}, serve.ReasonShed
 	}
 	target, v, ok := gw.place(now, job)
+	// place released mu, and the completion of an accepted job may have
+	// raced in meanwhile (real clocks, fast jobs): later submissions may then
+	// have evicted its row and reopened the page for newer jobs, so the row
+	// is looked up again. A job nobody accepted is still open, so it has one.
+	e = gw.journal.lookup(job.ID)
 	if !ok {
 		// No routable node, or every route attempt hit a dead one.
 		gw.reject(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
@@ -61,30 +66,33 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
 	n := gw.table.nodes[target]
-	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 	if !v.Accepted {
+		e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 		gw.reject(e, serve.ReasonAdmission, v.Retry)
 		gw.cRejected.Inc()
 		return job.ID, v, serve.ReasonAdmission
 	}
-	e.accepted = true
-	e.backend = int32(target)
-	e.remoteID = v.RemoteID
 	// Only accepted jobs shape the tightest-deadline stat: a hopeless
 	// deadline bounced at admission never ran, so it says nothing about the
 	// mix the fleet must be sized for.
 	if us := usOf(deadline); gw.statTightestUs == 0 || us < gw.statTightestUs {
 		gw.statTightestUs = us
 	}
-	// The completion may already have raced in while place had mu released
-	// (real clocks, fast jobs): settle saw accepted==false then and skipped
-	// the decrement, so only count still-open entries.
+	gw.cAccepted.Inc()
+	if e == nil {
+		return job.ID, v, "" // settled and evicted while place had mu released
+	}
+	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
+	e.accepted = true
+	e.backend = int32(target)
+	e.remoteID = v.RemoteID
+	// A completion that raced in found accepted==false and skipped the
+	// decrement, so only count still-open entries.
 	if e.terminal == 0 {
 		gw.inflight++
 		gw.gInflight.Set(float64(gw.inflight))
 		n.inflight++
 	}
-	gw.cAccepted.Inc()
 	return job.ID, v, ""
 }
 
@@ -138,38 +146,45 @@ func (gw *Gateway) strike(now sim.Time, g int) {
 		gw.mu.Unlock()
 		return
 	}
-	orphans, jobs := gw.journal.detach(g)
+	orphans := gw.journal.detach(g)
 	gw.table.nodes[g].inflight -= len(orphans)
 	gw.table.maybeRetire(gw.clock.Now(), g)
 	gw.mu.Unlock()
-	gw.failover(now, orphans, jobs)
+	gw.failover(now, orphans)
 }
 
-// failover re-dispatches the orphans of a dead node in ID order: each goes
-// to the healthiest survivor willing to take it, or to the gateway's CPU
+// failover re-dispatches the orphaned jobs of a dead node in ID order: each
+// goes to the healthiest survivor willing to take it, or to the gateway's CPU
 // fallback when no survivor exists or the survivor's admission refuses it —
-// either way the job reaches a terminal state. jobs[i] is orphans[i]'s job,
-// kept even if a late completion closes the entry meanwhile. Deterministic
-// given the same journal and probe history: placement is the same loop
-// arrivals use. Called without mu.
-func (gw *Gateway) failover(now sim.Time, orphans []*entry, jobs []*Job) {
+// either way the job reaches a terminal state. Deterministic given the same
+// journal and probe history: placement is the same loop arrivals use. Called
+// without mu.
+func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 	start := time.Now()
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	for i, e := range orphans {
-		target, v, ok := gw.place(now, jobs[i])
+	for _, job := range orphans {
+		target, v, ok := gw.place(now, job)
+		// place released mu: a late completion may have closed the row and a
+		// submission evicted it, its page reopened for newer jobs. A nil row
+		// is a settled job, and its failover steps have nowhere to go.
+		e := gw.journal.lookup(job.ID)
 		if ok {
 			n := gw.table.nodes[target]
-			gw.journal.failedOver(e, n.be.Name(), now, obs.EventRedispatch,
-				fmt.Sprintf("journal re-dispatch to %s (accepted=%v)", n.be.Name(), v.Accepted))
+			if e != nil {
+				gw.journal.failedOver(e, n.be.Name(), now, obs.EventRedispatch,
+					fmt.Sprintf("journal re-dispatch to %s (accepted=%v)", n.be.Name(), v.Accepted))
+			}
 			if v.Accepted {
-				e.backend = int32(target)
-				e.remoteID = v.RemoteID
-				if e.terminal == 0 {
-					n.inflight++
+				if e != nil {
+					e.backend = int32(target)
+					e.remoteID = v.RemoteID
+					if e.terminal == 0 {
+						n.inflight++
+					}
 				}
 				gw.table.event(now, obs.EventRedispatch, n.be.Name(),
-					fmt.Sprintf("job %d re-dispatched", e.id))
+					fmt.Sprintf("job %d re-dispatched", job.ID))
 				gw.cFailoverJobs.Inc()
 				gw.hRedispatchUs.Observe(float64(time.Since(start).Microseconds()))
 				continue
@@ -179,9 +194,11 @@ func (gw *Gateway) failover(now sim.Time, orphans []*entry, jobs []*Job) {
 		// state ("fallback", deadline missed) rather than a silent loss.
 		gw.cFailoverFallback.Inc()
 		at := gw.clock.Now()
-		gw.journal.failedOver(e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
-		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", e.id))
-		gw.settle(e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
+		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", job.ID))
+		if e != nil {
+			gw.journal.failedOver(e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
+			gw.settle(e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
+		}
 	}
 }
 

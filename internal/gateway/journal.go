@@ -27,8 +27,9 @@ type entry struct {
 	evicted                 bool // only ever set on a terminal row
 }
 
-// pageRows is the rows per journal page. Pages never move once allocated, so
-// a caller may hold an *entry while mu is released.
+// pageRows is the rows per journal page. A page freed by eviction is reopened
+// for newer jobs, so an *entry is valid only while mu is held: a caller that
+// releases mu looks the row up again by ID.
 const pageRows = 1024
 
 // page holds pageRows consecutive rows and each open row's job. It is freed
@@ -230,27 +231,22 @@ func (j *journal) done(id int64) <-chan struct{} {
 	return j.waiters[id]
 }
 
-// detach collects the accepted, still-open entries dispatched to routing
-// index g, in ID order, with their jobs, and clears their dispatch: the
-// caller re-homes them.
-func (j *journal) detach(g int) (es []*entry, jobs []*Job) {
+// detach collects the jobs of the accepted, still-open entries dispatched to
+// routing index g, in ID order, and clears their dispatch: the caller
+// re-homes them.
+func (j *journal) detach(g int) (jobs []*Job) {
 	for e := j.nextRetained(j.base); e != nil; e = j.nextRetained(e.id + 1) {
 		if e.accepted && e.terminal == 0 && int(e.backend) == g {
 			e.backend = -1
-			es = append(es, e)
 			jobs = append(jobs, *j.job(e.id))
 		}
 	}
-	return es, jobs
+	return jobs
 }
 
 // failedOver records one failover step of e: the dispatch to, and a gateway
-// event at now. A late completion can close an orphan mid-failover and a
-// submission evict it; its steps then have nowhere to go.
+// event at now.
 func (j *journal) failedOver(e *entry, to string, now sim.Time, name, detail string) {
-	if e.evicted {
-		return
-	}
 	at := float64(now-e.submitAt) / float64(sim.Microsecond)
 	j.hops[e.id] = append(j.hops[e.id], hop{to, gatewaySpan(at, name, detail)})
 }

@@ -204,8 +204,8 @@ func TestJournalFreesPagesAroundAnOpenJob(t *testing.T) {
 	if n := len(j.fleetJobs()); n != maxRecords {
 		t.Fatalf("the journal keeps %d jobs, want %d", n, maxRecords)
 	}
-	if es, _ := j.detach(-1); len(es) != 0 {
-		t.Fatalf("detach of an unused index returned %d jobs", len(es))
+	if jobs := j.detach(-1); len(jobs) != 0 {
+		t.Fatalf("detach of an unused index returned %d jobs", len(jobs))
 	}
 	if ids := j.newestTerminal(maxRecords); len(ids) != maxRecords-1 || ids[0] != j.next-1 {
 		t.Fatalf("newestTerminal returned %d IDs, want the %d terminal ones", len(ids), maxRecords-1)
@@ -264,8 +264,8 @@ func TestNodeGivenCausesStayOutOfTheNameTable(t *testing.T) {
 }
 
 // asyncStub admits every job and reports it from one of its worker
-// goroutines, so completions land while other submissions hold an *entry
-// with mu released.
+// goroutines, so completions land while other submissions have mu released
+// in place.
 type asyncStub struct {
 	name string
 	work chan func()
@@ -285,8 +285,8 @@ func (s *asyncStub) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, e
 
 // TestJournalRowsStableUnderConcurrentCompletions runs three submitters
 // across the journal's cap and dozens of page boundaries while stub nodes
-// complete jobs on their own goroutines. A row that moved under an *entry
-// held across place would lose its acceptance or its terminal report, so
+// complete jobs on their own goroutines. A submission that lost track of
+// its row across place would lose its acceptance or its terminal report, so
 // the journal would fail Check or leave jobs in flight.
 func TestJournalRowsStableUnderConcurrentCompletions(t *testing.T) {
 	const submitters, perSubmitter = 3, (maxRecords + 3*pageRows) / 3
@@ -369,5 +369,125 @@ func TestJournalRowsStableUnderConcurrentCompletions(t *testing.T) {
 		if !closed(gw.Done(fj.ID)) {
 			t.Fatalf("Done of terminal job %d is not closed", fj.ID)
 		}
+	}
+}
+
+// reentrantStub completes every job at once, except job hook: the first
+// time it is offered that job it runs during instead, while place has mu
+// released, and then accepts it (or refuses it at admission, when refuse is
+// set) without completing it.
+type reentrantStub struct {
+	instantStub
+	hook   int64
+	refuse bool
+	during func(done func(Outcome))
+}
+
+func (s *reentrantStub) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
+	if job.ID != s.hook || s.during == nil {
+		return s.instantStub.Submit(now, job, done)
+	}
+	during := s.during
+	s.during = nil
+	during(done)
+	if s.refuse {
+		return Verdict{Retry: sim.Millisecond}, nil
+	}
+	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+}
+
+// TestHeldRowReopenedForANewerJob: a submission or a failover that offers a
+// job to a node releases mu, and meanwhile the job can complete, its row be
+// evicted and its page reopened for a newer job. What the dispatch then
+// records of the old job must not land in the newer job's row: no second
+// dispatch, no duplicate report, no foreign remote ID, nothing in flight.
+func TestHeldRowReopenedForANewerJob(t *testing.T) {
+	stem, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		failover bool // job 0 is orphaned by node0's death and offered to the survivor
+		refuse   bool // the survivor refuses it: a CPU fallback
+	}{
+		{"submit", false, false},
+		{"failover", true, false},
+		{"failover fallback", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dying := &fakeBackend{name: "node0", h: Headroom{Capacity: 1, CapacityFrac: 1}, verdict: Verdict{Accepted: true}}
+			survivor := &reentrantStub{instantStub: instantStub{"node1"}, refuse: tc.refuse}
+			backends := []Backend{survivor}
+			if tc.failover {
+				backends = []Backend{dying, survivor}
+			}
+			clock := serve.NewManualClock()
+			gw, err := New(Options{Backends: backends, Clock: clock, Seed: 5, FailThreshold: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw.TickProbes(0)
+			submit := func() {
+				if _, _, reason := gw.Submit(stem, stem.Deadline, Standard); reason != "" {
+					t.Errorf("submission refused: %s", reason)
+				}
+			}
+
+			// during completes job 0 and floods the gateway until its row
+			// holds a newer job. The gateway is idle but for this goroutine,
+			// so the journal is read without mu.
+			var held *entry
+			survivor.during = func(done func(Outcome)) {
+				held = gw.journal.row(0)
+				if tc.failover {
+					dying.dones[0](Outcome{Terminal: verify.FleetDone, Met: true}) // the late completion
+				} else {
+					done(Outcome{Terminal: verify.FleetDone, Met: true})
+				}
+				for n := 0; held.id == 0 || held.evicted; n++ {
+					if n > 2*maxRecords {
+						t.Error("job 0's page was never reopened")
+						return
+					}
+					submit()
+				}
+			}
+			submit()
+			if tc.failover {
+				if len(dying.dones) != 1 {
+					t.Fatalf("node0 was offered %d jobs, want job 0 alone", len(dying.dones))
+				}
+				dying.probeErr = fmt.Errorf("node0 is down")
+				gw.TickProbes(sim.Millisecond)
+			}
+
+			if held == nil || held.id == 0 {
+				t.Fatal("job 0's row was not reopened while it was being offered")
+			}
+			if held.terminal == 0 || held.backend != int32(len(backends)-1) || held.remoteID != held.id || held.duplicates != 0 {
+				t.Errorf("job %d, reopened in job 0's row: terminal=%d backend=%d remoteID=%d duplicates=%d; want done on node1, its own remote ID, no duplicates",
+					held.id, held.terminal, held.backend, held.remoteID, held.duplicates)
+			}
+			for _, fj := range gw.FleetJobs() {
+				if fj.ID == 0 {
+					t.Fatal("job 0 is still retained")
+				}
+				if len(fj.Dispatches) != 1 || fj.Duplicates != 0 {
+					t.Fatalf("job %d: dispatches %v, %d duplicates; want one dispatch, none", fj.ID, fj.Dispatches, fj.Duplicates)
+				}
+			}
+			for _, n := range gw.Loads() {
+				if n.Inflight != 0 {
+					t.Errorf("%s counts %d jobs in flight, want 0", n.Name, n.Inflight)
+				}
+			}
+			if fs := gw.Fleet(); fs.Inflight != 0 || fs.Duplicates != 0 {
+				t.Errorf("fleet: %d in flight, %d duplicates; want 0 and 0", fs.Inflight, fs.Duplicates)
+			}
+			if vs := gw.Check(clock.Now()); len(vs) != 0 {
+				t.Fatalf("journal violations: %v", vs)
+			}
+		})
 	}
 }
