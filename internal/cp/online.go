@@ -24,8 +24,8 @@ func (s *System) StartOnline() {
 	if len(s.jobs) != 0 {
 		panic("cp: StartOnline needs an empty job set (jobs enter via SubmitNow)")
 	}
-	_, keeps := s.pol.(RunKeeper)
-	s.online = &onlineState{keepsRuns: keeps}
+	r, _ := s.pol.(StateReuser)
+	s.online = &onlineState{reuser: r}
 }
 
 // onlineState is what an online system keeps beyond a batch one.
@@ -34,9 +34,9 @@ type onlineState struct {
 	window []*JobRun
 
 	// free holds retired runs their holders recycled, for SubmitNow to
-	// reuse (see Recycle); none are kept when the policy keeps runs.
-	free      []*JobRun
-	keepsRuns bool
+	// reuse (see Recycle); none are kept unless the policy is a reuser.
+	free   []*JobRun
+	reuser StateReuser
 }
 
 // SubmitNow injects one job at the current engine time and runs the
@@ -69,8 +69,8 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 		old := jr.SchedState
 		*jr.Job = *job
 		s.initJobRun(jr, jr.Job)
-		if r, ok := s.pol.(StateReuser); ok && old != nil {
-			r.ReuseState(old)
+		if old != nil {
+			s.online.reuser.ReuseState(old)
 		}
 	} else {
 		r := &onlineRun{job: *job}
@@ -114,7 +114,7 @@ const maxFreeRuns = 16
 // WG of its kernel on the device, no launch step, watchdog or backoff in the
 // engine — a later SubmitNow reuses its storage, job copy included. A run
 // still draining, a system that already keeps maxFreeRuns, and a policy that
-// keeps runs (RunKeeper) leave it to the collector. Recycle a JobRun at most
+// is not a StateReuser leave it to the collector. Recycle a JobRun at most
 // once; until the next SubmitNow it stays readable.
 func (s *System) Recycle(jr *JobRun) {
 	if jr.recycle {
@@ -130,7 +130,7 @@ func (s *System) Recycle(jr *JobRun) {
 // flight.
 func (s *System) free(jr *JobRun) {
 	o := s.online
-	if o.keepsRuns || len(o.free) == maxFreeRuns || jr.launch.fn != nil || jr.backoffs != 0 ||
+	if o.reuser == nil || len(o.free) == maxFreeRuns || jr.launch.fn != nil || jr.backoffs != 0 ||
 		jr.head.OutstandingWGs() != 0 || s.wdTimers[&jr.head] != nil {
 		return
 	}

@@ -32,8 +32,8 @@ type Overheads struct {
 // so a write from anywhere else — another hook, an engine event of the
 // policy's own — goes unseen until the next Admit or Reprioritize.
 //
-// A policy that holds a *JobRun past the job's terminal transition must
-// implement RunKeeper: an online system reuses retired JobRuns otherwise.
+// An online system reuses a retired JobRun's storage for a later job only
+// under a policy that implements StateReuser.
 type Policy interface {
 	// Name is the scheduler's short name as used in the paper's figures
 	// (RR, BAT, BAY, PRO, MLFQ, EDF, SJF, SRF, LJF, PREMA, LAX, LAX-SW,
@@ -123,22 +123,14 @@ type ServeObserver interface {
 	Served(j *JobRun)
 }
 
-// RunKeeper is an optional Policy extension for a policy that remembers a
-// job by its *JobRun after the job is terminal — a service pointer, a batch
-// group, a ledger keyed by run. An online system reuses a retired JobRun's
-// storage for a later job (see System.Recycle) only under a policy that
-// does not implement it, since a remembered pointer would then denote the
-// later job.
-type RunKeeper interface {
-	KeepsRuns()
-}
-
-// StateReuser is an optional Policy extension for a policy whose per-job
-// state (JobRun.SchedState) is worth keeping as storage. When SubmitNow
-// reuses a retired job's JobRun, the policy is handed the SchedState that
-// job left, just before the new job's Admit, and may rebuild the new job's
-// state in it instead of allocating. The new job's SchedState is nil, as
-// every arriving job's is.
+// StateReuser is an optional Policy extension that opts an online system
+// into reusing retired JobRuns (see System.Recycle). A policy implements it
+// only if it remembers no job by its *JobRun after the job is terminal — no
+// service pointer, batch group or ledger keyed by run — since a remembered
+// pointer would then denote the later job. When SubmitNow reuses a run, the
+// policy is handed the SchedState the retired job left, just before the new
+// job's Admit, and may rebuild the new job's state in it instead of
+// allocating. The new job's SchedState is nil, as every arriving job's is.
 type StateReuser interface {
 	ReuseState(old any)
 }

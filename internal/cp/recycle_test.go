@@ -8,9 +8,15 @@ import (
 	"laxgpu/internal/workload"
 )
 
-// onlineFIFO is an online system under fifoPolicy, cfg as given.
+// reusingFIFO is fifoPolicy opted into run reuse.
+type reusingFIFO struct{ fifoPolicy }
+
+// ReuseState implements StateReuser; fifoPolicy keeps no per-job state.
+func (*reusingFIFO) ReuseState(any) {}
+
+// onlineFIFO is an online system under reusingFIFO, cfg as given.
 func onlineFIFO(cfg SystemConfig) *System {
-	sys := NewSystem(cfg, &workload.JobSet{}, &fifoPolicy{})
+	sys := NewSystem(cfg, &workload.JobSet{}, &reusingFIFO{})
 	sys.StartOnline()
 	return sys
 }
@@ -25,9 +31,10 @@ func submitAt(sys *System, at sim.Time, desc *gpu.KernelDesc) *JobRun {
 	})
 }
 
-// TestRecycleReusesRetiredRun: a recycled run that retired with nothing in
-// flight is the storage of the next submission, which then runs exactly as
-// on fresh storage; the caller's job is copied, not kept.
+// TestRecycleReusesRetiredRun: under a StateReuser policy, a recycled run
+// that retired with nothing in flight is the storage of the next submission,
+// which then runs exactly as on fresh storage; the caller's job is copied,
+// not kept. Under any other policy the run is not reused.
 func TestRecycleReusesRetiredRun(t *testing.T) {
 	desc := testDesc("k", 2, 64, 10*sim.Microsecond)
 	sys := onlineFIFO(smallConfig())
@@ -50,6 +57,15 @@ func TestRecycleReusesRetiredRun(t *testing.T) {
 	}
 	job.Deadline = 0 // the caller may reuse its job at once
 	sys.Engine().Run()
+
+	plain := NewSystem(smallConfig(), &workload.JobSet{}, &fifoPolicy{})
+	plain.StartOnline()
+	run := submitAt(plain, 0, desc)
+	plain.Engine().Run()
+	plain.Recycle(run)
+	if submitAt(plain, 100*sim.Microsecond, desc) == run {
+		t.Error("a run was reused under a policy that is not a StateReuser")
+	}
 
 	fresh := onlineFIFO(smallConfig())
 	submitAt(fresh, 0, desc)

@@ -27,9 +27,9 @@ type policyContract struct {
 
 	orderer, gate, drain, served bool
 
-	// keeps and reuses are the online-reuse extensions: cp.RunKeeper (the
-	// node never reuses a JobRun under the policy) and cp.StateReuser.
-	keeps, reuses bool
+	// reuses is cp.StateReuser: an online node reuses retired JobRuns
+	// under the policy.
+	reuses bool
 
 	// scheduler is the Scheduler of the first AdmissionDecision.
 	scheduler string
@@ -92,13 +92,12 @@ func contractOf(t *testing.T, name string) policyContract {
 	_, gate := pol.(cp.AdvanceGate)
 	_, drain := pol.(cp.DrainEstimator)
 	_, served := pol.(cp.ServeObserver)
-	_, keeps := pol.(cp.RunKeeper)
 	_, reuses := pol.(cp.StateReuser)
 	ipv6 := contractRun(t, name, "IPV6")
 	lstm := contractRun(t, name, "LSTM")
 	return policyContract{
 		name: pol.Name(), interval: pol.Interval(), overheads: pol.Overheads(),
-		orderer: orderer, gate: gate, drain: drain, served: served, keeps: keeps, reuses: reuses,
+		orderer: orderer, gate: gate, drain: drain, served: served, reuses: reuses,
 		scheduler: ipv6.schedulers[0],
 		starts:    [3]prediction{ipv6.starts[0], lstm.starts[0], lstm.starts[len(lstm.starts)-1]},
 	}
@@ -127,30 +126,30 @@ func TestPolicyContractTable(t *testing.T) {
 	)
 	want := map[string]policyContract{}
 	for _, c := range []policyContract{
-		// name, interval, overheads, orderer, gate, drain, served, keeps, reuses, admission scheduler, predictions
-		{"BAT", 200 * us, host, false, true, false, false, true, false, "BAT", blind},
-		{"BAY", 200 * us, bay, false, false, false, false, true, false, "BAY", offline},
-		{"EDF", 0, cpSide, false, false, false, false, false, false, "EDF", blind},
-		{"FCFS", 0, cpSide, false, false, false, false, false, false, "FCFS", blind},
-		{"LAX", 100 * us, cpSide, false, false, true, false, false, true, "LAX", table},
-		{"LAX-CPU", 200 * us, mmio, false, false, true, false, false, true, "LAX-CPU", table},
-		{"LAX-EWMA-0.5", 100 * us, cpSide, false, false, true, false, false, true, "LAX-EWMA-0.5", table},
-		{"LAX-FIFO", 100 * us, cpSide, false, false, true, false, false, true, "LAX-FIFO", table},
-		{"LAX-INIT-LAXITY", 100 * us, cpSide, false, false, true, false, false, true, "LAX-INIT-LAXITY", table},
-		{"LAX-INIT-LOWEST", 100 * us, cpSide, false, false, true, false, false, true, "LAX-INIT-LOWEST", table},
-		{"LAX-NOADMIT", 100 * us, cpSide, false, false, true, false, false, true, "LAX-NOADMIT", table},
-		{"LAX-PREMA", 100 * us, cpSide, false, false, true, false, false, true, "LAX", table},
-		{"LAX-SW", 500 * us, host, false, false, true, false, false, true, "LAX-SW", table},
-		{"LAX-TICK-500US", 500 * us, cpSide, false, false, true, false, false, true, "LAX-TICK-500US", table},
-		{"LAX-TICK-50US", 50 * us, cpSide, false, false, true, false, false, true, "LAX-TICK-50US", table},
-		{"LJF", 0, cpSide, false, false, false, false, false, false, "LJF", offline},
-		{"MLFQ", 100 * us, cpSide, true, false, false, true, true, false, "MLFQ", blind},
-		{"ORACLE", 100 * us, cpSide, false, false, true, false, false, false, "ORACLE", offline},
-		{"PREMA", 250 * us, cpSide, false, false, false, false, false, false, "PREMA", blind},
-		{"PRO", 200 * us, host, false, false, false, false, false, false, "PRO", offline},
-		{"RR", 0, cpSide, true, false, false, true, true, false, "RR", blind},
-		{"SJF", 0, cpSide, false, false, false, false, false, false, "SJF", offline},
-		{"SRF", 100 * us, cpSide, false, false, false, false, false, true, "SRF", table},
+		// name, interval, overheads, orderer, gate, drain, served, reuses, admission scheduler, predictions
+		{"BAT", 200 * us, host, false, true, false, false, false, "BAT", blind},
+		{"BAY", 200 * us, bay, false, false, false, false, false, "BAY", offline},
+		{"EDF", 0, cpSide, false, false, false, false, false, "EDF", blind},
+		{"FCFS", 0, cpSide, false, false, false, false, false, "FCFS", blind},
+		{"LAX", 100 * us, cpSide, false, false, true, false, true, "LAX", table},
+		{"LAX-CPU", 200 * us, mmio, false, false, true, false, true, "LAX-CPU", table},
+		{"LAX-EWMA-0.5", 100 * us, cpSide, false, false, true, false, true, "LAX-EWMA-0.5", table},
+		{"LAX-FIFO", 100 * us, cpSide, false, false, true, false, true, "LAX-FIFO", table},
+		{"LAX-INIT-LAXITY", 100 * us, cpSide, false, false, true, false, true, "LAX-INIT-LAXITY", table},
+		{"LAX-INIT-LOWEST", 100 * us, cpSide, false, false, true, false, true, "LAX-INIT-LOWEST", table},
+		{"LAX-NOADMIT", 100 * us, cpSide, false, false, true, false, true, "LAX-NOADMIT", table},
+		{"LAX-PREMA", 100 * us, cpSide, false, false, true, false, true, "LAX", table},
+		{"LAX-SW", 500 * us, host, false, false, true, false, true, "LAX-SW", table},
+		{"LAX-TICK-500US", 500 * us, cpSide, false, false, true, false, true, "LAX-TICK-500US", table},
+		{"LAX-TICK-50US", 50 * us, cpSide, false, false, true, false, true, "LAX-TICK-50US", table},
+		{"LJF", 0, cpSide, false, false, false, false, false, "LJF", offline},
+		{"MLFQ", 100 * us, cpSide, true, false, false, true, false, "MLFQ", blind},
+		{"ORACLE", 100 * us, cpSide, false, false, true, false, false, "ORACLE", offline},
+		{"PREMA", 250 * us, cpSide, false, false, false, false, false, "PREMA", blind},
+		{"PRO", 200 * us, host, false, false, false, false, false, "PRO", offline},
+		{"RR", 0, cpSide, true, false, false, true, false, "RR", blind},
+		{"SJF", 0, cpSide, false, false, false, false, false, "SJF", offline},
+		{"SRF", 100 * us, cpSide, false, false, false, false, true, "SRF", table},
 	} {
 		want[c.name] = c
 	}

@@ -124,10 +124,6 @@ func (p *BAT) CanAdvance(j *cp.JobRun) bool {
 	return true
 }
 
-// KeepsRuns implements cp.RunKeeper: a group outlives its jobs until the
-// next window.
-func (p *BAT) KeepsRuns() {}
-
 // bayConcurrency is Baymax's coarse assumption about how many jobs the
 // accelerator overlaps; its queuing model divides outstanding work by this
 // fixed factor rather than observing real completion rates — one of the
@@ -160,10 +156,6 @@ func (p *BAY) Attach(s *cp.System) {
 	p.sys = s
 	p.predicted = make(map[*cp.JobRun]sim.Time)
 }
-
-// KeepsRuns implements cp.RunKeeper: the ledger keeps a finished job until
-// the next estimate, and a cancelled one for good.
-func (p *BAY) KeepsRuns() {}
 
 // queueEstimate predicts how long a new job waits behind admitted work:
 // outstanding predicted time divided by an assumed concurrency.

@@ -125,10 +125,6 @@ func (p *MLFQ) Order(active []*cp.JobRun) []*cp.JobRun {
 	return p.order
 }
 
-// KeepsRuns implements cp.RunKeeper: current and the memoized queues
-// outlive their jobs.
-func (p *MLFQ) KeepsRuns() {}
-
 // Served implements cp.ServeObserver.
 func (p *MLFQ) Served(j *cp.JobRun) {
 	if j.Priority == mlfqHigh {

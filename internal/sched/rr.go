@@ -54,6 +54,3 @@ func (p *RR) Order(active []*cp.JobRun) []*cp.JobRun {
 
 // Served implements cp.ServeObserver: remember which queue received slots.
 func (p *RR) Served(j *cp.JobRun) { p.current = j }
-
-// KeepsRuns implements cp.RunKeeper: current outlives its job.
-func (p *RR) KeepsRuns() {}
