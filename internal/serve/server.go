@@ -98,6 +98,11 @@ type Server struct {
 // New builds a server and its device's node and driver. Call Start to begin
 // pacing.
 func New(opts Options) (*Server, error) {
+	return newServer(opts, NewWallClock(opts.Speed), maxRecords)
+}
+
+// newServer is New on the given clock, keeping up to records job records.
+func newServer(opts Options, clock Clock, records int) (*Server, error) {
 	if opts.Scheduler == "" {
 		opts.Scheduler = "LAX"
 	}
@@ -122,11 +127,11 @@ func New(opts Options) (*Server, error) {
 	reg := obs.NewRegistry()
 	s := &Server{
 		opts:      opts,
-		clock:     NewWallClock(opts.Speed),
+		clock:     clock,
 		reg:       reg,
 		lib:       workload.NewLibrary(sysCfg.GPU),
 		gpu:       sysCfg.GPU,
-		records:   newRecordTable(maxRecords),
+		records:   newRecordTable(records),
 		rng:       sim.NewRNG(opts.Seed),
 		perClient: make(map[string]int),
 
