@@ -53,6 +53,27 @@ func TestBAYQueueEstimateGrowsWithAdmissions(t *testing.T) {
 	}
 }
 
+// TestBAYQueueEstimateForgetsCancelledJobs: a cancelled job never finishes,
+// so its predicted time must leave the ledger with it; otherwise every later
+// admission waits behind work the device will never run.
+func TestBAYQueueEstimateForgetsCancelledJobs(t *testing.T) {
+	k := kdesc("k", 8, 2560, 2*sim.Millisecond, 0)
+	set := buildSet([]jobSpec{
+		{0, 50 * sim.Millisecond, []*gpu.KernelDesc{k, k}},
+		{0, 50 * sim.Millisecond, []*gpu.KernelDesc{k}},
+	})
+	p := NewBAY()
+	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, p)
+	sys.Engine().Schedule(sim.Millisecond, func() { sys.Cancel(sys.Job(0)) })
+	sys.Run()
+	if !sys.Job(0).Cancelled() || !sys.Job(1).Done() {
+		t.Fatalf("job 0 %v, job 1 %v; want cancelled and done", sys.Job(0).State(), sys.Job(1).State())
+	}
+	if q := p.queueEstimate(); q != 0 {
+		t.Errorf("idle device after a cancellation: BAY queue estimate %v, want 0", q)
+	}
+}
+
 // TestPROResumesHeldJobs: jobs held beyond the co-location budget must
 // resume (FIFO) as earlier jobs finish.
 func TestPROResumesHeldJobs(t *testing.T) {

@@ -138,8 +138,8 @@ const bayConcurrency = 4
 type BAY struct {
 	policy
 
-	// outstanding is the predicted work (time) admitted but not yet
-	// finished, the input to the queuing-delay heuristic.
+	// predicted is the predicted work (time) admitted but not yet finished
+	// or cancelled, the input to the queuing-delay heuristic.
 	predicted map[*cp.JobRun]sim.Time
 }
 
@@ -158,11 +158,12 @@ func (p *BAY) Attach(s *cp.System) {
 }
 
 // queueEstimate predicts how long a new job waits behind admitted work:
-// outstanding predicted time divided by an assumed concurrency.
+// outstanding predicted time divided by an assumed concurrency. A job leaves
+// the ledger once it finishes or is cancelled.
 func (p *BAY) queueEstimate() sim.Time {
 	var sum sim.Time
 	for j, t := range p.predicted {
-		if j.Done() {
+		if j.Done() || j.Cancelled() {
 			delete(p.predicted, j)
 			continue
 		}
