@@ -59,6 +59,11 @@ func TestPerfettoRecordAllocs(t *testing.T) {
 		t.Errorf("recording %d events cost %v allocations, want <= 1 per 256 events", events, allocs)
 	}
 
+	// Write's buffer and a released recorder's chunks are pooled.
+	if raceEnabled {
+		t.Log("Write and recycled cases skipped: the race detector's sync.Pool drops a random quarter of what is put in it")
+		return
+	}
 	writeAllocs := func(n int) float64 {
 		p := NewPerfetto()
 		for id := 0; p.Events() < n; id++ {
@@ -78,10 +83,6 @@ func TestPerfettoRecordAllocs(t *testing.T) {
 
 	// A recycled run: a recorder released after its run hands its chunks to
 	// the next, which records the same run without allocating a chunk.
-	if raceEnabled {
-		t.Log("recycled case skipped: the race detector's sync.Pool drops a random quarter of what is put in it")
-		return
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a Put lands in this P's pool
 	run := func() *Perfetto {
 		p := NewPerfetto()
