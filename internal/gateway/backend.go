@@ -145,7 +145,7 @@ type Backend interface {
 // and the deterministic substrate of the chaos tests.
 type InprocBackend struct {
 	name string
-	host *serve.Host
+	host *serve.Host[func(Outcome)] // a job's key is the gateway's done callback
 }
 
 // InprocConfig configures one in-process backend node.
@@ -173,7 +173,7 @@ type InprocConfig struct {
 
 // NewInprocBackend builds and starts one in-process node.
 func NewInprocBackend(cfg InprocConfig) (*InprocBackend, error) {
-	host, err := serve.NewHost(cfg.Node, cfg.Clock, cfg.AcceptQueue, cfg.Registry, cfg.TraceDepth)
+	host, err := serve.NewHost(cfg.Node, cfg.Clock, cfg.AcceptQueue, cfg.Registry, cfg.TraceDepth, reportOutcome)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 			Deadline:  job.Deadline,
 			Kernels:   job.Kernels,
 		}
-		jr, retry := b.host.Submit(&wj, job.TraceID, func(jr *cp.JobRun, e obs.JobEvent) { done(outcomeOf(jr, e)) })
+		jr, retry := b.host.Submit(&wj, job.TraceID, done)
 		if jr.Rejected() {
 			v = Verdict{Accepted: false, Retry: retry}
 			return
@@ -239,9 +239,13 @@ func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 	return v, nil
 }
 
+// reportOutcome is every in-process node's completer: the job's key is the
+// done its dispatch carried.
+func reportOutcome(done func(Outcome), jr *cp.JobRun, e obs.JobEvent) { done(outcomeOf(jr, e)) }
+
 // outcomeOf turns a node's terminal event for jr into the gateway's report.
-// It runs inside the Host's done callback, the only time jr is valid: the
-// node reuses its storage afterwards.
+// It runs inside the Host's completer, the only time jr is valid: the node
+// reuses its storage afterwards.
 func outcomeOf(jr *cp.JobRun, e obs.JobEvent) Outcome {
 	if e.Kind != obs.JobFinish {
 		return Outcome{Terminal: verify.FleetCancelled, Cause: metrics.ClassifyMiss(jr).String()}

@@ -74,10 +74,17 @@ func TestSchedKeepsOneSkeleton(t *testing.T) {
 	}
 }
 
-// receiverType names a method's receiver type, pointer or not.
+// receiverType names a method's receiver type, pointer or not, generic or
+// not.
 func receiverType(e ast.Expr) string {
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = star.X
+	}
+	switch g := e.(type) {
+	case *ast.IndexExpr:
+		e = g.X
+	case *ast.IndexListExpr:
+		e = g.X
 	}
 	if id, ok := e.(*ast.Ident); ok {
 		return id.Name

@@ -210,7 +210,7 @@ func TestCallSettlesEventsDueNow(t *testing.T) {
 // than the one the pacer is armed for re-arms it; nobody calls again.
 func TestPacerWakesForSoonerEvent(t *testing.T) {
 	clock := NewWallClock(1000)
-	h, err := NewHost(NodeConfig{Scheduler: "LAX"}, clock, 8, nil, -1)
+	h, err := NewHost(NodeConfig{Scheduler: "LAX"}, clock, 8, nil, -1, runDone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func replayOnline(t *testing.T, policy string, set *workload.JobSet, spec faults
 // state is copied there, and a job still running at the end is copied then.
 func replayHost(t *testing.T, policy string, set *workload.JobSet, spec faults.Spec) []*cp.JobRun {
 	t.Helper()
-	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: equivSeed}, NewManualClock(), 0, nil, 0)
+	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: equivSeed}, NewManualClock(), 0, nil, 0, runDone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,13 @@ import (
 	"laxgpu/internal/workload"
 )
 
+// runDone is the completer of the tests' Hosts: each job's key is its own
+// done callback.
+func runDone(done func(*cp.JobRun, obs.JobEvent), jr *cp.JobRun, e obs.JobEvent) { done(jr, e) }
+
 // hostMetrics digs the scheduler-metrics probe out of the chain NewHost
 // built (an obs.Multi slice).
-func hostMetrics(t *testing.T, h *Host) *obs.Metrics {
+func hostMetrics[K any](t *testing.T, h *Host[K]) *obs.Metrics {
 	t.Helper()
 	chain := reflect.ValueOf(h.Node().System().Probe())
 	if chain.Kind() != reflect.Slice {
@@ -37,7 +41,7 @@ func TestHostMetricsRetainNoEstimatePairs(t *testing.T) {
 	const jobs = 200
 	clock := NewManualClock()
 	reg := obs.NewRegistry()
-	h, err := NewHost(NodeConfig{Scheduler: "LAX"}, clock, 0, reg, 0)
+	h, err := NewHost(NodeConfig{Scheduler: "LAX"}, clock, 0, reg, 0, runDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +84,19 @@ func TestHostMetricsRetainNoEstimatePairs(t *testing.T) {
 // GET /v1/jobs/{id} keeps answering however many submissions follow it.
 func TestRecordTableEvictsOldestTerminal(t *testing.T) {
 	tbl := newRecordTable(3)
-	add := func(id int64, terminal bool) *record {
-		r := &record{status: JobStatus{ID: id}, done: make(chan struct{})}
-		tbl.add(r)
+	finish := func(id int64) {
+		tbl.finish(id, func(js *JobStatus) { js.State = "done" })
+		tbl.settle(id)
+	}
+	add := func(id int64, terminal bool) {
+		tbl.add(id, "LSTM", 0, "", "c")
 		if terminal {
-			tbl.update(r, func(js *JobStatus) { js.State = "done" }, true)
+			finish(id)
 		}
-		return r
 	}
 	has := func(id int64) bool { _, ok := tbl.get(id); return ok }
 
-	running := add(0, false)
+	add(0, false) // the running head
 	add(1, true)
 	add(2, true)
 	add(3, false) // over the cap: 1 is the oldest terminal record
@@ -103,10 +109,33 @@ func TestRecordTableEvictsOldestTerminal(t *testing.T) {
 	if !has(0) || has(2) || !has(3) || !has(4) || !has(5) {
 		t.Fatalf("running records evicted: have 0:%v 2:%v 3:%v 4:%v 5:%v", has(0), has(2), has(3), has(4), has(5))
 	}
-	// Once the head finishes it is the oldest terminal record: O(1) head case.
-	tbl.update(running, func(js *JobStatus) { js.State = "done" }, true)
+	// Once the head finishes it is the oldest terminal record.
+	finish(0)
 	add(6, false)
-	if has(0) || len(tbl.order) != len(tbl.byID) || len(tbl.order) != 4 {
-		t.Fatalf("finished head not evicted: has(0)=%v order=%v", has(0), tbl.order)
+	if has(0) || tbl.retained != 4 {
+		t.Fatalf("finished head not evicted: has(0)=%v retained=%d", has(0), tbl.retained)
+	}
+}
+
+// TestRecordRowIsPointerFree keeps a record row something the collector
+// never marks: no field may hold a pointer, and a row stays within 64 bytes,
+// so a page of 1 024 rows is one 64 KiB no-scan object.
+func TestRecordRowIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int64, reflect.Uint8:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		default:
+			t.Errorf("record row field %s is a %v; a row holds no pointers and no strings", path, typ.Kind())
+		}
+	}
+	typ := reflect.TypeOf(row{})
+	for i := 0; i < typ.NumField(); i++ {
+		walk(typ.Field(i).Name, typ.Field(i).Type)
+	}
+	if size := typ.Size(); size > 64 {
+		t.Errorf("a record row is %d B, want at most 64", size)
 	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/hex"
+	"fmt"
 	"sync"
 
 	"laxgpu/internal/sim"
@@ -55,82 +57,277 @@ type JobStatus struct {
 	MissCause string `json:"miss_cause,omitempty"`
 }
 
-// record is the server-side state behind a JobStatus. Mutable fields are
-// guarded by the owning recordTable's mutex.
-type record struct {
-	status   JobStatus
-	client   string
-	done     chan struct{} // closed after the first terminal transition is counted
-	terminal bool
+// row is one job's record: everything GET /v1/jobs/{id}, the event stream
+// and the terminal bookkeeping need, rendered into a JobStatus on read. It
+// holds no pointers, so a page of rows is an object the collector never
+// scans. Names are indexes into the table's name table, and the trace ID is
+// its 16 bytes: ParseTraceparent and TraceIDFrom both give lower-case hex,
+// so rendering it back is lossless.
+type row struct {
+	id                      int64
+	deadlineUs, latencyUs   int64
+	retryUs                 int64
+	trace                   [16]byte // zero when the job has no trace ID
+	bench, state            uint8
+	reason, cause           uint8
+	admitted, met, fellBack bool
+	terminal                bool // the first terminal transition happened
+	settled                 bool // and its bookkeeping is done: evictable
+	evicted                 bool // only ever set on a settled row
 }
 
 // maxRecords bounds a server's job-status registry.
 const maxRecords = 65536
 
-// recordTable is the bounded registry of submitted jobs. Past max the oldest
-// terminal record is evicted — long-running servers keep memory flat and
-// clients are expected to read outcomes promptly (or listen on the event
-// stream). A record still running is never evicted, as in the gateway's
-// journal: its status stays addressable until it has an outcome to lose.
+// pageRows is the rows per record page. A page freed by eviction is reopened
+// for newer jobs, so a *row is valid only while the table's mu is held.
+const pageRows = 1024
+
+// page holds pageRows consecutive rows; it is freed (rows nil) once every
+// row is evicted. The table keeps the last page it freed as the next one it
+// opens, so a table at its cap allocates no pages.
+type page struct {
+	rows *[pageRows]row
+	live int // rows not evicted
+}
+
+// closedDone is the done channel of every settled record.
+var closedDone = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
+
+// recordTable is the bounded registry of submitted jobs, in the gateway
+// journal's shape: rows in fixed pages found by id − base, because IDs are
+// dense. Past max the oldest settled record is evicted — long-running
+// servers keep memory flat and clients are expected to read outcomes
+// promptly (or listen on the event stream). A record still running is never
+// evicted, as in the journal: its status stays addressable until it has an
+// outcome to lose.
 type recordTable struct {
 	mu    sync.Mutex
 	max   int
-	byID  map[int64]*record
-	order []int64 // exactly the keys of byID, in submission order
+	pages []page // pages[0] is the oldest page not yet freed
+	spare *[pageRows]row
+
+	// base is the first ID of pages[0] and next the ID add expects. Every
+	// retained row below cursor is unsettled, so eviction resumes there.
+	base, next, cursor int64
+	retained           int // rows not evicted
+
+	names   []string
+	index   map[string]uint8
+	clients map[int64]string        // the submitting client, until the terminal transition
+	waiters map[int64]chan struct{} // unsettled records someone waits on
 }
 
 func newRecordTable(max int) *recordTable {
-	return &recordTable{max: max, byID: make(map[int64]*record)}
+	return &recordTable{
+		max:     max,
+		names:   []string{""},
+		index:   map[string]uint8{"": 0},
+		clients: map[int64]string{},
+		waiters: map[int64]chan struct{}{},
+	}
 }
 
-// add registers a record, evicting the oldest terminal records beyond the
-// cap.
-func (t *recordTable) add(r *record) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.byID[r.status.ID] = r
-	t.order = append(t.order, r.status.ID)
-	for len(t.order) > t.max {
-		i := 0
-		for i < len(t.order) && !t.byID[t.order[i]].terminal {
-			i++
-		}
-		if i == len(t.order) {
-			break // every record is still running: the table runs over its cap
-		}
-		delete(t.byID, t.order[i])
-		if i == 0 {
-			t.order = t.order[1:] // the usual case, O(1)
-		} else {
-			t.order = append(t.order[:i], t.order[i+1:]...)
+// intern returns the index of name in the name table. Callers pass only
+// closed sets: benchmarks, states, reasons, the miss taxonomy.
+func (t *recordTable) intern(name string) uint8 {
+	if i, ok := t.index[name]; ok {
+		return i
+	}
+	if len(t.names) > 0xff {
+		panic("serve: record name table is full")
+	}
+	i := uint8(len(t.names))
+	t.names = append(t.names, name)
+	t.index[name] = i
+	return i
+}
+
+// lookup returns the retained row of id, or nil.
+func (t *recordTable) lookup(id int64) *row {
+	if id < t.base || id >= t.next {
+		return nil
+	}
+	k := id - t.base
+	if p := t.pages[k/pageRows]; p.rows != nil && !p.rows[k%pageRows].evicted {
+		return &p.rows[k%pageRows]
+	}
+	return nil
+}
+
+// nextRetained returns the first retained row at or after id, skipping
+// freed pages whole, or nil.
+func (t *recordTable) nextRetained(id int64) *row {
+	for id = max(id, t.base); id < t.next; id++ {
+		k := id - t.base
+		if p := t.pages[k/pageRows]; p.rows == nil {
+			id += pageRows - 1 - k%pageRows
+		} else if !p.rows[k%pageRows].evicted {
+			return &p.rows[k%pageRows]
 		}
 	}
+	return nil
+}
+
+// add records a new submission, evicting the oldest settled records past
+// the cap. IDs must be consecutive. traceID is empty or 32 lower-case hex
+// digits; client is kept until the terminal transition hands it back.
+func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID, client string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id != t.next {
+		panic(fmt.Sprintf("serve: record added with ID %d, want %d", id, t.next))
+	}
+	if t.next-t.base == int64(len(t.pages))*pageRows {
+		rows := t.spare
+		if t.spare = nil; rows == nil {
+			rows = new([pageRows]row)
+		}
+		t.pages = append(t.pages, page{rows: rows})
+	}
+	p := &t.pages[len(t.pages)-1]
+	p.live++
+	r := &p.rows[(id-t.base)%pageRows]
+	*r = row{id: id, deadlineUs: deadlineUs, bench: t.intern(bench), state: t.intern("submitted")}
+	if len(traceID) == 2*len(r.trace) {
+		if _, err := hex.Decode(r.trace[:], []byte(traceID)); err != nil {
+			r.trace = [16]byte{}
+		}
+	}
+	t.clients[id] = client
+	t.next++
+	t.retained++
+	for t.retained > t.max && t.evictOldestSettled() {
+	}
+}
+
+// evictOldestSettled evicts the oldest retained settled row, reporting false
+// when none is: the table then runs over its cap. A page is freed with its
+// last row, and dropped once no live page is older.
+func (t *recordTable) evictOldestSettled() bool {
+	for r := t.nextRetained(t.cursor); r != nil; r = t.nextRetained(r.id + 1) {
+		if !r.settled {
+			continue
+		}
+		r.evicted = true
+		t.retained--
+		p := &t.pages[(r.id-t.base)/pageRows]
+		if p.live--; p.live == 0 {
+			t.spare, *p = p.rows, page{}
+		}
+		for len(t.pages) > 0 && t.pages[0].rows == nil {
+			t.pages, t.base = t.pages[1:], t.base+pageRows
+		}
+		t.cursor = r.id + 1
+		return true
+	}
+	t.cursor = t.next
+	return false
+}
+
+// status renders r.
+func (t *recordTable) status(r *row) JobStatus {
+	st := JobStatus{
+		ID:           r.id,
+		Benchmark:    t.names[r.bench],
+		State:        t.names[r.state],
+		Admitted:     r.admitted,
+		MetDeadline:  r.met,
+		FellBack:     r.fellBack,
+		DeadlineUs:   r.deadlineUs,
+		LatencyUs:    r.latencyUs,
+		RetryAfterUs: r.retryUs,
+		Reason:       t.names[r.reason],
+		MissCause:    t.names[r.cause],
+	}
+	if r.trace != [16]byte{} {
+		st.TraceID = hex.EncodeToString(r.trace[:])
+	}
+	return st
+}
+
+// apply runs fn on r's rendered status and keeps what fn may change: the
+// verdict and outcome fields, never the job's identity.
+func (t *recordTable) apply(r *row, fn func(*JobStatus)) JobStatus {
+	st := t.status(r)
+	fn(&st)
+	r.state, r.reason, r.cause = t.intern(st.State), t.intern(st.Reason), t.intern(st.MissCause)
+	r.admitted, r.met, r.fellBack = st.Admitted, st.MetDeadline, st.FellBack
+	r.latencyUs, r.retryUs = st.LatencyUs, st.RetryAfterUs
+	return st
 }
 
 // get returns a snapshot of the record's status.
 func (t *recordTable) get(id int64) (JobStatus, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.byID[id]
-	if !ok {
-		return JobStatus{}, false
+	if r := t.lookup(id); r != nil {
+		return t.status(r), true
 	}
-	return r.status, true
+	return JobStatus{}, false
 }
 
-// update mutates a record's status under the table lock and reports whether
-// this call made it terminal. The caller that made it terminal closes the
-// record's done channel, once its own bookkeeping for the outcome is done.
-func (t *recordTable) update(r *record, fn func(*JobStatus), terminal bool) (JobStatus, bool) {
+// update mutates an open record's status and returns it.
+func (t *recordTable) update(id int64, fn func(*JobStatus)) JobStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fn(&r.status)
-	first := false
-	if terminal && !r.terminal {
-		r.terminal = true
-		first = true
+	if r := t.lookup(id); r != nil {
+		return t.apply(r, fn)
 	}
-	return r.status, first
+	return JobStatus{}
+}
+
+// finish mutates a record's status at a terminal transition and reports
+// whether this call made it terminal; that call also gets the submitting
+// client back. Its caller does the outcome's bookkeeping, then settles the
+// record.
+func (t *recordTable) finish(id int64, fn func(*JobStatus)) (st JobStatus, client string, first bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.lookup(id)
+	if r == nil {
+		return JobStatus{}, "", false
+	}
+	st = t.apply(r, fn)
+	if r.terminal {
+		return st, "", false
+	}
+	r.terminal = true
+	client = t.clients[id]
+	delete(t.clients, id)
+	return st, client, true
+}
+
+// settle marks a terminal record's bookkeeping done: its waiters wake, and
+// it may be evicted.
+func (t *recordTable) settle(id int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.lookup(id); r != nil {
+		r.settled = true
+		t.cursor = min(t.cursor, id)
+	}
+	if ch, ok := t.waiters[id]; ok {
+		close(ch)
+		delete(t.waiters, id)
+	}
+}
+
+// done returns a channel closed once id's record is settled, creating a
+// waiter for an unsettled one. A record no longer retained was settled
+// before it was evicted.
+func (t *recordTable) done(id int64) <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.lookup(id); r == nil || r.settled {
+		return closedDone
+	}
+	ch := t.waiters[id]
+	if ch == nil {
+		ch = make(chan struct{})
+		t.waiters[id] = ch
+	}
+	return ch
 }
 
 func usOf(t sim.Time) int64 { return int64(t / sim.Microsecond) }

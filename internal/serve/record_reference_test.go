@@ -69,24 +69,36 @@ func (t *refRecordTable) update(id int64, fn func(*JobStatus), terminal bool) (J
 
 // tableUnderTest adapts the server's record table to the oracle's calls.
 type tableUnderTest struct {
-	tbl  *recordTable
-	recs map[int64]*record // the handle the server keeps on each record
+	t       *testing.T
+	tbl     *recordTable
+	clients map[int64]string // what each record's terminal transition must hand back
 }
 
-func newTableUnderTest(max int) *tableUnderTest {
-	return &tableUnderTest{tbl: newRecordTable(max), recs: map[int64]*record{}}
+func newTableUnderTest(t *testing.T, max int) *tableUnderTest {
+	return &tableUnderTest{t: t, tbl: newRecordTable(max), clients: map[int64]string{}}
 }
 
 func (a *tableUnderTest) add(st JobStatus, client string) {
-	r := &record{status: st, client: client, done: make(chan struct{})}
-	a.recs[st.ID] = r
-	a.tbl.add(r)
+	a.clients[st.ID] = client
+	a.tbl.add(st.ID, st.Benchmark, st.DeadlineUs, st.TraceID, client)
 }
 
 func (a *tableUnderTest) get(id int64) (JobStatus, bool) { return a.tbl.get(id) }
 
+// update is a non-terminal update, or a terminal transition the server
+// settles as soon as it reports first.
 func (a *tableUnderTest) update(id int64, fn func(*JobStatus), terminal bool) (JobStatus, bool) {
-	return a.tbl.update(a.recs[id], fn, terminal)
+	if !terminal {
+		return a.tbl.update(id, fn), false
+	}
+	st, client, first := a.tbl.finish(id, fn)
+	if first {
+		if client != a.clients[id] {
+			a.t.Fatalf("record %d's terminal transition handed back client %q, want %q", id, client, a.clients[id])
+		}
+		a.tbl.settle(id)
+	}
+	return st, first
 }
 
 // TestRecordTableMatchesReference drives the record table and the oracle
@@ -99,7 +111,7 @@ func TestRecordTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	benches := []string{"LSTM", "STEM", "GMM", "CUCKOO", "IPV6"}
 	causes := []string{metrics.MissContended.String(), metrics.MissFaulted.String(), metrics.MissCancelled.String()}
-	ref, got := newRefRecordTable(max), newTableUnderTest(max)
+	ref, got := newRefRecordTable(max), newTableUnderTest(t, max)
 	var next int64
 	var open []int64 // submitted, not yet terminal
 	check := func(step int, id int64) {

@@ -73,12 +73,13 @@ type Server struct {
 	lib   *workload.Library
 	gpu   gpu.Config
 
-	host *Host
+	host *Host[int64] // a job's key is its record ID
 
 	records *recordTable
 	broker  *broker
 
-	// mu guards ID allocation, sampling and client limits.
+	// mu guards ID allocation, sampling and client limits, and is held
+	// around records.add.
 	mu        sync.Mutex
 	rng       *sim.RNG
 	nextID    int64
@@ -165,7 +166,7 @@ func newServer(opts Options, clock Clock, records int) (*Server, error) {
 		Scheduler: opts.Scheduler,
 		Faults:    spec,
 		Seed:      opts.Seed,
-	}, s.clock, opts.AcceptQueue, reg, opts.TraceDepth)
+	}, s.clock, opts.AcceptQueue, reg, opts.TraceDepth, s.completeJob)
 	if err != nil {
 		return nil, err
 	}
@@ -284,10 +285,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	client := clientKey(r.RemoteAddr)
+	// Adopt a propagated trace ID (W3C traceparent, stamped by a gateway
+	// tier) or mint a deterministic one, so every job's spans are
+	// addressable whether or not a caller traces it.
+	traceID, _, hasParent := obs.ParseTraceparent(r.Header.Get("traceparent"))
 
-	// Under the lock: ID allocation, per-client cap and — for jobs without
-	// an explicit WGList — the benchmark sample, which must draw from the
-	// shared RNG stream.
+	// Under the lock: ID allocation, the record (so the table sees IDs in
+	// order), per-client cap and — for jobs without an explicit WGList — the
+	// benchmark sample, which must draw from the shared RNG stream.
 	s.mu.Lock()
 	if s.perClient[client] >= s.opts.MaxPerClient {
 		s.mu.Unlock()
@@ -304,31 +309,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.nextID
 	s.nextID++
+	if !hasParent {
+		traceID = obs.TraceIDFrom(uint64(s.opts.Seed), uint64(id))
+	}
+	s.records.add(id, bench.Name, usOf(deadline), traceID, client)
 	s.perClient[client]++
 	s.inflight++
 	s.gInflight.Set(float64(s.inflight))
 	s.mu.Unlock()
-
-	// Adopt a propagated trace ID (W3C traceparent, stamped by a gateway
-	// tier) or mint a deterministic one, so every job's spans are
-	// addressable whether or not a caller traces it.
-	traceID, _, hasParent := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	if !hasParent {
-		traceID = obs.TraceIDFrom(uint64(s.opts.Seed), uint64(id))
-	}
-
-	rec := &record{
-		status: JobStatus{
-			ID:         id,
-			Benchmark:  bench.Name,
-			State:      "submitted",
-			DeadlineUs: usOf(deadline),
-			TraceID:    traceID,
-		},
-		client: client,
-		done:   make(chan struct{}),
-	}
-	s.records.add(rec)
 	s.cSubmitted.Inc()
 
 	// The verdict's bookkeeping runs with the node held, ahead of any
@@ -337,33 +325,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var retry sim.Time
 	ok = s.host.Call(func() {
 		var jr *cp.JobRun
-		jr, retry = s.host.Submit(&job, traceID, func(jr *cp.JobRun, e obs.JobEvent) { s.completeJob(rec, jr, e) })
+		jr, retry = s.host.Submit(&job, traceID, id)
 		if rejected = jr.Rejected(); rejected {
-			st, _ := s.records.update(rec, func(js *JobStatus) {
+			st, _, _ := s.records.finish(id, func(js *JobStatus) {
 				js.State = "rejected"
 				js.Reason = ReasonAdmission
 				js.MissCause = metrics.MissRejected.String()
 				js.RetryAfterUs = usOf(retry)
-			}, true)
+			})
 			s.cRejected.Inc()
 			s.cMissCause[metrics.MissRejected.String()].Inc()
-			s.releaseClient(rec.client)
-			close(rec.done)
+			s.releaseClient(client)
+			s.records.settle(id)
 			s.broker.publish("rejected", st)
 			return
 		}
-		st, _ := s.records.update(rec, func(js *JobStatus) {
+		st := s.records.update(id, func(js *JobStatus) {
 			js.State = "admitted"
 			js.Admitted = true
-		}, false)
+		})
 		s.cAdmitted.Inc()
 		s.broker.publish("admitted", st)
 	})
 	if !ok {
 		s.cOverflow.Inc()
-		s.records.update(rec, func(js *JobStatus) { js.State = "dropped" }, true)
+		s.records.finish(id, func(js *JobStatus) { js.State = "dropped" })
 		s.releaseClient(client)
-		close(rec.done)
+		s.records.settle(id)
 		WriteReject(w, http.StatusServiceUnavailable, ReasonBackpressure, "accept queue full", 0)
 		return
 	}
@@ -377,7 +365,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("wait") != "" {
 		select {
-		case <-rec.done:
+		case <-s.records.done(id):
 			st, _ = s.records.get(id)
 			WriteJSON(w, http.StatusOK, st)
 		case <-r.Context().Done():
@@ -519,9 +507,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// completeJob finalizes a record when its job finishes or is cancelled.
-// Called by the Host with the node held, so reading the JobRun is safe.
-func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
+// completeJob finalizes job id's record when it finishes or is cancelled.
+// The Host calls it with the node held, so reading the JobRun is safe.
+func (s *Server) completeJob(id int64, jr *cp.JobRun, e obs.JobEvent) {
 	state, met := "cancelled", false
 	if e.Kind == obs.JobFinish {
 		state, met = "done", e.Met
@@ -530,13 +518,13 @@ func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
 	if !met {
 		cause = metrics.ClassifyMiss(jr).String()
 	}
-	st, first := s.records.update(rec, func(js *JobStatus) {
+	st, client, first := s.records.finish(id, func(js *JobStatus) {
 		js.State = state
 		js.MetDeadline = met
 		js.FellBack = jr.FellBack
 		js.LatencyUs = usOf(jr.Latency())
 		js.MissCause = cause
-	}, true)
+	})
 	if !first {
 		return
 	}
@@ -555,9 +543,9 @@ func (s *Server) completeJob(rec *record, jr *cp.JobRun, e obs.JobEvent) {
 	case "cancelled":
 		s.cCancelled.Inc()
 	}
-	s.releaseClient(rec.client)
-	// A waiter woken by done reads counters that already include this job.
-	close(rec.done)
+	s.releaseClient(client)
+	// A waiter woken by settle reads counters that already include this job.
+	s.records.settle(id)
 	s.broker.publish(state, st)
 }
 

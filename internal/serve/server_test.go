@@ -534,9 +534,10 @@ func TestTraceListingSize(t *testing.T) {
 func TestDoneFollowsCounters(t *testing.T) {
 	srv, _ := startServer(t, Options{})
 	const n = 2000
-	recs := make([]*record, n)
-	for i := range recs {
-		recs[i] = &record{status: JobStatus{ID: int64(i)}, client: "c", done: make(chan struct{})}
+	waits := make([]<-chan struct{}, n)
+	for i := range waits {
+		srv.records.add(int64(i), "LSTM", 0, "", "c")
+		waits[i] = srv.records.done(int64(i))
 	}
 	srv.mu.Lock()
 	srv.perClient["c"], srv.inflight = n, n
@@ -545,12 +546,12 @@ func TestDoneFollowsCounters(t *testing.T) {
 	defer func() { <-finished }()
 	go func() {
 		defer close(finished)
-		for _, rec := range recs {
-			srv.completeJob(rec, &cp.JobRun{}, obs.JobEvent{Kind: obs.JobFinish, Met: true})
+		for i := range waits {
+			srv.completeJob(int64(i), &cp.JobRun{}, obs.JobEvent{Kind: obs.JobFinish, Met: true})
 		}
 	}()
-	for i, rec := range recs {
-		<-rec.done
+	for i, done := range waits {
+		<-done
 		done := int64(i + 1)
 		if c, m, in := srv.cCompleted.Value(), srv.cMet.Value(), srv.gInflight.Value(); c < done || m < done || in > float64(n-done) {
 			t.Fatalf("job %d done: completed %d, met %d, inflight %g", i, c, m, in)

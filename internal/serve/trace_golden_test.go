@@ -76,7 +76,7 @@ func runNodeTraceScript(t *testing.T, depth, jobs int, gap sim.Time, fault strin
 		t.Fatal(err)
 	}
 	clock := NewManualClock()
-	h, err := NewHost(NodeConfig{Scheduler: "LAX-PREMA", Faults: spec, Seed: 3}, clock, 0, nil, depth)
+	h, err := NewHost(NodeConfig{Scheduler: "LAX-PREMA", Faults: spec, Seed: 3}, clock, 0, nil, depth, runDone)
 	if err != nil {
 		t.Fatal(err)
 	}

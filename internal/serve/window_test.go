@@ -218,7 +218,7 @@ func TestRetiredJobDrainsSafely(t *testing.T) {
 // (see replayHost).
 func drainThroughHost(t *testing.T, policy string, spec faults.Spec, seed int64, set *workload.JobSet) []*cp.JobRun {
 	t.Helper()
-	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: seed}, NewManualClock(), 0, nil, 0)
+	h, err := NewHost(NodeConfig{Scheduler: policy, Faults: spec, Seed: seed}, NewManualClock(), 0, nil, 0, runDone)
 	if err != nil {
 		t.Fatal(err)
 	}
