@@ -42,8 +42,14 @@ func (b *broker) subscribe() (ch chan []byte, cancel func()) {
 	}
 }
 
-// publish marshals the status once and offers it to every subscriber.
+// publish marshals the status once and offers it to every subscriber; with
+// none, it marshals nothing.
 func (b *broker) publish(event string, st JobStatus) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.subs) == 0 {
+		return
+	}
 	payload, err := json.Marshal(struct {
 		Event string `json:"event"`
 		JobStatus
@@ -51,7 +57,6 @@ func (b *broker) publish(event string, st JobStatus) {
 	if err != nil {
 		return
 	}
-	b.mu.Lock()
 	for ch := range b.subs {
 		select {
 		case ch <- payload:
@@ -59,7 +64,6 @@ func (b *broker) publish(event string, st JobStatus) {
 			b.dropped.Inc()
 		}
 	}
-	b.mu.Unlock()
 }
 
 // close disconnects every subscriber.
