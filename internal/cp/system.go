@@ -382,7 +382,7 @@ func (s *System) submit(jr *JobRun) {
 	s.submitted++
 	s.arrive(jr)
 	if tick {
-		s.eng.Schedule(now, s.reprioritize)
+		s.eng.ScheduleAct(now, (*gridEvent)(s))
 	}
 }
 
@@ -871,15 +871,18 @@ func (s *System) armTimer() {
 	s.eng.ScheduleAct((s.eng.Now()/iv+1)*iv, (*tickEvent)(s))
 }
 
-// tickEvent and passEvent are the System as the engine payload of its timer
-// tick and of a CPU-side policy's delayed pass: Actions, so scheduling them
-// allocates nothing (a method value would allocate a closure each time).
+// tickEvent, gridEvent and passEvent are the System as the engine payload of
+// its timer tick, of the tick an arrival on a grid point runs, and of a
+// CPU-side policy's delayed pass: Actions, so scheduling them allocates
+// nothing (a method value would allocate a closure each time).
 type (
 	tickEvent System
+	gridEvent System
 	passEvent System
 )
 
 func (t *tickEvent) Act() { (*System)(t).tick() }
+func (g *gridEvent) Act() { (*System)(g).reprioritize() }
 func (p *passEvent) Act() { (*System)(p).applyReprioritize() }
 
 // tick is the reprioritization timer body: run the policy's Algorithm 2 pass

@@ -84,6 +84,11 @@ type Outcome struct {
 // Job is the gateway's view of one submission: the sampled kernel chain
 // plus the routing estimate, ready to hand to whichever node (or nodes,
 // after failover) ends up running it.
+//
+// The gateway recycles a Job once its journal row turns terminal, so a
+// steady submission allocates none. A backend may read the *Job it is handed
+// only until its Submit returns or the job's done fires, whichever comes
+// first: by then the Job may already carry a newer submission.
 type Job struct {
 	// ID is the gateway-wide identifier.
 	ID int64
@@ -105,9 +110,20 @@ type Job struct {
 	Est sim.Time
 
 	// TraceID is the gateway-minted W3C trace ID, propagated to whichever
-	// node runs the job (traceparent header for remote nodes) so the job's
-	// spans stitch across processes. Re-dispatches reuse it.
-	TraceID string
+	// node runs the job (as bytes to an in-process node, in a traceparent
+	// header to a remote one) so the job's spans stitch across processes.
+	// Re-dispatches reuse it.
+	TraceID obs.TraceID
+
+	// done is the job's completion callback, bound once when the Job is
+	// first allocated: it reports for whatever ID the Job carries when it
+	// fires, so every dispatch of every submission the Job serves passes
+	// the same func value.
+	done func(Outcome)
+
+	// detached marks a job failed over from a node declared dead. That node
+	// may still report it late, through done, so the Job is never recycled.
+	detached bool
 }
 
 // TraceSource is the optional Backend extension behind the gateway's
@@ -126,6 +142,12 @@ type TraceSource interface {
 // Submit and Probe may block; the gateway never calls them while holding
 // its own lock. done fires on the backend's own goroutine — at most once
 // per accepted Submit — and may call back into the gateway.
+//
+// One done value serves many jobs: it is the Job's own, and reports for
+// the ID the Job carries when it fires. So a backend reads the *Job only
+// until Submit returns or done fires, whichever comes first, and keeps
+// nothing of it past that but copies (the node-local ID, the fields it
+// sent on). It may keep done itself until it fires.
 type Backend interface {
 	// Name identifies the node in journals, metrics and logs.
 	Name() string
@@ -135,8 +157,9 @@ type Backend interface {
 	Probe(now sim.Time) (Headroom, error)
 
 	// Submit offers the job to the node. The error path means the node
-	// never saw the job (safe to re-dispatch); a Verdict means the node
-	// decided. done fires when an accepted job reaches a terminal state.
+	// never saw the job (safe to re-dispatch) and done never fires; a
+	// Verdict means the node decided. done fires when an accepted job
+	// reaches a terminal state, possibly before Submit returns.
 	Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error)
 }
 
@@ -218,7 +241,8 @@ func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 // before the node is released, so no completion can slip in between. done
 // fires with the node held — inside a later Submit or Probe, or on the
 // pacer — and must not call back into b. The node copies the job it is
-// handed, so the one built here stays on the stack.
+// handed, so the one built here stays on the stack, and job is read only
+// before the node sees it.
 func (b *InprocBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	var v Verdict
 	if !b.host.Call(func() {

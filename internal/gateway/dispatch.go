@@ -33,16 +33,19 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	if kernels == nil {
 		kernels, _ = bench.SampleChain(gw.lib, gw.rng)
 	}
-	job := &Job{
-		ID:        gw.nextID,
+	id := gw.nextID
+	gw.nextID++
+	job := gw.newJob()
+	*job = Job{
+		ID:        id,
 		Benchmark: bench.Name,
 		Deadline:  deadline,
 		Class:     class,
 		Kernels:   kernels,
+		Est:       gpu.SerialTime(gw.gpu, kernels),
+		TraceID:   gw.traceID(id),
+		done:      job.done,
 	}
-	job.Est = gpu.SerialTime(gw.gpu, job.Kernels)
-	job.TraceID = gw.traceID(job.ID)
-	gw.nextID++
 	e := gw.journal.open(job, now)
 	gw.statJournaled++
 	gw.statEstUs += usOf(job.Est)
@@ -51,26 +54,28 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	if wait, ok := gw.table.minDrain(); ok && wait > class.sheddingTolerance()*deadline {
 		gw.reject(e, serve.ReasonShed, wait)
 		gw.cShed[class].Inc()
-		return job.ID, Verdict{Retry: wait}, serve.ReasonShed
+		return id, Verdict{Retry: wait}, serve.ReasonShed
 	}
 	target, v, ok := gw.place(now, job)
 	// place released mu, and the completion of an accepted job may have
-	// raced in meanwhile (real clocks, fast jobs): later submissions may then
-	// have evicted its row and reopened the page for newer jobs, so the row
-	// is looked up again. A job nobody accepted is still open, so it has one.
-	e = gw.journal.lookup(job.ID)
+	// raced in meanwhile (real clocks, fast jobs): the job may then be
+	// recycled for a later submission, and its row evicted and the page
+	// reopened for newer jobs. So job is not read again, and the row is
+	// looked up again by ID. A job nobody accepted is still open, so it has
+	// one.
+	e = gw.journal.lookup(id)
 	if !ok {
 		// No routable node, or every route attempt hit a dead one.
 		gw.reject(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
 		gw.cUnhealthy.Inc()
-		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
+		return id, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
 	n := gw.table.nodes[target]
 	if !v.Accepted {
 		e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 		gw.reject(e, serve.ReasonAdmission, v.Retry)
 		gw.cRejected.Inc()
-		return job.ID, v, serve.ReasonAdmission
+		return id, v, serve.ReasonAdmission
 	}
 	// Only accepted jobs shape the tightest-deadline stat: a hopeless
 	// deadline bounced at admission never ran, so it says nothing about the
@@ -80,7 +85,7 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	}
 	gw.cAccepted.Inc()
 	if e == nil {
-		return job.ID, v, "" // settled and evicted while place had mu released
+		return id, v, "" // settled and evicted while place had mu released
 	}
 	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
 	e.accepted = true
@@ -93,7 +98,21 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 		gw.gInflight.Set(float64(gw.inflight))
 		n.inflight++
 	}
-	return job.ID, v, ""
+	return id, v, ""
+}
+
+// newJob returns a Job for the next submission: one the journal recycled, or
+// a new one whose done, bound here once, reports for the ID the Job carries
+// when done fires. The caller fills every field but done. Caller holds mu.
+func (gw *Gateway) newJob() *Job {
+	if n := len(gw.journal.free); n > 0 {
+		job := gw.journal.free[n-1]
+		gw.journal.free[n-1], gw.journal.free = nil, gw.journal.free[:n-1]
+		return job
+	}
+	job := new(Job)
+	job.done = func(o Outcome) { gw.complete(job.ID, o) }
+	return job
 }
 
 // routeDetail renders the route span's detail on every journal read of a
@@ -108,7 +127,7 @@ func routeDetail(node string, drain sim.Time, accepted bool) string {
 // traceID is the fleet-wide trace ID of job id: every node the job touches
 // records spans under it, so its timeline stitches across processes and
 // failover re-dispatches. Pure in (seed, id), so the journal never stores it.
-func (gw *Gateway) traceID(id int64) string {
+func (gw *Gateway) traceID(id int64) obs.TraceID {
 	return obs.TraceIDFrom(uint64(gw.opt.Seed)^0x6c61786777, uint64(id))
 }
 
@@ -118,13 +137,17 @@ func (gw *Gateway) traceID(id int64) string {
 // the first verdict a node gives. ok is false when nobody took the job: no
 // node is routable, or every attempt hit a dead one. The caller holds mu and
 // holds it again on return; place releases it around each backend call.
+// Every dispatch passes the job's own done, so none allocates a callback.
+// An accepted job may settle, and be recycled for a later submission, before
+// its Submit returns: place reads the job before its first call only, and
+// hands it on again only after a failed call, which the node never saw.
 func (gw *Gateway) place(now sim.Time, job *Job) (int, Verdict, bool) {
-	id := job.ID
+	id, est, done := job.ID, job.Est, job.done
 	for attempt := 0; attempt < len(gw.table.nodes) && gw.table.healthy() > 0; attempt++ {
-		target := gw.table.router.Pick(now, job.Est, int(id))
+		target := gw.table.router.Pick(now, est, int(id))
 		be := gw.table.nodes[target].be
 		gw.mu.Unlock()
-		v, err := be.Submit(now, job, func(o Outcome) { gw.complete(id, o) })
+		v, err := be.Submit(now, job, done)
 		if err != nil {
 			gw.strike(now, target)
 		}
@@ -158,17 +181,19 @@ func (gw *Gateway) strike(now sim.Time, g int) {
 // fallback when no survivor exists or the survivor's admission refuses it —
 // either way the job reaches a terminal state. Deterministic given the same
 // journal and probe history: placement is the same loop arrivals use. Called
-// without mu.
+// without mu. A detached job is never recycled, but failover keeps the rule
+// every caller of place keeps: it reads the job's ID first, not the job after.
 func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 	start := time.Now()
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	for _, job := range orphans {
+		id := job.ID
 		target, v, ok := gw.place(now, job)
 		// place released mu: a late completion may have closed the row and a
 		// submission evicted it, its page reopened for newer jobs. A nil row
 		// is a settled job, and its failover steps have nowhere to go.
-		e := gw.journal.lookup(job.ID)
+		e := gw.journal.lookup(id)
 		if ok {
 			n := gw.table.nodes[target]
 			if e != nil {
@@ -184,7 +209,7 @@ func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 					}
 				}
 				gw.table.event(now, obs.EventRedispatch, n.be.Name(),
-					fmt.Sprintf("job %d re-dispatched", job.ID))
+					fmt.Sprintf("job %d re-dispatched", id))
 				gw.cFailoverJobs.Inc()
 				gw.hRedispatchUs.Observe(float64(time.Since(start).Microseconds()))
 				continue
@@ -194,7 +219,7 @@ func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 		// state ("fallback", deadline missed) rather than a silent loss.
 		gw.cFailoverFallback.Inc()
 		at := gw.clock.Now()
-		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", job.ID))
+		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", id))
 		if e != nil {
 			gw.journal.failedOver(e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
 			gw.settle(e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
@@ -202,8 +227,8 @@ func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 	}
 }
 
-// complete is the done callback every dispatch carries: one terminal report
-// from a backend for a journaled job.
+// complete is what every Job's done calls with the Job's ID: one terminal
+// report from a backend for a journaled job.
 func (gw *Gateway) complete(id int64, o Outcome) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()

@@ -55,7 +55,7 @@ func (gw *Gateway) status(e *entry) JobStatus {
 		Reason:       j.names[e.reason],
 		RetryAfterUs: e.retryUs,
 		Dispatches:   dispatches,
-		TraceID:      gw.traceID(e.id),
+		TraceID:      gw.traceID(e.id).String(),
 		MissCause:    j.missCause(e),
 	}
 }

@@ -70,6 +70,10 @@ type journal struct {
 	// that have a terminal state.
 	retained, terminals int
 
+	// free holds the Jobs of closed rows for the next submissions (see
+	// maxFreeJobs and Gateway.newJob).
+	free []*Job
+
 	names   []string
 	index   map[string]uint16
 	hops    map[int64][]hop         // failed-over jobs only
@@ -141,6 +145,19 @@ func (j *journal) nextRetained(id int64) *entry {
 	return nil
 }
 
+// maxFreeJobs bounds the recycled Jobs the journal keeps. Steady state needs
+// as many as the jobs that settle between two arrivals; the bound only stops
+// a burst of settlements from being kept past its end.
+const maxFreeJobs = 64
+
+// A Job is recycled only at close, and only if it was never detached. A
+// backend reads a Job only until its Submit returns or done fires, and done
+// fires at most once per accepted dispatch, so the Job of a row that closed
+// without failing over is nobody's. A detached job was dispatched to a node
+// declared dead, which may still report it late through done; reused, the
+// Job would carry that report to another submission, so the collector gets
+// it instead.
+
 // open journals a new submission, evicting the oldest terminal entries past
 // the cap. Non-terminal entries are never evicted. IDs must be consecutive.
 func (j *journal) open(job *Job, now sim.Time) *entry {
@@ -197,16 +214,21 @@ func (j *journal) evictOldestTerminal() bool {
 	return false
 }
 
-// close moves e to a terminal state, drops its job and wakes its waiters.
-// Only the first report wins: close reports false, changing nothing, for an
-// entry that is already terminal.
+// close moves e to a terminal state, recycles its job unless it was detached,
+// and wakes its waiters. Only the first report wins: close reports false,
+// changing nothing, for an entry that is already terminal.
 func (j *journal) close(e *entry, terminal string) bool {
 	if e.terminal != 0 {
 		return false
 	}
 	e.terminal = j.intern(terminal)
 	j.terminals++
-	*j.job(e.id) = nil
+	slot := j.job(e.id)
+	if job := *slot; !job.detached && len(j.free) < maxFreeJobs {
+		*job = Job{done: job.done}
+		j.free = append(j.free, job)
+	}
+	*slot = nil
 	if e.id < j.cursor {
 		j.cursor = e.id
 	}
@@ -232,13 +254,15 @@ func (j *journal) done(id int64) <-chan struct{} {
 }
 
 // detach collects the jobs of the accepted, still-open entries dispatched to
-// routing index g, in ID order, and clears their dispatch: the caller
-// re-homes them.
+// routing index g, in ID order, clears their dispatch and marks each job
+// detached, never to be recycled: the caller re-homes them.
 func (j *journal) detach(g int) (jobs []*Job) {
 	for e := j.nextRetained(j.base); e != nil; e = j.nextRetained(e.id + 1) {
 		if e.accepted && e.terminal == 0 && int(e.backend) == g {
 			e.backend = -1
-			jobs = append(jobs, *j.job(e.id))
+			job := *j.job(e.id)
+			job.detached = true
+			jobs = append(jobs, job)
 		}
 	}
 	return jobs

@@ -278,9 +278,9 @@ func (s *asyncStub) Probe(sim.Time) (Headroom, error) {
 }
 
 func (s *asyncStub) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
-	met := job.ID%5 != 0
-	s.work <- func() { done(Outcome{Terminal: verify.FleetDone, Met: met}) }
-	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+	id := job.ID // done may fire, and the job be recycled, once it is queued
+	s.work <- func() { done(Outcome{Terminal: verify.FleetDone, Met: id%5 != 0}) }
+	return Verdict{Accepted: true, RemoteID: id}, nil
 }
 
 // TestJournalRowsStableUnderConcurrentCompletions runs three submitters
@@ -384,7 +384,8 @@ type reentrantStub struct {
 }
 
 func (s *reentrantStub) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
-	if job.ID != s.hook || s.during == nil {
+	id := job.ID // read before during completes the job
+	if id != s.hook || s.during == nil {
 		return s.instantStub.Submit(now, job, done)
 	}
 	during := s.during
@@ -393,7 +394,7 @@ func (s *reentrantStub) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 	if s.refuse {
 		return Verdict{Retry: sim.Millisecond}, nil
 	}
-	return Verdict{Accepted: true, RemoteID: job.ID}, nil
+	return Verdict{Accepted: true, RemoteID: id}, nil
 }
 
 // TestHeldRowReopenedForANewerJob: a submission or a failover that offers a

@@ -3,6 +3,7 @@
 package gateway
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -57,5 +58,50 @@ func TestInprocSubmitBytesPerJob(t *testing.T) {
 	t.Logf("InprocBackend.Submit: %.2f B per job", b)
 	if b > maxBytes {
 		t.Errorf("InprocBackend.Submit allocates %.1f B per job, want at most %d", b, maxBytes)
+	}
+}
+
+// TestGatewaySubmitBytesPerJob bounds a whole steady Gateway.Submit over two
+// in-process LAX nodes: a STEM job every 200 µs of manual clock, a probe
+// round every millisecond, past the journal's cap and a warm-up that fills
+// the nodes' free lists and trace rings. The gateway recycles the Job and
+// its done, and passes the trace ID as bytes; the nodes reuse their per-job
+// storage, and an arrival on a reprioritization grid point (every one here)
+// schedules its tick without a closure. A new Job and done per submission
+// reads 136 B per job, a closure per dispatch or per grid-point arrival 16.
+// Built without -race, as above.
+func TestGatewaySubmitBytesPerJob(t *testing.T) {
+	const n, maxBytes = 20000, 8
+	clock := serve.NewManualClock()
+	gw, err := NewFleet(2, "", InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "", Options{Clock: clock, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close(context.Background(), 0)
+	stem, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(jobs int) {
+		for i := 0; i < jobs; i++ {
+			clock.Advance(200 * sim.Microsecond)
+			if i%5 == 0 {
+				gw.TickProbes(clock.Now())
+			}
+			gw.Submit(stem, stem.Deadline, Standard)
+		}
+	}
+	submit(pastCapWarmup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submit(n)
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("Gateway.Submit over two in-process nodes: %.2f B per job", b)
+	if b > maxBytes {
+		t.Errorf("Gateway.Submit allocates %.1f B per job, want at most %d", b, maxBytes)
+	}
+	if st := gw.Stats(); st.Accepted < st.Submitted/2 {
+		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)
 	}
 }

@@ -108,7 +108,7 @@ func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 		return Verdict{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if job.TraceID != "" {
+	if !job.TraceID.IsZero() {
 		// Propagate the gateway-minted trace ID so the node's spans stitch
 		// with ours; the parent span ID is derived from the gateway job ID.
 		req.Header.Set("traceparent", obs.FormatTraceparent(job.TraceID, obs.SpanIDFrom(0x6c617867, uint64(job.ID))))

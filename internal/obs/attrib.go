@@ -105,23 +105,61 @@ func suffixBehind(detail string) string {
 // dispatch with "00-<32 hex trace-id>-<16 hex span-id>-01" and laxd adopts
 // the trace-id, so one job's spans stitch across processes.
 
+// TraceID is a W3C trace ID: 16 bytes, held as bytes from the gateway's
+// journal to a node's record row and trace ring, and rendered as 32
+// lower-case hex digits only on a wire or a read. The zero value means "no
+// trace ID" (W3C forbids the all-zero ID) and renders as "".
+type TraceID [16]byte
+
+// IsZero reports whether id is the zero "no trace ID".
+func (id TraceID) IsZero() bool { return id == TraceID{} }
+
+// String renders id as 32 lower-case hex digits, or "" for the zero ID.
+func (id TraceID) String() string {
+	if id.IsZero() {
+		return ""
+	}
+	var buf [32]byte
+	hex.Encode(buf[:], id[:])
+	return string(buf[:])
+}
+
+// ParseTraceID parses 32 lower-case hex digits. Anything else, and the
+// all-zero ID, is rejected.
+func ParseTraceID(s string) (TraceID, bool) {
+	var id TraceID
+	if !isHex(s, 2*len(id)) {
+		return TraceID{}, false
+	}
+	for i := range id {
+		id[i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
+	}
+	return id, !id.IsZero()
+}
+
+// traceparentLen is the length of a version-00 traceparent:
+// "00-" + 32 + "-" + 16 + "-" + 2.
+const traceparentLen = 55
+
 // FormatTraceparent renders a version-00 traceparent header value.
-func FormatTraceparent(traceID, spanID string) string {
-	return "00-" + traceID + "-" + spanID + "-01"
+func FormatTraceparent(traceID TraceID, spanID string) string {
+	return "00-" + traceID.String() + "-" + spanID + "-01"
 }
 
 // ParseTraceparent extracts the trace-id and parent span-id from a
-// version-00 traceparent header. Malformed values are rejected.
-func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || parts[0] != "00" ||
-		!isHex(parts[1], 32) || !isHex(parts[2], 16) || !isHex(parts[3], 2) {
-		return "", "", false
+// version-00 traceparent header, reading each field at its fixed offset.
+// Malformed values, upper-case hex and all-zero IDs are rejected.
+func ParseTraceparent(h string) (traceID TraceID, spanID string, ok bool) {
+	h = strings.TrimSpace(h)
+	if len(h) != traceparentLen || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
+		return TraceID{}, "", false
 	}
-	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
-		return "", "", false
+	traceID, ok = ParseTraceID(h[3:35])
+	spanID = h[36:52]
+	if !ok || !isHex(spanID, 16) || spanID == "0000000000000000" || !isHex(h[53:], 2) {
+		return TraceID{}, "", false
 	}
-	return parts[1], parts[2], true
+	return traceID, spanID, true
 }
 
 func isHex(s string, n int) bool {
@@ -137,19 +175,27 @@ func isHex(s string, n int) bool {
 	return true
 }
 
-// TraceIDFrom derives a deterministic 32-hex-char trace ID from a seed and
-// a job identifier (splitmix64 finalizers, the same generator the chaos
-// plans use). Deterministic IDs keep failover reruns byte-reproducible.
-func TraceIDFrom(seed, id uint64) string {
+// unhex is the value of one lower-case hex digit isHex accepted.
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c - 'a' + 10
+}
+
+// TraceIDFrom derives a deterministic trace ID from a seed and a job
+// identifier (splitmix64 finalizers, the same generator the chaos plans
+// use). Deterministic IDs keep failover reruns byte-reproducible.
+func TraceIDFrom(seed, id uint64) TraceID {
 	hi := mix64(seed ^ mix64(id))
 	lo := mix64(id ^ mix64(seed+0x9e3779b97f4a7c15))
 	if hi == 0 && lo == 0 {
 		lo = 1 // all-zero trace IDs are invalid per W3C
 	}
-	var buf [32]byte
-	hex64(buf[:16], hi)
-	hex64(buf[16:], lo)
-	return string(buf[:])
+	var t TraceID
+	binary.BigEndian.PutUint64(t[:8], hi)
+	binary.BigEndian.PutUint64(t[8:], lo)
+	return t
 }
 
 // SpanIDFrom derives a deterministic 16-hex-char span ID.
@@ -164,7 +210,7 @@ func SpanIDFrom(seed, id uint64) string {
 }
 
 // hex64 writes v as 16 zero-padded lower-case hex digits into dst — what
-// fmt's %016x prints, without its reflection, on the gateway's per-submit path.
+// fmt's %016x prints, without its reflection.
 func hex64(dst []byte, v uint64) {
 	var raw [8]byte
 	binary.BigEndian.PutUint64(raw[:], v)

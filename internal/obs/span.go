@@ -198,7 +198,7 @@ const (
 // traceRow is one job's trace as stored: scalars and compact span records,
 // rendered into a JobTrace on read.
 type traceRow struct {
-	traceID   string
+	traceID   TraceID
 	benchmark string
 	job       int
 
@@ -281,7 +281,7 @@ func NewTraceRecorder(depth int) *TraceRecorder {
 
 // Assign binds an externally propagated trace ID (from a traceparent
 // header) to a job's trace, live or finished.
-func (r *TraceRecorder) Assign(job int, traceID string) {
+func (r *TraceRecorder) Assign(job int, traceID TraceID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t := r.lookupLocked(job); t != nil {
@@ -300,17 +300,22 @@ func (r *TraceRecorder) Get(job int) (JobTrace, bool) {
 	return JobTrace{}, false
 }
 
-// GetByID returns a copy of the trace bound (via Assign) to traceID.
+// GetByID returns a copy of the trace bound (via Assign) to traceID, the
+// ID's 32 hex digits; false for any other string.
 func (r *TraceRecorder) GetByID(traceID string) (JobTrace, bool) {
+	id, ok := ParseTraceID(traceID)
+	if !ok {
+		return JobTrace{}, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, t := range r.live {
-		if t.traceID == traceID {
+		if t.traceID == id {
 			return t.render(), true
 		}
 	}
 	for _, t := range r.done {
-		if t.traceID == traceID {
+		if t.traceID == id {
 			return t.render(), true
 		}
 	}
@@ -365,7 +370,7 @@ func (r *TraceRecorder) lookupLocked(job int) *traceRow {
 // render builds the JobTrace a reader sees, with every Span and Detail.
 func (t *traceRow) render() JobTrace {
 	jt := JobTrace{
-		TraceID: t.traceID, Job: t.job, Benchmark: t.benchmark,
+		TraceID: t.traceID.String(), Job: t.job, Benchmark: t.benchmark,
 		Arrival: t.arrival, Deadline: t.deadline, Finish: t.finish,
 		State: stateNames[t.state], Met: t.met, FellBack: t.fellBack,
 	}

@@ -300,10 +300,10 @@ func TestTraceRecorderMatchesReference(t *testing.T) {
 				want.KernelDone(e)
 				what = "kernel done"
 			default:
-				id, tid := job(), fmt.Sprintf("trace-%d-%d", seed, step)
-				traceIDs = append(traceIDs, tid)
+				id, tid := job(), TraceIDFrom(uint64(seed), uint64(step))
+				traceIDs = append(traceIDs, tid.String())
 				got.Assign(id, tid)
-				want.Assign(id, tid)
+				want.Assign(id, tid.String())
 				what = "assign"
 			}
 			check(step, what)

@@ -403,23 +403,24 @@ func TestTraceAndSpanIDsPinned(t *testing.T) {
 		{0xffffffffffffffff, 0xffffffffffffffff, "6309143e67a479369581a0c4bbf5af49", "4f6124ff22ba2dea"},
 		{0xdeadbeef, 0x10000000000, "4bf78400cf062de0d5da19192eb68b09", "bd586d1bfd7ba852"},
 	} {
-		if got := TraceIDFrom(c.seed, c.id); got != c.trace {
+		if got := TraceIDFrom(c.seed, c.id).String(); got != c.trace {
 			t.Errorf("TraceIDFrom(%#x, %#x) = %q, want %q", c.seed, c.id, got, c.trace)
 		}
 		if got := SpanIDFrom(c.seed, c.id); got != c.span {
 			t.Errorf("SpanIDFrom(%#x, %#x) = %q, want %q", c.seed, c.id, got, c.span)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = TraceIDFrom(3, 4) }); n > 1 {
-		t.Errorf("TraceIDFrom allocates %v times, want the one string", n)
+	if n := testing.AllocsPerRun(100, func() { _ = TraceIDFrom(3, 4) }); n != 0 {
+		t.Errorf("TraceIDFrom allocates %v times, want none", n)
 	}
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	id := TraceIDFrom(7, 42)
 	sp := SpanIDFrom(7, 42)
-	if len(id) != 32 || len(sp) != 16 {
-		t.Fatalf("id lengths: %d %d", len(id), len(sp))
+	hex := id.String()
+	if len(hex) != 32 || len(sp) != 16 {
+		t.Fatalf("id lengths: %d %d", len(hex), len(sp))
 	}
 	if id2 := TraceIDFrom(7, 42); id2 != id {
 		t.Error("TraceIDFrom not deterministic")
@@ -433,15 +434,83 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %q -> %q %q %v", h, gotID, gotSpan, ok)
 	}
 	for _, bad := range []string{
-		"", "00-zz-11-01", "01-" + id + "-" + sp + "-01",
+		"", "00-zz-11-01", "01-" + hex + "-" + sp + "-01",
 		"00-" + strings.Repeat("0", 32) + "-" + sp + "-01",
-		"00-" + id + "-" + strings.Repeat("0", 16) + "-01",
-		"00-" + id + "-" + sp,
+		"00-" + hex + "-" + strings.Repeat("0", 16) + "-01",
+		"00-" + hex + "-" + sp,
+		"00-" + strings.ToUpper(hex) + "-" + sp + "-01",
+		"00-" + hex + "-" + sp + "-01-",
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent accepted %q", bad)
 		}
 	}
+}
+
+// splitTraceparent is ParseTraceparent as it was before it read fixed
+// offsets: split on "-", then check each field. FuzzTraceparent holds the
+// fixed-offset parser to it.
+func splitTraceparent(h string) (traceID, spanID string, ok bool) {
+	parts := strings.Split(strings.TrimSpace(h), "-")
+	if len(parts) != 4 || parts[0] != "00" ||
+		!isHex(parts[1], 32) || !isHex(parts[2], 16) || !isHex(parts[3], 2) {
+		return "", "", false
+	}
+	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
+		return "", "", false
+	}
+	return parts[1], parts[2], true
+}
+
+// FuzzTraceparent feeds hostile header values to the trace-ID parsers. They
+// never panic; they accept exactly what the split-based parser accepted
+// (version 00, lower-case hex, non-zero trace and span IDs); and every value
+// they accept round-trips through String and FormatTraceparent.
+func FuzzTraceparent(f *testing.F) {
+	id, sp := TraceIDFrom(7, 42).String(), SpanIDFrom(7, 42)
+	for _, seed := range []string{
+		"00-" + id + "-" + sp + "-01", " 00-" + id + "-" + sp + "-00\t",
+		"00-" + strings.ToUpper(id) + "-" + sp + "-01", "01-" + id + "-" + sp + "-01",
+		"00-" + strings.Repeat("0", 32) + "-" + sp + "-01", "00-" + id + "-" + strings.Repeat("0", 16) + "-01",
+		"00-" + id + "-" + sp + "-01-", "00-" + id + "-" + sp, "00--" + id + sp + "-01",
+		id, strings.Repeat("0", 32), "", "-", "00-zz-11-01",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		gotID, gotSpan, ok := ParseTraceparent(h)
+		wantID, wantSpan, wantOK := splitTraceparent(h)
+		if ok != wantOK || gotID.String() != wantID || gotSpan != wantSpan {
+			t.Fatalf("ParseTraceparent(%q) = %q, %q, %v; the split parser gives %q, %q, %v",
+				h, gotID, gotSpan, ok, wantID, wantSpan, wantOK)
+		}
+		if ok {
+			if gotID.IsZero() {
+				t.Fatalf("ParseTraceparent(%q) accepted the zero trace ID", h)
+			}
+			back := FormatTraceparent(gotID, gotSpan)
+			if id2, sp2, ok2 := ParseTraceparent(back); !ok2 || id2 != gotID || sp2 != gotSpan {
+				t.Fatalf("%q formats as %q, which parses as %q, %q, %v", h, back, id2, sp2, ok2)
+			}
+			if want := "00-" + wantID + "-" + wantSpan + "-01"; back != want {
+				t.Fatalf("FormatTraceparent = %q, want %q", back, want)
+			}
+		} else if !gotID.IsZero() || gotSpan != "" {
+			t.Fatalf("ParseTraceparent(%q) rejected the value but returned %q, %q", h, gotID, gotSpan)
+		}
+
+		tid, ok := ParseTraceID(h)
+		wantOK = isHex(h, 32) && h != strings.Repeat("0", 32)
+		if ok != wantOK {
+			t.Fatalf("ParseTraceID(%q) ok = %v, want %v", h, ok, wantOK)
+		}
+		if ok && tid.String() != h {
+			t.Fatalf("ParseTraceID(%q) renders back as %q", h, tid)
+		}
+		if !ok && !tid.IsZero() {
+			t.Fatalf("ParseTraceID(%q) rejected the value but returned %q", h, tid)
+		}
+	})
 }
 
 // TestSpanDetailsTextAndAllocs: the per-job span details read exactly as the

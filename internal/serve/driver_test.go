@@ -226,7 +226,7 @@ func TestPacerWakesForSoonerEvent(t *testing.T) {
 		if h.armed != far {
 			t.Errorf("pacer armed for %v, want the far event at %v", h.armed, far)
 		}
-		if jr, _ := h.Submit(job, "", func(jr *cp.JobRun, _ obs.JobEvent) { finished <- jr.FinishTime }); jr.Rejected() {
+		if jr, _ := h.Submit(job, obs.TraceID{}, func(jr *cp.JobRun, _ obs.JobEvent) { finished <- jr.FinishTime }); jr.Rejected() {
 			t.Error("single job on an idle node should be admitted")
 		}
 	})

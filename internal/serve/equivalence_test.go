@@ -98,7 +98,7 @@ func replayHost(t *testing.T, policy string, set *workload.JobSet, spec faults.S
 	live := map[int]*cp.JobRun{} // admitted, not yet terminal, by arrival index
 	for k, j := range byArrival(set) {
 		node.AdvanceTo(j.Arrival)
-		jr, _ := h.Submit(j, "", func(jr *cp.JobRun, _ obs.JobEvent) {
+		jr, _ := h.Submit(j, obs.TraceID{}, func(jr *cp.JobRun, _ obs.JobEvent) {
 			runs[k] = copyRun(jr)
 			delete(live, k)
 		})

@@ -61,7 +61,8 @@ func NewHost[K any](cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Regis
 }
 
 // Submit runs the full host-side offload decision for job and binds traceID
-// (when non-empty) to its recorded timeline. An admitted job's key reaches
+// (unless zero) to its recorded timeline: the ID stays 16 bytes from the
+// caller to the trace row, and is rendered as hex only when a trace is read. An admitted job's key reaches
 // the Host's completer exactly once, at its terminal transition; a rejected
 // job comes back with the node's drain estimate as the retry hint. Both
 // Submit and the completer run with the node held: call Submit inside Call.
@@ -70,9 +71,9 @@ func NewHost[K any](cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Regis
 // job also gets) and reuses the JobRun's storage once the job is over: a
 // rejected job's JobRun is valid until the next Submit, and the one the
 // completer is handed only during that call (see cp.System.Recycle).
-func (h *Host[K]) Submit(job *workload.Job, traceID string, key K) (jr *cp.JobRun, retry sim.Time) {
+func (h *Host[K]) Submit(job *workload.Job, traceID obs.TraceID, key K) (jr *cp.JobRun, retry sim.Time) {
 	jr = h.node.Submit(job)
-	if h.tracer != nil && traceID != "" {
+	if h.tracer != nil && !traceID.IsZero() {
 		h.tracer.Assign(job.ID, traceID)
 	}
 	if jr.Rejected() {
@@ -100,8 +101,8 @@ func (h *Host[K]) Headroom() (drain sim.Time, unfinished int, capacityFrac float
 	return drain, unfinished, capacityFrac, ok
 }
 
-// Trace returns the recorded timeline bound to traceID; false when tracing is
-// off, the job was never seen, or the ring evicted it.
+// Trace returns the recorded timeline bound to traceID (its 32 hex digits);
+// false when tracing is off, the job was never seen, or the ring evicted it.
 func (h *Host[K]) Trace(traceID string) (obs.JobTrace, bool) {
 	if h.tracer == nil {
 		return obs.JobTrace{}, false

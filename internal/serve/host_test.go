@@ -55,7 +55,7 @@ func TestHostMetricsRetainNoEstimatePairs(t *testing.T) {
 		job := sampleJob(t, lib, "LSTM")
 		job.Deadline = sim.Second
 		if !h.Call(func() {
-			h.Submit(job, "", func(*cp.JobRun, obs.JobEvent) { finished++ })
+			h.Submit(job, obs.TraceID{}, func(*cp.JobRun, obs.JobEvent) { finished++ })
 		}) {
 			t.Fatal("driver refused the submit command")
 		}
@@ -89,7 +89,7 @@ func TestRecordTableEvictsOldestTerminal(t *testing.T) {
 		tbl.settle(id)
 	}
 	add := func(id int64, terminal bool) {
-		tbl.add(id, "LSTM", 0, "", "c")
+		tbl.add(id, "LSTM", 0, obs.TraceID{}, "c")
 		if terminal {
 			finish(id)
 		}

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"encoding/hex"
 	"fmt"
 	"sync"
 
+	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
 
@@ -61,13 +61,12 @@ type JobStatus struct {
 // and the terminal bookkeeping need, rendered into a JobStatus on read. It
 // holds no pointers, so a page of rows is an object the collector never
 // scans. Names are indexes into the table's name table, and the trace ID is
-// its 16 bytes: ParseTraceparent and TraceIDFrom both give lower-case hex,
-// so rendering it back is lossless.
+// kept as the 16 bytes the handler parsed or minted, rendered as hex on read.
 type row struct {
 	id                      int64
 	deadlineUs, latencyUs   int64
 	retryUs                 int64
-	trace                   [16]byte // zero when the job has no trace ID
+	trace                   obs.TraceID // zero when the job has no trace ID
 	bench, state            uint8
 	reason, cause           uint8
 	admitted, met, fellBack bool
@@ -170,9 +169,9 @@ func (t *recordTable) nextRetained(id int64) *row {
 }
 
 // add records a new submission, evicting the oldest settled records past
-// the cap. IDs must be consecutive. traceID is empty or 32 lower-case hex
-// digits; client is kept until the terminal transition hands it back.
-func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID, client string) {
+// the cap. IDs must be consecutive. traceID may be zero; client is kept
+// until the terminal transition hands it back.
+func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID obs.TraceID, client string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id != t.next {
@@ -188,12 +187,7 @@ func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID, cli
 	p := &t.pages[len(t.pages)-1]
 	p.live++
 	r := &p.rows[(id-t.base)%pageRows]
-	*r = row{id: id, deadlineUs: deadlineUs, bench: t.intern(bench), state: t.intern("submitted")}
-	if len(traceID) == 2*len(r.trace) {
-		if _, err := hex.Decode(r.trace[:], []byte(traceID)); err != nil {
-			r.trace = [16]byte{}
-		}
-	}
+	*r = row{id: id, deadlineUs: deadlineUs, trace: traceID, bench: t.intern(bench), state: t.intern("submitted")}
 	t.clients[id] = client
 	t.next++
 	t.retained++
@@ -227,7 +221,7 @@ func (t *recordTable) evictOldestSettled() bool {
 
 // status renders r.
 func (t *recordTable) status(r *row) JobStatus {
-	st := JobStatus{
+	return JobStatus{
 		ID:           r.id,
 		Benchmark:    t.names[r.bench],
 		State:        t.names[r.state],
@@ -238,12 +232,9 @@ func (t *recordTable) status(r *row) JobStatus {
 		LatencyUs:    r.latencyUs,
 		RetryAfterUs: r.retryUs,
 		Reason:       t.names[r.reason],
+		TraceID:      r.trace.String(),
 		MissCause:    t.names[r.cause],
 	}
-	if r.trace != [16]byte{} {
-		st.TraceID = hex.EncodeToString(r.trace[:])
-	}
-	return st
 }
 
 // apply runs fn on r's rendered status and keeps what fn may change: the

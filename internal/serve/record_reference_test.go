@@ -80,7 +80,8 @@ func newTableUnderTest(t *testing.T, max int) *tableUnderTest {
 
 func (a *tableUnderTest) add(st JobStatus, client string) {
 	a.clients[st.ID] = client
-	a.tbl.add(st.ID, st.Benchmark, st.DeadlineUs, st.TraceID, client)
+	tid, _ := obs.ParseTraceID(st.TraceID)
+	a.tbl.add(st.ID, st.Benchmark, st.DeadlineUs, tid, client)
 }
 
 func (a *tableUnderTest) get(id int64) (JobStatus, bool) { return a.tbl.get(id) }
@@ -141,7 +142,7 @@ func TestRecordTableMatchesReference(t *testing.T) {
 				Benchmark:  benches[rng.Intn(len(benches))],
 				State:      "submitted",
 				DeadlineUs: int64(rng.Intn(20000)),
-				TraceID:    obs.TraceIDFrom(uint64(rng.Intn(3)), uint64(next)),
+				TraceID:    obs.TraceIDFrom(uint64(rng.Intn(3)), uint64(next)).String(),
 			}
 			ref.add(st)
 			got.add(st, fmt.Sprintf("10.0.0.%d", rng.Intn(4)))

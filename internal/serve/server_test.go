@@ -536,7 +536,7 @@ func TestDoneFollowsCounters(t *testing.T) {
 	const n = 2000
 	waits := make([]<-chan struct{}, n)
 	for i := range waits {
-		srv.records.add(int64(i), "LSTM", 0, "", "c")
+		srv.records.add(int64(i), "LSTM", 0, obs.TraceID{}, "c")
 		waits[i] = srv.records.done(int64(i))
 	}
 	srv.mu.Lock()

@@ -118,11 +118,11 @@ func runNodeTraceScript(t *testing.T, depth, jobs int, gap sim.Time, fault strin
 		}
 		job := b.Sample(lib, rng, 0, 0)
 		job.Deadline = m.deadline
-		tid := ""
+		var tid obs.TraceID
 		if i%7 != 3 {
 			tid = obs.TraceIDFrom(5, uint64(i))
 		}
-		traceIDs = append(traceIDs, tid)
+		traceIDs = append(traceIDs, tid.String())
 		jr, _ := h.Submit(job, tid, func(jr *cp.JobRun, e obs.JobEvent) {
 			switch {
 			case e.Kind == obs.JobCancel:

@@ -36,7 +36,7 @@ func TestTraceEndpointPropagatesTraceparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", obs.FormatTraceparent(wantID, strings.Repeat("12", 8)))
+	req.Header.Set("traceparent", "00-"+wantID+"-"+strings.Repeat("12", 8)+"-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

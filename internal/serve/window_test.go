@@ -226,7 +226,7 @@ func drainThroughHost(t *testing.T, policy string, spec faults.Spec, seed int64,
 	runs := make([]*cp.JobRun, len(set.Jobs))
 	for k, j := range set.Jobs {
 		node.AdvanceTo(j.Arrival)
-		jr, _ := h.Submit(j, "", func(jr *cp.JobRun, _ obs.JobEvent) { runs[k] = copyRun(jr) })
+		jr, _ := h.Submit(j, obs.TraceID{}, func(jr *cp.JobRun, _ obs.JobEvent) { runs[k] = copyRun(jr) })
 		if jr.Rejected() {
 			runs[k] = copyRun(jr)
 		}
