@@ -148,8 +148,7 @@ func (j *journal) nextRetained(id int64) *entry {
 // maxFreeJobs bounds the recycled Jobs the journal keeps. Steady state needs
 // as many as the jobs that settle between two arrivals; the bound only stops
 // a burst of settlements from being kept past its end.
-const maxFreeJobs = 64
-
+//
 // A Job is recycled only at close, and only if it was never detached. A
 // backend reads a Job only until its Submit returns or done fires, and done
 // fires at most once per accepted dispatch, so the Job of a row that closed
@@ -157,6 +156,7 @@ const maxFreeJobs = 64
 // declared dead, which may still report it late through done; reused, the
 // Job would carry that report to another submission, so the collector gets
 // it instead.
+const maxFreeJobs = 64
 
 // open journals a new submission, evicting the oldest terminal entries past
 // the cap. Non-terminal entries are never evicted. IDs must be consecutive.
@@ -225,7 +225,7 @@ func (j *journal) close(e *entry, terminal string) bool {
 	j.terminals++
 	slot := j.job(e.id)
 	if job := *slot; !job.detached && len(j.free) < maxFreeJobs {
-		*job = Job{done: job.done}
+		*job = Job{done: job.done} // a free Job pins no kernel chain
 		j.free = append(j.free, job)
 	}
 	*slot = nil

@@ -204,17 +204,9 @@ func SpanIDFrom(seed, id uint64) string {
 	if v == 0 {
 		v = 1
 	}
-	var buf [16]byte
-	hex64(buf[:], v)
-	return string(buf[:])
-}
-
-// hex64 writes v as 16 zero-padded lower-case hex digits into dst — what
-// fmt's %016x prints, without its reflection.
-func hex64(dst []byte, v uint64) {
 	var raw [8]byte
 	binary.BigEndian.PutUint64(raw[:], v)
-	hex.Encode(dst, raw[:])
+	return hex.EncodeToString(raw[:])
 }
 
 // mix64 is the splitmix64 finalizer.
