@@ -62,10 +62,11 @@ func NewHost[K any](cfg NodeConfig, clock Clock, acceptQueue int, reg *obs.Regis
 
 // Submit runs the full host-side offload decision for job and binds traceID
 // (unless zero) to its recorded timeline: the ID stays 16 bytes from the
-// caller to the trace row, and is rendered as hex only when a trace is read. An admitted job's key reaches
-// the Host's completer exactly once, at its terminal transition; a rejected
-// job comes back with the node's drain estimate as the retry hint. Both
-// Submit and the completer run with the node held: call Submit inside Call.
+// caller to the trace row, and is rendered as hex only when a trace is read.
+// An admitted job's key reaches the Host's completer exactly once, at its
+// terminal transition; a rejected job comes back with the node's drain
+// estimate as the retry hint. Both Submit and the completer run with the
+// node held: call Submit inside Call.
 //
 // The node runs its own copy of job (stamped with the node's job ID, which
 // job also gets) and reuses the JobRun's storage once the job is over: a
