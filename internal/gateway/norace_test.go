@@ -3,7 +3,9 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"runtime"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
+	"laxgpu/internal/workload/scenario"
 )
 
 // TestInprocSubmitBytesPerJob bounds what a steady-state node allocates per
@@ -100,6 +103,141 @@ func TestGatewaySubmitBytesPerJob(t *testing.T) {
 	t.Logf("Gateway.Submit over two in-process nodes: %.2f B per job", b)
 	if b > maxBytes {
 		t.Errorf("Gateway.Submit allocates %.1f B per job, want at most %d", b, maxBytes)
+	}
+	if st := gw.Stats(); st.Accepted < st.Submitted/2 {
+		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)
+	}
+}
+
+// TestChaosSubmitBytesPerJob bounds the same steady STEM stream as
+// TestGatewaySubmitBytesPerJob through two ChaosBackends whose plan never
+// crashes but drops a call in twenty: every dispatch passes a completion
+// filter, and a dropped Submit is re-dispatched. The filters are recycled
+// once they fire or their Submit is refused, so a dispatch allocates
+// nothing; a filter closure per dispatch reads about 24 B per job.
+func TestChaosSubmitBytesPerJob(t *testing.T) {
+	const n, maxBytes = 20000, 8
+	clock := serve.NewManualClock()
+	gw, err := NewFleet(2, "", InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "netdrop=0.05;netdrop=0.05", Options{Clock: clock, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close(context.Background(), 0)
+	for _, b := range gw.Backends() {
+		if _, ok := b.(*ChaosBackend); !ok {
+			t.Fatalf("backend %s is a %T, want a *ChaosBackend", b.Name(), b)
+		}
+	}
+	stem, err := workload.FindBenchmark("STEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(jobs int) {
+		for i := 0; i < jobs; i++ {
+			clock.Advance(200 * sim.Microsecond)
+			if i%5 == 0 {
+				gw.TickProbes(clock.Now())
+			}
+			gw.Submit(stem, stem.Deadline, Standard)
+		}
+	}
+	submit(pastCapWarmup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submit(n)
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("Gateway.Submit over two chaos-wrapped nodes: %.2f B per job", b)
+	if b > maxBytes {
+		t.Errorf("Gateway.Submit through ChaosBackends allocates %.1f B per job, want at most %d", b, maxBytes)
+	}
+	if st := gw.Stats(); st.Accepted < st.Submitted/2 {
+		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)
+	}
+}
+
+// TestFleetMixBytesPerJob bounds a whole fleet over the benchmark's real
+// mix: bench/scenarios/fleet.json (STEM, GMM and CUCKOO jobs with a low-rate
+// cohort of 18-to-361-kernel LSTM chains) submitted at each job's arrival
+// instant through NewFleet(2, …) on a manual clock, a probe round every
+// simulated millisecond, past the journal cap and the nodes' trace rings.
+// An LSTM sample is a window of the sampling Library's shared chain, and a
+// node's trace ring hands a long span buffer on to the next long chain, so
+// steady state stays under 8 B per job (about 6: a long chain that finds
+// no spare buffer allocates one). A chain copied per LSTM sample and a span
+// buffer allocated per LSTM arrival read about 45 B per job.
+func TestFleetMixBytesPerJob(t *testing.T) {
+	const n, maxBytes = 40000, 8
+	raw, err := os.ReadFile("../../bench/scenarios/fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.DurationUs = 17_000_000 // enough for the warm-up and n jobs
+	set, err := spec.Generate(workload.NewLibrary(cp.DefaultSystemConfig().GPU), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Jobs) < pastCapWarmup+n {
+		t.Fatalf("the plan has %d jobs, want at least %d", len(set.Jobs), pastCapWarmup+n)
+	}
+	type planned struct {
+		at       sim.Time
+		bench    *workload.Benchmark
+		deadline sim.Time
+		class    Class
+	}
+	plan := make([]planned, pastCapWarmup+n)
+	lstm := 0
+	for i := range plan {
+		j := set.Jobs[i]
+		b, err := workload.FindBenchmark(j.Benchmark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		class, err := ParseClass(j.Criticality)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan[i] = planned{j.Arrival, b, j.Deadline, class}
+		if i >= pastCapWarmup && b.ManyKernel {
+			lstm++
+		}
+	}
+	set = nil
+
+	clock := serve.NewManualClock()
+	gw, err := NewFleet(2, "", InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "", Options{Clock: clock, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close(context.Background(), 0)
+	next := sim.Time(0)
+	submit := func(jobs []planned) {
+		for _, j := range jobs {
+			for ; next <= j.at; next += sim.Millisecond {
+				clock.Set(next)
+				gw.TickProbes(next)
+			}
+			clock.Set(j.at)
+			gw.Submit(j.bench, j.deadline, j.class)
+		}
+	}
+	submit(plan[:pastCapWarmup])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submit(plan[pastCapWarmup:])
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("the fleet mix over two in-process nodes: %.2f B per job (%d LSTM chains of %d jobs)", b, lstm, n)
+	if lstm < n/400 {
+		t.Fatalf("only %d LSTM jobs in %d: not the fleet mix", lstm, n)
+	}
+	if b > maxBytes {
+		t.Errorf("the fleet mix allocates %.1f B per job, want at most %d", b, maxBytes)
 	}
 	if st := gw.Stats(); st.Accepted < st.Submitted/2 {
 		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)

@@ -532,8 +532,10 @@ func (s *idSet) add(id int) bool {
 		return true
 	}
 	w, bit := id/64, uint64(1)<<(id%64)
-	if w >= len(s.bits) {
-		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	// Grown a word at a time: append(bits, make(...)...) allocates the
+	// made slice in -race builds, which turn that idiom's optimization off.
+	for w >= len(s.bits) {
+		s.bits = append(s.bits, 0)
 	}
 	if s.bits[w]&bit != 0 {
 		return false

@@ -38,6 +38,10 @@ func perfettoJob(p *Perfetto, id int) {
 // and a recorder released after its run hands its chunks to the next, which
 // records the same run without allocating a chunk.
 func TestPerfettoRecordAllocs(t *testing.T) {
+	// Two collections empty rowChunks, so every chunk below is allocated,
+	// whatever earlier tests released: the count is the same every run.
+	runtime.GC()
+	runtime.GC()
 	p := NewPerfetto()
 	id := 0
 	for ; id < 64; id++ {
@@ -103,6 +107,23 @@ func TestPerfettoRecordAllocs(t *testing.T) {
 	}
 	t.Logf("recycled run: %d allocations, %d B for %d events", m1.Mallocs-m0.Mallocs,
 		m1.TotalAlloc-m0.TotalAlloc, 13*jobs)
+}
+
+// TestIDSetGrowthAllocs: the seen-ID bitmap grows by appending, amortized,
+// in every build. Growing it with append(bits, make(...)...) allocated the
+// made slice once per 64 new IDs under -race, which turns that idiom's
+// optimization off: 1 024 allocations here, and a flaky
+// TestPerfettoRecordAllocs.
+func TestIDSetGrowthAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		var s idSet
+		for id := range 1 << 16 {
+			s.add(id)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("adding 65 536 consecutive IDs costs %v allocations, want at most 16", allocs)
+	}
 }
 
 // TestAppendMicrosMatchesFloat holds appendMicros to what the exporter

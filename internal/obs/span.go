@@ -161,9 +161,11 @@ func (t *JobTrace) Wire(node string) WireTrace {
 //
 // Each job is one traceRow of scalars plus a row-owned buffer of compact span
 // records; Span values and their Detail strings are built only when a trace
-// is read. The row the ring evicts is reused by the next arrival, so in
-// steady state a recorded job allocates nothing; maxFreeRows and
-// maxKeptSpans keep that reuse from retaining a peak.
+// is read. The row the ring evicts is reused by the next arrival, and a long
+// span buffer it held waits in a short spare list for the next long chain,
+// so in steady state a recorded job allocates nothing; maxFreeRows,
+// maxKeptSpans, maxSpares and the spares' ageing keep that reuse from
+// retaining a peak.
 //
 // A nil *TraceRecorder is never attached (obs.Multi drops nils), so runs
 // without tracing keep the plain nil-probe hot path and allocate nothing.
@@ -175,6 +177,16 @@ type TraceRecorder struct {
 	next     int
 	free     []*traceRow // evicted rows awaiting reuse, at most maxFreeRows
 	inflight int         // admitted, not yet terminal — the "behind N jobs" count
+
+	spares   []spareSpans // span buffers awaiting an arrival, at most maxSpares
+	arrivals int          // arrivals recorded: the clock spares age by
+}
+
+// spareSpans is a span buffer no row holds, kept for an arrival that needs
+// its capacity, and the arrival count when it was kept.
+type spareSpans struct {
+	spans []spanRec
+	kept  int
 }
 
 const (
@@ -184,9 +196,22 @@ const (
 	// largest burst of live jobs ever seen.
 	maxFreeRows = 8
 	// maxKeptSpans is the largest span buffer a recycled row keeps: room for
-	// a chain of a dozen kernels. A longer chain's buffer is dropped, or every
-	// row would end up holding the capacity of the longest chain it served.
+	// a chain of a dozen kernels. A longer chain's buffer goes to the spare
+	// list instead, or every row would end up holding the capacity of the
+	// longest chain it served.
 	maxKeptSpans = 16
+	// maxSpares bounds the spare list; when it is full, a newly evicted long
+	// buffer replaces the longest-kept spare. An arrival takes the spare that
+	// fits it best: one with room for the whole chain but at most twice that
+	// (any spare of maxKeptSpans or less fits a short chain), so a row in the
+	// ring never holds much more than its chain.
+	maxSpares = 8
+	// spareGenerations is how many ring generations (depth arrivals each) a
+	// spare may wait unused before it is dropped, so a one-off giant chain's
+	// buffer is not kept. Long chains can be rarer than one per generation:
+	// a fleet node sees about 1.5 LSTM arrivals per 256 jobs, and with a
+	// one-generation limit two of three LSTM arrivals found no spare left.
+	spareGenerations = 8
 	// firstSpans is the capacity a fresh span buffer starts with when the
 	// arrival does not say how long the job's chain is.
 	firstSpans = 8
@@ -407,8 +432,11 @@ func (t *traceRow) add(kind spanKind, start, end sim.Time, n int64, name string)
 // arriveLocked starts the job's row: its live row again if the ID is already
 // live, else a recycled row, else a new one. The span buffer is sized once,
 // from the chain length the arrival carries, so a long chain's records never
-// regrow it; a recycled row's buffer is kept when it is big enough.
+// regrow it: the row's own buffer when it is big enough, else the best-fitting
+// spare, else a new one of exactly the size needed.
 func (r *TraceRecorder) arriveLocked(e JobEvent) {
+	r.arrivals++
+	r.ageSparesLocked()
 	t := r.live[e.Job]
 	if t == nil {
 		if n := len(r.free); n > 0 {
@@ -425,7 +453,7 @@ func (r *TraceRecorder) arriveLocked(e JobEvent) {
 	}
 	spans := t.spans[:0]
 	if cap(spans) < need {
-		spans = make([]spanRec, 0, need)
+		spans = r.swapSpareLocked(spans, need)
 	}
 	*t = traceRow{
 		job: e.Job, benchmark: e.Benchmark,
@@ -433,8 +461,66 @@ func (r *TraceRecorder) arriveLocked(e JobEvent) {
 	}
 }
 
+// swapSpareLocked returns an empty buffer with room for need records in
+// exchange for own, the arriving row's too-short buffer: the best-fitting
+// spare, whose slot own takes (a short arrival whose row lost its buffer
+// takes it back from there), or a new buffer when no spare fits.
+func (r *TraceRecorder) swapSpareLocked(own []spanRec, need int) []spanRec {
+	best := -1
+	for i, s := range r.spares {
+		if c := cap(s.spans); c >= need && (c <= 2*need || c <= maxKeptSpans) &&
+			(best < 0 || c < cap(r.spares[best].spans)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]spanRec, 0, need)
+	}
+	spans := r.spares[best].spans[:0]
+	if cap(own) > 0 {
+		r.spares[best] = spareSpans{spans: own, kept: r.arrivals}
+	} else {
+		r.dropSpareLocked(best)
+	}
+	return spans
+}
+
+// keepSpareLocked adds an evicted row's buffer to the spare list, in place
+// of the longest-kept spare when the list is full.
+func (r *TraceRecorder) keepSpareLocked(spans []spanRec) {
+	s := spareSpans{spans: spans[:0], kept: r.arrivals}
+	if len(r.spares) < maxSpares {
+		r.spares = append(r.spares, s)
+		return
+	}
+	oldest := 0
+	for i := range r.spares {
+		if r.spares[i].kept < r.spares[oldest].kept {
+			oldest = i
+		}
+	}
+	r.spares[oldest] = s
+}
+
+// ageSparesLocked drops the spares that spareGenerations ring generations of
+// arrivals have left unused.
+func (r *TraceRecorder) ageSparesLocked() {
+	for i := len(r.spares) - 1; i >= 0; i-- {
+		if r.arrivals-r.spares[i].kept > spareGenerations*r.depth {
+			r.dropSpareLocked(i)
+		}
+	}
+}
+
+func (r *TraceRecorder) dropSpareLocked(i int) {
+	last := len(r.spares) - 1
+	r.spares[i] = r.spares[last]
+	r.spares[last] = spareSpans{}
+	r.spares = r.spares[:last]
+}
+
 // finishLocked moves a live row into the done ring and recycles the row it
-// evicts.
+// evicts; a long span buffer it held goes to the spare list.
 func (r *TraceRecorder) finishLocked(t *traceRow) {
 	delete(r.live, t.job)
 	if len(r.done) < r.depth {
@@ -445,10 +531,11 @@ func (r *TraceRecorder) finishLocked(t *traceRow) {
 	old := r.done[r.next]
 	r.done[r.next] = t
 	r.next = (r.next + 1) % r.depth
+	if cap(old.spans) > maxKeptSpans {
+		r.keepSpareLocked(old.spans)
+		old.spans = nil
+	}
 	if len(r.free) < maxFreeRows {
-		if cap(old.spans) > maxKeptSpans {
-			old.spans = nil
-		}
 		r.free = append(r.free, old)
 	}
 }

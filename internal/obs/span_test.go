@@ -78,7 +78,7 @@ func BenchmarkTraceRecorderJob(b *testing.B) {
 }
 
 // retained counts the rows the recorder holds — live, in the ring and
-// waiting for reuse — and the span capacity they own.
+// waiting for reuse — and the span capacity they and the spare list own.
 func retained(r *TraceRecorder) (rows, spans int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -92,13 +92,17 @@ func retained(r *TraceRecorder) (rows, spans int) {
 		rows++
 		spans += cap(t.spans)
 	}
+	for _, s := range r.spares {
+		spans += cap(s.spans)
+	}
 	return rows, spans
 }
 
 // TestTraceRecorderRetainsNoPeak: recycling must not keep the largest burst
 // or the longest chain alive. After 1 000 jobs live at once, one 500-kernel
 // chain, then ten ring depths of ordinary jobs, the recorder holds at most
-// depth + maxFreeRows rows, each with at most maxKeptSpans span slots.
+// depth + maxFreeRows rows, and they and the spare list at most
+// maxKeptSpans span slots per row: the long chain's spare has aged out.
 func TestTraceRecorderRetainsNoPeak(t *testing.T) {
 	const depth, burst = 8, 1000
 	r := NewTraceRecorder(depth)
@@ -602,5 +606,53 @@ func TestParseTraceDocsErrors(t *testing.T) {
 	}
 	if docs, err := ParseTraceDocs([]byte("[]")); err != nil || len(docs) != 0 {
 		t.Fatalf("empty array read as %v, %v", docs, err)
+	}
+}
+
+// chainJob drives one job of the given chain length through its whole
+// lifecycle, announcing the length on arrival the way cp.System does.
+func chainJob(r *TraceRecorder, id, kernels int, at sim.Time) {
+	r.Job(JobEvent{At: at, Kind: JobArrive, Job: id, Benchmark: "LSTM", Kernels: kernels, Deadline: at + sim.Second})
+	r.Admission(AdmissionDecision{At: at, Job: id, Accepted: true})
+	r.Job(JobEvent{At: at, Kind: JobReady, Job: id})
+	for seq := 0; seq < kernels; seq++ {
+		start := at + sim.Time(seq)*usT
+		r.KernelStart(KernelStart{At: start, Job: id, Seq: seq, Kernel: "k"})
+		r.KernelDone(KernelDone{At: start + usT, Job: id, Seq: seq, Kernel: "k", Start: start})
+	}
+	r.Job(JobEvent{At: at + sim.Time(kernels+1)*usT, Kind: JobFinish, Job: id, Met: true})
+}
+
+// TestTraceRecorderChainMixAllocs: a recorder fed one-kernel jobs with an
+// LSTM chain of 18 to 361 kernels every ninth job, past its ring depth,
+// allocates nothing per job. Each evicted long span buffer waits in the
+// spare list for the next long chain it fits, and the short buffer that
+// chain's row held waits there for the next short arrival whose row lost
+// its long buffer; a fresh buffer per LSTM arrival reads thousands of
+// bytes per chain.
+func TestTraceRecorderChainMixAllocs(t *testing.T) {
+	const depth = 64
+	seqLens := []int{16, 1, 50, 23, 9, 31, 16, 12, 40, 5} // the LSTM chain is 11+7L kernels
+	r := NewTraceRecorder(depth)
+	id := 0
+	cycle := func() {
+		for _, L := range seqLens {
+			for range 8 {
+				chainJob(r, id, 1, sim.Time(id)*sim.Millisecond)
+				id++
+			}
+			chainJob(r, id, 11+7*L, sim.Time(id)*sim.Millisecond)
+			id++
+		}
+	}
+	for range 2 * depth {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(50, cycle)
+	if allocs != 0 {
+		t.Errorf("%d jobs of the LSTM/STEM mix past the ring depth cost %v allocations, want 0", 9*len(seqLens), allocs)
+	}
+	if tr, ok := r.Get(id - 1); !ok || len(tr.Spans) != 11+7*seqLens[len(seqLens)-1]+4 {
+		t.Fatalf("last chain's trace has %d spans (ok=%v), want %d", len(tr.Spans), ok, 11+7*seqLens[len(seqLens)-1]+4)
 	}
 }

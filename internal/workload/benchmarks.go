@@ -196,10 +196,12 @@ func FindBenchmark(name string) (*Benchmark, error) {
 // SampleChain draws one job's kernel chain and RNN sequence length (0 for a
 // single-kernel benchmark) from the benchmark's distribution. It is the one
 // sampling path: Sample, the trace generators and the gateway's and laxd's
-// submit paths all take it. A single-kernel chain is shared across the whole
-// Library with len == cap, so it costs no allocation and an append to it
-// copies; an RNN chain is one allocation of exactly its final length.
-// Callers must not write into a chain's elements.
+// submit paths all take it. Every chain is shared across the whole Library
+// with len == cap, so it costs no allocation and an append to it copies: a
+// single-kernel chain is a one-element window of the Library's descriptors,
+// an RNN chain a prefix window of its family's maxSeqLen chain, which the
+// family's first sample builds. Callers must not write into a chain's
+// elements.
 func (b *Benchmark) SampleChain(lib *Library, rng *sim.RNG) (kernels []*gpu.KernelDesc, seqLen int) {
 	return b.build(lib, rng)
 }

@@ -42,8 +42,9 @@ var table1 = []kernelSpec{
 // configuration: BaseWGTime is solved so that the kernel's isolated
 // execution time on the configured device matches its Table 1 row.
 // NewLibrary also resolves every benchmark's chain pieces, so sampling a job
-// looks nothing up by name, and a built Library is read-only: pool workers
-// and daemons share one freely.
+// looks nothing up by name, and a built Library is read-only but for each RNN
+// family's shared chain, built once on its first sample: pool workers and
+// daemons share one freely.
 type Library struct {
 	cfg     gpu.Config
 	kernels map[string]*gpu.KernelDesc
@@ -54,7 +55,7 @@ type Library struct {
 
 	// The RNN benchmarks' chain families: lstm (LSTM and HYBRID's LSTM
 	// half), gru (GRU), gru256 (HYBRID's GRU half, over the hidden-256
-	// GEMM) and van (VAN).
+	// GEMM) and van (VAN). Each builds its shared chain on its first sample.
 	lstm, gru, gru256, van rnnChain
 }
 
@@ -72,10 +73,10 @@ func NewLibrary(cfg gpu.Config) *Library {
 	}
 	k := lib.Kernel
 	t1, t2, t3, t4, act := k("TensorKernel1"), k("TensorKernel2"), k("TensorKernel3"), k("TensorKernel4"), k("ActivationKernel5")
-	lib.lstm = newRNNChain(LSTMCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
-	lib.gru = newRNNChain(GRUCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
-	lib.gru256 = newRNNChain(GRUCell, t1, t2, t3, t4, act, k("GRU256GEMMKernel"))
-	lib.van = newRNNChain(VanillaCell, t1, t2, t3, t4, act, k("VanGEMMKernel"))
+	lib.lstm.init(LSTMCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
+	lib.gru.init(GRUCell, t1, t2, t3, t4, act, k("rocBLASGEMMKernel1"))
+	lib.gru256.init(GRUCell, t1, t2, t3, t4, act, k("GRU256GEMMKernel"))
+	lib.van.init(VanillaCell, t1, t2, t3, t4, act, k("VanGEMMKernel"))
 	return lib
 }
 

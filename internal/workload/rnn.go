@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
@@ -153,21 +154,30 @@ func (b *RNNBuilder) Build(spec RNNSpec) []*gpu.KernelDesc {
 		panic(err)
 	}
 	h, bs := spec.Hidden, spec.BatchSize
-	return newRNNChain(spec.Cell,
+	var chain rnnChain
+	chain.init(spec.Cell,
 		b.scale("TensorKernel1", h, bs), b.scale("TensorKernel2", h, bs), b.scale("TensorKernel3", h, bs),
-		b.scale("TensorKernel4", h, bs), b.scale("ActivationKernel5", h, bs), b.scale("rocBLASGEMMKernel1", h, bs),
-	).build(spec.SeqLen)
+		b.scale("TensorKernel4", h, bs), b.scale("ActivationKernel5", h, bs), b.scale("rocBLASGEMMKernel1", h, bs))
+	return chain.layout(spec.SeqLen)
 }
 
 // rnnChain is one RNN chain family over fixed descriptors: a prologue
 // (tensor setup), then per time step one GEMM and the cell's gate pairs. An
 // LSTM over the Table 1 kernels at L=13 yields exactly the Table 1 call
 // counts (GEMM×13, TensorKernel4×40, ActivationKernel5×39).
-type rnnChain struct{ prologue, step []*gpu.KernelDesc }
+//
+// Every chain of a family is a prefix of its longest one, so a Library's
+// families hand out windows of one shared maxSeqLen chain, built on the
+// first sample: a Library that never samples a family never builds it.
+type rnnChain struct {
+	prologue, step []*gpu.KernelDesc
 
-// newRNNChain lays out the chain family of a cell type over the given
-// descriptors.
-func newRNNChain(cell CellType, t1, t2, t3, t4, act, gemm *gpu.KernelDesc) rnnChain {
+	once sync.Once         // guards full: pool workers share a Library
+	full []*gpu.KernelDesc // the family's maxSeqLen chain
+}
+
+// init lays out the chain family of a cell type over the given descriptors.
+func (r *rnnChain) init(cell CellType, t1, t2, t3, t4, act, gemm *gpu.KernelDesc) {
 	var pro []*gpu.KernelDesc
 	switch cell {
 	case LSTMCell:
@@ -181,18 +191,31 @@ func newRNNChain(cell CellType, t1, t2, t3, t4, act, gemm *gpu.KernelDesc) rnnCh
 	for g := 0; g < cell.gatePairs(); g++ {
 		step = append(step, t4, act)
 	}
-	return rnnChain{pro, step}
+	r.prologue, r.step = pro, step
 }
 
-// build returns the chain for sequence length L as one slice of exactly its
-// final length: 11+7L for an LSTM, 7+5L for a GRU, 5+3L for a vanilla RNN.
-func (r rnnChain) build(L int) []*gpu.KernelDesc {
-	ks := make([]*gpu.KernelDesc, len(r.prologue)+L*len(r.step))
+// length is the chain length at sequence length L: 11+7L for an LSTM, 7+5L
+// for a GRU, 5+3L for a vanilla RNN.
+func (r *rnnChain) length(L int) int { return len(r.prologue) + L*len(r.step) }
+
+// layout returns the chain for sequence length L as a new slice of exactly
+// its final length.
+func (r *rnnChain) layout(L int) []*gpu.KernelDesc {
+	ks := make([]*gpu.KernelDesc, r.length(L))
 	n := copy(ks, r.prologue)
 	for n < len(ks) {
 		n += copy(ks[n:], r.step)
 	}
 	return ks
+}
+
+// build returns the chain for sequence length L (at most maxSeqLen) as a
+// window of the family's shared chain with len == cap, so it allocates
+// nothing and an append to it copies.
+func (r *rnnChain) build(L int) []*gpu.KernelDesc {
+	r.once.Do(func() { r.full = r.layout(maxSeqLen) })
+	n := r.length(L)
+	return r.full[:n:n]
 }
 
 // Job wraps Build into a workload.Job with the given identity and timing.

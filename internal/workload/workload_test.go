@@ -2,7 +2,9 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"laxgpu/internal/gpu"
@@ -101,20 +103,17 @@ func TestChainLengthScalesWithSeqLen(t *testing.T) {
 	}
 }
 
-// TestSampleChainAllocs pins the sampler's cost: a single-kernel benchmark
-// hands out the Library's shared chain for no allocation, and an RNN chain
-// is one allocation of exactly its final length.
+// TestSampleChainAllocs pins the sampler's cost: every benchmark hands out
+// a window of a chain the Library shares, exact-size, for no allocation (an
+// RNN family builds its shared chain on its first sample, which
+// AllocsPerRun's warm-up run takes).
 func TestSampleChainAllocs(t *testing.T) {
 	l := lib(t)
 	rng := sim.NewRNG(1)
 	for _, b := range Benchmarks() {
-		want := 0.0
-		if b.ManyKernel {
-			want = 1
-		}
 		var chain []*gpu.KernelDesc
-		if got := testing.AllocsPerRun(200, func() { chain, _ = b.SampleChain(l, rng) }); got != want {
-			t.Errorf("%s: SampleChain makes %.1f allocations, want %.0f", b.Name, got, want)
+		if got := testing.AllocsPerRun(200, func() { chain, _ = b.SampleChain(l, rng) }); got != 0 {
+			t.Errorf("%s: SampleChain makes %.1f allocations, want 0", b.Name, got)
 		}
 		if len(chain) != cap(chain) {
 			t.Errorf("%s: chain has len %d, cap %d; want an exact-size slice", b.Name, len(chain), cap(chain))
@@ -122,32 +121,90 @@ func TestSampleChainAllocs(t *testing.T) {
 	}
 }
 
-// TestSharedChainIsAppendSafe appends to every sampled single-kernel chain
-// and writes into the result, as a kernel-override path building on a
-// sampled chain would, then checks the next samples are unchanged: a shared
-// chain has no spare capacity, so the append copies it.
+// chainNames is a chain as its kernels' names, comparable across Libraries.
+func chainNames(chain []*gpu.KernelDesc) []string {
+	names := make([]string, len(chain))
+	for i, k := range chain {
+		names[i] = k.Name
+	}
+	return names
+}
+
+// TestSharedChainIsAppendSafe appends to sampled chains of every benchmark
+// and writes into every element of the result, as a kernel-override path
+// building on a sampled chain would, then checks that later samples of
+// every length match those of an untouched Library drawn from the same RNG
+// stream: a shared chain has no spare capacity, so the append copies it.
 func TestSharedChainIsAppendSafe(t *testing.T) {
-	l := lib(t)
-	rng := sim.NewRNG(1)
-	extra := l.Kernel("TensorKernel1")
-	want := map[string]*gpu.KernelDesc{}
+	l, ref := lib(t), lib(t)
+	extra := l.Kernel("STEMKernel")
 	for _, b := range Benchmarks() {
-		if !b.ManyKernel {
-			chain, _ := b.SampleChain(l, rng)
-			want[b.Name] = chain[0]
-		}
-	}
-	for _, b := range Benchmarks() {
-		if !b.ManyKernel {
-			chain, _ := b.SampleChain(l, rng)
+		rng, refRNG := sim.NewRNG(1), sim.NewRNG(1)
+		lengths := map[int]bool{}
+		for range 64 {
+			chain, seqLen := b.SampleChain(l, rng)
+			b.SampleChain(ref, refRNG)
+			lengths[seqLen] = true
 			grown := append(chain, extra)
-			grown[0] = extra
+			for i := range grown {
+				grown[i] = extra
+			}
+		}
+		if b.ManyKernel && len(lengths) < 8 {
+			t.Fatalf("%s: 64 samples drew only %d sequence lengths", b.Name, len(lengths))
+		}
+		for range 256 {
+			chain, seqLen := b.SampleChain(l, rng)
+			want, wantLen := b.SampleChain(ref, refRNG)
+			if seqLen != wantLen || !slices.Equal(chainNames(chain), chainNames(want)) {
+				t.Fatalf("%s: an append to a sampled chain changed a later sample of length %d", b.Name, len(chain))
+			}
 		}
 	}
-	for name, k := range want {
-		b, _ := FindBenchmark(name)
-		if chain, _ := b.SampleChain(l, rng); len(chain) != 1 || chain[0] != k {
-			t.Errorf("%s: an append to a sampled chain changed the next sample", name)
+}
+
+// TestConcurrentFirstSamples has goroutines take the first samples of every
+// RNN family from a fresh Library at once, the way harness pool workers
+// sharing one Library do: each family's shared chain is built once, and
+// every sample matches a serially sampled Library's. Run it with -race.
+func TestConcurrentFirstSamples(t *testing.T) {
+	const workers, samples = 4, 32
+	ref := lib(t)
+	want := map[string][][]string{}
+	for _, b := range Benchmarks() {
+		rng := sim.NewRNG(7)
+		for range samples {
+			chain, _ := b.SampleChain(ref, rng)
+			want[b.Name] = append(want[b.Name], chainNames(chain))
+		}
+	}
+	for round := 0; round < 4; round++ {
+		l := lib(t)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, b := range Benchmarks() {
+					rng := sim.NewRNG(7)
+					for i := range samples {
+						chain, _ := b.SampleChain(l, rng)
+						if !slices.Equal(chainNames(chain), want[b.Name][i]) {
+							errs <- b.Name
+							return
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for name := range errs {
+			t.Errorf("round %d: a concurrent first sample of %s differs from the serial one", round, name)
 		}
 	}
 }
