@@ -476,7 +476,7 @@ func (r *TraceRecorder) swapSpareLocked(own []spanRec, need int) []spanRec {
 	if best < 0 {
 		return make([]spanRec, 0, need)
 	}
-	spans := r.spares[best].spans[:0]
+	spans := r.spares[best].spans
 	if cap(own) > 0 {
 		r.spares[best] = spareSpans{spans: own, kept: r.arrivals}
 	} else {
@@ -485,8 +485,8 @@ func (r *TraceRecorder) swapSpareLocked(own []spanRec, need int) []spanRec {
 	return spans
 }
 
-// keepSpareLocked adds an evicted row's buffer to the spare list, in place
-// of the longest-kept spare when the list is full.
+// keepSpareLocked adds an evicted row's buffer to the spare list, emptied,
+// in place of the longest-kept spare when the list is full.
 func (r *TraceRecorder) keepSpareLocked(spans []spanRec) {
 	s := spareSpans{spans: spans[:0], kept: r.arrivals}
 	if len(r.spares) < maxSpares {
@@ -512,6 +512,7 @@ func (r *TraceRecorder) ageSparesLocked() {
 	}
 }
 
+// dropSpareLocked removes spare i from the unordered spare list.
 func (r *TraceRecorder) dropSpareLocked(i int) {
 	last := len(r.spares) - 1
 	r.spares[i] = r.spares[last]
