@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"sync"
-
 	"laxgpu/internal/faults"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/serve"
@@ -20,26 +18,7 @@ type ChaosBackend struct {
 	inner Backend
 	plan  *faults.NodePlan
 	clock serve.Clock
-
-	mu   sync.Mutex
-	free []*chaosFilter // filters awaiting reuse, at most maxFreeFilters
 }
-
-// chaosFilter is one dispatch's completion filter: fire drops a completion
-// the crashed node could not have sent, and passes the rest to done. fire's
-// func value is bound once, when the filter is allocated, and the filter is
-// reused by a later dispatch once it has fired, or once Submit was refused
-// and it never will.
-type chaosFilter struct {
-	c    *ChaosBackend
-	done func(Outcome)
-	fire func(Outcome)
-}
-
-// maxFreeFilters bounds the filters a ChaosBackend keeps for reuse. Steady
-// state needs as many as the completions between two dispatches; the bound
-// only stops a burst of completions from being kept past its end.
-const maxFreeFilters = 64
 
 // NewChaosBackend wraps inner with the seeded plan. clock timestamps
 // completion deliveries (a completion is lost iff the node is crashed at
@@ -82,54 +61,16 @@ func (c *ChaosBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace, 
 // Submit implements Backend. The done callback is filtered: a completion
 // arriving after the node's crash instant is lost, the way a dead node's
 // response never reaches the caller — the exact loss failover exists to
-// repair. The filter is recycled, so a dispatch allocates nothing.
+// repair.
 func (c *ChaosBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	if err := c.plan.Gate(now); err != nil {
 		return Verdict{}, err
 	}
-	f := c.filter(done)
-	v, err := c.inner.Submit(now, job, f.fire)
-	if err != nil || !v.Accepted {
-		c.recycle(f) // done never fires for a refused or rejected job
+	filtered := func(o Outcome) {
+		if c.plan.Crashed(c.clock.Now()) {
+			return
+		}
+		done(o)
 	}
-	return v, err
-}
-
-// filter returns a filter passing completions to done: a recycled one, or
-// a new one with its fire bound.
-func (c *ChaosBackend) filter(done func(Outcome)) *chaosFilter {
-	c.mu.Lock()
-	var f *chaosFilter
-	if n := len(c.free); n > 0 {
-		f, c.free[n-1] = c.free[n-1], nil
-		c.free = c.free[:n-1]
-	}
-	c.mu.Unlock()
-	if f == nil {
-		f = &chaosFilter{c: c}
-		f.fire = f.report
-	}
-	f.done = done
-	return f
-}
-
-// recycle hands a filter that will not fire again back for reuse.
-func (c *ChaosBackend) recycle(f *chaosFilter) {
-	f.done = nil
-	c.mu.Lock()
-	if len(c.free) < maxFreeFilters {
-		c.free = append(c.free, f)
-	}
-	c.mu.Unlock()
-}
-
-// report is a filter's fire: it recycles the filter, then delivers the
-// completion unless the node has crashed by now.
-func (f *chaosFilter) report(o Outcome) {
-	c, done := f.c, f.done
-	c.recycle(f)
-	if c.plan.Crashed(c.clock.Now()) {
-		return
-	}
-	done(o)
+	return c.inner.Submit(now, job, filtered)
 }

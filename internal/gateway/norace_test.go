@@ -109,53 +109,6 @@ func TestGatewaySubmitBytesPerJob(t *testing.T) {
 	}
 }
 
-// TestChaosSubmitBytesPerJob bounds the same steady STEM stream as
-// TestGatewaySubmitBytesPerJob through two ChaosBackends whose plan never
-// crashes but drops a call in twenty: every dispatch passes a completion
-// filter, and a dropped Submit is re-dispatched. The filters are recycled
-// once they fire or their Submit is refused, so a dispatch allocates
-// nothing; a filter closure per dispatch reads about 24 B per job.
-func TestChaosSubmitBytesPerJob(t *testing.T) {
-	const n, maxBytes = 20000, 8
-	clock := serve.NewManualClock()
-	gw, err := NewFleet(2, "", InprocConfig{Node: serve.NodeConfig{Scheduler: "LAX"}}, "netdrop=0.05;netdrop=0.05", Options{Clock: clock, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close(context.Background(), 0)
-	for _, b := range gw.Backends() {
-		if _, ok := b.(*ChaosBackend); !ok {
-			t.Fatalf("backend %s is a %T, want a *ChaosBackend", b.Name(), b)
-		}
-	}
-	stem, err := workload.FindBenchmark("STEM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit := func(jobs int) {
-		for i := 0; i < jobs; i++ {
-			clock.Advance(200 * sim.Microsecond)
-			if i%5 == 0 {
-				gw.TickProbes(clock.Now())
-			}
-			gw.Submit(stem, stem.Deadline, Standard)
-		}
-	}
-	submit(pastCapWarmup)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	submit(n)
-	runtime.ReadMemStats(&after)
-	b := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("Gateway.Submit over two chaos-wrapped nodes: %.2f B per job", b)
-	if b > maxBytes {
-		t.Errorf("Gateway.Submit through ChaosBackends allocates %.1f B per job, want at most %d", b, maxBytes)
-	}
-	if st := gw.Stats(); st.Accepted < st.Submitted/2 {
-		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)
-	}
-}
-
 // TestFleetMixBytesPerJob bounds a whole fleet over the benchmark's real
 // mix: bench/scenarios/fleet.json (STEM, GMM and CUCKOO jobs with a low-rate
 // cohort of 18-to-361-kernel LSTM chains) submitted at each job's arrival

@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"laxgpu/internal/faults"
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/verify"
@@ -252,81 +249,4 @@ func TestLateReportAfterFailoverHitsItsOwnJob(t *testing.T) {
 		t.Errorf("CheckFleet: %v", vs)
 	}
 	checkTerminalCount(t, &gw.journal)
-}
-
-// splitBackend answers each job by its ID: it refuses one in four, rejects
-// one in four, and reports the rest either inside Submit or from another
-// goroutine after Submit returned. The report names the job it is for.
-type splitBackend struct{ async sync.WaitGroup }
-
-func (b *splitBackend) Name() string { return "node0" }
-
-func (b *splitBackend) Probe(sim.Time) (Headroom, error) {
-	return Headroom{Capacity: 1, CapacityFrac: 1}, nil
-}
-
-func (b *splitBackend) Submit(_ sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
-	o := Outcome{Terminal: verify.FleetDone, Met: true, Cause: fmt.Sprint(job.ID)}
-	switch job.ID % 4 {
-	case 0:
-		return Verdict{}, ErrBackendUnavailable
-	case 1:
-		return Verdict{Accepted: false, Retry: sim.Millisecond}, nil
-	case 2:
-		done(o)
-	default:
-		b.async.Add(1)
-		go func() {
-			defer b.async.Done()
-			done(o)
-		}()
-	}
-	return Verdict{Accepted: true, RemoteID: job.ID}, nil
-}
-
-// TestChaosFilterReachesItsOwnDone: goroutines dispatch through one
-// ChaosBackend whose plan never crashes, while completions fire inside
-// Submit and from other goroutines, and refused and rejected dispatches
-// hand their filters back at once. Every accepted job's done fires exactly
-// once, with its own report, although the filters that carry the reports
-// are recycled between dispatches. Run it with -race.
-func TestChaosFilterReachesItsOwnDone(t *testing.T) {
-	const workers, jobs = 4, 2000
-	inner := &splitBackend{}
-	c := NewChaosBackend(inner, faults.NewNodePlan(faults.NodeSpec{NetDelay: sim.Microsecond}, 1), serve.NewManualClock())
-	fired := make([]atomic.Int32, workers*jobs)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				id := int64(w*jobs + i)
-				done := func(o Outcome) {
-					if o.Cause != fmt.Sprint(id) {
-						t.Errorf("job %d's done got job %s's report", id, o.Cause)
-					}
-					fired[id].Add(1)
-				}
-				v, err := c.Submit(0, &Job{ID: id}, done)
-				if accepted := id%4 >= 2; (err == nil && v.Accepted) != accepted {
-					t.Errorf("job %d: verdict %+v, error %v", id, v, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	inner.async.Wait()
-	for id := range fired {
-		want := int32(0)
-		if id%4 >= 2 {
-			want = 1
-		}
-		if got := fired[id].Load(); got != want {
-			t.Errorf("job %d's done fired %d times, want %d", id, got, want)
-		}
-	}
-	if n := len(c.free); n > maxFreeFilters {
-		t.Errorf("%d filters kept for reuse, want at most %d", n, maxFreeFilters)
-	}
 }
