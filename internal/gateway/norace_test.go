@@ -196,3 +196,35 @@ func TestFleetMixBytesPerJob(t *testing.T) {
 		t.Fatalf("only %d of %d submissions accepted: not a steady fleet", st.Accepted, st.Submitted)
 	}
 }
+
+// TestJournalBytesPerSettledJob bounds what a settled job keeps in the
+// journal: 10 240 submissions (ten full pages) opened, routed, completed
+// and closed, as the gateway journals them, with one Job handed back and
+// forth through the free list. A row is 80 B in a pointer-free page, and
+// each page keeps its 8 B-per-row job slots beside it. Built without
+// -race, which keeps more per allocation.
+func TestJournalBytesPerSettledJob(t *testing.T) {
+	const n, maxBytes = 10 * pageRows, 88
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	j := newJournal(maxRecords)
+	job := &Job{}
+	for id := int64(0); id < n; id++ {
+		job.ID, job.Benchmark, job.Deadline = id, "STEM", 2*sim.Millisecond
+		e := j.open(job, sim.Time(id)*sim.Microsecond)
+		e.route, e.drainUs, e.accepted, e.backend = j.intern("node0"), 150, true, 0
+		j.close(e, "done")
+		e.met, e.latencyUs = true, 900
+		job = j.free[len(j.free)-1]
+		j.free = j.free[:len(j.free)-1]
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f B retained per settled job", b)
+	if b > maxBytes {
+		t.Errorf("a settled job retains %.1f B, want at most %d", b, maxBytes)
+	}
+	runtime.KeepAlive(&j)
+}
