@@ -52,7 +52,7 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	gw.statDeadlineUs += usOf(deadline)
 
 	if wait, ok := gw.table.minDrain(); ok && wait > class.sheddingTolerance()*deadline {
-		gw.reject(e, serve.ReasonShed, wait)
+		gw.reject(id, e, serve.ReasonShed, wait)
 		gw.cShed[class].Inc()
 		return id, Verdict{Retry: wait}, serve.ReasonShed
 	}
@@ -66,14 +66,14 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	e = gw.journal.lookup(id)
 	if !ok {
 		// No routable node, or every route attempt hit a dead one.
-		gw.reject(e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
+		gw.reject(id, e, serve.ReasonUnhealthy, gw.opt.ProbeBackoff)
 		gw.cUnhealthy.Inc()
 		return id, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
 	}
 	n := gw.table.nodes[target]
 	if !v.Accepted {
-		e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
-		gw.reject(e, serve.ReasonAdmission, v.Retry)
+		gw.journal.routed(id, e, n.be.Name(), n.headroom.Drain)
+		gw.reject(id, e, serve.ReasonAdmission, v.Retry)
 		gw.cRejected.Inc()
 		return id, v, serve.ReasonAdmission
 	}
@@ -87,9 +87,9 @@ func (gw *Gateway) submit(now sim.Time, bench *workload.Benchmark, kernels []*gp
 	if e == nil {
 		return id, v, "" // settled and evicted while place had mu released
 	}
-	e.route, e.drainUs = gw.journal.intern(n.be.Name()), usOf(n.headroom.Drain)
-	e.accepted = true
-	e.backend = int32(target)
+	gw.journal.routed(id, e, n.be.Name(), n.headroom.Drain)
+	e.flags.Set(rowAccepted, true)
+	e.backend = int16(target)
 	e.remoteID = v.RemoteID
 	// A completion that raced in found accepted==false and skipped the
 	// decrement, so only count still-open entries.
@@ -197,12 +197,12 @@ func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 		if ok {
 			n := gw.table.nodes[target]
 			if e != nil {
-				gw.journal.failedOver(e, n.be.Name(), now, obs.EventRedispatch,
+				gw.journal.failedOver(id, e, n.be.Name(), now, obs.EventRedispatch,
 					fmt.Sprintf("journal re-dispatch to %s (accepted=%v)", n.be.Name(), v.Accepted))
 			}
 			if v.Accepted {
 				if e != nil {
-					e.backend = int32(target)
+					e.backend = int16(target)
 					e.remoteID = v.RemoteID
 					if e.terminal == 0 {
 						n.inflight++
@@ -221,8 +221,8 @@ func (gw *Gateway) failover(now sim.Time, orphans []*Job) {
 		at := gw.clock.Now()
 		gw.table.event(at, obs.EventFallback, "laxgw", fmt.Sprintf("job %d fell back", id))
 		if e != nil {
-			gw.journal.failedOver(e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
-			gw.settle(e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
+			gw.journal.failedOver(id, e, "cpu", at, obs.EventFallback, "no survivor took the job; finished on the gateway CPU path")
+			gw.settle(id, e, Outcome{Terminal: verify.FleetFallback, FellBack: true})
 		}
 	}
 }
@@ -233,22 +233,22 @@ func (gw *Gateway) complete(id int64, o Outcome) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	if e := gw.journal.lookup(id); e != nil {
-		gw.settle(e, o)
+		gw.settle(id, e, o)
 	}
 }
 
-// settle records one terminal report for e. The first report wins; later
-// ones (a node declared dead delivering its completion anyway) only count as
-// duplicates. Caller holds mu.
-func (gw *Gateway) settle(e *entry, o Outcome) {
-	if !gw.journal.close(e, o.Terminal) {
-		e.duplicates++
+// settle records one terminal report for id's row e. The first report wins;
+// later ones (a node declared dead delivering its completion anyway) only
+// count as duplicates. Caller holds mu.
+func (gw *Gateway) settle(id int64, e *entry, o Outcome) {
+	if !gw.journal.close(id, e, o.Terminal) {
+		gw.journal.duplicates[id]++
 		gw.cDuplicates.Inc()
 		return
 	}
-	e.met = o.Met
-	e.fellBack = o.FellBack
-	e.latencyUs = usOf(o.Latency)
+	e.flags.Set(rowMet, o.Met)
+	e.flags.Set(rowFellBack, o.FellBack)
+	e.latencyUs = gw.journal.wide.Put(id, wideLatency, usOf(o.Latency))
 	if !o.Met {
 		gw.statMissed++
 		// A node may report any cause; only the taxonomy is interned.
@@ -257,10 +257,10 @@ func (gw *Gateway) settle(e *entry, o Outcome) {
 			c.Inc()
 			e.cause = gw.journal.intern(cause)
 		} else {
-			gw.journal.causes[e.id] = cause
+			gw.journal.causes[id] = cause
 		}
 	}
-	if e.accepted {
+	if e.flags.Has(rowAccepted) {
 		gw.inflight--
 		gw.gInflight.Set(float64(gw.inflight))
 		if g := int(e.backend); g >= 0 && g < len(gw.table.nodes) {
@@ -270,12 +270,12 @@ func (gw *Gateway) settle(e *entry, o Outcome) {
 	}
 }
 
-// reject settles a journaled entry as refused at the gateway, with the
+// reject settles id's journaled row e as refused at the gateway, with the
 // machine-readable reason and Retry-After hint. Caller holds mu.
-func (gw *Gateway) reject(e *entry, reason string, retry sim.Time) {
+func (gw *Gateway) reject(id int64, e *entry, reason string, retry sim.Time) {
 	e.reason = gw.journal.intern(reason)
-	e.retryUs = usOf(retry)
-	gw.settle(e, Outcome{Terminal: verify.FleetRejected})
+	e.retryUs = gw.journal.wide.Put(id, wideRetry, usOf(retry))
+	gw.settle(id, e, Outcome{Terminal: verify.FleetRejected})
 }
 
 // missCause names the dominant cause of a missed deadline: the node's own

@@ -29,34 +29,34 @@ type JobStatus struct {
 	MissCause    string   `json:"miss_cause,omitempty"`
 }
 
-// status renders e's API record. Caller holds mu.
-func (gw *Gateway) status(e *entry) JobStatus {
+// status renders the API record of id's row e. Caller holds mu.
+func (gw *Gateway) status(id int64, e *entry) JobStatus {
 	j := &gw.journal
 	state := j.names[e.terminal]
 	if state == "" {
 		state = "admitted"
 	}
-	dispatches := j.dispatches(e)
+	dispatches := j.dispatches(id, e)
 	node := ""
 	if n := len(dispatches); n > 0 {
 		node = dispatches[n-1]
 	}
 	return JobStatus{
-		ID:           e.id,
+		ID:           id,
 		Benchmark:    j.names[e.bench],
 		Node:         node,
 		State:        state,
 		Class:        Class(e.class).String(),
-		Accepted:     e.accepted,
-		MetDeadline:  e.met,
-		FellBack:     e.fellBack,
-		DeadlineUs:   usOf(e.deadline),
-		LatencyUs:    e.latencyUs,
+		Accepted:     e.flags.Has(rowAccepted),
+		MetDeadline:  e.flags.Has(rowMet),
+		FellBack:     e.flags.Has(rowFellBack),
+		DeadlineUs:   usOf(j.deadline(id, e)),
+		LatencyUs:    j.wide.Get(id, wideLatency, e.latencyUs),
 		Reason:       j.names[e.reason],
-		RetryAfterUs: e.retryUs,
+		RetryAfterUs: j.wide.Get(id, wideRetry, e.retryUs),
 		Dispatches:   dispatches,
-		TraceID:      gw.traceID(e.id).String(),
-		MissCause:    j.missCause(e),
+		TraceID:      gw.traceID(id).String(),
+		MissCause:    j.missCause(id, e),
 	}
 }
 
@@ -68,7 +68,7 @@ func (gw *Gateway) Status(id int64) (JobStatus, bool) {
 	if e == nil {
 		return JobStatus{}, false
 	}
-	return gw.status(e), true
+	return gw.status(id, e), true
 }
 
 // Done returns the journaled job's completion channel (closed at its first
@@ -160,7 +160,7 @@ func (gw *Gateway) gatewayHalf(id int64) (wire obs.WireTrace, src TraceSource, r
 	if g := int(e.backend); g >= 0 && g < len(gw.table.nodes) {
 		src, _ = gw.table.nodes[g].be.(TraceSource)
 	}
-	st := gw.status(e)
+	st := gw.status(id, e)
 	return obs.WireTrace{
 		TraceID:   st.TraceID,
 		Job:       strconv.FormatInt(id, 10),
@@ -169,9 +169,9 @@ func (gw *Gateway) gatewayHalf(id int64) (wire obs.WireTrace, src TraceSource, r
 		State:     st.State,
 		Met:       st.MetDeadline,
 		FellBack:  st.FellBack,
-		SlackUs:   float64(e.deadline) / float64(sim.Microsecond),
+		SlackUs:   float64(gw.journal.deadline(id, e)) / float64(sim.Microsecond),
 		LatencyUs: float64(st.LatencyUs),
-		Spans:     gw.journal.spans(e),
+		Spans:     gw.journal.spans(id, e),
 	}, src, e.remoteID, true
 }
 

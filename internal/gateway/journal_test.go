@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"laxgpu/internal/serve"
 	"laxgpu/internal/sim"
@@ -80,7 +81,7 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	j := newJournal(maxRecords)
 	oracle := &shiftJournal{max: maxRecords, terminal: map[int64]bool{}}
 	rng := sim.NewRNG(17)
-	var open []*entry
+	var open []int64
 	waiters := map[int64]<-chan struct{}{}
 	overCap := false
 	for step := 0; step < 6000; step++ {
@@ -92,32 +93,33 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 		}
 		switch {
 		case len(open) == 0 || rng.Float64() < pSubmit:
-			e := j.open(&Job{ID: j.next}, 0)
+			id := j.next
+			e := j.open(&Job{ID: id}, 0)
 			e.route = j.intern("node0")
-			oracle.add(e.id)
+			oracle.add(id)
 			if rng.Float64() < 0.9 {
-				e.accepted = true
-				open = append(open, e)
-				if e.id%3 == 0 {
-					waiters[e.id] = j.done(e.id)
+				e.flags.Set(rowAccepted, true)
+				open = append(open, id)
+				if id%3 == 0 {
+					waiters[id] = j.done(id)
 				}
 			} else {
-				j.close(e, verify.FleetRejected) // rejected at admission: terminal on arrival
-				oracle.terminal[e.id] = true
+				j.close(id, e, verify.FleetRejected) // rejected at admission: terminal on arrival
+				oracle.terminal[id] = true
 			}
 		default:
 			k := rng.Intn(len(open))
 			if rng.Float64() < 0.5 {
 				k = 0 // oldest first, the common order
 			}
-			e := open[k]
-			if !j.close(e, verify.FleetDone) {
-				t.Fatalf("step %d: first close of job %d reported a duplicate", step, e.id)
+			id := open[k]
+			if !j.close(id, j.lookup(id), verify.FleetDone) {
+				t.Fatalf("step %d: first close of job %d reported a duplicate", step, id)
 			}
-			if !closed(j.done(e.id)) {
-				t.Fatalf("step %d: Done of closed job %d is not closed", step, e.id)
+			if !closed(j.done(id)) {
+				t.Fatalf("step %d: Done of closed job %d is not closed", step, id)
 			}
-			oracle.terminal[e.id] = true
+			oracle.terminal[id] = true
 			open = append(open[:k], open[k+1:]...)
 		}
 
@@ -130,9 +132,9 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 		if !reflect.DeepEqual(got, oracle.order) {
 			t.Fatalf("step %d: journal order diverged from the slice-shift oracle\n got %v\nwant %v", step, got, oracle.order)
 		}
-		for _, e := range open {
-			if j.lookup(e.id) != e {
-				t.Fatalf("step %d: open job %d was evicted", step, e.id)
+		for _, id := range open {
+			if j.lookup(id) == nil {
+				t.Fatalf("step %d: open job %d was evicted", step, id)
 			}
 		}
 		for _, id := range oracle.evicted {
@@ -148,10 +150,10 @@ func TestJournalEvictionMatchesShiftOracle(t *testing.T) {
 	if !overCap {
 		t.Error("the open set never pushed the journal over its cap: the fallback path did not run")
 	}
-	for _, e := range open {
-		j.close(e, verify.FleetDone)
-		if j.close(e, verify.FleetDone) {
-			t.Fatalf("second close of job %d won", e.id)
+	for _, id := range open {
+		j.close(id, j.lookup(id), verify.FleetDone)
+		if j.close(id, j.lookup(id), verify.FleetDone) {
+			t.Fatalf("second close of job %d won", id)
 		}
 	}
 	for id, ch := range waiters {
@@ -187,18 +189,21 @@ func TestJournalFreesPagesAroundAnOpenJob(t *testing.T) {
 	const bound = maxRecords/pageRows + 2
 	j := newJournal(maxRecords)
 	job := &Job{}
-	submit := func() *entry {
-		job.ID = j.next
-		return j.open(job, 0)
+	submit := func() int64 {
+		id := j.next
+		job.ID = id
+		j.open(job, 0)
+		return id
 	}
+	closeJob := func(id int64) { j.close(id, j.lookup(id), verify.FleetDone) }
 	pinned := submit()
 	for i := 0; i < 10*maxRecords; i++ {
-		j.close(submit(), verify.FleetDone)
+		closeJob(submit())
 		if i%pageRows == 0 && livePages(&j) > bound {
 			t.Fatalf("after %d submissions the journal holds %d pages, want at most %d", i+1, livePages(&j), bound)
 		}
 	}
-	if j.lookup(pinned.id) != pinned {
+	if j.lookup(pinned) == nil {
 		t.Fatal("the open job was evicted")
 	}
 	if n := len(j.fleetJobs()); n != maxRecords {
@@ -210,11 +215,11 @@ func TestJournalFreesPagesAroundAnOpenJob(t *testing.T) {
 	if ids := j.newestTerminal(maxRecords); len(ids) != maxRecords-1 || ids[0] != j.next-1 {
 		t.Fatalf("newestTerminal returned %d IDs, want the %d terminal ones", len(ids), maxRecords-1)
 	}
-	j.close(pinned, verify.FleetDone)
+	closeJob(pinned)
 	for i := 0; i < pageRows; i++ {
-		j.close(submit(), verify.FleetDone)
+		closeJob(submit())
 	}
-	if j.lookup(pinned.id) != nil || len(j.pages) > bound {
+	if j.lookup(pinned) != nil || len(j.pages) > bound {
 		t.Fatalf("after the open job closed the journal spans %d pages, want at most %d", len(j.pages), bound)
 	}
 	checkTerminalCount(t, &j)
@@ -397,6 +402,21 @@ func (s *reentrantStub) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 	return Verdict{Accepted: true, RemoteID: id}, nil
 }
 
+// rowID returns the ID whose row e is, by its address, or -1 when e is in
+// no page of j.
+func rowID(j *journal, e *entry) int64 {
+	for k, p := range j.pages {
+		if p.rows == nil || e == nil {
+			continue
+		}
+		off := uintptr(unsafe.Pointer(e)) - uintptr(unsafe.Pointer(&p.rows[0]))
+		if off < unsafe.Sizeof(*p.rows) {
+			return j.base + int64(k*pageRows) + int64(off/unsafe.Sizeof(*e))
+		}
+	}
+	return -1
+}
+
 // TestHeldRowReopenedForANewerJob: a submission or a failover that offers a
 // job to a node releases mu, and meanwhile the job can complete, its row be
 // evicted and its page reopened for a newer job. What the dispatch then
@@ -446,7 +466,7 @@ func TestHeldRowReopenedForANewerJob(t *testing.T) {
 				} else {
 					done(Outcome{Terminal: verify.FleetDone, Met: true})
 				}
-				for n := 0; held.id == 0 || held.evicted; n++ {
+				for n := 0; rowID(&gw.journal, held) <= 0 || held.flags.Has(rowEvicted); n++ {
 					if n > 2*maxRecords {
 						t.Error("job 0's page was never reopened")
 						return
@@ -463,12 +483,13 @@ func TestHeldRowReopenedForANewerJob(t *testing.T) {
 				gw.TickProbes(sim.Millisecond)
 			}
 
-			if held == nil || held.id == 0 {
+			heldID := rowID(&gw.journal, held)
+			if held == nil || heldID <= 0 {
 				t.Fatal("job 0's row was not reopened while it was being offered")
 			}
-			if held.terminal == 0 || held.backend != int32(len(backends)-1) || held.remoteID != held.id || held.duplicates != 0 {
+			if dups := gw.journal.duplicates[heldID]; held.terminal == 0 || held.backend != int16(len(backends)-1) || held.remoteID != heldID || dups != 0 {
 				t.Errorf("job %d, reopened in job 0's row: terminal=%d backend=%d remoteID=%d duplicates=%d; want done on node1, its own remote ID, no duplicates",
-					held.id, held.terminal, held.backend, held.remoteID, held.duplicates)
+					heldID, held.terminal, held.backend, held.remoteID, dups)
 			}
 			for _, fj := range gw.FleetJobs() {
 				if fj.ID == 0 {
@@ -490,5 +511,24 @@ func TestHeldRowReopenedForANewerJob(t *testing.T) {
 				t.Fatalf("journal violations: %v", vs)
 			}
 		})
+	}
+}
+
+// TestWideValuesLeaveWithTheirRows journals ten caps' worth of jobs whose
+// deadline does not fit a row and that each get a duplicate report: the
+// wide map and the duplicate counts keep only the retained rows'.
+func TestWideValuesLeaveWithTheirRows(t *testing.T) {
+	const max = 64
+	j := newJournal(max)
+	for i := 0; i < 10*max; i++ {
+		id := j.next
+		j.close(id, j.open(&Job{ID: id, Deadline: 5 * sim.Second}, 0), verify.FleetDone)
+		j.duplicates[id]++ // as settle counts a late report
+	}
+	if j.wide.Len() != max || len(j.duplicates) != max {
+		t.Errorf("the journal keeps %d wide rows and %d duplicate counts, want %d each", j.wide.Len(), len(j.duplicates), max)
+	}
+	if e := j.lookup(j.next - 1); j.deadline(j.next-1, e) != 5*sim.Second {
+		t.Errorf("the newest job's deadline reads %v, want 5s", j.deadline(j.next-1, e))
 	}
 }

@@ -200,11 +200,12 @@ func TestFleetMixBytesPerJob(t *testing.T) {
 // TestJournalBytesPerSettledJob bounds what a settled job keeps in the
 // journal: 10 240 submissions (ten full pages) opened, routed, completed
 // and closed, as the gateway journals them, with one Job handed back and
-// forth through the free list. A row is 80 B in a pointer-free page, and
-// each page keeps its 8 B-per-row job slots beside it. Built without
-// -race, which keeps more per allocation.
+// forth through the free list. A row is 48 B in a pointer-free page, and a
+// full page hands its 8 B-per-row job slots on at its last close, so only
+// the spare's are left (~49 B; 86 when every page kept its slots beside
+// its 80 B rows). Built without -race, which keeps more per allocation.
 func TestJournalBytesPerSettledJob(t *testing.T) {
-	const n, maxBytes = 10 * pageRows, 88
+	const n, maxBytes = 10 * pageRows, 52
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -213,9 +214,12 @@ func TestJournalBytesPerSettledJob(t *testing.T) {
 	for id := int64(0); id < n; id++ {
 		job.ID, job.Benchmark, job.Deadline = id, "STEM", 2*sim.Millisecond
 		e := j.open(job, sim.Time(id)*sim.Microsecond)
-		e.route, e.drainUs, e.accepted, e.backend = j.intern("node0"), 150, true, 0
-		j.close(e, "done")
-		e.met, e.latencyUs = true, 900
+		j.routed(id, e, "node0", 150*sim.Microsecond)
+		e.flags.Set(rowAccepted, true)
+		e.backend = 0
+		j.close(id, e, "done")
+		e.flags.Set(rowMet, true)
+		e.latencyUs = j.wide.Put(id, wideLatency, 900)
 		job = j.free[len(j.free)-1]
 		j.free = j.free[:len(j.free)-1]
 	}

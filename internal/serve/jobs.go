@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"laxgpu/internal/ledger"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 )
@@ -58,22 +59,36 @@ type JobStatus struct {
 }
 
 // row is one job's record: everything GET /v1/jobs/{id}, the event stream
-// and the terminal bookkeeping need, rendered into a JobStatus on read. It
-// holds no pointers, so a page of rows is an object the collector never
-// scans. Names are indexes into the table's name table, and the trace ID is
-// kept as the 16 bytes the handler parsed or minted, rendered as hex on read.
+// and the terminal bookkeeping need, rendered into a JobStatus on read, in
+// 36 B. It holds no pointers, so a page of rows is an object the collector
+// never scans. Its ID is its place in the pages, so it keeps none. Names are
+// indexes into the table's name table, the trace ID is kept as the 16 bytes
+// the handler parsed or minted, rendered as hex on read, and the numbers are
+// ledger-encoded: a value that does not fit waits in the table's wide map.
 type row struct {
-	id                      int64
-	deadlineUs, latencyUs   int64
-	retryUs                 int64
-	trace                   obs.TraceID // zero when the job has no trace ID
-	bench, state            uint8
-	reason, cause           uint8
-	admitted, met, fellBack bool
-	terminal                bool // the first terminal transition happened
-	settled                 bool // and its bookkeeping is done: evictable
-	evicted                 bool // only ever set on a settled row
+	trace                          obs.TraceID // zero when the job has no trace ID
+	deadlineUs, latencyUs, retryUs uint32
+	bench, state                   uint8
+	reason, cause                  uint8
+	flags                          ledger.Flags
 }
+
+// The flags of a row.
+const (
+	recAdmitted ledger.Flags = 1 << iota
+	recMet
+	recFellBack
+	recTerminal // the first terminal transition happened
+	recSettled  // and its bookkeeping is done: evictable
+	recEvicted  // only ever set on a settled row
+)
+
+// The ledger.Wide field index of each narrow number of a row.
+const (
+	wideDeadline = iota
+	wideLatency
+	wideRetry
+)
 
 // maxRecords bounds a server's job-status registry.
 const maxRecords = 65536
@@ -113,6 +128,7 @@ type recordTable struct {
 
 	names   []string
 	index   map[string]uint8
+	wide    ledger.Wide             // numbers a row's narrow fields cannot hold
 	clients map[int64]string        // the submitting client, until the terminal transition
 	waiters map[int64]chan struct{} // unsettled records someone waits on
 }
@@ -148,24 +164,24 @@ func (t *recordTable) lookup(id int64) *row {
 		return nil
 	}
 	k := id - t.base
-	if p := t.pages[k/pageRows]; p.rows != nil && !p.rows[k%pageRows].evicted {
+	if p := t.pages[k/pageRows]; p.rows != nil && !p.rows[k%pageRows].flags.Has(recEvicted) {
 		return &p.rows[k%pageRows]
 	}
 	return nil
 }
 
-// nextRetained returns the first retained row at or after id, skipping
-// freed pages whole, or nil.
-func (t *recordTable) nextRetained(id int64) *row {
+// nextRetained returns the first retained row at or after id, and its ID,
+// skipping freed pages whole, or nil.
+func (t *recordTable) nextRetained(id int64) (int64, *row) {
 	for id = max(id, t.base); id < t.next; id++ {
 		k := id - t.base
 		if p := t.pages[k/pageRows]; p.rows == nil {
 			id += pageRows - 1 - k%pageRows
-		} else if !p.rows[k%pageRows].evicted {
-			return &p.rows[k%pageRows]
+		} else if !p.rows[k%pageRows].flags.Has(recEvicted) {
+			return id, &p.rows[k%pageRows]
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // add records a new submission, evicting the oldest settled records past
@@ -187,7 +203,7 @@ func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID obs.
 	p := &t.pages[len(t.pages)-1]
 	p.live++
 	r := &p.rows[(id-t.base)%pageRows]
-	*r = row{id: id, deadlineUs: deadlineUs, trace: traceID, bench: t.intern(bench), state: t.intern("submitted")}
+	*r = row{deadlineUs: t.wide.Put(id, wideDeadline, deadlineUs), trace: traceID, bench: t.intern(bench), state: t.intern("submitted")}
 	t.clients[id] = client
 	t.next++
 	t.retained++
@@ -199,52 +215,56 @@ func (t *recordTable) add(id int64, bench string, deadlineUs int64, traceID obs.
 // when none is: the table then runs over its cap. A page is freed with its
 // last row, and dropped once no live page is older.
 func (t *recordTable) evictOldestSettled() bool {
-	for r := t.nextRetained(t.cursor); r != nil; r = t.nextRetained(r.id + 1) {
-		if !r.settled {
+	for id, r := t.nextRetained(t.cursor); r != nil; id, r = t.nextRetained(id + 1) {
+		if !r.flags.Has(recSettled) {
 			continue
 		}
-		r.evicted = true
+		r.flags.Set(recEvicted, true)
+		t.wide.Drop(id)
 		t.retained--
-		p := &t.pages[(r.id-t.base)/pageRows]
+		p := &t.pages[(id-t.base)/pageRows]
 		if p.live--; p.live == 0 {
 			t.spare, *p = p.rows, page{}
 		}
 		for len(t.pages) > 0 && t.pages[0].rows == nil {
 			t.pages, t.base = t.pages[1:], t.base+pageRows
 		}
-		t.cursor = r.id + 1
+		t.cursor = id + 1
 		return true
 	}
 	t.cursor = t.next
 	return false
 }
 
-// status renders r.
-func (t *recordTable) status(r *row) JobStatus {
+// status renders id's row r.
+func (t *recordTable) status(id int64, r *row) JobStatus {
 	return JobStatus{
-		ID:           r.id,
+		ID:           id,
 		Benchmark:    t.names[r.bench],
 		State:        t.names[r.state],
-		Admitted:     r.admitted,
-		MetDeadline:  r.met,
-		FellBack:     r.fellBack,
-		DeadlineUs:   r.deadlineUs,
-		LatencyUs:    r.latencyUs,
-		RetryAfterUs: r.retryUs,
+		Admitted:     r.flags.Has(recAdmitted),
+		MetDeadline:  r.flags.Has(recMet),
+		FellBack:     r.flags.Has(recFellBack),
+		DeadlineUs:   t.wide.Get(id, wideDeadline, r.deadlineUs),
+		LatencyUs:    t.wide.Get(id, wideLatency, r.latencyUs),
+		RetryAfterUs: t.wide.Get(id, wideRetry, r.retryUs),
 		Reason:       t.names[r.reason],
 		TraceID:      r.trace.String(),
 		MissCause:    t.names[r.cause],
 	}
 }
 
-// apply runs fn on r's rendered status and keeps what fn may change: the
-// verdict and outcome fields, never the job's identity.
-func (t *recordTable) apply(r *row, fn func(*JobStatus)) JobStatus {
-	st := t.status(r)
+// apply runs fn on the rendered status of id's row r and keeps what fn may
+// change: the verdict and outcome fields, never the job's identity.
+func (t *recordTable) apply(id int64, r *row, fn func(*JobStatus)) JobStatus {
+	st := t.status(id, r)
 	fn(&st)
 	r.state, r.reason, r.cause = t.intern(st.State), t.intern(st.Reason), t.intern(st.MissCause)
-	r.admitted, r.met, r.fellBack = st.Admitted, st.MetDeadline, st.FellBack
-	r.latencyUs, r.retryUs = st.LatencyUs, st.RetryAfterUs
+	r.flags.Set(recAdmitted, st.Admitted)
+	r.flags.Set(recMet, st.MetDeadline)
+	r.flags.Set(recFellBack, st.FellBack)
+	r.latencyUs = t.wide.Put(id, wideLatency, st.LatencyUs)
+	r.retryUs = t.wide.Put(id, wideRetry, st.RetryAfterUs)
 	return st
 }
 
@@ -253,7 +273,7 @@ func (t *recordTable) get(id int64) (JobStatus, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if r := t.lookup(id); r != nil {
-		return t.status(r), true
+		return t.status(id, r), true
 	}
 	return JobStatus{}, false
 }
@@ -263,7 +283,7 @@ func (t *recordTable) update(id int64, fn func(*JobStatus)) JobStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if r := t.lookup(id); r != nil {
-		return t.apply(r, fn)
+		return t.apply(id, r, fn)
 	}
 	return JobStatus{}
 }
@@ -279,11 +299,11 @@ func (t *recordTable) finish(id int64, fn func(*JobStatus)) (st JobStatus, clien
 	if r == nil {
 		return JobStatus{}, "", false
 	}
-	st = t.apply(r, fn)
-	if r.terminal {
+	st = t.apply(id, r, fn)
+	if r.flags.Has(recTerminal) {
 		return st, "", false
 	}
-	r.terminal = true
+	r.flags.Set(recTerminal, true)
 	client = t.clients[id]
 	delete(t.clients, id)
 	return st, client, true
@@ -295,7 +315,7 @@ func (t *recordTable) settle(id int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if r := t.lookup(id); r != nil {
-		r.settled = true
+		r.flags.Set(recSettled, true)
 		t.cursor = min(t.cursor, id)
 	}
 	if ch, ok := t.waiters[id]; ok {
@@ -310,7 +330,7 @@ func (t *recordTable) settle(id int64) {
 func (t *recordTable) done(id int64) <-chan struct{} {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r := t.lookup(id); r == nil || r.settled {
+	if r := t.lookup(id); r == nil || r.flags.Has(recSettled) {
 		return closedDone
 	}
 	ch := t.waiters[id]

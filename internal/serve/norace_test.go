@@ -13,13 +13,14 @@ import (
 // TestRecordTableBytesPerJob bounds what a settled record keeps on the heap:
 // 10 000 records through add, finish and settle, each with a trace ID cut
 // from its own traceparent header and a client cut from its own remote
-// address, as handleSubmit hands them over. A row is 64 B in a pointer-free
+// address, as handleSubmit hands them over. A row is 36 B in a pointer-free
 // page and the trace ID is copied into it, so no header stays pinned, and
-// the client leaves with the terminal transition. A record, a done channel
-// and a map slot per job, with the header and client pinned, was ~390 B.
+// the client leaves with the terminal transition (~37 B; ~62 with the 64 B
+// row). A record, a done channel and a map slot per job, with the header and
+// client pinned, was ~390 B.
 // Built without -race, which keeps more per allocation.
 func TestRecordTableBytesPerJob(t *testing.T) {
-	const n, maxBytes = 10000, 80
+	const n, maxBytes = 10000, 48
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

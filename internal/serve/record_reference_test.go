@@ -196,3 +196,22 @@ func TestRecordTableMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordWideValuesLeaveWithTheirRows keeps ten caps' worth of settled
+// records whose deadline does not fit a row: the wide map keeps only the
+// retained rows'.
+func TestRecordWideValuesLeaveWithTheirRows(t *testing.T) {
+	const max = 64
+	tbl := newRecordTable(max)
+	for id := int64(0); id < 10*max; id++ {
+		tbl.add(id, "LSTM", 1<<40, obs.TraceID{}, "")
+		tbl.finish(id, func(js *JobStatus) { js.State = "done" })
+		tbl.settle(id)
+	}
+	if tbl.wide.Len() != max {
+		t.Errorf("the table keeps %d wide rows, want %d", tbl.wide.Len(), max)
+	}
+	if st, _ := tbl.get(10*max - 1); st.DeadlineUs != 1<<40 {
+		t.Errorf("the newest record's deadline reads %d µs, want %d", st.DeadlineUs, int64(1<<40))
+	}
+}
