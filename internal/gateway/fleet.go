@@ -128,6 +128,10 @@ func (gw *Gateway) Grow(name string) (int, error) {
 		gw.mu.Unlock()
 		return 0, errors.New("gateway: closed")
 	}
+	if len(gw.table.nodes) >= maxNodes {
+		gw.mu.Unlock()
+		return 0, fmt.Errorf("gateway: the fleet has %d nodes already", maxNodes)
+	}
 	ib, err := gw.owned.build(name)
 	gw.mu.Unlock()
 	if err != nil {

@@ -92,6 +92,10 @@ const (
 	// maxRecords bounds the journal — the oldest terminal entries are
 	// evicted first — and the fleet-event log.
 	maxRecords = 65536
+
+	// maxNodes bounds the routing indexes a fleet hands out: a journal row
+	// keeps its dispatch's in 16 bits.
+	maxNodes = 1 << 15
 )
 
 // Options configures a Gateway.
@@ -184,6 +188,9 @@ type Gateway struct {
 func New(opt Options) (*Gateway, error) {
 	if len(opt.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends")
+	}
+	if len(opt.Backends) > maxNodes {
+		return nil, fmt.Errorf("gateway: %d backends, at most %d", len(opt.Backends), maxNodes)
 	}
 	if opt.Clock == nil {
 		return nil, fmt.Errorf("gateway: no clock")

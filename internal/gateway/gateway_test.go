@@ -154,6 +154,19 @@ func TestGatewayNoHealthyBackend(t *testing.T) {
 	}
 }
 
+// TestNewRefusesMoreNodesThanARowIndexes: a journal row keeps its
+// dispatch's routing index in 16 bits, so a fleet of more members is
+// refused, not wrapped.
+func TestNewRefusesMoreNodesThanARowIndexes(t *testing.T) {
+	backends := make([]Backend, maxNodes+1)
+	for i := range backends {
+		backends[i] = instantStub{"stub"}
+	}
+	if _, err := New(Options{Backends: backends, Clock: serve.NewManualClock()}); err == nil {
+		t.Fatalf("New took %d backends, want an error past %d", len(backends), maxNodes)
+	}
+}
+
 // fleet builds an in-process LAX fleet on one shared ManualClock through
 // NewFleet; chaos is the ';'-separated per-node spec list.
 func fleet(t *testing.T, nodes int, chaos string, seed int64, failThreshold int) (*Gateway, *serve.ManualClock) {

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"laxgpu/internal/cluster"
@@ -71,12 +70,8 @@ type nodeTable struct {
 }
 
 // add appends one backend with a fresh breaker and its labeled metrics,
-// returning its routing index, which fits 16 bits. The caller keeps the
-// router in step.
+// returning its routing index. The caller keeps the router in step.
 func (t *nodeTable) add(be Backend) int {
-	if len(t.nodes) > math.MaxInt16 {
-		panic("gateway: a fleet has at most 32 768 routing indexes")
-	}
 	labels := map[string]string{"node": be.Name()}
 	n := &node{
 		be:      be,
