@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -26,37 +27,42 @@ func observedOptions(t testing.TB, metrics, perfetto *bytes.Buffer) Options {
 }
 
 // TestObservedRunBytesPerJob is the allocation guard on an observed run:
-// the second Session.Run of the steady scenario under LAX with Verify,
-// Probe, Metrics and Perfetto on, built in the system and Perfetto rows the
-// first handed back and writing into buffers the first grew, may allocate
-// at most 800 B a job (runtime.MemStats). It measured ~500 on a 2-vCPU
-// x86-64 box; before the recycling and the dense checker ledger, ~2 200.
+// the second Session.Run of the committed three-tenant scenario under LAX
+// with Verify, Probe, Metrics and Perfetto on, writing both documents to
+// io.Discard so that no caller buffer is counted, may allocate at most
+// 440 B a job (runtime.MemStats). The run is built in what the first run
+// handed back. It measured ~402 on a 2-vCPU x86-64 box; the bound leaves
+// room for a collection that empties the pools mid-measure.
 func TestObservedRunBytesPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a random quarter of what is put in it")
 	}
 	// One P: a sync.Pool keeps a Put in the putting P's private slot.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := NewSession(SessionOptions{Parallel: 1})
-	var metrics, perfetto bytes.Buffer
-	if _, err := s.Run(context.Background(), observedOptions(t, &metrics, &perfetto)); err != nil {
-		t.Fatal(err)
-	}
-	metrics.Reset()
-	perfetto.Reset()
-	o := observedOptions(t, &metrics, &perfetto)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := s.Run(context.Background(), o)
-	runtime.ReadMemStats(&after)
+	raw, err := scenarios.FS.ReadFile("three-tenant.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	perJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.TotalJobs)
-	if perJob > 800 {
-		t.Fatalf("observed LAX/steady run allocated %.0f B/job, want <= 800", perJob)
+	s := NewSession(SessionOptions{Parallel: 1})
+	run := func() Result {
+		t.Helper()
+		res, err := s.Run(context.Background(), Options{Scheduler: "LAX", Scenario: bytes.NewReader(raw), Seed: 1,
+			Verify: true, Probe: true, Metrics: io.Discard, Perfetto: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	t.Logf("observed LAX/steady run: %.0f B/job over %d jobs", perJob, res.TotalJobs)
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := run()
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.TotalJobs)
+	if perJob > 440 {
+		t.Fatalf("observed LAX/three-tenant run allocated %.0f B/job, want <= 440", perJob)
+	}
+	t.Logf("observed LAX/three-tenant run: %.0f B/job over %d jobs", perJob, res.TotalJobs)
 }
 
 // observedDocs is what one observed run hands back.
