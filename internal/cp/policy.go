@@ -134,3 +134,12 @@ type ServeObserver interface {
 type StateReuser interface {
 	ReuseState(old any)
 }
+
+// StateReleaser is an optional Policy extension for a policy that keeps
+// storage sized by a batch trace. System.Release calls ReleaseState when it
+// takes the system back, so the policy hands that storage back for a later
+// policy to build in; the policy and every SchedState it set are dead from
+// then on.
+type StateReleaser interface {
+	ReleaseState()
+}

@@ -194,7 +194,9 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 	n := len(set.Jobs)
 	slab := s.slab
 	if cap(slab) < n {
-		slab = make([]JobRun, n)
+		// Grown as append grows, not to n: a shell that meets larger and
+		// larger traces is not outgrown by each of them.
+		slab = slices.Grow(slab[:0], n)
 	}
 	clear(slab[n:cap(slab)])
 	*s = System{
@@ -251,11 +253,15 @@ func emptied[T any](s []T) []T {
 // one with faults installed (a run bounded by the fault horizon can stop
 // with work queued, and a hung kernel's batch is never freed), one with the
 // watchdog armed, and one whose context stopped it before its last arrival
-// or before its queue drained.
+// or before its queue drained. A system it takes hands its policy's storage
+// back too, when the policy is a StateReleaser.
 func (s *System) Release() {
 	if !s.runStarted || s.online != nil || s.faultsInstalled || s.cfg.Recover ||
 		s.submitted != len(s.jobs) || s.eng.Pending() != 0 {
 		return
+	}
+	if r, ok := s.pol.(StateReleaser); ok {
+		r.ReleaseState()
 	}
 	shells.Put(s)
 }

@@ -59,6 +59,9 @@ func (s Sim) Run(ctx context.Context) (*cp.System, int64, error) {
 	if s.Verify {
 		ck = verify.New(verify.OptionsFor(s.Sched, pol, sys.Config(), !spec.Zero()))
 		ck.Attach(sys)
+		// The checker is this run's alone: once the result below is read,
+		// its ledger goes back for the next checker.
+		defer ck.Release()
 		probes = append(probes[:len(probes):len(probes)], ck)
 	}
 	sys.SetProbe(obs.Multi(probes...))

@@ -10,11 +10,23 @@ import (
 	"sort"
 )
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of values using
-// nearest-rank interpolation. It returns 0 for an empty slice. The input is
-// not modified.
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of values,
+// interpolating linearly between the two closest ranks (rank
+// p/100·(n−1) of the sorted values). It returns 0 for an empty slice. The
+// input is not modified.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(values))
+	copy(sorted, values)
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, p)
+}
+
+// percentileSorted is Percentile of values already in ascending order.
+func percentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
 	if p < 0 {
@@ -23,9 +35,6 @@ func Percentile(values []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"slices"
+	"sync"
 
 	"laxgpu/internal/core"
 	"laxgpu/internal/cp"
@@ -69,7 +70,23 @@ type jobTable struct {
 	// (see reuse): the next register rebuilds its entry in it, and in its
 	// buf when that is long enough.
 	spare *jobEntry
+
+	// store is a batch table's pooled storage, nil for an online one: the
+	// slabs come from it and release hands them back (cp.StateReleaser).
+	store *tableStore
 }
+
+// tableStore is a batch table's pooled storage: its entry slab, and every
+// word chunk it carved bufs from, the first next of them in use by the
+// table that holds the store and the rest spare.
+type tableStore struct {
+	entries []jobEntry
+	words   [][]int32
+	next    int
+}
+
+// tableStores holds the storage released tables handed back.
+var tableStores sync.Pool
 
 // wordChunk is the size of a batch table's buf chunks: 4 KiB, the bufs of
 // about 22 LSTM jobs.
@@ -126,7 +143,27 @@ type fullSlot struct {
 // newJobTable returns an empty table over pt; jobs is the length of the
 // system's batch trace, 0 for an online system.
 func newJobTable(pt *core.ProfilingTable, jobs int) *jobTable {
-	return &jobTable{pt: pt, slotIdx: make(map[slotKey]int32), jobs: jobs}
+	t := &jobTable{pt: pt, slotIdx: make(map[slotKey]int32), jobs: jobs}
+	if jobs > 0 {
+		st, _ := tableStores.Get().(*tableStore)
+		if st == nil {
+			st = new(tableStore)
+		}
+		st.entries = slices.Grow(st.entries[:0], jobs)[:jobs]
+		clear(st.entries)
+		st.next = 0
+		t.entries, t.store = st.entries, st
+	}
+	return t
+}
+
+// release hands a batch table's storage back for a later table to carve
+// from. Nothing may read an entry it carved afterwards.
+func (t *jobTable) release() {
+	if st := t.store; st != nil {
+		t.store, t.entries, t.words = nil, nil, nil
+		tableStores.Put(st)
+	}
 }
 
 // register resolves the job's kernel chain to shapes and hangs the entry
@@ -201,11 +238,35 @@ func (t *jobTable) carve(n int) *jobEntry {
 		// Room for this buf and, up to wordChunk, for as many more as the
 		// entry slab still expects, if they are of its size: an online
 		// table, whose slab is one entry, gets exactly this buf.
-		t.words = make([]int32, max(n, min(wordChunk, (len(t.entries)+1)*n)))
+		t.words = t.chunk(max(n, min(wordChunk, (len(t.entries)+1)*n)))
 	}
 	e.buf = t.words[:n:n]
 	t.words = t.words[n:]
 	return e
+}
+
+// chunk returns a zeroed word chunk of at least size words. A batch table
+// takes its store's next spare chunk, cleared, when that is large enough,
+// and records a new one in the store in its place.
+func (t *jobTable) chunk(size int) []int32 {
+	st := t.store
+	if st == nil {
+		return make([]int32, size)
+	}
+	if st.next < len(st.words) && len(st.words[st.next]) >= size {
+		c := st.words[st.next]
+		clear(c)
+		st.next++
+		return c
+	}
+	c := make([]int32, size)
+	if st.next < len(st.words) {
+		st.words[st.next] = c
+	} else {
+		st.words = append(st.words, c)
+	}
+	st.next++
+	return c
 }
 
 func (t *jobTable) slotFor(ptID, wgs int32) int32 {

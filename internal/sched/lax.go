@@ -179,6 +179,10 @@ func (p *LAX) Attach(s *cp.System) {
 // is rebuilt for the next job registered.
 func (p *LAX) ReuseState(old any) { p.jt.reuse(old) }
 
+// ReleaseState implements cp.StateReleaser: the job table's slabs go back
+// for a later table.
+func (p *LAX) ReleaseState() { p.jt.release() }
+
 // incremental reports whether the dirty-set job table serves this variant's
 // estimates.
 func (p *LAX) incremental() bool {

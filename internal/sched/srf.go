@@ -36,6 +36,9 @@ func (p *SRF) Attach(s *cp.System) {
 // ReuseState implements cp.StateReuser (see LAX).
 func (p *SRF) ReuseState(old any) { p.jt.reuse(old) }
 
+// ReleaseState implements cp.StateReleaser (see LAX).
+func (p *SRF) ReleaseState() { p.jt.release() }
+
 // Admit implements cp.Policy: no admission control; the initial priority is
 // the current remaining-time estimate (zero for never-profiled kernels,
 // which the first Reprioritize corrects).

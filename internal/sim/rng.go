@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // RNG wraps a seeded pseudo-random source with the distributions the
@@ -13,9 +14,27 @@ type RNG struct {
 	r *rand.Rand
 }
 
-// NewRNG returns a deterministic generator for the given seed.
+// sources holds the generators Release handed back. A math/rand source is
+// ~4.9 kB of state, and re-seeding one rewrites all of it, so NewRNG draws
+// the same values from a recycled generator as from a new one.
+var sources sync.Pool
+
+// NewRNG returns a deterministic generator for the given seed, re-seeding
+// one that Release handed back when there is one.
 func NewRNG(seed int64) *RNG {
+	if r, ok := sources.Get().(*rand.Rand); ok {
+		r.Seed(seed)
+		return &RNG{r: r}
+	}
 	return &RNG{r: rand.New(rand.NewSource(seed))}
+}
+
+// Release hands the generator's source back for a later NewRNG to re-seed.
+// The caller must be the generator's only holder and must not use it
+// again: a later NewRNG draws from the same source.
+func (g *RNG) Release() {
+	sources.Put(g.r)
+	g.r = nil
 }
 
 // Float64 returns a uniform value in [0, 1).

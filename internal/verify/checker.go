@@ -14,6 +14,7 @@ package verify
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/obs"
@@ -134,7 +135,21 @@ type Checker struct {
 	farKerns map[kernKey]*kernAcct
 	slab     []kernAcct // the unused rest of the kernel slab
 	chunk    int        // kernels per new slab
+
+	// store is the pooled storage an attached checker builds its ledger in
+	// and Release hands back.
+	store *ledgerStore
 }
+
+// ledgerStore is a checker's pooled storage: the backing array of its job
+// ledger and its largest kernel slab.
+type ledgerStore struct {
+	jobs  []jobAcct
+	kerns []kernAcct
+}
+
+// ledgers holds the storage Release handed back.
+var ledgers sync.Pool
 
 // New returns a Checker enforcing the given options.
 func New(opt Options) *Checker {
@@ -144,15 +159,44 @@ func New(opt Options) *Checker {
 // Attach gives the checker read access to the running system, enabling the
 // rules that cross-check probe events against live state. Call it before
 // the run starts, with the same system the checker is probing. Attaching
-// also sizes the ledger to the system's trace.
+// also sizes the ledger to the system's trace, and builds it in the storage
+// a released checker handed back (grown as append grows when it is short).
 func (c *Checker) Attach(sys *cp.System) {
 	c.sys = sys
 	kernels := 0
 	for _, jr := range sys.Jobs() {
 		kernels += len(jr.Job.Kernels)
 	}
-	c.jobs = make([]jobAcct, 0, len(sys.Jobs()))
 	c.chunk = min(max(kernels, 1), maxKernChunk)
+	st, _ := ledgers.Get().(*ledgerStore)
+	if st == nil {
+		st = new(ledgerStore)
+	}
+	// Past len the job ledger's backing array must be zero (see acct), and
+	// a kernel ledger is carved zero.
+	st.jobs = slices.Grow(st.jobs[:0], len(sys.Jobs()))
+	clear(st.jobs[:cap(st.jobs)])
+	if cap(st.kerns) >= c.chunk {
+		c.slab = st.kerns[:cap(st.kerns)]
+		clear(c.slab)
+	}
+	c.jobs = st.jobs[:0]
+	c.store = st
+}
+
+// Release hands the ledger storage of an attached checker back for a later
+// Attach to build its ledger in. Call it once the run is over and Finalize
+// has run: Checks, Violations, Dropped and Err still answer after it, but
+// the checker must see no further event. A checker that was never attached
+// holds no pooled storage, and Release does nothing to it.
+func (c *Checker) Release() {
+	st := c.store
+	if st == nil {
+		return
+	}
+	st.jobs = c.jobs[:0]
+	c.sys, c.jobs, c.farJobs, c.farKerns, c.slab, c.store = nil, nil, nil, nil, nil, nil
+	ledgers.Put(st)
 }
 
 // Checks returns the number of rule evaluations performed so far.
@@ -263,6 +307,9 @@ func (c *Checker) kernel(a *jobAcct, job, seq int) *kernAcct {
 		n := max(seq+1, chain, 2*len(a.kern))
 		if len(c.slab) < n {
 			c.slab = make([]kernAcct, max(n, c.chunk))
+			if st := c.store; st != nil && len(c.slab) > cap(st.kerns) {
+				st.kerns = c.slab
+			}
 		}
 		kern := c.slab[:n:n]
 		c.slab = c.slab[n:]

@@ -392,3 +392,71 @@ func TestOptionsFor(t *testing.T) {
 		t.Fatalf("faulted options wrong: %+v", faulted)
 	}
 }
+
+// TestReleasedLedgerStartsClean: a checker attached in the storage another
+// one released, after a hostile stream left every job ledger and kernel
+// counter dirty, must check a clean LAX run exactly as one on new storage
+// does: the same number of checks and no violation.
+func TestReleasedLedgerStartsClean(t *testing.T) {
+	cfg := cp.DefaultSystemConfig()
+	lib := workload.NewLibrary(cfg.GPU)
+	b, err := workload.FindBenchmark("LSTM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := b.Generate(lib, workload.HighRate, 64, 1)
+	build := func() (*cp.System, cp.Policy) {
+		pol, err := sched.New("LAX")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.NewSystem(cfg, set, pol), pol
+	}
+	run := func() *Checker {
+		sys, pol := build()
+		c := New(OptionsFor("LAX", pol, cfg, false))
+		c.Attach(sys)
+		sys.SetProbe(c)
+		sys.Run()
+		if err := c.Finalize(); err != nil {
+			t.Fatalf("clean LAX run: %v", err)
+		}
+		return c
+	}
+	want := run().Checks()
+
+	// sync.Pool may drop a Put (the race detector drops a random quarter),
+	// so retry until the clean run is attached in the dirtied storage.
+	for range 32 {
+		sys, pol := build()
+		dirty := New(OptionsFor("LAX", pol, cfg, false))
+		dirty.Attach(sys)
+		for _, jr := range sys.Jobs() {
+			id := jr.Job.ID
+			for range 2 {
+				dirty.Job(obs.JobEvent{At: 1, Kind: obs.JobArrive, Job: id, Deadline: 1})
+				dirty.Admission(obs.AdmissionDecision{At: 1, Job: id, Accepted: true})
+				dirty.Job(obs.JobEvent{At: 1, Kind: obs.JobFinish, Job: id})
+				for seq := range jr.Job.Kernels {
+					dirty.KernelStart(obs.KernelStart{At: 1, Job: id, Seq: seq})
+					dirty.KernelDone(obs.KernelDone{At: 1, Job: id, Seq: seq, Start: 1})
+				}
+			}
+		}
+		if dirty.Err() == nil {
+			t.Fatal("the hostile stream raised no violation")
+		}
+		store := dirty.store
+		dirty.Release()
+		c := run()
+		if c.store != store {
+			continue
+		}
+		if c.Checks() != want || len(c.Violations()) != 0 {
+			t.Fatalf("in released storage: %d checks, %d violations; on new storage %d checks, none",
+				c.Checks(), len(c.Violations()), want)
+		}
+		return
+	}
+	t.Fatal("Attach never reused a released ledger")
+}

@@ -7,6 +7,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"laxgpu/internal/gpu"
 	"laxgpu/internal/sim"
@@ -90,6 +92,66 @@ type JobSet struct {
 	Rate      Rate
 	Seed      int64
 	Jobs      []*Job
+
+	// store is the pooled storage of a set NewPooledSet built, nil for any
+	// other; free is the unused rest of the slab Add stores jobs in.
+	store *jobStore
+	free  []Job
+}
+
+// jobStore is a pooled set's storage: the slab its jobs are stored in by
+// value (kept at length 0) and the backing array of Jobs.
+type jobStore struct {
+	slab []Job
+	ptrs []*Job
+}
+
+// jobStores holds the storage Release handed back.
+var jobStores sync.Pool
+
+// NewPooledSet returns an empty set with room for n jobs, built in the
+// storage a released set handed back, grown as append grows when that has
+// less room. Fill it with Add; its owner hands the storage back with
+// Release.
+func NewPooledSet(benchmark string, rate Rate, seed int64, n int) *JobSet {
+	st, _ := jobStores.Get().(*jobStore)
+	if st == nil {
+		st = new(jobStore)
+	}
+	st.slab = slices.Grow(st.slab[:0], n)
+	st.ptrs = slices.Grow(st.ptrs[:0], n)
+	return &JobSet{Benchmark: benchmark, Rate: rate, Seed: seed, Jobs: st.ptrs, store: st, free: st.slab[:cap(st.slab)]}
+}
+
+// Add appends a copy of j to the set with its ID set to its index. Copies
+// are stored by value: in a pooled set's slab, and past its end, or in any
+// other set, in new slabs of a quarter of the jobs so far.
+func (s *JobSet) Add(j Job) {
+	if len(s.free) == 0 {
+		s.free = make([]Job, len(s.Jobs)/4+1)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	*p = j
+	p.ID = len(s.Jobs)
+	s.Jobs = append(s.Jobs, p)
+}
+
+// Release hands the storage of a set NewPooledSet built back for a later
+// one to be built in. The caller must be the set's only holder and must
+// drop every reference to its jobs, which a later set overwrites: that
+// includes any system or checker built on the set. Release empties Jobs;
+// on any other set, or a second time, it does nothing.
+func (s *JobSet) Release() {
+	st := s.store
+	if st == nil {
+		return
+	}
+	clear(st.slab[:cap(st.slab)])
+	clear(s.Jobs[:cap(s.Jobs)])
+	st.ptrs = s.Jobs[:0]
+	s.Jobs, s.store, s.free = nil, nil, nil
+	jobStores.Put(st)
 }
 
 // Len returns the number of jobs in the set.

@@ -36,6 +36,13 @@ func (s *Spec) Generate(lib *workload.Library, seed int64) (*workload.JobSet, er
 	horizon := sim.Time(s.DurationUs) * sim.Microsecond
 
 	streams := make([]stream, len(s.Cohorts))
+	defer func() {
+		for i := range streams {
+			if rng := streams[i].rng; rng != nil {
+				rng.Release()
+			}
+		}
+	}()
 	var expected float64
 	for ci := range s.Cohorts {
 		st := &streams[ci]
@@ -49,11 +56,10 @@ func (s *Spec) Generate(lib *workload.Library, seed int64) (*workload.JobSet, er
 	// A k-way merge. Each stream's arrivals strictly increase, so taking the
 	// earliest head, the lowest cohort index on a tie, emits jobs in
 	// (arrival, cohort, sequence) order without a sort. Jobs are stored by
-	// value: the first slab holds the expected count plus two Poisson
-	// standard deviations, and an expansion past it goes on in slabs of a
-	// quarter of the jobs so far.
-	slab := make([]workload.Job, int(expected+2*math.Sqrt(expected))+1)
-	jobs := make([]*workload.Job, 0, len(slab))
+	// value: the set's pooled slab holds the expected count plus two
+	// Poisson standard deviations, and an expansion past it goes on in
+	// slabs of a quarter of the jobs so far.
+	set := workload.NewPooledSet(s.Label(), workload.ScenarioRate, seed, int(expected+2*math.Sqrt(expected))+1)
 	for {
 		var next *stream
 		for i := range streams {
@@ -64,20 +70,14 @@ func (s *Spec) Generate(lib *workload.Library, seed int64) (*workload.JobSet, er
 		if next == nil {
 			break
 		}
-		if len(slab) == 0 {
-			slab = make([]workload.Job, len(jobs)/4+1)
-		}
-		j := &slab[0]
-		slab = slab[1:]
-		*j = next.head
-		j.ID = len(jobs)
-		jobs = append(jobs, j)
+		set.Add(next.head)
 		next.advance(lib, horizon)
 	}
-	if len(jobs) == 0 {
+	if set.Len() == 0 {
+		set.Release()
 		return nil, fmt.Errorf("scenario: %q generated no jobs before the %dµs horizon", s.Name, s.DurationUs)
 	}
-	return &workload.JobSet{Benchmark: s.Label(), Rate: workload.ScenarioRate, Seed: seed, Jobs: jobs}, nil
+	return set, nil
 }
 
 // stream is one cohort's arrival process, drawn on demand from the cohort's

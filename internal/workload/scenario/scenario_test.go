@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -369,7 +370,10 @@ func TestMergeOrderIsStable(t *testing.T) {
 // TestGenerateAllocsIndependentOfJobCount pins the expansion's allocation
 // shape: per cohort and per slab, never per job. Single-kernel cohorts
 // without a work multiplier allocate no chain, so a hundredfold longer
-// horizon may add at most a few overflow slabs.
+// horizon may add at most a few overflow slabs. Each horizon counts the
+// least of several expansions: Generate re-seeds the RNG sources the one
+// before released, and under -race a sync.Pool drops a random quarter of
+// its Puts, each of which costs a new source.
 func TestGenerateAllocsIndependentOfJobCount(t *testing.T) {
 	lib := testLib(t)
 	allocs := func(durationUs int64) (float64, int) {
@@ -379,14 +383,17 @@ func TestGenerateAllocsIndependentOfJobCount(t *testing.T) {
 		s.Cohorts = append(s.Cohorts, Cohort{Name: "b", Benchmark: "GMM", Arrival: "lognormal:sigma=1",
 			Phases: []Phase{{DurationUs: durationUs, Rate: 2000}}})
 		var jobs int
-		n := testing.AllocsPerRun(3, func() {
-			set, err := s.Generate(lib, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = len(set.Jobs)
-		})
-		return n, jobs
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				set, err := s.Generate(lib, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = len(set.Jobs)
+			}))
+		}
+		return least, jobs
 	}
 	short, shortJobs := allocs(20_000)
 	long, longJobs := allocs(2_000_000)

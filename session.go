@@ -200,7 +200,8 @@ func (s *Session) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	var m *obs.Metrics
 	if o.Metrics != nil {
-		m = obs.NewMetrics()
+		// Only the exposition is read: no estimate pairs are kept.
+		m = obs.NewMetricsWithRegistry(obs.NewRegistry())
 		probes = append(probes, m)
 	}
 	var pf *obs.Perfetto
@@ -237,7 +238,8 @@ func (s *Session) Run(ctx context.Context, o Options) (Result, error) {
 // the checker has finalized inside the recipe, and the probes record events,
 // not the system. So once summarised it goes back to cp's pool
 // (cp.System.Release, which still refuses a faulted, watchdog-armed or
-// cut-short run).
+// cut-short run), and so does the storage of a scenario's generated job set
+// (workload.JobSet.Release).
 func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (metrics.Summary, error) {
 	if o.Trace == nil && o.Scenario == nil {
 		key, rate, err := normalizeOptions(o)
@@ -296,6 +298,9 @@ func (s *Session) simulate(ctx context.Context, o Options, probes []obs.Probe) (
 	}
 	sum := metrics.Summarize(sys, o.Scheduler, set.Benchmark, rateLabel)
 	sys.Release()
+	// The system built on the set is gone (released or dropped), and the
+	// probes keep events, not jobs: a generated set's storage goes back.
+	set.Release()
 	return sum, nil
 }
 
