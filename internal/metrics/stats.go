@@ -15,9 +15,6 @@ import (
 // p/100·(n−1) of the sorted values). It returns 0 for an empty slice. The
 // input is not modified.
 func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
 	sort.Float64s(sorted)

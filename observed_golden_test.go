@@ -35,10 +35,10 @@ func observedCells() []observedCell {
 
 // runObservedCell runs the cell through s with Verify, Probe, Metrics and
 // Perfetto on and returns the Result and both documents.
-func runObservedCell(t testing.TB, s *Session, c observedCell) (observedDocs, error) {
+func runObservedCell(s *Session, c observedCell) (observedDocs, error) {
 	raw, err := scenarios.FS.ReadFile(c.scenario + ".json")
 	if err != nil {
-		t.Fatal(err)
+		return observedDocs{}, err
 	}
 	var metrics, perfetto bytes.Buffer
 	res, err := s.Run(context.Background(), Options{Scheduler: c.sched, Scenario: bytes.NewReader(raw), Seed: 1,
@@ -61,7 +61,7 @@ func TestObservedRunGolden(t *testing.T) {
 	var golden bytes.Buffer
 	first := NewSession(SessionOptions{Parallel: 1})
 	for i, c := range cells {
-		d, err := runObservedCell(t, first, c)
+		d, err := runObservedCell(first, c)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.scenario, c.sched, err)
 		}
@@ -91,7 +91,7 @@ func TestObservedRunGolden(t *testing.T) {
 			defer wg.Done()
 			for k := g; k < len(order); k += goroutines {
 				c := cells[order[k]]
-				got, err := runObservedCell(t, s, c)
+				got, err := runObservedCell(s, c)
 				if err == nil && got != want[order[k]] {
 					err = fmt.Errorf("%s/%s: run %d of the shuffled order differs from the first pass", c.scenario, c.sched, k)
 				}
