@@ -279,7 +279,7 @@ func runLifecycle(t *testing.T) lifecycleRun {
 			if n := gw.ActiveNodes(); n != 1 {
 				t.Fatalf("t=%v: ActiveNodes = %d during the provisioning lag, want 1", ms, n)
 			}
-			if p := ctrl.LastAnalysis().Pending; p == 0 {
+			if p := ctrl.last.Pending; p == 0 {
 				t.Fatalf("t=%v: no pending nodes inside the lag window", ms)
 			}
 		}
@@ -374,7 +374,7 @@ func TestControllerReactiveWithTrafficLossless(t *testing.T) {
 	gw.TickProbes(sim.Millisecond)
 	ctrl.Tick(sim.Millisecond)
 	if ctrl.ScaleUps() == 0 {
-		t.Fatalf("no scale-up under a burst; analysis: %+v", ctrl.LastAnalysis())
+		t.Fatalf("no scale-up under a burst; analysis: %+v", ctrl.last)
 	}
 
 	// Lag elapses; the fleet grows to MaxNodes.

@@ -145,9 +145,6 @@ func (c *Controller) ScaleUps() int { return c.scaleUps }
 // Drains counts applied drain decisions.
 func (c *Controller) Drains() int { return c.drains }
 
-// LastAnalysis returns the most recent tick's saturation picture.
-func (c *Controller) LastAnalysis() Analysis { return c.last }
-
 // Tick runs one control iteration at the given instant: activate pending
 // nodes whose lag elapsed, analyze, decide and apply. Call with non-decreasing instants; a repeated instant only
 // re-runs activation (no new analysis, so no duplicate policy decision).

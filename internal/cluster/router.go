@@ -25,13 +25,6 @@ type RoutingPolicy int
 // weighted by health.
 const RouteHeadroom RoutingPolicy = iota
 
-func (p RoutingPolicy) String() string {
-	if p == RouteHeadroom {
-		return "headroom"
-	}
-	return fmt.Sprintf("RoutingPolicy(%d)", int(p))
-}
-
 // Router makes the gateway's placement decisions one arrival at a time: it
 // scores the queue-drain estimates the nodes report, plus what it sent
 // since, weighted by the coarse per-device health the gateway's probes set

@@ -54,12 +54,6 @@ func TestNewRouterPanicsOnEmptyFleet(t *testing.T) {
 	NewRouter(RouteHeadroom, 0)
 }
 
-func TestRoutingPolicyString(t *testing.T) {
-	if RouteHeadroom.String() != "headroom" || RoutingPolicy(9).String() != "RoutingPolicy(9)" {
-		t.Fatal("routing names wrong")
-	}
-}
-
 // TestRouterHealthRecovery pins the SetHealth round trip: a device marked
 // fully dead receives nothing, and restoring health 1.0 makes it a candidate
 // again on equal terms.

@@ -202,21 +202,6 @@ func TestRemainingTimeSumsChain(t *testing.T) {
 	}
 }
 
-func TestQueueDelay(t *testing.T) {
-	pt := NewProfilingTable(1)
-	pt.ObserveRate("k", 0.001)
-	admitted := [][]WGEntry{
-		{{"k", 10}}, // 10µs
-		{{"k", 20}}, // 20µs
-	}
-	if got := QueueDelay(pt, admitted); got != 30*sim.Microsecond {
-		t.Fatalf("queue delay = %v, want 30µs", got)
-	}
-	if QueueDelay(pt, nil) != 0 {
-		t.Fatal("empty system must have zero queue delay")
-	}
-}
-
 func TestSnapshotIsIndependent(t *testing.T) {
 	pt := NewProfilingTable(1)
 	pt.ObserveRate("k", 0.001)

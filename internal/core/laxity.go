@@ -52,15 +52,3 @@ func Priority(deadline, remTime, durTime sim.Time) int64 {
 func Admit(queueDelay, holdJobTime, durTime, deadline sim.Time) bool {
 	return queueDelay+holdJobTime+durTime < deadline
 }
-
-// QueueDelay computes the Little's-Law queuing-delay term of Algorithm 1
-// (lines 8-10): the summed predicted remaining time of every job currently
-// accepted by the system (ready or running — "including jobs that are ready
-// but not running", §4.3).
-func QueueDelay(t *ProfilingTable, admitted [][]WGEntry) sim.Time {
-	var total sim.Time
-	for _, list := range admitted {
-		total += t.RemainingTime(list)
-	}
-	return total
-}

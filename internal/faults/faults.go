@@ -183,9 +183,6 @@ func NewPlan(spec Spec, seed int64) *Plan {
 	return &Plan{spec: spec, seed: seed}
 }
 
-// Spec returns the plan's specification.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // KernelLaunch implements gpu.FaultInjector. One uniform draw per attempt,
 // hashed from (seed, jobID, seq, attempt), is partitioned into
 // [0,hang) → hang, [hang,hang+abort) → abort, […,+slow) → slow, else none.
@@ -211,14 +208,6 @@ func (p *Plan) KernelLaunch(now sim.Time, jobID, seq, attempt int) gpu.KernelFau
 func (p *Plan) NoteRetirement(now sim.Time, cus int) {
 	p.trace = append(p.trace, fmt.Sprintf("%s retire %d CUs", now, cus))
 }
-
-// Retirements returns the scheduled CU losses, earliest first.
-func (p *Plan) Retirements() []gpu.Retirement { return p.spec.Retirements }
-
-// Trace returns the injected-event log in injection order: one line per
-// non-none kernel fault and per fired retirement. Identical seeds and specs
-// produce byte-identical traces.
-func (p *Plan) Trace() []string { return p.trace }
 
 // uniform hashes (seed, jobID, seq, attempt) to [0,1) with a
 // splitmix64-style finalizer. No shared state: the draw for one attempt

@@ -150,10 +150,10 @@ func TestPlanTraceDeterministic(t *testing.T) {
 	}
 	a.NoteRetirement(sim.Millisecond, 4)
 	b.NoteRetirement(sim.Millisecond, 4)
-	if !reflect.DeepEqual(a.Trace(), b.Trace()) {
-		t.Fatalf("traces differ:\n%v\n%v", a.Trace(), b.Trace())
+	if !reflect.DeepEqual(a.trace, b.trace) {
+		t.Fatalf("traces differ:\n%v\n%v", a.trace, b.trace)
 	}
-	if len(a.Trace()) == 0 {
+	if len(a.trace) == 0 {
 		t.Fatal("trace is empty despite injected faults")
 	}
 }

@@ -159,9 +159,6 @@ func NewNodePlan(spec NodeSpec, seed int64) *NodePlan {
 	return &NodePlan{spec: spec, seed: seed}
 }
 
-// Spec returns the plan's specification.
-func (p *NodePlan) Spec() NodeSpec { return p.spec }
-
 // Crashed reports whether the node is permanently dead at now.
 func (p *NodePlan) Crashed(now sim.Time) bool {
 	return p.spec.Crash && now >= p.spec.CrashAt

@@ -49,22 +49,15 @@ func (k *KernelCounter) BusyTime(now sim.Time) sim.Time {
 // kernel type's finished WGs.
 func (k *KernelCounter) LatencySum() sim.Time { return k.latencySumNs }
 
-// WGTime returns the cumulative WG-time integral (Σ in-flight WGs over
-// time) up to now. Completions divided by this integral give the inverse
-// mean per-WG latency under the contention actually experienced.
-func (k *KernelCounter) WGTime(now sim.Time) sim.Time {
-	return k.wgNs + sim.Time(k.inFlight)*(now-k.lastEvent)
-}
-
 func (k *KernelCounter) accumulate(now sim.Time) {
 	k.wgNs += sim.Time(k.inFlight) * (now - k.lastEvent)
 	k.lastEvent = now
 }
 
-// Counters is the device's performance-counter block. Counter blocks are
-// addressed two ways: by kernel name (the public query API) and by a dense
-// kernel ID handed out on first dispatch (the device's hot path — a slice
-// index instead of a map lookup per WG event).
+// Counters is the device's performance-counter block. A kernel name is
+// interned once, on first dispatch, to a dense kernel ID; the device's hot
+// path addresses counter blocks by that ID (a slice index instead of a map
+// lookup per WG event).
 type Counters struct {
 	perKernel       map[string]*KernelCounter
 	byID            []*KernelCounter
@@ -122,67 +115,11 @@ func (c *Counters) idFor(name string) int {
 	return k.id
 }
 
-func (c *Counters) kernel(name string) *KernelCounter {
-	return c.byID[c.idFor(name)]
-}
-
-// Completed returns the cumulative WG completion count for the kernel type,
-// or zero if the kernel has never run.
-func (c *Counters) Completed(name string) uint64 {
-	if k := c.perKernel[name]; k != nil {
-		return k.WGsCompleted
-	}
-	return 0
-}
-
-// Busy returns the kernel type's cumulative busy time up to now, or zero if
-// the kernel has never run.
-func (c *Counters) Busy(name string, now sim.Time) sim.Time {
-	if k := c.perKernel[name]; k != nil {
-		return k.BusyTime(now)
-	}
-	return 0
-}
-
-// WGTime returns the kernel type's cumulative WG-time integral up to now,
-// or zero if the kernel has never run.
-func (c *Counters) WGTime(name string, now sim.Time) sim.Time {
-	if k := c.perKernel[name]; k != nil {
-		return k.WGTime(now)
-	}
-	return 0
-}
-
-// LatencySum returns the summed dispatch-to-completion latencies of the
-// kernel type's finished WGs, or zero if the kernel has never run.
-func (c *Counters) LatencySum(name string) sim.Time {
-	if k := c.perKernel[name]; k != nil {
-		return k.latencySumNs
-	}
-	return 0
-}
-
 // TotalCompleted returns the cumulative WG completions across all kernels.
 func (c *Counters) TotalCompleted() uint64 { return c.totalWGs }
-
-// TotalKilled returns the cumulative WGs killed mid-flight across all
-// kernels (fault aborts and watchdog kills).
-func (c *Counters) TotalKilled() uint64 { return c.totalKilled }
-
-// TotalDispatched returns the cumulative WG dispatches across all kernels.
-func (c *Counters) TotalDispatched() uint64 { return c.totalDispatched }
 
 // All returns the counter blocks in dense-ID (first-dispatch) order. The
 // slice is live — callers must not mutate it — and grows as new kernel
 // types dispatch. Profiling-table refreshes iterate it instead of
 // allocating a name list per epoch.
 func (c *Counters) All() []*KernelCounter { return c.byID }
-
-// KernelNames returns the set of kernel types the counters have observed.
-func (c *Counters) KernelNames() []string {
-	names := make([]string, 0, len(c.perKernel))
-	for n := range c.perKernel {
-		names = append(names, n)
-	}
-	return names
-}

@@ -21,13 +21,13 @@ func TestBusyTimeTracksInFlightWindow(t *testing.T) {
 	inst := NewKernelInstance(k, 0, 0, 0)
 	driveKernel(eng, d, inst)
 	// All 4 WGs run concurrently for exactly 10µs.
-	if got := d.Counters().Busy("k", eng.Now()); got != 10*sim.Microsecond {
+	if got := d.Counters().perKernel["k"].BusyTime(eng.Now()); got != 10*sim.Microsecond {
 		t.Fatalf("busy time %v, want 10µs", got)
 	}
 	// Idle time after completion must not accrue.
 	eng.Schedule(eng.Now()+100*sim.Microsecond, func() {})
 	eng.Run()
-	if got := d.Counters().Busy("k", eng.Now()); got != 10*sim.Microsecond {
+	if got := d.Counters().perKernel["k"].BusyTime(eng.Now()); got != 10*sim.Microsecond {
 		t.Fatalf("busy time grew while idle: %v", got)
 	}
 }
@@ -45,7 +45,7 @@ func TestBusyTimeSpansDisjointEpisodes(t *testing.T) {
 		d.TryDispatch(b, -1) // busy 50-60µs
 	})
 	eng.Run()
-	if got := d.Counters().Busy("k", eng.Now()); got != 20*sim.Microsecond {
+	if got := d.Counters().perKernel["k"].BusyTime(eng.Now()); got != 20*sim.Microsecond {
 		t.Fatalf("busy time %v, want 20µs over two episodes", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestBusyTimeIncludesOpenEpisode(t *testing.T) {
 	d.TryDispatch(inst, -1)
 	probed := false
 	eng.Schedule(30*sim.Microsecond, func() {
-		if got := d.Counters().Busy("k", eng.Now()); got != 30*sim.Microsecond {
+		if got := d.Counters().perKernel["k"].BusyTime(eng.Now()); got != 30*sim.Microsecond {
 			t.Errorf("mid-flight busy time %v, want 30µs", got)
 		}
 		probed = true
@@ -77,11 +77,13 @@ func TestWGTimeIntegral(t *testing.T) {
 	k := testKernel("k", 4, 64, 10*sim.Microsecond, 0)
 	inst := NewKernelInstance(k, 0, 0, 0)
 	driveKernel(eng, d, inst)
-	if got := d.Counters().WGTime("k", eng.Now()); got != 40*sim.Microsecond {
+	// Nothing is in flight once the run is over, so the integral is closed.
+	c := d.Counters().perKernel["k"]
+	if got := c.wgNs; got != 40*sim.Microsecond {
 		t.Fatalf("WG-time integral %v, want 40µs", got)
 	}
 	// Mean per-WG latency = integral / completions = 10µs.
-	mean := d.Counters().WGTime("k", eng.Now()) / sim.Time(d.Counters().Completed("k"))
+	mean := c.wgNs / sim.Time(c.WGsCompleted)
 	if mean != 10*sim.Microsecond {
 		t.Fatalf("mean WG latency %v, want 10µs", mean)
 	}
@@ -101,7 +103,7 @@ func TestWGTimeIntegralStaggered(t *testing.T) {
 	})
 	eng.Run()
 	// Integral: 1 WG for [0,5), 2 for [5,10), 1 for [10,15) = 5+10+5 = 20µs.
-	if got := d.Counters().WGTime("k", eng.Now()); got != 20*sim.Microsecond {
+	if got := d.Counters().perKernel["k"].wgNs; got != 20*sim.Microsecond {
 		t.Fatalf("staggered WG-time integral %v, want 20µs", got)
 	}
 }
@@ -109,8 +111,7 @@ func TestWGTimeIntegralStaggered(t *testing.T) {
 func TestCountersUnknownKernelZeroes(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(DefaultConfig(), eng)
-	c := d.Counters()
-	if c.Busy("ghost", 100) != 0 || c.WGTime("ghost", 100) != 0 || c.Completed("ghost") != 0 {
-		t.Fatal("unknown kernel should report zeros")
+	if d.Counters().perKernel["ghost"] != nil {
+		t.Fatal("unknown kernel has a counter block")
 	}
 }

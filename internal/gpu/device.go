@@ -503,9 +503,6 @@ func (d *Device) wgLatency(desc *KernelDesc) sim.Time {
 	return sim.Time(float64(desc.BaseWGTime) * d.cfg.Stretch(desc.MemIntensity, d.activeMemDemand))
 }
 
-// Slowdown returns the current memory contention factor (≥ 1).
-func (d *Device) Slowdown() float64 { return d.cfg.slowdown(d.activeMemDemand) }
-
 // ActiveWGs returns the number of in-flight workgroups across all CUs.
 func (d *Device) ActiveWGs() int {
 	n := 0
@@ -543,15 +540,6 @@ func (d *Device) Utilization() float64 {
 		sum += cu.utilization()
 	}
 	return sum / float64(len(d.cus))
-}
-
-// FreeThreads returns the number of unoccupied thread contexts device-wide.
-func (d *Device) FreeThreads() int {
-	n := 0
-	for _, cu := range d.cus {
-		n += cu.threadsFree
-	}
-	return n
 }
 
 // CanFit reports whether the device could place one WG of desc right now:

@@ -211,7 +211,7 @@ func TestMemoryContentionStretchesLatency(t *testing.T) {
 		t.Fatalf("active WGs = %d, want 8", d.ActiveWGs())
 	}
 	// 8 WGs × 2048 demand = 16384 > 12288 → slowdown 1.333…
-	if got := d.Slowdown(); math.Abs(got-16384.0/12288.0) > 1e-9 {
+	if got := d.cfg.slowdown(d.activeMemDemand); math.Abs(got-16384.0/12288.0) > 1e-9 {
 		t.Fatalf("slowdown = %v, want %v", got, 16384.0/12288.0)
 	}
 	eng.Run()
@@ -298,17 +298,17 @@ func TestCountersTrackPerKernelCompletions(t *testing.T) {
 	d.TryDispatch(b, -1)
 	eng.Run()
 	c := d.Counters()
-	if c.Completed("a") != 3 || c.Completed("b") != 5 {
-		t.Fatalf("per-kernel counts a=%d b=%d", c.Completed("a"), c.Completed("b"))
+	if c.perKernel["a"].WGsCompleted != 3 || c.perKernel["b"].WGsCompleted != 5 {
+		t.Fatalf("per-kernel counts a=%d b=%d", c.perKernel["a"].WGsCompleted, c.perKernel["b"].WGsCompleted)
 	}
-	if c.TotalCompleted() != 8 || c.TotalDispatched() != 8 {
-		t.Fatalf("totals completed=%d dispatched=%d", c.TotalCompleted(), c.TotalDispatched())
+	if c.TotalCompleted() != 8 || c.totalDispatched != 8 {
+		t.Fatalf("totals completed=%d dispatched=%d", c.TotalCompleted(), c.totalDispatched)
 	}
-	if c.Completed("nonexistent") != 0 {
-		t.Fatal("unknown kernel should count 0")
+	if c.perKernel["nonexistent"] != nil {
+		t.Fatal("unknown kernel has a counter block")
 	}
-	if len(c.KernelNames()) != 2 {
-		t.Fatalf("KernelNames = %v", c.KernelNames())
+	if len(c.perKernel) != 2 {
+		t.Fatalf("%d kernel types counted, want 2", len(c.perKernel))
 	}
 }
 
@@ -462,8 +462,12 @@ func TestResourceConservationProperty(t *testing.T) {
 				return false
 			}
 		}
+		free := 0
+		for _, cu := range d.cus {
+			free += cu.threadsFree
+		}
 		return d.ActiveWGs() == 0 && d.Utilization() == 0 &&
-			d.FreeThreads() == cfg.TotalThreads() && d.Slowdown() == 1
+			free == cfg.TotalThreads() && d.cfg.slowdown(d.activeMemDemand) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -68,8 +68,8 @@ func TestFaultHangHoldsResourcesUntilKill(t *testing.T) {
 	if inst.State() != KernelReady || inst.Attempt != 1 {
 		t.Fatalf("after kill: state %v attempt %d, want ready attempt 1", inst.State(), inst.Attempt)
 	}
-	if got := d.Counters().TotalKilled(); got != 4 {
-		t.Fatalf("TotalKilled = %d, want 4", got)
+	if got := d.Counters().totalKilled; got != 4 {
+		t.Fatalf("%d WGs killed, want 4", got)
 	}
 
 	// The retry (attempt 1 draws FaultNone) completes normally.
@@ -305,8 +305,8 @@ func TestKillReclaimsOpenBatches(t *testing.T) {
 	}
 	d.OnWGComplete(func(*KernelInstance) { t.Fatal("a killed WG completed") })
 	eng.Run()
-	if d.Counters().TotalKilled() != 9 || d.Counters().TotalCompleted() != 0 {
-		t.Fatalf("counters: %d killed, %d completed; want 9, 0", d.Counters().TotalKilled(), d.Counters().TotalCompleted())
+	if d.Counters().totalKilled != 9 || d.Counters().TotalCompleted() != 0 {
+		t.Fatalf("counters: %d killed, %d completed; want 9, 0", d.Counters().totalKilled, d.Counters().TotalCompleted())
 	}
 
 	// The retries (attempt 1 draws no fault) run on pooled batches.

@@ -35,7 +35,7 @@ func resetTrace(eng *sim.Engine, d *Device) []string {
 	eng.Run()
 	c := d.Counters()
 	return append(out, fmt.Sprintf("completed=%d dispatched=%d kernels=%d energy=%v active=%d",
-		c.TotalCompleted(), c.TotalDispatched(), len(c.All()), d.Energy().DynamicJoules(), d.ActiveCUs()))
+		c.TotalCompleted(), c.totalDispatched, len(c.All()), d.Energy().DynamicJoules(), d.ActiveCUs()))
 }
 
 // TestDeviceResetMatchesNew: a device Reset after a run — which left
@@ -62,7 +62,7 @@ func TestDeviceResetMatchesNew(t *testing.T) {
 	if d.freeBatches != pool {
 		t.Error("Reset dropped the WG batch pool")
 	}
-	if len(d.Counters().All()) != 0 || d.Counters().Completed("z") != 0 || d.Energy().DynamicJoules() != 0 ||
+	if len(d.Counters().All()) != 0 || d.Counters().perKernel["z"] != nil || d.Energy().DynamicJoules() != 0 ||
 		d.Stalled() || d.ActiveCUs() != cfg.NumCUs || len(d.classes) != 0 {
 		t.Fatalf("Reset kept state of the last run: %d counters, %v J, stalled %v, %d active CUs, %d classes",
 			len(d.Counters().All()), d.Energy().DynamicJoules(), d.Stalled(), d.ActiveCUs(), len(d.classes))

@@ -172,9 +172,6 @@ func TestSummarize(t *testing.T) {
 	if s.UsefulWorkFrac != 0.5 {
 		t.Fatalf("useful frac = %v, want 0.5", s.UsefulWorkFrac)
 	}
-	if s.WastedWorkFrac() != 0.5 {
-		t.Fatalf("wasted frac = %v", s.WastedWorkFrac())
-	}
 	if s.Makespan <= 0 || s.ThroughputJobsPerSec <= 0 {
 		t.Fatalf("makespan/throughput: %+v", s)
 	}

@@ -57,9 +57,6 @@ type Summary struct {
 	RetiredCUs    int
 }
 
-// WastedWorkFrac is the complement of UsefulWorkFrac.
-func (s Summary) WastedWorkFrac() float64 { return 1 - s.UsefulWorkFrac }
-
 // DeadlineFrac is the fraction of offered jobs that met their deadline.
 func (s Summary) DeadlineFrac() float64 {
 	if s.TotalJobs == 0 {

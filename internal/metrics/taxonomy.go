@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"laxgpu/internal/cp"
-	"laxgpu/internal/sim"
 )
 
 // MissKind classifies why a job failed to meet its deadline — the
@@ -127,14 +126,4 @@ func MissBreakdown(sys *cp.System) map[MissKind]int {
 		out[ClassifyMiss(j)]++
 	}
 	return out
-}
-
-// WaitAndExec returns a completed job's decomposed latency: time queued
-// before its first workgroup and time from first workgroup to completion.
-// Zeroes for jobs that never ran.
-func WaitAndExec(j *cp.JobRun) (wait, exec sim.Time) {
-	if j.FirstDispatch < 0 || !j.Done() {
-		return 0, 0
-	}
-	return j.FirstDispatch - j.SubmitTime, j.FinishTime - j.FirstDispatch
 }

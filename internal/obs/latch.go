@@ -26,11 +26,6 @@ func (l *ErrorLatch) Latch(err error) bool {
 	return l.err != nil
 }
 
-// Failed reports whether an error has been latched.
-func (l *ErrorLatch) Failed() bool {
-	return l != nil && l.err != nil
-}
-
 // Err returns the first latched error, if any.
 func (l *ErrorLatch) Err() error {
 	if l == nil {
@@ -40,7 +35,7 @@ func (l *ErrorLatch) Err() error {
 }
 
 // CountDropped records one unit of work skipped because the latch already
-// holds an error. Call it on the paths that bail out after Failed().
+// holds an error. Call it on the paths that bail out once Err() is set.
 func (l *ErrorLatch) CountDropped() {
 	if l != nil {
 		l.dropped++

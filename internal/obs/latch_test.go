@@ -7,8 +7,8 @@ import (
 
 func TestErrorLatchHoldsFirstError(t *testing.T) {
 	var l ErrorLatch
-	if l.Failed() || l.Err() != nil || l.Dropped() != 0 {
-		t.Fatalf("zero latch not clean: %v %v %d", l.Failed(), l.Err(), l.Dropped())
+	if l.err != nil || l.Err() != nil || l.Dropped() != 0 {
+		t.Fatalf("zero latch not clean: %v %v %d", l.err != nil, l.Err(), l.Dropped())
 	}
 	if l.Latch(nil) {
 		t.Fatal("Latch(nil) reported failure")
@@ -32,7 +32,7 @@ func TestErrorLatchHoldsFirstError(t *testing.T) {
 
 func TestErrorLatchNilSafe(t *testing.T) {
 	var l *ErrorLatch
-	if l.Latch(errors.New("x")) || l.Failed() || l.Err() != nil {
+	if l.Latch(errors.New("x")) || l.Err() != nil {
 		t.Fatal("nil latch must be inert")
 	}
 	l.CountDropped()

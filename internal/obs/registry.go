@@ -37,13 +37,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta (negative deltas are ignored: counters only go up).
-func (c *Counter) Add(delta int64) {
-	if delta > 0 {
-		c.v.Add(delta)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -55,17 +48,6 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (compare-and-swap loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
 
 // Value returns the gauge's current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

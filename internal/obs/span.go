@@ -156,8 +156,9 @@ func (t *JobTrace) Wire(node string) WireTrace {
 // admission verdict, the parse/queue/exec phase partition, every kernel
 // execution, and the CPU-fallback transition. Finished traces are kept in a
 // bounded ring (oldest evicted); live traces are keyed by the node-local
-// job ID. Probe callbacks arrive from whoever holds the node; Get/Recent/Assign
-// may be called concurrently from HTTP handlers, so every method locks.
+// job ID. Probe callbacks arrive from whoever holds the node; GetByID, Recent
+// and Assign may be called concurrently from HTTP handlers, so every method
+// locks.
 //
 // Each job is one traceRow of scalars plus a row-owned buffer of compact span
 // records; Span values and their Detail strings are built only when a trace
@@ -312,17 +313,6 @@ func (r *TraceRecorder) Assign(job int, traceID TraceID) {
 	if t := r.lookupLocked(job); t != nil {
 		t.traceID = traceID
 	}
-}
-
-// Get returns a copy of the job's trace, or false if it was never recorded
-// or already evicted.
-func (r *TraceRecorder) Get(job int) (JobTrace, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t := r.lookupLocked(job); t != nil {
-		return t.render(), true
-	}
-	return JobTrace{}, false
 }
 
 // GetByID returns a copy of the trace bound (via Assign) to traceID, the

@@ -42,6 +42,17 @@ func fourKernelJob(r *TraceRecorder, id int, at sim.Time) {
 // TestTraceRecorderSteadyStateAllocs: once the ring is full, recording one
 // more job reuses the row the ring evicts and allocates nothing — the spans
 // and their details are built only when the trace is read.
+// Get returns a copy of the job's trace, or false if it was never recorded
+// or already evicted.
+func (r *TraceRecorder) Get(job int) (JobTrace, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t := r.lookupLocked(job); t != nil {
+		return t.render(), true
+	}
+	return JobTrace{}, false
+}
+
 func TestTraceRecorderSteadyStateAllocs(t *testing.T) {
 	const depth = 32
 	r := NewTraceRecorder(depth)

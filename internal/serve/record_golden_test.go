@@ -239,7 +239,7 @@ func runRecordScript(t *testing.T, sc recordScript, out io.Writer) map[string]in
 		}
 	}
 	var metrics bytes.Buffer
-	srv.Registry().WritePrometheus(&metrics)
+	srv.reg.WritePrometheus(&metrics)
 	for _, line := range strings.SplitAfter(metrics.String(), "\n") {
 		if strings.HasPrefix(line, "laxd_") {
 			io.WriteString(out, line)

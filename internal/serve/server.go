@@ -176,12 +176,6 @@ func newServer(opts Options, clock Clock, records int) (*Server, error) {
 // Start launches the device's pacer.
 func (s *Server) Start() { s.host.Start() }
 
-// Registry returns the server's metrics registry (scraped on /metrics).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Clock returns the server's clock.
-func (s *Server) Clock() Clock { return s.clock }
-
 // Shutdown gracefully drains the server: new submissions are refused, the
 // device keeps executing until its in-flight jobs reach terminal states or
 // the drain grace expires (remaining jobs are forced onto the CPU-fallback

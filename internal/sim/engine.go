@@ -53,13 +53,6 @@ func (h Handle) Cancel() {
 	}
 }
 
-// Cancelled reports whether the handle's event will never fire: it was
-// cancelled, or it already fired and the struct was recycled. A zero Handle
-// reports true.
-func (h Handle) Cancelled() bool {
-	return h.ev == nil || h.ev.gen != h.gen
-}
-
 // entry is one heap element: an event's firing time and its arena slot. It
 // holds no pointer, so the sift loops move plain 16-byte values and the
 // garbage collector's write barrier never sees them.

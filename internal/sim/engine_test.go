@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// Cancelled reports whether the handle's event will never fire: it was
+// cancelled, or it already fired and the struct was recycled. A zero Handle
+// reports true.
+func (h Handle) Cancelled() bool {
+	return h.ev == nil || h.ev.gen != h.gen
+}
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int

@@ -186,9 +186,9 @@ func (c *Checker) Attach(sys *cp.System) {
 
 // Release hands the ledger storage of an attached checker back for a later
 // Attach to build its ledger in. Call it once the run is over and Finalize
-// has run: Checks, Violations, Dropped and Err still answer after it, but
-// the checker must see no further event. A checker that was never attached
-// holds no pooled storage, and Release does nothing to it.
+// has run: Checks and Err still answer after it, but the checker must see
+// no further event. A checker that was never attached holds no pooled
+// storage, and Release does nothing to it.
 func (c *Checker) Release() {
 	st := c.store
 	if st == nil {
@@ -201,14 +201,6 @@ func (c *Checker) Release() {
 
 // Checks returns the number of rule evaluations performed so far.
 func (c *Checker) Checks() int64 { return c.checks }
-
-// Violations returns the recorded violations, oldest first. At most
-// DefaultMaxViolations are recorded; Dropped counts the rest.
-func (c *Checker) Violations() []Violation { return c.violations }
-
-// Dropped returns how many violations past DefaultMaxViolations were only
-// counted.
-func (c *Checker) Dropped() int { return c.latch.Dropped() }
 
 // Err returns the first violation as an error, or nil if the run is clean
 // so far. Finalize must run first for the end-of-run rules to count.

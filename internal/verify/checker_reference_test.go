@@ -73,14 +73,6 @@ func (c *refChecker) Attach(sys *cp.System) { c.sys = sys }
 // Checks returns the number of rule evaluations performed so far.
 func (c *refChecker) Checks() int64 { return c.checks }
 
-// Violations returns the recorded violations, oldest first. At most
-// DefaultMaxViolations are recorded; Dropped counts the rest.
-func (c *refChecker) Violations() []Violation { return c.violations }
-
-// Dropped returns how many violations past DefaultMaxViolations were only
-// counted.
-func (c *refChecker) Dropped() int { return c.latch.Dropped() }
-
 // Err returns the first violation as an error, or nil if the run is clean
 // so far. Finalize must run first for the end-of-run rules to count.
 func (c *refChecker) Err() error { return c.latch.Err() }
@@ -497,17 +489,17 @@ func newCheckerPair(opt Options, sys *cp.System) *checkerPair {
 func (p *checkerPair) probe() obs.Probe { return obs.Multi(p.got, p.want) }
 
 // finalizeAndMatch finalizes both checkers and fails t unless they agree
-// on Violations, Checks, Dropped and Err.
+// on the recorded violations, Checks, the dropped count and Err.
 func (p *checkerPair) finalizeAndMatch(t *testing.T, name string) {
 	t.Helper()
 	gotErr, wantErr := p.got.Finalize(), p.want.Finalize()
 	if p.got.Checks() != p.want.Checks() {
 		t.Errorf("%s: %d checks, reference %d", name, p.got.Checks(), p.want.Checks())
 	}
-	if p.got.Dropped() != p.want.Dropped() {
-		t.Errorf("%s: %d dropped, reference %d", name, p.got.Dropped(), p.want.Dropped())
+	if p.got.latch.Dropped() != p.want.latch.Dropped() {
+		t.Errorf("%s: %d dropped, reference %d", name, p.got.latch.Dropped(), p.want.latch.Dropped())
 	}
-	if g, w := violationStrings(p.got.Violations()), violationStrings(p.want.Violations()); !slices.Equal(g, w) {
+	if g, w := violationStrings(p.got.violations), violationStrings(p.want.violations); !slices.Equal(g, w) {
 		t.Errorf("%s: violations differ:\n got %q\nwant %q", name, g, w)
 	}
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotErr != p.got.Err() || wantErr != p.want.Err() {

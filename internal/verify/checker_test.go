@@ -33,8 +33,8 @@ func TestCheckerCleanRunIsClean(t *testing.T) {
 	if c.Checks() == 0 {
 		t.Fatal("checker evaluated zero rules")
 	}
-	if len(c.Violations()) != 0 || c.Dropped() != 0 {
-		t.Fatalf("clean stream recorded violations: %v", c.Violations())
+	if len(c.violations) != 0 || c.latch.Dropped() != 0 {
+		t.Fatalf("clean stream recorded violations: %v", c.violations)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestCheckerFinalizeOrderIsDeterministic(t *testing.T) {
 		} else if err.Error() != first {
 			t.Fatalf("run %d latched %q, run 0 %q", run, err, first)
 		}
-		vs := c.Violations()
+		vs := c.violations
 		if len(vs) != lost {
 			t.Fatalf("run %d: %d violations, want %d: %v", run, len(vs), lost, vs)
 		}
@@ -173,7 +173,7 @@ func TestCheckerFinalizeOrderIsDeterministic(t *testing.T) {
 
 func wantRule(t *testing.T, c *Checker, rule string) {
 	t.Helper()
-	vs := c.Violations()
+	vs := c.violations
 	if len(vs) == 0 {
 		t.Fatalf("expected a %q violation, checker is clean", rule)
 	}
@@ -210,8 +210,8 @@ func TestCheckerFlagsBadAdmissionSum(t *testing.T) {
 		At: 0, Job: 0, Accepted: true,
 		HasTerms: true, QueueDelay: 80, HoldTime: 30, Deadline: 100,
 	})
-	if len(c.Violations()) != 0 {
-		t.Fatalf("ablated admission flagged: %v", c.Violations())
+	if len(c.violations) != 0 {
+		t.Fatalf("ablated admission flagged: %v", c.violations)
 	}
 	// ...but must never reject.
 	c.Admission(obs.AdmissionDecision{At: 1, Job: 1, Accepted: false})
@@ -224,8 +224,8 @@ func TestCheckerFlagsBadLaxity(t *testing.T) {
 	// Correct laxity at t=100 with rem=200 is 1000−200−100 = 700.
 	c.Sample(obs.JobSample{At: 100, Job: 0, HasLaxity: true, Laxity: 700,
 		HasPrediction: true, PredictedRem: 200})
-	if len(c.Violations()) != 0 {
-		t.Fatalf("exact laxity flagged: %v", c.Violations())
+	if len(c.violations) != 0 {
+		t.Fatalf("exact laxity flagged: %v", c.violations)
 	}
 	c.Sample(obs.JobSample{At: 100, Job: 0, HasLaxity: true, Laxity: 699,
 		HasPrediction: true, PredictedRem: 200})
@@ -292,13 +292,13 @@ func TestCheckerFlagsKernelDoneBeforeItsWGs(t *testing.T) {
 				t.Fatalf("clean run flagged before the forgery: %v", err)
 			}
 			c.KernelDone(obs.KernelDone{At: sys.Now(), Job: 0, Seq: tc.seq, Kernel: "k", Start: head.StartedAt})
-			for _, v := range c.Violations() {
+			for _, v := range c.violations {
 				if v.Rule == "wg-conservation" && strings.Contains(v.Detail, tc.want) {
 					forged = true
 				}
 			}
 			if !forged {
-				t.Fatalf("forged done of kernel %d: violations %v, want wg-conservation: %q", tc.seq, c.Violations(), tc.want)
+				t.Fatalf("forged done of kernel %d: violations %v, want wg-conservation: %q", tc.seq, c.violations, tc.want)
 			}
 		})
 		sys.Run()
@@ -345,11 +345,11 @@ func TestCheckerMaxViolationsLatchesAndCounts(t *testing.T) {
 			HasTerms: true, QueueDelay: 100, HoldTime: 100, Deadline: 100,
 		})
 	}
-	if len(c.Violations()) != DefaultMaxViolations {
-		t.Fatalf("recorded %d violations, want %d", len(c.Violations()), DefaultMaxViolations)
+	if len(c.violations) != DefaultMaxViolations {
+		t.Fatalf("recorded %d violations, want %d", len(c.violations), DefaultMaxViolations)
 	}
-	if c.Dropped() != 3 {
-		t.Fatalf("Dropped() = %d, want 3", c.Dropped())
+	if c.latch.Dropped() != 3 {
+		t.Fatalf("dropped %d, want 3", c.latch.Dropped())
 	}
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "job=0") {
 		t.Fatalf("Err() should carry the first violation, got %v", err)
@@ -452,9 +452,9 @@ func TestReleasedLedgerStartsClean(t *testing.T) {
 		if c.store != store {
 			continue
 		}
-		if c.Checks() != want || len(c.Violations()) != 0 {
+		if c.Checks() != want || len(c.violations) != 0 {
 			t.Fatalf("in released storage: %d checks, %d violations; on new storage %d checks, none",
-				c.Checks(), len(c.Violations()), want)
+				c.Checks(), len(c.violations), want)
 		}
 		return
 	}

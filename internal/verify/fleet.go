@@ -193,12 +193,3 @@ func CheckFleetScaled(at sim.Time, jobs []FleetJob, retired []string) []Violatio
 	sort.SliceStable(vs, func(i, k int) bool { return vs[i].Job < vs[k].Job })
 	return vs
 }
-
-// FleetErr reduces CheckFleet's output to the test-friendly form: nil for a
-// clean journal, the first violation as an error otherwise.
-func FleetErr(at sim.Time, jobs []FleetJob) error {
-	if vs := CheckFleet(at, jobs); len(vs) > 0 {
-		return fmt.Errorf("%s", vs[0])
-	}
-	return nil
-}

@@ -12,10 +12,11 @@ import (
 
 // This file is the differential oracle: an independent, brute-force
 // reference implementation of the offload path for the policies simple
-// enough to specify exactly (EDF, SJF, RR). It shares no code with
-// internal/sim, internal/cp or internal/gpu — a flat event loop over a
-// deliberately restricted workload domain where the device reduces to a
-// k-slot counter:
+// enough to specify exactly (EDF, SJF, RR). Only verify's tests use it. It
+// shares sim.Time and sim.RNG with the simulator and builds a
+// workload.JobSet for it, but no scheduling, CP or device code: a flat
+// event loop over a deliberately restricted workload domain where the
+// device reduces to a k-slot counter:
 //
 //   - every kernel has MemIntensity 0, so a workgroup's latency is exactly
 //     its BaseWGTime (no contention slowdown), and

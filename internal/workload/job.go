@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -63,25 +62,6 @@ func (j *Job) TotalWGs() int {
 		n += k.NumWGs
 	}
 	return n
-}
-
-// Validate reports the first structural error in the job, or nil.
-func (j *Job) Validate() error {
-	if len(j.Kernels) == 0 {
-		return fmt.Errorf("workload: job %d has no kernels", j.ID)
-	}
-	if j.Deadline <= 0 {
-		return fmt.Errorf("workload: job %d has non-positive deadline %v", j.ID, j.Deadline)
-	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("workload: job %d has negative arrival %v", j.ID, j.Arrival)
-	}
-	for _, k := range j.Kernels {
-		if err := k.Validate(); err != nil {
-			return fmt.Errorf("workload: job %d: %w", j.ID, err)
-		}
-	}
-	return nil
 }
 
 // JobSet is a deterministic trace of jobs for one (benchmark, rate, seed)
@@ -156,15 +136,6 @@ func (s *JobSet) Release() {
 
 // Len returns the number of jobs in the set.
 func (s *JobSet) Len() int { return len(s.Jobs) }
-
-// LastArrival returns the arrival time of the final job (zero for an empty
-// set).
-func (s *JobSet) LastArrival() sim.Time {
-	if len(s.Jobs) == 0 {
-		return 0
-	}
-	return s.Jobs[len(s.Jobs)-1].Arrival
-}
 
 // Horizon returns a safe simulation end time: the last arrival plus the
 // largest absolute deadline plus slack, by which every job has either

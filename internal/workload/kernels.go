@@ -110,18 +110,6 @@ func (l *Library) Find(name string) (*gpu.KernelDesc, bool) {
 	return k, ok
 }
 
-// Names returns all kernel names in the library.
-func (l *Library) Names() []string {
-	names := make([]string, 0, len(l.kernels))
-	for n := range l.kernels {
-		names = append(names, n)
-	}
-	return names
-}
-
-// Config returns the device configuration the library was calibrated for.
-func (l *Library) Config() gpu.Config { return l.cfg }
-
 // calibrate converts a Table 1 row into a KernelDesc whose isolated
 // execution time on cfg equals the published time: the kernel's WGs run in
 // waves bounded by occupancy, so BaseWGTime = target / (waves × stretch),

@@ -236,26 +236,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// DeepBenchSpec is a named RNN inference configuration in the style of the
-// DeepBench suite the paper's RNN kernels come from [12][13].
-type DeepBenchSpec struct {
-	Name string
-	Spec RNNSpec
-}
-
-// DeepBenchConfigs returns representative DeepBench-style inference
-// configurations, buildable with an RNNBuilder: the paper's two anchor
-// points plus the larger hidden sizes the suite sweeps.
-func DeepBenchConfigs() []DeepBenchSpec {
-	return []DeepBenchSpec{
-		{"lstm-h128-l16", RNNSpec{Cell: LSTMCell, Hidden: 128, SeqLen: 16, BatchSize: 1}},
-		{"gru-h128-l16", RNNSpec{Cell: GRUCell, Hidden: 128, SeqLen: 16, BatchSize: 1}},
-		{"gru-h256-l16", RNNSpec{Cell: GRUCell, Hidden: 256, SeqLen: 16, BatchSize: 1}},
-		{"lstm-h512-l25", RNNSpec{Cell: LSTMCell, Hidden: 512, SeqLen: 25, BatchSize: 1}},
-		{"gru-h1024-l25", RNNSpec{Cell: GRUCell, Hidden: 1024, SeqLen: 25, BatchSize: 1}},
-		{"lstm-h1536-l50", RNNSpec{Cell: LSTMCell, Hidden: 1536, SeqLen: 50, BatchSize: 1}},
-		{"van-h256-l16", RNNSpec{Cell: VanillaCell, Hidden: 256, SeqLen: 16, BatchSize: 1}},
-		{"lstm-h128-l16-b4", RNNSpec{Cell: LSTMCell, Hidden: 128, SeqLen: 16, BatchSize: 4}},
-	}
-}

@@ -158,19 +158,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
-// Write serializes the spec as canonical indented JSON (stable field order,
-// trailing newline), so Parse∘Write∘Parse is the identity and two writes of
-// the same spec are byte-identical — a scenario file diffs cleanly.
-func (s *Spec) Write(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: write: %w", err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // Validate reports the first structural error in the spec, or nil.
 func (s *Spec) Validate() error {
 	if s.Format != FormatTag {

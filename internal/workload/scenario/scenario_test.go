@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +33,19 @@ func minimal() *Spec {
 			Phases:    []Phase{{DurationUs: 20000, Rate: 4000}},
 		}},
 	}
+}
+
+// Write serializes the spec as canonical indented JSON (stable field order,
+// trailing newline), so Parse∘Write∘Parse is the identity and two writes of
+// the same spec are byte-identical — a scenario file diffs cleanly.
+func (s *Spec) Write(w io.Writer) error {
+	b, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return fmt.Errorf("scenario: write: %w", err)
+	}
+	b = append(b, '\n')
+	_, err = w.Write(b)
+	return err
 }
 
 func TestWriteParseIdentity(t *testing.T) {

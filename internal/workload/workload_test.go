@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -27,8 +28,8 @@ func TestLibraryContainsAllTable1Kernels(t *testing.T) {
 			t.Errorf("%s: threads %d, want %d", row.Name, k.TotalThreads(), row.TotalThreads)
 		}
 	}
-	if len(l.Names()) != len(Table1Reference()) {
-		t.Errorf("library has %d kernels, reference has %d", len(l.Names()), len(Table1Reference()))
+	if len(l.kernels) != len(Table1Reference()) {
+		t.Errorf("library has %d kernels, reference has %d", len(l.kernels), len(Table1Reference()))
 	}
 }
 
@@ -60,7 +61,7 @@ func TestCalibrationMatchesTable1(t *testing.T) {
 func TestCalibratedKernelsFitOnDevice(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	l := NewLibrary(cfg)
-	for _, name := range l.Names() {
+	for name := range l.kernels {
 		if gpu.MaxConcurrentWGs(cfg, l.Kernel(name)) < 1 {
 			t.Errorf("%s: zero WGs fit on an idle device", name)
 		}
@@ -287,7 +288,7 @@ func TestGenerateArrivalStatistics(t *testing.T) {
 	b, _ := FindBenchmark("STEM")
 	set := b.Generate(l, HighRate, 2000, 7)
 	// Mean inter-arrival should approximate 1/64000 s = 15.625 µs.
-	mean := float64(set.LastArrival()) / float64(set.Len()-1)
+	mean := float64(set.Jobs[set.Len()-1].Arrival) / float64(set.Len()-1)
 	want := float64(sim.Second) / 64000
 	if math.Abs(mean-want)/want > 0.1 {
 		t.Fatalf("mean inter-arrival %.0f ns, want ≈%.0f ns", mean, want)
@@ -352,9 +353,28 @@ func TestJobHelpers(t *testing.T) {
 	if st := gpu.SerialTime(gpu.DefaultConfig(), j.Kernels); st < 24*sim.Microsecond || st > 26*sim.Microsecond {
 		t.Fatalf("SerialTime = %v, want ≈25µs", st)
 	}
-	if set.Horizon() < set.LastArrival() {
+	if set.Horizon() < set.Jobs[set.Len()-1].Arrival {
 		t.Fatal("Horizon before last arrival")
 	}
+}
+
+// Validate reports the first structural error in the job, or nil.
+func (j *Job) Validate() error {
+	if len(j.Kernels) == 0 {
+		return fmt.Errorf("workload: job %d has no kernels", j.ID)
+	}
+	if j.Deadline <= 0 {
+		return fmt.Errorf("workload: job %d has non-positive deadline %v", j.ID, j.Deadline)
+	}
+	if j.Arrival < 0 {
+		return fmt.Errorf("workload: job %d has negative arrival %v", j.ID, j.Arrival)
+	}
+	for _, k := range j.Kernels {
+		if err := k.Validate(); err != nil {
+			return fmt.Errorf("workload: job %d: %w", j.ID, err)
+		}
+	}
+	return nil
 }
 
 func TestJobValidateRejectsBadJobs(t *testing.T) {
@@ -395,7 +415,7 @@ func TestRateParsing(t *testing.T) {
 
 func TestEmptyJobSetHelpers(t *testing.T) {
 	s := &JobSet{}
-	if s.LastArrival() != 0 || s.Horizon() != 0 || s.Len() != 0 {
+	if s.Horizon() != 0 || s.Len() != 0 {
 		t.Fatal("empty JobSet helpers should return zero")
 	}
 }
@@ -407,8 +427,8 @@ func TestGenerateBurstyPreservesMeanRate(t *testing.T) {
 	rate := 64000
 	poisson := b.GenerateCustom(l, rate, n, 5)
 	bursty := b.GenerateBursty(l, rate, 4, 12, n, 5)
-	pm := float64(poisson.LastArrival()) / float64(n-1)
-	bm := float64(bursty.LastArrival()) / float64(n-1)
+	pm := float64(poisson.Jobs[n-1].Arrival) / float64(n-1)
+	bm := float64(bursty.Jobs[n-1].Arrival) / float64(n-1)
 	if bm < 0.8*pm || bm > 1.25*pm {
 		t.Fatalf("bursty mean gap %.0f ns vs poisson %.0f ns; mean rate not preserved", bm, pm)
 	}

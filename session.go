@@ -136,14 +136,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// configCount reports how many runner configurations are currently
-// memoized (exposed for the memo-bound test).
-func (s *Session) configCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runners)
-}
-
 // isClosed reports whether Close has been called (trace and scenario runs
 // have no runner lookup to surface ErrSessionClosed from).
 func (s *Session) isClosed() bool {

@@ -40,6 +40,14 @@ func sweepGrid() []Options {
 
 // TestSessionSweepMatchesRun: Sweep returns results in input order and each
 // one is identical to what a serial Run of that cell produces.
+// configCount reports how many runner configurations are currently
+// memoized.
+func (s *Session) configCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.runners)
+}
+
 func TestSessionSweepMatchesRun(t *testing.T) {
 	opts := sweepGrid()
 	serial := NewSession(SessionOptions{Parallel: 1})
