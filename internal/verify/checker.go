@@ -1,8 +1,9 @@
 // Package verify is the simulator's verification subsystem: a runtime
-// invariant checker that rides along any run as an obs.Probe, a brute-force
-// differential oracle for the classical policies (EDF, SJF, RR), an
-// analytic cross-check against the internal/queueing M/M/k model, and the
-// metamorphic/fuzz harnesses that drive them.
+// invariant checker that rides along any run as an obs.Probe, and the fleet
+// journal check. Its tests add a brute-force differential oracle for the
+// classical policies (EDF, SJF, RR), an analytic cross-check against the
+// internal/queueing M/M/k model, and the metamorphic/fuzz harnesses that
+// drive them.
 //
 // The checker turns the paper's scheduler-internal accounting — Algorithm 1
 // admission sums, Algorithm 2 laxity arithmetic and priority ordering, Job
@@ -19,6 +20,9 @@ import (
 	"laxgpu/internal/cp"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
+	// finalizeSystem calls workload.Job's methods through cp's types; the
+	// compiler inlines them there only when this package imports workload.
+	_ "laxgpu/internal/workload"
 )
 
 // DefaultMaxViolations bounds how many violations a Checker records in
