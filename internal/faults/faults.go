@@ -174,6 +174,8 @@ type Plan struct {
 	spec Spec
 	seed int64
 
+	// trace is the injected-event log in injection order: one line per
+	// non-none kernel fault and per fired retirement.
 	trace []string
 }
 

@@ -7,8 +7,8 @@ import (
 
 func TestErrorLatchHoldsFirstError(t *testing.T) {
 	var l ErrorLatch
-	if l.err != nil || l.Err() != nil || l.Dropped() != 0 {
-		t.Fatalf("zero latch not clean: %v %v %d", l.err != nil, l.Err(), l.Dropped())
+	if l.Err() != nil || l.Dropped() != 0 {
+		t.Fatalf("zero latch not clean: %v %d", l.Err(), l.Dropped())
 	}
 	if l.Latch(nil) {
 		t.Fatal("Latch(nil) reported failure")
